@@ -29,7 +29,13 @@ vet:
 race:
 	$(GO) test -race ./internal/core ./internal/driver ./internal/linker ./internal/parallel ./internal/pts/worklist ./internal/checks ./internal/pts/set ./internal/serve ./internal/extmodel ./internal/obs ./internal/snapfile ./internal/incr
 
-check: build fmt vet test race
+# The benchmark is its own module (benchmark/go.mod), so the root
+# `./...` patterns skip it; vet it and run its ~5 s smoke test so an
+# internal API change cannot break it unnoticed.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test .
+
+check: build fmt vet test race bench-module
 
 bench:
 	$(GO) test -bench=. -benchmem ./internal/bench

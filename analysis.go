@@ -5,17 +5,13 @@ import (
 	"sync"
 
 	"cla/internal/claerr"
-	"cla/internal/core"
 	"cla/internal/depend"
+	"cla/internal/driver"
 	"cla/internal/extmodel"
 	"cla/internal/objfile"
 	"cla/internal/obs"
 	"cla/internal/prim"
 	"cla/internal/pts"
-	"cla/internal/pts/bitvec"
-	"cla/internal/pts/onelevel"
-	"cla/internal/pts/steens"
-	"cla/internal/pts/worklist"
 	"cla/internal/snapfile"
 )
 
@@ -40,6 +36,14 @@ const (
 	// graph, unification below it.
 	OneLevelFlow
 )
+
+// solver maps the public algorithm onto the driver's solver; the two
+// enumerations share one order.
+func (a Algorithm) solver() driver.Solver { return driver.Solver(a) }
+
+// String returns the solver's flag spelling, matching the -solver names
+// the CLIs accept.
+func (a Algorithm) String() string { return a.solver().String() }
 
 // ExtModel selects how undefined externals are treated, making the
 // analysis sound on incomplete programs (libraries, single modules,
@@ -117,67 +121,12 @@ func (db *Database) Undefined() []UndefExtern {
 	return out
 }
 
-// AnalyzeOptions configures an analysis run.
-//
-// AnalyzeOptions is the analyze half of the older split option surface;
-// new code should prefer the session-oriented API, whose single
-// WorkspaceOptions struct carries these fields alongside the compile
-// ones (see OpenWorkspace). Database.Analyze remains supported and is
-// exactly the analyze phase of a single-generation workspace.
-type AnalyzeOptions struct {
-	Algorithm Algorithm
-	// ExtModel closes the database over undefined externals before
-	// solving (see ExtModelUnsound). The database itself is not modified;
-	// non-unsound models analyze an extended copy.
-	ExtModel ExtModel
-	// NoCache disables reachability caching (ablation).
-	NoCache bool
-	// NoCycleElim disables cycle elimination (ablation).
-	NoCycleElim bool
-	// NoDemandLoad loads the whole database upfront (ablation).
-	NoDemandLoad bool
-	// Jobs bounds the workers used by the solve phase itself (the
-	// pre-transitive and worklist solvers run their phase-parallel wave
-	// fixpoint when Jobs >= 2) and to materialize final points-to sets
-	// after solving (0 = all available cores, 1 = sequential). Results
-	// are identical at every setting.
-	Jobs int
-	// Observer, when non-nil, records the analyze phase and the solver
-	// counters; read them back with Analysis.Stats (see NewObserver).
-	Observer *Observer
-}
-
-func (o *AnalyzeOptions) algorithm() Algorithm {
-	if o == nil {
-		return PreTransitive
-	}
-	return o.Algorithm
-}
-
-func (o *AnalyzeOptions) extModel() ExtModel {
-	if o == nil {
-		return ExtModelUnsound
-	}
-	return o.ExtModel
-}
-
-func (o *AnalyzeOptions) observer() *obs.Observer {
-	if o == nil {
-		return nil
-	}
-	return o.Observer.internal()
-}
-
-func (o *AnalyzeOptions) coreConfig() core.Config {
-	cfg := core.DefaultConfig()
-	if o != nil {
-		cfg.Cache = !o.NoCache
-		cfg.CycleElim = !o.NoCycleElim
-		cfg.DemandLoad = !o.NoDemandLoad
-		cfg.Jobs = o.Jobs
-	}
-	return cfg
-}
+// AnalyzeOptions configures an analysis run. It is WorkspaceOptions:
+// the one-shot analyze entry points read its analyze half (Algorithm,
+// ExtModel, the ablation toggles, Jobs, Observer). Under a non-unsound
+// ExtModel the database itself is not modified; the analysis runs over
+// an extended copy.
+type AnalyzeOptions = WorkspaceOptions
 
 // Analysis holds a solved points-to relation over a database.
 type Analysis struct {
@@ -282,46 +231,7 @@ func (a *Analysis) Close() error {
 }
 
 func solve(ctx context.Context, src pts.Source, opts *AnalyzeOptions) (pts.Result, error) {
-	alg := PreTransitive
-	if opts != nil {
-		alg = opts.Algorithm
-	}
-	o := opts.observer()
-	sp := o.Start("analyze")
-	res, err := solveAlg(ctx, src, opts, alg)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	res.Metrics().Publish(o)
-	return res, nil
-}
-
-func solveAlg(ctx context.Context, src pts.Source, opts *AnalyzeOptions, alg Algorithm) (pts.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	switch alg {
-	case PreTransitive:
-		return core.SolveCtx(ctx, src, opts.coreConfig())
-	case WorklistAndersen:
-		jobs := 0
-		if opts != nil {
-			jobs = opts.Jobs
-		}
-		return worklist.SolveJobsCtx(ctx, src, jobs)
-	case SteensgaardUnify:
-		return steens.Solve(src)
-	case BitVectorAndersen:
-		jobs := 0
-		if opts != nil {
-			jobs = opts.Jobs
-		}
-		return bitvec.SolveJobs(src, jobs)
-	case OneLevelFlow:
-		return onelevel.Solve(src)
-	}
-	return nil, claerr.Newf(claerr.PhaseUsage, "unknown algorithm %d", alg)
+	return driver.Analyze(ctx, src, opts.algorithm().solver(), opts.coreConfig(), opts.observer())
 }
 
 // Database returns the analyzed database.

@@ -9,6 +9,7 @@ package cla
 // scale. The reported custom metrics (relations, loaded/in-file counts)
 // are the table columns; ns/op is the analysis time.
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -153,14 +154,14 @@ func BenchmarkSolvers(b *testing.B) {
 		})
 		b.Run(name+"/worklist", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := worklist.Solve(pts.NewMemSource(w.FieldBased)); err != nil {
+				if _, err := worklist.Solve(context.Background(), pts.NewMemSource(w.FieldBased), 1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(name+"/bitvec", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := bitvec.Solve(pts.NewMemSource(w.FieldBased)); err != nil {
+				if _, err := bitvec.Solve(pts.NewMemSource(w.FieldBased), 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -26,7 +26,6 @@ import (
 	"cla/internal/incr"
 	"cla/internal/linker"
 	"cla/internal/objfile"
-	"cla/internal/obs"
 	"cla/internal/prim"
 )
 
@@ -41,60 +40,12 @@ const (
 	FieldIndependent
 )
 
-// Options configures the compile phase.
-//
-// Options is the compile half of the older split option surface; new
-// code should prefer the session-oriented API, whose single
-// WorkspaceOptions struct carries these fields alongside the analyze
-// ones (see OpenWorkspace). The one-shot entry points below remain
-// supported as thin equivalents of a single-generation workspace.
-type Options struct {
-	// Mode is the struct treatment (default FieldBased, as in the paper).
-	Mode StructMode
-	// IncludeDirs is the #include search path for file compilation.
-	IncludeDirs []string
-	// Defines are predefined object-like macros (NAME or NAME=VALUE).
-	Defines map[string]string
-	// ModelStrings models string literals as objects instead of ignoring
-	// them.
-	ModelStrings bool
-	// Jobs bounds the workers used to compile translation units and link
-	// their databases (0 = all available cores, 1 = sequential). When an
-	// analysis runs on the result, the same setting selects the solve
-	// phase's phase-parallel wave fixpoint (Jobs >= 2). The output is
-	// identical at every setting.
-	Jobs int
-	// Observer, when non-nil, records per-phase timings and counters for
-	// the compile and link work (see NewObserver).
-	Observer *Observer
-}
-
-func (o *Options) frontend() frontend.Options {
-	fo := frontend.Options{}
-	if o != nil {
-		if o.Mode == FieldIndependent {
-			fo.Mode = frontend.FieldIndependent
-		}
-		fo.ModelStrings = o.ModelStrings
-		fo.Defines = o.Defines
-	}
-	return fo
-}
-
-func (o *Options) observer() *obs.Observer {
-	if o == nil {
-		return nil
-	}
-	return o.Observer.internal()
-}
-
-func (o *Options) loader() cpp.Loader {
-	var dirs []string
-	if o != nil {
-		dirs = o.IncludeDirs
-	}
-	return cpp.OSLoader{Dirs: dirs}
-}
+// Options configures the compile phase. It is WorkspaceOptions: the
+// one-shot compile entry points read its compile half (Mode,
+// IncludeDirs, Defines, ModelStrings, Jobs, Observer). IncludeDirs is the
+// whole #include search path for CompileFile and CompileSource, and the
+// extra directories after dir for CompileDir.
+type Options = WorkspaceOptions
 
 // Database is a linked (or single-unit) primitive-assignment database: the
 // object-file contents of the CLA architecture, held in memory.
@@ -142,12 +93,7 @@ func CompileDir(dir string, opts *Options) (*Database, error) {
 // is exactly what OpenWorkspace would analyze). For a session that
 // stays open and recompiles only what changes, use OpenWorkspace.
 func CompileDirCtx(ctx context.Context, dir string, opts *Options) (*Database, error) {
-	cfg := incr.Config{Dir: dir, Frontend: opts.frontend(), Obs: opts.observer()}
-	if opts != nil {
-		cfg.Includes = opts.IncludeDirs
-		cfg.Jobs = opts.Jobs
-	}
-	prog, err := incr.CompileDir(ctx, cfg)
+	prog, err := incr.CompileDir(ctx, opts.incrConfig(dir))
 	if err != nil {
 		return nil, claerr.File(claerr.PhaseCompile, dir, err)
 	}

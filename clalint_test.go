@@ -124,6 +124,41 @@ func TestClalintExitCodes(t *testing.T) {
 	}
 }
 
+// TestClalintIncludeDirs: -I reaches every unit compile whether the
+// units are named one by one or found by listing a directory.
+func TestClalintIncludeDirs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	tools := buildTools(t, "clalint")
+	work := t.TempDir()
+	inc, src := filepath.Join(work, "inc"), filepath.Join(work, "src")
+	for _, d := range []string{inc, src} {
+		if err := os.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := map[string]string{
+		filepath.Join(inc, "defs.h"): "extern int g;\nextern int *p;\n",
+		filepath.Join(src, "a.c"):    "#include \"defs.h\"\nint g;\nint *p;\nvoid f(void) { p = &g; *p = g; }\n",
+		filepath.Join(src, "b.c"):    "#include \"defs.h\"\nvoid h(void) { *p = 1; }\n",
+	}
+	for path, content := range files {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, inputs := range [][]string{
+		{filepath.Join(src, "a.c"), filepath.Join(src, "b.c")},
+		{src},
+	} {
+		out, code := runExit(t, tools["clalint"], append([]string{"-I", inc}, inputs...)...)
+		if code != 0 {
+			t.Errorf("clalint -I inc %v: exit %d, output:\n%s", inputs, code, out)
+		}
+	}
+}
+
 func TestClalintDatabaseInput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")

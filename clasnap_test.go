@@ -7,6 +7,7 @@ package cla
 import (
 	"bufio"
 	"context"
+	"errors"
 	"net"
 	"net/http"
 	"os"
@@ -15,6 +16,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cla/internal/claerr"
 )
 
 func TestClasnapEndToEnd(t *testing.T) {
@@ -125,5 +128,48 @@ func TestClasnapEndToEnd(t *testing.T) {
 	}
 	if out := run(t, tools["clasnap"], "-o", snap+"2", "-solver", "bitvec", work); !strings.Contains(out, "symbols") {
 		t.Fatalf("rebuild output: %q", out)
+	}
+}
+
+// TestClasnapHeaderEditIsStale: a directory snapshot records the units'
+// include closure, so editing a header alone makes it stale.
+func TestClasnapHeaderEditIsStale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	tools := buildTools(t, "clasnap")
+	src := t.TempDir()
+	hdr := filepath.Join(src, "defs.h")
+	files := map[string]string{
+		hdr:                       "extern int G, H;\nextern int *p;\n",
+		filepath.Join(src, "a.c"): "#include \"defs.h\"\nint G, H;\nint *p;\nvoid f(void) { p = &G; }\n",
+		filepath.Join(src, "b.c"): "#include \"defs.h\"\nint *r;\nvoid g(void) { r = p; }\n",
+	}
+	for path, content := range files {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := filepath.Join(t.TempDir(), "x.snap")
+	run(t, tools["clasnap"], "-o", snap, src)
+	if out := run(t, tools["clasnap"], "-verify", snap); !strings.Contains(out, "(3 recorded)") {
+		t.Fatalf("-verify should record both units and the header: %q", out)
+	}
+	an, err := OpenSnapshot(snap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an.Close()
+
+	if err := os.WriteFile(hdr, []byte(files[hdr]+"int *q = &H;\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSnapshot(snap, nil); !errors.Is(err, claerr.ErrStale) {
+		t.Fatalf("OpenSnapshot after a header edit: got %v, want ErrStale", err)
+	}
+	vc := exec.Command(tools["clasnap"], "-verify", snap)
+	vout, _ := vc.CombinedOutput()
+	if code := vc.ProcessState.ExitCode(); code != 3 {
+		t.Fatalf("-verify after a header edit: exit %d, want 3\n%s", code, vout)
 	}
 }

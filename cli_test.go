@@ -274,4 +274,30 @@ func TestCLICacheIncremental(t *testing.T) {
 	if st1.ModTime().Equal(st3.ModTime()) && st1.Size() == st3.Size() {
 		t.Error("cache entry not refreshed after edit")
 	}
+
+	// The #include search path is part of the entry: a unit compiled
+	// under -I B is never served the entry compiled under -I A.
+	incA, incB := filepath.Join(work, "A"), filepath.Join(work, "B")
+	os.Mkdir(incA, 0o755)
+	os.Mkdir(incB, 0o755)
+	os.WriteFile(filepath.Join(incA, "defs.h"), []byte("int G;\n"), 0o644)
+	os.WriteFile(filepath.Join(incB, "defs.h"), []byte("int G, H;\nint *q = &H;\n"), 0o644)
+	os.WriteFile(src, []byte("#include \"defs.h\"\nint *p;\nvoid f(void) { p = &G; }\n"), 0o644)
+	object := func(args ...string) string {
+		out := filepath.Join(work, "out.clo")
+		run(t, tools["clacc"], append(append(args, "-o", out), src)...)
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	a := object("-I", incA, "-cache", cacheDir)
+	b := object("-I", incB, "-cache", cacheDir)
+	if b != object("-I", incB) {
+		t.Error("cached compile under -I B differs from a fresh compile")
+	}
+	if a == b {
+		t.Error("-I A and -I B produced the same object")
+	}
 }

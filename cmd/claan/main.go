@@ -17,6 +17,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -31,6 +32,7 @@ import (
 	"cla/internal/driver"
 	"cla/internal/extmodel"
 	"cla/internal/frontend"
+	"cla/internal/incr"
 	"cla/internal/objfile"
 	"cla/internal/obs"
 	"cla/internal/parallel"
@@ -115,7 +117,7 @@ func main() {
 		src = pts.NewMemSource(prog)
 	}
 
-	res, err := driver.AnalyzeObs(src, solver, cfg, o)
+	res, err := driver.Analyze(context.Background(), src, solver, cfg, o)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "claan: %v\n", err)
 		os.Exit(1)
@@ -213,7 +215,7 @@ func openDatabase(args []string, jobs int, model extmodel.Model, o *obs.Observer
 				return nil, err
 			}
 		case info.IsDir():
-			prog, err = driver.CompileDirObs(args[0], frontend.Options{}, jobs, o)
+			prog, err = incr.CompileDir(context.Background(), incr.Config{Dir: args[0], Jobs: jobs, Obs: o})
 		default:
 			prog, err = compileUnits(args, jobs, o)
 		}
@@ -244,7 +246,7 @@ func compileUnits(args []string, jobs int, o *obs.Observer) (*prim.Program, erro
 		include = append(include, d)
 	}
 	sort.Strings(include)
-	return driver.CompileUnitsObs(args, cpp.OSLoader{Dirs: include}, frontend.Options{}, jobs, o)
+	return driver.Compile(context.Background(), args, cpp.OSLoader{Dirs: include}, frontend.Options{}, jobs, o)
 }
 
 // writeDot exports the non-empty points-to relation as a Graphviz digraph:

@@ -19,6 +19,7 @@ import (
 	"cla/internal/cpp"
 	"cla/internal/driver"
 	"cla/internal/frontend"
+	"cla/internal/incr"
 	"cla/internal/linker"
 	"cla/internal/objfile"
 	"cla/internal/obs"
@@ -39,7 +40,7 @@ func main() {
 		out      = flag.String("o", "", "output object file (default: input with .clo)")
 		mode     = flag.String("mode", "field-based", "struct mode: field-based or field-independent")
 		strs     = flag.Bool("strings", false, "model string constants as objects")
-		cacheDir = flag.String("cache", "", "object cache directory for incremental recompilation")
+		cacheDir = flag.String("cache", "", "unit store directory for incremental recompilation (the -cache-dir layout)")
 		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "number of parallel compile workers (1 = sequential)")
 		includes stringList
 		defines  stringList
@@ -78,18 +79,18 @@ func main() {
 	}
 	loader := cpp.OSLoader{Dirs: includes}
 
-	var cache *driver.Cache
+	var store *incr.Store
 	if *cacheDir != "" {
 		var err error
-		cache, err = driver.NewCache(*cacheDir)
+		store, err = incr.OpenStore(*cacheDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "clacc: %v\n", err)
 			os.Exit(1)
 		}
 	}
 	compileOne := func(in string) (*prim.Program, error) {
-		if cache != nil {
-			return cache.CompileUnit(in, loader, opts)
+		if store != nil {
+			return store.Compile(in, includes, opts)
 		}
 		return frontend.CompileFile(in, loader, opts)
 	}
@@ -126,7 +127,7 @@ func main() {
 		merged := progs[0]
 		if len(progs) > 1 {
 			var err error
-			merged, err = linker.LinkParallelObs(progs, *jobs, o)
+			merged, _, err = linker.LinkTreeMemo(progs, nil, *jobs, nil, o)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "clacc: %v\n", err)
 				os.Exit(1)

@@ -8,6 +8,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -43,12 +44,12 @@ func BuildWorkload(p gen.Profile, scale float64, seed int64) (*Workload, error) 
 	sp := p.Scale(scale)
 	code := gen.Generate(sp, seed)
 	start := time.Now()
-	fb, err := driver.CompileUnits(code.Units(), code.Loader(), frontend.Options{Mode: frontend.FieldBased})
+	fb, err := driver.Compile(context.Background(), code.Units(), code.Loader(), frontend.Options{Mode: frontend.FieldBased}, 0, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err)
 	}
 	compileTime := time.Since(start)
-	fi, err := driver.CompileUnits(code.Units(), code.Loader(), frontend.Options{Mode: frontend.FieldIndependent})
+	fi, err := driver.Compile(context.Background(), code.Units(), code.Loader(), frontend.Options{Mode: frontend.FieldIndependent}, 0, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err)
 	}
@@ -311,7 +312,7 @@ func RunSolvers(w *Workload) ([]RowSolver, error) {
 	for _, solver := range Solvers {
 		src := pts.NewMemSource(w.FieldBased)
 		start := time.Now()
-		res, err := driver.Analyze(src, solver, core.DefaultConfig())
+		res, err := driver.Analyze(context.Background(), src, solver, core.DefaultConfig(), nil)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -70,13 +71,13 @@ func RunParallel(p gen.Profile, scale float64, seed int64, jobs int) (RowParalle
 
 	opts := frontend.Options{Mode: frontend.FieldBased}
 	start := time.Now()
-	seqDB, err := driver.CompileUnitsJobs(code.Units(), code.Loader(), opts, 1)
+	seqDB, err := driver.Compile(context.Background(), code.Units(), code.Loader(), opts, 1, nil)
 	if err != nil {
 		return row, fmt.Errorf("%s: %w", p.Name, err)
 	}
 	row.SeqCompile = time.Since(start)
 	start = time.Now()
-	parDB, err := driver.CompileUnitsJobs(code.Units(), code.Loader(), opts, jobs)
+	parDB, err := driver.Compile(context.Background(), code.Units(), code.Loader(), opts, jobs, nil)
 	if err != nil {
 		return row, fmt.Errorf("%s: %w", p.Name, err)
 	}

@@ -79,7 +79,7 @@ func RunServe(w *Workload, jobs, queries int) (RowServe, error) {
 	cfg := core.DefaultConfig()
 	cfg.Jobs = jobs
 	src := pts.NewMemSource(w.FieldBased)
-	res, err := driver.Analyze(src, driver.PreTransitive, cfg)
+	res, err := driver.Analyze(context.Background(), src, driver.PreTransitive, cfg, nil)
 	if err != nil {
 		return row, fmt.Errorf("%s: %w", w.Profile.Name, err)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -58,7 +59,7 @@ func measureWave(w *Workload, solver driver.Solver, jobs int) (RowSolve, uint64,
 	g := new(obs.Gauge)
 	stopHeap := obs.WatchHeap(g, 0)
 	start := time.Now()
-	res, err := driver.Analyze(src, solver, cfg)
+	res, err := driver.Analyze(context.Background(), src, solver, cfg, nil)
 	elapsed := time.Since(start)
 	stopHeap()
 	if err != nil {

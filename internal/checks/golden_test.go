@@ -2,6 +2,8 @@ package checks
 
 import (
 	"bytes"
+	"cla/internal/pts"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -121,7 +123,7 @@ func TestGoldenFuncpointers(t *testing.T) {
 func TestDeterminismAcrossJobs(t *testing.T) {
 	profile := gen.Table2[0].Scale(0.05) // small nethack-shaped workload
 	code := gen.Generate(profile, 42)
-	prog, err := driver.CompileUnits(code.Units(), code.Loader(), frontend.Options{})
+	prog, err := driver.Compile(context.Background(), code.Units(), code.Loader(), frontend.Options{}, 0, nil)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -185,7 +187,7 @@ void drive(void) { cb(); }
 	if err != nil {
 		t.Fatalf("link: %v", err)
 	}
-	res, err := driver.AnalyzeProgram(prog, driver.PreTransitive, core.DefaultConfig())
+	res, err := driver.Analyze(context.Background(), pts.NewMemSource(prog), driver.PreTransitive, core.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -321,7 +322,7 @@ func TestCoreMatchesWorklistOnRandomPrograms(t *testing.T) {
 		nsyms := 3 + rng.Intn(15)
 		prog := randomProgram(rng, nsyms, 5+rng.Intn(40))
 		src := pts.NewMemSource(prog)
-		want, err := worklist.Solve(src)
+		want, err := worklist.Solve(context.Background(), src, 1)
 		if err != nil {
 			t.Fatalf("seed %d: worklist: %v", seed, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestScratchGrowsMidPass(t *testing.T) {
 	prog := midPassGrowthProgram(k)
 	nsyms := len(prog.Syms)
 
-	want, err := worklist.Solve(pts.NewMemSource(prog))
+	want, err := worklist.Solve(context.Background(), pts.NewMemSource(prog), 1)
 	if err != nil {
 		t.Fatalf("worklist: %v", err)
 	}

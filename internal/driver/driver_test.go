@@ -2,15 +2,14 @@ package driver
 
 import (
 	"bytes"
-	"fmt"
-	"os"
-	"path/filepath"
+	"context"
 	"strings"
 	"testing"
 
 	"cla/internal/core"
 	"cla/internal/cpp"
 	"cla/internal/frontend"
+	"cla/internal/gen"
 	"cla/internal/objfile"
 	"cla/internal/pts"
 )
@@ -20,12 +19,12 @@ func TestCompileUnitsAndAnalyze(t *testing.T) {
 		"a.c": "int g; int *p;\nvoid f(void) { p = &g; }\n",
 		"b.c": "extern int *p; int *q;\nvoid h(void) { q = p; }\n",
 	}
-	prog, err := CompileUnits([]string{"a.c", "b.c"}, files, frontend.Options{})
+	prog, err := Compile(context.Background(), []string{"a.c", "b.c"}, files, frontend.Options{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, solver := range []Solver{PreTransitive, Worklist, Steensgaard} {
-		res, err := Analyze(pts.NewMemSource(prog), solver, core.DefaultConfig())
+		res, err := Analyze(context.Background(), pts.NewMemSource(prog), solver, core.DefaultConfig(), nil)
 		if err != nil {
 			t.Fatalf("%v: %v", solver, err)
 		}
@@ -33,38 +32,6 @@ func TestCompileUnitsAndAnalyze(t *testing.T) {
 		if len(res.PointsTo(q)) == 0 {
 			t.Errorf("%v: pts(q) empty", solver)
 		}
-	}
-}
-
-func TestCompileDir(t *testing.T) {
-	dir := t.TempDir()
-	os.WriteFile(filepath.Join(dir, "x.c"), []byte("int v, *p;\nvoid f(void) { p = &v; }\n"), 0o644)
-	os.WriteFile(filepath.Join(dir, "y.c"), []byte("extern int *p; int *r;\nvoid g(void) { r = p; }\n"), 0o644)
-	os.WriteFile(filepath.Join(dir, "note.txt"), []byte("not C"), 0o644)
-	prog, err := CompileDir(dir, frontend.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := AnalyzeProgram(prog, PreTransitive, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := prog.SymIDByName("r")
-	set := res.PointsTo(r)
-	if len(set) != 1 || prog.Sym(set[0]).Name != "v" {
-		t.Errorf("pts(r) = %v", set)
-	}
-}
-
-func TestCompileDirEmpty(t *testing.T) {
-	if _, err := CompileDir(t.TempDir(), frontend.Options{}); err == nil {
-		t.Error("empty dir accepted")
-	}
-}
-
-func TestCompileDirMissing(t *testing.T) {
-	if _, err := CompileDir("/nonexistent-dir-cla", frontend.Options{}); err == nil {
-		t.Error("missing dir accepted")
 	}
 }
 
@@ -93,17 +60,17 @@ func TestSolverString(t *testing.T) {
 }
 
 func TestAnalyzeUnknownSolver(t *testing.T) {
-	prog, err := CompileUnits([]string{"a.c"}, cpp.MapLoader{"a.c": "int x;"}, frontend.Options{})
+	prog, err := Compile(context.Background(), []string{"a.c"}, cpp.MapLoader{"a.c": "int x;"}, frontend.Options{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Analyze(pts.NewMemSource(prog), Solver(99), core.DefaultConfig()); err == nil {
+	if _, err := Analyze(context.Background(), pts.NewMemSource(prog), Solver(99), core.DefaultConfig(), nil); err == nil {
 		t.Error("unknown solver accepted")
 	}
 }
 
 func TestCompileUnitsBadFile(t *testing.T) {
-	if _, err := CompileUnits([]string{"missing.c"}, cpp.MapLoader{}, frontend.Options{}); err == nil {
+	if _, err := Compile(context.Background(), []string{"missing.c"}, cpp.MapLoader{}, frontend.Options{}, 0, nil); err == nil {
 		t.Error("missing unit accepted")
 	}
 }
@@ -113,7 +80,7 @@ func TestCompileUnitsErrorNamesUnit(t *testing.T) {
 		"good.c": "int g;\n",
 		"bad.c":  "int broken(",
 	}
-	_, err := CompileUnits([]string{"good.c", "bad.c"}, files, frontend.Options{})
+	_, err := Compile(context.Background(), []string{"good.c", "bad.c"}, files, frontend.Options{}, 0, nil)
 	if err == nil {
 		t.Fatal("bad unit accepted")
 	}
@@ -128,7 +95,7 @@ func TestCompileUnitsErrorIsLowestUnit(t *testing.T) {
 	files := cpp.MapLoader{"z.c": "int ok;\n"}
 	units := []string{"a-missing.c", "z.c", "b-missing.c"}
 	for _, jobs := range []int{1, 4} {
-		_, err := CompileUnitsJobs(units, files, frontend.Options{}, jobs)
+		_, err := Compile(context.Background(), units, files, frontend.Options{}, jobs, nil)
 		if err == nil {
 			t.Fatal("missing units accepted")
 		}
@@ -138,16 +105,13 @@ func TestCompileUnitsErrorIsLowestUnit(t *testing.T) {
 	}
 }
 
-func TestCompileDirJobsDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	for i := 0; i < 9; i++ {
-		src := fmt.Sprintf("int g%[1]d, *p%[1]d;\nvoid f%[1]d(void) { p%[1]d = &g%[1]d; }\n", i)
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("u%d.c", i)), []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+func TestParallelCompileMatchesSerial(t *testing.T) {
+	// The compile fan-out and tree link must be byte-identical to the
+	// sequential compile and left-fold link at every worker count.
+	p, _ := gen.ProfileByName("burlap")
+	code := gen.Generate(p.Scale(0.03), 2)
 	dump := func(jobs int) []byte {
-		prog, err := CompileDirJobs(dir, frontend.Options{}, jobs)
+		prog, err := Compile(context.Background(), code.Units(), code.Loader(), frontend.Options{}, jobs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,8 @@ package extmodel_test
 
 import (
 	"bytes"
+	"cla/internal/pts"
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -67,7 +69,7 @@ func canonical(t *testing.T, m extmodel.Model, s driver.Solver, jobs int) string
 	p, _ := extmodel.ApplyClone(base, m)
 	cfg := core.DefaultConfig()
 	cfg.Jobs = jobs
-	res, err := driver.AnalyzeProgram(p, s, cfg)
+	res, err := driver.Analyze(context.Background(), pts.NewMemSource(p), s, cfg, nil)
 	if err != nil {
 		t.Fatalf("solve %v/%v: %v", m, s, err)
 	}
@@ -145,7 +147,7 @@ func TestUnsoundMatchesUnmodeledProgram(t *testing.T) {
 		withModel := canonical(t, extmodel.Unsound, s, 1)
 
 		base := link(t, determinismUnits)
-		res, err := driver.AnalyzeProgram(base, s, core.DefaultConfig())
+		res, err := driver.Analyze(context.Background(), pts.NewMemSource(base), s, core.DefaultConfig(), nil)
 		if err != nil {
 			t.Fatalf("solve %v: %v", s, err)
 		}

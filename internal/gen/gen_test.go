@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -72,7 +73,7 @@ func TestGeneratedCodeCompiles(t *testing.T) {
 		if len(units) != p.Files {
 			t.Fatalf("%s: units = %d, want %d", p.Name, len(units), p.Files)
 		}
-		prog, err := driver.CompileUnits(units, code.Loader(), frontend.Options{})
+		prog, err := driver.Compile(context.Background(), units, code.Loader(), frontend.Options{}, 0, nil)
 		if err != nil {
 			t.Fatalf("%s: compile: %v", p.Name, err)
 		}
@@ -86,7 +87,7 @@ func TestGeneratedCountsApproximateProfile(t *testing.T) {
 	p, _ := ProfileByName("vortex")
 	p = p.Scale(0.1)
 	code := Generate(p, 7)
-	prog, err := driver.CompileUnits(code.Units(), code.Loader(), frontend.Options{})
+	prog, err := driver.Compile(context.Background(), code.Units(), code.Loader(), frontend.Options{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestGeneratedCodeAnalyzes(t *testing.T) {
 	p, _ := ProfileByName("burlap")
 	p = p.Scale(0.05)
 	code := Generate(p, 3)
-	prog, err := driver.CompileUnits(code.Units(), code.Loader(), frontend.Options{})
+	prog, err := driver.Compile(context.Background(), code.Units(), code.Loader(), frontend.Options{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +133,11 @@ func TestGeneratedFieldModesDiffer(t *testing.T) {
 	p, _ := ProfileByName("povray")
 	p = p.Scale(0.05)
 	code := Generate(p, 11)
-	fb, err := driver.CompileUnits(code.Units(), code.Loader(), frontend.Options{Mode: frontend.FieldBased})
+	fb, err := driver.Compile(context.Background(), code.Units(), code.Loader(), frontend.Options{Mode: frontend.FieldBased}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fi, err := driver.CompileUnits(code.Units(), code.Loader(), frontend.Options{Mode: frontend.FieldIndependent})
+	fi, err := driver.Compile(context.Background(), code.Units(), code.Loader(), frontend.Options{Mode: frontend.FieldIndependent}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,18 +12,20 @@
 //     options plus the srchash digest of the unit source and every file
 //     in the include closure it actually read (recorded by a tracking
 //     loader during compilation). Clean units are reused in memory;
-//     with a cache directory configured they are also served from an
-//     on-disk store across sessions, so a fresh process warm-starts
-//     without parsing anything.
+//     with a cache directory configured they are also served from the
+//     on-disk Store across sessions, so a fresh process starts without
+//     parsing anything.
 //   - Link subtrees. Relinking replays the same pairwise merge tree as
 //     linker.LinkParallel through a generation-scoped memo
 //     (linker.LinkTreeMemo), so an edit to one of N units re-runs only
 //     the O(log N) merges on its root path.
 //   - The fixpoint. The linked database is digested
 //     (prim.Program.Digest folded with solver, extern model and
-//     configuration identity) and the solve is routed through the
-//     solvers' warm-start entry points: an unchanged digest returns the
-//     previous fixpoint byte-for-byte without solving.
+//     configuration identity). An unchanged digest keeps the current
+//     generation, fixpoint and all, without solving: every solver is
+//     deterministic, so an identical database under an identical
+//     configuration reproduces the identical fixpoint, and the reuse is
+//     byte-exact by construction.
 //
 // Each successful refresh that changes the analysis yields a new
 // *Result — an immutable generation snapshot. Queries in flight against
@@ -151,14 +153,13 @@ type Result struct {
 // All methods are safe for concurrent use; refreshes serialize.
 type Pipeline struct {
 	cfg   Config
-	store *store
+	store *Store
 	memo  *linker.MergeCache
 
 	mu     sync.Mutex
 	gen    uint64
 	units  map[string]*unit
 	stamps map[string]stamp
-	warm   *pts.Warm
 	cur    *Result
 }
 
@@ -166,13 +167,9 @@ type Pipeline struct {
 // every unit under cfg.Dir (served from the on-disk store where valid,
 // so a second session over an unchanged tree parses nothing).
 func Open(ctx context.Context, cfg Config) (*Pipeline, error) {
-	p := &Pipeline{cfg: cfg, memo: linker.NewMergeCache(), units: map[string]*unit{}}
-	if cfg.CacheDir != "" {
-		st, err := openStore(cfg.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		p.store = st
+	p, err := newPipeline(cfg)
+	if err != nil {
+		return nil, err
 	}
 	if _, _, err := p.refresh(ctx, nil); err != nil {
 		return nil, err
@@ -181,16 +178,13 @@ func Open(ctx context.Context, cfg Config) (*Pipeline, error) {
 }
 
 // CompileDir runs the pipeline's compile+link front half once and
-// returns the linked database — the single-generation equivalent of a
-// workspace's compile phase, which the one-shot cla.CompileDir wraps.
+// returns the linked database: the one directory-compile path, shared by
+// the one-shot cla.CompileDir and the tools' directory inputs. Its output
+// is exactly what Open analyzes.
 func CompileDir(ctx context.Context, cfg Config) (*prim.Program, error) {
-	p := &Pipeline{cfg: cfg, memo: linker.NewMergeCache(), units: map[string]*unit{}}
-	if cfg.CacheDir != "" {
-		st, err := openStore(cfg.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		p.store = st
+	p, err := newPipeline(cfg)
+	if err != nil {
+		return nil, err
 	}
 	units, _, err := p.compilePhase(ctx, nil)
 	if err != nil {
@@ -198,6 +192,18 @@ func CompileDir(ctx context.Context, cfg Config) (*prim.Program, error) {
 	}
 	linked, _, err := p.linkPhase(units)
 	return linked, err
+}
+
+func newPipeline(cfg Config) (*Pipeline, error) {
+	p := &Pipeline{cfg: cfg, memo: linker.NewMergeCache(), units: map[string]*unit{}}
+	if cfg.CacheDir != "" {
+		st, err := OpenStore(cfg.CacheDir)
+		if err != nil {
+			return nil, err
+		}
+		p.store = st
+	}
+	return p, nil
 }
 
 // Current returns the latest generation snapshot.
@@ -340,7 +346,7 @@ func (hc *hashCache) hash(path string) string {
 }
 
 // optsFingerprint folds the semantically relevant compile options into
-// unit keys, mirroring the driver cache's scheme.
+// unit keys.
 func optsFingerprint(opts frontend.Options) string {
 	keys := make([]string, 0, len(opts.Defines))
 	for k, v := range opts.Defines {
@@ -407,6 +413,22 @@ func (l *trackLoader) deps() []dep {
 	return out
 }
 
+// compileUnit parses one translation unit with dirs as the #include
+// search path, recording the closure it reads.
+func compileUnit(path string, dirs []string, opts frontend.Options) (*unit, error) {
+	tl := &trackLoader{inner: cpp.OSLoader{Dirs: dirs}, reads: map[string]string{}}
+	content, rpath, err := tl.Load(path)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := frontend.CompileSource(rpath, content, tl, opts)
+	if err != nil {
+		return nil, err
+	}
+	deps := tl.deps()
+	return &unit{path: path, prog: prog, deps: deps, key: leafKey(opts, deps)}, nil
+}
+
 // compilePhase lists the workspace's units, decides which are dirty
 // (under the optional hint set), and recompiles those — from the on-disk
 // store when the closure still matches, by parsing otherwise. It returns
@@ -438,13 +460,13 @@ func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*
 	compileStart := time.Now()
 	if len(dirtyIdx) > 0 {
 		sp := o.Start("compile")
-		loader := cpp.OSLoader{Dirs: append([]string{p.cfg.Dir}, p.cfg.Includes...)}
+		dirs := append([]string{p.cfg.Dir}, p.cfg.Includes...)
 		var hits atomic.Int64
 		err := parallel.ForEachCtx(ctx, p.cfg.Jobs, len(dirtyIdx), func(k int) error {
 			i := dirtyIdx[k]
 			path := paths[i]
 			if p.store != nil {
-				if u, ok := p.store.load(path, p.cfg.Frontend, hc); ok {
+				if u, ok := p.store.load(path, dirs, p.cfg.Frontend, hc); ok {
 					units[i] = u
 					hits.Add(1)
 					return nil
@@ -452,19 +474,12 @@ func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*
 			}
 			usp := o.StartTrack(k+1, "unit "+filepath.Base(path))
 			defer usp.End()
-			tl := &trackLoader{inner: loader, reads: map[string]string{}}
-			content, rpath, err := tl.Load(path)
+			u, err := compileUnit(path, dirs, p.cfg.Frontend)
 			if err != nil {
 				return fmt.Errorf("incr: compile %s: %w", path, err)
 			}
-			prog, err := frontend.CompileSource(rpath, content, tl, p.cfg.Frontend)
-			if err != nil {
-				return fmt.Errorf("incr: compile %s: %w", path, err)
-			}
-			deps := tl.deps()
-			u := &unit{path: path, prog: prog, deps: deps, key: leafKey(p.cfg.Frontend, deps)}
 			if p.store != nil {
-				p.store.save(u, p.cfg.Frontend) // best-effort
+				p.store.save(u, dirs, p.cfg.Frontend) // best-effort
 			}
 			units[i] = u
 			return nil
@@ -539,18 +554,10 @@ func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result,
 	solveStart := time.Now()
 	digest := p.solveDigest(linked)
 	var res *Result
-	if p.cur != nil && p.warm.Match(digest) {
-		// Unchanged analysis: route through the warm-start seam (which
-		// returns the previous fixpoint without solving) and keep the
-		// current generation — its program content is identical, so the
-		// extern-model clone is skipped too.
-		cfg := p.cfg.Core
-		cfg.Jobs = p.cfg.Jobs
-		if _, reused, err := driver.AnalyzeWarmCtx(ctx, p.cur.Src, p.cfg.Solver, cfg, digest, p.warm); err != nil {
-			return nil, st, err
-		} else if reused {
-			st.SolveReused = true
-		}
+	if p.cur != nil && p.cur.Digest == digest {
+		// Unchanged analysis: keep the current generation. Its program
+		// content is identical, so the extern-model clone is skipped too.
+		st.SolveReused = true
 		res = p.cur
 	} else {
 		aprog := linked
@@ -560,7 +567,7 @@ func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result,
 		src := pts.NewMemSource(aprog)
 		cfg := p.cfg.Core
 		cfg.Jobs = p.cfg.Jobs
-		r, err := driver.AnalyzeObsCtx(ctx, src, p.cfg.Solver, cfg, o)
+		r, err := driver.Analyze(ctx, src, p.cfg.Solver, cfg, o)
 		if err != nil {
 			return nil, st, err
 		}
@@ -570,7 +577,6 @@ func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result,
 			Gen: p.gen, Prog: aprog, Linked: linked, Src: src, Res: r,
 			Digest: digest, Built: time.Now(),
 		}
-		p.warm = &pts.Warm{Digest: digest, Result: r}
 	}
 	st.Solve = time.Since(solveStart)
 	st.Total = time.Since(start)

@@ -1,6 +1,7 @@
 package incr
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -11,8 +12,11 @@ import (
 	"time"
 
 	"cla/internal/core"
+	"cla/internal/cpp"
 	"cla/internal/driver"
 	"cla/internal/extmodel"
+	"cla/internal/frontend"
+	"cla/internal/objfile"
 	"cla/internal/obs"
 	"cla/internal/prim"
 	"cla/internal/pts"
@@ -111,17 +115,18 @@ func fingerprint(p *prim.Program, res pts.Result) string {
 }
 
 // scratchFingerprint builds the same analysis from scratch through the
-// one-shot driver path.
+// non-incremental driver reference path.
 func scratchFingerprint(t *testing.T, cfg Config) string {
 	t.Helper()
-	prog, err := driver.CompileDirCtx(context.Background(), cfg.Dir, cfg.Includes, cfg.Frontend, cfg.Jobs, nil)
+	loader := cpp.OSLoader{Dirs: append([]string{cfg.Dir}, cfg.Includes...)}
+	prog, err := driver.Compile(context.Background(), listUnits(cfg.Dir), loader, cfg.Frontend, cfg.Jobs, nil)
 	if err != nil {
 		t.Fatalf("scratch compile: %v", err)
 	}
 	aprog, _ := extmodel.ApplyClone(prog, cfg.Model)
 	ccfg := cfg.Core
 	ccfg.Jobs = cfg.Jobs
-	res, err := driver.AnalyzeCtx(context.Background(), pts.NewMemSource(aprog), cfg.Solver, ccfg)
+	res, err := driver.Analyze(context.Background(), pts.NewMemSource(aprog), cfg.Solver, ccfg, nil)
 	if err != nil {
 		t.Fatalf("scratch analyze: %v", err)
 	}
@@ -131,6 +136,8 @@ func scratchFingerprint(t *testing.T, cfg Config) string {
 func TestOpenMatchesScratch(t *testing.T) {
 	dir := t.TempDir()
 	writeTree(t, dir, baseTree)
+	// Files that are not .c units are not compiled.
+	writeTree(t, dir, map[string]string{"notes.txt": "not C"})
 	cfg := testConfig(dir)
 	p, err := Open(context.Background(), cfg)
 	if err != nil {
@@ -145,6 +152,14 @@ func TestOpenMatchesScratch(t *testing.T) {
 	}
 	if got, want := fingerprint(res.Prog, res.Res), scratchFingerprint(t, cfg); got != want {
 		t.Fatalf("open fingerprint %s != scratch %s", got, want)
+	}
+	for _, bad := range []string{t.TempDir(), filepath.Join(dir, "missing")} {
+		if _, err := Open(context.Background(), testConfig(bad)); err == nil {
+			t.Errorf("Open(%s) accepted a directory with no units", bad)
+		}
+		if _, err := CompileDir(context.Background(), testConfig(bad)); err == nil {
+			t.Errorf("CompileDir(%s) accepted a directory with no units", bad)
+		}
 	}
 }
 
@@ -380,6 +395,99 @@ func TestStoreWarmStartAcrossSessions(t *testing.T) {
 	}
 	if got, want := fingerprint(p2.Current().Prog, p2.Current().Res), fingerprint(p1.Current().Prog, p1.Current().Res); got != want {
 		t.Fatalf("store-served fingerprint %s != parsed %s", got, want)
+	}
+
+	// The compile options are part of the entry name: another struct mode
+	// must not be served the field-based entries.
+	fi := cfg
+	fi.Frontend.Mode = frontend.FieldIndependent
+	p3, err := Open(context.Background(), fi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := p3.Current().Stats; st.StoreHits != 0 || st.Recompiled != 4 {
+		t.Fatalf("field-independent session stats = %+v, want no store hits", st)
+	}
+
+	// A corrupt object behind a still-matching manifest is recompiled.
+	objs, _ := filepath.Glob(filepath.Join(cache, "*.clo"))
+	if len(objs) != 8 {
+		t.Fatalf("store holds %d objects, want 8 (4 units x 2 modes)", len(objs))
+	}
+	for _, obj := range objs {
+		if err := os.WriteFile(obj, []byte("garbage"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p4, err := Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := p4.Current().Stats; st.StoreHits != 0 || st.Recompiled != 4 {
+		t.Fatalf("corrupt-store session stats = %+v, want all 4 units recompiled", st)
+	}
+	if got, want := fingerprint(p4.Current().Prog, p4.Current().Res), fingerprint(p1.Current().Prog, p1.Current().Res); got != want {
+		t.Fatalf("recompiled fingerprint %s != parsed %s", got, want)
+	}
+}
+
+// TestStoreKeyIncludesSearchPath: the same unit compiled against two
+// include directories holding different versions of its header must not
+// share a store entry, through the pipeline or through Store.Compile.
+func TestStoreKeyIncludesSearchPath(t *testing.T) {
+	root := t.TempDir()
+	src, incA, incB := filepath.Join(root, "src"), filepath.Join(root, "A"), filepath.Join(root, "B")
+	for _, d := range []string{src, incA, incB} {
+		if err := os.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeTree(t, src, map[string]string{"u.c": "#include \"defs.h\"\nint *p;\nvoid f(void) { p = &G; }\n"})
+	writeTree(t, incA, map[string]string{"defs.h": "int G;\n"})
+	writeTree(t, incB, map[string]string{"defs.h": "int G, H;\nint *q = &H;\n"})
+	cache := t.TempDir()
+
+	cfg := testConfig(src)
+	cfg.CacheDir = cache
+	for _, inc := range []string{incA, incB} {
+		cfg.Includes = []string{inc}
+		p, err := Open(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := p.Current().Stats; st.StoreHits != 0 {
+			t.Fatalf("-I %s: stats = %+v, want a fresh compile", filepath.Base(inc), st)
+		}
+		if got, want := fingerprint(p.Current().Prog, p.Current().Res), scratchFingerprint(t, cfg); got != want {
+			t.Fatalf("-I %s: fingerprint %s != scratch %s", filepath.Base(inc), got, want)
+		}
+	}
+
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := filepath.Join(src, "u.c")
+	dump := func(p *prim.Program) []byte {
+		var buf bytes.Buffer
+		if err := objfile.Write(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, inc := range []string{incA, incB, incA} {
+		dirs := []string{inc}
+		got, err := st.Compile(unit, dirs, frontend.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := frontend.CompileFile(unit, cpp.OSLoader{Dirs: dirs}, frontend.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dump(got), dump(want)) {
+			t.Fatalf("Store.Compile under -I %s differs from a fresh compile", filepath.Base(inc))
+		}
 	}
 }
 

@@ -8,38 +8,63 @@ import (
 
 	"cla/internal/frontend"
 	"cla/internal/objfile"
+	"cla/internal/prim"
 	"cla/internal/srchash"
 )
 
-// store is the pipeline's on-disk unit cache: one .clo object file plus
-// one .manifest per (unit path, compile options) entry, both named by
-// the srchash of that pair. The manifest records the dependency closure
-// the cached compile read — "path\thash" per line, sorted — and an entry
-// is valid only while every listed file still hashes the same, so the
-// store is keyed by content end to end and never needs invalidation
-// logic. It shares the driver cache's layout philosophy but returns the
-// dependency closure alongside the program, which the pipeline's dirty
-// tracking needs.
-type store struct {
+// Store is the on-disk unit cache: one .clo object file plus one
+// .manifest per (unit path, #include search path, compile options)
+// entry, both named by the srchash of that triple. The manifest records
+// the dependency closure the cached compile read — "path\thash" per
+// line, sorted — and an entry is valid only while every listed file
+// still hashes the same, so the store is keyed by content end to end and
+// never needs invalidation logic. The search path is part of the name
+// because it decides which file an #include resolves to: a header
+// present in two search directories must not be served from the entry
+// compiled against the other one. Pipelines with Config.CacheDir and
+// clacc -cache share it.
+type Store struct {
 	dir string
 }
 
-func openStore(dir string) (*store, error) {
+// OpenStore creates (if needed) and opens a store directory.
+func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &store{dir: dir}, nil
+	return &Store{dir: dir}, nil
 }
 
-func (s *store) base(unitPath string, opts frontend.Options) string {
-	return srchash.String("unit:" + canon(unitPath) + ";opts:" + optsFingerprint(opts))
+// Compile compiles the unit at path with dirs as the #include search
+// path, serving it from the store when the entry's recorded closure
+// still matches and writing the entry otherwise.
+func (s *Store) Compile(path string, dirs []string, opts frontend.Options) (*prim.Program, error) {
+	if u, ok := s.load(path, dirs, opts, newHashCache()); ok {
+		return u.prog, nil
+	}
+	u, err := compileUnit(path, dirs, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.save(u, dirs, opts)
+	return u.prog, nil
+}
+
+func (s *Store) base(unitPath string, dirs []string, opts frontend.Options) string {
+	var b strings.Builder
+	b.WriteString("unit:" + canon(unitPath) + ";dirs:")
+	for _, d := range dirs {
+		b.WriteString(canon(d) + "\x00")
+	}
+	b.WriteString(";opts:" + optsFingerprint(opts))
+	return srchash.String(b.String())
 }
 
 // load returns the cached unit for unitPath if its manifest's whole
 // closure still matches the files on disk (hashed through hc, so shared
 // headers are read once per refresh).
-func (s *store) load(unitPath string, opts frontend.Options, hc *hashCache) (*unit, bool) {
-	base := s.base(unitPath, opts)
+func (s *Store) load(unitPath string, dirs []string, opts frontend.Options, hc *hashCache) (*unit, bool) {
+	base := s.base(unitPath, dirs, opts)
 	mb, err := os.ReadFile(filepath.Join(s.dir, base+".manifest"))
 	if err != nil {
 		return nil, false
@@ -69,8 +94,8 @@ func (s *store) load(unitPath string, opts frontend.Options, hc *hashCache) (*un
 
 // save writes u's object and manifest. Failures are swallowed — the
 // store is an accelerator, never a correctness dependency.
-func (s *store) save(u *unit, opts frontend.Options) {
-	base := s.base(u.path, opts)
+func (s *Store) save(u *unit, dirs []string, opts frontend.Options) {
+	base := s.base(u.path, dirs, opts)
 	if err := objfile.WriteFile(filepath.Join(s.dir, base+".clo"), u.prog); err != nil {
 		return
 	}

@@ -11,7 +11,6 @@ import (
 
 	"cla/internal/objfile"
 	"cla/internal/obs"
-	"cla/internal/parallel"
 	"cla/internal/prim"
 )
 
@@ -113,57 +112,11 @@ func Link(units []*prim.Program) (*prim.Program, error) {
 // units — symbols are appended in first-seen unit order, attribute
 // merging (types, locations, function records) takes the first or
 // maximal value in unit order — so the output is byte-identical to the
-// sequential left fold of Link (asserted by the linker tests).
+// sequential left fold of Link (asserted by the linker tests). It is
+// LinkTreeMemo without a cache or an observer.
 func LinkParallel(units []*prim.Program, jobs int) (*prim.Program, error) {
-	if len(units) <= 2 || parallel.Workers(jobs) == 1 {
-		return Link(units)
-	}
-	return parallel.Reduce(jobs, units, func(a, b *prim.Program) (*prim.Program, error) {
-		return Link([]*prim.Program{a, b})
-	})
-}
-
-// LinkParallelObs is LinkParallel under an observer: the whole merge runs
-// inside a "link" span, and each pairwise merge of the tree gets its own
-// span on a track keyed by the merge's position in its round — NOT by
-// which worker ran it — so the recorded span structure is identical at
-// every jobs setting. A nil observer delegates to LinkParallel.
-func LinkParallelObs(units []*prim.Program, jobs int, o *obs.Observer) (*prim.Program, error) {
-	if o == nil {
-		return LinkParallel(units, jobs)
-	}
-	sp := o.Start("link")
-	defer sp.End()
-	o.SetCounter("link.units", int64(len(units)))
-	if len(units) <= 2 {
-		return Link(units)
-	}
-	merges := o.Counter("link.merges")
-	cur := append([]*prim.Program(nil), units...)
-	for round := 0; len(cur) > 1; round++ {
-		next := make([]*prim.Program, (len(cur)+1)/2)
-		r := round
-		err := parallel.ForEach(jobs, len(next), func(i int) error {
-			if 2*i+1 >= len(cur) {
-				next[i] = cur[2*i]
-				return nil
-			}
-			msp := o.StartTrack(i+1, fmt.Sprintf("merge r%d.%d", r, i))
-			defer msp.End()
-			p, err := Link([]*prim.Program{cur[2*i], cur[2*i+1]})
-			if err != nil {
-				return err
-			}
-			merges.Inc()
-			next[i] = p
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		cur = next
-	}
-	return cur[0], nil
+	p, _, err := LinkTreeMemo(units, nil, jobs, nil, nil)
+	return p, err
 }
 
 // compatibleKinds reports whether two linked symbol kinds may unify.

@@ -345,9 +345,22 @@ func TestLinkParallelMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+	// A failing merge surfaces at every worker count, whether the bad unit
+	// sits inside a pair or in an odd tail carried up a round.
+	for _, bad := range []int{3, 4} {
+		units := manyUnits(t, 5)
+		clash := &prim.Program{}
+		clash.AddSym(prim.Symbol{Name: "shared", Kind: prim.SymField})
+		units[bad] = clash
+		for _, jobs := range []int{1, 2, 8} {
+			if _, err := LinkParallel(units, jobs); err == nil {
+				t.Errorf("bad unit %d, jobs=%d: clash accepted", bad, jobs)
+			}
+		}
+	}
 }
 
-func TestLinkParallelObsMatchesAndIsDeterministic(t *testing.T) {
+func TestLinkTreeTracedIsDeterministic(t *testing.T) {
 	// The instrumented tree merge must produce the same program as the
 	// uninstrumented path, and the recorded span/counter structure must
 	// be identical at every worker count (only timings may differ).
@@ -372,7 +385,7 @@ func TestLinkParallelObsMatchesAndIsDeterministic(t *testing.T) {
 	var base string
 	for _, jobs := range []int{1, 2, 8} {
 		o := obs.New()
-		p, err := LinkParallelObs(units, jobs, o)
+		p, _, err := LinkTreeMemo(units, nil, jobs, nil, o)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}

@@ -3,6 +3,7 @@ package linker
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"cla/internal/obs"
 	"cla/internal/parallel"
@@ -83,32 +84,44 @@ func mergeKey(l, r uint64) uint64 {
 	return srchash.FoldU64(h, r)
 }
 
-// LinkTreeMemo merges unit databases with the same pairwise tree shape
-// as LinkParallel — so its output is byte-identical to the sequential
-// left fold — consulting cache for subtree merges whose inputs carry
-// unchanged content keys. keys[i] must identify units[i]'s full content
-// (the incremental pipeline derives it from the unit's source hash,
-// include closure and compile options); equal keys across calls promise
-// equal databases. A nil cache degrades to a plain tree merge. Pairs
-// within a round merge on up to jobs workers; fresh merges are traced
-// like LinkParallelObs's (span per merge, keyed by tree position), cache
-// hits are not — they do no work.
+// LinkTreeMemo is the pairwise tree merge behind LinkParallel, the
+// driver's link and the incremental relink. Its output is byte-identical
+// to the sequential left fold of Link. With a cache, subtree merges whose
+// inputs carry unchanged content keys are served from it: keys[i] must
+// identify units[i]'s full content (the incremental pipeline derives it
+// from the unit's source hash, include closure and compile options), and
+// equal keys across calls promise equal databases. A nil cache takes nil
+// keys and merges everything.
+//
+// Pairs within a round merge on up to jobs workers. Under an observer
+// the whole merge runs inside a "link" span, and each fresh pairwise
+// merge gets its own span on a track keyed by the merge's position in
+// its round — not by which worker ran it — so the recorded span
+// structure is identical at every jobs setting; cache hits are not
+// traced, as they do no work. Uncached, unobserved links of two or fewer
+// units, or on one worker, take the sequential fold directly.
 func LinkTreeMemo(units []*prim.Program, keys []uint64, jobs int,
 	cache *MergeCache, o *obs.Observer) (*prim.Program, TreeStats, error) {
 	var st TreeStats
-	if len(units) != len(keys) {
+	if cache != nil && len(units) != len(keys) {
 		return nil, st, fmt.Errorf("linker: %d units with %d keys", len(units), len(keys))
 	}
 	sp := o.Start("link")
 	defer sp.End()
 	o.SetCounter("link.units", int64(len(units)))
+	if cache == nil && (len(units) <= 2 || (o == nil && parallel.Workers(jobs) == 1)) {
+		p, err := Link(units)
+		return p, st, err
+	}
 	if cache != nil {
 		cache.begin()
 		defer cache.rotate()
 	}
 	merges := o.Counter("link.merges")
+	var done, reused atomic.Int64
 	cur := append([]*prim.Program(nil), units...)
-	ck := append([]uint64(nil), keys...)
+	ck := make([]uint64, len(units)) // all zero without a cache
+	copy(ck, keys)
 	for round := 0; len(cur) > 1; round++ {
 		next := make([]*prim.Program, (len(cur)+1)/2)
 		nk := make([]uint64, len(next))
@@ -125,7 +138,7 @@ func LinkTreeMemo(units []*prim.Program, keys []uint64, jobs int,
 				if p, ok := cache.get(key); ok {
 					cache.put(key, p)
 					next[i] = p
-					st.Reused++
+					reused.Add(1)
 					return nil
 				}
 			}
@@ -136,13 +149,14 @@ func LinkTreeMemo(units []*prim.Program, keys []uint64, jobs int,
 				return err
 			}
 			merges.Inc()
-			st.Merges++
+			done.Add(1)
 			if cache != nil {
 				cache.put(key, p)
 			}
 			next[i] = p
 			return nil
 		})
+		st.Merges, st.Reused = int(done.Load()), int(reused.Load())
 		if err != nil {
 			return nil, st, err
 		}

@@ -1,6 +1,6 @@
 // Package parallel is the concurrency toolkit threading the CLA pipeline
 // across cores: bounded index-parallel loops, contiguous sharding with
-// per-worker state, and a pairwise tree reduction. Every helper preserves
+// per-worker state, and level-synchronous rounds. Every helper preserves
 // deterministic output ordering — workers communicate only through
 // index-addressed slots, never through shared accumulators — so running
 // with -j 1 and -j N produces identical results.
@@ -196,38 +196,4 @@ func LevelsCtx(ctx context.Context, j, levels int, size func(level int) int, fn 
 		}
 	}
 	return nil
-}
-
-// Reduce folds items down to one value by rounds of adjacent pairwise
-// merges — a balanced tree of O(log n) depth whose pairs within each
-// round run in parallel. For the result to equal the sequential left
-// fold, merge must be associative over adjacent elements (the linker's
-// database merge is; see TestLinkParallelMatchesSequential). An empty
-// input returns the zero value.
-func Reduce[T any](j int, items []T, merge func(a, b T) (T, error)) (T, error) {
-	var zero T
-	switch len(items) {
-	case 0:
-		return zero, nil
-	case 1:
-		return items[0], nil
-	}
-	cur := append([]T(nil), items...)
-	for len(cur) > 1 {
-		next := make([]T, (len(cur)+1)/2)
-		err := ForEach(j, len(next), func(i int) error {
-			if 2*i+1 >= len(cur) {
-				next[i] = cur[2*i]
-				return nil
-			}
-			m, err := merge(cur[2*i], cur[2*i+1])
-			next[i] = m
-			return err
-		})
-		if err != nil {
-			return zero, err
-		}
-		cur = next
-	}
-	return cur[0], nil
 }

@@ -7,8 +7,8 @@ import "cla/internal/srchash"
 // FNV-1a value. Two programs with equal digests are (up to hash
 // collision) the same database, so a deterministic solver produces the
 // same result for both: the incremental pipeline keys its cached
-// fixpoint on this value and the solvers' warm-start entry points reuse
-// a previous result when it matches. Everything queryable is covered,
+// fixpoint on this value and reuses the previous result when it matches.
+// Everything queryable is covered,
 // including metadata the solve itself ignores (types, locations, caller
 // names): a comment-only edit that shifts line numbers changes the
 // digest, because lint findings and dependence chains render those

@@ -76,19 +76,13 @@ type solver struct {
 	m       pts.Metrics
 }
 
-// Solve runs the bit-vector Andersen analysis, materializing the final
-// sets on every available core; see SolveJobs.
-func Solve(src pts.Source) (*Result, error) {
-	return SolveJobs(src, 0)
-}
-
-// SolveJobs runs the bit-vector Andersen analysis with the final-set
+// Solve runs the bit-vector Andersen analysis with the final-set
 // materialization (population counts for the PointerVars/Relations
 // accounting) sharded across up to jobs workers (jobs <= 0 means
 // GOMAXPROCS). The fixpoint itself is single-threaded; workers only read
 // the solved vectors and accumulate privately, so results are identical
 // at any worker count.
-func SolveJobs(src pts.Source, jobs int) (*Result, error) {
+func Solve(src pts.Source, jobs int) (*Result, error) {
 	s := &solver{
 		src: src, n: src.NumSyms(),
 		bitOf:     map[prim.SymID]int{},

@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -17,7 +18,7 @@ func solve(t *testing.T, src string) (*prim.Program, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Solve(pts.NewMemSource(p))
+	r, err := Solve(pts.NewMemSource(p), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +87,11 @@ func TestMatchesWorklist(t *testing.T) {
 				Src:  prim.SymID(rng.Intn(nsyms)),
 			})
 		}
-		bv, err := Solve(pts.NewMemSource(prog))
+		bv, err := Solve(pts.NewMemSource(prog), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wl, err := worklist.Solve(pts.NewMemSource(prog))
+		wl, err := worklist.Solve(context.Background(), pts.NewMemSource(prog), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

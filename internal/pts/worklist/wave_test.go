@@ -90,12 +90,12 @@ func TestWaveMatchesSequentialSnippets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := Solve(pts.NewMemSource(prog))
+		seq, err := Solve(context.Background(), pts.NewMemSource(prog), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, jobs := range []int{2, 3, 8} {
-			wave, err := SolveJobs(pts.NewMemSource(prog), jobs)
+			wave, err := Solve(context.Background(), pts.NewMemSource(prog), jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,12 +107,12 @@ func TestWaveMatchesSequentialSnippets(t *testing.T) {
 func TestWaveMatchesSequentialGenerated(t *testing.T) {
 	prog := buildGenProgram(t, "povray", 0.05)
 	src := pts.NewMemSource(prog)
-	seq, err := Solve(src)
+	seq, err := Solve(context.Background(), src, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, jobs := range []int{2, 8} {
-		wave, err := SolveJobs(pts.NewMemSource(prog), jobs)
+		wave, err := Solve(context.Background(), pts.NewMemSource(prog), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestWaveDeterministicMetrics(t *testing.T) {
 	prog := buildGenProgram(t, "burlap", 0.1)
 	var base pts.Metrics
 	for i, jobs := range []int{2, 4, 8} {
-		r, err := SolveJobs(pts.NewMemSource(prog), jobs)
+		r, err := Solve(context.Background(), pts.NewMemSource(prog), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestWaveDeterministicMetrics(t *testing.T) {
 // Makefile runs this package with -race as a tier-1 extra).
 func TestWaveRace(t *testing.T) {
 	prog := buildGenProgram(t, "vortex", 0.05)
-	if _, err := SolveJobs(pts.NewMemSource(prog), 8); err != nil {
+	if _, err := Solve(context.Background(), pts.NewMemSource(prog), 8); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -182,7 +182,7 @@ func TestWaveMidSolveCancellation(t *testing.T) {
 	// checks per wave and per few hundred rule applications, so the
 	// cancellation must surface within a bounded number of checks.
 	ctx := &countdownCtx{Context: context.Background(), after: 20}
-	_, err := SolveJobsCtx(ctx, pts.NewMemSource(prog), 8)
+	_, err := Solve(ctx, pts.NewMemSource(prog), 8)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -200,7 +200,7 @@ func TestWaveMidSolveCancellation(t *testing.T) {
 func TestWaveCancelDuringSequentialRules(t *testing.T) {
 	prog := buildGenProgram(t, "burlap", 0.1)
 	ctx := &countdownCtx{Context: context.Background(), after: 3}
-	_, err := SolveCtx(ctx, pts.NewMemSource(prog))
+	_, err := Solve(ctx, pts.NewMemSource(prog), 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -32,7 +32,7 @@ import (
 // done, not by pops.
 const ctxCheckApps = 256
 
-// Solve runs the baseline Andersen analysis over the full database (the
+// solver runs the baseline Andersen analysis over the full database (the
 // algorithm is whole-program; demand loading does not apply).
 type solver struct {
 	src pts.Source
@@ -79,31 +79,17 @@ func (r *Result) PointsTo(sym prim.SymID) []prim.SymID {
 // Metrics implements pts.Result.
 func (r *Result) Metrics() pts.Metrics { return r.m }
 
-// Solve computes Andersen's analysis with explicit transitive propagation.
-func Solve(src pts.Source) (*Result, error) {
-	return SolveCtx(context.Background(), src)
-}
-
-// SolveCtx is Solve under a context: the solve loop checks for
-// cancellation frequently (per pop batch and per few hundred complex-rule
-// applications), so a long solve aborts promptly with ctx.Err().
-func SolveCtx(ctx context.Context, src pts.Source) (*Result, error) {
-	return SolveJobsCtx(ctx, src, 1)
-}
-
-// SolveJobs is SolveJobsCtx without a context.
-func SolveJobs(src pts.Source, jobs int) (*Result, error) {
-	return SolveJobsCtx(context.Background(), src, jobs)
-}
-
-// SolveJobsCtx solves with an explicit worker budget. jobs <= 1 runs the
-// sequential reference worklist; jobs >= 2 runs the phase-parallel wave
-// solver (see wave.go), which SCC-condenses the constraint graph, levels
-// the condensation topologically and processes independent nodes of a
-// level concurrently with deterministic wave-boundary merges. Both paths
-// compute the same unique least fixpoint, so the Result is byte-identical
-// at any jobs value.
-func SolveJobsCtx(ctx context.Context, src pts.Source, jobs int) (*Result, error) {
+// Solve computes Andersen's analysis with explicit transitive propagation
+// on a worker budget. jobs <= 1 runs the sequential reference worklist;
+// jobs >= 2 runs the phase-parallel wave solver (see wave.go), which
+// SCC-condenses the constraint graph, levels the condensation
+// topologically and processes independent nodes of a level concurrently
+// with deterministic wave-boundary merges. Both paths compute the same
+// unique least fixpoint, so the Result is byte-identical at any jobs
+// value. The solve loop checks ctx frequently (per pop batch and per few
+// hundred complex-rule applications), so a long solve aborts promptly
+// with ctx.Err().
+func Solve(ctx context.Context, src pts.Source, jobs int) (*Result, error) {
 	s, err := newSolver(src)
 	if err != nil {
 		return nil, err

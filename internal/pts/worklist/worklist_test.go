@@ -1,6 +1,7 @@
 package worklist
 
 import (
+	"context"
 	"testing"
 
 	"cla/internal/frontend"
@@ -14,7 +15,7 @@ func solve(t *testing.T, src string) (*prim.Program, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Solve(pts.NewMemSource(p))
+	r, err := Solve(context.Background(), pts.NewMemSource(p), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

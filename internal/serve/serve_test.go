@@ -15,8 +15,7 @@ import (
 	"time"
 
 	"cla/internal/claerr"
-	"cla/internal/driver"
-	"cla/internal/frontend"
+	"cla/internal/incr"
 	"cla/internal/objfile"
 )
 
@@ -107,7 +106,7 @@ func TestEvalAllKinds(t *testing.T) {
 // a .cla database and expects byte-identical batch responses.
 func TestDirAndFileAgree(t *testing.T) {
 	dir := writeTestDir(t)
-	prog, err := driver.CompileDirObs(dir, frontend.Options{}, 1, nil)
+	prog, err := incr.CompileDir(context.Background(), incr.Config{Dir: dir, Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

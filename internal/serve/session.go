@@ -15,7 +15,6 @@ import (
 	"cla/internal/incr"
 	"cla/internal/objfile"
 	"cla/internal/obs"
-	"cla/internal/prim"
 	"cla/internal/pts"
 	"cla/internal/snapfile"
 )
@@ -112,21 +111,13 @@ func Open(ctx context.Context, name, path string, cfg Config) (*Session, error) 
 		return openSnapshot(name, path, cfg)
 	}
 	if strings.HasSuffix(path, ".cla") {
-		prog, err := load(ctx, path, cfg)
+		src, res, err := solveObject(ctx, path, cfg)
 		if err != nil {
 			return nil, err
 		}
-		extmodel.Apply(prog, cfg.ExtModel)
-		src := pts.NewMemSource(prog)
-		ccfg := core.DefaultConfig()
-		ccfg.Jobs = cfg.Jobs
-		res, err := driver.AnalyzeObsCtx(ctx, src, cfg.Solver, ccfg, cfg.Obs)
-		if err != nil {
-			return nil, claerr.File(claerr.PhaseAnalyze, path, err)
-		}
 		s := &Session{Name: name, Path: path, Kind: "object", cfg: cfg, Created: time.Now()}
 		s.state.Store(&SessionState{
-			Eval:  NewEvaluator(prog, src, res, cfg.Jobs),
+			Eval:  NewEvaluator(src.P, src, res, cfg.Jobs),
 			Gen:   1,
 			Built: s.Created,
 		})
@@ -157,22 +148,27 @@ func pipeConfig(dir string, cfg Config) incr.Config {
 	}
 }
 
-func load(ctx context.Context, path string, cfg Config) (*prim.Program, error) {
-	if strings.HasSuffix(path, ".cla") {
-		r, err := objfile.Open(path)
-		if err != nil {
-			return nil, claerr.File(claerr.PhaseObject, path, err)
-		}
-		defer r.Close()
-		prog, err := r.Program()
-		if err != nil {
-			return nil, claerr.File(claerr.PhaseObject, path, err)
-		}
-		return prog, nil
+// solveObject reads a .cla database whole, closes it under the extern
+// model and solves it.
+func solveObject(ctx context.Context, path string, cfg Config) (*pts.MemSource, pts.Result, error) {
+	r, err := objfile.Open(path)
+	if err != nil {
+		return nil, nil, claerr.File(claerr.PhaseObject, path, err)
 	}
-	return incr.CompileDir(ctx, incr.Config{
-		Dir: path, Includes: cfg.Includes, Jobs: cfg.Jobs, Obs: cfg.Obs,
-	})
+	prog, err := r.Program()
+	r.Close()
+	if err != nil {
+		return nil, nil, claerr.File(claerr.PhaseObject, path, err)
+	}
+	extmodel.Apply(prog, cfg.ExtModel)
+	src := pts.NewMemSource(prog)
+	ccfg := core.DefaultConfig()
+	ccfg.Jobs = cfg.Jobs
+	res, err := driver.Analyze(ctx, src, cfg.Solver, ccfg, cfg.Obs)
+	if err != nil {
+		return nil, nil, claerr.File(claerr.PhaseAnalyze, path, err)
+	}
+	return src, res, nil
 }
 
 // State returns the current generation. The snapshot is immutable; hold

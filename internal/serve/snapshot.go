@@ -2,17 +2,14 @@ package serve
 
 import (
 	"context"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
 	"cla/internal/checks"
 	"cla/internal/claerr"
-	"cla/internal/core"
-	"cla/internal/driver"
 	"cla/internal/extmodel"
+	"cla/internal/incr"
+	"cla/internal/prim"
 	"cla/internal/pts"
 	"cla/internal/snapfile"
 )
@@ -21,20 +18,28 @@ import (
 // load, extern model, solve, the shared four-check report — and packages
 // the outcome as a writable snapfile.Snapshot. Reusing the pipeline is
 // what makes snapshot-served answers byte-identical to live-solve ones.
-// The snapshot records content hashes of the inputs (the .cla file, or
-// every .c file of a source directory) for staleness detection.
+// The snapshot records content hashes of the inputs for staleness
+// detection: the .cla file, or every file a source directory's
+// compilation read (the units and their include closure).
 func BuildSnapshot(ctx context.Context, path string, cfg Config) (*snapfile.Snapshot, error) {
-	prog, err := load(ctx, path, cfg)
-	if err != nil {
-		return nil, err
-	}
-	extmodel.Apply(prog, cfg.ExtModel)
-	src := pts.NewMemSource(prog)
-	ccfg := core.DefaultConfig()
-	ccfg.Jobs = cfg.Jobs
-	res, err := driver.AnalyzeObsCtx(ctx, src, cfg.Solver, ccfg, cfg.Obs)
-	if err != nil {
-		return nil, claerr.File(claerr.PhaseAnalyze, path, err)
+	var (
+		prog    *prim.Program
+		res     pts.Result
+		sources []string
+	)
+	if strings.HasSuffix(path, ".cla") {
+		src, r, err := solveObject(ctx, path, cfg)
+		if err != nil {
+			return nil, err
+		}
+		prog, res, sources = src.P, r, []string{path}
+	} else {
+		pipe, err := incr.Open(ctx, pipeConfig(path, cfg))
+		if err != nil {
+			return nil, claerr.File(claerr.PhaseCompile, path, err)
+		}
+		cur := pipe.Current()
+		prog, res, sources = cur.Prog, cur.Res, pipe.TrackedFiles()
 	}
 	// The cached report must match Evaluator.checksReport exactly: the
 	// default four checks, no externs. The soundness audit runs
@@ -54,7 +59,7 @@ func BuildSnapshot(ctx context.Context, path string, cfg Config) (*snapfile.Snap
 		}
 		audit = arep.Audit
 	}
-	srcFiles, err := snapshotSources(path)
+	srcFiles, err := snapfile.HashSources(sources)
 	if err != nil {
 		return nil, claerr.File(claerr.PhaseObject, path, err)
 	}
@@ -67,27 +72,6 @@ func BuildSnapshot(ctx context.Context, path string, cfg Config) (*snapfile.Snap
 		Audit:    audit,
 		Sources:  srcFiles,
 	}, nil
-}
-
-// snapshotSources lists the input files a snapshot of path depends on:
-// the object file itself, or every .c unit of a source directory (the
-// same set CompileDir compiles, in the same sorted order).
-func snapshotSources(path string) ([]snapfile.SourceFile, error) {
-	if strings.HasSuffix(path, ".cla") {
-		return snapfile.HashSources([]string{path})
-	}
-	entries, err := os.ReadDir(path)
-	if err != nil {
-		return nil, err
-	}
-	var units []string
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".c" {
-			units = append(units, filepath.Join(path, e.Name()))
-		}
-	}
-	sort.Strings(units)
-	return snapfile.HashSources(units)
 }
 
 // openSnapshot builds a session from a solved .snap file: page the file

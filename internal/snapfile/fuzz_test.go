@@ -2,6 +2,8 @@ package snapfile
 
 import (
 	"bytes"
+	"cla/internal/pts"
+	"context"
 	"testing"
 
 	"cla/internal/core"
@@ -25,7 +27,7 @@ func FuzzSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	res, err := driver.AnalyzeProgram(prog, driver.PreTransitive, core.DefaultConfig())
+	res, err := driver.Analyze(context.Background(), pts.NewMemSource(prog), driver.PreTransitive, core.DefaultConfig(), nil)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package xform
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -176,7 +177,7 @@ func TestOVSEquivalenceOnRandomPrograms(t *testing.T) {
 func TestOVSShrinksGeneratedWorkload(t *testing.T) {
 	p, _ := gen.ProfileByName("vortex")
 	code := gen.Generate(p.Scale(0.03), 5)
-	prog, err := driver.CompileUnits(code.Units(), code.Loader(), frontend.Options{})
+	prog, err := driver.Compile(context.Background(), code.Units(), code.Loader(), frontend.Options{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ package cla
 // than only showing up in benchmark numbers.
 
 import (
+	"context"
 	"testing"
 
 	"cla/internal/bench"
@@ -101,7 +102,7 @@ func TestClaimPrecisionGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl, err := worklist.Solve(pts.NewMemSource(w.FieldBased))
+	wl, err := worklist.Solve(context.Background(), pts.NewMemSource(w.FieldBased), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,37 +2,20 @@ package cla
 
 import (
 	"cla/internal/claerr"
+	"cla/internal/driver"
 	"cla/internal/pts"
 	"cla/internal/serve"
 	"cla/internal/snapfile"
 )
 
-// String returns the solver's flag spelling, matching the -solver names
-// the CLIs accept.
-func (a Algorithm) String() string {
-	switch a {
-	case WorklistAndersen:
-		return "worklist"
-	case SteensgaardUnify:
-		return "steensgaard"
-	case BitVectorAndersen:
-		return "bitvec"
-	case OneLevelFlow:
-		return "one-level"
-	}
-	return "pre-transitive"
-}
-
 // parseAlgorithm maps a recorded solver label back to an Algorithm;
 // unknown labels fall back to the default.
 func parseAlgorithm(name string) Algorithm {
-	for _, a := range []Algorithm{PreTransitive, WorklistAndersen,
-		SteensgaardUnify, BitVectorAndersen, OneLevelFlow} {
-		if a.String() == name {
-			return a
-		}
+	s, err := driver.ParseSolver(name)
+	if err != nil {
+		return PreTransitive
 	}
-	return PreTransitive
+	return Algorithm(s)
 }
 
 // SnapshotOptions configures SaveSnapshot.

@@ -7,24 +7,25 @@ import (
 
 	"cla/internal/claerr"
 	"cla/internal/core"
-	"cla/internal/driver"
+	"cla/internal/cpp"
 	"cla/internal/frontend"
 	"cla/internal/incr"
 	"cla/internal/obs"
 )
 
-// WorkspaceOptions is the unified option set for the session-oriented
-// API: one ctx-first struct covering both halves of the pipeline that
-// the older split surface configured separately (Options for the
-// compile phase, AnalyzeOptions for the solve phase). A Workspace
-// consumes all of it; the one-shot entry points each read their half.
-// The zero value (and nil) means: field-based structs, pre-transitive
-// solver, unsound extern model, all ablation toggles on, all cores.
+// WorkspaceOptions is the one option set of the public API: one
+// ctx-first struct covering both halves of the pipeline. A Workspace
+// consumes all of it; the one-shot entry points each read their half
+// (Options and AnalyzeOptions are the same type under the names those
+// entry points take). The zero value (and nil) means: field-based
+// structs, pre-transitive solver, unsound extern model, all ablation
+// toggles on, all cores.
 type WorkspaceOptions struct {
 	// Mode is the struct treatment (default FieldBased, as in the paper).
 	Mode StructMode
 	// IncludeDirs are extra #include search directories after the
-	// workspace directory itself.
+	// workspace directory itself (the whole search path for CompileFile
+	// and CompileSource).
 	IncludeDirs []string
 	// Defines are predefined object-like macros (NAME or NAME=VALUE).
 	Defines map[string]string
@@ -72,21 +73,26 @@ func (o *WorkspaceOptions) observer() *obs.Observer {
 	return o.Observer.internal()
 }
 
-func (o *WorkspaceOptions) solver() driver.Solver {
+func (o *WorkspaceOptions) loader() cpp.Loader {
+	var dirs []string
+	if o != nil {
+		dirs = o.IncludeDirs
+	}
+	return cpp.OSLoader{Dirs: dirs}
+}
+
+func (o *WorkspaceOptions) algorithm() Algorithm {
 	if o == nil {
-		return driver.PreTransitive
+		return PreTransitive
 	}
-	switch o.Algorithm {
-	case WorklistAndersen:
-		return driver.Worklist
-	case SteensgaardUnify:
-		return driver.Steensgaard
-	case BitVectorAndersen:
-		return driver.BitVector
-	case OneLevelFlow:
-		return driver.OneLevel
+	return o.Algorithm
+}
+
+func (o *WorkspaceOptions) extModel() ExtModel {
+	if o == nil {
+		return ExtModelUnsound
 	}
-	return driver.PreTransitive
+	return o.ExtModel
 }
 
 func (o *WorkspaceOptions) coreConfig() core.Config {
@@ -104,13 +110,13 @@ func (o *WorkspaceOptions) incrConfig(dir string) incr.Config {
 	cfg := incr.Config{
 		Dir:      dir,
 		Frontend: o.frontend(),
-		Solver:   o.solver(),
+		Solver:   o.algorithm().solver(),
+		Model:    o.extModel().model(),
 		Core:     o.coreConfig(),
 		Obs:      o.observer(),
 	}
 	if o != nil {
 		cfg.Includes = o.IncludeDirs
-		cfg.Model = o.ExtModel.model()
 		cfg.Jobs = o.Jobs
 		cfg.CacheDir = o.CacheDir
 	}
@@ -151,10 +157,7 @@ func OpenWorkspace(ctx context.Context, dir string, opts *WorkspaceOptions) (*Wo
 	if err != nil {
 		return nil, claerr.File(claerr.PhaseCompile, dir, err)
 	}
-	w := &Workspace{dir: dir, p: p}
-	if opts != nil {
-		w.alg, w.ext, w.o = opts.Algorithm, opts.ExtModel, opts.observer()
-	}
+	w := &Workspace{dir: dir, p: p, alg: opts.algorithm(), ext: opts.extModel(), o: opts.observer()}
 	w.cur = w.wrap(p.Current())
 	return w, nil
 }
