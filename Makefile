@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build check test vet fmt race bench bench-smoke bench-check fuzz-smoke clean
+.PHONY: all build check test vet fmt race bench-module bench bench-smoke fuzz-smoke clean
 
 all: build
 
@@ -37,25 +37,15 @@ bench-module:
 
 check: build fmt vet test race bench-module
 
+# The per-table Go benchmarks (BenchmarkTable2Compile ... BenchmarkEndToEnd)
+# live in the root package; `GOFLAGS=-benchtime=1x make bench` runs each once.
 bench:
-	$(GO) test -bench=. -benchmem ./internal/bench
+	$(GO) test -run='^$$' -bench=. -benchmem .
 
 # One-iteration benchmark compile-and-run: catches benchmarks that rot
 # (build failures, panics) without paying for stable timings.
 bench-smoke:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./internal/pts/set ./internal/core
-
-# Perf regression gate: re-run the corpus-conformance, cold-start and
-# incremental-refresh tables and compare their timings against the
-# committed BENCH_corpus.json / BENCH_snapshot.json / BENCH_incr.json
-# baselines. The tolerance is generous because CI hosts differ from the
-# baseline host; it still catches order-of-magnitude regressions. Pass
-# CHECK_FLAGS="-fresh-dir out" to keep the fresh rows as artifacts.
-TOLERANCE ?= 9
-bench-check:
-	$(GO) run ./cmd/clabench -table 13 -check -tolerance $(TOLERANCE) $(CHECK_FLAGS)
-	$(GO) run ./cmd/clabench -table 14 -scale 1.0 -j 4 -check -tolerance $(TOLERANCE) $(CHECK_FLAGS)
-	$(GO) run ./cmd/clabench -table 15 -scale 1.0 -j 4 -check -tolerance $(TOLERANCE) $(CHECK_FLAGS)
 
 # Short fuzz runs over the binary object-file reader, the trace encoder,
 # the adaptive set layer, the extern-model path and the solved-snapshot

@@ -301,3 +301,38 @@ func TestCLICacheIncremental(t *testing.T) {
 		t.Error("-I A and -I B produced the same object")
 	}
 }
+
+// TestCLIClabenchWritesNothing pins clabench as print-only: a kept table
+// renders to stdout and leaves the working directory untouched, and a
+// table number outside the kept set is a usage error.
+func TestCLIClabenchWritesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	tools := buildTools(t, "clabench")
+	work := t.TempDir()
+
+	cmd := exec.Command(tools["clabench"], "-table", "9", "-scale", "0.01")
+	cmd.Dir = work
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("clabench -table 9: %v", err)
+	}
+	if !strings.Contains(string(out), "== Analysis clients") {
+		t.Errorf("clabench -table 9 output lacks the table header:\n%s", out)
+	}
+	entries, err := os.ReadDir(work)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("clabench -table 9 left %s in its working directory", e.Name())
+	}
+
+	cmd = exec.Command(tools["clabench"], "-table", "8")
+	cmd.Dir = work
+	err = cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Errorf("clabench -table 8: err = %v, want exit status 2", err)
+	}
+}

@@ -9,25 +9,19 @@
 //	clabench -table 5 -profile gimp      # cache/cycle-elim ablation (§5)
 //	clabench -table 6                    # five-solver comparison (§6)
 //	clabench -table 7                    # §4 database transformations
-//	clabench -table 8 -j 8               # sequential vs parallel pipeline
 //	clabench -table 9                    # analysis clients (clalint checks)
-//	clabench -table 10                   # set machinery: time/alloc/live per solver
-//	clabench -table 11 -j 8              # query serving: qps + latency percentiles
-//	clabench -table 12                   # phase-parallel wave fixpoint: seq vs wave solve
 //	clabench -table 13                   # real-C corpus conformance per extern model
-//	clabench -table 14                   # cold start: live solve vs solved snapshot
-//	clabench -table 15                   # incremental refresh: cold open vs warm edit
 //	clabench -all                        # everything
 //
 // Absolute times depend on the host; the shapes (who wins, by what
-// factor) are the reproduction target.
+// factor) are the reproduction target. Clabench only prints; timing of
+// the pipeline itself is the benchmark module's job (benchmark/README.md).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 
 	"cla/internal/bench"
@@ -38,32 +32,20 @@ import (
 
 func main() {
 	var (
-		table     = flag.Int("table", 0, "table to regenerate (2-15)")
-		all       = flag.Bool("all", false, "regenerate every table")
-		scale     = flag.Float64("scale", 1.0, "workload scale factor")
-		seed      = flag.Int64("seed", 1, "generation seed")
-		profile   = flag.String("profile", "gimp", "profile for the ablation table")
-		ablScale  = flag.Float64("ablation-scale", 0.1, "scale for the ablation (the naive configuration is very slow at full scale, as the paper reports)")
-		jobs      = flag.Int("j", runtime.GOMAXPROCS(0), "worker count for the parallel-pipeline table")
-		jsonOut   = flag.String("json", "BENCH_parallel.json", "file recording the parallel-pipeline rows (empty to skip)")
-		checksOut = flag.String("checks-json", "BENCH_checks.json", "file recording the analysis-client rows (empty to skip)")
-		setsOut   = flag.String("sets-json", "BENCH_sets.json", "file recording the set-machinery rows (empty to skip)")
-		serveOut  = flag.String("serve-json", "BENCH_serve.json", "file recording the query-serving rows (empty to skip)")
-		solveOut  = flag.String("solve-json", "BENCH_solve.json", "file recording the wave-fixpoint rows (empty to skip)")
-		corpus    = flag.String("corpus", "examples/corpus", "C source directory for the conformance table")
-		corpusOut = flag.String("corpus-json", "BENCH_corpus.json", "file recording the corpus-conformance rows (empty to skip)")
-		snapOut   = flag.String("snapshot-json", "BENCH_snapshot.json", "file recording the cold-start rows (empty to skip)")
-		incrOut   = flag.String("incr-json", "BENCH_incr.json", "file recording the incremental-refresh rows (empty to skip)")
-		queries   = flag.Int("queries", 2000, "queries per workload for the query-serving table")
-		check     = flag.Bool("check", false, "regression gate: compare fresh rows against the committed BENCH_*.json baselines instead of rewriting them; exit 1 on regression")
-		tolerance = flag.Float64("tolerance", 0.5, "-check slack as a fraction: 0.5 lets durations grow to 1.5x (and qps drop to 1/1.5x) before failing")
-		freshDir  = flag.String("fresh-dir", "", "in -check mode, also write the fresh rows as artifacts into this directory (for CI upload)")
+		table    = flag.Int("table", 0, "table to regenerate (2-7, 9 or 13)")
+		all      = flag.Bool("all", false, "regenerate every table")
+		scale    = flag.Float64("scale", 1.0, "workload scale factor")
+		seed     = flag.Int64("seed", 1, "generation seed")
+		profile  = flag.String("profile", "gimp", "profile for the ablation table")
+		ablScale = flag.Float64("ablation-scale", 0.1, "scale for the ablation (the naive configuration is very slow at full scale, as the paper reports)")
+		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "worker count for the analysis-client and corpus tables")
+		corpus   = flag.String("corpus", "examples/corpus", "C source directory for the conformance table")
 	)
 	obsFlags := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	if !*all && (*table < 2 || *table > 15) {
-		fmt.Fprintln(os.Stderr, "clabench: pass -all or -table 2..15")
+	if !*all && !((*table >= 2 && *table <= 7) || *table == 9 || *table == 13) {
+		fmt.Fprintln(os.Stderr, "clabench: pass -all or -table 2..7, 9 or 13")
 		os.Exit(2)
 	}
 	o := obsFlags.Observer()
@@ -76,50 +58,8 @@ func main() {
 
 	need := func(t int) bool { return *all || *table == t }
 
-	// emit either writes a table's JSON artifact (the default) or, under
-	// -check, compares the fresh rows against the committed artifact at
-	// path and records the verdict. write must render rows to a given
-	// path with a given meta so -fresh-dir can redirect the artifact.
-	var checked, checkFailures int
-	emit := func(path, table string, rows any, write func(path string, meta bench.Meta) error) {
-		if path == "" {
-			return
-		}
-		meta := bench.NewMeta(table, *jobs, *scale, *seed)
-		if !*check {
-			if err := write(path, meta); err != nil {
-				fmt.Fprintf(os.Stderr, "clabench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "clabench: wrote %s\n", path)
-			return
-		}
-		rep, err := bench.CheckBaseline(path, meta, rows, *tolerance)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clabench: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Format(os.Stdout)
-		checked++
-		if !rep.OK() {
-			checkFailures++
-		}
-		if *freshDir != "" {
-			if err := os.MkdirAll(*freshDir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "clabench: %v\n", err)
-				os.Exit(1)
-			}
-			out := filepath.Join(*freshDir, filepath.Base(path))
-			if err := write(out, meta); err != nil {
-				fmt.Fprintf(os.Stderr, "clabench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "clabench: wrote %s\n", out)
-		}
-	}
-
 	var workloads []*bench.Workload
-	if need(2) || need(3) || need(4) || need(6) || need(7) || need(9) || need(10) || need(11) || need(12) {
+	if need(2) || need(3) || need(4) || need(6) || need(7) || need(9) {
 		fmt.Fprintf(os.Stderr, "clabench: building %d workloads at scale %g...\n",
 			len(gen.Table2), *scale)
 		bsp := span("build workloads")
@@ -230,20 +170,6 @@ func main() {
 		fmt.Println()
 		tsp.End()
 	}
-	if need(8) {
-		tsp := span("table 8")
-		fmt.Printf("== Parallel pipeline: -j 1 vs -j %d (compile+link, analyze) ==\n", *jobs)
-		rows, err := bench.RunParallelAll(*scale, *seed, *jobs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clabench: %v\n", err)
-			os.Exit(1)
-		}
-		bench.FormatParallel(os.Stdout, rows)
-		emit(*jsonOut, "parallel-pipeline", rows, func(p string, m bench.Meta) error {
-			return bench.WriteParallelJSON(p, rows, m)
-		})
-		tsp.End()
-	}
 	if need(9) {
 		tsp := span("table 9")
 		fmt.Println("== Analysis clients: call graph, MOD/REF, escape, deref over the solved analysis ==")
@@ -253,51 +179,6 @@ func main() {
 			os.Exit(1)
 		}
 		bench.FormatChecks(os.Stdout, rows)
-		emit(*checksOut, "analysis-clients", rows, func(p string, m bench.Meta) error {
-			return bench.WriteChecksJSON(p, rows, m)
-		})
-		tsp.End()
-	}
-	if need(10) {
-		tsp := span("table 10")
-		fmt.Printf("== Set machinery: time / bytes allocated / live bytes per solver (-j 1 vs -j %d) ==\n", *jobs)
-		rows, err := bench.RunSetsAll(workloads, *jobs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clabench: %v\n", err)
-			os.Exit(1)
-		}
-		bench.FormatSets(os.Stdout, rows)
-		emit(*setsOut, "set-machinery", rows, func(p string, m bench.Meta) error {
-			return bench.WriteSetsJSON(p, rows, m)
-		})
-		tsp.End()
-	}
-	if need(11) {
-		tsp := span("table 11")
-		fmt.Printf("== Query serving: mixed query drain over one snapshot (-j %d) ==\n", *jobs)
-		rows, err := bench.RunServeAll(workloads, *jobs, *queries)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clabench: %v\n", err)
-			os.Exit(1)
-		}
-		bench.FormatServe(os.Stdout, rows)
-		emit(*serveOut, "query-serving", rows, func(p string, m bench.Meta) error {
-			return bench.WriteServeJSON(p, rows, m)
-		})
-		tsp.End()
-	}
-	if need(12) {
-		tsp := span("table 12")
-		fmt.Println("== Phase-parallel wave fixpoint: sequential vs wave solve (-j 1/2/4/8) ==")
-		rows, err := bench.RunSolveAll(workloads, bench.SolveJobs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clabench: %v\n", err)
-			os.Exit(1)
-		}
-		bench.FormatSolve(os.Stdout, rows)
-		emit(*solveOut, "parallel-solve", rows, func(p string, m bench.Meta) error {
-			return bench.WriteSolveJSON(p, rows, m)
-		})
 		tsp.End()
 	}
 	if need(13) {
@@ -309,59 +190,6 @@ func main() {
 			os.Exit(1)
 		}
 		bench.FormatCorpus(os.Stdout, rows)
-		emit(*corpusOut, "corpus-conformance", rows, func(p string, m bench.Meta) error {
-			return bench.WriteCorpusJSON(p, rows, m)
-		})
-		tsp.End()
-	}
-	if need(14) {
-		tsp := span("table 14")
-		p, ok := gen.ProfileByName(*profile)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "clabench: unknown profile %q\n", *profile)
-			os.Exit(1)
-		}
-		fmt.Printf("== Cold start: live parse+solve vs solved snapshot (%s at scale %g, -j %d) ==\n",
-			*profile, *scale, *jobs)
-		w, err := bench.BuildWorkload(p, *scale, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clabench: %v\n", err)
-			os.Exit(1)
-		}
-		rows, err := bench.RunSnapshot(w, *jobs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clabench: %v\n", err)
-			os.Exit(1)
-		}
-		bench.FormatSnapshot(os.Stdout, rows)
-		emit(*snapOut, "cold-start", rows, func(p string, m bench.Meta) error {
-			return bench.WriteSnapshotJSON(p, rows, m)
-		})
-		tsp.End()
-	}
-	if need(15) {
-		tsp := span("table 15")
-		p, ok := gen.ProfileByName(*profile)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "clabench: unknown profile %q\n", *profile)
-			os.Exit(1)
-		}
-		fmt.Printf("== Incremental refresh: cold open vs warm one-unit edit (%s at scale %g, -j %d) ==\n",
-			*profile, *scale, *jobs)
-		w, err := bench.BuildWorkload(p, *scale, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clabench: %v\n", err)
-			os.Exit(1)
-		}
-		rows, err := bench.RunIncr(w, *jobs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clabench: %v\n", err)
-			os.Exit(1)
-		}
-		bench.FormatIncr(os.Stdout, rows)
-		emit(*incrOut, "incremental-refresh", rows, func(p string, m bench.Meta) error {
-			return bench.WriteIncrJSON(p, rows, m)
-		})
 		tsp.End()
 	}
 	if obsFlags.Stats {
@@ -372,18 +200,5 @@ func main() {
 	if err := obsFlags.Finish(); err != nil {
 		fmt.Fprintf(os.Stderr, "clabench: %v\n", err)
 		os.Exit(1)
-	}
-	if *check {
-		switch {
-		case checked == 0:
-			fmt.Fprintln(os.Stderr, "clabench: -check compared nothing (only tables 8-14 carry baselines)")
-			os.Exit(2)
-		case checkFailures > 0:
-			fmt.Fprintf(os.Stderr, "clabench: perf regression gate FAILED (%d of %d table(s))\n",
-				checkFailures, checked)
-			os.Exit(1)
-		default:
-			fmt.Fprintf(os.Stderr, "clabench: perf regression gate passed (%d table(s))\n", checked)
-		}
 	}
 }

@@ -48,7 +48,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "clald: %v\n", err)
 		os.Exit(1)
 	}
-	merged, err := linker.LinkFilesObs(flag.Args(), o)
+	merged, err := linker.LinkFiles(flag.Args(), o)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "clald: %v\n", err)
 		os.Exit(1)

@@ -2,8 +2,11 @@
 // synthetic Table 2 workloads: benchmark characteristics (Table 2),
 // points-to analysis results with demand-loading statistics (Table 3), the
 // field-based vs field-independent comparison (Table 4), the Section 5
-// caching/cycle-elimination ablation, and a three-solver comparison
-// corresponding to the Section 6 related-work discussion.
+// caching/cycle-elimination ablation, the five-solver comparison of the
+// Section 6 related-work discussion and the Section 4 transformations,
+// plus two tables beyond the paper: the analysis clients (checks.go) and
+// the real-C corpus conformance run (corpus.go). Timing of the pipeline
+// itself lives in the separate benchmark module, not here.
 package bench
 
 import (
@@ -36,19 +39,16 @@ type Workload struct {
 	FieldIndependent *prim.Program
 	// ObjectBytes is the serialized size of the field-based database.
 	ObjectBytes int
-	CompileTime time.Duration
 }
 
 // BuildWorkload generates and compiles one profile at the given scale.
 func BuildWorkload(p gen.Profile, scale float64, seed int64) (*Workload, error) {
 	sp := p.Scale(scale)
 	code := gen.Generate(sp, seed)
-	start := time.Now()
 	fb, err := driver.Compile(context.Background(), code.Units(), code.Loader(), frontend.Options{Mode: frontend.FieldBased}, 0, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err)
 	}
-	compileTime := time.Since(start)
 	fi, err := driver.Compile(context.Background(), code.Units(), code.Loader(), frontend.Options{Mode: frontend.FieldIndependent}, 0, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err)
@@ -63,7 +63,6 @@ func BuildWorkload(p gen.Profile, scale float64, seed int64) (*Workload, error) 
 		FieldBased:       fb,
 		FieldIndependent: fi,
 		ObjectBytes:      buf.Len(),
-		CompileTime:      compileTime,
 	}, nil
 }
 

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -156,47 +154,5 @@ func TestFmtHelpers(t *testing.T) {
 	}
 	if got := fmtCount(15298); got != "15K" {
 		t.Errorf("fmtCount(15298) = %q", got)
-	}
-}
-
-func TestRunParallelIdentical(t *testing.T) {
-	p, ok := gen.ProfileByName("vortex")
-	if !ok {
-		t.Fatal("no profile vortex")
-	}
-	// Shrink the workload but keep vortex's full 40 translation units so
-	// the compile fan-out is exercised for real.
-	sp := p.Scale(0.05)
-	sp.Files = p.Files
-	row, err := RunParallel(sp, 1.0, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Units < 32 {
-		t.Errorf("units = %d, want >= 32", row.Units)
-	}
-	if !row.Identical {
-		t.Error("parallel pipeline output differs from sequential")
-	}
-	if row.Speedup <= 0 {
-		t.Errorf("speedup = %v", row.Speedup)
-	}
-	var buf bytes.Buffer
-	FormatParallel(&buf, []RowParallel{row})
-	if !strings.Contains(buf.String(), "identical") {
-		t.Errorf("format:\n%s", buf.String())
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_parallel.json")
-	if err := WriteParallelJSON(path, []RowParallel{row}, NewMeta("parallel-pipeline", 4, 1.0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"\"speedup\"", "\"meta\"", "\"schema\"", "\"go_version\""} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("json missing %s:\n%s", want, data)
-		}
 	}
 }

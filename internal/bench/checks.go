@@ -19,21 +19,21 @@ import (
 // cheap becomes a platform; this table measures the platform's first
 // clients.
 type RowChecks struct {
-	Name string `json:"name"`
+	Name string
 	// Funcs is the number of functions in the call graph.
-	Funcs int `json:"funcs"`
+	Funcs int
 	// Sites and Indirect count call sites; Resolved counts indirect
 	// sites with a non-empty callee set.
-	Sites    int `json:"sites"`
-	Indirect int `json:"indirect"`
-	Resolved int `json:"resolved"`
+	Sites    int
+	Indirect int
+	Resolved int
 	// Diagnostics per check.
-	Unresolved int `json:"unresolved"`
-	Escapes    int `json:"escapes"`
-	Derefs     int `json:"derefs"`
+	Unresolved int
+	Escapes    int
+	Derefs     int
 	// SolveTime is the points-to solve; CheckTime is all four checks.
-	SolveTime time.Duration `json:"solve_ns"`
-	CheckTime time.Duration `json:"check_ns"`
+	SolveTime time.Duration
+	CheckTime time.Duration
 }
 
 // RunChecks solves one workload's field-based database and times the
@@ -98,11 +98,4 @@ func FormatChecks(wr io.Writer, rows []RowChecks) {
 			fmtDur(r.SolveTime), fmtDur(r.CheckTime))
 	}
 	tw.Flush()
-}
-
-// WriteChecksJSON records the rows under the shared Meta header so runs
-// are comparable across hosts and revisions.
-func WriteChecksJSON(path string, rows []RowChecks, meta Meta) error {
-	meta.Table = "analysis-clients"
-	return writeBenchJSON(path, meta, rows)
 }

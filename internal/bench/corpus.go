@@ -25,32 +25,32 @@ import (
 // symbols, and what the check suite yields under it. The unsound row is
 // the baseline every inflation figure is relative to.
 type RowCorpus struct {
-	Model string `json:"model"`
+	Model string
 	// Corpus shape: files and physical source lines parsed, plus the
 	// database size after the model's constraints were added.
-	Files   int `json:"files"`
-	Lines   int `json:"lines"`
-	Syms    int `json:"syms"`
-	Assigns int `json:"assigns"`
+	Files   int
+	Lines   int
+	Syms    int
+	Assigns int
 	// Undefined-external inventory.
-	UndefFuncs   int `json:"undef_funcs"`
-	UndefGlobals int `json:"undef_globals"`
+	UndefFuncs   int
+	UndefGlobals int
 	// ParseTime covers compile+link of the whole corpus (identical across
 	// rows; repeated for self-contained rows). SolveTime is the
 	// pre-transitive solve of the modeled database.
-	ParseTime time.Duration `json:"parse_ns"`
-	SolveTime time.Duration `json:"solve_ns"`
+	ParseTime time.Duration
+	SolveTime time.Duration
 	// PtsSize sums the points-to sets of the original program symbols
 	// (model-internal symbols excluded); Inflation is PtsSize relative to
 	// the unsound baseline.
-	PtsSize   int     `json:"pts_size"`
-	Inflation float64 `json:"inflation"`
+	PtsSize   int
+	Inflation float64
 	// Check yield: deref false-positive candidates, escape reports, and
 	// the audit's downgraded-verdict counts.
-	Derefs          int `json:"derefs"`
-	Escapes         int `json:"escapes"`
-	DerefDowngraded int `json:"deref_downgraded"`
-	CallsDowngraded int `json:"calls_downgraded"`
+	Derefs          int
+	Escapes         int
+	DerefDowngraded int
+	CallsDowngraded int
 }
 
 // countCorpusLines counts physical lines across the corpus's .c and .h
@@ -163,10 +163,4 @@ func FormatCorpus(wr io.Writer, rows []RowCorpus) {
 			r.DerefDowngraded, r.CallsDowngraded)
 	}
 	tw.Flush()
-}
-
-// WriteCorpusJSON records the rows under the shared Meta header.
-func WriteCorpusJSON(path string, rows []RowCorpus, meta Meta) error {
-	meta.Table = "corpus-conformance"
-	return writeBenchJSON(path, meta, rows)
 }

@@ -3,10 +3,7 @@ package bench
 import (
 	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"cla/internal/checks"
@@ -24,6 +21,7 @@ type solveOutcome struct {
 	report string
 	funcs  int
 	sites  int
+	waves  int
 }
 
 func solveAt(t *testing.T, w *Workload, solver driver.Solver, jobs int) solveOutcome {
@@ -34,7 +32,10 @@ func solveAt(t *testing.T, w *Workload, solver driver.Solver, jobs int) solveOut
 	if err != nil {
 		t.Fatalf("%s -j%d: %v", solver, jobs, err)
 	}
-	out := solveOutcome{sets: make([][]prim.SymID, len(w.FieldBased.Syms))}
+	out := solveOutcome{
+		sets:  make([][]prim.SymID, len(w.FieldBased.Syms)),
+		waves: res.Metrics().Waves,
+	}
 	for i := range out.sets {
 		out.sets[i] = res.PointsTo(prim.SymID(i))
 	}
@@ -53,15 +54,20 @@ func solveAt(t *testing.T, w *Workload, solver driver.Solver, jobs int) solveOut
 // TestWaveDeterminismAllWorkloads pins the acceptance bar of the wave
 // fixpoint across every Table 2 workload: for both wave-capable solvers,
 // the points-to sets, the call graph and the rendered checks report must
-// be identical at -j 1 (sequential reference), -j 2 and -j 8.
+// be identical at -j 1 (sequential reference), -j 2 and -j 8, and -j 1
+// must not take the wave path at all.
 func TestWaveDeterminismAllWorkloads(t *testing.T) {
 	ws, err := BuildAll(0.03, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range ws {
-		for _, solver := range SolveSolvers {
+		for _, solver := range []driver.Solver{driver.PreTransitive, driver.Worklist} {
 			want := solveAt(t, w, solver, 1)
+			if want.waves != 0 {
+				t.Errorf("%s/%s: -j1 took the wave path (%d waves)",
+					w.Profile.Name, solver, want.waves)
+			}
 			for _, jobs := range []int{2, 8} {
 				got := solveAt(t, w, solver, jobs)
 				if !reflect.DeepEqual(want.sets, got.sets) {
@@ -78,53 +84,6 @@ func TestWaveDeterminismAllWorkloads(t *testing.T) {
 						w.Profile.Name, solver, jobs)
 				}
 			}
-		}
-	}
-}
-
-func TestRunSolveSweep(t *testing.T) {
-	w := smallWorkload(t, "burlap")
-	rows, err := RunSolve(w, []int{1, 2, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(SolveSolvers)*3 {
-		t.Fatalf("rows = %d, want %d", len(rows), len(SolveSolvers)*3)
-	}
-	for _, r := range rows {
-		if !r.Identical {
-			t.Errorf("%s/%s -j%d not identical", r.Name, r.Solver, r.Jobs)
-		}
-		if r.Relations == 0 {
-			t.Errorf("%s/%s -j%d: no relations", r.Name, r.Solver, r.Jobs)
-		}
-		if r.Jobs == 1 {
-			if r.Waves != 0 {
-				t.Errorf("%s/%s -j1 took the wave path: %+v", r.Name, r.Solver, r)
-			}
-		} else if r.Waves == 0 {
-			t.Errorf("%s/%s -j%d missed the wave path: %+v", r.Name, r.Solver, r.Jobs, r)
-		}
-	}
-	var buf bytes.Buffer
-	FormatSolve(&buf, rows)
-	out := buf.String()
-	for _, want := range []string{"waves", "scc rounds", "identical", "burlap"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("format missing %q:\n%s", want, out)
-		}
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_solve.json")
-	if err := WriteSolveJSON(path, rows, NewMeta("parallel-solve", 8, 0.03, 1)); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"\"parallel-solve\"", "\"waves\"", "\"delta_merge_bytes\"", "\"speedup\""} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("json missing %s", want)
 		}
 	}
 }

@@ -130,15 +130,10 @@ func compatibleKinds(a, b prim.SymKind) bool {
 	return isObj(a) && isObj(b)
 }
 
-// LinkFiles opens, decodes and links the named object files.
-func LinkFiles(paths []string) (*prim.Program, error) {
-	return LinkFilesObs(paths, nil)
-}
-
-// LinkFilesObs is LinkFiles under an observer: the decodes run as child
-// spans of a "read" phase, the merge inside a "link" phase. The nil
-// observer costs nothing.
-func LinkFilesObs(paths []string, o *obs.Observer) (*prim.Program, error) {
+// LinkFiles opens, decodes and links the named object files. Under an
+// observer the decodes run as child spans of a "read" phase, the merge
+// inside a "link" phase; the nil observer costs nothing.
+func LinkFiles(paths []string, o *obs.Observer) (*prim.Program, error) {
 	sp := o.Start("read")
 	var units []*prim.Program
 	for _, path := range paths {

@@ -212,7 +212,7 @@ func TestLinkFilesEndToEnd(t *testing.T) {
 	if err := objfile.WriteFile(pb, b); err != nil {
 		t.Fatal(err)
 	}
-	merged, err := LinkFiles([]string{pa, pb})
+	merged, err := LinkFiles([]string{pa, pb}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestLinkFilesEndToEnd(t *testing.T) {
 }
 
 func TestLinkFilesMissing(t *testing.T) {
-	if _, err := LinkFiles([]string{"/nonexistent/x.clo"}); err == nil {
+	if _, err := LinkFiles([]string{"/nonexistent/x.clo"}, nil); err == nil {
 		t.Error("missing file accepted")
 	}
 }
