@@ -71,9 +71,15 @@ func TestClawatchEndToEnd(t *testing.T) {
 	}
 
 	// Scripted edit: dereference a pointer that points at nothing. The
-	// watcher must pick it up, rebuild, and re-lint.
+	// watcher must pick it up, rebuild, and re-lint. The file is saved
+	// the way editors save, write-then-rename, so no poll can observe a
+	// half-written file and report it as generation 2.
 	dirty := clean + "int **nowhere;\nvoid crash(void) { *nowhere = p; }\n"
-	if err := os.WriteFile(filepath.Join(work, "a.c"), []byte(dirty), 0o644); err != nil {
+	tmp := filepath.Join(work, "a.c.tmp")
+	if err := os.WriteFile(tmp, []byte(dirty), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, filepath.Join(work, "a.c")); err != nil {
 		t.Fatal(err)
 	}
 	if line := waitFor("generation 2"); strings.Contains(line, " 0 findings") {

@@ -17,11 +17,12 @@ import (
 // solve: the points-to sets of every symbol, the rendered checks report
 // and the call-graph shape derived from it.
 type solveOutcome struct {
-	sets   [][]prim.SymID
-	report string
-	funcs  int
-	sites  int
-	waves  int
+	sets      [][]prim.SymID
+	report    string
+	funcs     int
+	sites     int
+	relations int
+	waves     int
 }
 
 func solveAt(t *testing.T, w *Workload, solver driver.Solver, jobs int) solveOutcome {
@@ -32,9 +33,11 @@ func solveAt(t *testing.T, w *Workload, solver driver.Solver, jobs int) solveOut
 	if err != nil {
 		t.Fatalf("%s -j%d: %v", solver, jobs, err)
 	}
+	m := res.Metrics()
 	out := solveOutcome{
-		sets:  make([][]prim.SymID, len(w.FieldBased.Syms)),
-		waves: res.Metrics().Waves,
+		sets:      make([][]prim.SymID, len(w.FieldBased.Syms)),
+		relations: m.Relations,
+		waves:     m.Waves,
 	}
 	for i := range out.sets {
 		out.sets[i] = res.PointsTo(prim.SymID(i))
@@ -83,6 +86,33 @@ func TestWaveDeterminismAllWorkloads(t *testing.T) {
 					t.Errorf("%s/%s: checks report differs at -j%d vs -j1",
 						w.Profile.Name, solver, jobs)
 				}
+			}
+		}
+	}
+}
+
+// TestRunSolveSweep pins which fixpoint each -j setting takes: -j 1 is
+// the sequential solve and takes no waves, -j 2 and -j 8 take the wave
+// path, and every setting derives the same non-empty relation set.
+func TestRunSolveSweep(t *testing.T) {
+	w := smallWorkload(t, "burlap")
+	for _, solver := range []driver.Solver{driver.PreTransitive, driver.Worklist} {
+		want := solveAt(t, w, solver, 1)
+		for _, jobs := range []int{1, 2, 8} {
+			got := want
+			if jobs != 1 {
+				got = solveAt(t, w, solver, jobs)
+			}
+			if !reflect.DeepEqual(want.sets, got.sets) {
+				t.Errorf("%s -j%d not identical to -j1", solver, jobs)
+			}
+			if got.relations == 0 {
+				t.Errorf("%s -j%d: no relations", solver, jobs)
+			}
+			if jobs == 1 && got.waves != 0 {
+				t.Errorf("%s -j1 took the wave path (%d waves)", solver, got.waves)
+			} else if jobs > 1 && got.waves == 0 {
+				t.Errorf("%s -j%d missed the wave path", solver, jobs)
 			}
 		}
 	}

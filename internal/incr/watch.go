@@ -200,22 +200,22 @@ func WatchLoop(ctx context.Context, p *Pipeline, w Watcher, settle time.Duration
 	if settle <= 0 {
 		settle = 100 * time.Millisecond
 	}
-	// Catch-up probe: an edit that lands between the pipeline's last
-	// build and the watcher's baseline scan is invisible to the watcher
-	// (its baseline already has the new stamps), so re-hash against the
-	// pipeline's recorded content before trusting the event stream.
-	if stale, changed := p.Stale(); stale {
-		res, st, err := p.Update(ctx, changed...)
-		if fn != nil {
-			fn(res, st, err)
-		}
-	}
 	timer := time.NewTimer(settle)
 	if !timer.Stop() {
 		<-timer.C
 	}
 	var pending []string
 	rescan := false
+	// Catch-up probe: an edit that lands between the pipeline's last
+	// build and the watcher's baseline scan is invisible to the watcher
+	// (its baseline already has the new stamps), so re-hash against the
+	// pipeline's recorded content before trusting the event stream. The
+	// probe may catch a save mid-write, so what it finds settles like
+	// any watcher event instead of rebuilding at once.
+	if stale, changed := p.Stale(); stale {
+		pending = changed
+		timer.Reset(settle)
+	}
 	for {
 		select {
 		case <-ctx.Done():
