@@ -24,10 +24,10 @@ vet:
 
 # Race extras: the parallel pipeline, the wave fixpoints, the checks
 # engine, the shared set layer, the query-serving layer, the metrics
-# layer and the incremental pipeline must stay race-clean and
-# deterministic at any -j.
+# layer, the incremental pipeline and the shared dependence index must
+# stay race-clean and deterministic at any -j.
 race:
-	$(GO) test -race ./internal/core ./internal/driver ./internal/linker ./internal/parallel ./internal/pts/worklist ./internal/checks ./internal/pts/set ./internal/serve ./internal/extmodel ./internal/obs ./internal/snapfile ./internal/incr
+	$(GO) test -race ./internal/core ./internal/driver ./internal/linker ./internal/parallel ./internal/pts/worklist ./internal/checks ./internal/pts/set ./internal/serve ./internal/extmodel ./internal/obs ./internal/snapfile ./internal/incr ./internal/depend
 
 # The benchmark is its own module (benchmark/go.mod), so the root
 # `./...` patterns skip it; vet it and run its ~5 s smoke test so an

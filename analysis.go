@@ -346,7 +346,9 @@ type Dependent struct {
 }
 
 // Dependence runs the forward data-dependence analysis of the paper's
-// Section 2 from the given target objects.
+// Section 2 from the given target objects. Every dependence query on the
+// analysis, here or through Query, shares one index of the reads through
+// pointers, built by the first.
 func (a *Analysis) Dependence(targets []Object, opts *DependOptions) ([]Dependent, error) {
 	var ids []prim.SymID
 	for _, t := range targets {
@@ -362,7 +364,15 @@ func (a *Analysis) Dependence(targets []Object, opts *DependOptions) ([]Dependen
 			dopts.NonTargets[nt.id] = true
 		}
 	}
-	res, err := depend.Analyze(a.src, a.res, ids, dopts)
+	ev, err := a.evaluator()
+	if err != nil {
+		return nil, err
+	}
+	idx, err := ev.DependIndex()
+	if err != nil {
+		return nil, err
+	}
+	res, err := idx.Analyze(ids, dopts)
 	if err != nil {
 		return nil, claerr.New(claerr.PhaseQuery, err)
 	}

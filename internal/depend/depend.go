@@ -61,7 +61,10 @@ type Result struct {
 	src     pts.Source
 	targets []prim.SymID
 	best    map[prim.SymID]*state
-	// Loaded counts block entries read, for CLA accounting.
+	// Loaded counts block entries read, for CLA accounting. From
+	// Index.Analyze it counts only the blocks this query's traversal
+	// loaded; the one-shot Analyze adds the index build's (Index.Loaded),
+	// so it counts every block entry the whole run read.
 	Loaded int
 }
 
@@ -76,10 +79,119 @@ type state struct {
 	edgeStr prim.Strength
 }
 
+// Index holds the target-independent half of the analysis: every read
+// through a pointer ("d = *u" and "*d = *u"), indexed by the object read.
+// It is built once per solved relation and is read-only afterwards, so
+// any number of concurrent Analyze calls may share it.
+//
+// Both halves are CSR arrays, linear in the program. A reader is a
+// pointer u with a non-empty points-to set and at least one LoadInd or
+// CopyInd entry in its block; readers are numbered in ascending u.
+// reads[readOff[k]:readOff[k+1]] are reader k's LoadInd/CopyInd entries
+// in block order, and readers[readerOff[v]:readerOff[v+1]] lists,
+// ascending, the readers k with v in pts(u_k): the transpose of the
+// points-to sets of the readers, made by a counting sort. Walking
+// readers[v], then each reader's reads, then each read's objects visits
+// the flows out of v in ascending u, then block order, then ascending
+// pointee of d. relax settles ties by arrival, so this order is part of
+// the ranked output and must not change.
+type Index struct {
+	src pts.Source
+	ptr Pointer
+
+	readOff   []int32
+	reads     []read
+	readerOff []int32
+	readers   []int32
+
+	// Loaded counts the block entries the build read: the whole block of
+	// every pointer with a non-empty points-to set.
+	Loaded int
+}
+
+// read is one "d = *u" or "*d = *u" entry: to holds the objects that take
+// the value read, d itself or pts(d).
+type read struct {
+	to  []prim.SymID
+	loc prim.Loc
+	op  prim.Op
+	str prim.Strength
+}
+
+// NewIndex scans the block of every pointer with a non-empty points-to
+// set once and builds the dependence index over src and ptr.
+func NewIndex(src pts.Source, ptr Pointer) (*Index, error) {
+	n := src.NumSyms()
+	x := &Index{src: src, ptr: ptr, readOff: []int32{0}, readerOff: make([]int32, n+1)}
+	var psets [][]prim.SymID // psets[k] = pts(u_k)
+	for i := 0; i < n; i++ {
+		u := prim.SymID(i)
+		pset := ptr.PointsTo(u)
+		if len(pset) == 0 {
+			continue
+		}
+		block, err := src.Block(u)
+		if err != nil {
+			return nil, err
+		}
+		x.Loaded += len(block)
+		before := len(x.reads)
+		for _, e := range block {
+			rd := read{loc: e.Loc, op: e.Op, str: e.Strength}
+			switch e.Kind {
+			case prim.LoadInd:
+				rd.to = []prim.SymID{e.Dst}
+			case prim.CopyInd:
+				rd.to = ptr.PointsTo(e.Dst)
+			default:
+				continue
+			}
+			x.reads = append(x.reads, rd)
+		}
+		if len(x.reads) == before {
+			continue
+		}
+		x.readOff = append(x.readOff, int32(len(x.reads)))
+		psets = append(psets, pset)
+		for _, v := range pset {
+			x.readerOff[v+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		x.readerOff[v+1] += x.readerOff[v]
+	}
+	x.readers = make([]int32, x.readerOff[n])
+	fill := append([]int32(nil), x.readerOff[:n]...)
+	for k, pset := range psets {
+		for _, v := range pset {
+			x.readers[fill[v]] = int32(k)
+			fill[v]++
+		}
+	}
+	return x, nil
+}
+
 // Analyze runs the forward dependence analysis from the given targets.
+// It is NewIndex followed by Index.Analyze, for callers that ask one
+// question of a solved relation.
 func Analyze(src pts.Source, ptr Pointer, targets []prim.SymID, opts Options) (*Result, error) {
-	r := &Result{src: src, targets: targets, best: map[prim.SymID]*state{}}
-	a := &analyzer{src: src, ptr: ptr, opts: opts, res: r}
+	x, err := NewIndex(src, ptr)
+	if err != nil {
+		return nil, err
+	}
+	r, err := x.Analyze(targets, opts)
+	if err != nil {
+		return nil, err
+	}
+	r.Loaded += x.Loaded
+	return r, nil
+}
+
+// Analyze runs the forward dependence analysis from the given targets
+// over the index. It is safe for concurrent use.
+func (x *Index) Analyze(targets []prim.SymID, opts Options) (*Result, error) {
+	r := &Result{src: x.src, targets: targets, best: map[prim.SymID]*state{}}
+	a := &analyzer{idx: x, opts: opts, res: r}
 	if err := a.run(targets); err != nil {
 		return nil, err
 	}
@@ -87,25 +199,11 @@ func Analyze(src pts.Source, ptr Pointer, targets []prim.SymID, opts Options) (*
 }
 
 type analyzer struct {
-	src  pts.Source
-	ptr  Pointer
+	idx  *Index
 	opts Options
 	res  *Result
 
-	// derefReads indexes "d = *u" flows by pointed-to object:
-	// derefReads[v] lists destinations that read object v through a
-	// pointer (built lazily from pointers with non-empty points-to sets).
-	derefReads map[prim.SymID][]derefRead
-	built      bool
-
 	pq workQueue
-}
-
-type derefRead struct {
-	dst prim.SymID
-	loc prim.Loc
-	op  prim.Op
-	str prim.Strength
 }
 
 // item is a priority-queue entry: stronger chains first, then shorter.
@@ -186,8 +284,9 @@ func (a *analyzer) relax(dst, via prim.SymID, edge prim.Strength, loc prim.Loc, 
 
 // expand follows every forward flow out of sym.
 func (a *analyzer) expand(sym prim.SymID, st *state) error {
+	x := a.idx
 	// 1. Assignments whose source is sym, demand-loaded from its block.
-	block, err := a.src.Block(sym)
+	block, err := x.src.Block(sym)
 	if err != nil {
 		return err
 	}
@@ -199,7 +298,7 @@ func (a *analyzer) expand(sym prim.SymID, st *state) error {
 			a.relax(e.Dst, sym, e.Strength, e.Loc, e.Op, st)
 		case prim.StoreInd:
 			// *p = sym: everything p points to takes sym's value.
-			for _, v := range a.ptr.PointsTo(e.Dst) {
+			for _, v := range x.ptr.PointsTo(e.Dst) {
 				a.relax(v, sym, e.Strength, e.Loc, e.Op, st)
 			}
 		case prim.LoadInd, prim.CopyInd:
@@ -207,55 +306,12 @@ func (a *analyzer) expand(sym prim.SymID, st *state) error {
 			// dependence on sym itself. (*d = *sym likewise.)
 		}
 	}
-	// 2. Reads of sym through pointers: d = *u with sym ∈ pts(u).
-	if err := a.buildDerefIndex(); err != nil {
-		return err
-	}
-	for _, dr := range a.derefReads[sym] {
-		a.relax(dr.dst, sym, dr.str, dr.loc, dr.op, st)
-	}
-	return nil
-}
-
-// buildDerefIndex scans the blocks of every pointer with a non-empty
-// points-to set for d = *u and *d = *u entries, indexing them by pointee.
-func (a *analyzer) buildDerefIndex() error {
-	if a.built {
-		return nil
-	}
-	a.built = true
-	a.derefReads = map[prim.SymID][]derefRead{}
-	n := a.src.NumSyms()
-	for i := 0; i < n; i++ {
-		u := prim.SymID(i)
-		pset := a.ptr.PointsTo(u)
-		if len(pset) == 0 {
-			continue
-		}
-		block, err := a.src.Block(u)
-		if err != nil {
-			return err
-		}
-		a.res.Loaded += len(block)
-		for _, e := range block {
-			switch e.Kind {
-			case prim.LoadInd:
-				// e.Dst = *u: e.Dst depends on every pointee of u.
-				for _, v := range pset {
-					a.derefReads[v] = append(a.derefReads[v], derefRead{
-						dst: e.Dst, loc: e.Loc, op: e.Op, str: e.Strength,
-					})
-				}
-			case prim.CopyInd:
-				// *e.Dst = *u: every pointee of e.Dst depends on every
-				// pointee of u.
-				for _, w := range a.ptr.PointsTo(e.Dst) {
-					for _, v := range pset {
-						a.derefReads[v] = append(a.derefReads[v], derefRead{
-							dst: w, loc: e.Loc, op: e.Op, str: e.Strength,
-						})
-					}
-				}
+	// 2. Reads of sym through pointers: d = *u (d takes sym's value) or
+	// *d = *u (every pointee of d does) with sym ∈ pts(u).
+	for _, k := range x.readers[x.readerOff[sym]:x.readerOff[sym+1]] {
+		for _, rd := range x.reads[x.readOff[k]:x.readOff[k+1]] {
+			for _, w := range rd.to {
+				a.relax(w, sym, rd.str, rd.loc, rd.op, st)
 			}
 		}
 	}

@@ -1,13 +1,21 @@
 package depend
 
 import (
+	"container/heap"
+	"context"
+	"fmt"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"cla/internal/core"
+	"cla/internal/driver"
 	"cla/internal/frontend"
+	"cla/internal/gen"
 	"cla/internal/prim"
 	"cla/internal/pts"
+	"cla/internal/pts/steens"
 )
 
 // analyze compiles src, runs points-to, and analyzes dependence from the
@@ -426,5 +434,326 @@ void m(void) { a = target; b = a; c = b; }`
 	}
 	if !strings.Contains(tree, "more below") {
 		t.Errorf("no elision marker:\n%s", tree)
+	}
+}
+
+// ---------- reference: the per-query cross-product index ----------
+
+// refIndex is the index as it was before Index: every query rebuilt this
+// map from each pointee v to the reads through pointers to v, with one
+// entry per pair in pts(d) × pts(u). It is kept only as the reference the
+// shared index must match byte for byte. Building it is target
+// independent, so the tests build it once per solve and refAnalyze
+// charges its loads to each query, as the per-query rebuild did.
+type refIndex struct {
+	src       pts.Source
+	ptr       Pointer
+	byPointee map[prim.SymID][]refRead
+	loaded    int
+}
+
+type refRead struct {
+	dst prim.SymID
+	loc prim.Loc
+	op  prim.Op
+	str prim.Strength
+}
+
+func newRefIndex(src pts.Source, ptr Pointer) (*refIndex, error) {
+	x := &refIndex{src: src, ptr: ptr, byPointee: map[prim.SymID][]refRead{}}
+	for i := 0; i < src.NumSyms(); i++ {
+		u := prim.SymID(i)
+		pset := ptr.PointsTo(u)
+		if len(pset) == 0 {
+			continue
+		}
+		block, err := src.Block(u)
+		if err != nil {
+			return nil, err
+		}
+		x.loaded += len(block)
+		for _, e := range block {
+			switch e.Kind {
+			case prim.LoadInd:
+				for _, v := range pset {
+					x.byPointee[v] = append(x.byPointee[v], refRead{dst: e.Dst, loc: e.Loc, op: e.Op, str: e.Strength})
+				}
+			case prim.CopyInd:
+				for _, w := range ptr.PointsTo(e.Dst) {
+					for _, v := range pset {
+						x.byPointee[v] = append(x.byPointee[v], refRead{dst: w, loc: e.Loc, op: e.Op, str: e.Strength})
+					}
+				}
+			}
+		}
+	}
+	return x, nil
+}
+
+// refAnalyze is the analysis over the reference index; the first
+// expanded object pays the index's loads, as the lazy rebuild did.
+func refAnalyze(x *refIndex, targets []prim.SymID, opts Options) (*Result, error) {
+	r := &Result{src: x.src, targets: targets, best: map[prim.SymID]*state{}}
+	a := &refAnalyzer{idx: x, opts: opts, res: r}
+	if err := a.run(targets); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+type refAnalyzer struct {
+	idx     *refIndex
+	opts    Options
+	res     *Result
+	charged bool
+
+	pq workQueue
+}
+
+func (a *refAnalyzer) run(targets []prim.SymID) error {
+	for _, t := range targets {
+		if a.opts.NonTargets[t] {
+			continue
+		}
+		a.res.best[t] = &state{strength: prim.Strong, dist: 0}
+		heap.Push(&a.pq, item{sym: t, strength: prim.Strong, dist: 0})
+	}
+	for a.pq.Len() > 0 {
+		it := heap.Pop(&a.pq).(item)
+		st := a.res.best[it.sym]
+		if st == nil || st.strength != it.strength || st.dist != it.dist {
+			continue
+		}
+		if err := a.expand(it.sym, st); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (a *refAnalyzer) relax(dst, via prim.SymID, edge prim.Strength, loc prim.Loc, op prim.Op, from *state) {
+	if edge == prim.None || a.opts.NonTargets[dst] {
+		return
+	}
+	strength := from.strength
+	if edge < strength {
+		strength = edge
+	}
+	if a.opts.DropWeak && strength < prim.Strong {
+		return
+	}
+	dist := from.dist + 1
+	if cur := a.res.best[dst]; cur != nil {
+		if cur.strength > strength || (cur.strength == strength && cur.dist <= dist) {
+			return
+		}
+	}
+	a.res.best[dst] = &state{
+		strength: strength, dist: dist,
+		prev: via, prevSet: true, loc: loc, op: op, edgeStr: edge,
+	}
+	heap.Push(&a.pq, item{sym: dst, strength: strength, dist: dist})
+}
+
+func (a *refAnalyzer) expand(sym prim.SymID, st *state) error {
+	block, err := a.idx.src.Block(sym)
+	if err != nil {
+		return err
+	}
+	a.res.Loaded += len(block)
+	for _, e := range block {
+		switch e.Kind {
+		case prim.Simple:
+			a.relax(e.Dst, sym, e.Strength, e.Loc, e.Op, st)
+		case prim.StoreInd:
+			for _, v := range a.idx.ptr.PointsTo(e.Dst) {
+				a.relax(v, sym, e.Strength, e.Loc, e.Op, st)
+			}
+		}
+	}
+	if !a.charged {
+		a.charged = true
+		a.res.Loaded += a.idx.loaded
+	}
+	for _, dr := range a.idx.byPointee[sym] {
+		a.relax(dr.dst, sym, dr.str, dr.loc, dr.op, st)
+	}
+	return nil
+}
+
+// render prints everything a client can read off a result: the ranked
+// dependents, every chain and the whole tree.
+func render(r *Result) string {
+	var b strings.Builder
+	for _, d := range r.Dependents() {
+		fmt.Fprintf(&b, "%+v %s\n", d, r.FormatChain(d.Sym))
+	}
+	b.WriteString(r.FormatTree(0))
+	return b.String()
+}
+
+// pinCase is one solved generated program and the targets to ask about.
+type pinCase struct {
+	name    string
+	src     pts.Source
+	ptr     Pointer
+	targets []prim.SymID
+}
+
+// pinCases compiles each profile at a small scale (2%, capped
+// at 1,000 variables to bound the reference's cost), solves it
+// with the pre-transitive solver and with Steensgaard's (larger sets),
+// and draws 8 seeded targets per solve: half of them objects read
+// through some pointer, so the index's transpose is exercised, half any
+// named object.
+func pinCases(t *testing.T, profiles []gen.Profile) []pinCase {
+	t.Helper()
+	var out []pinCase
+	for i, prof := range profiles {
+		code := gen.Generate(prof.Scale(min(0.02, 1000/float64(prof.Vars))), int64(i+1))
+		prog, err := driver.Compile(context.Background(), code.Units(), code.Loader(), frontend.Options{}, 0, nil)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", prof.Name, err)
+		}
+		src := pts.NewMemSource(prog)
+		pre, err := core.Solve(src, core.DefaultConfig())
+		if err != nil {
+			t.Fatalf("%s: solve: %v", prof.Name, err)
+		}
+		st, err := steens.Solve(src)
+		if err != nil {
+			t.Fatalf("%s: steens: %v", prof.Name, err)
+		}
+		var named []prim.SymID
+		for id := range prog.Syms {
+			if prog.Syms[id].Kind != prim.SymTemp {
+				named = append(named, prim.SymID(id))
+			}
+		}
+		for _, s := range []struct {
+			name string
+			ptr  Pointer
+		}{{"pretrans", pre}, {"steens", st}} {
+			x, err := NewIndex(src, s.ptr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var read []prim.SymID
+			for v := 0; v+1 < len(x.readerOff); v++ {
+				if x.readerOff[v+1] > x.readerOff[v] {
+					read = append(read, prim.SymID(v))
+				}
+			}
+			if len(read) == 0 {
+				t.Fatalf("%s/%s: no object is read through a pointer", prof.Name, s.name)
+			}
+			rng := rand.New(rand.NewSource(int64(i)))
+			c := pinCase{name: prof.Name + "/" + s.name, src: src, ptr: s.ptr}
+			for j := 0; j < 4; j++ {
+				c.targets = append(c.targets, read[rng.Intn(len(read))], named[rng.Intn(len(named))])
+			}
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// TestIndexMatchesCrossProduct pins the shared index to the per-query
+// cross product it replaced: on every Table 2 profile, under two
+// solvers, with default options, DropWeak and a NonTargets set, the
+// ranked dependents, every chain and the tree are byte-identical, and
+// the one-shot Analyze loads as many block entries.
+func TestIndexMatchesCrossProduct(t *testing.T) {
+	for _, c := range pinCases(t, gen.Table2) {
+		x, err := NewIndex(c.src, c.ptr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := newRefIndex(c.src, c.ptr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, target := range c.targets {
+			ids := []prim.SymID{target}
+			base, err := refAnalyze(ref, ids, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Cut the traversal at every third dependent.
+			cut := map[prim.SymID]bool{}
+			for k, d := range base.Dependents() {
+				if k%3 == 1 {
+					cut[d.Sym] = true
+				}
+			}
+			for _, opts := range []Options{{}, {DropWeak: true}, {NonTargets: cut}} {
+				want, err := refAnalyze(ref, ids, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := x.Analyze(ids, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s target %d dropWeak=%v cut=%d", c.name, target, opts.DropWeak, len(opts.NonTargets))
+				if w, g := render(want), render(got); w != g {
+					t.Fatalf("%s: index differs from the cross product\nwant:\n%s\ngot:\n%s", name, w, g)
+				}
+				if got.Loaded+x.Loaded != want.Loaded {
+					t.Errorf("%s: query Loaded %d + index Loaded %d != %d", name, got.Loaded, x.Loaded, want.Loaded)
+				}
+			}
+			one, err := Analyze(c.src, c.ptr, ids, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if one.Loaded != base.Loaded || render(one) != render(base) {
+				t.Errorf("%s target %d: one-shot Analyze differs from the cross product (Loaded %d, want %d)", c.name, target, one.Loaded, base.Loaded)
+			}
+		}
+	}
+}
+
+// TestIndexConcurrentQueries shares one Index between 8 goroutines, each
+// asking every target, and checks every answer against the sequential
+// one (run under -race by the Makefile's race target).
+func TestIndexConcurrentQueries(t *testing.T) {
+	c := pinCases(t, gen.Table2[1:2])[1] // burlap under Steensgaard: large sets, many reads
+	x, err := NewIndex(c.src, c.ptr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, len(c.targets))
+	for k, target := range c.targets {
+		r, err := x.Analyze([]prim.SymID{target}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = render(r)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range c.targets {
+				k := (i + g) % len(c.targets)
+				r, err := x.Analyze([]prim.SymID{c.targets[k]}, Options{})
+				if err != nil {
+					errs <- err
+					return
+				}
+				if render(r) != want[k] {
+					errs <- fmt.Errorf("goroutine %d: target %d answer differs from the sequential one", g, c.targets[k])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -16,9 +16,9 @@ import (
 )
 
 // Evaluator answers queries against one analyzed snapshot. All state is
-// read-only after construction except the lazily built checks report
-// (guarded by a sync.Once), so an Evaluator is safe for concurrent use —
-// the property the whole serving layer rests on.
+// read-only after construction except the lazily built checks report and
+// dependence index (each guarded by a sync.Once), so an Evaluator is safe
+// for concurrent use — the property the whole serving layer rests on.
 type Evaluator struct {
 	// Prog is the full database (symbols, assignments, call sites).
 	Prog *prim.Program
@@ -41,6 +41,12 @@ type Evaluator struct {
 	checksOnce sync.Once
 	checksRep  *checks.Report
 	checksErr  error
+
+	// dependOnce builds the dependence index the first time a dependence
+	// query needs it; later queries share it.
+	dependOnce sync.Once
+	dependIdx  *depend.Index
+	dependErr  error
 }
 
 // NewEvaluator builds the shared lookup structures for a snapshot.
@@ -265,8 +271,24 @@ func (e *Evaluator) modRef(fn string) ([]ModRefEntry, error) {
 	return out, nil
 }
 
+// DependIndex returns the snapshot's dependence index, building it on
+// first use; every dependence query against the Evaluator shares it.
+func (e *Evaluator) DependIndex() (*depend.Index, error) {
+	e.dependOnce.Do(func() {
+		e.dependIdx, e.dependErr = depend.NewIndex(e.Src, e.Res)
+		if e.dependErr != nil {
+			e.dependErr = claerr.New(claerr.PhaseQuery, e.dependErr)
+		}
+	})
+	return e.dependIdx, e.dependErr
+}
+
 func (e *Evaluator) dependence(q Query) ([]DependEntry, error) {
 	targets, err := e.lookup(q.Target)
+	if err != nil {
+		return nil, err
+	}
+	idx, err := e.DependIndex()
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +298,7 @@ func (e *Evaluator) dependence(q Query) ([]DependEntry, error) {
 			opts.NonTargets[id] = true
 		}
 	}
-	dres, err := depend.Analyze(e.Src, e.Res, targets, opts)
+	dres, err := idx.Analyze(targets, opts)
 	if err != nil {
 		return nil, claerr.New(claerr.PhaseQuery, err)
 	}

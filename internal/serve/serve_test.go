@@ -207,6 +207,60 @@ func TestConcurrentMixedQueries(t *testing.T) {
 	}
 }
 
+// TestConcurrentFirstDependence sends the first dependence query of
+// fresh Evaluators from many goroutines at once, so the index's lazy
+// build runs under contention (and under -race in the race target).
+// Every answer must match the one from an Evaluator queried alone, and
+// must include the objects that read the target through a pointer.
+func TestConcurrentFirstDependence(t *testing.T) {
+	dir := t.TempDir()
+	src := `int target, mid, sink, rd, *pt, *pc;
+void f(void) { pt = &target; pc = &sink; mid = target; rd = *pt; *pc = *pt; }
+`
+	if err := os.WriteFile(filepath.Join(dir, "a.c"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := Open(context.Background(), "s", dir, Config{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := sess.Eval()
+	q := Query{Kind: "dependence", Target: "target"}
+	base := ev.Eval(context.Background(), q)
+	if base.Err != nil {
+		t.Fatal(base.Err.Message)
+	}
+	got := map[string]bool{}
+	for _, d := range base.Dependents {
+		got[d.Object.Name] = true
+	}
+	if !got["mid"] || !got["rd"] || !got["sink"] {
+		t.Fatalf("dependence(target) = %+v, want mid, rd and sink", base.Dependents)
+	}
+	want := marshal(t, base)
+	for round := 0; round < 5; round++ {
+		fresh := NewEvaluator(ev.Prog, ev.Src, ev.Res, 1)
+		start := make(chan struct{})
+		answers := make([]QueryResult, 16)
+		var wg sync.WaitGroup
+		for g := range answers {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				answers[g] = fresh.Eval(context.Background(), q)
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		for g, a := range answers {
+			if got := marshal(t, a); !bytes.Equal(got, want) {
+				t.Fatalf("round %d goroutine %d: first answer %s, want %s", round, g, got, want)
+			}
+		}
+	}
+}
+
 func TestBatchCancellation(t *testing.T) {
 	sess := openTestSession(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
