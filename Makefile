@@ -48,16 +48,19 @@ bench-smoke:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./internal/pts/set ./internal/core
 
 # Short fuzz runs over the binary object-file reader, the trace encoder,
-# the adaptive set layer, the extern-model path and the solved-snapshot
-# reader: corrupt inputs must error (never panic or corrupt output), set
-# operations must match their map oracles, and the extern models must
-# stay monotone and deterministic on arbitrary translation units.
+# the adaptive set layer, the extern-model path, the solved-snapshot
+# reader and the C frontend's token hand-off: corrupt inputs must error
+# (never panic or corrupt output), set operations must match their map
+# oracles, the extern models must stay monotone and deterministic on
+# arbitrary translation units, and the preprocessor's tokens must equal
+# those of its marker-text reference.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=10s ./internal/objfile
 	$(GO) test -run=^$$ -fuzz=FuzzTrace -fuzztime=10s ./internal/obs
 	$(GO) test -run=^$$ -fuzz=FuzzSetOps -fuzztime=10s ./internal/pts/set
 	$(GO) test -run=^$$ -fuzz=FuzzExterns -fuzztime=10s ./internal/extmodel
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshot -fuzztime=10s ./internal/snapfile
+	$(GO) test -run=^$$ -fuzz=FuzzPreprocessTokens -fuzztime=10s ./internal/frontend
 
 clean:
 	$(GO) clean ./...

@@ -4,9 +4,10 @@
 // structs, unions, enums, typedefs, initializer lists and old-style as well
 // as prototype function definitions.
 //
-// The lexer consumes preprocessed text containing GCC-style line markers
-// (`# <line> "<file>"`) as produced by internal/cpp, and reports positions
-// in the original source files.
+// The parser reads a token stream: ParseTokens takes the tokens
+// internal/cpp produces, each already at its position in the original
+// source files, and LexLine is the scanner cpp produces them with. Parse
+// and Tokenize serve raw text, which may hold GCC-style line markers.
 package cc
 
 import (
@@ -94,12 +95,11 @@ var keywords = map[string]bool{
 	"__extension__": true,
 }
 
-// lexer hyphenates preprocessed text into tokens.
+// lexer scans one line of preprocessed text.
 type lexer struct {
 	src  string
 	pos  int
-	file string
-	line int
+	at   Pos
 	errs *ErrorList
 }
 
@@ -133,74 +133,83 @@ func (l *ErrorList) Err() error {
 	return fmt.Errorf("%s", strings.Join(msgs, "\n"))
 }
 
-// Tokenize lexes preprocessed source, honoring line markers. name is used
-// for positions until the first marker.
+// Tokenize lexes preprocessed text that may hold GCC-style line markers
+// (`# <line> "<file>"`, as `cpp -E` writes them), reporting positions
+// from the markers; name is used until the first one.
 func Tokenize(name, src string) ([]Token, error) {
 	errs := &ErrorList{}
-	lx := &lexer{src: src, file: name, line: 1, errs: errs}
 	var toks []Token
+	pos := Pos{name, 1}
 	for {
-		t := lx.next()
-		toks = append(toks, t)
-		if t.Kind == EOF {
+		line, rest, more := strings.Cut(src, "\n")
+		if !more {
+			// The last line has no newline to step past.
+			var marker string
+			toks, marker = scanLine(toks, pos, line, errs)
+			if marker != "" {
+				pos = markerPos(marker, pos)
+			}
 			break
 		}
+		toks, pos = LexLine(toks, pos, line, errs)
+		src = rest
 	}
+	toks = append(toks, Token{Kind: EOF, Pos: pos})
 	return toks, errs.Err()
 }
 
-func (lx *lexer) errorf(format string, args ...any) {
-	lx.errs.Add(Pos{lx.file, lx.line}, format, args...)
+// LexLine appends the tokens of one line of preprocessed text (without
+// its newline) to dst, every one at pos, and reports unterminated
+// literals to errs. A '#' outside a literal starts a line marker and
+// ends the line. next is where the line after this one starts: the
+// marker's position when it reads as `# <line> "<file>"`, else pos one
+// line down. A stream of LexLine calls thus gives the tokens and
+// positions Tokenize gives for the same lines.
+func LexLine(dst []Token, pos Pos, text string, errs *ErrorList) (toks []Token, next Pos) {
+	toks, marker := scanLine(dst, pos, text, errs)
+	if marker != "" {
+		return toks, markerPos(marker, pos)
+	}
+	return toks, Pos{pos.File, pos.Line + 1}
 }
 
-// lineMarker parses `# <n> "<file>"` at the current position (start of
-// line) and updates the position state.
-func (lx *lexer) lineMarker() {
-	// caller consumed nothing; src[pos] == '#'
-	end := strings.IndexByte(lx.src[lx.pos:], '\n')
-	var lineText string
-	if end < 0 {
-		lineText = lx.src[lx.pos:]
-		lx.pos = len(lx.src)
-	} else {
-		lineText = lx.src[lx.pos : lx.pos+end]
-		lx.pos += end + 1
-	}
-	fields := strings.SplitN(strings.TrimSpace(lineText[1:]), " ", 2)
-	if len(fields) == 2 {
-		if n, err := strconv.Atoi(strings.TrimSpace(fields[0])); err == nil {
-			if f, err := strconv.Unquote(strings.TrimSpace(fields[1])); err == nil {
-				lx.line = n
-				lx.file = f
-				return
-			}
-		}
-	}
-	// Not a recognizable marker; treat as a skipped line.
-	lx.line++
-}
-
-func (lx *lexer) next() Token {
-	for lx.pos < len(lx.src) {
-		c := lx.src[lx.pos]
-		switch {
-		case c == '\n':
-			lx.line++
-			lx.pos++
+// scanLine appends the tokens of text to dst and returns the text from
+// the first '#' outside a literal on ("" when there is none).
+func scanLine(dst []Token, pos Pos, text string, errs *ErrorList) ([]Token, string) {
+	lx := lexer{src: text, at: pos, errs: errs}
+	for lx.pos < len(text) {
+		switch c := text[lx.pos]; {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f':
 			lx.pos++
 		case c == '#':
-			// Only line markers survive preprocessing.
-			lx.lineMarker()
+			return dst, text[lx.pos:]
 		default:
-			return lx.scanToken()
+			dst = append(dst, lx.scanToken())
 		}
 	}
-	return Token{Kind: EOF, Pos: Pos{lx.file, lx.line}}
+	return dst, ""
+}
+
+// markerPos parses the line marker `# <line> "<file>"` in text. A text
+// that is no marker is a skipped line: the result is pos one line down.
+func markerPos(text string, pos Pos) Pos {
+	fields := strings.SplitN(strings.TrimSpace(text[1:]), " ", 2)
+	if len(fields) == 2 {
+		if n, err := strconv.Atoi(strings.TrimSpace(fields[0])); err == nil {
+			if f, err := strconv.Unquote(strings.TrimSpace(fields[1])); err == nil {
+				return Pos{f, n}
+			}
+		}
+	}
+	return Pos{pos.File, pos.Line + 1}
+}
+
+func (lx *lexer) errorf(format string, args ...any) {
+	lx.errs.Add(lx.at, format, args...)
 }
 
 func (lx *lexer) scanToken() Token {
-	pos := Pos{lx.file, lx.line}
+	pos := lx.at
 	src := lx.src
 	i := lx.pos
 	c := src[i]
@@ -230,7 +239,7 @@ func (lx *lexer) scanToken() Token {
 		}
 		return lx.scanString(pos, '\'', CharLit)
 	default:
-		for _, p := range punct3 {
+		for _, p := range punctByFirst[c] {
 			if strings.HasPrefix(src[i:], p) {
 				lx.pos = i + len(p)
 				return Token{Kind: Punct, Text: p, Pos: pos}
@@ -247,6 +256,15 @@ var punct3 = []string{
 	"->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
 	"+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=",
 }
+
+// punctByFirst indexes punct3 by first byte, keeping its longest-first
+// order, so scanToken tries only the punctuators that can match.
+var punctByFirst = func() (t [256][]string) {
+	for _, p := range punct3 {
+		t[p[0]] = append(t[p[0]], p)
+	}
+	return t
+}()
 
 func (lx *lexer) scanNumber(pos Pos) Token {
 	src := lx.src

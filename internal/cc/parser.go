@@ -19,6 +19,11 @@ func Parse(name, src string) (*TranslationUnit, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ParseTokens(name, toks)
+}
+
+// ParseTokens parses a token stream that ends with an EOF token.
+func ParseTokens(name string, toks []Token) (*TranslationUnit, error) {
 	p := &Parser{toks: toks, errs: &ErrorList{}}
 	p.pushScope()
 	unit := &TranslationUnit{Name: name}

@@ -3,22 +3,25 @@
 // macros with # and ## operators, conditional compilation with full
 // constant-expression evaluation, #undef, #line, #error and #pragma.
 //
-// The output is a single preprocessed text with GCC-style line markers
-// (`# <line> "<file>"`) so the downstream lexer can report locations in the
-// original sources.
+// The output is the parser's token stream: each expanded line is lexed by
+// cc.LexLine, so every token carries its position in the original
+// sources. A Sink can take the output line by line instead.
 package cpp
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+
+	"cla/internal/cc"
 )
 
 // Loader resolves #include paths to file contents.
 type Loader interface {
 	// Load returns the contents of the named file. The returned path is
-	// the canonical name used in line markers and for nested relative
+	// the canonical name used in token positions and for nested relative
 	// includes.
 	Load(name string) (content string, path string, err error)
 }
@@ -35,8 +38,8 @@ func (m MapLoader) Load(name string) (string, string, error) {
 	return "", "", fmt.Errorf("cpp: include %q not found", name)
 }
 
-// OSLoader serves includes from the file system, searching Dirs for
-// non-relative lookups.
+// OSLoader serves includes from the file system: a relative name is
+// tried against the process's working directory, then in each of Dirs.
 type OSLoader struct {
 	Dirs []string // include search path
 }
@@ -92,11 +95,72 @@ type Preprocessor struct {
 	Loader    Loader
 	MaxDepth  int // include nesting limit; 0 means default (64)
 	macros    map[string]*macro
-	out       strings.Builder
+	sink      Sink
 	condStack []condState
 	expandDep int
 	curFile   string          // file currently being expanded, for __FILE__
 	once      map[string]bool // files guarded by #pragma once
+	line      []token         // the current source line's tokens, reused
+	joined    []byte          // the current output line's text, reused
+}
+
+// Sink receives the preprocessor's output in order. Its calls match the
+// lines of `cpp -E` output: Enter and Resume stand for the line markers
+// written where a file starts and where it resumes after an #include.
+type Sink interface {
+	// Enter starts the text of a file of size bytes, at its line 1.
+	Enter(file string, size int)
+	// Resume continues the text of a file at pos after an #include.
+	Resume(pos cc.Pos)
+	// Line takes one expanded logical line, which starts at pos in the
+	// sources.
+	Line(pos cc.Pos, text string)
+	// Marker takes the text after '#' of a directive that starts with a
+	// digit: a `# <line> "<file>"` marker from already-preprocessed
+	// input, passed through.
+	Marker(text string)
+}
+
+// LexError reports the unterminated literals in the output of a
+// successful Preprocess. Err holds up to 20 of them, one per line.
+type LexError struct{ Err error }
+
+func (e *LexError) Error() string { return e.Err.Error() }
+
+// bytesPerToken is a little under the source bytes per output token of
+// C code (3.6 on the generated programs); Preprocess sizes its token
+// slice with it.
+const bytesPerToken = 3
+
+// tokenSink lexes each output line into the parser's tokens.
+type tokenSink struct {
+	toks []cc.Token
+	next cc.Pos // where the text after the last line starts
+	errs cc.ErrorList
+	size int // bytes of the files entered so far
+}
+
+func (s *tokenSink) Enter(file string, size int) {
+	s.size += size
+	s.next = cc.Pos{File: file, Line: 1}
+}
+
+func (s *tokenSink) Resume(pos cc.Pos) { s.next = pos }
+
+// Line lexes text into the tokens. A line has at most len(text) tokens;
+// when they may not fit, the slice grows to hold the tokens of all files
+// entered so far.
+func (s *tokenSink) Line(pos cc.Pos, text string) {
+	if cap(s.toks)-len(s.toks) < len(text) {
+		s.toks = slices.Grow(s.toks, max(len(text), s.size/bytesPerToken-len(s.toks)))
+	}
+	s.toks, s.next = cc.LexLine(s.toks, pos, text, &s.errs)
+}
+
+// Marker lexes the line marker as one more output line: it moves the
+// position the line after it starts at.
+func (s *tokenSink) Marker(text string) {
+	s.toks, s.next = cc.LexLine(s.toks, s.next, "# "+text, &s.errs)
 }
 
 type condState struct {
@@ -125,31 +189,48 @@ func New(loader Loader) *Preprocessor {
 
 // Define installs an object-like macro, as if by -Dname=body.
 func (p *Preprocessor) Define(name, body string) {
-	toks := lexLine(body, "<cmdline>", 1)
+	toks := lexLine(nil, body, 1)
 	p.macros[name] = &macro{name: name, body: toks}
 }
 
 // Preprocess runs the preprocessor over the named file's content and
-// returns the expanded text with line markers.
-func (p *Preprocessor) Preprocess(name, content string) (string, error) {
-	p.out.Reset()
-	p.condStack = p.condStack[:0]
-	if err := p.processFile(name, content, 0); err != nil {
-		return "", err
+// returns the parser's tokens, ending with an EOF token. A preprocessing
+// error returns no tokens. Unterminated literals do not stop it: they
+// come back as a *LexError with all the tokens.
+func (p *Preprocessor) Preprocess(name, content string) ([]cc.Token, error) {
+	s := &tokenSink{}
+	if err := p.Run(name, content, s); err != nil {
+		return nil, err
 	}
-	if len(p.condStack) != 0 {
-		return "", &Error{File: name, Line: p.condStack[len(p.condStack)-1].line, Msg: "unterminated #if"}
+	toks := append(s.toks, cc.Token{Kind: cc.EOF, Pos: s.next})
+	if err := s.errs.Err(); err != nil {
+		return toks, &LexError{Err: err}
 	}
-	return p.out.String(), nil
+	return toks, nil
 }
 
 // PreprocessFile loads and preprocesses the named file.
-func (p *Preprocessor) PreprocessFile(name string) (string, error) {
+func (p *Preprocessor) PreprocessFile(name string) ([]cc.Token, error) {
 	content, path, err := p.Loader.Load(name)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	return p.Preprocess(path, content)
+}
+
+// Run runs the preprocessor over the named file's content and hands its
+// output to sink.
+func (p *Preprocessor) Run(name, content string, sink Sink) error {
+	p.sink = sink
+	defer func() { p.sink = nil }()
+	p.condStack = p.condStack[:0]
+	if err := p.processFile(name, content, 0); err != nil {
+		return err
+	}
+	if len(p.condStack) != 0 {
+		return &Error{File: name, Line: p.condStack[len(p.condStack)-1].line, Msg: "unterminated #if"}
+	}
+	return nil
 }
 
 func (p *Preprocessor) errf(file string, line int, format string, args ...any) error {
@@ -165,10 +246,6 @@ func (p *Preprocessor) live() bool {
 	return true
 }
 
-func (p *Preprocessor) marker(line int, file string) {
-	fmt.Fprintf(&p.out, "# %d %q\n", line, file)
-}
-
 func (p *Preprocessor) processFile(name, content string, depth int) error {
 	maxDepth := p.MaxDepth
 	if maxDepth == 0 {
@@ -178,7 +255,7 @@ func (p *Preprocessor) processFile(name, content string, depth int) error {
 		return p.errf(name, 1, "#include nesting too deep")
 	}
 	lines := splitLogicalLines(stripComments(content))
-	p.marker(1, name)
+	p.sink.Enter(name, len(content))
 	prevFile := p.curFile
 	p.curFile = name
 	defer func() { p.curFile = prevFile }()
@@ -198,14 +275,16 @@ func (p *Preprocessor) processFile(name, content string, depth int) error {
 		if trimmed == "" {
 			continue
 		}
-		toks := lexLine(text, name, ln.line)
-		expanded, err := p.expand(toks, map[string]bool{})
-		if err != nil {
-			return err
+		p.line = lexLine(p.line[:0], text, ln.line)
+		toks := p.line
+		if p.expandable(toks) {
+			var err error
+			if toks, err = p.expand(toks, nil); err != nil {
+				return err
+			}
 		}
-		p.marker(ln.line, name)
-		p.out.WriteString(joinTokens(expanded))
-		p.out.WriteByte('\n')
+		p.joined = appendJoined(p.joined[:0], toks)
+		p.sink.Line(cc.Pos{File: name, Line: ln.line}, string(p.joined))
 	}
 	if len(p.condStack) != condBase {
 		return p.errf(name, lines[len(lines)-1].line, "unterminated #if in %s", name)
@@ -223,7 +302,7 @@ func (p *Preprocessor) directive(file string, line int, text string, depth int) 
 		// A GCC-style line marker (`# n "file"`) from already-preprocessed
 		// input: pass it through so positions survive re-preprocessing.
 		if p.live() {
-			fmt.Fprintf(&p.out, "# %s\n", text)
+			p.sink.Marker(text)
 		}
 		return nil
 	}
@@ -322,7 +401,7 @@ func (p *Preprocessor) directive(file string, line int, text string, depth int) 
 	case "warning", "ident":
 		return nil
 	case "line":
-		// Accepted and ignored: our line markers already carry positions.
+		// Accepted and ignored: tokens already carry their positions.
 		return nil
 	default:
 		return p.errf(file, line, "unknown directive #%s", name)
@@ -331,6 +410,15 @@ func (p *Preprocessor) directive(file string, line int, text string, depth int) 
 
 func (p *Preprocessor) include(rest, file string, line, depth int) error {
 	rest = strings.TrimSpace(rest)
+	if !strings.HasPrefix(rest, "\"") && !strings.HasPrefix(rest, "<") {
+		// A macro-expanded argument is expanded once, as C specifies; it
+		// must then be a header name.
+		expanded, err := p.expand(lexLine(nil, rest, line), nil)
+		if err != nil {
+			return err
+		}
+		rest = joinTokens(expanded)
+	}
 	var name string
 	switch {
 	case strings.HasPrefix(rest, "\""):
@@ -346,25 +434,11 @@ func (p *Preprocessor) include(rest, file string, line, depth int) error {
 		}
 		name = rest[1:end]
 	default:
-		// Macro-expanded include argument.
-		toks := lexLine(rest, file, line)
-		expanded, err := p.expand(toks, map[string]bool{})
-		if err != nil {
-			return err
-		}
-		return p.include(joinTokens(expanded), file, line, depth)
+		return p.errf(file, line, "malformed #include")
 	}
-	content, path, err := p.Loader.Load(name)
+	content, path, err := p.load(name, file, strings.HasPrefix(rest, "\""))
 	if err != nil {
-		// Try relative to the including file for "..." includes.
-		if dir := filepath.Dir(file); dir != "." && strings.HasPrefix(rest, "\"") {
-			if c2, p2, err2 := p.Loader.Load(filepath.Join(dir, name)); err2 == nil {
-				content, path, err = c2, p2, nil
-			}
-		}
-		if err != nil {
-			return p.errf(file, line, "%v", err)
-		}
+		return p.errf(file, line, "%v", err)
 	}
 	if p.once[path] {
 		return nil
@@ -372,12 +446,37 @@ func (p *Preprocessor) include(rest, file string, line, depth int) error {
 	if err := p.processFile(path, content, depth+1); err != nil {
 		return err
 	}
-	p.marker(line+1, file)
+	p.sink.Resume(cc.Pos{File: file, Line: line + 1})
 	return nil
 }
 
+// load resolves an #include of name from file. A quoted include looks
+// beside the including file first, then where an angle include looks.
+func (p *Preprocessor) load(name, file string, quoted bool) (string, string, error) {
+	if dir := filepath.Dir(file); quoted && dir != "." && !filepath.IsAbs(name) {
+		if content, path, err := p.Loader.Load(filepath.Join(dir, name)); err == nil {
+			return content, path, nil
+		}
+	}
+	return p.Loader.Load(name)
+}
+
+// expandable reports whether expand could change toks: whether an
+// identifier names a macro or a positional builtin.
+func (p *Preprocessor) expandable(toks []token) bool {
+	for _, t := range toks {
+		if t.kind != tokIdent {
+			continue
+		}
+		if _, ok := p.macros[t.text]; ok || t.text == "__LINE__" || t.text == "__FILE__" {
+			return true
+		}
+	}
+	return false
+}
+
 func (p *Preprocessor) define(rest, file string, line int) error {
-	toks := lexLine(rest, file, line)
+	toks := lexLine(nil, rest, line)
 	if len(toks) == 0 || toks[0].kind != tokIdent {
 		return p.errf(file, line, "#define expects an identifier")
 	}
@@ -414,7 +513,7 @@ func (p *Preprocessor) define(rest, file string, line int) error {
 
 // evalCond evaluates a #if / #elif controlling expression.
 func (p *Preprocessor) evalCond(expr, file string, line int) (bool, error) {
-	toks := lexLine(expr, file, line)
+	toks := lexLine(nil, expr, line)
 	// Handle defined(X) / defined X before macro expansion.
 	var pre []token
 	for i := 0; i < len(toks); i++ {
@@ -444,7 +543,7 @@ func (p *Preprocessor) evalCond(expr, file string, line int) (bool, error) {
 		}
 		pre = append(pre, t)
 	}
-	expanded, err := p.expand(pre, map[string]bool{})
+	expanded, err := p.expand(pre, nil)
 	if err != nil {
 		return false, err
 	}

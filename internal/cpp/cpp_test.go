@@ -1,33 +1,64 @@
 package cpp
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"cla/internal/cc"
 )
 
-// pp runs the preprocessor on src and returns output with line markers and
-// blank lines removed, whitespace-normalized, for easy comparison.
+// pp runs the preprocessor on src and renders its tokens with render.
+// Tests compare the result with lexed(want).
 func pp(t *testing.T, src string, files map[string]string) string {
 	t.Helper()
 	loader := MapLoader(files)
 	p := New(loader)
-	out, err := p.Preprocess("test.c", src)
+	toks, err := p.Preprocess("test.c", src)
 	if err != nil {
 		t.Fatalf("Preprocess: %v", err)
 	}
-	return stripMarkers(out)
+	return render(toks)
 }
 
-func stripMarkers(out string) string {
-	var lines []string
-	for _, l := range strings.Split(out, "\n") {
-		l = strings.TrimSpace(l)
-		if l == "" || strings.HasPrefix(l, "# ") {
-			continue
+// render writes the texts of the tokens before EOF, one space apart,
+// starting a new line wherever the position changes: one line per
+// output line of the preprocessor.
+func render(toks []cc.Token) string {
+	var b strings.Builder
+	for i, tk := range toks[:len(toks)-1] {
+		switch {
+		case i > 0 && tk.Pos != toks[i-1].Pos:
+			b.WriteByte('\n')
+		case i > 0:
+			b.WriteByte(' ')
 		}
-		lines = append(lines, l)
+		b.WriteString(tk.Text)
+	}
+	return b.String()
+}
+
+// lexed renders the lines of want the way render renders output, so a
+// test states the expected output as C text.
+func lexed(want string) string {
+	var lines []string
+	for i, l := range strings.Split(want, "\n") {
+		toks, _ := cc.LexLine(nil, cc.Pos{Line: i + 1}, l, &cc.ErrorList{})
+		toks = append(toks, cc.Token{Kind: cc.EOF})
+		lines = append(lines, render(toks))
 	}
 	return strings.Join(lines, "\n")
+}
+
+// at returns the position of the first token with the given text.
+func at(toks []cc.Token, text string) cc.Pos {
+	for _, tk := range toks {
+		if tk.Text == text {
+			return tk.Pos
+		}
+	}
+	return cc.Pos{}
 }
 
 func ppErr(t *testing.T, src string) error {
@@ -42,21 +73,21 @@ func ppErr(t *testing.T, src string) error {
 
 func TestObjectMacro(t *testing.T) {
 	got := pp(t, "#define N 10\nint a[N];\n", nil)
-	if got != "int a[10];" {
+	if got != lexed("int a[10];") {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestFunctionMacro(t *testing.T) {
 	got := pp(t, "#define SQ(x) ((x)*(x))\nint y = SQ(a+b);\n", nil)
-	if got != "int y = ((a+b)*(a+b));" {
+	if got != lexed("int y = ((a+b)*(a+b));") {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestFunctionMacroMultipleArgs(t *testing.T) {
 	got := pp(t, "#define MAX(a,b) ((a)>(b)?(a):(b))\nint y = MAX(p, q);\n", nil)
-	if got != "int y = ((p)>(q)?(p):(q));" {
+	if got != lexed("int y = ((p)>(q)?(p):(q));") {
 		t.Errorf("got %q", got)
 	}
 }
@@ -64,21 +95,21 @@ func TestFunctionMacroMultipleArgs(t *testing.T) {
 func TestFunctionMacroWithoutParens(t *testing.T) {
 	// Function-like macro name not followed by '(' is left alone.
 	got := pp(t, "#define F(x) x\nint (*p)() = F;\n", nil)
-	if got != "int (*p)() = F;" {
+	if got != lexed("int (*p)() = F;") {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestNestedMacro(t *testing.T) {
 	got := pp(t, "#define A B\n#define B 42\nint x = A;\n", nil)
-	if got != "int x = 42;" {
+	if got != lexed("int x = 42;") {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestRecursiveMacroStops(t *testing.T) {
 	got := pp(t, "#define X X\nint X;\n", nil)
-	if got != "int X;" {
+	if got != lexed("int X;") {
 		t.Errorf("got %q", got)
 	}
 }
@@ -86,49 +117,49 @@ func TestRecursiveMacroStops(t *testing.T) {
 func TestMutuallyRecursiveMacros(t *testing.T) {
 	got := pp(t, "#define A B\n#define B A\nint A;\n", nil)
 	// Expansion must terminate; result is A or B depending on hide sets.
-	if got != "int A;" && got != "int B;" {
+	if got != lexed("int A;") && got != lexed("int B;") {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestStringize(t *testing.T) {
 	got := pp(t, "#define STR(x) #x\nchar *s = STR(a + b);\n", nil)
-	if got != `char *s = "a + b";` {
+	if got != lexed(`char *s = "a + b";`) {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestPaste(t *testing.T) {
 	got := pp(t, "#define GLUE(a,b) a##b\nint GLUE(foo, bar) = 1;\n", nil)
-	if got != "int foobar = 1;" {
+	if got != lexed("int foobar = 1;") {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestPasteChain(t *testing.T) {
 	got := pp(t, "#define GLUE3(a,b,c) a##b##c\nint GLUE3(x, y, z);\n", nil)
-	if got != "int xyz;" {
+	if got != lexed("int xyz;") {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestUndef(t *testing.T) {
 	got := pp(t, "#define N 1\n#undef N\nint x = N;\n", nil)
-	if got != "int x = N;" {
+	if got != lexed("int x = N;") {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestIfdef(t *testing.T) {
 	src := "#define FOO\n#ifdef FOO\nint a;\n#else\nint b;\n#endif\n"
-	if got := pp(t, src, nil); got != "int a;" {
+	if got := pp(t, src, nil); got != lexed("int a;") {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestIfndef(t *testing.T) {
 	src := "#ifndef FOO\nint a;\n#else\nint b;\n#endif\n"
-	if got := pp(t, src, nil); got != "int a;" {
+	if got := pp(t, src, nil); got != lexed("int a;") {
 		t.Errorf("got %q", got)
 	}
 }
@@ -164,7 +195,7 @@ func TestIfArithmetic(t *testing.T) {
 		if c.want {
 			want = "yes"
 		}
-		if got != want {
+		if got != lexed(want) {
 			t.Errorf("#if %s: got %q, want %q", c.cond, got, want)
 		}
 	}
@@ -172,14 +203,14 @@ func TestIfArithmetic(t *testing.T) {
 
 func TestIfDefinedOperator(t *testing.T) {
 	src := "#define FOO 0\n#if defined(FOO) && !defined BAR\nyes\n#endif\n"
-	if got := pp(t, src, nil); got != "yes" {
+	if got := pp(t, src, nil); got != lexed("yes") {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestElifChain(t *testing.T) {
 	src := "#define V 2\n#if V == 1\na\n#elif V == 2\nb\n#elif V == 3\nc\n#else\nd\n#endif\n"
-	if got := pp(t, src, nil); got != "b" {
+	if got := pp(t, src, nil); got != lexed("b") {
 		t.Errorf("got %q", got)
 	}
 }
@@ -196,7 +227,7 @@ y
 z
 #endif
 `
-	if got := pp(t, src, nil); got != "y" {
+	if got := pp(t, src, nil); got != lexed("y") {
 		t.Errorf("got %q", got)
 	}
 }
@@ -204,7 +235,7 @@ z
 func TestSkippedBranchIgnoresDirectives(t *testing.T) {
 	// An undefined macro in a dead branch must not be expanded or error.
 	src := "#if 0\n#error should not fire\n#include \"missing.h\"\n#endif\nok\n"
-	if got := pp(t, src, nil); got != "ok" {
+	if got := pp(t, src, nil); got != lexed("ok") {
 		t.Errorf("got %q", got)
 	}
 }
@@ -213,7 +244,7 @@ func TestInclude(t *testing.T) {
 	files := map[string]string{"defs.h": "#define W 7\nint w = W;\n"}
 	src := "#include \"defs.h\"\nint v = W;\n"
 	got := pp(t, src, files)
-	if got != "int w = 7;\nint v = 7;" {
+	if got != lexed("int w = 7;\nint v = 7;") {
 		t.Errorf("got %q", got)
 	}
 }
@@ -221,7 +252,7 @@ func TestInclude(t *testing.T) {
 func TestIncludeAngle(t *testing.T) {
 	files := map[string]string{"stdio.h": "int printf();\n"}
 	got := pp(t, "#include <stdio.h>\n", files)
-	if got != "int printf();" {
+	if got != lexed("int printf();") {
 		t.Errorf("got %q", got)
 	}
 }
@@ -231,7 +262,7 @@ func TestIncludeGuard(t *testing.T) {
 		"g.h": "#ifndef G_H\n#define G_H\nint g;\n#endif\n",
 	}
 	src := "#include \"g.h\"\n#include \"g.h\"\n"
-	if got := pp(t, src, files); got != "int g;" {
+	if got := pp(t, src, files); got != lexed("int g;") {
 		t.Errorf("got %q", got)
 	}
 }
@@ -266,73 +297,76 @@ func TestComments(t *testing.T) {
 	src := "int a; // trailing\nint /* inline */ b;\nint c; /* multi\nline */ int d;\n"
 	got := pp(t, src, nil)
 	want := "int a;\nint b;\nint c;\nint d;"
-	if got != want {
+	if got != lexed(want) {
 		t.Errorf("got %q, want %q", got, want)
 	}
 }
 
 func TestCommentInsideString(t *testing.T) {
 	got := pp(t, `char *s = "no // comment /* here */";`+"\n", nil)
-	if got != `char *s = "no // comment /* here */";` {
+	if got != lexed(`char *s = "no // comment /* here */";`) {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestLineSplice(t *testing.T) {
 	got := pp(t, "#define LONG \\\n 99\nint x = LONG;\n", nil)
-	if got != "int x = 99;" {
+	if got != lexed("int x = 99;") {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestLineMarkersTrackLines(t *testing.T) {
 	p := New(MapLoader{})
-	out, err := p.Preprocess("t.c", "int a;\n\n\nint b;\n")
+	toks, err := p.Preprocess("t.c", "int a;\n\n\nint b;\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "# 4 \"t.c\"\nint b;") {
-		t.Errorf("missing line marker for line 4:\n%s", out)
+	if got := render(toks); got != lexed("int a;\nint b;") {
+		t.Errorf("got %q", got)
+	}
+	if pos := at(toks, "b"); pos != (cc.Pos{File: "t.c", Line: 4}) {
+		t.Errorf("int b; at %v, want t.c:4", pos)
 	}
 }
 
 func TestLineMarkersAfterInclude(t *testing.T) {
 	files := map[string]string{"h.h": "int h;\n"}
 	p := New(MapLoader(files))
-	out, err := p.Preprocess("t.c", "#include \"h.h\"\nint after;\n")
+	toks, err := p.Preprocess("t.c", "#include \"h.h\"\nint after;\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "# 1 \"h.h\"") {
-		t.Errorf("missing marker for include:\n%s", out)
+	if pos := at(toks, "h"); pos != (cc.Pos{File: "h.h", Line: 1}) {
+		t.Errorf("int h; at %v, want h.h:1", pos)
 	}
-	if !strings.Contains(out, "# 2 \"t.c\"\nint after;") {
-		t.Errorf("missing resume marker:\n%s", out)
+	if pos := at(toks, "after"); pos != (cc.Pos{File: "t.c", Line: 2}) {
+		t.Errorf("int after; at %v, want t.c:2", pos)
 	}
 }
 
 func TestPredefine(t *testing.T) {
 	p := New(MapLoader{})
 	p.Define("DEBUG", "1")
-	out, err := p.Preprocess("t.c", "#if DEBUG\nyes\n#endif\n")
+	toks, err := p.Preprocess("t.c", "#if DEBUG\nyes\n#endif\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stripMarkers(out) != "yes" {
-		t.Errorf("got %q", stripMarkers(out))
+	if got := render(toks); got != lexed("yes") {
+		t.Errorf("got %q", got)
 	}
 }
 
 func TestVariadicMacro(t *testing.T) {
 	got := pp(t, "#define LOG(fmt, ...) printf(fmt, __VA_ARGS__)\nLOG(\"%d\", x);\n", nil)
-	if got != `printf("%d", x);` {
+	if got != lexed(`printf("%d", x);`) {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestMacroArgWithNestedParens(t *testing.T) {
 	got := pp(t, "#define ID(x) x\nint y = ID(f(a, b));\n", nil)
-	if got != "int y = f(a, b);" {
+	if got != lexed("int y = f(a, b);") {
 		t.Errorf("got %q", got)
 	}
 }
@@ -348,7 +382,7 @@ func TestDeepIncludeLimit(t *testing.T) {
 
 func TestEmptyMacroArgs(t *testing.T) {
 	got := pp(t, "#define F(x) [x]\nF()\n", nil)
-	if got != "[]" {
+	if got != lexed("[]") {
 		t.Errorf("got %q", got)
 	}
 }
@@ -358,13 +392,13 @@ func TestWrongArity(t *testing.T) {
 }
 
 func TestJoinTokensSpacing(t *testing.T) {
-	toks := lexLine("a+b - -c >> 2", "t", 1)
+	toks := lexLine(nil, "a+b - -c >> 2", 1)
 	got := joinTokens(toks)
 	// Must not glue "- -" into "--".
 	if strings.Contains(got, "--") {
 		t.Errorf("joined %q glues unary minuses", got)
 	}
-	relexed := lexLine(got, "t", 1)
+	relexed := lexLine(nil, got, 1)
 	if len(relexed) != len(toks) {
 		t.Errorf("re-lex changed token count: %d vs %d (%q)", len(relexed), len(toks), got)
 	}
@@ -400,7 +434,7 @@ func writeFile(path, content string) error {
 func TestBuiltinLineAndFile(t *testing.T) {
 	got := pp(t, "int a = __LINE__;\nchar *f = __FILE__;\n", nil)
 	want := "int a = 1;\nchar *f = \"test.c\";"
-	if got != want {
+	if got != lexed(want) {
 		t.Errorf("got %q, want %q", got, want)
 	}
 }
@@ -409,14 +443,14 @@ func TestBuiltinLineInIncludedFile(t *testing.T) {
 	files := map[string]string{"h.h": "int hl = __LINE__;\nchar *hf = __FILE__;\n"}
 	got := pp(t, "#include \"h.h\"\nint ml = __LINE__;\n", files)
 	want := "int hl = 1;\nchar *hf = \"h.h\";\nint ml = 2;"
-	if got != want {
+	if got != lexed(want) {
 		t.Errorf("got %q, want %q", got, want)
 	}
 }
 
 func TestBuiltinStdc(t *testing.T) {
 	got := pp(t, "#if __STDC__\nyes\n#endif\n", nil)
-	if got != "yes" {
+	if got != lexed("yes") {
 		t.Errorf("got %q", got)
 	}
 }
@@ -424,7 +458,7 @@ func TestBuiltinStdc(t *testing.T) {
 func TestBuiltinLineInMacro(t *testing.T) {
 	// __LINE__ inside a macro body expands at the use site's line.
 	got := pp(t, "#define HERE __LINE__\n\n\nint x = HERE;\n", nil)
-	if got != "int x = 4;" {
+	if got != lexed("int x = 4;") {
 		t.Errorf("got %q", got)
 	}
 }
@@ -457,12 +491,15 @@ func TestUnknownDirective(t *testing.T) {
 func TestPreprocessFile(t *testing.T) {
 	files := MapLoader{"m.c": "#define V 5\nint x = V;\n"}
 	p := New(files)
-	out, err := p.PreprocessFile("m.c")
+	toks, err := p.PreprocessFile("m.c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stripMarkers(out) != "int x = 5;" {
-		t.Errorf("got %q", stripMarkers(out))
+	if got := render(toks); got != lexed("int x = 5;") {
+		t.Errorf("got %q", got)
+	}
+	if pos := at(toks, "x"); pos != (cc.Pos{File: "m.c", Line: 2}) {
+		t.Errorf("int x = 5; at %v, want m.c:2", pos)
 	}
 	if _, err := p.PreprocessFile("missing.c"); err == nil {
 		t.Error("missing file accepted")
@@ -471,7 +508,7 @@ func TestPreprocessFile(t *testing.T) {
 
 func TestTernaryInIf(t *testing.T) {
 	got := pp(t, "#if 1 ? 0 : 1\na\n#else\nb\n#endif\n", nil)
-	if got != "b" {
+	if got != lexed("b") {
 		t.Errorf("got %q", got)
 	}
 }
@@ -486,7 +523,7 @@ func TestConditionalMacroRedefinition(t *testing.T) {
 ok
 #endif
 `
-	if got := pp(t, src, nil); got != "ok" {
+	if got := pp(t, src, nil); got != lexed("ok") {
 		t.Errorf("got %q", got)
 	}
 }
@@ -494,7 +531,92 @@ ok
 func TestPragmaOnce(t *testing.T) {
 	files := map[string]string{"o.h": "#pragma once\nint once_var;\n"}
 	got := pp(t, "#include \"o.h\"\n#include \"o.h\"\n", files)
-	if got != "int once_var;" {
+	if got != lexed("int once_var;") {
 		t.Errorf("got %q", got)
 	}
+}
+
+func TestDollarInIdentifiers(t *testing.T) {
+	// '$' continues an identifier, as in cc's lexer, so the macro is
+	// FOO$BAR and not FOO with the body "$BAR 7".
+	got := pp(t, "#define FOO$BAR 7\nint x = FOO$BAR;\nint $y = FOO;\n", nil)
+	if got != lexed("int x = 7;\nint $y = FOO;") {
+		t.Errorf("got %q", got)
+	}
+}
+
+func TestQuotedIncludeBesideIncluder(t *testing.T) {
+	files := MapLoader{
+		"sub/u.c": "#include \"h.h\"\n#include <h.h>\n",
+		"sub/h.h": "int beside;\n",
+		"h.h":     "int top;\n",
+	}
+	toks, err := New(files).PreprocessFile("sub/u.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The quoted include finds sub/h.h; the angle one still finds h.h.
+	if got := render(toks); got != lexed("int beside;\nint top;") {
+		t.Errorf("got %q", got)
+	}
+	if pos := at(toks, "beside"); pos != (cc.Pos{File: "sub/h.h", Line: 1}) {
+		t.Errorf("int beside; at %v, want sub/h.h:1", pos)
+	}
+}
+
+func TestQuotedIncludeBeforeWorkingDirectory(t *testing.T) {
+	dir := t.TempDir()
+	for name, content := range map[string]string{
+		"h.h":     "int decoy;\n",
+		"sub/h.h": "int beside;\n",
+		"sub/u.c": "#include \"h.h\"\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFile(path, content); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chdir(t, dir)
+	toks, err := New(OSLoader{}).PreprocessFile("sub/u.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := render(toks); got != lexed("int beside;") {
+		t.Errorf("got %q, want sub/h.h, not the working directory's h.h", got)
+	}
+}
+
+func TestIncludeWithoutHeaderName(t *testing.T) {
+	// Each used to recurse until the stack overflowed.
+	for _, src := range []string{
+		"#include",
+		"#include\n",
+		"#include NOPE\n",
+		"#define SELF SELF \"h.h\"\n#include SELF\n",
+	} {
+		err := ppErr(t, src)
+		if !strings.Contains(err.Error(), "malformed #include") {
+			t.Errorf("%q: error %v", src, err)
+		}
+	}
+}
+
+// chdir changes the working directory for the rest of the test.
+func chdir(t *testing.T, dir string) {
+	t.Helper()
+	old, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(old); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

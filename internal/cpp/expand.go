@@ -257,7 +257,7 @@ func pasteTokens(left, right []token, line int) []token {
 	l := left[len(left)-1]
 	r := right[0]
 	glued := l.text + r.text
-	relexed := lexLine(glued, "", line)
+	relexed := lexLine(nil, glued, line)
 	var out []token
 	out = append(out, left[:len(left)-1]...)
 	out = append(out, relexed...)

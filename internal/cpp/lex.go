@@ -92,35 +92,29 @@ type logicalLine struct {
 
 // splitLogicalLines splits comment-stripped text into logical lines,
 // accounting for \x01 continuation markers produced by stripComments.
+// A line without continuations is a substring of src.
 func splitLogicalLines(src string) []logicalLine {
-	var out []logicalLine
+	out := make([]logicalLine, 0, strings.Count(src, "\n")+1)
 	line := 1
-	var cur strings.Builder
-	start := 1
-	flush := func() {
-		out = append(out, logicalLine{text: cur.String(), line: start})
-		cur.Reset()
-	}
-	for i := 0; i < len(src); i++ {
-		switch src[i] {
-		case '\n':
-			flush()
-			line++
-			start = line
-		case '\x01':
-			line++ // swallowed newline from a continuation
-		default:
-			cur.WriteByte(src[i])
+	for src != "" {
+		text, rest, more := strings.Cut(src, "\n")
+		start := line
+		if n := strings.Count(text, "\x01"); n > 0 {
+			line += n // swallowed newlines from continuations
+			text = strings.ReplaceAll(text, "\x01", "")
 		}
-	}
-	if cur.Len() > 0 {
-		flush()
+		if more || text != "" {
+			out = append(out, logicalLine{text: text, line: start})
+		}
+		line++
+		src = rest
 	}
 	return out
 }
 
+// isIdentStart accepts '$' in identifiers, as cc's lexer does.
 func isIdentStart(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+	return c == '_' || c == '$' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }
 
 func isIdentChar(c byte) bool {
@@ -136,10 +130,18 @@ var puncts = []string{
 	"+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=", "##",
 }
 
-// lexLine tokenizes one logical line for macro processing.
-func lexLine(s, file string, line int) []token {
-	_ = file
-	var toks []token
+// punctByFirst indexes puncts by first byte, keeping their longest-first
+// order.
+var punctByFirst = func() (t [256][]string) {
+	for _, p := range puncts {
+		t[p[0]] = append(t[p[0]], p)
+	}
+	return t
+}()
+
+// lexLine appends the tokens of one logical line, for macro processing,
+// to toks.
+func lexLine(toks []token, s string, line int) []token {
 	i := 0
 	n := len(s)
 	space := false
@@ -183,7 +185,7 @@ func lexLine(s, file string, line int) []token {
 			i = j
 		default:
 			matched := false
-			for _, p := range puncts {
+			for _, p := range punctByFirst[c] {
 				if strings.HasPrefix(s[i:], p) {
 					toks = append(toks, token{kind: tokPunct, text: p, line: line, spaceBefore: space})
 					i += len(p)
@@ -216,14 +218,18 @@ func firstIdent(s string) string {
 
 // joinTokens renders tokens back to text with minimal separating spaces.
 func joinTokens(toks []token) string {
-	var b strings.Builder
+	return string(appendJoined(nil, toks))
+}
+
+// appendJoined appends the text joinTokens renders to b.
+func appendJoined(b []byte, toks []token) []byte {
 	for i, t := range toks {
 		if i > 0 && (t.spaceBefore || needSpace(toks[i-1], t)) {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		b.WriteString(t.text)
+		b = append(b, t.text...)
 	}
-	return b.String()
+	return b
 }
 
 // needSpace reports whether a space must separate a and b to avoid
@@ -235,7 +241,7 @@ func needSpace(a, b token) bool {
 	if a.kind == tokPunct && b.kind == tokPunct {
 		// Conservative: separate any punctuation pair that could merge.
 		glued := a.text + b.text
-		for _, p := range puncts {
+		for _, p := range punctByFirst[glued[0]] {
 			if strings.HasPrefix(glued, p) && len(p) > len(a.text) {
 				return true
 			}

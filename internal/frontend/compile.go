@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"errors"
 	"fmt"
 
 	"cla/internal/cc"
@@ -21,11 +22,15 @@ func CompileSource(name, src string, loader cpp.Loader, opts Options) (*prim.Pro
 	for k, v := range opts.Defines {
 		pp.Define(k, v)
 	}
-	expanded, err := pp.Preprocess(name, src)
-	if err != nil {
+	toks, err := pp.Preprocess(name, src)
+	var lexErr *cpp.LexError
+	switch {
+	case errors.As(err, &lexErr):
+		return nil, fmt.Errorf("parse %s: %w", name, lexErr.Err)
+	case err != nil:
 		return nil, fmt.Errorf("preprocess %s: %w", name, err)
 	}
-	unit, err := cc.Parse(name, expanded)
+	unit, err := cc.ParseTokens(name, toks)
 	if err != nil {
 		return nil, fmt.Errorf("parse %s: %w", name, err)
 	}
