@@ -49,11 +49,12 @@ bench-smoke:
 
 # Short fuzz runs over the binary object-file reader, the trace encoder,
 # the adaptive set layer, the extern-model path, the solved-snapshot
-# reader and the C frontend's token hand-off: corrupt inputs must error
-# (never panic or corrupt output), set operations must match their map
-# oracles, the extern models must stay monotone and deterministic on
-# arbitrary translation units, and the preprocessor's tokens must equal
-# those of its marker-text reference.
+# reader, the C frontend's token hand-off and the incremental pipeline's
+# edits: corrupt inputs must error (never panic or corrupt output), set
+# operations must match their map oracles, the extern models must stay
+# monotone and deterministic on arbitrary translation units, the
+# preprocessor's tokens must equal those of its marker-text reference,
+# and every incremental generation must equal a scratch open.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=10s ./internal/objfile
 	$(GO) test -run=^$$ -fuzz=FuzzTrace -fuzztime=10s ./internal/obs
@@ -61,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzExterns -fuzztime=10s ./internal/extmodel
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshot -fuzztime=10s ./internal/snapfile
 	$(GO) test -run=^$$ -fuzz=FuzzPreprocessTokens -fuzztime=10s ./internal/frontend
+	$(GO) test -run=^$$ -fuzz=FuzzIncrEdits -fuzztime=10s ./internal/incr
 
 clean:
 	$(GO) clean ./...

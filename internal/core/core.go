@@ -229,12 +229,16 @@ func SolveCtx(ctx context.Context, src pts.Source, cfg Config) (*Result, error) 
 	// materialized across cfg.Jobs workers) and drop the fixpoint
 	// scratch. Every Result query from here on is a lock-free lookup.
 	s.pass++
-	s.snap = s.buildSnapshot()
+	if s.snap, err = s.buildSnapshot(); err != nil {
+		return nil, err
+	}
 	s.releaseScratch()
 	s.m.InCore = len(s.complex)
 	s.m.InFile = pts.TotalAssigns(src)
 	res := &Result{s: s}
-	res.fillMetrics()
+	if err := res.fillMetrics(); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
@@ -359,13 +363,13 @@ func (r *Result) Metrics() pts.Metrics { return r.s.m }
 // non-empty sets and total relations) by fanning the batch of per-symbol
 // queries out across cfg.Jobs shards. Each worker accumulates privately;
 // the totals are order-independent sums, so the result is identical to
-// the sequential loop.
-func (r *Result) fillMetrics() {
+// the sequential loop. An error is a shard's contained panic.
+func (r *Result) fillMetrics() error {
 	n := int(r.s.numSyms)
 	w := parallel.Workers(r.s.cfg.Jobs)
 	vars := make([]int, w)
 	rels := make([]int, w)
-	parallel.Shard(r.s.cfg.Jobs, n, func(wk, lo, hi int) error {
+	err := parallel.Shard(r.s.cfg.Jobs, n, func(wk, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			id := prim.SymID(i)
 			if !pts.CountedAsPointerVar(r.s.src.Sym(id).Kind) {
@@ -378,6 +382,9 @@ func (r *Result) fillMetrics() {
 		}
 		return nil
 	})
+	if err != nil {
+		return err
+	}
 	for i := 0; i < w; i++ {
 		r.s.m.PointerVars += vars[i]
 		r.s.m.Relations += rels[i]
@@ -405,4 +412,5 @@ func (r *Result) fillMetrics() {
 		r.s.m.CacheHits += queries - distinct
 		r.s.m.CacheMisses += distinct
 	}
+	return nil
 }

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"cla/internal/frontend"
 	"cla/internal/objfile"
+	"cla/internal/parallel"
 	"cla/internal/prim"
 	"cla/internal/pts"
 	"cla/internal/pts/steens"
@@ -592,5 +594,41 @@ void m(void) { p = &v; q = p; dead1 = dead2; }`
 	// The dead chain's blocks stay unread.
 	if loaded := rd.LoadStats().EntriesLoaded; loaded >= int64(res.Metrics().InFile) {
 		t.Errorf("loaded %d of %d entries", loaded, res.Metrics().InFile)
+	}
+}
+
+// panicSym is a source whose Sym panics for one symbol, standing in for
+// a bug in a pass that fans out across workers.
+type panicSym struct {
+	pts.Source
+	victim prim.SymID
+}
+
+func (s panicSym) Sym(id prim.SymID) *prim.Symbol {
+	if id == s.victim {
+		panic("bad symbol")
+	}
+	return s.Source.Sym(id)
+}
+
+// TestSolveFailsOnWorkerPanic: a panic in the sharded metrics pass makes
+// Solve fail with the contained *parallel.PanicError at any worker
+// count, instead of returning a result with undercounted metrics.
+func TestSolveFailsOnWorkerPanic(t *testing.T) {
+	p, err := frontend.CompileSource("t.c", "int a, *x; void m(void) { x = &a; }", nil, frontend.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// a is read only by the metrics pass: it has no function record and
+	// no points-to set of its own.
+	src := panicSym{pts.NewMemSource(p), p.SymIDByName("a")}
+	for _, j := range []int{1, 4} {
+		cfg := DefaultConfig()
+		cfg.Jobs = j
+		res, err := Solve(src, cfg)
+		var pe *parallel.PanicError
+		if !errors.As(err, &pe) || pe.Value != "bad symbol" {
+			t.Fatalf("j=%d: Solve = %v, %v; want the contained panic", j, res, err)
+		}
 	}
 }

@@ -60,8 +60,10 @@ func (s *Solver) condensedAdj(rep []int32) [][]int32 {
 }
 
 // buildSnapshot freezes the solver's graph. Called once, after the
-// fixpoint, while the solver is still single-threaded.
-func (s *Solver) buildSnapshot() *snapshot {
+// fixpoint, while the solver is still single-threaded. An error is a
+// level worker's contained panic; the snapshot is then incomplete and
+// must not be used.
+func (s *Solver) buildSnapshot() (*snapshot, error) {
 	n := len(s.nodes)
 	sn := &snapshot{rep: make([]int32, n)}
 	for i := 0; i < n; i++ {
@@ -91,7 +93,7 @@ func (s *Solver) buildSnapshot() *snapshot {
 	sn.sets = make([][]prim.SymID, nc)
 	interned := map[uint64][][]prim.SymID{}
 	builders := make([]set.Builder, parallel.Workers(s.cfg.Jobs))
-	parallel.Levels(s.cfg.Jobs, len(buckets),
+	err := parallel.Levels(s.cfg.Jobs, len(buckets),
 		func(l int) int { return len(buckets[l]) },
 		func(l, wk, lo, hi int) error {
 			b := &builders[wk]
@@ -114,6 +116,9 @@ func (s *Solver) buildSnapshot() *snapshot {
 			}
 			return nil
 		})
+	if err != nil {
+		return nil, err
+	}
 
 	// Accounting: a multi-member component is a cycle whose nodes the
 	// final query pass would have unified; the snapshot collapses them
@@ -123,5 +128,5 @@ func (s *Solver) buildSnapshot() *snapshot {
 			s.m.Unifications += len(members[c]) - 1
 		}
 	}
-	return sn
+	return sn, nil
 }

@@ -75,20 +75,20 @@ func ParseSolver(name string) (Solver, error) {
 }
 
 // Compile compiles the named units through loader on up to jobs workers
-// (jobs <= 0 means GOMAXPROCS) and links the results with the parallel
-// tree merge. It is the non-incremental reference pipeline; directory
+// (jobs <= 0 means GOMAXPROCS) and links the results with the sequential
+// fold. It is the non-incremental reference pipeline; directory
 // inputs go through internal/incr, whose output is identical. Each
 // translation unit is an independent compile — its own preprocessor pass
 // over its own includes — so units fan out freely; results land in unit
-// order, making the output identical to a sequential compile followed by
-// a left-fold link. A per-unit failure is wrapped with the unit path, and
+// order, making the output identical to a sequential compile and link.
+// A per-unit failure is wrapped with the unit path, and
 // with several failures the lowest-numbered unit's error is reported,
 // matching sequential behaviour. A cancellation stops undispatched unit
 // compiles and aborts before the link.
 //
 // Under an observer the fan-out runs inside a "compile" span with one
 // span per translation unit on a track keyed by the unit's index (not the
-// worker's), then the link phase is traced by linker.LinkTreeMemo. The
+// worker's), then the link phase is traced by linker.LinkTraced. The
 // nil observer costs nothing.
 func Compile(ctx context.Context, units []string, loader cpp.Loader, opts frontend.Options, jobs int, o *obs.Observer) (*prim.Program, error) {
 	sp := o.Start("compile")
@@ -108,8 +108,7 @@ func Compile(ctx context.Context, units []string, loader cpp.Loader, opts fronte
 	if err != nil {
 		return nil, err
 	}
-	prog, _, err := linker.LinkTreeMemo(progs, nil, jobs, nil, o)
-	return prog, err
+	return linker.LinkTraced(progs, o)
 }
 
 // Analyze runs the selected solver over src. cfg applies to the

@@ -3,6 +3,7 @@ package driver
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"cla/internal/frontend"
 	"cla/internal/gen"
 	"cla/internal/objfile"
+	"cla/internal/obs"
 	"cla/internal/pts"
 )
 
@@ -106,8 +108,8 @@ func TestCompileUnitsErrorIsLowestUnit(t *testing.T) {
 }
 
 func TestParallelCompileMatchesSerial(t *testing.T) {
-	// The compile fan-out and tree link must be byte-identical to the
-	// sequential compile and left-fold link at every worker count.
+	// The compile fan-out must give the database of a sequential
+	// compile and link at every worker count.
 	p, _ := gen.ProfileByName("burlap")
 	code := gen.Generate(p.Scale(0.03), 2)
 	dump := func(jobs int) []byte {
@@ -126,5 +128,60 @@ func TestParallelCompileMatchesSerial(t *testing.T) {
 		if !bytes.Equal(want, dump(jobs)) {
 			t.Errorf("jobs=%d: database differs from sequential compile", jobs)
 		}
+	}
+}
+
+// TestLinkTraceShapeAcrossJobs: the one traced link entry records the
+// same spans and counters at every worker count through Compile — one
+// "link" span on the main track and link.units, next to the per-unit
+// compile spans — and links the same program as the untraced path.
+func TestLinkTraceShapeAcrossJobs(t *testing.T) {
+	p, _ := gen.ProfileByName("burlap")
+	code := gen.Generate(p.Scale(0.03), 2)
+	plain, err := Compile(context.Background(), code.Units(), code.Loader(), frontend.Options{}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := objfile.Write(&want, plain); err != nil {
+		t.Fatal(err)
+	}
+	shape := func(o *obs.Observer) string {
+		var b strings.Builder
+		for _, e := range o.Events() {
+			fmt.Fprintf(&b, "%d %s\n", e.Track, e.Name)
+		}
+		for _, m := range o.Counters() {
+			fmt.Fprintf(&b, "%s=%d\n", m.Name, m.Value)
+		}
+		return b.String()
+	}
+	var base string
+	for _, jobs := range []int{1, 2, 8} {
+		o := obs.New()
+		prog, err := Compile(context.Background(), code.Units(), code.Loader(), frontend.Options{}, jobs, o)
+		if err != nil {
+			t.Fatalf("jobs=%d: %v", jobs, err)
+		}
+		var got bytes.Buffer
+		if err := objfile.Write(&got, prog); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Errorf("jobs=%d: traced link differs from the untraced one", jobs)
+		}
+		if n := o.OpenSpans(); n != 0 {
+			t.Fatalf("jobs=%d: %d spans left open", jobs, n)
+		}
+		s := shape(o)
+		if base == "" {
+			base = s
+		} else if s != base {
+			t.Errorf("jobs=%d span shape differs:\n%s\nvs\n%s", jobs, s, base)
+		}
+	}
+	wantUnits := fmt.Sprintf("link.units=%d\n", len(code.Units()))
+	if strings.Count(base, "0 link\n") != 1 || !strings.Contains(base, wantUnits) {
+		t.Errorf("unexpected shape, want one link span and %q:\n%s", wantUnits, base)
 	}
 }

@@ -6,7 +6,7 @@
 // instead of a million lines turns an edit-analyze round trip from
 // seconds into milliseconds.
 //
-// The pipeline tracks three layers of reuse, each content-addressed:
+// The pipeline tracks two layers of reuse, each content-addressed:
 //
 //   - Unit databases. Every translation unit is keyed by its compile
 //     options plus the srchash digest of the unit source and every file
@@ -15,17 +15,21 @@
 //     with a cache directory configured they are also served from the
 //     on-disk Store across sessions, so a fresh process starts without
 //     parsing anything.
-//   - Link subtrees. Relinking replays the same pairwise merge tree as
-//     linker.LinkParallel through a generation-scoped memo
-//     (linker.LinkTreeMemo), so an edit to one of N units re-runs only
-//     the O(log N) merges on its root path.
-//   - The fixpoint. The linked database is digested
-//     (prim.Program.Digest folded with solver, extern model and
-//     configuration identity). An unchanged digest keeps the current
-//     generation, fixpoint and all, without solving: every solver is
-//     deterministic, so an identical database under an identical
-//     configuration reproduces the identical fixpoint, and the reuse is
-//     byte-exact by construction.
+//   - The fixpoint. Each unit's compiled program is digested
+//     (prim.Program.Digest) once, in the compile worker that built it,
+//     and its store entry records that digest for later sessions. The
+//     solve digest folds the unit digests in unit order with the solver,
+//     extern model and configuration identity, and is checked before
+//     linking: an unchanged digest keeps the current generation — linked
+//     program and fixpoint — with no link and no solve. Link is a
+//     deterministic fold of the unit programs and every solver is
+//     deterministic, so equal unit programs under an identical
+//     configuration reproduce the identical fixpoint, and the reuse is
+//     byte-exact by construction. A comment edit that shifts no line
+//     therefore costs one unit compile.
+//
+// Any other change relinks every unit with the one sequential fold
+// (linker.LinkTraced) and solves again.
 //
 // Each successful refresh that changes the analysis yields a new
 // *Result — an immutable generation snapshot. Queries in flight against
@@ -73,7 +77,7 @@ type Config struct {
 	Model extmodel.Model
 	// Core configures the pre-transitive solver's ablation toggles.
 	Core core.Config
-	// Jobs bounds compile, link and solve parallelism (<= 0 means
+	// Jobs bounds compile and solve parallelism (<= 0 means
 	// GOMAXPROCS). Results are byte-identical at any setting.
 	Jobs int
 	// CacheDir, when non-empty, enables the on-disk unit store there, so
@@ -93,10 +97,10 @@ type dep struct {
 
 // unit is one translation unit's cached compilation.
 type unit struct {
-	path string
-	prog *prim.Program
-	deps []dep  // sorted by path
-	key  uint64 // content key: options + dep closure (leafKey)
+	path   string
+	prog   *prim.Program
+	deps   []dep  // sorted by path
+	digest uint64 // prog.Digest() as compiled; a store entry records it
 }
 
 // stamp is a cheap stat-level fingerprint used by staleness probes.
@@ -111,8 +115,9 @@ type RefreshStats struct {
 	// dirty and re-parsed, StoreHits were dirty but served from the
 	// on-disk store, and Reused were clean and kept from memory.
 	Units, Recompiled, StoreHits, Reused int
-	// MergesDone and MergesReused split the relink tree's pairwise
-	// merges into re-run versus memo-served.
+	// MergesDone and MergesReused are always zero: the link is one
+	// sequential fold with no merge tree. They remain only because the
+	// benchmark harness still reads them.
 	MergesDone, MergesReused int
 	// SolveReused reports that the fixpoint was reused byte-for-byte
 	// because the solve digest did not change.
@@ -139,9 +144,14 @@ type Result struct {
 	Src pts.Source
 	// Res is the converged points-to fixpoint.
 	Res pts.Result
-	// Digest identifies the solved configuration (program content +
-	// solver + model + core config); equal digests mean byte-identical
-	// analyses.
+	// Digest identifies the solved configuration: the unit digests in
+	// unit order plus solver, model and core config. A unit's digest is
+	// that of its program as compiled; a unit served from the store
+	// carries the digest recorded when it was compiled, while its
+	// decoded program lists the same assignments in block order. Equal
+	// digests therefore mean the same compiled units under the same
+	// configuration — identical points-to sets and checks reports — but
+	// not necessarily byte-identical Linked programs.
 	Digest uint64
 	// Built is when this generation finished.
 	Built time.Time
@@ -154,7 +164,6 @@ type Result struct {
 type Pipeline struct {
 	cfg   Config
 	store *Store
-	memo  *linker.MergeCache
 
 	mu     sync.Mutex
 	gen    uint64
@@ -190,12 +199,11 @@ func CompileDir(ctx context.Context, cfg Config) (*prim.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	linked, _, err := p.linkPhase(units)
-	return linked, err
+	return p.linkPhase(units)
 }
 
 func newPipeline(cfg Config) (*Pipeline, error) {
-	p := &Pipeline{cfg: cfg, memo: linker.NewMergeCache(), units: map[string]*unit{}}
+	p := &Pipeline{cfg: cfg, units: map[string]*unit{}}
 	if cfg.CacheDir != "" {
 		st, err := OpenStore(cfg.CacheDir)
 		if err != nil {
@@ -356,20 +364,6 @@ func optsFingerprint(opts frontend.Options) string {
 	return fmt.Sprintf("mode=%d;strings=%v;defines=%v", opts.Mode, opts.ModelStrings, keys)
 }
 
-// leafKey derives a unit's content key from its compile options and
-// dependency closure — the identity the link memo and the on-disk store
-// agree on.
-func leafKey(opts frontend.Options, deps []dep) uint64 {
-	h := srchash.Offset()
-	h = srchash.FoldString(h, optsFingerprint(opts))
-	for _, d := range deps {
-		h = srchash.FoldU32(h, uint32(len(d.path)))
-		h = srchash.FoldString(h, d.path)
-		h = srchash.FoldString(h, d.hash)
-	}
-	return h
-}
-
 // dirty reports whether any of u's dependencies changed. With a hint
 // set, only hinted dependencies are re-checked; without one, all are.
 func dirty(u *unit, hints map[string]bool, hc *hashCache) bool {
@@ -425,9 +419,12 @@ func compileUnit(path string, dirs []string, opts frontend.Options) (*unit, erro
 	if err != nil {
 		return nil, err
 	}
-	deps := tl.deps()
-	return &unit{path: path, prog: prog, deps: deps, key: leafKey(opts, deps)}, nil
+	return &unit{path: path, prog: prog, deps: tl.deps(), digest: prog.Digest()}, nil
 }
+
+// compileFn is the compile worker's compile step, a variable so tests
+// can make a worker fail in ways real source cannot.
+var compileFn = compileUnit
 
 // compilePhase lists the workspace's units, decides which are dirty
 // (under the optional hint set), and recompiles those — from the on-disk
@@ -474,7 +471,7 @@ func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*
 			}
 			usp := o.StartTrack(k+1, "unit "+filepath.Base(path))
 			defer usp.End()
-			u, err := compileUnit(path, dirs, p.cfg.Frontend)
+			u, err := compileFn(path, dirs, p.cfg.Frontend)
 			if err != nil {
 				return fmt.Errorf("incr: compile %s: %w", path, err)
 			}
@@ -496,22 +493,26 @@ func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*
 	return units, st, nil
 }
 
-// linkPhase merges the units through the generation memo.
-func (p *Pipeline) linkPhase(units []*unit) (*prim.Program, linker.TreeStats, error) {
+// linkPhase links the units' programs in unit order.
+func (p *Pipeline) linkPhase(units []*unit) (*prim.Program, error) {
 	progs := make([]*prim.Program, len(units))
-	keys := make([]uint64, len(units))
 	for i, u := range units {
-		progs[i], keys[i] = u.prog, u.key
+		progs[i] = u.prog
 	}
-	return linker.LinkTreeMemo(progs, keys, p.cfg.Jobs, p.memo, p.cfg.Obs)
+	return linker.LinkTraced(progs, p.cfg.Obs)
 }
 
-// solveDigest identifies one solved configuration: the linked database's
-// content plus everything else that shapes the fixpoint. Jobs is
-// deliberately excluded — results are byte-identical at any -j.
-func (p *Pipeline) solveDigest(linked *prim.Program) uint64 {
+// solveDigest identifies one solved configuration: the unit programs'
+// digests in unit order plus everything else that shapes the fixpoint.
+// It names the linked program without linking it, because Link is a
+// deterministic fold of the unit programs. Jobs is deliberately
+// excluded — results are byte-identical at any -j.
+func (p *Pipeline) solveDigest(units []*unit) uint64 {
 	h := srchash.Offset()
-	h = srchash.FoldU64(h, linked.Digest())
+	h = srchash.FoldU32(h, uint32(len(units)))
+	for _, u := range units {
+		h = srchash.FoldU64(h, u.digest)
+	}
 	h = srchash.FoldU32(h, uint32(p.cfg.Solver))
 	h = srchash.FoldU32(h, uint32(p.cfg.Model))
 	var bits uint32
@@ -543,23 +544,22 @@ func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result,
 		return nil, st, err
 	}
 
-	linkStart := time.Now()
-	linked, ts, err := p.linkPhase(units)
-	if err != nil {
-		return nil, st, err
-	}
-	st.MergesDone, st.MergesReused = ts.Merges, ts.Reused
-	st.Link = time.Since(linkStart)
-
-	solveStart := time.Now()
-	digest := p.solveDigest(linked)
+	digest := p.solveDigest(units)
 	var res *Result
 	if p.cur != nil && p.cur.Digest == digest {
-		// Unchanged analysis: keep the current generation. Its program
-		// content is identical, so the extern-model clone is skipped too.
+		// Every unit compiled to the program it had: keep the current
+		// generation, with no link, extern-model clone or solve.
 		st.SolveReused = true
 		res = p.cur
 	} else {
+		linkStart := time.Now()
+		linked, err := p.linkPhase(units)
+		if err != nil {
+			return nil, st, err
+		}
+		st.Link = time.Since(linkStart)
+
+		solveStart := time.Now()
 		aprog := linked
 		if p.cfg.Model != extmodel.Unsound {
 			aprog, _ = extmodel.ApplyClone(linked, p.cfg.Model)
@@ -577,8 +577,8 @@ func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result,
 			Gen: p.gen, Prog: aprog, Linked: linked, Src: src, Res: r,
 			Digest: digest, Built: time.Now(),
 		}
+		st.Solve = time.Since(solveStart)
 	}
-	st.Solve = time.Since(solveStart)
 	st.Total = time.Since(start)
 	if st.Changed {
 		res.Stats = st
@@ -606,7 +606,6 @@ func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result,
 	o.Counter("incr.units_recompiled").Add(int64(st.Recompiled))
 	o.Counter("incr.units_store_hits").Add(int64(st.StoreHits))
 	o.Counter("incr.units_reused").Add(int64(st.Reused))
-	o.Counter("incr.link_merges_reused").Add(int64(st.MergesReused))
 	if st.SolveReused {
 		o.Counter("incr.solve_reused").Inc()
 	}

@@ -3,6 +3,7 @@ package incr
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,6 +19,7 @@ import (
 	"cla/internal/frontend"
 	"cla/internal/objfile"
 	"cla/internal/obs"
+	"cla/internal/parallel"
 	"cla/internal/prim"
 	"cla/internal/pts"
 	"cla/internal/srchash"
@@ -274,16 +276,26 @@ struct node *push(struct node *h, int v) {
 	}
 }
 
+// TestCommentEditReusesFixpoint: a comment edit that shifts no line
+// leaves every unit digest as it was, so the refresh keeps the
+// generation before linking — no link span, no analyze span.
 func TestCommentEditReusesFixpoint(t *testing.T) {
 	dir := t.TempDir()
 	writeTree(t, dir, baseTree)
-	p, err := Open(context.Background(), testConfig(dir))
+	cfg := testConfig(dir)
+	o := obs.New()
+	cfg.Obs = o
+	p, err := Open(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen1 := p.Current()
+	links, solves := spanCount(o, "link"), spanCount(o, "analyze")
+	if links != 1 || solves != 1 {
+		t.Fatalf("open recorded %d link and %d analyze spans, want 1 each", links, solves)
+	}
 	// Same tokens on the same lines: the unit recompiles (its hash
-	// changed) but the database digest — and so the fixpoint and the
+	// changed) but its program digest — and so the fixpoint and the
 	// generation — must not.
 	changed := edit(t, dir, "main.c", `
 extern void put(int v); /* callback into table.c */
@@ -296,8 +308,111 @@ int main(void) { put(1); return 0; }
 	if res != gen1 {
 		t.Fatalf("generation bumped to %d on a semantics-preserving edit", res.Gen)
 	}
-	if st.Recompiled != 1 || !st.SolveReused || st.Changed {
+	if st.Recompiled != 1 || !st.SolveReused || st.Changed || st.Link != 0 || st.Solve != 0 {
 		t.Fatalf("stats = %+v, want 1 recompile with fixpoint reuse", st)
+	}
+	if l, s := spanCount(o, "link"), spanCount(o, "analyze"); l != links || s != solves {
+		t.Fatalf("comment edit recorded %d link and %d analyze spans", l-links, s-solves)
+	}
+}
+
+// spanCount counts the completed spans named name.
+func spanCount(o *obs.Observer, name string) int {
+	n := 0
+	for _, e := range o.Events() {
+		if e.Name == name {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLineShiftingCommentEditMatchesScratch: a comment that shifts lines
+// moves every location below it, and locations render in lint and
+// dependence output — so the edit must build a new generation, equal to
+// a from-scratch analysis line numbers and all.
+func TestLineShiftingCommentEditMatchesScratch(t *testing.T) {
+	dir := t.TempDir()
+	writeTree(t, dir, baseTree)
+	cfg := testConfig(dir)
+	p, err := Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen1 := p.Current()
+	// count.c has no heap site, whose name would carry the line too.
+	changed := edit(t, dir, "count.c", "/* a comment\n   two lines long */\n"+baseTree["count.c"])
+	res, st, err := p.Update(context.Background(), changed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Gen != gen1.Gen+1 || !st.Changed || st.SolveReused {
+		t.Fatalf("generation %d, stats %+v: want a new generation", res.Gen, st)
+	}
+	if res.Digest == gen1.Digest {
+		t.Fatal("line-shifting edit kept the solve digest")
+	}
+	if got, want := fingerprint(res.Prog, res.Res), scratchFingerprint(t, cfg); got != want {
+		t.Fatalf("incremental fingerprint %s != scratch %s", got, want)
+	}
+	if fingerprint(res.Prog, res.Res) == fingerprint(gen1.Prog, gen1.Res) {
+		t.Fatal("shifted locations did not reach the points-to rendering")
+	}
+	scratch, err := Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Digest != scratch.Current().Digest {
+		t.Fatalf("incremental digest %016x != scratch %016x", res.Digest, scratch.Current().Digest)
+	}
+}
+
+// TestReopenOverStoreKeepsDigest: units served from the store carry the
+// digest recorded when they were compiled, so a reopen names the same
+// generation as the cold open and answers byte-equal to it (points-to
+// sets and checks report), although its decoded units list their
+// assignments in another order. A manifest without that digest is a
+// miss.
+func TestReopenOverStoreKeepsDigest(t *testing.T) {
+	dir := t.TempDir()
+	writeTree(t, dir, baseTree)
+	cfg := testConfig(dir)
+	cfg.CacheDir = t.TempDir()
+	cold, err := Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := warm.Current().Stats; st.StoreHits != 4 || st.Recompiled != 0 {
+		t.Fatalf("reopen stats = %+v, want all 4 units from the store", st)
+	}
+	if c, w := analysisBytes(t, cold.Current()), analysisBytes(t, warm.Current()); c != w {
+		t.Fatalf("reopen over the store differs from the cold open:\n%s\nvs\n%s", w, c)
+	}
+
+	manifests, _ := filepath.Glob(filepath.Join(cfg.CacheDir, "*.manifest"))
+	for _, m := range manifests {
+		b, err := os.ReadFile(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, deps, _ := strings.Cut(string(b), "\n")
+		if err := os.WriteFile(m, []byte(deps), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	again, err := Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := again.Current().Stats; st.StoreHits != 0 || st.Recompiled != 4 {
+		t.Fatalf("digest-less manifests: stats = %+v, want all 4 units recompiled", st)
+	}
+	if c, a := analysisBytes(t, cold.Current()), analysisBytes(t, again.Current()); c != a {
+		t.Fatalf("recompiled session differs from the cold open:\n%s\nvs\n%s", a, c)
 	}
 }
 
@@ -369,6 +484,47 @@ int counter = {{{;
 	}
 	if res.Gen != gen1.Gen && res.Gen != gen1.Gen+1 {
 		t.Fatalf("unexpected generation %d after recovery", res.Gen)
+	}
+}
+
+// TestCompilePanicKeepsServingOldGeneration: a compile worker that
+// panics fails the refresh with the contained panic, and the previous
+// generation keeps serving.
+func TestCompilePanicKeepsServingOldGeneration(t *testing.T) {
+	dir := t.TempDir()
+	writeTree(t, dir, baseTree)
+	for _, jobs := range []int{1, 4} {
+		cfg := testConfig(dir)
+		cfg.Jobs = jobs
+		p, err := Open(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen1 := p.Current()
+		compileFn = func(path string, dirs []string, opts frontend.Options) (*unit, error) {
+			if filepath.Base(path) == "table.c" {
+				panic("frontend fault")
+			}
+			return compileUnit(path, dirs, opts)
+		}
+		hdr := edit(t, dir, "shared.h", baseTree["shared.h"]+"extern int more;\n")
+		_, _, err = p.Update(context.Background(), hdr)
+		compileFn = compileUnit
+		var pe *parallel.PanicError
+		if !errors.As(err, &pe) || pe.Value != "frontend fault" {
+			t.Fatalf("jobs=%d: err = %v, want the worker's contained panic", jobs, err)
+		}
+		if p.Current() != gen1 {
+			t.Fatalf("jobs=%d: failed refresh replaced the current generation", jobs)
+		}
+		res, _, err := p.Update(context.Background(), hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fingerprint(res.Prog, res.Res), scratchFingerprint(t, cfg); got != want {
+			t.Fatalf("jobs=%d: recovered fingerprint %s != scratch %s", jobs, got, want)
+		}
+		edit(t, dir, "shared.h", baseTree["shared.h"])
 	}
 }
 

@@ -106,17 +106,23 @@ func Link(units []*prim.Program) (*prim.Program, error) {
 	return out, nil
 }
 
-// LinkParallel merges unit databases with a pairwise tree merge of
-// O(log N) depth, merging the pairs of each round on up to jobs workers
-// (jobs <= 0 means GOMAXPROCS). The merge is associative over adjacent
-// units — symbols are appended in first-seen unit order, attribute
-// merging (types, locations, function records) takes the first or
-// maximal value in unit order — so the output is byte-identical to the
-// sequential left fold of Link (asserted by the linker tests). It is
-// LinkTreeMemo without a cache or an observer.
+// LinkParallel is Link; jobs is unused. It keeps the name the benchmark
+// harness calls. The link has no parallel form: a pairwise tree merge
+// recopies every symbol and assignment once per round, which costs more
+// than two or eight workers repay.
 func LinkParallel(units []*prim.Program, jobs int) (*prim.Program, error) {
-	p, _, err := LinkTreeMemo(units, nil, jobs, nil, nil)
-	return p, err
+	return Link(units)
+}
+
+// LinkTraced is Link inside a "link" span, with the unit count in the
+// link.units counter: the one traced link entry shared by the driver,
+// the incremental pipeline and the tools. The nil observer costs
+// nothing.
+func LinkTraced(units []*prim.Program, o *obs.Observer) (*prim.Program, error) {
+	sp := o.Start("link")
+	defer sp.End()
+	o.SetCounter("link.units", int64(len(units)))
+	return Link(units)
 }
 
 // compatibleKinds reports whether two linked symbol kinds may unify.
@@ -154,8 +160,5 @@ func LinkFiles(paths []string, o *obs.Observer) (*prim.Program, error) {
 		units = append(units, p)
 	}
 	sp.End()
-	lsp := o.Start("link")
-	defer lsp.End()
-	o.SetCounter("link.units", int64(len(units)))
-	return Link(units)
+	return LinkTraced(units, o)
 }

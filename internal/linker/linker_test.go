@@ -10,7 +10,6 @@ import (
 
 	"cla/internal/frontend"
 	"cla/internal/objfile"
-	"cla/internal/obs"
 	"cla/internal/prim"
 )
 
@@ -324,9 +323,8 @@ func dumpProgram(t *testing.T, p *prim.Program) []byte {
 }
 
 func TestLinkParallelMatchesSequential(t *testing.T) {
-	// The tree merge must be byte-identical to the sequential left fold
-	// for every worker count, including unit counts that do not divide
-	// evenly into pairs.
+	// LinkParallel is the fold under its old name: byte-identical to
+	// Link for every worker count it is handed.
 	for _, n := range []int{1, 2, 3, 7, 33} {
 		units := manyUnits(t, n)
 		seq, err := Link(units)
@@ -345,8 +343,8 @@ func TestLinkParallelMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-	// A failing merge surfaces at every worker count, whether the bad unit
-	// sits inside a pair or in an odd tail carried up a round.
+	// A clashing unit fails the link at every worker count, wherever it
+	// sits in the unit order.
 	for _, bad := range []int{3, 4} {
 		units := manyUnits(t, 5)
 		clash := &prim.Program{}
@@ -357,52 +355,5 @@ func TestLinkParallelMatchesSequential(t *testing.T) {
 				t.Errorf("bad unit %d, jobs=%d: clash accepted", bad, jobs)
 			}
 		}
-	}
-}
-
-func TestLinkTreeTracedIsDeterministic(t *testing.T) {
-	// The instrumented tree merge must produce the same program as the
-	// uninstrumented path, and the recorded span/counter structure must
-	// be identical at every worker count (only timings may differ).
-	units := manyUnits(t, 7)
-	seq, err := Link(units)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := dumpProgram(t, seq)
-
-	shape := func(o *obs.Observer) string {
-		var b bytes.Buffer
-		for _, e := range o.Events() {
-			fmt.Fprintf(&b, "%d %s\n", e.Track, e.Name)
-		}
-		for _, m := range o.Counters() {
-			fmt.Fprintf(&b, "%s=%d\n", m.Name, m.Value)
-		}
-		return b.String()
-	}
-
-	var base string
-	for _, jobs := range []int{1, 2, 8} {
-		o := obs.New()
-		p, _, err := LinkTreeMemo(units, nil, jobs, nil, o)
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		if !bytes.Equal(want, dumpProgram(t, p)) {
-			t.Errorf("jobs=%d: instrumented link differs from sequential fold", jobs)
-		}
-		if n := o.OpenSpans(); n != 0 {
-			t.Fatalf("jobs=%d: %d spans left open", jobs, n)
-		}
-		s := shape(o)
-		if base == "" {
-			base = s
-		} else if s != base {
-			t.Errorf("jobs=%d span shape differs:\n%s\nvs\n%s", jobs, s, base)
-		}
-	}
-	if !strings.Contains(base, "merge r0.0") || !strings.Contains(base, "link.merges=6") {
-		t.Errorf("unexpected shape:\n%s", base)
 	}
 }

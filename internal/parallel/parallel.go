@@ -3,12 +3,18 @@
 // per-worker state, and level-synchronous rounds. Every helper preserves
 // deterministic output ordering — workers communicate only through
 // index-addressed slots, never through shared accumulators — so running
-// with -j 1 and -j N produces identical results.
+// with -j 1 and -j N produces identical results. A task's panic is
+// contained where it ran and comes back as that task's *PanicError, so a
+// fault in one task cannot kill the process that started the batch.
+// That makes the returned error the only sign of a bug in a task, so no
+// caller may discard it.
 package parallel
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -62,11 +68,29 @@ func (p *poolObs) note(j, n int) {
 	p.queue.Max(int64(n))
 }
 
+// PanicError is a task that panicked: the panic was recovered in the
+// worker that ran the task and became the task's error.
+type PanicError struct {
+	// Value is what the task panicked with.
+	Value any
+	// Stack is the worker's stack at the panic, panic site included.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("parallel: task panicked: %v", e.Value)
+}
+
+func newPanicError(v any) *PanicError {
+	return &PanicError{Value: v, Stack: debug.Stack()}
+}
+
 // ForEach runs fn(0)..fn(n-1) on up to j workers (j <= 0 means
 // GOMAXPROCS) and waits for all of them. Every index runs even when an
 // earlier one fails, and the returned error is the lowest-indexed
 // failure — the same error a sequential loop would have reported first,
-// regardless of scheduling.
+// regardless of scheduling. A panicking index fails with a *PanicError
+// under the same rule; on one worker it ends the loop like any error.
 func ForEach(j, n int, fn func(i int) error) error {
 	return ForEachCtx(context.Background(), j, n, fn)
 }
@@ -87,35 +111,42 @@ func ForEachCtx(ctx context.Context, j, n int, fn func(i int) error) error {
 	}
 	observer.Load().note(j, n)
 	if j == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
+		return sequential(ctx, n, fn)
 	}
 	errs := make([]error, n)
 	var next atomic.Int64
 	next.Store(-1)
 	var canceled atomic.Bool
+	// drain runs claimed indexes until none are left or the context
+	// fires. Its one deferred recover turns a task's panic into that
+	// index's *PanicError and reports true, so the worker drains again
+	// for the indexes still unclaimed.
+	drain := func() (panicked bool) {
+		i := -1
+		defer func() {
+			if v := recover(); v != nil {
+				errs[i] = newPanicError(v)
+				panicked = true
+			}
+		}()
+		for {
+			if ctx.Err() != nil {
+				canceled.Store(true)
+				return false
+			}
+			i = int(next.Add(1))
+			if i >= n {
+				return false
+			}
+			errs[i] = fn(i)
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < j; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					canceled.Store(true)
-					return
-				}
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
+			for drain() {
 			}
 		}()
 	}
@@ -127,6 +158,25 @@ func ForEachCtx(ctx context.Context, j, n int, fn func(i int) error) error {
 	}
 	if canceled.Load() {
 		return ctx.Err()
+	}
+	return nil
+}
+
+// sequential is ForEachCtx on the calling goroutine: it stops at the
+// first failure, a recovered panic included.
+func sequential(ctx context.Context, n int, fn func(i int) error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = newPanicError(v)
+		}
+	}()
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := fn(i); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -179,7 +229,9 @@ func Levels(j, levels int, size func(level int) int, fn func(level, worker, lo, 
 // LevelsCtx is Levels under a context: each level's shard checks ctx
 // (see ShardCtx), and a failed level — worker error, after-hook error or
 // cancellation — stops before the next level begins. The returned error
-// is the failing level's lowest-worker error.
+// is the failing level's lowest-worker error. A shard's panic is
+// contained as in ForEachCtx; one in the after hook, which runs on the
+// calling goroutine, is not.
 func LevelsCtx(ctx context.Context, j, levels int, size func(level int) int, fn func(level, worker, lo, hi int) error, after func(level int) error) error {
 	for l := 0; l < levels; l++ {
 		level := l

@@ -212,7 +212,7 @@ func Solve(src pts.Source, jobs int) (*Result, error) {
 	w := parallel.Workers(jobs)
 	vars := make([]int, w)
 	rels := make([]int, w)
-	parallel.Shard(jobs, s.n, func(wk, lo, hi int) error {
+	err = parallel.Shard(jobs, s.n, func(wk, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			if !pts.CountedAsPointerVar(src.Sym(prim.SymID(i)).Kind) {
 				continue
@@ -227,6 +227,9 @@ func Solve(src pts.Source, jobs int) (*Result, error) {
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i := 0; i < w; i++ {
 		res.m.PointerVars += vars[i]
 		res.m.Relations += rels[i]

@@ -2,11 +2,13 @@ package bitvec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"cla/internal/frontend"
+	"cla/internal/parallel"
 	"cla/internal/prim"
 	"cla/internal/pts"
 	"cla/internal/pts/worklist"
@@ -129,5 +131,39 @@ func TestOutOfRange(t *testing.T) {
 	_, r := solve(t, "int x;")
 	if got := r.PointsTo(999); got != nil {
 		t.Errorf("PointsTo = %v", got)
+	}
+}
+
+// panicSym is a source whose Sym panics for one symbol, standing in for
+// a bug in the sharded metrics pass.
+type panicSym struct {
+	pts.Source
+	victim prim.SymID
+}
+
+func (s panicSym) Sym(id prim.SymID) *prim.Symbol {
+	if id == s.victim {
+		panic("bad symbol")
+	}
+	return s.Source.Sym(id)
+}
+
+// TestSolveFailsOnWorkerPanic: a panic in the sharded metrics pass makes
+// Solve fail with the contained *parallel.PanicError at any worker
+// count, instead of returning undercounted metrics.
+func TestSolveFailsOnWorkerPanic(t *testing.T) {
+	p, err := frontend.CompileSource("t.c", "int a, *x; void m(void) { x = &a; }", nil, frontend.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// a is read only by the metrics pass: it is no function and never
+	// holds a points-to set, so the fixpoint never looks it up.
+	src := panicSym{pts.NewMemSource(p), p.SymIDByName("a")}
+	for _, j := range []int{1, 4} {
+		res, err := Solve(src, j)
+		var pe *parallel.PanicError
+		if !errors.As(err, &pe) || pe.Value != "bad symbol" {
+			t.Fatalf("j=%d: Solve = %v, %v; want the contained panic", j, res, err)
+		}
 	}
 }

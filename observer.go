@@ -87,7 +87,7 @@ type RunStats struct {
 	// Phases are the completed spans, sorted by (track, start time).
 	Phases []Phase
 	// Counters and Gauges are the named metrics, e.g. "solver.passes",
-	// "load.bytes.loaded", "link.merges".
+	// "load.bytes.loaded", "link.units".
 	Counters map[string]int64
 	Gauges   map[string]int64
 	// Metrics are the solver statistics (also via Analysis.Metrics).

@@ -126,9 +126,8 @@ func (o *WorkspaceOptions) incrConfig(dir string) incr.Config {
 // Workspace is a mutable analysis session over a directory of C units —
 // the incremental counterpart of CompileDir followed by Analyze. Each
 // refresh recompiles only the units whose source or include closure
-// changed, relinks only the merge subtrees those units feed, and
-// re-solves only when the linked database actually changed, yielding a
-// new immutable generation. Analyses handed out for old generations
+// changed, and relinks and re-solves only when some unit's compiled
+// program actually changed, yielding a new immutable generation. Analyses handed out for old generations
 // remain valid and queryable; the workspace never mutates them.
 //
 // All methods are safe for concurrent use; refreshes serialize.
