@@ -144,7 +144,7 @@ func TestCLIErrorPaths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	tools := buildTools(t, "claan")
+	tools := buildTools(t, "claan", "clald")
 	// Missing database.
 	cmd := exec.Command(tools["claan"], "-pts", "x", "/nonexistent.cla")
 	if err := cmd.Run(); err == nil {
@@ -163,6 +163,28 @@ func TestCLIErrorPaths(t *testing.T) {
 	cmd = exec.Command(tools["claan"], exe)
 	if err := cmd.Run(); err == nil {
 		t.Error("claan without query flags succeeded")
+	}
+
+	// A well-formed object whose function record names a parameter
+	// outside its symbol table is a corrupt database, not a link panic.
+	bad, err := CompileSource("f.c", "int *f(int *p) { return p; }", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.prog.Funcs[0].Params[0] = 999
+	badObj := filepath.Join(work, "bad.clo")
+	if err := bad.WriteFile(badObj); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{tools["clald"], "-o", filepath.Join(work, "bad.cla"), badObj},
+		{tools["claan"], "-stats", badObj},
+	} {
+		out, err := exec.Command(args[0], args[1:]...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "corrupt database") ||
+			strings.Contains(string(out), "panic:") {
+			t.Errorf("%s on a bad parameter id: err=%v\n%s", filepath.Base(args[0]), err, out)
+		}
 	}
 }
 

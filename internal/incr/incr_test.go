@@ -585,6 +585,40 @@ func TestStoreWarmStartAcrossSessions(t *testing.T) {
 	if got, want := fingerprint(p4.Current().Prog, p4.Current().Res), fingerprint(p1.Current().Prog, p1.Current().Res); got != want {
 		t.Fatalf("recompiled fingerprint %s != parsed %s", got, want)
 	}
+
+	// So is a well-formed object whose function record names a parameter
+	// outside its symbol table. p4 rewrote its own mode's four entries;
+	// the other mode's still hold garbage.
+	var rewritten int
+	for _, obj := range objs {
+		r, err := objfile.Open(obj)
+		if err != nil {
+			continue
+		}
+		prog, err := r.Program()
+		r.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog.Funcs = append(prog.Funcs, prim.FuncRecord{Func: 0, Ret: prim.NoSym, Params: []prim.SymID{999}})
+		if err := objfile.WriteFile(obj, prog); err != nil {
+			t.Fatal(err)
+		}
+		rewritten++
+	}
+	if rewritten != 4 {
+		t.Fatalf("%d store objects decode after the recompile, want 4", rewritten)
+	}
+	p5, err := Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := p5.Current().Stats; st.StoreHits != 0 || st.Recompiled != 4 {
+		t.Fatalf("bad-parameter store session stats = %+v, want all 4 units recompiled", st)
+	}
+	if got, want := fingerprint(p5.Current().Prog, p5.Current().Res), fingerprint(p1.Current().Prog, p1.Current().Res); got != want {
+		t.Fatalf("recompiled fingerprint %s != parsed %s", got, want)
+	}
 }
 
 // TestStoreKeyIncludesSearchPath: the same unit compiled against two

@@ -37,6 +37,10 @@
 // symbol's file, which is exact for the single-file translation units the
 // compile phase emits per unit. The linker preserves per-assignment files
 // by re-writing symbols' file offsets.
+//
+// The string pool and the symbol, function-record and call-site
+// sections are also the solved-snapshot format's (internal/snapfile);
+// records.go holds their one encoder and decoder.
 package objfile
 
 import (
@@ -68,18 +72,9 @@ const (
 )
 
 const (
-	symRecSize   = 24
 	staticRec    = 24 // dst u32, src u32, file u32, line i32, func u32, op u8, strength u8, pad u16
 	blockRecSize = 20 // kind u8, op u8, strength u8, pad u8, dst u32, file u32, line i32, func u32
 	idxRecSize   = 12
-	callRecSize  = 24 // callee u32, file u32, line i32, caller u32, args u32, indirect u8, pad×3
-)
-
-// flag bits in symbol records.
-const (
-	flagFuncPtr  = 1 << 0
-	flagInternal = 1 << 1
-	flagDefined  = 1 << 2
 )
 
 // BlockEntry is one demand-loaded primitive assignment from an object's
@@ -118,7 +113,15 @@ func (s Stats) String() string {
 
 var le = binary.LittleEndian
 
+// CorruptError reports a malformed database. Detail carries no package
+// prefix, so the snapshot format, which decodes its string pool and its
+// symbol, function and call records with this package's codec, can
+// report the same failure as a corrupt snapshot.
+type CorruptError struct{ Detail string }
+
+func (e *CorruptError) Error() string { return "objfile: corrupt database: " + e.Detail }
+
 // corrupt builds a corruption error.
 func corrupt(format string, args ...any) error {
-	return fmt.Errorf("objfile: corrupt database: %s", fmt.Sprintf(format, args...))
+	return &CorruptError{Detail: fmt.Sprintf(format, args...)}
 }

@@ -20,7 +20,7 @@ type Reader struct {
 	secOff  [numSections]int64
 	secLen  [numSections]int64
 	counts  [prim.NumKinds]int
-	strings []byte // resident string pool
+	strings Strings // resident string pool
 	syms    []prim.Symbol
 	// blockIdx holds (offset, count) per symbol.
 	blockOff []int64
@@ -96,22 +96,31 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 			return nil, corrupt("section %d out of bounds", i)
 		}
 	}
-	if err := r.loadStrings(); err != nil {
+	// Read the resident sections; statics and blocks stay on disk until
+	// requested.
+	var sec [numSections][]byte
+	for _, i := range []int{secStrings, secSymbols, secBlockIdx, secFuncs, secTargets, secCalls} {
+		b, err := r.section(i)
+		if err != nil {
+			return nil, err
+		}
+		sec[i] = b
+	}
+	r.strings = sec[secStrings]
+	var err error
+	if r.syms, err = DecodeSymbols(sec[secSymbols], r.strings); err != nil {
 		return nil, err
 	}
-	if err := r.loadSymbols(); err != nil {
+	if err = r.loadBlockIndex(sec[secBlockIdx]); err != nil {
 		return nil, err
 	}
-	if err := r.loadBlockIndex(); err != nil {
+	if r.funcs, err = DecodeFuncs(sec[secFuncs], len(r.syms)); err != nil {
 		return nil, err
 	}
-	if err := r.loadFuncs(); err != nil {
+	if err = r.loadTargets(sec[secTargets]); err != nil {
 		return nil, err
 	}
-	if err := r.loadTargets(); err != nil {
-		return nil, err
-	}
-	if err := r.loadCalls(); err != nil {
+	if r.calls, err = DecodeCalls(sec[secCalls], r.strings, len(r.syms)); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -125,88 +134,7 @@ func (r *Reader) section(i int) ([]byte, error) {
 	return b, nil
 }
 
-func (r *Reader) loadStrings() error {
-	b, err := r.section(secStrings)
-	if err != nil {
-		return err
-	}
-	r.strings = b
-	return nil
-}
-
-// str decodes a string-pool reference.
-func (r *Reader) str(off uint32) (string, error) {
-	if int64(off)+4 > int64(len(r.strings)) {
-		return "", corrupt("string offset %d out of range", off)
-	}
-	n := le.Uint32(r.strings[off:])
-	end := int64(off) + 4 + int64(n)
-	if end > int64(len(r.strings)) {
-		return "", corrupt("string at %d overruns pool", off)
-	}
-	return string(r.strings[off+4 : end]), nil
-}
-
-func decodeSymID(v uint32) prim.SymID {
-	if v == 0xffffffff {
-		return prim.NoSym
-	}
-	return prim.SymID(v)
-}
-
-func (r *Reader) loadSymbols() error {
-	b, err := r.section(secSymbols)
-	if err != nil {
-		return err
-	}
-	if len(b) < 4 {
-		return corrupt("symbol section too small")
-	}
-	n := int(le.Uint32(b))
-	if n < 0 || n > len(b) || len(b) != 4+n*symRecSize {
-		return corrupt("symbol section size mismatch (%d symbols, %d bytes)", n, len(b))
-	}
-	r.syms = make([]prim.Symbol, n)
-	for i := 0; i < n; i++ {
-		rec := b[4+i*symRecSize:]
-		name, err := r.str(le.Uint32(rec))
-		if err != nil {
-			return err
-		}
-		typ, err := r.str(le.Uint32(rec[4:]))
-		if err != nil {
-			return err
-		}
-		file, err := r.str(le.Uint32(rec[8:]))
-		if err != nil {
-			return err
-		}
-		funcName, err := r.str(le.Uint32(rec[12:]))
-		if err != nil {
-			return err
-		}
-		kind := prim.SymKind(rec[20])
-		if int(kind) >= prim.NumSymKinds {
-			return corrupt("symbol %d has bad kind %d", i, kind)
-		}
-		flags := rec[21]
-		r.syms[i] = prim.Symbol{
-			Name: name, Type: typ, FuncName: funcName,
-			Loc:      prim.Loc{File: file, Line: int32(le.Uint32(rec[16:]))},
-			Kind:     kind,
-			FuncPtr:  flags&flagFuncPtr != 0,
-			Internal: flags&flagInternal != 0,
-			Defined:  flags&flagDefined != 0,
-		}
-	}
-	return nil
-}
-
-func (r *Reader) loadBlockIndex() error {
-	b, err := r.section(secBlockIdx)
-	if err != nil {
-		return err
-	}
+func (r *Reader) loadBlockIndex(b []byte) error {
 	if len(b) < 4 {
 		return corrupt("block index too small")
 	}
@@ -237,51 +165,7 @@ func (r *Reader) loadBlockIndex() error {
 	return nil
 }
 
-func (r *Reader) loadFuncs() error {
-	b, err := r.section(secFuncs)
-	if err != nil {
-		return err
-	}
-	if len(b) < 4 {
-		return corrupt("func section too small")
-	}
-	n := int(le.Uint32(b))
-	if n < 0 || n > len(b) {
-		return corrupt("func count %d out of range", n)
-	}
-	p := 4
-	r.funcs = make([]prim.FuncRecord, 0, min(n, 1024))
-	for i := 0; i < n; i++ {
-		if p+16 > len(b) {
-			return corrupt("func record %d truncated", i)
-		}
-		rec := prim.FuncRecord{
-			Func:     decodeSymID(le.Uint32(b[p:])),
-			Ret:      decodeSymID(le.Uint32(b[p+4:])),
-			Variadic: b[p+8] != 0,
-		}
-		np := int(le.Uint32(b[p+12:]))
-		p += 16
-		if np < 0 || np > len(b) || p+np*4 > len(b) {
-			return corrupt("func record %d params truncated", i)
-		}
-		for j := 0; j < np; j++ {
-			rec.Params = append(rec.Params, decodeSymID(le.Uint32(b[p+j*4:])))
-		}
-		p += np * 4
-		if err := r.checkSym(rec.Func); err != nil {
-			return err
-		}
-		r.funcs = append(r.funcs, rec)
-	}
-	return nil
-}
-
-func (r *Reader) loadTargets() error {
-	b, err := r.section(secTargets)
-	if err != nil {
-		return err
-	}
+func (r *Reader) loadTargets(b []byte) error {
 	if len(b) < 4 {
 		return corrupt("target section too small")
 	}
@@ -293,63 +177,15 @@ func (r *Reader) loadTargets() error {
 	r.targetSyms = make([]prim.SymID, n)
 	for i := 0; i < n; i++ {
 		rec := b[4+i*8:]
-		name, err := r.str(le.Uint32(rec))
+		name, err := r.strings.Str(le.Uint32(rec))
 		if err != nil {
 			return err
 		}
 		r.targetNames[i] = name
-		r.targetSyms[i] = decodeSymID(le.Uint32(rec[4:]))
-		if err := r.checkSym(r.targetSyms[i]); err != nil {
+		r.targetSyms[i] = DecodeSymID(le.Uint32(rec[4:]))
+		if err := CheckSym(r.targetSyms[i], len(r.syms)); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-func (r *Reader) loadCalls() error {
-	b, err := r.section(secCalls)
-	if err != nil {
-		return err
-	}
-	if len(b) < 4 {
-		return corrupt("call section too small")
-	}
-	n := int(le.Uint32(b))
-	if n < 0 || n > len(b) || len(b) != 4+n*callRecSize {
-		return corrupt("call section size mismatch")
-	}
-	r.calls = make([]prim.CallSite, n)
-	for i := 0; i < n; i++ {
-		rec := b[4+i*callRecSize:]
-		c := prim.CallSite{
-			Callee:   decodeSymID(le.Uint32(rec)),
-			Indirect: rec[20] != 0,
-			Args:     int(le.Uint32(rec[16:])),
-		}
-		file, err := r.str(le.Uint32(rec[4:]))
-		if err != nil {
-			return err
-		}
-		caller, err := r.str(le.Uint32(rec[12:]))
-		if err != nil {
-			return err
-		}
-		c.Loc = prim.Loc{File: file, Line: int32(le.Uint32(rec[8:]))}
-		c.Caller = caller
-		if err := r.checkSym(c.Callee); err != nil {
-			return err
-		}
-		r.calls[i] = c
-	}
-	return nil
-}
-
-func (r *Reader) checkSym(id prim.SymID) error {
-	if id == prim.NoSym {
-		return nil
-	}
-	if int(id) < 0 || int(id) >= len(r.syms) {
-		return corrupt("symbol id %d out of range", id)
 	}
 	return nil
 }
@@ -390,25 +226,25 @@ func (r *Reader) Statics() ([]prim.Assign, error) {
 		rec := b[4+i*staticRec:]
 		a := prim.Assign{
 			Kind:     prim.Base,
-			Dst:      decodeSymID(le.Uint32(rec)),
-			Src:      decodeSymID(le.Uint32(rec[4:])),
+			Dst:      DecodeSymID(le.Uint32(rec)),
+			Src:      DecodeSymID(le.Uint32(rec[4:])),
 			Op:       prim.Op(rec[20]),
 			Strength: prim.Strength(rec[21]),
 		}
-		file, err := r.str(le.Uint32(rec[8:]))
+		file, err := r.strings.Str(le.Uint32(rec[8:]))
 		if err != nil {
 			return nil, err
 		}
-		fn, err := r.str(le.Uint32(rec[16:]))
+		fn, err := r.strings.Str(le.Uint32(rec[16:]))
 		if err != nil {
 			return nil, err
 		}
 		a.Loc = prim.Loc{File: file, Line: int32(le.Uint32(rec[12:]))}
 		a.Func = fn
-		if err := r.checkSym(a.Dst); err != nil {
+		if err := CheckSym(a.Dst, len(r.syms)); err != nil {
 			return nil, err
 		}
-		if err := r.checkSym(a.Src); err != nil {
+		if err := CheckSym(a.Src, len(r.syms)); err != nil {
 			return nil, err
 		}
 		out = append(out, a)
@@ -448,15 +284,15 @@ func (r *Reader) Block(sym prim.SymID) ([]BlockEntry, error) {
 		if !kind.Valid() || kind == prim.Base {
 			return nil, corrupt("block entry %d of symbol %d has kind %d", i, sym, kind)
 		}
-		dst := decodeSymID(le.Uint32(rec[4:]))
-		if err := r.checkSym(dst); err != nil {
+		dst := DecodeSymID(le.Uint32(rec[4:]))
+		if err := CheckSym(dst, len(r.syms)); err != nil {
 			return nil, err
 		}
-		file, err := r.str(le.Uint32(rec[8:]))
+		file, err := r.strings.Str(le.Uint32(rec[8:]))
 		if err != nil {
 			return nil, err
 		}
-		fn, err := r.str(le.Uint32(rec[16:]))
+		fn, err := r.strings.Str(le.Uint32(rec[16:]))
 		if err != nil {
 			return nil, err
 		}

@@ -9,79 +9,13 @@ import (
 	"cla/internal/prim"
 )
 
-// Writer serializes a prim.Program into the object-file format.
-type stringPool struct {
-	buf  []byte
-	offs map[string]uint32
-}
-
-func newStringPool() *stringPool {
-	p := &stringPool{offs: map[string]uint32{}}
-	p.add("") // offset 0 is always the empty string
-	return p
-}
-
-func (p *stringPool) add(s string) uint32 {
-	if off, ok := p.offs[s]; ok {
-		return off
-	}
-	off := uint32(len(p.buf))
-	var lenBuf [4]byte
-	le.PutUint32(lenBuf[:], uint32(len(s)))
-	p.buf = append(p.buf, lenBuf[:]...)
-	p.buf = append(p.buf, s...)
-	p.offs[s] = off
-	return off
-}
-
-type secBuf struct{ b []byte }
-
-func (s *secBuf) u8(v uint8)   { s.b = append(s.b, v) }
-func (s *secBuf) u32(v uint32) { var t [4]byte; le.PutUint32(t[:], v); s.b = append(s.b, t[:]...) }
-func (s *secBuf) u64(v uint64) { var t [8]byte; le.PutUint64(t[:], v); s.b = append(s.b, t[:]...) }
-func (s *secBuf) i32(v int32)  { s.u32(uint32(v)) }
-
-// symID encodes prim.NoSym as the all-ones pattern.
-func symID(id prim.SymID) uint32 {
-	if id == prim.NoSym {
-		return 0xffffffff
-	}
-	return uint32(id)
-}
-
 // Write serializes prog to w.
 func Write(w io.Writer, prog *prim.Program) error {
-	pool := newStringPool()
-	var sections [numSections]secBuf
-
-	// Symbols.
-	syms := &sections[secSymbols]
-	syms.u32(uint32(len(prog.Syms)))
-	for i := range prog.Syms {
-		s := &prog.Syms[i]
-		syms.u32(pool.add(s.Name))
-		syms.u32(pool.add(s.Type))
-		syms.u32(pool.add(s.Loc.File))
-		syms.u32(pool.add(s.FuncName))
-		syms.i32(s.Loc.Line)
-		syms.u8(uint8(s.Kind))
-		flags := uint8(0)
-		if s.FuncPtr {
-			flags |= flagFuncPtr
-		}
-		if s.Internal {
-			flags |= flagInternal
-		}
-		if s.Defined {
-			flags |= flagDefined
-		}
-		syms.u8(flags)
-		syms.u8(0)
-		syms.u8(0)
-	}
+	pool := NewStringPool()
+	var sections [numSections][]byte
+	sections[secSymbols] = AppendSymbols(nil, pool, prog.Syms)
 
 	// Static section (base assignments) and per-source blocks.
-	static := &sections[secStatic]
 	blockOf := make([][]prim.Assign, len(prog.Syms))
 	nStatic := 0
 	for _, a := range prog.Assigns {
@@ -94,61 +28,39 @@ func Write(w io.Writer, prog *prim.Program) error {
 		}
 		blockOf[a.Src] = append(blockOf[a.Src], a)
 	}
-	static.u32(uint32(nStatic))
+	static := make([]byte, 0, 4+nStatic*staticRec)
+	static = le.AppendUint32(static, uint32(nStatic))
 	for _, a := range prog.Assigns {
 		if a.Kind != prim.Base {
 			continue
 		}
-		static.u32(symID(a.Dst))
-		static.u32(symID(a.Src))
-		static.u32(pool.add(a.Loc.File))
-		static.i32(a.Loc.Line)
-		static.u32(pool.add(a.Func))
-		static.u8(uint8(a.Op))
-		static.u8(uint8(a.Strength))
-		static.u8(0)
-		static.u8(0)
+		static = le.AppendUint32(static, EncodeSymID(a.Dst))
+		static = le.AppendUint32(static, EncodeSymID(a.Src))
+		static = le.AppendUint32(static, pool.Add(a.Loc.File))
+		static = le.AppendUint32(static, uint32(a.Loc.Line))
+		static = le.AppendUint32(static, pool.Add(a.Func))
+		static = append(static, uint8(a.Op), uint8(a.Strength), 0, 0)
 	}
+	sections[secStatic] = static
 
 	// Blocks + index.
-	blocks := &sections[secBlocks]
-	idx := &sections[secBlockIdx]
-	idx.u32(uint32(len(prog.Syms)))
+	blocks := make([]byte, 0, (len(prog.Assigns)-nStatic)*blockRecSize)
+	idx := make([]byte, 0, 4+len(prog.Syms)*idxRecSize)
+	idx = le.AppendUint32(idx, uint32(len(prog.Syms)))
 	for _, as := range blockOf {
-		off := uint64(len(blocks.b))
+		idx = le.AppendUint64(idx, uint64(len(blocks)))
+		idx = le.AppendUint32(idx, uint32(len(as)))
 		for _, a := range as {
-			blocks.u8(uint8(a.Kind))
-			blocks.u8(uint8(a.Op))
-			blocks.u8(uint8(a.Strength))
-			blocks.u8(0)
-			blocks.u32(symID(a.Dst))
-			blocks.u32(pool.add(a.Loc.File))
-			blocks.i32(a.Loc.Line)
-			blocks.u32(pool.add(a.Func))
+			blocks = append(blocks, uint8(a.Kind), uint8(a.Op), uint8(a.Strength), 0)
+			blocks = le.AppendUint32(blocks, EncodeSymID(a.Dst))
+			blocks = le.AppendUint32(blocks, pool.Add(a.Loc.File))
+			blocks = le.AppendUint32(blocks, uint32(a.Loc.Line))
+			blocks = le.AppendUint32(blocks, pool.Add(a.Func))
 		}
-		idx.u64(off)
-		idx.u32(uint32(len(as)))
 	}
+	sections[secBlocks], sections[secBlockIdx] = blocks, idx
 
-	// Function records.
-	funcs := &sections[secFuncs]
-	funcs.u32(uint32(len(prog.Funcs)))
-	for _, f := range prog.Funcs {
-		funcs.u32(symID(f.Func))
-		funcs.u32(symID(f.Ret))
-		if f.Variadic {
-			funcs.u8(1)
-		} else {
-			funcs.u8(0)
-		}
-		funcs.u8(0)
-		funcs.u8(0)
-		funcs.u8(0)
-		funcs.u32(uint32(len(f.Params)))
-		for _, p := range f.Params {
-			funcs.u32(symID(p))
-		}
-	}
+	sections[secFuncs] = AppendFuncs(nil, prog.Funcs)
 
 	// Target index: sorted (name, sym) pairs over named program objects.
 	type target struct {
@@ -169,56 +81,38 @@ func Write(w io.Writer, prog *prim.Program) error {
 		}
 		return targets[i].sym < targets[j].sym
 	})
-	tsec := &sections[secTargets]
-	tsec.u32(uint32(len(targets)))
+	tsec := make([]byte, 0, 4+len(targets)*8)
+	tsec = le.AppendUint32(tsec, uint32(len(targets)))
 	for _, t := range targets {
-		tsec.u32(pool.add(t.name))
-		tsec.u32(symID(t.sym))
+		tsec = le.AppendUint32(tsec, pool.Add(t.name))
+		tsec = le.AppendUint32(tsec, EncodeSymID(t.sym))
 	}
+	sections[secTargets] = tsec
 
-	// Call sites.
-	calls := &sections[secCalls]
-	calls.u32(uint32(len(prog.Calls)))
-	for _, c := range prog.Calls {
-		calls.u32(symID(c.Callee))
-		calls.u32(pool.add(c.Loc.File))
-		calls.i32(c.Loc.Line)
-		calls.u32(pool.add(c.Caller))
-		calls.u32(uint32(c.Args))
-		if c.Indirect {
-			calls.u8(1)
-		} else {
-			calls.u8(0)
-		}
-		calls.u8(0)
-		calls.u8(0)
-		calls.u8(0)
-	}
-
-	sections[secStrings].b = pool.buf
+	sections[secCalls] = AppendCalls(nil, pool, prog.Calls)
+	sections[secStrings] = pool.Bytes()
 
 	// Header: magic, version, counts, section table.
-	var hdr secBuf
-	hdr.b = append(hdr.b, Magic...)
-	hdr.u32(Version)
-	counts := prog.CountByKind()
-	for _, c := range counts {
-		hdr.u64(uint64(c))
-	}
 	hdrSize := 4 + 4 + 8*prim.NumKinds + numSections*16
+	hdr := make([]byte, 0, hdrSize)
+	hdr = append(hdr, Magic...)
+	hdr = le.AppendUint32(hdr, Version)
+	for _, c := range prog.CountByKind() {
+		hdr = le.AppendUint64(hdr, uint64(c))
+	}
 	off := uint64(hdrSize)
-	for i := range sections {
-		hdr.u64(off)
-		hdr.u64(uint64(len(sections[i].b)))
-		off += uint64(len(sections[i].b))
+	for _, sec := range sections {
+		hdr = le.AppendUint64(hdr, off)
+		hdr = le.AppendUint64(hdr, uint64(len(sec)))
+		off += uint64(len(sec))
 	}
 
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(hdr.b); err != nil {
+	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
-	for i := range sections {
-		if _, err := bw.Write(sections[i].b); err != nil {
+	for _, sec := range sections {
+		if _, err := bw.Write(sec); err != nil {
 			return err
 		}
 	}

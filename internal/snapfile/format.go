@@ -9,30 +9,38 @@
 // from an mmap without decoding, a jobs-independence digest over the
 // result, and content hashes of the inputs for staleness detection.
 //
+// The strings, symbols, funcs and calls sections are the object format's
+// records, encoded and decoded by internal/objfile's record codec; this
+// package owns the header and alignment, the assigns section, the
+// points-to sections, the meta and report JSON, and the mmap reader.
+//
 // Layout (all integers little-endian):
 //
-//	header:   magic "CLAS", version u32, result digest u64 (FNV-1a over
-//	          every symbol's set elements — identical at any -j),
-//	          source digest u64 (FNV-1a over the source records),
+//	header:   magic "CLAS", version u32, result digest u64 (srchash
+//	          FNV-1a over every symbol's set elements, in ascending
+//	          symbol order — identical at any -j), source digest u64
+//	          (srchash FNV-1a over the source records),
 //	          file size u64, section count u32, pad u32,
 //	          section table: numSections × {offset u64, length u64};
 //	          every section offset is 8-byte aligned
 //	meta:     JSON: solver, extmodel, counts, pts.Metrics, source records
 //	          {path, size, content hash}
-//	strings:  string pool; each string is u32 length + bytes, referenced
-//	          by byte offset within the section (offset 0 = "")
-//	symbols:  u32 count, then fixed 24-byte records
-//	          {name u32, type u32, file u32, funcName u32, line i32,
-//	           kind u8, flags u8, pad u16} (the object format's record)
+//	strings:  the object format's string pool: u32 length + bytes per
+//	          string, referenced by byte offset (offset 0 = "")
+//	symbols:  the object format's symbol section: u32 count, then 24-byte
+//	          records {name u32, type u32, file u32, funcName u32,
+//	          line i32, kind u8, flags u8, pad u16}
 //	assigns:  u32 count, then fixed 24-byte records in original program
 //	          order {dst u32, src u32, file u32, line i32, func u32,
 //	           kind u8, op u8, strength u8, pad u8} — the full database,
 //	          Base assignments included, so a MemSource rebuilt from the
 //	          snapshot is identical to the live-solve one
-//	funcs:    u32 count, then {func u32, ret u32, variadic u8, pad×3,
-//	           nparams u32, params u32...}
-//	calls:    u32 count, then 24-byte records {callee u32, file u32,
-//	           line i32, caller u32, args u32, indirect u8, pad×3}
+//	funcs:    the object format's function records: u32 count, then
+//	          {func u32, ret u32, variadic u8, pad×3, nparams u32,
+//	           params u32...}
+//	calls:    the object format's call sites: u32 count, then 24-byte
+//	          records {callee u32, file u32, line i32, caller u32,
+//	          args u32, indirect u8, pad×3}
 //	ptsidx:   u32 count (= symbol count), then count × u32 set id;
 //	          0xffffffff marks the empty set. Interning makes this double
 //	          as the representative table: symbols the solver unified
@@ -82,20 +90,10 @@ const (
 )
 
 const (
-	headerSize   = 4 + 4 + 8 + 8 + 8 + 4 + 4 + numSections*16
-	symRecSize   = 24
-	asgRecSize   = 24
-	callRecSize  = 24
-	setIdxRec    = 16
-	noSet        = 0xffffffff
-	maxSourceLen = 1 << 20 // meta/report JSON cap against hostile headers
-)
-
-// flag bits in symbol records (the object format's).
-const (
-	flagFuncPtr  = 1 << 0
-	flagInternal = 1 << 1
-	flagDefined  = 1 << 2
+	headerSize = 4 + 4 + 8 + 8 + 8 + 4 + 4 + numSections*16
+	asgRecSize = 24
+	setIdxRec  = 16
+	noSet      = 0xffffffff
 )
 
 // Snapshot is the in-memory payload a snapshot file serializes: one
@@ -158,20 +156,3 @@ func corrupt(format string, args ...any) error {
 func stale(format string, args ...any) error {
 	return fmt.Errorf("snapfile: %s: %w", fmt.Sprintf(format, args...), claerr.ErrStale)
 }
-
-// fnv1a folds bytes into an FNV-1a 64-bit hash.
-func fnv1a(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	return h
-}
-
-// fnv1aU32 folds one u32 into an FNV-1a 64-bit hash.
-func fnv1aU32(h uint64, v uint32) uint64 {
-	var b [4]byte
-	le.PutUint32(b[:], v)
-	return fnv1a(h, b[:])
-}
-
-const fnvOffset = uint64(14695981039346656037)

@@ -3,12 +3,15 @@ package snapfile
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"os"
 	"unsafe"
 
 	"cla/internal/checks"
+	"cla/internal/objfile"
 	"cla/internal/prim"
 	"cla/internal/pts"
+	"cla/internal/srchash"
 )
 
 // Options configures Open.
@@ -243,19 +246,12 @@ func decode(data []byte, mapped bool) (*Reader, error) {
 	}
 	r.report, r.audit = blob.Report, blob.Audit
 
-	d := &decoder{strings: secs[secStrings]}
-	prog := &prim.Program{}
-	var err error
-	if prog.Syms, err = d.symbols(secs[secSymbols]); err != nil {
-		return nil, err
-	}
-	if prog.Assigns, err = d.assigns(secs[secAssigns], len(prog.Syms)); err != nil {
-		return nil, err
-	}
-	if prog.Funcs, err = d.funcs(secs[secFuncs], len(prog.Syms)); err != nil {
-		return nil, err
-	}
-	if prog.Calls, err = d.calls(secs[secCalls], len(prog.Syms)); err != nil {
+	prog, err := decodeProgram(&secs)
+	if err != nil {
+		var ce *objfile.CorruptError
+		if errors.As(err, &ce) {
+			err = corrupt("%s", ce.Detail)
+		}
 		return nil, err
 	}
 	r.prog = prog
@@ -340,7 +336,7 @@ func decodeResult(idxSec, setSec, elemSec []byte, numSyms int, wantDigest uint64
 		res.length[i] = length
 	}
 
-	digest := fnvOffset
+	digest := srchash.Offset()
 	for i := 0; i < numSyms; i++ {
 		id := ptsIdx[i]
 		if id == noSet {
@@ -349,10 +345,10 @@ func decodeResult(idxSec, setSec, elemSec []byte, numSyms int, wantDigest uint64
 		if int(id) >= nSets {
 			return nil, false, corrupt("symbol %d references set %d of %d", i, id, nSets)
 		}
-		digest = fnv1aU32(digest, uint32(i))
-		digest = fnv1aU32(digest, res.length[id])
+		digest = srchash.FoldU32(digest, uint32(i))
+		digest = srchash.FoldU32(digest, res.length[id])
 		for _, e := range res.elems[res.start[id] : res.start[id]+res.length[id]] {
-			digest = fnv1aU32(digest, uint32(e))
+			digest = srchash.FoldU32(digest, uint32(e))
 		}
 	}
 	if digest != wantDigest {
@@ -361,87 +357,30 @@ func decodeResult(idxSec, setSec, elemSec []byte, numSyms int, wantDigest uint64
 	return res, zero, nil
 }
 
-// decoder decodes the program sections against the resident string pool.
-type decoder struct {
-	strings []byte
+// decodeProgram decodes the program sections: the object format's
+// string pool and symbol, function and call records, and the snapshot's
+// own program-order assignments. objfile's decoders fail with an
+// *objfile.CorruptError, which decode re-reports as a corrupt snapshot.
+func decodeProgram(secs *[numSections][]byte) (*prim.Program, error) {
+	strs := objfile.Strings(secs[secStrings])
+	syms, err := objfile.DecodeSymbols(secs[secSymbols], strs)
+	if err != nil {
+		return nil, err
+	}
+	p := &prim.Program{Syms: syms}
+	if p.Assigns, err = decodeAssigns(secs[secAssigns], strs, len(syms)); err != nil {
+		return nil, err
+	}
+	if p.Funcs, err = objfile.DecodeFuncs(secs[secFuncs], len(syms)); err != nil {
+		return nil, err
+	}
+	if p.Calls, err = objfile.DecodeCalls(secs[secCalls], strs, len(syms)); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
-// str decodes a string-pool reference.
-func (d *decoder) str(off uint32) (string, error) {
-	if int64(off)+4 > int64(len(d.strings)) {
-		return "", corrupt("string offset %d out of range", off)
-	}
-	n := le.Uint32(d.strings[off:])
-	end := int64(off) + 4 + int64(n)
-	if end > int64(len(d.strings)) {
-		return "", corrupt("string at %d overruns pool", off)
-	}
-	return string(d.strings[off+4 : end]), nil
-}
-
-func decodeSymID(v uint32) prim.SymID {
-	if v == 0xffffffff {
-		return prim.NoSym
-	}
-	return prim.SymID(v)
-}
-
-// checkSym validates a symbol reference against the table size.
-func checkSym(id prim.SymID, numSyms int) error {
-	if id == prim.NoSym {
-		return nil
-	}
-	if int(id) < 0 || int(id) >= numSyms {
-		return corrupt("symbol id %d out of range", id)
-	}
-	return nil
-}
-
-func (d *decoder) symbols(b []byte) ([]prim.Symbol, error) {
-	if len(b) < 4 {
-		return nil, corrupt("symbol section too small")
-	}
-	n := int(le.Uint32(b))
-	if n < 0 || n > len(b) || len(b) != 4+n*symRecSize {
-		return nil, corrupt("symbol section size mismatch (%d symbols, %d bytes)", n, len(b))
-	}
-	syms := make([]prim.Symbol, n)
-	for i := 0; i < n; i++ {
-		rec := b[4+i*symRecSize:]
-		name, err := d.str(le.Uint32(rec))
-		if err != nil {
-			return nil, err
-		}
-		typ, err := d.str(le.Uint32(rec[4:]))
-		if err != nil {
-			return nil, err
-		}
-		file, err := d.str(le.Uint32(rec[8:]))
-		if err != nil {
-			return nil, err
-		}
-		funcName, err := d.str(le.Uint32(rec[12:]))
-		if err != nil {
-			return nil, err
-		}
-		kind := prim.SymKind(rec[20])
-		if int(kind) >= prim.NumSymKinds {
-			return nil, corrupt("symbol %d has bad kind %d", i, kind)
-		}
-		flags := rec[21]
-		syms[i] = prim.Symbol{
-			Name: name, Type: typ, FuncName: funcName,
-			Loc:      prim.Loc{File: file, Line: int32(le.Uint32(rec[16:]))},
-			Kind:     kind,
-			FuncPtr:  flags&flagFuncPtr != 0,
-			Internal: flags&flagInternal != 0,
-			Defined:  flags&flagDefined != 0,
-		}
-	}
-	return syms, nil
-}
-
-func (d *decoder) assigns(b []byte, numSyms int) ([]prim.Assign, error) {
+func decodeAssigns(b []byte, strs objfile.Strings, numSyms int) ([]prim.Assign, error) {
 	if len(b) < 4 {
 		return nil, corrupt("assign section too small")
 	}
@@ -453,8 +392,8 @@ func (d *decoder) assigns(b []byte, numSyms int) ([]prim.Assign, error) {
 	for i := 0; i < n; i++ {
 		rec := b[4+i*asgRecSize:]
 		a := prim.Assign{
-			Dst:      decodeSymID(le.Uint32(rec)),
-			Src:      decodeSymID(le.Uint32(rec[4:])),
+			Dst:      objfile.DecodeSymID(le.Uint32(rec)),
+			Src:      objfile.DecodeSymID(le.Uint32(rec[4:])),
 			Kind:     prim.Kind(rec[20]),
 			Op:       prim.Op(rec[21]),
 			Strength: prim.Strength(rec[22]),
@@ -462,100 +401,21 @@ func (d *decoder) assigns(b []byte, numSyms int) ([]prim.Assign, error) {
 		if !a.Kind.Valid() {
 			return nil, corrupt("assign %d has bad kind %d", i, a.Kind)
 		}
-		if err := checkSym(a.Dst, numSyms); err != nil {
+		if err := objfile.CheckSym(a.Dst, numSyms); err != nil {
 			return nil, err
 		}
-		if err := checkSym(a.Src, numSyms); err != nil {
+		if err := objfile.CheckSym(a.Src, numSyms); err != nil {
 			return nil, err
 		}
-		file, err := d.str(le.Uint32(rec[8:]))
+		file, err := strs.Str(le.Uint32(rec[8:]))
 		if err != nil {
 			return nil, err
 		}
-		fn, err := d.str(le.Uint32(rec[16:]))
-		if err != nil {
+		if a.Func, err = strs.Str(le.Uint32(rec[16:])); err != nil {
 			return nil, err
 		}
 		a.Loc = prim.Loc{File: file, Line: int32(le.Uint32(rec[12:]))}
-		a.Func = fn
 		out[i] = a
-	}
-	return out, nil
-}
-
-func (d *decoder) funcs(b []byte, numSyms int) ([]prim.FuncRecord, error) {
-	if len(b) < 4 {
-		return nil, corrupt("func section too small")
-	}
-	n := int(le.Uint32(b))
-	if n < 0 || n > len(b) {
-		return nil, corrupt("func count %d out of range", n)
-	}
-	p := 4
-	out := make([]prim.FuncRecord, 0, min(n, 1024))
-	for i := 0; i < n; i++ {
-		if p+16 > len(b) {
-			return nil, corrupt("func record %d truncated", i)
-		}
-		rec := prim.FuncRecord{
-			Func:     decodeSymID(le.Uint32(b[p:])),
-			Ret:      decodeSymID(le.Uint32(b[p+4:])),
-			Variadic: b[p+8] != 0,
-		}
-		np := int(le.Uint32(b[p+12:]))
-		p += 16
-		if np < 0 || np > len(b) || p+np*4 > len(b) {
-			return nil, corrupt("func record %d params truncated", i)
-		}
-		for j := 0; j < np; j++ {
-			id := decodeSymID(le.Uint32(b[p+j*4:]))
-			if err := checkSym(id, numSyms); err != nil {
-				return nil, err
-			}
-			rec.Params = append(rec.Params, id)
-		}
-		p += np * 4
-		if err := checkSym(rec.Func, numSyms); err != nil {
-			return nil, err
-		}
-		if err := checkSym(rec.Ret, numSyms); err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-func (d *decoder) calls(b []byte, numSyms int) ([]prim.CallSite, error) {
-	if len(b) < 4 {
-		return nil, corrupt("call section too small")
-	}
-	n := int(le.Uint32(b))
-	if n < 0 || n > len(b) || len(b) != 4+n*callRecSize {
-		return nil, corrupt("call section size mismatch")
-	}
-	out := make([]prim.CallSite, n)
-	for i := 0; i < n; i++ {
-		rec := b[4+i*callRecSize:]
-		c := prim.CallSite{
-			Callee:   decodeSymID(le.Uint32(rec)),
-			Indirect: rec[20] != 0,
-			Args:     int(le.Uint32(rec[16:])),
-		}
-		if err := checkSym(c.Callee, numSyms); err != nil {
-			return nil, err
-		}
-		file, err := d.str(le.Uint32(rec[4:]))
-		if err != nil {
-			return nil, err
-		}
-		caller, err := d.str(le.Uint32(rec[12:]))
-		if err != nil {
-			return nil, err
-		}
-		c.Loc = prim.Loc{File: file, Line: int32(le.Uint32(rec[8:]))}
-		c.Caller = caller
-		out[i] = c
 	}
 	return out, nil
 }

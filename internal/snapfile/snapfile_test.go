@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cla/internal/checks"
@@ -14,8 +15,10 @@ import (
 	"cla/internal/core"
 	"cla/internal/driver"
 	"cla/internal/frontend"
+	"cla/internal/objfile"
 	"cla/internal/prim"
 	"cla/internal/pts"
+	"cla/internal/srchash"
 )
 
 const testSrc = `
@@ -240,6 +243,22 @@ func TestCorruption(t *testing.T) {
 	}
 }
 
+// TestSharedRecordErrorsAreSnapshotErrors: a record the object format's
+// codec rejects is reported as a corrupt snapshot, not a corrupt
+// database.
+func TestSharedRecordErrorsAreSnapshotErrors(t *testing.T) {
+	s := build(t, driver.PreTransitive, 1)
+	s.Prog.Funcs[0].Ret = 999
+	var buf bytes.Buffer
+	if err := Write(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenBytes(buf.Bytes())
+	if err == nil || !strings.HasPrefix(err.Error(), "snapfile: corrupt snapshot: symbol id 999") {
+		t.Fatalf("bad ret id: err = %v, want a corrupt snapshot error", err)
+	}
+}
+
 func TestVersionRejected(t *testing.T) {
 	s := build(t, driver.PreTransitive, 1)
 	var buf bytes.Buffer
@@ -250,5 +269,54 @@ func TestVersionRejected(t *testing.T) {
 	le.PutUint32(b[4:], Version+1)
 	if _, err := OpenBytes(b); err == nil {
 		t.Fatal("future version accepted")
+	}
+}
+
+// zeroMetrics hides a result's solver counters, which describe how a
+// solve ran rather than what it found.
+type zeroMetrics struct{ pts.Result }
+
+func (zeroMetrics) Metrics() pts.Metrics { return pts.Metrics{} }
+
+// TestFormatGolden pins the bytes both writers produce for one fixed
+// program: the funcpointers example unit compiled with default options,
+// written as a .clo and, solved, as a .snap with zeroed solver counters
+// and no report. A change to either format, or to the order either
+// writer adds strings to its pool, changes a digest, and so does a
+// change to how the frontend lowers this unit: update the value here
+// only for a deliberate change, bumping the format's Version when
+// readers of the old files would misread the new ones.
+func TestFormatGolden(t *testing.T) {
+	src, err := os.ReadFile("../../examples/funcpointers/testdata/dispatch.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := frontend.CompileSource("dispatch.c", string(src), nil, frontend.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clo bytes.Buffer
+	if err := objfile.Write(&clo, prog); err != nil {
+		t.Fatal(err)
+	}
+	res, err := driver.Analyze(context.Background(), pts.NewMemSource(prog), driver.PreTransitive, core.DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := Write(&snap, &Snapshot{Prog: prog, Res: zeroMetrics{res}, Solver: "pre-transitive"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		b    []byte
+		want string
+	}{
+		{".clo", clo.Bytes(), "68db5ac7f8a5fb42"},
+		{".snap", snap.Bytes(), "66efc8d661343a1e"},
+	} {
+		if got := srchash.Bytes(c.b); got != c.want {
+			t.Errorf("%s digest %s (%d bytes), want %s", c.name, got, len(c.b), c.want)
+		}
 	}
 }
