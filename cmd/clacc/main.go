@@ -127,7 +127,7 @@ func main() {
 		merged := progs[0]
 		if len(progs) > 1 {
 			var err error
-			merged, err = linker.LinkTraced(progs, o)
+			merged, _, err = linker.LinkTraced(progs, o)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "clacc: %v\n", err)
 				os.Exit(1)

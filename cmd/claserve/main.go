@@ -36,6 +36,10 @@
 //
 // SIGINT or SIGTERM drains gracefully: health flips to 503, in-flight
 // requests finish (up to -grace), then the process exits 0.
+//
+// A refresh, watch refresh or query that panics fails alone: the client
+// gets the error message, the previous generation keeps serving, and the
+// panic's stack goes to stderr once, as a JSON line with "event":"panic".
 package main
 
 import (
@@ -144,7 +148,7 @@ func run(args []string, listen, unixSock, name, includes, solverName, extModel, 
 		incDirs = strings.Split(includes, ",")
 	}
 	cfg := serve.Config{Solver: solver, ExtModel: model, Jobs: jobs, Includes: incDirs,
-		CacheDir: wopts.cacheDir, Obs: o, SkipVerify: noVerify}
+		CacheDir: wopts.cacheDir, Obs: o, SkipVerify: noVerify, ErrorLog: obs.NewLogger(os.Stderr)}
 	reg := serve.NewRegistry()
 	// Preloaded snapshots open (and prefault) before anything else so
 	// READY means every -preload session answers at page-cache speed.

@@ -154,39 +154,10 @@ func Solve(src pts.Source, cfg Config) (*Result, error) {
 // within a pass, so a long solve aborts promptly with ctx.Err(). The
 // background context costs one nil check per boundary.
 func SolveCtx(ctx context.Context, src pts.Source, cfg Config) (*Result, error) {
-	if cfg.MaxPasses == 0 {
-		cfg.MaxPasses = 1 << 20
-	}
-	s := &Solver{
-		src:       src,
-		cfg:       cfg,
-		numSyms:   int32(src.NumSyms()),
-		recOfFunc: map[int32]int{},
-		arena:     set.NewArena(),
-		table:     set.NewTable(),
-	}
-	s.nodes = make([]node, s.numSyms)
-	for i := range s.nodes {
-		s.nodes[i].skip = -1
-		s.nodes[i].deref = -1
-	}
-	s.loadedBlk = make([]bool, s.numSyms)
+	s := newSolver(src, cfg)
 	for i := int32(0); i < s.numSyms; i++ {
 		if src.BlockLen(prim.SymID(i)) > 0 {
 			s.nodes[i].unloaded = append(s.nodes[i].unloaded, i)
-		}
-	}
-
-	// Function records.
-	s.recs = src.Funcs()
-	for ri := range s.recs {
-		fn := int32(s.recs[ri].Func)
-		sym := src.Sym(s.recs[ri].Func)
-		if sym.Kind == prim.SymFunc {
-			s.recOfFunc[fn] = ri
-		}
-		if sym.FuncPtr {
-			s.ptrRecs = append(s.ptrRecs, ri)
 		}
 	}
 
@@ -207,6 +178,45 @@ func SolveCtx(ctx context.Context, src pts.Source, cfg Config) (*Result, error) 
 			}
 		}
 	}
+	return s.run(ctx)
+}
+
+// newSolver allocates one singleton node per symbol and indexes the
+// function records; no assignment is loaded yet.
+func newSolver(src pts.Source, cfg Config) *Solver {
+	if cfg.MaxPasses == 0 {
+		cfg.MaxPasses = 1 << 20
+	}
+	s := &Solver{
+		src:       src,
+		cfg:       cfg,
+		numSyms:   int32(src.NumSyms()),
+		recOfFunc: map[int32]int{},
+		arena:     set.NewArena(),
+		table:     set.NewTable(),
+	}
+	s.nodes = make([]node, s.numSyms)
+	for i := range s.nodes {
+		s.nodes[i].skip = -1
+		s.nodes[i].deref = -1
+	}
+	s.loadedBlk = make([]bool, s.numSyms)
+	s.recs = src.Funcs()
+	for ri := range s.recs {
+		fn := int32(s.recs[ri].Func)
+		sym := src.Sym(s.recs[ri].Func)
+		if sym.Kind == prim.SymFunc {
+			s.recOfFunc[fn] = ri
+		}
+		if sym.FuncPtr {
+			s.ptrRecs = append(s.ptrRecs, ri)
+		}
+	}
+	return s
+}
+
+// run iterates the seeded graph to the least fixpoint and freezes it.
+func (s *Solver) run(ctx context.Context) (*Result, error) {
 	if err := s.drainLoads(); err != nil {
 		return nil, err
 	}
@@ -215,7 +225,8 @@ func SolveCtx(ctx context.Context, src pts.Source, cfg Config) (*Result, error) 
 	// as barrier-synchronized waves over the condensation DAG (see
 	// wave.go); both paths reach the same unique least fixpoint, so the
 	// points-to relation is byte-identical either way.
-	if cfg.Jobs >= 2 {
+	var err error
+	if s.cfg.Jobs >= 2 {
 		err = s.solveWaves(ctx)
 	} else {
 		err = s.solveSeq(ctx)
@@ -234,7 +245,7 @@ func SolveCtx(ctx context.Context, src pts.Source, cfg Config) (*Result, error) 
 	}
 	s.releaseScratch()
 	s.m.InCore = len(s.complex)
-	s.m.InFile = pts.TotalAssigns(src)
+	s.m.InFile = pts.TotalAssigns(s.src)
 	res := &Result{s: s}
 	if err := res.fillMetrics(); err != nil {
 		return nil, err

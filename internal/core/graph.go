@@ -125,9 +125,8 @@ func (s *Solver) drainLoads() error {
 }
 
 // loadBlock reads the assignments whose source is sym and converts them to
-// graph state: simple assignments become edges (and are discarded);
-// complex assignments are retained in core. *x = *y is split through a
-// fresh auxiliary node t: t = *y; *x = t.
+// graph state (apply): simple assignments become edges (and are
+// discarded); complex assignments are retained in core.
 func (s *Solver) loadBlock(sym int32) error {
 	if sym < 0 || sym >= s.numSyms || s.loadedBlk[sym] {
 		return nil
@@ -143,29 +142,36 @@ func (s *Solver) loadBlock(sym int32) error {
 	s.m.Loaded += len(entries)
 	s.changed = true
 	for _, a := range entries {
-		d := int32(a.Dst)
-		src := int32(a.Src)
-		switch a.Kind {
-		case prim.Simple:
-			// d = sym: edge n(d) → n(sym); d becomes relevant via the
-			// edge rule because sym is relevant.
-			s.addEdge(d, src)
-		case prim.StoreInd: // *d = sym
-			s.complex = append(s.complex, complexAssign{kind: ckStore, x: d, y: src})
-		case prim.LoadInd: // d = *sym
-			s.complex = append(s.complex, complexAssign{kind: ckLoad, x: d, y: src})
-		case prim.CopyInd: // *d = *sym → t = *sym; *d = t
-			t := s.newNode()
-			s.complex = append(s.complex,
-				complexAssign{kind: ckLoad, x: t, y: src},
-				complexAssign{kind: ckStore, x: d, y: t})
-		case prim.Base:
-			// Base assignments live in the static section; one appearing
-			// in a block indicates database corruption.
-			s.addBase(d, a.Src)
-		}
+		s.apply(a)
 	}
 	return nil
+}
+
+// apply converts one assignment to graph state: a simple assignment
+// becomes an edge, a complex one is retained in core. *x = *y is split
+// through a fresh auxiliary node t: t = *y; *x = t.
+func (s *Solver) apply(a prim.Assign) {
+	d := int32(a.Dst)
+	src := int32(a.Src)
+	switch a.Kind {
+	case prim.Simple:
+		// d = src: edge n(d) → n(src); d becomes relevant via the edge
+		// rule because src is relevant.
+		s.addEdge(d, src)
+	case prim.StoreInd: // *d = src
+		s.complex = append(s.complex, complexAssign{kind: ckStore, x: d, y: src})
+	case prim.LoadInd: // d = *src
+		s.complex = append(s.complex, complexAssign{kind: ckLoad, x: d, y: src})
+	case prim.CopyInd: // *d = *src → t = *src; *d = t
+		t := s.newNode()
+		s.complex = append(s.complex,
+			complexAssign{kind: ckLoad, x: t, y: src},
+			complexAssign{kind: ckStore, x: d, y: t})
+	case prim.Base:
+		// Base assignments live in the static section; one appearing in
+		// a block indicates database corruption.
+		s.addBase(d, a.Src)
+	}
 }
 
 // unify merges node a into node b (the paper's unifyNode with skip

@@ -114,6 +114,21 @@ func TestSelfReferentialStruct(t *testing.T) {
 	}
 }
 
+// TestStructContainingItself: a struct with a field of its own type by
+// value is ill-formed C, but checking it must terminate, with the inner
+// occurrence sized as incomplete. It once overflowed the stack
+// (FuzzCompile corpus: d27a1920bd304aad).
+func TestStructContainingItself(t *testing.T) {
+	ck := check(t, "struct s { int a; struct s x; struct s y[2]; } v;\nint n = sizeof(struct s);")
+	v := objByName(ck, "v")
+	if got := Sizeof(v.Type); got != 4 {
+		t.Errorf("sizeof(struct s) = %d, want 4 (the int; the inner struct s counts as incomplete)", got)
+	}
+	if got := Alignof(v.Type); got != 4 {
+		t.Errorf("alignof(struct s) = %d, want 4", got)
+	}
+}
+
 func TestStructAndUnionTagNamespaces(t *testing.T) {
 	ck := check(t, `
 struct T { int a; };

@@ -12,6 +12,7 @@ package ctypes
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"cla/internal/cc"
@@ -202,8 +203,13 @@ func (t *Type) String() string {
 }
 
 // Sizeof computes the size of t with natural alignment, 8-byte pointers.
-// Incomplete types yield 0.
-func Sizeof(t *Type) int {
+// Incomplete types yield 0, and so does a struct within itself: a struct
+// that contains itself by value is ill-formed C, and sizing it must
+// still terminate.
+func Sizeof(t *Type) int { return sizeOf(t, nil) }
+
+// sizeOf is Sizeof with open holding the structs being sized.
+func sizeOf(t *Type, open []*StructInfo) int {
 	if t == nil {
 		return 0
 	}
@@ -216,15 +222,16 @@ func Sizeof(t *Type) int {
 		if t.Len < 0 {
 			return 0
 		}
-		return int(t.Len) * Sizeof(t.Elem)
+		return int(t.Len) * sizeOf(t.Elem, open)
 	case KStruct:
-		if t.Info == nil || !t.Info.Complete {
+		if t.Info == nil || !t.Info.Complete || slices.Contains(open, t.Info) {
 			return 0
 		}
+		open = append(open, t.Info)
 		size, align := 0, 1
 		for i := range t.Info.Fields {
-			fs := Sizeof(t.Info.Fields[i].Type)
-			fa := Alignof(t.Info.Fields[i].Type)
+			fs := sizeOf(t.Info.Fields[i].Type, open)
+			fa := alignOf(t.Info.Fields[i].Type, open)
 			if fa > align {
 				align = fa
 			}
@@ -241,8 +248,12 @@ func Sizeof(t *Type) int {
 	return 0
 }
 
-// Alignof computes natural alignment of t.
-func Alignof(t *Type) int {
+// Alignof computes natural alignment of t; a struct within itself (see
+// Sizeof) aligns to 1.
+func Alignof(t *Type) int { return alignOf(t, nil) }
+
+// alignOf is Alignof with open holding the structs being aligned.
+func alignOf(t *Type, open []*StructInfo) int {
 	if t == nil {
 		return 1
 	}
@@ -256,14 +267,15 @@ func Alignof(t *Type) int {
 		}
 		return 1
 	case KArray:
-		return Alignof(t.Elem)
+		return alignOf(t.Elem, open)
 	case KStruct:
-		if t.Info == nil {
+		if t.Info == nil || slices.Contains(open, t.Info) {
 			return 1
 		}
+		open = append(open, t.Info)
 		a := 1
 		for i := range t.Info.Fields {
-			if fa := Alignof(t.Info.Fields[i].Type); fa > a {
+			if fa := alignOf(t.Info.Fields[i].Type, open); fa > a {
 				a = fa
 			}
 		}

@@ -6,6 +6,7 @@ package driver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 
@@ -108,7 +109,8 @@ func Compile(ctx context.Context, units []string, loader cpp.Loader, opts fronte
 	if err != nil {
 		return nil, err
 	}
-	return linker.LinkTraced(progs, o)
+	prog, _, err := linker.LinkTraced(progs, o)
+	return prog, err
 }
 
 // Analyze runs the selected solver over src. cfg applies to the
@@ -128,12 +130,34 @@ func Compile(ctx context.Context, units []string, loader cpp.Loader, opts fronte
 // solve into the analyze.heap_peak_bytes gauge (the paper's Table 2
 // memory column). The nil observer costs nothing.
 func Analyze(ctx context.Context, src pts.Source, solver Solver, cfg core.Config, o *obs.Observer) (pts.Result, error) {
+	return observe(ctx, o, func() (pts.Result, error) { return solve(ctx, src, solver, cfg) })
+}
+
+// AnalyzeFrom is Analyze for the pre-transitive solver, warm-started from
+// the previous generation prev through ed (core.SolveFrom). When prev
+// cannot seed src it solves from scratch, inside the same span; warm
+// reports which of the two ran.
+func AnalyzeFrom(ctx context.Context, src pts.Source, cfg core.Config, prev *core.Result, ed core.Edit, o *obs.Observer) (res pts.Result, warm bool, err error) {
+	res, err = observe(ctx, o, func() (pts.Result, error) {
+		r, err := core.SolveFrom(ctx, src, cfg, prev, ed)
+		if errors.Is(err, core.ErrNoWarmStart) {
+			return core.SolveCtx(ctx, src, cfg)
+		}
+		warm = err == nil
+		return r, err
+	})
+	return res, warm, err
+}
+
+// observe runs one solve inside the "analyze" span and heap watcher and
+// publishes its metrics.
+func observe(ctx context.Context, o *obs.Observer, solve func() (pts.Result, error)) (pts.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	sp := o.Start("analyze")
 	stopHeap := obs.WatchHeap(o.Gauge("analyze.heap_peak_bytes"), 0)
-	res, err := solve(ctx, src, solver, cfg)
+	res, err := solve()
 	stopHeap()
 	sp.End()
 	if err != nil {

@@ -15,16 +15,36 @@ import (
 
 // fuzzFile is one workspace file as the fuzzer edits it: a prefix of
 // blank lines (shifts every line below), the original text, the facts
-// added so far and a run of comments appended without a newline (shifts
-// no line).
+// added so far, the unit's store fact and a run of comments appended
+// without a newline (shifts no line).
 type fuzzFile struct {
 	prefix, base string
 	facts        []string
+	store        string
 	comments     string
 }
 
 func (f *fuzzFile) render() string {
-	return f.prefix + f.base + strings.Join(f.facts, "") + f.comments
+	return f.prefix + f.base + strings.Join(f.facts, "") + f.store + f.comments
+}
+
+// fuzzFact is the k-th fact the fuzzer adds. Even facts have the edit
+// loop's shape, a global and a pointer to it; odd ones add a function
+// that links through fz_shared.
+func fuzzFact(k int) string {
+	if k%2 == 0 {
+		return fmt.Sprintf("int fz_g%[1]d;\nint *fz_p%[1]d = &fz_g%[1]d;\n", k)
+	}
+	return fmt.Sprintf("extern int *fz_shared;\nint fz_g%[1]d, *fz_p%[1]d;\nvoid fz_f%[1]d(void) { fz_p%[1]d = &fz_g%[1]d; fz_shared = fz_p%[1]d; }\n", k)
+}
+
+// fuzzStore is the k-th store fact of unit u: a new pointer to the kept
+// object fz_kept, and a store through it, in a function whose name is
+// fixed per unit. Replacing it drops a store, so the next solve cannot
+// start warm.
+func fuzzStore(u string, k int) string {
+	return fmt.Sprintf("extern int *fz_kept;\nint fz_o%[1]d, **fz_q%[1]d = &fz_kept;\nvoid fz_st_%[2]s(void) { *fz_q%[1]d = &fz_o%[1]d; }\n",
+		k, strings.TrimSuffix(u, ".c"))
 }
 
 // analysisBytes renders everything a generation answers with: its
@@ -43,14 +63,17 @@ func analysisBytes(t *testing.T, r *Result) string {
 }
 
 // FuzzIncrEdits applies a random sequence of edits to a small workspace
-// — add a fact, delete a fact, add a comment, shift lines, edit the
-// shared header — and after each Update requires the incremental
-// generation to answer byte-equal to a scratch Open of the same tree.
-// It is the gate for every change to what the pipeline reuses. The
-// first byte picks the solver and whether the session runs over a unit
-// store; a stored session starts from a reopen, so every unit it edits
-// from was decoded from the store, while the scratch Open always
-// compiles.
+// — add a fact, delete or replace the newest fact, set a unit's store
+// fact, add a comment, shift lines, edit the shared header — and after
+// each Update requires the incremental generation to answer byte-equal
+// to a scratch Open of the same tree. It is the gate for every change to
+// what the pipeline reuses, the warm start included: additions and the
+// edit loop's replace solve warm, while a dropped store or function
+// record, or a solver other than pre-transitive, falls back to scratch.
+// The first byte picks the solver, whether the session runs over a unit
+// store, and the worker count; a stored session starts from a reopen, so
+// every unit it edits from was decoded from the store, while the scratch
+// Open always compiles.
 func FuzzIncrEdits(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 3, 4})
 	f.Add([]byte{1, 5, 2, 7, 12, 1, 6})
@@ -59,6 +82,16 @@ func FuzzIncrEdits(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 0, 1, 2, 2, 4, 4})
 	f.Add([]byte{5, 0, 1, 2, 3, 0, 1})
 	f.Add([]byte{8, 5, 6, 4, 9, 2, 14})
+	// Warm: the edit loop's add-then-replace, at -j 1, 2 and 8.
+	f.Add([]byte{0, 0, 5, 5, 5})
+	f.Add([]byte{10, 7, 12, 12})
+	f.Add([]byte{20, 14, 19, 1})
+	// Fallbacks: a replaced store fact drops a store; a replaced or
+	// deleted function fact drops a function record; the worklist solver
+	// never starts warm.
+	f.Add([]byte{10, 6, 6, 13})
+	f.Add([]byte{0, 2, 7, 12, 8})
+	f.Add([]byte{1, 0, 5, 5, 6, 6})
 	solvers := []driver.Solver{
 		driver.PreTransitive, driver.Worklist, driver.Steensgaard,
 		driver.BitVector, driver.OneLevel,
@@ -68,14 +101,20 @@ func FuzzIncrEdits(f *testing.F) {
 			t.Skip()
 		}
 		dir := t.TempDir()
-		writeTree(t, dir, baseTree)
 		files := map[string]*fuzzFile{}
 		for name, content := range baseTree {
 			files[name] = &fuzzFile{base: content}
 		}
+		files["main.c"].base += "int *fz_kept;\n"
+		for name, ff := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(ff.render()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 		units := []string{"count.c", "list.c", "main.c", "table.c"}
 		cfg := testConfig(dir)
 		cfg.Solver = solvers[int(data[0])%len(solvers)]
+		cfg.Jobs = []int{1, 2, 8}[int(data[0])/10%3]
 		stored := cfg
 		if data[0]/5%2 == 1 {
 			stored.CacheDir = t.TempDir()
@@ -88,12 +127,11 @@ func FuzzIncrEdits(f *testing.F) {
 			t.Fatal(err)
 		}
 		for k, b := range data[1:] {
-			name := units[int(b/5)%len(units)]
+			name := units[int(b/7)%len(units)]
 			ff := files[name]
-			switch b % 5 {
-			case 0: // add a fact, linked across units through fz_shared
-				ff.facts = append(ff.facts, fmt.Sprintf(
-					"extern int *fz_shared;\nint fz_g%[1]d, *fz_p%[1]d;\nvoid fz_f%[1]d(void) { fz_p%[1]d = &fz_g%[1]d; fz_shared = fz_p%[1]d; }\n", k))
+			switch b % 7 {
+			case 0: // add a fact
+				ff.facts = append(ff.facts, fuzzFact(k))
 			case 1: // delete the newest fact, if any
 				if len(ff.facts) > 0 {
 					ff.facts = ff.facts[:len(ff.facts)-1]
@@ -109,6 +147,14 @@ func FuzzIncrEdits(f *testing.F) {
 				} else {
 					ff.facts = append(ff.facts, fmt.Sprintf("static struct node **fz_h%d = &head;\n", k))
 				}
+			case 5: // replace the newest fact with one of its shape under fresh names
+				if n := len(ff.facts); n > 0 {
+					ff.facts[n-1] = fuzzFact(2*len(data) + k*2 + strings.Count(ff.facts[n-1], "fz_f"))
+				} else {
+					ff.facts = append(ff.facts, fuzzFact(2*len(data)+k*2))
+				}
+			case 6: // store through a new pointer into the kept fz_kept
+				ff.store = fuzzStore(name, k)
 			}
 			path := filepath.Join(dir, name)
 			if err := os.WriteFile(path, []byte(ff.render()), 0o644); err != nil {

@@ -29,7 +29,11 @@
 //     therefore costs one unit compile.
 //
 // Any other change relinks every unit with the one sequential fold
-// (linker.LinkTraced) and solves again.
+// (linker.LinkTraced) and solves again. A pre-transitive solve under the
+// Unsound model starts from the current generation's converged graph
+// when the edit only adds, or drops only facts that nothing kept can
+// see (warmEdit, core.SolveFrom); otherwise it starts from nothing.
+// Either way it reaches the same least fixpoint.
 //
 // Each successful refresh that changes the analysis yields a new
 // *Result — an immutable generation snapshot. Queries in flight against
@@ -122,6 +126,12 @@ type RefreshStats struct {
 	// SolveReused reports that the fixpoint was reused byte-for-byte
 	// because the solve digest did not change.
 	SolveReused bool
+	// SolveWarm reports that the new fixpoint was solved starting from
+	// the previous generation's graph (core.SolveFrom) rather than from
+	// nothing. Its points-to sets, PointerVars and Relations equal a
+	// scratch solve's, and so do its cache counts at Jobs >= 2; its
+	// Passes, EdgesAdded and Loaded describe the warm solve.
+	SolveWarm bool
 	// Changed reports that the refresh produced a new generation.
 	Changed bool
 	// Phase wall-clock split.
@@ -170,6 +180,7 @@ type Pipeline struct {
 	units  map[string]*unit
 	stamps map[string]stamp
 	cur    *Result
+	link   linkState // what cur's link folded
 }
 
 // Open builds the first generation: a full compile, link and solve of
@@ -199,7 +210,8 @@ func CompileDir(ctx context.Context, cfg Config) (*prim.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.linkPhase(units)
+	prog, _, err := p.linkPhase(units)
+	return prog, err
 }
 
 func newPipeline(cfg Config) (*Pipeline, error) {
@@ -493,13 +505,18 @@ func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*
 	return units, st, nil
 }
 
-// linkPhase links the units' programs in unit order.
-func (p *Pipeline) linkPhase(units []*unit) (*prim.Program, error) {
+// linkFn is the link step, a variable so tests can make it fail in ways
+// real units cannot.
+var linkFn = linker.LinkTraced
+
+// linkPhase links the units' programs in unit order, returning the
+// fold's per-unit remap tables too.
+func (p *Pipeline) linkPhase(units []*unit) (*prim.Program, [][]prim.SymID, error) {
 	progs := make([]*prim.Program, len(units))
 	for i, u := range units {
 		progs[i] = u.prog
 	}
-	return linker.LinkTraced(progs, p.cfg.Obs)
+	return linkFn(progs, p.cfg.Obs)
 }
 
 // solveDigest identifies one solved configuration: the unit programs'
@@ -532,52 +549,33 @@ func (p *Pipeline) solveDigest(units []*unit) uint64 {
 
 // refresh runs one incremental build cycle and commits it atomically:
 // on any error the pipeline keeps serving the previous generation
-// untouched (a syntax error mid-edit must not take the session down).
+// untouched (a syntax error mid-edit must not take the session down). A
+// panic in the build — in a pool task or in the link, symbol map, warm
+// seeding or extern model that run on this goroutine — fails the
+// refresh as a *parallel.PanicError carrying its stack.
 func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result, RefreshStats, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	start := time.Now()
 	o := p.cfg.Obs
 
-	units, st, err := p.compilePhase(ctx, hints)
+	var (
+		b  built
+		st RefreshStats
+	)
+	err := parallel.Contain(func() (err error) {
+		b, st, err = p.build(ctx, hints)
+		return err
+	})
 	if err != nil {
 		return nil, st, err
 	}
-
-	digest := p.solveDigest(units)
-	var res *Result
-	if p.cur != nil && p.cur.Digest == digest {
-		// Every unit compiled to the program it had: keep the current
-		// generation, with no link, extern-model clone or solve.
-		st.SolveReused = true
-		res = p.cur
-	} else {
-		linkStart := time.Now()
-		linked, err := p.linkPhase(units)
-		if err != nil {
-			return nil, st, err
-		}
-		st.Link = time.Since(linkStart)
-
-		solveStart := time.Now()
-		aprog := linked
-		if p.cfg.Model != extmodel.Unsound {
-			aprog, _ = extmodel.ApplyClone(linked, p.cfg.Model)
-		}
-		src := pts.NewMemSource(aprog)
-		cfg := p.cfg.Core
-		cfg.Jobs = p.cfg.Jobs
-		r, err := driver.Analyze(ctx, src, p.cfg.Solver, cfg, o)
-		if err != nil {
-			return nil, st, err
-		}
+	res := p.cur
+	if b.res != nil {
 		p.gen++
-		st.Changed = true
-		res = &Result{
-			Gen: p.gen, Prog: aprog, Linked: linked, Src: src, Res: r,
-			Digest: digest, Built: time.Now(),
-		}
-		st.Solve = time.Since(solveStart)
+		b.res.Gen = p.gen
+		res = b.res
+		p.link = b.link
 	}
 	st.Total = time.Since(start)
 	if st.Changed {
@@ -585,9 +583,9 @@ func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result,
 	}
 
 	// Commit: new unit set, fresh stat stamps for Stale probes.
-	p.units = make(map[string]*unit, len(units))
+	p.units = make(map[string]*unit, len(b.units))
 	stamps := map[string]stamp{}
-	for _, u := range units {
+	for _, u := range b.units {
 		p.units[u.path] = u
 		for _, d := range u.deps {
 			if _, ok := stamps[d.path]; ok {
@@ -606,9 +604,73 @@ func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result,
 	o.Counter("incr.units_recompiled").Add(int64(st.Recompiled))
 	o.Counter("incr.units_store_hits").Add(int64(st.StoreHits))
 	o.Counter("incr.units_reused").Add(int64(st.Reused))
-	if st.SolveReused {
+	switch {
+	case st.SolveReused:
 		o.Counter("incr.solve_reused").Inc()
+	case st.SolveWarm:
+		o.Counter("incr.solve_warm").Inc()
+	default:
+		o.Counter("incr.solve_scratch").Inc()
 	}
 	o.Histogram("incr.refresh").ObserveSince(start)
 	return res, st, nil
+}
+
+// built is one refresh's work before its commit: the compiled units and,
+// unless the current fixpoint is reused, the new generation (its Gen not
+// yet assigned) and what its link folded.
+type built struct {
+	units []*unit
+	res   *Result
+	link  linkState
+}
+
+// build compiles what changed and, unless the solve digest shows the
+// current fixpoint still holds, links every unit and solves: warm from
+// the current generation where warmEdit allows it, from scratch
+// otherwise. It reads the pipeline's state but changes none of it.
+func (p *Pipeline) build(ctx context.Context, hints map[string]bool) (built, RefreshStats, error) {
+	units, st, err := p.compilePhase(ctx, hints)
+	if err != nil {
+		return built{}, st, err
+	}
+	digest := p.solveDigest(units)
+	if p.cur != nil && p.cur.Digest == digest {
+		// Every unit compiled to the program it had: keep the current
+		// generation, with no link, extern-model clone or solve.
+		st.SolveReused = true
+		return built{units: units}, st, nil
+	}
+
+	linkStart := time.Now()
+	linked, remaps, err := p.linkPhase(units)
+	if err != nil {
+		return built{}, st, err
+	}
+	st.Link = time.Since(linkStart)
+
+	solveStart := time.Now()
+	aprog := linked
+	if p.cfg.Model != extmodel.Unsound {
+		aprog, _ = extmodel.ApplyClone(linked, p.cfg.Model)
+	}
+	src := pts.NewMemSource(aprog)
+	cfg := p.cfg.Core
+	cfg.Jobs = p.cfg.Jobs
+	var r pts.Result
+	if prev, ed, ok := p.warmEdit(units, remaps, linked); ok {
+		r, st.SolveWarm, err = driver.AnalyzeFrom(ctx, src, cfg, prev, ed, p.cfg.Obs)
+	} else {
+		r, err = driver.Analyze(ctx, src, p.cfg.Solver, cfg, p.cfg.Obs)
+	}
+	if err != nil {
+		return built{}, st, err
+	}
+	st.Changed = true
+	st.Solve = time.Since(solveStart)
+	res := &Result{
+		Prog: aprog, Linked: linked, Src: src, Res: r,
+		Digest: digest, Built: time.Now(),
+	}
+	return built{units: units, res: res, link: linkState{units: units, remaps: remaps}}, st, nil
 }

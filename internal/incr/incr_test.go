@@ -17,6 +17,7 @@ import (
 	"cla/internal/driver"
 	"cla/internal/extmodel"
 	"cla/internal/frontend"
+	"cla/internal/linker"
 	"cla/internal/objfile"
 	"cla/internal/obs"
 	"cla/internal/parallel"
@@ -525,6 +526,44 @@ func TestCompilePanicKeepsServingOldGeneration(t *testing.T) {
 			t.Fatalf("jobs=%d: recovered fingerprint %s != scratch %s", jobs, got, want)
 		}
 		edit(t, dir, "shared.h", baseTree["shared.h"])
+	}
+}
+
+// TestRefreshPanicKeepsServingOldGeneration: a panic on the refresh
+// goroutine itself, outside the worker pool (here in the link), fails
+// the refresh with a *parallel.PanicError carrying the stack, and the
+// previous generation keeps serving.
+func TestRefreshPanicKeepsServingOldGeneration(t *testing.T) {
+	dir := t.TempDir()
+	writeTree(t, dir, baseTree)
+	cfg := testConfig(dir)
+	p, err := Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen1 := p.Current()
+	linkFn = func(units []*prim.Program, o *obs.Observer) (*prim.Program, [][]prim.SymID, error) {
+		panic("link fault")
+	}
+	changed := edit(t, dir, "count.c", baseTree["count.c"]+"int *more = &counter;\n")
+	_, _, err = p.Update(context.Background(), changed)
+	linkFn = linker.LinkTraced
+	var pe *parallel.PanicError
+	if !errors.As(err, &pe) || pe.Value != "link fault" || !bytes.Contains(pe.Stack, []byte("TestRefreshPanicKeepsServingOldGeneration")) {
+		t.Fatalf("err = %v, want the link's contained panic with its stack", err)
+	}
+	if p.Current() != gen1 || p.Generation() != gen1.Gen {
+		t.Fatal("failed refresh replaced the current generation")
+	}
+	res, _, err := p.Update(context.Background(), changed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Gen != gen1.Gen+1 {
+		t.Fatalf("recovered generation %d, want %d", res.Gen, gen1.Gen+1)
+	}
+	if got, want := fingerprint(res.Prog, res.Res), scratchFingerprint(t, cfg); got != want {
+		t.Fatalf("recovered fingerprint %s != scratch %s", got, want)
 	}
 }
 

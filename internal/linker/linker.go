@@ -19,12 +19,21 @@ import (
 // statics, heap sites) stay distinct. Function records for the same
 // function are merged, preferring complete information.
 func Link(units []*prim.Program) (*prim.Program, error) {
+	out, _, err := LinkRemaps(units)
+	return out, err
+}
+
+// LinkRemaps is Link that also returns the fold's per-unit remap
+// tables: remaps[u][i] is the linked id of units[u]'s symbol i.
+func LinkRemaps(units []*prim.Program) (*prim.Program, [][]prim.SymID, error) {
 	out := &prim.Program{}
 	globals := map[string]prim.SymID{}
 	recIdx := map[prim.SymID]int{}
+	remaps := make([][]prim.SymID, len(units))
 
 	for ui, u := range units {
 		remap := make([]prim.SymID, len(u.Syms))
+		remaps[ui] = remap
 		for i := range u.Syms {
 			s := u.Syms[i]
 			if !s.LinksByName() {
@@ -35,7 +44,7 @@ func Link(units []*prim.Program) (*prim.Program, error) {
 				// Merge attributes into the canonical symbol.
 				canon := out.Sym(id)
 				if s.Kind != canon.Kind && !compatibleKinds(s.Kind, canon.Kind) {
-					return nil, fmt.Errorf(
+					return nil, nil, fmt.Errorf(
 						"linker: symbol %q is %v in unit %d but %v earlier",
 						s.Name, s.Kind, ui, canon.Kind)
 				}
@@ -58,7 +67,7 @@ func Link(units []*prim.Program) (*prim.Program, error) {
 		for _, a := range u.Assigns {
 			if int(a.Dst) < 0 || int(a.Dst) >= len(remap) ||
 				int(a.Src) < 0 || int(a.Src) >= len(remap) {
-				return nil, fmt.Errorf("linker: unit %d has assignment with bad symbol", ui)
+				return nil, nil, fmt.Errorf("linker: unit %d has assignment with bad symbol", ui)
 			}
 			a.Dst = remap[a.Dst]
 			a.Src = remap[a.Src]
@@ -67,7 +76,7 @@ func Link(units []*prim.Program) (*prim.Program, error) {
 
 		for _, c := range u.Calls {
 			if int(c.Callee) < 0 || int(c.Callee) >= len(remap) {
-				return nil, fmt.Errorf("linker: unit %d has call site with bad symbol", ui)
+				return nil, nil, fmt.Errorf("linker: unit %d has call site with bad symbol", ui)
 			}
 			c.Callee = remap[c.Callee]
 			out.AddCall(c)
@@ -75,7 +84,7 @@ func Link(units []*prim.Program) (*prim.Program, error) {
 
 		for _, f := range u.Funcs {
 			if int(f.Func) < 0 || int(f.Func) >= len(remap) {
-				return nil, fmt.Errorf("linker: unit %d has function record with bad symbol", ui)
+				return nil, nil, fmt.Errorf("linker: unit %d has function record with bad symbol", ui)
 			}
 			fn := remap[f.Func]
 			var params []prim.SymID
@@ -103,7 +112,7 @@ func Link(units []*prim.Program) (*prim.Program, error) {
 			})
 		}
 	}
-	return out, nil
+	return out, remaps, nil
 }
 
 // LinkParallel is Link; jobs is unused. It keeps the name the benchmark
@@ -114,15 +123,15 @@ func LinkParallel(units []*prim.Program, jobs int) (*prim.Program, error) {
 	return Link(units)
 }
 
-// LinkTraced is Link inside a "link" span, with the unit count in the
-// link.units counter: the one traced link entry shared by the driver,
-// the incremental pipeline and the tools. The nil observer costs
+// LinkTraced is LinkRemaps inside a "link" span, with the unit count in
+// the link.units counter: the one traced link entry shared by the
+// driver, the incremental pipeline and the tools. The nil observer costs
 // nothing.
-func LinkTraced(units []*prim.Program, o *obs.Observer) (*prim.Program, error) {
+func LinkTraced(units []*prim.Program, o *obs.Observer) (*prim.Program, [][]prim.SymID, error) {
 	sp := o.Start("link")
 	defer sp.End()
 	o.SetCounter("link.units", int64(len(units)))
-	return Link(units)
+	return LinkRemaps(units)
 }
 
 // compatibleKinds reports whether two linked symbol kinds may unify.
@@ -160,5 +169,6 @@ func LinkFiles(paths []string, o *obs.Observer) (*prim.Program, error) {
 		units = append(units, p)
 	}
 	sp.End()
-	return LinkTraced(units, o)
+	prog, _, err := LinkTraced(units, o)
+	return prog, err
 }

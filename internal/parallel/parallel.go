@@ -164,21 +164,30 @@ func ForEachCtx(ctx context.Context, j, n int, fn func(i int) error) error {
 
 // sequential is ForEachCtx on the calling goroutine: it stops at the
 // first failure, a recovered panic included.
-func sequential(ctx context.Context, n int, fn func(i int) error) (err error) {
+func sequential(ctx context.Context, n int, fn func(i int) error) error {
+	return Contain(func() error {
+		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// Contain runs fn on the calling goroutine and returns its error, or its
+// panic as a *PanicError: the pool's containment, for code that runs
+// outside the pool.
+func Contain(fn func() error) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = newPanicError(v)
 		}
 	}()
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := fn(i); err != nil {
-			return err
-		}
-	}
-	return nil
+	return fn()
 }
 
 // Shard partitions [0, n) into at most j near-equal contiguous ranges and

@@ -14,6 +14,7 @@ import (
 
 	"cla/internal/claerr"
 	"cla/internal/obs"
+	"cla/internal/parallel"
 )
 
 // ServerConfig controls request handling.
@@ -364,6 +365,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		func(q Query, d time.Duration) { s.observeQuery(sess, q.Kind, d) })
 	s.o.Gauge("serve.inflight").Set(s.inflight.Add(-int64(len(req.Queries))))
 	if err != nil {
+		s.cfg.Session.logPanic("query", sess.Name, err)
 		s.fail(w, err)
 		return
 	}
@@ -416,8 +418,17 @@ func (s *Server) singleHandler(kind string) http.HandlerFunc {
 		ctx, cancel := s.requestCtx(r)
 		defer cancel()
 		start := time.Now()
-		res := st.Eval.Eval(ctx, q)
+		var res QueryResult
+		err = parallel.Contain(func() error {
+			res = st.Eval.Eval(ctx, q)
+			return nil
+		})
 		s.observeQuery(sess, kind, time.Since(start))
+		if err != nil {
+			s.cfg.Session.logPanic("query", sess.Name, err)
+			s.fail(w, claerr.New(claerr.PhaseQuery, err))
+			return
+		}
 		if res.Err != nil {
 			s.o.Counter("serve.errors").Add(1)
 			writeJSON(w, res.Err.Status, res)

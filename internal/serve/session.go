@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"cla/internal/incr"
 	"cla/internal/objfile"
 	"cla/internal/obs"
+	"cla/internal/parallel"
 	"cla/internal/pts"
 	"cla/internal/snapfile"
 )
@@ -40,6 +42,33 @@ type Config struct {
 	// SkipVerify opens solved snapshots without re-hashing their recorded
 	// sources (trusted deploys, or when the sources are not on disk).
 	SkipVerify bool
+	// ErrorLog, when non-nil, receives one JSON record, stack included,
+	// for each refresh, watch refresh or query that fails with a
+	// contained panic. Clients see only the error message.
+	ErrorLog *obs.Logger
+}
+
+// panicRecord is the ErrorLog record of a contained panic.
+type panicRecord struct {
+	Time    string `json:"ts"`
+	Event   string `json:"event"`
+	Op      string `json:"op"`
+	Session string `json:"session"`
+	Error   string `json:"error"`
+	Stack   string `json:"stack"`
+}
+
+// logPanic writes err's stack to c.ErrorLog when err is a contained
+// panic (*parallel.PanicError); any other error logs nothing.
+func (c *Config) logPanic(op, session string, err error) {
+	var pe *parallel.PanicError
+	if c.ErrorLog == nil || !errors.As(err, &pe) {
+		return
+	}
+	c.ErrorLog.Log(panicRecord{
+		Time: time.Now().UTC().Format(time.RFC3339Nano), Event: "panic",
+		Op: op, Session: session, Error: err.Error(), Stack: string(pe.Stack),
+	})
 }
 
 // SessionState is one immutable generation of a session: the evaluator
@@ -219,6 +248,7 @@ func (s *Session) Refresh(ctx context.Context) (*SessionState, bool, error) {
 	}
 	res, _, err := s.pipe.Refresh(ctx)
 	if err != nil {
+		s.cfg.logPanic("refresh", s.Name, err)
 		return nil, false, claerr.File(claerr.PhaseCompile, s.Path, err)
 	}
 	st, changed := s.adopt(res)
@@ -284,6 +314,7 @@ func (s *Session) StartWatch(interval time.Duration) error {
 				if s.cfg.Obs != nil {
 					s.cfg.Obs.Counter("serve.watch.errors").Inc()
 				}
+				s.cfg.logPanic("watch", s.Name, err)
 				return
 			}
 			if st.Changed {
