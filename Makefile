@@ -24,10 +24,11 @@ vet:
 
 # Race extras: the parallel pipeline, the wave fixpoints, the checks
 # engine, the shared set layer, the query-serving layer, the metrics
-# layer, the incremental pipeline and the shared dependence index must
+# layer, the incremental pipeline, the shared dependence index and the
+# leading-include memo (whose entries every compile worker reads) must
 # stay race-clean and deterministic at any -j.
 race:
-	$(GO) test -race ./internal/core ./internal/driver ./internal/linker ./internal/parallel ./internal/pts/worklist ./internal/checks ./internal/pts/set ./internal/serve ./internal/extmodel ./internal/obs ./internal/snapfile ./internal/incr ./internal/depend
+	$(GO) test -race ./internal/core ./internal/driver ./internal/linker ./internal/parallel ./internal/pts/worklist ./internal/checks ./internal/pts/set ./internal/serve ./internal/extmodel ./internal/obs ./internal/snapfile ./internal/incr ./internal/depend ./internal/frontend ./internal/cpp ./internal/cc
 
 # The benchmark is its own module (benchmark/go.mod), so the root
 # `./...` patterns skip it; vet it and run its ~5 s smoke test so an

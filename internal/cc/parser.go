@@ -1,5 +1,7 @@
 package cc
 
+import "slices"
+
 // Parser turns a token stream into a TranslationUnit. It keeps a scope
 // stack of typedef names (the classic lexer-feedback needed to parse C) and
 // recovers from errors at statement/declaration boundaries so a single run
@@ -22,10 +24,31 @@ func Parse(name, src string) (*TranslationUnit, error) {
 	return ParseTokens(name, toks)
 }
 
+// Scope is the file-scope typedef table a run of top-level declarations
+// leaves: which names denote typedefs. It is read-only, so parses on any
+// goroutine may start from the same Scope. The zero Scope is the empty
+// table at the start of a translation unit.
+type Scope struct {
+	// layers hold the file-scope names of successive parses, innermost
+	// (latest) last; a later layer shadows an earlier one.
+	layers []map[string]bool
+}
+
 // ParseTokens parses a token stream that ends with an EOF token.
 func ParseTokens(name string, toks []Token) (*TranslationUnit, error) {
-	p := &Parser{toks: toks, errs: &ErrorList{}}
+	unit, _, err := ParseTokensFrom(name, toks, Scope{})
+	return unit, err
+}
+
+// ParseTokensFrom parses toks as the continuation of a translation unit
+// whose earlier top-level declarations left scope: the result is what
+// parsing those declarations' tokens followed by toks would give after
+// them, when the earlier ones end where toks starts. It also returns the
+// scope after toks, which shares scope's tables and never changes them.
+func ParseTokensFrom(name string, toks []Token, scope Scope) (*TranslationUnit, Scope, error) {
+	p := &Parser{toks: toks, errs: &ErrorList{}, scopes: slices.Clip(scope.layers)}
 	p.pushScope()
+	file := len(p.scopes)
 	unit := &TranslationUnit{Name: name}
 	for !p.at(EOF) {
 		start := p.pos
@@ -39,7 +62,7 @@ func ParseTokens(name string, toks []Token) (*TranslationUnit, error) {
 			p.pos++
 		}
 	}
-	return unit, p.errs.Err()
+	return unit, Scope{layers: slices.Clip(p.scopes[:file])}, p.errs.Err()
 }
 
 func (p *Parser) tok() Token { return p.toks[p.pos] }

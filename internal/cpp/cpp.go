@@ -102,6 +102,15 @@ type Preprocessor struct {
 	once      map[string]bool // files guarded by #pragma once
 	line      []token         // the current source line's tokens, reused
 	joined    []byte          // the current output line's text, reused
+
+	// Leading, when set, is offered each leading #include of the main
+	// file: one reached before the main file's own lines have produced
+	// any output. path and content are the resolved header. When it
+	// returns true the preprocessor skips the header, and the hook must
+	// have left the state that preprocessing it would (SetState); its
+	// output is the hook's to account for.
+	Leading func(path, content string) (bool, error)
+	emitted bool // the main file's own lines have produced output
 }
 
 // Sink receives the preprocessor's output in order. Its calls match the
@@ -202,6 +211,29 @@ func (p *Preprocessor) Preprocess(name, content string) ([]cc.Token, error) {
 	if err := p.Run(name, content, s); err != nil {
 		return nil, err
 	}
+	return s.finish()
+}
+
+// Header preprocesses a leading include of the main file — the resolved
+// path and content the main file's #include would process — on its own:
+// it returns the header's tokens, ending with an EOF token, as
+// Preprocess does for a file, and leaves the state after the header in
+// p. Those tokens are the ones the #include would have put in the main
+// file's output.
+func (p *Preprocessor) Header(path, content string) ([]cc.Token, error) {
+	prev := p.sink
+	s := &tokenSink{}
+	p.sink = s
+	defer func() { p.sink = prev }()
+	if err := p.processFile(path, content, 1); err != nil {
+		return nil, err
+	}
+	return s.finish()
+}
+
+// finish ends the token stream with an EOF token where the text after
+// the last line starts, and reports its lex errors.
+func (s *tokenSink) finish() ([]cc.Token, error) {
 	toks := append(s.toks, cc.Token{Kind: cc.EOF, Pos: s.next})
 	if err := s.errs.Err(); err != nil {
 		return toks, &LexError{Err: err}
@@ -224,6 +256,7 @@ func (p *Preprocessor) Run(name, content string, sink Sink) error {
 	p.sink = sink
 	defer func() { p.sink = nil }()
 	p.condStack = p.condStack[:0]
+	p.emitted = false
 	if err := p.processFile(name, content, 0); err != nil {
 		return err
 	}
@@ -285,6 +318,7 @@ func (p *Preprocessor) processFile(name, content string, depth int) error {
 		}
 		p.joined = appendJoined(p.joined[:0], toks)
 		p.sink.Line(cc.Pos{File: name, Line: ln.line}, string(p.joined))
+		p.emitted = p.emitted || depth == 0
 	}
 	if len(p.condStack) != condBase {
 		return p.errf(name, lines[len(lines)-1].line, "unterminated #if in %s", name)
@@ -303,6 +337,7 @@ func (p *Preprocessor) directive(file string, line int, text string, depth int) 
 		// input: pass it through so positions survive re-preprocessing.
 		if p.live() {
 			p.sink.Marker(text)
+			p.emitted = p.emitted || depth == 0
 		}
 		return nil
 	}
@@ -443,8 +478,16 @@ func (p *Preprocessor) include(rest, file string, line, depth int) error {
 	if p.once[path] {
 		return nil
 	}
-	if err := p.processFile(path, content, depth+1); err != nil {
-		return err
+	handled := false
+	if depth == 0 && !p.emitted && p.Leading != nil {
+		if handled, err = p.Leading(path, content); err != nil {
+			return err
+		}
+	}
+	if !handled {
+		if err := p.processFile(path, content, depth+1); err != nil {
+			return err
+		}
 	}
 	p.sink.Resume(cc.Pos{File: file, Line: line + 1})
 	return nil

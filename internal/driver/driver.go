@@ -87,6 +87,10 @@ func ParseSolver(name string) (Solver, error) {
 // matching sequential behaviour. A cancellation stops undispatched unit
 // compiles and aborts before the link.
 //
+// The units share one frontend.Preambles, so a leading #include they
+// have in common is preprocessed and parsed once; the programs are the
+// ones separate compiles give.
+//
 // Under an observer the fan-out runs inside a "compile" span with one
 // span per translation unit on a track keyed by the unit's index (not the
 // worker's), then the link phase is traced by linker.LinkTraced. The
@@ -94,11 +98,12 @@ func ParseSolver(name string) (Solver, error) {
 func Compile(ctx context.Context, units []string, loader cpp.Loader, opts frontend.Options, jobs int, o *obs.Observer) (*prim.Program, error) {
 	sp := o.Start("compile")
 	o.SetCounter("compile.units", int64(len(units)))
+	pre := frontend.NewPreambles()
 	progs := make([]*prim.Program, len(units))
 	err := parallel.ForEachCtx(ctx, jobs, len(units), func(i int) error {
 		usp := o.StartTrack(i+1, "unit "+filepath.Base(units[i]))
 		defer usp.End()
-		p, err := frontend.CompileFile(units[i], loader, opts)
+		p, err := pre.CompileFile(units[i], loader, opts)
 		if err != nil {
 			return fmt.Errorf("driver: compile %s: %w", units[i], err)
 		}
@@ -106,6 +111,9 @@ func Compile(ctx context.Context, units []string, loader cpp.Loader, opts fronte
 		return nil
 	})
 	sp.End()
+	hits, misses := pre.Counts()
+	o.Counter("compile.preamble_hits").Add(hits)
+	o.Counter("compile.preamble_misses").Add(misses)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -11,8 +12,10 @@ import (
 	"cla/internal/cpp"
 	"cla/internal/frontend"
 	"cla/internal/gen"
+	"cla/internal/linker"
 	"cla/internal/objfile"
 	"cla/internal/obs"
+	"cla/internal/prim"
 	"cla/internal/pts"
 )
 
@@ -183,5 +186,90 @@ func TestLinkTraceShapeAcrossJobs(t *testing.T) {
 	wantUnits := fmt.Sprintf("link.units=%d\n", len(code.Units()))
 	if strings.Count(base, "0 link\n") != 1 || !strings.Contains(base, wantUnits) {
 		t.Errorf("unexpected shape, want one link span and %q:\n%s", wantUnits, base)
+	}
+}
+
+// TestCompileMatchesSeparateCompiles: Compile, whose units share one
+// leading-include memo, links the program that separate compiles
+// without a memo link, at -j 1 and 8, on every Table 2 profile, gimp@0.2
+// and the examples corpus; the shared header is preprocessed once.
+func TestCompileMatchesSeparateCompiles(t *testing.T) {
+	type input struct {
+		name   string
+		units  []string
+		loader cpp.Loader
+	}
+	var inputs []input
+	add := func(name string, p gen.Profile) {
+		code := gen.Generate(p, 1)
+		inputs = append(inputs, input{name, code.Units(), code.Loader()})
+	}
+	for _, p := range gen.Table2 {
+		add(p.Name, p.Scale(0.02))
+	}
+	gimp, _ := gen.ProfileByName("gimp")
+	add("gimp@0.2", gimp.Scale(0.2))
+	corpus, err := filepath.Glob("../../examples/corpus/*.c")
+	if err != nil || len(corpus) == 0 {
+		t.Fatalf("corpus: %v", err)
+	}
+	inputs = append(inputs, input{"corpus", corpus, cpp.OSLoader{}})
+	for _, in := range inputs {
+		progs := make([]*prim.Program, len(in.units))
+		for i, u := range in.units {
+			if progs[i], err = frontend.CompileFile(u, in.loader, frontend.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := linker.Link(progs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wb bytes.Buffer
+		if err := objfile.Write(&wb, want); err != nil {
+			t.Fatal(err)
+		}
+		for _, jobs := range []int{1, 8} {
+			o := obs.New()
+			got, err := Compile(context.Background(), in.units, in.loader, frontend.Options{}, jobs, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var gb bytes.Buffer
+			if err := objfile.Write(&gb, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gb.Bytes(), wb.Bytes()) || got.Digest() != want.Digest() {
+				t.Errorf("%s, jobs=%d: program differs from separate compiles", in.name, jobs)
+			}
+			if in.name != "corpus" {
+				if h, m := o.Counter("compile.preamble_hits").Value(), o.Counter("compile.preamble_misses").Value(); h != int64(len(in.units)-1) || m != 1 {
+					t.Errorf("%s, jobs=%d: %d hits, %d misses; want %d and 1", in.name, jobs, h, m, len(in.units)-1)
+				}
+			}
+		}
+	}
+}
+
+// TestCompilePreamblePerDirectory: units in two directories reach one
+// header after probing their own directory, so each directory gets its
+// own memo key: one miss per directory at any -j and unit order.
+func TestCompilePreamblePerDirectory(t *testing.T) {
+	loader := cpp.MapLoader{
+		"defs.h": "typedef int T;\nextern T *g;\n",
+		"a/x.c":  "#include \"defs.h\"\nT ax; void fa(void) { g = &ax; }\n",
+		"a/y.c":  "#include \"defs.h\"\nT ay; void ga(void) { g = &ay; }\n",
+		"b/x.c":  "#include \"defs.h\"\nT bx; void fb(void) { g = &bx; }\n",
+		"b/y.c":  "#include \"defs.h\"\nT by; void gb(void) { g = &by; }\n",
+	}
+	units := []string{"a/x.c", "b/x.c", "a/y.c", "b/y.c"}
+	for _, jobs := range []int{1, 8} {
+		o := obs.New()
+		if _, err := Compile(context.Background(), units, loader, frontend.Options{}, jobs, o); err != nil {
+			t.Fatal(err)
+		}
+		if h, m := o.Counter("compile.preamble_hits").Value(), o.Counter("compile.preamble_misses").Value(); h != 2 || m != 2 {
+			t.Errorf("jobs=%d: %d hits, %d misses; want 2 and 2", jobs, h, m)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"cla/internal/cc"
 	"cla/internal/cpp"
 	"cla/internal/ctypes"
 	"cla/internal/prim"
@@ -15,6 +14,18 @@ import (
 // allows no includes). Parse errors abort; type diagnoses do not (legacy C
 // tolerance), matching the paper's robustness requirement.
 func CompileSource(name, src string, loader cpp.Loader, opts Options) (*prim.Program, error) {
+	return (*Preambles)(nil).CompileSource(name, src, loader, opts)
+}
+
+// CompileFile preprocesses and compiles the named file through loader.
+func CompileFile(name string, loader cpp.Loader, opts Options) (*prim.Program, error) {
+	return (*Preambles)(nil).CompileFile(name, loader, opts)
+}
+
+// CompileSource is the package's CompileSource with the unit's leading
+// includes served from and added to m; a nil m is no memo. The program
+// and error are the same either way.
+func (m *Preambles) CompileSource(name, src string, loader cpp.Loader, opts Options) (*prim.Program, error) {
 	if loader == nil {
 		loader = cpp.MapLoader{}
 	}
@@ -22,15 +33,21 @@ func CompileSource(name, src string, loader cpp.Loader, opts Options) (*prim.Pro
 	for k, v := range opts.Defines {
 		pp.Define(k, v)
 	}
+	var r *preambleRun
+	if m != nil {
+		r = newPreambleRun(m, pp)
+	}
 	toks, err := pp.Preprocess(name, src)
 	var lexErr *cpp.LexError
 	switch {
+	case errors.Is(err, errNoPreamble):
+		return CompileSource(name, src, loader, opts)
 	case errors.As(err, &lexErr):
 		return nil, fmt.Errorf("parse %s: %w", name, lexErr.Err)
 	case err != nil:
 		return nil, fmt.Errorf("preprocess %s: %w", name, err)
 	}
-	unit, err := cc.ParseTokens(name, toks)
+	unit, err := r.parse(name, toks)
 	if err != nil {
 		return nil, fmt.Errorf("parse %s: %w", name, err)
 	}
@@ -38,13 +55,13 @@ func CompileSource(name, src string, loader cpp.Loader, opts Options) (*prim.Pro
 	return Compile(ck, opts), nil
 }
 
-// CompileFile preprocesses and compiles the named file through loader.
-func CompileFile(name string, loader cpp.Loader, opts Options) (*prim.Program, error) {
+// CompileFile is the package's CompileFile through m.
+func (m *Preambles) CompileFile(name string, loader cpp.Loader, opts Options) (*prim.Program, error) {
 	content, path, err := loader.Load(name)
 	if err != nil {
 		return nil, err
 	}
-	return CompileSource(path, content, loader, opts)
+	return m.CompileSource(path, content, loader, opts)
 }
 
 // FormatAssign renders an assignment with symbol names, for tests, tools

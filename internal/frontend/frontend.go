@@ -93,6 +93,9 @@ type fieldKey struct {
 	name string
 }
 
+// paramKey names a parameter: its function and its own name.
+type paramKey struct{ fn, name string }
+
 type builder struct {
 	ck   *ctypes.Checked
 	opts Options
@@ -103,6 +106,8 @@ type builder struct {
 	// fnRec maps a function (or function-pointer) symbol to the index of
 	// its FuncRecord in prog.Funcs.
 	fnRec map[prim.SymID]int
+	// params indexes parameter objects for lookupParamObject.
+	params map[paramKey]*ctypes.Object
 
 	curFunc     *ctypes.Object
 	curFuncName string
@@ -354,14 +359,18 @@ func (b *builder) funcDef(fd *cc.FuncDef) {
 }
 
 // lookupParamObject finds the checked parameter object of the current
-// function by name.
+// function by name: the first in declaration order, through an index
+// of every parameter built on first use.
 func (b *builder) lookupParamObject(name string) *ctypes.Object {
-	for _, o := range b.ck.Objects {
-		if o.IsParam && o.Name == name && o.FuncName == b.curFuncName {
-			return o
+	if b.params == nil {
+		b.params = map[paramKey]*ctypes.Object{}
+		for _, o := range b.ck.Objects {
+			if k := (paramKey{o.FuncName, o.Name}); o.IsParam && b.params[k] == nil {
+				b.params[k] = o
+			}
 		}
 	}
-	return nil
+	return b.params[paramKey{b.curFuncName, name}]
 }
 
 func (b *builder) stmt(s cc.Stmt) {

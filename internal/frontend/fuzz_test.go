@@ -20,6 +20,10 @@ import (
 // FuzzCompile runs the whole compile phase — preprocess, parse, type
 // check, lower — on arbitrary units. It must never panic, and it must
 // either reject the unit with an error or accept it as a valid program.
+// The unit is compiled three ways: without a memo, through a fresh
+// Preambles (which fills it) and through that memo again (which is
+// served from it); all three must give the same error string or
+// byte-equal programs.
 // Every accepted program is solved by all five solvers, which must agree
 // per symbol: pre-transitive = worklist = bitvec, and that exact set is
 // within both one-level's and Steensgaard's. One-level within
@@ -46,11 +50,23 @@ func FuzzCompile(f *testing.F) {
 			f.Add(c.src, hdr)
 		}
 	}
+	for _, c := range preambleCases {
+		for _, hdr := range c.files {
+			f.Add(c.src, hdr)
+		}
+	}
 	f.Fuzz(func(t *testing.T, src, header string) {
 		if len(src)+len(header) > 1<<16 {
 			t.Skip()
 		}
 		prog, err := CompileSource("f.c", src, oneHeader(header), Options{})
+		m := NewPreambles()
+		for _, pass := range []string{"fill", "hit"} {
+			got, gotErr := m.CompileSource("f.c", src, oneHeader(header), Options{})
+			if d := diffPrograms(got, gotErr, prog, err); d != "" {
+				t.Fatalf("memo %s: %s", pass, d)
+			}
+		}
 		if err != nil {
 			if prog != nil {
 				t.Fatalf("rejected with %v but returned a program", err)

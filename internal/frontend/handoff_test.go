@@ -112,6 +112,12 @@ func diffTokens(name, src string, loader cpp.Loader, opts Options) string {
 func diffCompile(name, src string, loader cpp.Loader, opts Options) string {
 	got, gotErr := CompileSource(name, src, loader, opts)
 	want, wantErr := compileText(name, src, loader, opts)
+	return diffPrograms(got, gotErr, want, wantErr)
+}
+
+// diffPrograms compares two compiles' error strings and lowered
+// programs, field by field and as object files.
+func diffPrograms(got *prim.Program, gotErr error, want *prim.Program, wantErr error) string {
 	if d := diffErr("compile", gotErr, wantErr); d != "" {
 		return d
 	}
@@ -120,6 +126,9 @@ func diffCompile(name, src string, loader cpp.Loader, opts Options) string {
 	}
 	if got == nil {
 		return ""
+	}
+	if got.Digest() != want.Digest() {
+		return "program digests differ"
 	}
 	var gb, wb bytes.Buffer
 	if err := objfile.Write(&gb, got); err != nil {

@@ -47,6 +47,22 @@ func fuzzStore(u string, k int) string {
 		k, strings.TrimSuffix(u, ".c"))
 }
 
+// fuzzHeaderFact is the k-th rewrite of the shared header of the given
+// kind: a new extern and a pointer to it (1); a macro that table.c
+// expands (2); a typedef that table.c declares a variable with (3).
+func fuzzHeaderFact(kind, k int) string {
+	switch kind {
+	case 1:
+		return fmt.Sprintf("extern int *fz_x%[1]d;\nstatic int **fz_xp%[1]d = &fz_x%[1]d;\n", k)
+	case 2:
+		return fmt.Sprintf("static struct node *fz_m%[1]d;\n#undef FZ_MACRO\n#define FZ_MACRO (&fz_m%[1]d)\n", k)
+	}
+	return fmt.Sprintf("typedef struct node *fz_t%[1]d;\n#undef FZ_TYPE\n#define FZ_TYPE fz_t%[1]d\n", k)
+}
+
+// fuzzHeaderUses is table.c's use of the header's rewrites.
+const fuzzHeaderUses = "#ifdef FZ_MACRO\nstruct node **fz_mu = FZ_MACRO;\n#endif\n#ifdef FZ_TYPE\nFZ_TYPE fz_tv = 0;\n#endif\n"
+
 // analysisBytes renders everything a generation answers with: its
 // digest, every points-to set and the full checks report.
 func analysisBytes(t *testing.T, r *Result) string {
@@ -64,7 +80,8 @@ func analysisBytes(t *testing.T, r *Result) string {
 
 // FuzzIncrEdits applies a random sequence of edits to a small workspace
 // — add a fact, delete or replace the newest fact, set a unit's store
-// fact, add a comment, shift lines, edit the shared header — and after
+// fact, add a comment, shift lines, edit the shared header (shift it,
+// or add a fact, an extern, a macro or a typedef to it) — and after
 // each Update requires the incremental generation to answer byte-equal
 // to a scratch Open of the same tree. It is the gate for every change to
 // what the pipeline reuses, the warm start included: additions and the
@@ -92,6 +109,11 @@ func FuzzIncrEdits(f *testing.F) {
 	f.Add([]byte{10, 6, 6, 13})
 	f.Add([]byte{0, 2, 7, 12, 8})
 	f.Add([]byte{1, 0, 5, 5, 6, 6})
+	// Shared-header rewrites (a new extern, macro and typedef), which
+	// replace the leading-include memo's entry, at -j 1, 2 and 8.
+	f.Add([]byte{0, 11, 18, 25, 2})
+	f.Add([]byte{11, 25, 18, 21, 11})
+	f.Add([]byte{23, 18, 25, 4, 25})
 	solvers := []driver.Solver{
 		driver.PreTransitive, driver.Worklist, driver.Steensgaard,
 		driver.BitVector, driver.OneLevel,
@@ -106,6 +128,7 @@ func FuzzIncrEdits(f *testing.F) {
 			files[name] = &fuzzFile{base: content}
 		}
 		files["main.c"].base += "int *fz_kept;\n"
+		files["table.c"].base += fuzzHeaderUses
 		for name, ff := range files {
 			if err := os.WriteFile(filepath.Join(dir, name), []byte(ff.render()), 0o644); err != nil {
 				t.Fatal(err)
@@ -140,11 +163,14 @@ func FuzzIncrEdits(f *testing.F) {
 				ff.comments += fmt.Sprintf("/* fz %d */", k)
 			case 3:
 				ff.prefix += "\n"
-			case 4: // the shared header: shift it, or add a fact to every includer
+			case 4: // the shared header: shift it, add a fact to every includer, or rewrite it
 				name, ff = "shared.h", files["shared.h"]
-				if k%2 == 0 {
+				switch kind := int(b/7) % 4; {
+				case kind > 0:
+					ff.facts = append(ff.facts, fuzzHeaderFact(kind, k))
+				case k%2 == 0:
 					ff.prefix += "\n"
-				} else {
+				default:
 					ff.facts = append(ff.facts, fmt.Sprintf("static struct node **fz_h%d = &head;\n", k))
 				}
 			case 5: // replace the newest fact with one of its shape under fresh names

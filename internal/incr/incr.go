@@ -174,6 +174,9 @@ type Result struct {
 type Pipeline struct {
 	cfg   Config
 	store *Store
+	// pre memoizes the units' shared leading includes across refreshes;
+	// compiles through it give the programs and deps plain ones do.
+	pre *frontend.Preambles
 
 	mu     sync.Mutex
 	gen    uint64
@@ -215,7 +218,7 @@ func CompileDir(ctx context.Context, cfg Config) (*prim.Program, error) {
 }
 
 func newPipeline(cfg Config) (*Pipeline, error) {
-	p := &Pipeline{cfg: cfg, units: map[string]*unit{}}
+	p := &Pipeline{cfg: cfg, units: map[string]*unit{}, pre: frontend.NewPreambles()}
 	if cfg.CacheDir != "" {
 		st, err := OpenStore(cfg.CacheDir)
 		if err != nil {
@@ -420,14 +423,15 @@ func (l *trackLoader) deps() []dep {
 }
 
 // compileUnit parses one translation unit with dirs as the #include
-// search path, recording the closure it reads.
-func compileUnit(path string, dirs []string, opts frontend.Options) (*unit, error) {
+// search path, through the leading-include memo pre (nil for none),
+// recording the closure it reads.
+func compileUnit(path string, dirs []string, opts frontend.Options, pre *frontend.Preambles) (*unit, error) {
 	tl := &trackLoader{inner: cpp.OSLoader{Dirs: dirs}, reads: map[string]string{}}
 	content, rpath, err := tl.Load(path)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := frontend.CompileSource(rpath, content, tl, opts)
+	prog, err := pre.CompileSource(rpath, content, tl, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -471,6 +475,7 @@ func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*
 		sp := o.Start("compile")
 		dirs := append([]string{p.cfg.Dir}, p.cfg.Includes...)
 		var hits atomic.Int64
+		preHits, preMisses := p.pre.Counts()
 		err := parallel.ForEachCtx(ctx, p.cfg.Jobs, len(dirtyIdx), func(k int) error {
 			i := dirtyIdx[k]
 			path := paths[i]
@@ -483,7 +488,7 @@ func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*
 			}
 			usp := o.StartTrack(k+1, "unit "+filepath.Base(path))
 			defer usp.End()
-			u, err := compileFn(path, dirs, p.cfg.Frontend)
+			u, err := compileFn(path, dirs, p.cfg.Frontend, p.pre)
 			if err != nil {
 				return fmt.Errorf("incr: compile %s: %w", path, err)
 			}
@@ -494,11 +499,17 @@ func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*
 			return nil
 		})
 		sp.End()
+		st.StoreHits = int(hits.Load())
+		st.Recompiled = len(dirtyIdx) - st.StoreHits
+		h, m := p.pre.Counts()
+		o.Counter("compile.preamble_hits").Add(h - preHits)
+		o.Counter("compile.preamble_misses").Add(m - preMisses)
+		if st.Recompiled > 0 {
+			p.pre.Sweep()
+		}
 		if err != nil {
 			return nil, st, err
 		}
-		st.StoreHits = int(hits.Load())
-		st.Recompiled = len(dirtyIdx) - st.StoreHits
 	}
 	st.Compile = time.Since(compileStart)
 	o.SetCounter("compile.units", int64(len(dirtyIdx)))

@@ -65,7 +65,7 @@ int main(void) { put(1); return 0; }
 `,
 }
 
-func writeTree(t *testing.T, dir string, files map[string]string) {
+func writeTree(t testing.TB, dir string, files map[string]string) {
 	t.Helper()
 	for name, content := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
@@ -74,7 +74,7 @@ func writeTree(t *testing.T, dir string, files map[string]string) {
 	}
 }
 
-func edit(t *testing.T, dir, name, content string) string {
+func edit(t testing.TB, dir, name, content string) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
@@ -502,11 +502,11 @@ func TestCompilePanicKeepsServingOldGeneration(t *testing.T) {
 			t.Fatal(err)
 		}
 		gen1 := p.Current()
-		compileFn = func(path string, dirs []string, opts frontend.Options) (*unit, error) {
+		compileFn = func(path string, dirs []string, opts frontend.Options, pre *frontend.Preambles) (*unit, error) {
 			if filepath.Base(path) == "table.c" {
 				panic("frontend fault")
 			}
-			return compileUnit(path, dirs, opts)
+			return compileUnit(path, dirs, opts, pre)
 		}
 		hdr := edit(t, dir, "shared.h", baseTree["shared.h"]+"extern int more;\n")
 		_, _, err = p.Update(context.Background(), hdr)

@@ -52,7 +52,7 @@ func (s *Store) Compile(path string, dirs []string, opts frontend.Options) (*pri
 	if u, ok := s.load(path, dirs, opts, newHashCache()); ok {
 		return u.prog, nil
 	}
-	u, err := compileUnit(path, dirs, opts)
+	u, err := compileUnit(path, dirs, opts, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"cla/internal/parallel"
 )
 
 // Op classifies a watcher event.
@@ -50,7 +52,8 @@ type Event struct {
 type Watcher interface {
 	// Events delivers change events until Close.
 	Events() <-chan Event
-	// Errors delivers scan failures (the watcher keeps running).
+	// Errors delivers scan failures, a panicking scan's as a
+	// *parallel.PanicError (the watcher keeps running).
 	Errors() <-chan error
 	// Close stops the watcher and closes both channels.
 	Close() error
@@ -61,7 +64,9 @@ type Watcher interface {
 // pipeline's include closure across generations) and re-lists the
 // workspace directory for added units. Stat-level drift (size or mtime)
 // raises OpWrite; the consumer's Update re-hashes, so a touch that
-// didn't change bytes converges to a no-op generation.
+// didn't change bytes converges to a no-op generation. A scan that
+// panics — in the stat code or the tracked callback — is contained and
+// delivered on Errors as a *parallel.PanicError.
 type PollWatcher struct {
 	dir      string
 	tracked  func() []string
@@ -94,7 +99,7 @@ func NewPollWatcher(dir string, tracked func() []string, interval time.Duration)
 		stamps:   map[string]stamp{},
 		units:    map[string]bool{},
 	}
-	w.scan(true)
+	w.containedScan(true)
 	go w.run()
 	return w
 }
@@ -121,7 +126,22 @@ func (w *PollWatcher) run() {
 			close(w.errs)
 			return
 		case <-t.C:
-			w.scan(false)
+			w.containedScan(false)
+		}
+	}
+}
+
+// containedScan runs one scan and delivers its panic, if any, on Errors;
+// it waits for room there, unless the watcher closes.
+func (w *PollWatcher) containedScan(baseline bool) {
+	err := parallel.Contain(func() error {
+		w.scan(baseline)
+		return nil
+	})
+	if err != nil {
+		select {
+		case w.errs <- err:
+		case <-w.done:
 		}
 	}
 }
@@ -196,9 +216,27 @@ func (w *PollWatcher) scan(baseline bool) {
 // after watcher overflow — and fn is called with the outcome. fn also
 // receives scan and refresh errors (with a nil Result); the loop keeps
 // running, since a syntax error mid-edit is a normal watch-mode state.
+// A panic in the loop's staleness probe, in a refresh or in fn itself is
+// contained and handed to fn as a *parallel.PanicError; a panic in fn
+// while it handles that is dropped.
 func WatchLoop(ctx context.Context, p *Pipeline, w Watcher, settle time.Duration, fn func(*Result, RefreshStats, error)) {
 	if settle <= 0 {
 		settle = 100 * time.Millisecond
+	}
+	report := func(res *Result, st RefreshStats, err error) {
+		if fn == nil {
+			return
+		}
+		perr := parallel.Contain(func() error {
+			fn(res, st, err)
+			return nil
+		})
+		if perr != nil {
+			parallel.Contain(func() error {
+				fn(nil, RefreshStats{}, perr)
+				return nil
+			})
+		}
 	}
 	timer := time.NewTimer(settle)
 	if !timer.Stop() {
@@ -212,7 +250,16 @@ func WatchLoop(ctx context.Context, p *Pipeline, w Watcher, settle time.Duration
 	// pipeline's recorded content before trusting the event stream. The
 	// probe may catch a save mid-write, so what it finds settles like
 	// any watcher event instead of rebuilding at once.
-	if stale, changed := p.Stale(); stale {
+	var (
+		stale   bool
+		changed []string
+	)
+	if err := parallel.Contain(func() error {
+		stale, changed = p.Stale()
+		return nil
+	}); err != nil {
+		report(nil, RefreshStats{}, err)
+	} else if stale {
 		pending = changed
 		timer.Reset(settle)
 	}
@@ -225,9 +272,7 @@ func WatchLoop(ctx context.Context, p *Pipeline, w Watcher, settle time.Duration
 			if !ok {
 				return
 			}
-			if fn != nil {
-				fn(nil, RefreshStats{}, err)
-			}
+			report(nil, RefreshStats{}, err)
 		case ev, ok := <-w.Events():
 			if !ok {
 				return
@@ -244,15 +289,16 @@ func WatchLoop(ctx context.Context, p *Pipeline, w Watcher, settle time.Duration
 				st  RefreshStats
 				err error
 			)
-			if rescan {
-				res, st, err = p.Refresh(ctx)
-			} else {
-				res, st, err = p.Update(ctx, pending...)
-			}
+			err = parallel.Contain(func() (err error) {
+				if rescan {
+					res, st, err = p.Refresh(ctx)
+				} else {
+					res, st, err = p.Update(ctx, pending...)
+				}
+				return err
+			})
 			pending, rescan = nil, false
-			if fn != nil {
-				fn(res, st, err)
-			}
+			report(res, st, err)
 		}
 	}
 }

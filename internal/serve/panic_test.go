@@ -2,11 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"cla/internal/incr"
 	"cla/internal/obs"
 	"cla/internal/prim"
 	"cla/internal/pts"
@@ -56,5 +60,62 @@ func TestQueryPanicLogsStackOnce(t *testing.T) {
 	}
 	if rec := get(t, h, "/healthz"); rec.Code != 200 || !bytes.Contains(rec.Body.Bytes(), []byte("ok")) {
 		t.Fatalf("healthz after panics = %d %q", rec.Code, rec.Body.String())
+	}
+}
+
+// injectWatchFault is the panic a test's watcher scan raises.
+func injectWatchFault() { panic("injected watch fault") }
+
+// TestWatchPanicLogsStackOnce: a panic in the watcher's scan is
+// contained — the error log gets one record carrying its stack — and
+// the session keeps watching and picks up a later edit.
+func TestWatchPanicLogsStackOnce(t *testing.T) {
+	var scans atomic.Int32
+	plain := newWatcher
+	defer func() { newWatcher = plain }()
+	newWatcher = func(dir string, tracked func() []string, interval time.Duration) incr.Watcher {
+		return plain(dir, func() []string {
+			if scans.Add(1) == 2 {
+				injectWatchFault()
+			}
+			return tracked()
+		}, interval)
+	}
+	dir := writeTestDir(t)
+	var logBuf syncBuffer
+	sess, err := Open(context.Background(), "w", dir, Config{Jobs: 1, ErrorLog: obs.NewLogger(&logBuf)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.StartWatch(20 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for logBuf.String() == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("no error log record for the scan's panic")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	rewriteUnit(t, dir)
+	for sess.Generation() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("watch stopped after the panic (generation %d)", sess.Generation())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	sess.StopWatch()
+	lines := strings.Split(strings.TrimSuffix(logBuf.String(), "\n"), "\n")
+	if len(lines) != 1 {
+		t.Fatalf("error log has %d records, want 1:\n%s", len(lines), logBuf.String())
+	}
+	var r panicRecord
+	if err := json.Unmarshal([]byte(lines[0]), &r); err != nil {
+		t.Fatal(err)
+	}
+	if r.Event != "panic" || r.Op != "watch" || r.Session != "w" ||
+		!strings.Contains(r.Error, "injected watch fault") || !strings.Contains(r.Stack, "injectWatchFault") {
+		t.Fatalf("record %+v", r)
 	}
 }

@@ -939,3 +939,30 @@ func TestSessionWatchSwapsGeneration(t *testing.T) {
 		t.Fatal("session still watching after StopWatch")
 	}
 }
+
+// TestMetricszShowsPreambleCounters: a directory session's compile
+// reports its leading-include memo on /metricsz: three units sharing a
+// header preprocess it once.
+func TestMetricszShowsPreambleCounters(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"defs.h": "#ifndef DEFS_H\n#define DEFS_H\nextern int g, *p;\n#endif\n",
+		"a.c":    "#include \"defs.h\"\nint g;\n",
+		"b.c":    "#include \"defs.h\"\nint *p;\nvoid f(void) { p = &g; }\n",
+		"c.c":    "#include \"defs.h\"\nint *q;\nvoid h(void) { q = p; }\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := NewServer(NewRegistry(), ServerConfig{Jobs: 2}).Handler()
+	if rec := doReq(t, h, "POST", "/v1/sessions", marshal(t, sessionCreateBody{Name: "d", Path: dir})); rec.Code != http.StatusCreated {
+		t.Fatalf("create = %d %q", rec.Code, rec.Body.String())
+	}
+	out := get(t, h, "/metricsz").Body.String()
+	for _, want := range []string{"compile_preamble_hits 2", "compile_preamble_misses 1"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("metricsz missing %q:\n%s", want, out)
+		}
+	}
+}

@@ -286,6 +286,12 @@ func (s *Session) adopt(r *incr.Result) (*SessionState, bool) {
 	return st, true
 }
 
+// newWatcher starts a session's watcher, a variable so tests can make a
+// scan fail in ways a file system cannot.
+var newWatcher = func(dir string, tracked func() []string, interval time.Duration) incr.Watcher {
+	return incr.NewPollWatcher(dir, tracked, interval)
+}
+
 // StartWatch begins polling the session's directory every interval and
 // refreshing when tracked files change. Each successful refresh swaps
 // the serving generation atomically; failed refreshes (mid-edit syntax
@@ -305,7 +311,7 @@ func (s *Session) StartWatch(interval time.Duration) error {
 	s.stopWatch = cancel
 	done := make(chan struct{})
 	s.watchDone = done
-	w := incr.NewPollWatcher(s.Path, s.pipe.TrackedFiles, interval)
+	w := newWatcher(s.Path, s.pipe.TrackedFiles, interval)
 	go func() {
 		defer close(done)
 		defer w.Close()

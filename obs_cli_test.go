@@ -179,6 +179,7 @@ func TestCLIObsReportShape(t *testing.T) {
 		"== database ==", "== analysis (pre-transitive) ==", "pointer vars:",
 		"== demand loading ==", "blocks loaded", "bytes loaded",
 		"== counters ==", "load.entries.loaded",
+		"compile.preamble_hits", "compile.preamble_misses",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("claan -stats missing %q:\n%s", want, out)
