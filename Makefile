@@ -25,10 +25,11 @@ vet:
 # Race extras: the parallel pipeline, the wave fixpoints, the checks
 # engine, the shared set layer, the query-serving layer, the metrics
 # layer, the incremental pipeline, the shared dependence index and the
-# leading-include memo (whose entries every compile worker reads) must
-# stay race-clean and deterministic at any -j.
+# leading-include memo (whose entries, checked header scopes included,
+# every compile worker reads) must stay race-clean and deterministic at
+# any -j.
 race:
-	$(GO) test -race ./internal/core ./internal/driver ./internal/linker ./internal/parallel ./internal/pts/worklist ./internal/checks ./internal/pts/set ./internal/serve ./internal/extmodel ./internal/obs ./internal/snapfile ./internal/incr ./internal/depend ./internal/frontend ./internal/cpp ./internal/cc
+	$(GO) test -race ./internal/core ./internal/driver ./internal/linker ./internal/parallel ./internal/pts/worklist ./internal/checks ./internal/pts/set ./internal/serve ./internal/extmodel ./internal/obs ./internal/snapfile ./internal/incr ./internal/depend ./internal/frontend ./internal/cpp ./internal/cc ./internal/ctypes
 
 # The benchmark is its own module (benchmark/go.mod), so the root
 # `./...` patterns skip it; vet it and run its ~5 s smoke test so an
@@ -46,7 +47,7 @@ bench:
 # One-iteration benchmark compile-and-run: catches benchmarks that rot
 # (build failures, panics) without paying for stable timings.
 bench-smoke:
-	$(GO) test -run=^$$ -bench=. -benchtime=1x ./internal/pts/set ./internal/core
+	$(GO) test -run=^$$ -bench=. -benchtime=1x ./internal/pts/set ./internal/core ./internal/frontend ./internal/incr
 
 # Short fuzz runs over the binary object-file reader, the trace encoder,
 # the adaptive set layer, the extern-model path, the solved-snapshot

@@ -2,6 +2,7 @@ package ctypes
 
 import (
 	"fmt"
+	"slices"
 
 	"cla/internal/cc"
 )
@@ -19,10 +20,15 @@ type Checked struct {
 	FuncObj map[*cc.FuncDef]*Object
 	// DeclObj maps each init-declarator to its object.
 	DeclObj map[*cc.InitDeclarator]*Object
-	// Objects lists every object in declaration order.
+	// Objects lists every object the unit declared, in declaration order.
 	Objects []*Object
-	// Errs holds non-fatal diagnoses.
+	// Copies lists the unit's copies of objects of the scope it was
+	// checked from (CheckFrom), in the order they were made.
+	Copies []*Object
+	// Errs holds non-fatal diagnoses, the scope's first.
 	Errs *cc.ErrorList
+	// scope is the file scope after the unit.
+	scope *Scope
 }
 
 // MemberRef is a resolved x.f / p->f access.
@@ -35,19 +41,57 @@ type scope struct {
 	names map[string]*Object
 	tags  map[string]*Type // struct/union/enum tags
 	prev  *scope
+	// shared is the read-only file scope the file scope continues; nil
+	// in every other scope.
+	shared *Scope
+}
+
+// Scope is the file scope a run of top-level declarations leaves: its
+// objects and tags, the implicit declarations made so far, the count
+// that names anonymous tags and the diagnoses. Scopes are layered: a
+// check from a Scope adds a layer and never writes an earlier one,
+// neither its tables nor the objects and types they hold, so checks on
+// any goroutine may start from the same Scope. A nil *Scope is the empty
+// file scope at the start of a translation unit.
+type Scope struct {
+	names    map[string]*Object
+	tags     map[string]*Type
+	implicit map[string]*Object
+	anonSeq  int
+	errs     []error
+	prev     *Scope
 }
 
 type checker struct {
 	res      *Checked
 	sc       *scope
+	file     *scope // the file scope
 	curFunc  *Object
 	anonSeq  int
 	implicit map[string]*Object // per-unit implicit decls, deduped by name
+	// completed records that the unit completed a tag of the shared scope.
+	completed bool
 }
 
 // Check resolves types, scopes and references for a parsed unit.
 // The returned Checked is usable even when Errs is non-empty.
 func Check(unit *cc.TranslationUnit) *Checked {
+	ck, _ := CheckFrom(unit, nil)
+	return ck
+}
+
+// CheckFrom checks unit as the continuation of a translation unit whose
+// earlier top-level declarations left sc. For the unit's own nodes the
+// result is what Check gives on the whole declaration list, with one
+// difference: an object of sc that the unit redeclares with a new type
+// is copied into the unit's layer first (Object.Original names the one
+// in sc, Checked.Copies lists the copies), and the unit's later uses
+// resolve to the copy. A struct or union tag that sc left incomplete
+// cannot be copied that way: sc's objects keep the incomplete type,
+// while a check of the whole list completes it under them. CheckFrom
+// reports false when the unit completes such a tag; its result is then
+// not the whole list's, and the caller must check the whole list.
+func CheckFrom(unit *cc.TranslationUnit, sc *Scope) (*Checked, bool) {
 	res := &Checked{
 		Unit:     unit,
 		ExprType: map[cc.Expr]*Type{},
@@ -58,7 +102,13 @@ func Check(unit *cc.TranslationUnit) *Checked {
 		Errs:     &cc.ErrorList{Max: 50},
 	}
 	c := &checker{res: res, implicit: map[string]*Object{}}
+	if sc != nil {
+		c.anonSeq = sc.anonSeq
+		res.Errs.Errs = slices.Clip(sc.errs)
+	}
 	c.push()
+	c.file = c.sc
+	c.file.shared = sc
 	for _, d := range unit.Decls {
 		switch v := d.(type) {
 		case *cc.Declaration:
@@ -67,8 +117,16 @@ func Check(unit *cc.TranslationUnit) *Checked {
 			c.funcDef(v)
 		}
 	}
-	return res
+	res.scope = &Scope{
+		names: c.file.names, tags: c.file.tags, implicit: c.implicit,
+		anonSeq: c.anonSeq, errs: slices.Clip(res.Errs.Errs), prev: sc,
+	}
+	return res, !c.completed
 }
+
+// Scope returns the file scope after the unit, for checking declarations
+// that follow it. It is read-only, as every Scope is.
+func (ck *Checked) Scope() *Scope { return ck.scope }
 
 func (c *checker) errorf(pos cc.Pos, format string, args ...any) {
 	c.res.Errs.Add(pos, format, args...)
@@ -80,40 +138,94 @@ func (c *checker) push() {
 func (c *checker) pop() { c.sc = c.sc.prev }
 
 func (c *checker) lookup(name string) *Object {
-	for s := c.sc; s != nil; s = s.prev {
-		if o, ok := s.names[name]; ok {
-			return o
-		}
-	}
-	return nil
+	o, _ := c.lookupShared(name)
+	return o
 }
 
-func (c *checker) lookupTag(name string) *Type {
+// lookupShared is lookup that also reports whether the object belongs to
+// the shared scope.
+func (c *checker) lookupShared(name string) (*Object, bool) {
 	for s := c.sc; s != nil; s = s.prev {
-		if t, ok := s.tags[name]; ok {
-			return t
+		if o, shared := s.name(name); o != nil {
+			return o, shared
 		}
 	}
-	return nil
+	return nil, false
+}
+
+// name finds a name declared in s itself, in its own table or, for the
+// file scope, in the shared layers under it.
+func (s *scope) name(name string) (o *Object, shared bool) {
+	if o, ok := s.names[name]; ok {
+		return o, false
+	}
+	for l := s.shared; l != nil; l = l.prev {
+		if o, ok := l.names[name]; ok {
+			return o, true
+		}
+	}
+	return nil, false
+}
+
+// lookupTag finds a tag, reporting whether it belongs to the shared
+// scope.
+func (c *checker) lookupTag(name string) (*Type, bool) {
+	for s := c.sc; s != nil; s = s.prev {
+		if t, ok := s.tags[name]; ok {
+			return t, false
+		}
+		for l := s.shared; l != nil; l = l.prev {
+			if t, ok := l.tags[name]; ok {
+				return t, true
+			}
+		}
+	}
+	return nil, false
+}
+
+// implicitDecl finds the implicit declaration of name made so far.
+func (c *checker) implicitDecl(name string) (*Object, bool) {
+	if o, ok := c.implicit[name]; ok {
+		return o, true
+	}
+	for l := c.file.shared; l != nil; l = l.prev {
+		if o, ok := l.implicit[name]; ok {
+			return o, true
+		}
+	}
+	return nil, false
 }
 
 func (c *checker) declare(o *Object) {
 	if o.Name == "" {
 		return
 	}
-	if prev, ok := c.sc.names[o.Name]; ok {
+	if prev, shared := c.sc.name(o.Name); prev != nil {
 		// Redeclaration in the same scope: tolerate compatible redecls
 		// (extern then def, repeated prototypes); keep the first object so
 		// references stay stable, but upgrade a tentative type.
 		if prev.Kind == o.Kind {
 			if prev.Type == nil || (prev.Type.Kind == KFunc && o.Type != nil && o.Type.Kind == KFunc) {
-				prev.Type = o.Type
+				c.own(prev, shared).Type = o.Type
 			}
 			return
 		}
 	}
 	c.sc.names[o.Name] = o
 	c.res.Objects = append(c.res.Objects, o)
+}
+
+// own returns o for writing: o itself, or for an object of the shared
+// scope the unit's copy of it, which takes its place in the file scope.
+func (c *checker) own(o *Object, shared bool) *Object {
+	if !shared {
+		return o
+	}
+	cp := *o
+	cp.orig = o.Original()
+	c.file.names[o.Name] = &cp
+	c.res.Copies = append(c.res.Copies, &cp)
+	return &cp
 }
 
 // ---------- Types from syntax ----------
@@ -207,8 +319,15 @@ func (c *checker) structType(s *cc.StructSpec) *Type {
 		tag = fmt.Sprintf("anon%d@%s", c.anonSeq, s.Pos_)
 	}
 	var t *Type
+	shared := false
 	if s.Name != "" {
-		t = c.lookupTag("$" + kindTagPrefix(s.Union) + s.Name)
+		t, shared = c.lookupTag("$" + kindTagPrefix(s.Union) + s.Name)
+	}
+	if s.Defined && shared && !t.Info.Complete {
+		// Complete a copy rather than the shared tag; the result is not
+		// the whole list's (see CheckFrom).
+		c.completed = true
+		t = nil
 	}
 	if t == nil {
 		t = &Type{Kind: KStruct, Info: &StructInfo{Tag: tag, Union: s.Union}}
@@ -378,7 +497,8 @@ func (c *checker) funcDef(fd *cc.FuncDef) {
 	}
 	o := &Object{Name: name, Kind: ObjFunc, Type: t, Storage: fd.Specs.Storage, Pos: fd.Pos_, Global: true}
 	c.declare(o)
-	if canon := c.lookup(name); canon != nil && canon.Kind == ObjFunc {
+	if canon, shared := c.lookupShared(name); canon != nil && canon.Kind == ObjFunc {
+		canon = c.own(canon, shared)
 		canon.Type = t // the definition's type wins
 		o = canon
 	}
@@ -692,7 +812,7 @@ func (c *checker) callFuncType(v *cc.CallExpr) *Type {
 
 // implicitObject synthesizes an object for an undeclared identifier.
 func (c *checker) implicitObject(v *cc.IdentExpr) *Object {
-	if o, ok := c.implicit[v.Name]; ok {
+	if o, ok := c.implicitDecl(v.Name); ok {
 		return o
 	}
 	c.errorf(v.Pos_, "undeclared identifier %q", v.Name)
@@ -704,7 +824,7 @@ func (c *checker) implicitObject(v *cc.IdentExpr) *Object {
 
 // implicitFunc synthesizes `int name()` for a call to an undeclared name.
 func (c *checker) implicitFunc(v *cc.IdentExpr) *Object {
-	if o, ok := c.implicit[v.Name]; ok && o.Kind == ObjFunc {
+	if o, ok := c.implicitDecl(v.Name); ok && o.Kind == ObjFunc {
 		return o
 	}
 	o := &Object{

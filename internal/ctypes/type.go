@@ -304,21 +304,32 @@ const (
 
 // Object is a declared entity.
 type Object struct {
-	Name    string
-	Kind    ObjKind
-	Type    *Type
-	Storage cc.StorageClass
-	Pos     cc.Pos
-	// Global reports file scope (including extern/static).
-	Global bool
+	Name string
+	Type *Type
+	Pos  cc.Pos
 	// FuncName is the enclosing function for locals and parameters.
 	FuncName string
-	// IsParam marks function parameters.
-	IsParam bool
 	// EnumVal is the value for ObjEnumConst.
 	EnumVal int64
+	// orig is the shared scope's object this one copies (see CheckFrom).
+	orig    *Object
+	Kind    ObjKind
+	Storage cc.StorageClass
+	// Global reports file scope (including extern/static).
+	Global bool
+	// IsParam marks function parameters.
+	IsParam bool
 	// Implicit marks objects synthesized for undeclared identifiers.
 	Implicit bool
+}
+
+// Original returns the object o copies, or o when it is no copy: a copy
+// and its original are one declared entity.
+func (o *Object) Original() *Object {
+	if o.orig != nil {
+		return o.orig
+	}
+	return o
 }
 
 func (o *Object) String() string {

@@ -88,8 +88,8 @@ func ParseSolver(name string) (Solver, error) {
 // compiles and aborts before the link.
 //
 // The units share one frontend.Preambles, so a leading #include they
-// have in common is preprocessed and parsed once; the programs are the
-// ones separate compiles give.
+// have in common is preprocessed, parsed, checked and lowered once; the
+// programs are the ones separate compiles give.
 //
 // Under an observer the fan-out runs inside a "compile" span with one
 // span per translation unit on a track keyed by the unit's index (not the
@@ -111,9 +111,10 @@ func Compile(ctx context.Context, units []string, loader cpp.Loader, opts fronte
 		return nil
 	})
 	sp.End()
-	hits, misses := pre.Counts()
+	hits, misses, rechecks := pre.Counts()
 	o.Counter("compile.preamble_hits").Add(hits)
 	o.Counter("compile.preamble_misses").Add(misses)
+	o.Counter("compile.preamble_rechecks").Add(rechecks)
 	if err != nil {
 		return nil, err
 	}
@@ -157,16 +158,22 @@ func AnalyzeFrom(ctx context.Context, src pts.Source, cfg core.Config, prev *cor
 	return res, warm, err
 }
 
+// watchHeap starts the heap sampler; tests replace it to fault it.
+var watchHeap = obs.WatchHeap
+
 // observe runs one solve inside the "analyze" span and heap watcher and
-// publishes its metrics.
+// publishes its metrics. A panic in the heap sampler fails the solve as
+// a *parallel.PanicError.
 func observe(ctx context.Context, o *obs.Observer, solve func() (pts.Result, error)) (pts.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	sp := o.Start("analyze")
-	stopHeap := obs.WatchHeap(o.Gauge("analyze.heap_peak_bytes"), 0)
+	stopHeap := watchHeap(o.Gauge("analyze.heap_peak_bytes"), 0)
 	res, err := solve()
-	stopHeap()
+	if v, stack := stopHeap(); v != nil {
+		err = &parallel.PanicError{Value: v, Stack: stack}
+	}
 	sp.End()
 	if err != nil {
 		return nil, err

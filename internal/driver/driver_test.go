@@ -3,10 +3,12 @@ package driver
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"cla/internal/core"
 	"cla/internal/cpp"
@@ -15,6 +17,7 @@ import (
 	"cla/internal/linker"
 	"cla/internal/objfile"
 	"cla/internal/obs"
+	"cla/internal/parallel"
 	"cla/internal/prim"
 	"cla/internal/pts"
 )
@@ -270,6 +273,28 @@ func TestCompilePreamblePerDirectory(t *testing.T) {
 		}
 		if h, m := o.Counter("compile.preamble_hits").Value(), o.Counter("compile.preamble_misses").Value(); h != 2 || m != 2 {
 			t.Errorf("jobs=%d: %d hits, %d misses; want 2 and 2", jobs, h, m)
+		}
+	}
+}
+
+// TestAnalyzeHeapSamplerPanic: a panic in the heap sampler fails the
+// analyze it watches with a *parallel.PanicError carrying the panic's
+// value and stack, for every solver, and the process goes on.
+func TestAnalyzeHeapSamplerPanic(t *testing.T) {
+	defer func(w func(*obs.Gauge, time.Duration) func() (any, []byte)) { watchHeap = w }(watchHeap)
+	watchHeap = func(*obs.Gauge, time.Duration) func() (any, []byte) {
+		return func() (any, []byte) { return "sampler fault", []byte("sampler stack") }
+	}
+	files := cpp.MapLoader{"a.c": "int g; int *p;\nvoid f(void) { p = &g; }\n"}
+	prog, err := Compile(context.Background(), []string{"a.c"}, files, frontend.Options{}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, solver := range []Solver{PreTransitive, Worklist, Steensgaard, BitVector, OneLevel} {
+		res, err := Analyze(context.Background(), pts.NewMemSource(prog), solver, core.DefaultConfig(), obs.New())
+		var pe *parallel.PanicError
+		if !errors.As(err, &pe) || pe.Value != "sampler fault" || string(pe.Stack) != "sampler stack" || res != nil {
+			t.Fatalf("%v: %v, %v", solver, res, err)
 		}
 	}
 }

@@ -14,9 +14,11 @@ import (
 // BenchmarkCompileSource compiles every unit of gimp@0.2 (the
 // benchmark's cold-analyze input) serially; one op is one unit. The
 // sub-benchmarks measure the leading-include memo layer by layer: none,
-// the shared header's tokens only, and its tokens and declarations
-// (Preambles); memo=miss fills a fresh Preambles per unit, the cost a
-// workspace whose units share no leading include pays.
+// the shared header's tokens only, and every layer (memo=tokens+ast,
+// Preambles: tokens, declarations, checked scope and lowered prefix;
+// the name stays so runs compare across versions); memo=miss fills a
+// fresh Preambles per unit, the cost a workspace whose units share no
+// leading include pays.
 func BenchmarkCompileSource(b *testing.B) {
 	p, _ := gen.ProfileByName("gimp")
 	code := gen.Generate(p.Scale(0.2), 1)
@@ -96,9 +98,13 @@ func (m *tokenMemo) compiler(loader cpp.Loader) func(name, src string) (*prim.Pr
 	}
 }
 
-// BenchmarkSharedHeader measures what the memo still repeats per unit:
-// type checking and lowering the shared header's declarations of
-// gimp@0.2, on their own.
+// BenchmarkSharedHeader measures, for the first unit of gimp@0.2 served
+// its shared header from the memo, what the memo saves per unit and
+// what a hit still pays. It saves type checking (check) and lowering
+// (lower) the header's declarations. A hit pays for copying the lowered
+// prefix (copy), and for checking and lowering the unit's own
+// declarations from the header's scope and that copy (unit), which
+// replays the unit's writes to header symbols.
 func BenchmarkSharedHeader(b *testing.B) {
 	p, _ := gen.ProfileByName("gimp")
 	code := gen.Generate(p.Scale(0.2), 1)
@@ -107,10 +113,18 @@ func BenchmarkSharedHeader(b *testing.B) {
 	if _, err := m.CompileSource(u, code.Files[u], code.Loader(), Options{}); err != nil {
 		b.Fatal(err)
 	}
-	var header *cc.TranslationUnit
-	for _, s := range m.slots {
-		header = &cc.TranslationUnit{Name: u, Decls: s.cur.e.decls}
+	pp := cpp.New(code.Loader())
+	r := newPreambleRun(m, pp, Options{})
+	toks, err := pp.Preprocess(u, code.Files[u])
+	if err != nil {
+		b.Fatal(err)
 	}
+	own, err := r.parse(u, toks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := r.entry
+	header := &cc.TranslationUnit{Name: u, Decls: e.decls}
 	b.Run("check", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -122,6 +136,19 @@ func BenchmarkSharedHeader(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			programSink = Compile(ck, Options{})
+		}
+	})
+	ownCk, _ := ctypes.CheckFrom(own, e.checked)
+	b.Run("copy", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			programSink = e.lowered.extend(ownCk).prog
+		}
+	})
+	b.Run("unit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			programSink = r.compile(own, Options{})
 		}
 	})
 }

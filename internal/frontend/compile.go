@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"cla/internal/cpp"
-	"cla/internal/ctypes"
 	"cla/internal/prim"
 )
 
@@ -35,7 +34,7 @@ func (m *Preambles) CompileSource(name, src string, loader cpp.Loader, opts Opti
 	}
 	var r *preambleRun
 	if m != nil {
-		r = newPreambleRun(m, pp)
+		r = newPreambleRun(m, pp, opts)
 	}
 	toks, err := pp.Preprocess(name, src)
 	var lexErr *cpp.LexError
@@ -51,8 +50,7 @@ func (m *Preambles) CompileSource(name, src string, loader cpp.Loader, opts Opti
 	if err != nil {
 		return nil, fmt.Errorf("parse %s: %w", name, err)
 	}
-	ck := ctypes.Check(unit)
-	return Compile(ck, opts), nil
+	return r.compile(unit, opts), nil
 }
 
 // CompileFile is the package's CompileFile through m.

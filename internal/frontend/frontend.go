@@ -15,6 +15,8 @@ package frontend
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"cla/internal/cc"
 	"cla/internal/ctypes"
@@ -66,10 +68,16 @@ var DefaultAllocators = map[string]bool{
 
 // Compile lowers a checked unit into a primitive-assignment database.
 func Compile(ck *ctypes.Checked, opts Options) *prim.Program {
+	b := newBuilder(ck, opts)
+	b.lower()
+	return b.prog
+}
+
+func newBuilder(ck *ctypes.Checked, opts Options) *builder {
 	if opts.Allocators == nil {
 		opts.Allocators = DefaultAllocators
 	}
-	b := &builder{
+	return &builder{
 		ck:     ck,
 		opts:   opts,
 		prog:   &prim.Program{},
@@ -77,7 +85,11 @@ func Compile(ck *ctypes.Checked, opts Options) *prim.Program {
 		fldSym: map[fieldKey]prim.SymID{},
 		fnRec:  map[prim.SymID]int{},
 	}
-	for _, d := range ck.Unit.Decls {
+}
+
+// lower lowers the checked unit's declarations.
+func (b *builder) lower() {
+	for _, d := range b.ck.Unit.Decls {
 		switch v := d.(type) {
 		case *cc.Declaration:
 			b.topDeclaration(v)
@@ -85,7 +97,91 @@ func Compile(ck *ctypes.Checked, opts Options) *prim.Program {
 			b.funcDef(v)
 		}
 	}
-	return b.prog
+}
+
+// lowerPrefix lowers a leading include's checked declarations into the
+// prefix the units after it continue (see extend). The prefix is
+// read-only: it keeps only what a continuing builder reads.
+func lowerPrefix(ck *ctypes.Checked, opts Options) *builder {
+	b := newBuilder(ck, opts)
+	b.lower()
+	b.paramIndex()
+	// A continuing unit may append parameters to a prefix record; it
+	// must get an array of its own.
+	for i := range b.prog.Funcs {
+		b.prog.Funcs[i].Params = slices.Clip(b.prog.Funcs[i].Params)
+	}
+	b.ck = nil
+	return b
+}
+
+// extend returns a builder that lowers ck, the declarations after the
+// prefix base, as the continuation of base: its program starts as a copy
+// of base's, and it looks up the objects, fields and function records
+// base lowered in base's tables, adding its own to its own. The program
+// is the one lowering the whole list gives when keepsPrefix holds.
+func (base *builder) extend(ck *ctypes.Checked) *builder {
+	p := base.prog
+	b := newBuilder(ck, base.opts)
+	b.base = base
+	b.prog = &prim.Program{
+		Syms:    withRoom(p.Syms),
+		Assigns: slices.Clone(p.Assigns),
+		Funcs:   slices.Clone(p.Funcs),
+		Calls:   slices.Clone(p.Calls),
+	}
+	b.tempSeq, b.heapSeq, b.strSeq = base.tempSeq, base.heapSeq, base.strSeq
+	return b
+}
+
+// withRoom returns a copy of syms with room for half as many again, the
+// unit's own; nil when syms is empty, as in a program lowered whole.
+func withRoom(syms []prim.Symbol) []prim.Symbol {
+	if len(syms) == 0 {
+		return nil
+	}
+	return append(make([]prim.Symbol, 0, len(syms)+len(syms)/2), syms...)
+}
+
+// keepsPrefix reports whether lowering the whole declaration list would
+// lower the prefix base as it is, given copies, the objects of the
+// prefix's scope that the declarations after it wrote (ctypes.CheckFrom).
+// Lowering reads a redeclared object's final type: a symbol's type
+// string and, for a function, the parameter count of its record, and
+// for a function the prefix defines, the parameter names its body
+// binds. So a copy keeps the prefix when its type prints as the
+// original's with as many parameters, of a function the prefix does not
+// define.
+func (base *builder) keepsPrefix(copies []*ctypes.Object) bool {
+	for _, cp := range copies {
+		o := cp.Original()
+		if id, ok := base.symID(o); ok && o.Kind == ctypes.ObjFunc && base.prog.Syms[id].Defined {
+			return false
+		}
+		if numParams(cp.Type) != numParams(o.Type) || cp.Type.String() != o.Type.String() {
+			return false
+		}
+	}
+	return true
+}
+
+// numParams returns the parameter count of the function t calls.
+func numParams(t *ctypes.Type) int {
+	if ft := t.FuncType(); ft != nil {
+		return len(ft.Params)
+	}
+	return 0
+}
+
+// sameLowering reports whether a and b lower a checked unit alike.
+func sameLowering(a, b Options) bool {
+	alloc := func(o Options) map[string]bool {
+		if o.Allocators == nil {
+			return DefaultAllocators
+		}
+		return o.Allocators
+	}
+	return a.Mode == b.Mode && a.ModelStrings == b.ModelStrings && maps.Equal(alloc(a), alloc(b))
 }
 
 type fieldKey struct {
@@ -100,6 +196,9 @@ type builder struct {
 	ck   *ctypes.Checked
 	opts Options
 	prog *prim.Program
+	// base is the read-only prefix this builder continues (extend), or
+	// nil; its tables are consulted after this builder's own.
+	base *builder
 
 	objSym map[*ctypes.Object]prim.SymID
 	fldSym map[fieldKey]prim.SymID
@@ -118,9 +217,34 @@ type builder struct {
 
 func locOf(p cc.Pos) prim.Loc { return prim.Loc{File: p.File, Line: int32(p.Line)} }
 
+// symID returns the symbol of object o (an original), if it has one.
+func (b *builder) symID(o *ctypes.Object) (prim.SymID, bool) {
+	if id, ok := b.objSym[o]; ok || b.base == nil {
+		return id, ok
+	}
+	return b.base.symID(o)
+}
+
+// recIndex returns the index of fn's FuncRecord, if it has one.
+func (b *builder) recIndex(fn prim.SymID) (int, bool) {
+	if idx, ok := b.fnRec[fn]; ok || b.base == nil {
+		return idx, ok
+	}
+	return b.base.recIndex(fn)
+}
+
+// fieldID returns the field-based symbol of key, if it has one.
+func (b *builder) fieldID(key fieldKey) (prim.SymID, bool) {
+	if id, ok := b.fldSym[key]; ok || b.base == nil {
+		return id, ok
+	}
+	return b.base.fieldID(key)
+}
+
 // symFor returns (creating on demand) the database symbol for an object.
+// A copy of an object shares its original's symbol.
 func (b *builder) symFor(o *ctypes.Object) prim.SymID {
-	if id, ok := b.objSym[o]; ok {
+	if id, ok := b.symID(o.Original()); ok {
 		return id
 	}
 	s := prim.Symbol{
@@ -141,7 +265,7 @@ func (b *builder) symFor(o *ctypes.Object) prim.SymID {
 		s.Kind = prim.SymLocal
 	}
 	id := b.prog.AddSym(s)
-	b.objSym[o] = id
+	b.objSym[o.Original()] = id
 	if o.Kind == ctypes.ObjFunc {
 		b.recordFor(id, o.Type)
 	}
@@ -151,7 +275,7 @@ func (b *builder) symFor(o *ctypes.Object) prim.SymID {
 // fieldFor returns the field-based symbol for field name of struct info.
 func (b *builder) fieldFor(info *ctypes.StructInfo, f *ctypes.Field, pos cc.Pos) prim.SymID {
 	key := fieldKey{info, f.Name}
-	if id, ok := b.fldSym[key]; ok {
+	if id, ok := b.fieldID(key); ok {
 		return id
 	}
 	s := prim.Symbol{
@@ -203,7 +327,7 @@ func (b *builder) stringSym(pos cc.Pos) prim.SymID {
 // list to cover t's parameters (or n params for unknown types), and
 // returns its index.
 func (b *builder) recordFor(fn prim.SymID, t *ctypes.Type) int {
-	idx, ok := b.fnRec[fn]
+	idx, ok := b.recIndex(fn)
 	if !ok {
 		idx = len(b.prog.Funcs)
 		b.prog.Funcs = append(b.prog.Funcs, prim.FuncRecord{Func: fn, Ret: prim.NoSym})
@@ -234,7 +358,7 @@ func (b *builder) recordFor(fn prim.SymID, t *ctypes.Type) int {
 
 // ensureParams extends fn's record to at least n parameter symbols.
 func (b *builder) ensureParams(fn prim.SymID, n int) {
-	idx := b.fnRec[fn]
+	idx, _ := b.recIndex(fn)
 	rec := &b.prog.Funcs[idx]
 	base := b.prog.Sym(fn)
 	for len(rec.Params) < n {
@@ -269,7 +393,7 @@ func (b *builder) retFor(fn prim.SymID) prim.SymID {
 }
 
 func (b *builder) recordForExisting(fn prim.SymID) int {
-	if idx, ok := b.fnRec[fn]; ok {
+	if idx, ok := b.recIndex(fn); ok {
 		return idx
 	}
 	idx := len(b.prog.Funcs)
@@ -280,16 +404,15 @@ func (b *builder) recordForExisting(fn prim.SymID) int {
 
 // paramSym returns fn's i-th (0-based) standardized parameter symbol.
 func (b *builder) paramSym(fn prim.SymID, i int) prim.SymID {
-	b.recordForExisting(fn)
+	idx := b.recordForExisting(fn)
 	b.ensureParams(fn, i+1)
-	return b.prog.Funcs[b.fnRec[fn]].Params[i]
+	return b.prog.Funcs[idx].Params[i]
 }
 
 // markFuncPtr flags sym as an indirect-call target pointer.
 func (b *builder) markFuncPtr(sym prim.SymID) {
 	b.prog.Sym(sym).FuncPtr = true
-	b.recordForExisting(sym)
-	rec := &b.prog.Funcs[b.fnRec[sym]]
+	rec := &b.prog.Funcs[b.recordForExisting(sym)]
 	rec.Variadic = true
 }
 
@@ -359,9 +482,21 @@ func (b *builder) funcDef(fd *cc.FuncDef) {
 }
 
 // lookupParamObject finds the checked parameter object of the current
-// function by name: the first in declaration order, through an index
-// of every parameter built on first use.
+// function by name: the first in declaration order, the prefix's before
+// the unit's.
 func (b *builder) lookupParamObject(name string) *ctypes.Object {
+	k := paramKey{b.curFuncName, name}
+	if b.base != nil {
+		if o := b.base.params[k]; o != nil {
+			return o
+		}
+	}
+	return b.paramIndex()[k]
+}
+
+// paramIndex returns the index of the unit's parameters, built on
+// first use.
+func (b *builder) paramIndex() map[paramKey]*ctypes.Object {
 	if b.params == nil {
 		b.params = map[paramKey]*ctypes.Object{}
 		for _, o := range b.ck.Objects {
@@ -370,7 +505,7 @@ func (b *builder) lookupParamObject(name string) *ctypes.Object {
 			}
 		}
 	}
-	return b.params[paramKey{b.curFuncName, name}]
+	return b.params
 }
 
 func (b *builder) stmt(s cc.Stmt) {

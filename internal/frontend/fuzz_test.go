@@ -23,7 +23,8 @@ import (
 // The unit is compiled three ways: without a memo, through a fresh
 // Preambles (which fills it) and through that memo again (which is
 // served from it); all three must give the same error string or
-// byte-equal programs.
+// byte-equal programs. The seeds include units that write the state of
+// the header they start with (headerWriteCases).
 // Every accepted program is solved by all five solvers, which must agree
 // per symbol: pre-transitive = worklist = bitvec, and that exact set is
 // within both one-level's and Steensgaard's. One-level within
@@ -54,6 +55,9 @@ func FuzzCompile(f *testing.F) {
 		for _, hdr := range c.files {
 			f.Add(c.src, hdr)
 		}
+	}
+	for _, c := range headerWriteCases {
+		f.Add(c.src, c.header)
 	}
 	f.Fuzz(func(t *testing.T, src, header string) {
 		if len(src)+len(header) > 1<<16 {

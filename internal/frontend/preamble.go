@@ -9,6 +9,8 @@ import (
 
 	"cla/internal/cc"
 	"cla/internal/cpp"
+	"cla/internal/ctypes"
+	"cla/internal/prim"
 )
 
 // Preambles memoizes the leading includes of a workspace's units: an
@@ -18,8 +20,12 @@ import (
 // unit that reaches it in the same state restores the preprocessor's
 // state after it and starts its translation unit with the header's
 // shared, read-only top-level declarations, parsing only its own text.
-// Type checking and lowering run unchanged over the same declaration
-// list, so the programs are identical to CompileSource's.
+// The entry also holds the header's checked file scope and its lowered
+// prefix, so the unit type-checks only its own declarations from that
+// scope and lowers them from a copy of the prefix. A unit that writes
+// header state the header's own lowering reads (keepsPrefix, CheckFrom's
+// tag rule) is checked and lowered over the whole declaration list
+// instead. Either way the programs are identical to CompileSource's.
 //
 // An entry is keyed by the previous leading include's key (so a second
 // leading include is keyed after the first), the preprocessor's state
@@ -51,7 +57,7 @@ type Preambles struct {
 	// oldest first.
 	unshared []filled
 
-	hits, misses atomic.Int64
+	hits, misses, rechecks atomic.Int64
 }
 
 // maxUnshared bounds the unshared entries the memo keeps. A shared
@@ -71,9 +77,11 @@ func NewPreambles() *Preambles {
 }
 
 // Counts returns how many leading includes were served from the memo
-// (hits) and how many were preprocessed (misses) so far.
-func (m *Preambles) Counts() (hits, misses int64) {
-	return m.hits.Load(), m.misses.Load()
+// (hits) and how many were preprocessed (misses) so far, and how many
+// units that used the memo were checked and lowered over their whole
+// declaration list because they wrote header state (rechecks).
+func (m *Preambles) Counts() (hits, misses, rechecks int64) {
+	return m.hits.Load(), m.misses.Load(), m.rechecks.Load()
 }
 
 // Sweep drops every key that no compile has looked up since the last
@@ -122,10 +130,12 @@ type preamble struct {
 	// ok reports that the header was stored: it preprocessed cleanly and
 	// parsed into whole declarations. An entry that is not ok only saves
 	// later units the attempt.
-	ok    bool
-	state *cpp.State   // the preprocessor's state after the header
-	decls []cc.ExtDecl // the declarations of the chain up to this header
-	scope cc.Scope     // the parser's file scope after them
+	ok      bool
+	state   *cpp.State    // the preprocessor's state after the header
+	decls   []cc.ExtDecl  // the declarations of the chain up to this header
+	scope   cc.Scope      // the parser's file scope after them
+	checked *ctypes.Scope // the checker's file scope after them
+	lowered *builder      // their lowered prefix
 }
 
 // load is one call of a cpp.Loader and its result.
@@ -222,6 +232,7 @@ func (m *Preambles) trim() {
 type preambleRun struct {
 	m    *Preambles
 	pp   *cpp.Preprocessor
+	opts Options
 	rec  *recLoader
 	mark int // loads made before the current #include
 	slot *slot
@@ -230,8 +241,8 @@ type preambleRun struct {
 	stop  bool // a leading include was preprocessed as usual
 }
 
-func newPreambleRun(m *Preambles, pp *cpp.Preprocessor) *preambleRun {
-	r := &preambleRun{m: m, pp: pp, rec: &recLoader{inner: pp.Loader}}
+func newPreambleRun(m *Preambles, pp *cpp.Preprocessor, opts Options) *preambleRun {
+	r := &preambleRun{m: m, pp: pp, opts: opts, rec: &recLoader{inner: pp.Loader}}
 	pp.Loader = r.rec
 	pp.Leading = r.include
 	return r
@@ -313,9 +324,11 @@ func (r *preambleRun) valid(e *preamble) bool {
 	return true
 }
 
-// fill preprocesses and parses the header for the memo and publishes
-// the entry. A header that cannot be stored is published as an entry
-// that is not ok, and the unit's compile starts over without the memo.
+// fill preprocesses, parses, checks and lowers the header for the memo
+// and publishes the entry. The check and the lowering run over the
+// chain's whole declaration list, with the filler's options. A header
+// that cannot be stored is published as an entry that is not ok, and
+// the unit's compile starts over without the memo.
 func (r *preambleRun) fill(s *slot, c *cell, path, content string) (bool, error) {
 	r.m.misses.Add(1)
 	var e *preamble
@@ -341,6 +354,8 @@ func (r *preambleRun) fill(s *slot, c *cell, path, content string) (bool, error)
 	f.ok = true
 	f.state = r.pp.State()
 	f.decls = slices.Clip(append(decls, unit.Decls...))
+	ck := ctypes.Check(&cc.TranslationUnit{Name: path, Decls: f.decls})
+	f.checked, f.lowered = ck.Scope(), lowerPrefix(ck, r.opts)
 	e = f
 	r.use(s, e)
 	return true, nil
@@ -351,16 +366,36 @@ func (r *preambleRun) use(s *slot, e *preamble) {
 }
 
 // parse parses the unit's own tokens after its memoized leading
-// includes: the translation unit is their declarations followed by the
-// unit's.
+// includes.
 func (r *preambleRun) parse(name string, toks []cc.Token) (*cc.TranslationUnit, error) {
 	if r == nil || r.entry == nil {
 		return cc.ParseTokens(name, toks)
 	}
 	unit, _, err := cc.ParseTokensFrom(name, toks, r.entry.scope)
-	if unit != nil {
-		decls := make([]cc.ExtDecl, 0, len(r.entry.decls)+len(unit.Decls))
-		unit.Decls = append(append(decls, r.entry.decls...), unit.Decls...)
-	}
 	return unit, err
+}
+
+// compile type-checks and lowers the unit's own declarations, as the
+// continuation of its memoized leading includes: from their checked
+// scope and a copy of their lowered prefix. A unit whose options lower
+// differently from the prefix's, or that writes header state the
+// header's own check or lowering reads (a recheck), is checked and
+// lowered over the whole list, the includes' declarations first.
+func (r *preambleRun) compile(unit *cc.TranslationUnit, opts Options) *prim.Program {
+	if r == nil || r.entry == nil {
+		return Compile(ctypes.Check(unit), opts)
+	}
+	e := r.entry
+	if sameLowering(e.lowered.opts, opts) {
+		ck, ok := ctypes.CheckFrom(unit, e.checked)
+		if ok && e.lowered.keepsPrefix(ck.Copies) {
+			b := e.lowered.extend(ck)
+			b.lower()
+			return b.prog
+		}
+		r.m.rechecks.Add(1)
+	}
+	decls := make([]cc.ExtDecl, 0, len(e.decls)+len(unit.Decls))
+	whole := &cc.TranslationUnit{Name: unit.Name, Decls: append(append(decls, e.decls...), unit.Decls...)}
+	return Compile(ctypes.Check(whole), opts)
 }

@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -66,7 +67,7 @@ func TestPreambleTable2Profiles(t *testing.T) {
 		}
 		for _, opts := range []Options{{}, {Mode: FieldIndependent, ModelStrings: true}} {
 			m := checkMemo(t, units, code.Loader(), opts)
-			if hits, misses := m.Counts(); misses != 1 || hits != int64(2*len(units)-1) {
+			if hits, misses, _ := m.Counts(); misses != 1 || hits != int64(2*len(units)-1) {
 				t.Errorf("%s: %d hits, %d misses; want %d and 1", p.Name, hits, misses, 2*len(units)-1)
 			}
 		}
@@ -156,7 +157,7 @@ func TestPreambleNotStored(t *testing.T) {
 				t.Errorf("%s: %s", c.name, d)
 			}
 		}
-		if hits, misses := m.Counts(); hits != 0 || misses != 3 {
+		if hits, misses, _ := m.Counts(); hits != 0 || misses != 3 {
 			t.Errorf("%s: %d hits, %d misses; want 0 and 3", c.name, hits, misses)
 		}
 	}
@@ -234,7 +235,7 @@ func TestPreambleSweep(t *testing.T) {
 	compile("#include \"b.h\"\n")
 	m.Sweep() // a.h went unused, b.h served only its filler
 	keys(0)
-	if hits, misses := m.Counts(); hits != 2 || misses != 4 {
+	if hits, misses, _ := m.Counts(); hits != 2 || misses != 4 {
 		t.Fatalf("%d hits, %d misses, want 2 and 4", hits, misses)
 	}
 }
@@ -269,11 +270,11 @@ func TestPreambleKeepsFewUnshared(t *testing.T) {
 	if entries != maxUnshared+1 {
 		t.Fatalf("%d entries, want %d", entries, maxUnshared+1)
 	}
-	hits, misses := m.Counts()
+	hits, misses, _ := m.Counts()
 	compile("shared.h")
 	compile(fmt.Sprintf("h%d.h", n-1))
 	compile("h0.h")
-	if h, m := m.Counts(); h-hits != 2 || m-misses != 1 {
+	if h, m, _ := m.Counts(); h-hits != 2 || m-misses != 1 {
 		t.Fatalf("%d hits, %d misses; want 2 and 1", h-hits, m-misses)
 	}
 }
@@ -298,7 +299,7 @@ func TestPreambleConcurrent(t *testing.T) {
 	if d := strings.Join(diffs, ""); d != "" {
 		t.Fatal(d)
 	}
-	if hits, misses := m.Counts(); misses != 1 || hits != int64(len(units)-1) {
+	if hits, misses, _ := m.Counts(); misses != 1 || hits != int64(len(units)-1) {
 		t.Fatalf("%d hits, %d misses; want %d and 1", hits, misses, len(units)-1)
 	}
 }
@@ -335,7 +336,160 @@ func TestPreambleFillPanic(t *testing.T) {
 			t.Fatal(d)
 		}
 	}
-	if hits, misses := m.Counts(); hits != 1 || misses != 2 {
+	if hits, misses, _ := m.Counts(); hits != 1 || misses != 2 {
 		t.Fatalf("%d hits, %d misses; want 1 and 2", hits, misses)
+	}
+}
+
+// headerWriteCases are units that write state of the header they start
+// with: its objects, through a redeclaration or a definition, or its
+// tags, by completing one. recheck says whether the write changes how
+// the header itself lowers, so the unit is checked and lowered over its
+// whole declaration list.
+var headerWriteCases = []struct {
+	name, header, src string
+	recheck           bool
+}{
+	{name: "defines prototype, same parameters",
+		header: "int *f(int *p);\n",
+		src:    "#include \"h.h\"\nint x; int *r;\nint *f(int *q) { return q; }\nvoid g(void) { r = f(&x); }\n"},
+	{name: "defines prototype, longer parameter list",
+		header:  "int *f(int *p);\n",
+		src:     "#include \"h.h\"\nint x; int *r;\nint *f(int *p, int *q) { return q; }\nvoid g(void) { r = f(&x, &x); }\n",
+		recheck: true},
+	{name: "defines unprototyped function",
+		header:  "int *f();\n",
+		src:     "#include \"h.h\"\nint *f(int *p) { return p; }\n",
+		recheck: true},
+	{name: "redeclares prototype after use",
+		header: "int *f(int *);\n",
+		src:    "#include \"h.h\"\nint x; int *r = f(&x);\nint *f(int *p);\nint *f(int *p) { return p; }\n"},
+	{name: "redefines header function",
+		header:  "static int *id(int *p) { return p; }\n",
+		src:     "#include \"h.h\"\nstatic int *id(int *q) { return 0; }\n",
+		recheck: true},
+	{name: "defines extern global",
+		header: "extern int *gp;\nextern int g;\nextern int arr[];\n",
+		src:    "#include \"h.h\"\nint g;\nint *gp = &g;\nint arr[4];\nvoid f(void) { gp = arr; }\n"},
+	{name: "stores through function pointer",
+		header: "extern int *(*fp)(int *);\nint *id(int *p);\n",
+		src:    "#include \"h.h\"\nint *id(int *p) { return p; }\nint v; int *r;\nvoid run(void) { fp = id; r = fp(&v); r = (*fp)(r); }\n"},
+	{name: "calls variadic with more arguments",
+		header: "int log(const char *fmt, ...);\n",
+		src:    "#include \"h.h\"\nint x, *p;\nvoid f(void) { log(\"%p %p\", &x, p); }\n"},
+	{name: "completes declared struct",
+		header:  "struct S;\nextern struct S *cur;\nint *get(struct S *);\n",
+		src:     "#include \"h.h\"\nstruct S { int *p; };\nint *get(struct S *s) { return s->p; }\nint *r;\nvoid g(void) { r = cur->p; }\n",
+		recheck: true},
+	{name: "completes declared struct in a block",
+		header:  "struct S;\nextern struct S *cur;\n",
+		src:     "#include \"h.h\"\nint *r;\nvoid g(void) { struct S { int *p; }; r = cur->p; }\n",
+		recheck: true},
+	{name: "redefines complete struct",
+		header: "struct S { int *p; };\nextern struct S s;\n",
+		src:    "#include \"h.h\"\nstruct S { long *q; };\nint *r;\nvoid g(void) { struct S t; r = s.p; }\n"},
+	{name: "redeclares typedef in block scope",
+		header: "typedef int *T;\nextern T gt;\n",
+		src:    "#include \"h.h\"\nint x;\nvoid f(void) { int T = 0; gt = &x; T = 1; }\nT y = &x;\n"},
+	{name: "redeclares function typedef",
+		header:  "typedef int F(int);\nF h;\n",
+		src:     "#include \"h.h\"\ntypedef int F(long);\nF k;\nint h(int a) { return k(a); }\n",
+		recheck: true},
+	{name: "implicit declarations on both sides",
+		header: "static int *w(void) { return undeclared(); }\n",
+		src:    "#include \"h.h\"\nint *r;\nvoid f(void) { r = undeclared(); r = w(); }\n"},
+}
+
+// TestPreambleHeaderWrites: a unit that writes header state compiles
+// to the program of a compile without a memo, whether it fills the
+// entry or is served one another unit filled, and is rechecked exactly
+// when the write changes how the header lowers.
+func TestPreambleHeaderWrites(t *testing.T) {
+	for _, c := range headerWriteCases {
+		for _, opts := range []Options{{}, {Mode: FieldIndependent, ModelStrings: true}} {
+			files := cpp.MapLoader{"h.h": c.header}
+			m := NewPreambles()
+			// The case unit fills the entry, then is served it; then a
+			// plain unit refills it and the case unit is served that.
+			for i, src := range []string{c.src, c.src, "#include \"h.h\"\n", c.src} {
+				if i == 2 {
+					m = NewPreambles()
+				}
+				if d := diffMemo("u.c", src, files, opts, m); d != "" {
+					t.Errorf("%s, compile %d: %s", c.name, i, d)
+				}
+			}
+			want := int64(0)
+			if c.recheck {
+				want = 1
+			}
+			if _, _, rechecks := m.Counts(); rechecks != want {
+				t.Errorf("%s: %d rechecks, want %d", c.name, rechecks, want)
+			}
+		}
+	}
+}
+
+// TestPreambleOptionsDiffer: units that lower with other options than
+// the unit that filled the entry still compile as without a memo.
+func TestPreambleOptionsDiffer(t *testing.T) {
+	files := cpp.MapLoader{"h.h": "struct S { int *p; };\nextern struct S s;\nstatic int *get(void) { return s.p; }\nchar *name = \"h\";\n"}
+	src := "#include \"h.h\"\nint *r; char *c;\nvoid f(void) { r = get(); c = \"u\"; r = malloc(4); }\n"
+	m := NewPreambles()
+	for _, opts := range []Options{{}, {Mode: FieldIndependent}, {ModelStrings: true}, {Allocators: map[string]bool{}}, {}} {
+		if d := diffMemo("u.c", src, files, opts, m); d != "" {
+			t.Errorf("%+v: %s", opts, d)
+		}
+	}
+}
+
+// Snippets for TestPreambleMixedHeaderWrites: header declarations, and
+// unit declarations that use, redeclare, define or complete them.
+var (
+	headerSnippets = []string{
+		"int *f(int *p);", "int *f();", "int *f(int *p, ...);", "static int *f(int *p) { return p; }",
+		"int g(void);", "extern int *gp;", "extern int x;", "int x;", "typedef int *T;", "typedef int F(int);",
+		"F h;", "struct S;", "struct S { int *a; int *b; };", "extern struct S *cur;", "extern struct S sv;",
+		"extern int *(*fp)(int *);", "static int *w(void) { return undeclared(); }", "enum { A, B };",
+		"struct { int *q; } anon;", "int arr[];", "union U { int *u; };", "extern union U uu;",
+		"int k(int a, int b);", "static int *id(int *p) { return p; }",
+	}
+	unitSnippets = []string{
+		"int *f(int *q) { return q; }", "int *f(int *p, int *q) { return q; }", "int *f(int *p);", "int *f();",
+		"int g(void) { return 0; }", "int g(int a) { return a; }", "int *gp = &x;", "int x;",
+		"typedef long T;", "typedef int F(long);", "void u1(void) { int T = 0; gp = &x; T = 1; }",
+		"struct S { int *c; };", "void u2(void) { gp = cur->a; }", "void u3(void) { fp = f; gp = fp(&x); }",
+		"void u4(void) { gp = f(&x, &x, gp); }", "void u5(void) { gp = undeclared(); gp = w(); }",
+		"void u6(void) { struct S { int *z; } s; s.z = gp; }", "int arr[3];", "void u7(void) { gp = arr; }",
+		"void u8(void) { gp = sv.a; sv.b = gp; }", "int k(int b, int a) { return a; }", "int k(int a);",
+		"static int *id(int *q);", "void u9(void) { gp = id(gp); }", "union U { long v; };",
+		"void u10(void) { gp = uu.u; }", "int h(int a) { return a; }", "int *(*fp)(int *) = id;",
+		"void u11(void) { gp = anon.q; }", "void u12(void) { char *s = \"x\"; gp = (int *)malloc(4); }",
+	}
+)
+
+// TestPreambleMixedHeaderWrites: units of random snippet mixes, served a
+// header of random declarations another unit filled, compile as without
+// a memo.
+func TestPreambleMixedHeaderWrites(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pick := func(from []string) string {
+		var out []string
+		for range 1 + rng.Intn(6) {
+			out = append(out, from[rng.Intn(len(from))])
+		}
+		return strings.Join(out, "\n") + "\n"
+	}
+	for range 500 {
+		files := cpp.MapLoader{"h.h": pick(headerSnippets)}
+		src := "#include \"h.h\"\n" + pick(unitSnippets)
+		for _, opts := range []Options{{}, {Mode: FieldIndependent, ModelStrings: true}} {
+			m := NewPreambles()
+			for _, s := range []string{"#include \"h.h\"\nint other;\n", src} {
+				if d := diffMemo("u.c", s, files, opts, m); d != "" {
+					t.Fatalf("%s\nheader:\n%s\nunit:\n%s", d, files["h.h"], s)
+				}
+			}
+		}
 	}
 }

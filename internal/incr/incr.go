@@ -87,8 +87,11 @@ type Config struct {
 	// CacheDir, when non-empty, enables the on-disk unit store there, so
 	// compiled units survive across pipeline sessions.
 	CacheDir string
-	// Obs receives phase spans, incr.* counters and the incr.refresh
-	// latency histogram. Nil disables instrumentation.
+	// Obs receives phase spans, incr.* counters, the incr.refresh
+	// latency histogram and its per-phase split: incr.refresh.hash and
+	// incr.refresh.compile for every committed refresh,
+	// incr.refresh.link and incr.refresh.solve for those that linked and
+	// solved. Nil disables instrumentation.
 	Obs *obs.Observer
 }
 
@@ -475,7 +478,7 @@ func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*
 		sp := o.Start("compile")
 		dirs := append([]string{p.cfg.Dir}, p.cfg.Includes...)
 		var hits atomic.Int64
-		preHits, preMisses := p.pre.Counts()
+		preHits, preMisses, preRechecks := p.pre.Counts()
 		err := parallel.ForEachCtx(ctx, p.cfg.Jobs, len(dirtyIdx), func(k int) error {
 			i := dirtyIdx[k]
 			path := paths[i]
@@ -501,9 +504,10 @@ func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*
 		sp.End()
 		st.StoreHits = int(hits.Load())
 		st.Recompiled = len(dirtyIdx) - st.StoreHits
-		h, m := p.pre.Counts()
+		h, m, r := p.pre.Counts()
 		o.Counter("compile.preamble_hits").Add(h - preHits)
 		o.Counter("compile.preamble_misses").Add(m - preMisses)
+		o.Counter("compile.preamble_rechecks").Add(r - preRechecks)
 		if st.Recompiled > 0 {
 			p.pre.Sweep()
 		}
@@ -624,6 +628,12 @@ func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result,
 		o.Counter("incr.solve_scratch").Inc()
 	}
 	o.Histogram("incr.refresh").ObserveSince(start)
+	o.Histogram("incr.refresh.hash").Observe(int64(st.Hash))
+	o.Histogram("incr.refresh.compile").Observe(int64(st.Compile))
+	if !st.SolveReused {
+		o.Histogram("incr.refresh.link").Observe(int64(st.Link))
+		o.Histogram("incr.refresh.solve").Observe(int64(st.Solve))
+	}
 	return res, st, nil
 }
 

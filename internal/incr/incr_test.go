@@ -856,3 +856,53 @@ int *counter_addr(void) { return &shadow; }
 		t.Fatal("WatchLoop never caught up with the pre-baseline edit")
 	}
 }
+
+// TestRefreshPhaseHistograms: every committed refresh records its hash
+// and compile times, and one that links and solves its link and solve
+// times, each in its own histogram beside incr.refresh; a comment edit,
+// whose fixpoint is reused, records no link or solve sample.
+func TestRefreshPhaseHistograms(t *testing.T) {
+	dir := t.TempDir()
+	writeTree(t, dir, baseTree)
+	cfg := testConfig(dir)
+	o := obs.New()
+	cfg.Obs = o
+	p, err := Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := map[string]time.Duration{}
+	add := func(st RefreshStats) {
+		sums["hash"] += st.Hash
+		sums["compile"] += st.Compile
+		sums["link"] += st.Link
+		sums["solve"] += st.Solve
+	}
+	add(p.Current().Stats)
+	for _, e := range []struct {
+		src    string
+		reused bool
+	}{
+		{baseTree["count.c"] + "int extra, *ep = &extra;\n", false},
+		{baseTree["count.c"] + "int extra, *ep = &extra;\n/* comment */\n", true},
+	} {
+		_, st, err := p.Update(context.Background(), edit(t, dir, "count.c", e.src))
+		if err != nil || st.SolveReused != e.reused {
+			t.Fatalf("edit: %+v, %v", st, err)
+		}
+		add(st)
+	}
+	for phase, want := range map[string]int64{"": 3, "hash": 3, "compile": 3, "link": 2, "solve": 2} {
+		name := "incr.refresh"
+		if phase != "" {
+			name += "." + phase
+		}
+		h := o.Histogram(name)
+		if h.Count() != want {
+			t.Errorf("%s: %d samples, want %d", name, h.Count(), want)
+		}
+		if phase != "" && h.Sum() != int64(sums[phase]) {
+			t.Errorf("%s: sum %d, want %d", name, h.Sum(), sums[phase])
+		}
+	}
+}

@@ -54,9 +54,34 @@ void other(struct pair *p) { q = FIRST(p); }
 `,
 }
 
+// writesTree has one unit of each kind that writes state of the header
+// they share: two of them (longer.c, complete.c) change how the header
+// itself lowers, so they are rechecked.
+var writesTree = map[string]string{
+	"w.h": `#ifndef W_H
+#define W_H
+int *same(int *p);
+int *longer(int *p);
+extern int *gp;
+extern int g;
+extern int *(*fp)(int *);
+struct later;
+extern struct later *cur;
+typedef int *T;
+extern T gt;
+#endif
+`,
+	"same.c":     "#include \"w.h\"\nint *same(int *q) { return q; }\n",
+	"longer.c":   "#include \"w.h\"\nint *longer(int *p, int *q) { return q; }\nvoid use(void) { gp = longer(gp, &g); }\n",
+	"global.c":   "#include \"w.h\"\nint g;\nint *gp = &g;\n",
+	"fnptr.c":    "#include \"w.h\"\nint v;\nvoid run(void) { fp = same; gp = fp(&v); }\n",
+	"complete.c": "#include \"w.h\"\nstruct later { int *p; };\nvoid take(void) { gp = cur->p; }\n",
+	"block.c":    "#include \"w.h\"\nvoid f(void) { int T = 1; gt = &g; T = 2; }\n",
+}
+
 // preambleWorkspaces returns the directories the memo is checked on:
 // every examples directory with C files, every Table 2 profile at a
-// small scale, gimp@0.2 and definesTree.
+// small scale, gimp@0.2, definesTree and writesTree.
 func preambleWorkspaces(t *testing.T) map[string]string {
 	ws := map[string]string{}
 	dirs, err := filepath.Glob("../../examples/*/testdata")
@@ -78,21 +103,37 @@ func preambleWorkspaces(t *testing.T) map[string]string {
 	defs := t.TempDir()
 	writeTree(t, defs, definesTree)
 	ws["defines"] = defs
+	writes := t.TempDir()
+	writeTree(t, writes, writesTree)
+	ws["writes"] = writes
 	return ws
 }
 
+// wantRechecks is how many units of each preambleWorkspaces entry write
+// header state that changes how the header lowers: the ones completing
+// a struct the header declared, and writesTree's longer.c.
+var wantRechecks = map[string]int64{"defines": 2, "writes": 2}
+
 // TestPreambleMatchesPlainCompile: at -j 8, every unit a pipeline
 // compiles through its memo has the program (digest and object file)
-// and the deps of a compile without the memo, and a unit store filled
-// without the memo serves every unit of the memo's pipeline.
+// and the deps of a compile without the memo, only the units that write
+// header state the header's lowering reads are rechecked, and a unit
+// store filled without the memo serves every unit of the memo's
+// pipeline.
 func TestPreambleMatchesPlainCompile(t *testing.T) {
 	for name, dir := range preambleWorkspaces(t) {
 		cfg := testConfig(dir)
 		cfg.Jobs = 8
+		o := obs.New()
+		cfg.Obs = o
 		p, err := Open(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		if n := o.Counter("compile.preamble_rechecks").Value(); n != wantRechecks[name] {
+			t.Errorf("%s: %d rechecks, want %d", name, n, wantRechecks[name])
+		}
+		cfg.Obs = nil
 		dirs := []string{dir}
 		for path, u := range p.units {
 			plain, err := compileUnit(path, dirs, cfg.Frontend, nil)
@@ -150,7 +191,8 @@ func diffUnits(got, want *unit) string {
 }
 
 // TestPreambleCounters: a cold open preprocesses the shared header once
-// at any -j, and a comment edit serves it from the memo.
+// at any -j, and a comment edit and a fact edit serve it from the memo;
+// no unit is rechecked.
 func TestPreambleCounters(t *testing.T) {
 	p, _ := gen.ProfileByName("gimp")
 	code := gen.Generate(p.Scale(0.01), 1)
@@ -169,6 +211,9 @@ func TestPreambleCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 		counts := func() (int64, int64) {
+			if n := o.Counter("compile.preamble_rechecks").Value(); n != 0 {
+				t.Fatalf("jobs=%d: %d rechecks", jobs, n)
+			}
 			return o.Counter("compile.preamble_hits").Value(), o.Counter("compile.preamble_misses").Value()
 		}
 		if h, m := counts(); h != int64(units-1) || m != 1 {
@@ -181,6 +226,13 @@ func TestPreambleCounters(t *testing.T) {
 		}
 		if h, m := counts(); h != int64(units) || m != 1 {
 			t.Fatalf("jobs=%d: comment edit: %d hits, %d misses in all; want %d and 1", jobs, h, m, units)
+		}
+		path = edit(t, dir, u, code.Files[u]+"int bench_g;\nint *bench_p = &bench_g;\n")
+		if _, st, err := pipe.Update(context.Background(), path); err != nil || st.Recompiled != 1 || st.SolveReused {
+			t.Fatalf("jobs=%d: fact edit: %+v, %v", jobs, st, err)
+		}
+		if h, m := counts(); h != int64(units+1) || m != 1 {
+			t.Fatalf("jobs=%d: fact edit: %d hits, %d misses in all; want %d and 1", jobs, h, m, units+1)
 		}
 	}
 }

@@ -27,6 +27,19 @@ func Link(units []*prim.Program) (*prim.Program, error) {
 // tables: remaps[u][i] is the linked id of units[u]'s symbol i.
 func LinkRemaps(units []*prim.Program) (*prim.Program, [][]prim.SymID, error) {
 	out := &prim.Program{}
+	// The fold keeps every unit's assignments and call sites, so size
+	// them once (nil, as before, when there are none).
+	var assigns, calls int
+	for _, u := range units {
+		assigns += len(u.Assigns)
+		calls += len(u.Calls)
+	}
+	if assigns > 0 {
+		out.Assigns = make([]prim.Assign, 0, assigns)
+	}
+	if calls > 0 {
+		out.Calls = make([]prim.CallSite, 0, calls)
+	}
 	globals := map[string]prim.SymID{}
 	recIdx := map[prim.SymID]int{}
 	remaps := make([][]prim.SymID, len(units))

@@ -357,3 +357,28 @@ func TestLinkParallelMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkSizesOutputOnce: the fold keeps every unit's assignments and
+// call sites, in unit order, in slices sized once from the units' totals.
+func TestLinkSizesOutputOnce(t *testing.T) {
+	units := manyUnits(t, 7)
+	units = append(units, compileUnit(t, "c.c", "int *p, x; int *g(int *q) { return q; }\nvoid f(void) { p = g(&x); }"))
+	out, err := Link(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var assigns, calls int
+	for _, u := range units {
+		assigns += len(u.Assigns)
+		calls += len(u.Calls)
+	}
+	if len(out.Assigns) != assigns || cap(out.Assigns) != assigns {
+		t.Errorf("assigns: len %d, cap %d; want %d", len(out.Assigns), cap(out.Assigns), assigns)
+	}
+	if len(out.Calls) != calls || cap(out.Calls) != calls {
+		t.Errorf("calls: len %d, cap %d; want %d", len(out.Calls), cap(out.Calls), calls)
+	}
+	if empty, err := Link([]*prim.Program{{Syms: []prim.Symbol{{Name: "x", Kind: prim.SymGlobal}}}}); err != nil || empty.Assigns != nil || empty.Calls != nil {
+		t.Errorf("no assignments or calls: %+v, %v", empty, err)
+	}
+}

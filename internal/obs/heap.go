@@ -2,9 +2,18 @@ package obs
 
 import (
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 )
+
+// heapAlloc reads the live heap size; tests replace it to fault the
+// sampler.
+var heapAlloc = func() int64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
 
 // WatchHeap samples runtime.MemStats.HeapAlloc into g (a high-water
 // gauge) every interval until the returned stop function is called.
@@ -13,19 +22,35 @@ import (
 // default suited to solver runs. A nil gauge (instrumentation off)
 // spawns nothing and the stop function is a free no-op; stop is
 // idempotent.
-func WatchHeap(g *Gauge, interval time.Duration) (stop func()) {
+//
+// A sample that panics ends the sampling instead of the process: stop
+// returns the panic's value and the stack at the panic, for the caller
+// to fail its phase with. They are nil when no sample panicked.
+func WatchHeap(g *Gauge, interval time.Duration) (stop func() (panicked any, stack []byte)) {
 	if g == nil {
-		return func() {}
+		return func() (any, []byte) { return nil, nil }
 	}
 	if interval <= 0 {
 		interval = 10 * time.Millisecond
 	}
-	sample := func() {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		g.Max(int64(ms.HeapAlloc))
+	var (
+		panicked any
+		stack    []byte
+	)
+	// sample records one reading and reports whether it did; no sample
+	// runs after one panicked, so the panic kept is the only one.
+	sample := func() (ok bool) {
+		defer func() {
+			if v := recover(); v != nil {
+				panicked, stack = v, debug.Stack()
+			}
+		}()
+		g.Max(heapAlloc())
+		return true
 	}
-	sample()
+	if !sample() {
+		return func() (any, []byte) { return panicked, stack }
+	}
 	done := make(chan struct{})
 	finished := make(chan struct{})
 	go func() {
@@ -37,16 +62,21 @@ func WatchHeap(g *Gauge, interval time.Duration) (stop func()) {
 			case <-done:
 				return
 			case <-t.C:
-				sample()
+				if !sample() {
+					return
+				}
 			}
 		}
 	}()
 	var once sync.Once
-	return func() {
+	return func() (any, []byte) {
 		once.Do(func() {
 			close(done)
 			<-finished
-			sample()
+			if panicked == nil {
+				sample()
+			}
 		})
+		return panicked, stack
 	}
 }

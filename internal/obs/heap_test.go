@@ -2,6 +2,8 @@ package obs
 
 import (
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -34,4 +36,37 @@ func TestWatchHeapNilGauge(t *testing.T) {
 	stop := WatchHeap(o.Gauge("x"), time.Millisecond)
 	stop()
 	stop()
+}
+
+// TestWatchHeapContainsPanic: a sample that panics, on the sampler's
+// goroutine or the caller's, ends the sampling without killing the
+// process, and stop hands back the panic's value and stack.
+func TestWatchHeapContainsPanic(t *testing.T) {
+	defer func(read func() int64) { heapAlloc = read }(heapAlloc)
+	for _, first := range []bool{false, true} {
+		var calls atomic.Int64
+		heapAlloc = func() int64 {
+			if calls.Add(1) > 1 || first {
+				panic("sampler fault")
+			}
+			return 1
+		}
+		o := New()
+		stop := WatchHeap(o.Gauge("heap"), time.Millisecond)
+		for !first && calls.Load() < 2 {
+			time.Sleep(time.Millisecond)
+		}
+		v, stack := stop()
+		if v != "sampler fault" || !strings.Contains(string(stack), "TestWatchHeapContainsPanic") {
+			t.Fatalf("first=%v: stop gave %v and stack\n%s", first, v, stack)
+		}
+		if v2, _ := stop(); v2 != v {
+			t.Fatalf("first=%v: second stop gave %v", first, v2)
+		}
+		n := calls.Load()
+		time.Sleep(5 * time.Millisecond)
+		if calls.Load() != n {
+			t.Fatalf("first=%v: sampling went on after the panic", first)
+		}
+	}
 }

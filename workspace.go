@@ -50,7 +50,8 @@ type WorkspaceOptions struct {
 	// anything, and edited sessions only re-parse what changed.
 	CacheDir string
 	// Observer, when non-nil, records phase spans, the incr.* refresh
-	// counters and the incr.refresh latency histogram.
+	// counters, the incr.refresh latency histogram and its per-phase
+	// incr.refresh.{hash,compile,link,solve} split.
 	Observer *Observer
 }
 
