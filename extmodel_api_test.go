@@ -54,6 +54,26 @@ func TestDatabaseUndefined(t *testing.T) {
 	}
 }
 
+// TestDatabaseUndefinedSkipsUnreferenced: an extern or prototype the
+// program declares but never references is no undefined external: it is
+// not in the database at all.
+func TestDatabaseUndefinedSkipsUnreferenced(t *testing.T) {
+	db, err := CompileSource("inc.c", incompleteAPISource+`
+extern int never_used;
+extern char *never_called(char *s);
+`, nil)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	var names []string
+	for _, u := range db.Undefined() {
+		names = append(names, u.Name)
+	}
+	if got := strings.Join(names, " "); got != "xstrdup ext_cursor" {
+		t.Errorf("undefined = %q, want %q", got, "xstrdup ext_cursor")
+	}
+}
+
 func TestAnalyzeExtModel(t *testing.T) {
 	db := compileIncomplete(t)
 

@@ -214,6 +214,13 @@ func (lx *lexer) scanToken() Token {
 	i := lx.pos
 	c := src[i]
 	switch {
+	case c == 'L' && i+1 < len(src) && (src[i+1] == '"' || src[i+1] == '\''):
+		// A wide literal; ahead of the identifier case, which L starts.
+		lx.pos++
+		if src[lx.pos] == '"' {
+			return lx.scanString(pos, '"', StringLit)
+		}
+		return lx.scanString(pos, '\'', CharLit)
 	case isIdentStart(c):
 		j := i + 1
 		for j < len(src) && isIdentChar(src[j]) {
@@ -231,12 +238,6 @@ func (lx *lexer) scanToken() Token {
 	case c == '"':
 		return lx.scanString(pos, '"', StringLit)
 	case c == '\'':
-		return lx.scanString(pos, '\'', CharLit)
-	case c == 'L' && i+1 < len(src) && (src[i+1] == '"' || src[i+1] == '\''):
-		lx.pos++ // wide literal prefix
-		if src[lx.pos] == '"' {
-			return lx.scanString(pos, '"', StringLit)
-		}
 		return lx.scanString(pos, '\'', CharLit)
 	default:
 		for _, p := range punctByFirst[c] {

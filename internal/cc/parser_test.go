@@ -493,6 +493,29 @@ func TestTokenizeKindsAndPositions(t *testing.T) {
 	}
 }
 
+func TestTokenizeWideLiterals(t *testing.T) {
+	toks, err := Tokenize("t.c", `w = L"x"; c = L'y'; L = Lx;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		kind TokKind
+		text string
+	}{
+		{Ident, "w"}, {Punct, "="}, {StringLit, `"x"`}, {Punct, ";"},
+		{Ident, "c"}, {Punct, "="}, {CharLit, "'y'"}, {Punct, ";"},
+		{Ident, "L"}, {Punct, "="}, {Ident, "Lx"}, {Punct, ";"}, {EOF, ""},
+	}
+	if len(toks) != len(want) {
+		t.Fatalf("tokens = %v", toks)
+	}
+	for i, w := range want {
+		if toks[i].Kind != w.kind || toks[i].Text != w.text {
+			t.Errorf("token %d = %v %q, want %v %q", i, toks[i].Kind, toks[i].Text, w.kind, w.text)
+		}
+	}
+}
+
 func TestExternDeclarationsWithFunctionPtrTypedef(t *testing.T) {
 	src := `typedef void (*handler_t)(int);
 handler_t table[32];

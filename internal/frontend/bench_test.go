@@ -101,10 +101,10 @@ func (m *tokenMemo) compiler(loader cpp.Loader) func(name, src string) (*prim.Pr
 // BenchmarkSharedHeader measures, for the first unit of gimp@0.2 served
 // its shared header from the memo, what the memo saves per unit and
 // what a hit still pays. It saves type checking (check) and lowering
-// (lower) the header's declarations. A hit pays for copying the lowered
-// prefix (copy), and for checking and lowering the unit's own
-// declarations from the header's scope and that copy (unit), which
-// replays the unit's writes to header symbols.
+// (lower) the header's declarations. A hit pays for checking and
+// lowering the unit's own declarations from the header's scope and
+// prefix (unit), which replays the unit's writes to header symbols and
+// ends by laying out the entries the unit keeps.
 func BenchmarkSharedHeader(b *testing.B) {
 	p, _ := gen.ProfileByName("gimp")
 	code := gen.Generate(p.Scale(0.2), 1)
@@ -136,13 +136,6 @@ func BenchmarkSharedHeader(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			programSink = Compile(ck, Options{})
-		}
-	})
-	ownCk, _ := ctypes.CheckFrom(own, e.checked)
-	b.Run("copy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			programSink = e.lowered.extend(ownCk).prog
 		}
 	})
 	b.Run("unit", func(b *testing.B) {

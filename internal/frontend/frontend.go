@@ -66,11 +66,13 @@ var DefaultAllocators = map[string]bool{
 	"memalign": true, "strdup": true, "strndup": true,
 }
 
-// Compile lowers a checked unit into a primitive-assignment database.
+// Compile lowers a checked unit into a primitive-assignment database
+// that carries only the symbols and function records the unit uses
+// (keep.go).
 func Compile(ck *ctypes.Checked, opts Options) *prim.Program {
 	b := newBuilder(ck, opts)
 	b.lower()
-	return b.prog
+	return b.program()
 }
 
 func newBuilder(ck *ctypes.Checked, opts Options) *builder {
@@ -78,9 +80,11 @@ func newBuilder(ck *ctypes.Checked, opts Options) *builder {
 		opts.Allocators = DefaultAllocators
 	}
 	return &builder{
-		ck:     ck,
-		opts:   opts,
-		prog:   &prim.Program{},
+		ck:   ck,
+		opts: opts,
+		// An object has one symbol; parameters, returns and temporaries
+		// add about as many again.
+		prog:   &prim.Program{Syms: make([]prim.Symbol, 0, 2*len(ck.Objects))},
 		objSym: map[*ctypes.Object]prim.SymID{},
 		fldSym: map[fieldKey]prim.SymID{},
 		fnRec:  map[prim.SymID]int{},
@@ -106,41 +110,23 @@ func lowerPrefix(ck *ctypes.Checked, opts Options) *builder {
 	b := newBuilder(ck, opts)
 	b.lower()
 	b.paramIndex()
-	// A continuing unit may append parameters to a prefix record; it
-	// must get an array of its own.
-	for i := range b.prog.Funcs {
-		b.prog.Funcs[i].Params = slices.Clip(b.prog.Funcs[i].Params)
-	}
+	b.settleKept()
 	b.ck = nil
 	return b
 }
 
 // extend returns a builder that lowers ck, the declarations after the
-// prefix base, as the continuation of base: its program starts as a copy
-// of base's, and it looks up the objects, fields and function records
-// base lowered in base's tables, adding its own to its own. The program
-// is the one lowering the whole list gives when keepsPrefix holds.
+// prefix base, as the continuation of base: its ids continue base's, it
+// reads base's entries in place until it writes one (symw, recw), and
+// it looks up the objects, fields and function records base lowered in
+// base's tables, adding its own to its own. The program is the one
+// lowering the whole list gives when keepsPrefix holds.
 func (base *builder) extend(ck *ctypes.Checked) *builder {
-	p := base.prog
 	b := newBuilder(ck, base.opts)
 	b.base = base
-	b.prog = &prim.Program{
-		Syms:    withRoom(p.Syms),
-		Assigns: slices.Clone(p.Assigns),
-		Funcs:   slices.Clone(p.Funcs),
-		Calls:   slices.Clone(p.Calls),
-	}
+	b.symOff, b.recOff = prim.SymID(len(base.prog.Syms)), len(base.prog.Funcs)
 	b.tempSeq, b.heapSeq, b.strSeq = base.tempSeq, base.heapSeq, base.strSeq
 	return b
-}
-
-// withRoom returns a copy of syms with room for half as many again, the
-// unit's own; nil when syms is empty, as in a program lowered whole.
-func withRoom(syms []prim.Symbol) []prim.Symbol {
-	if len(syms) == 0 {
-		return nil
-	}
-	return append(make([]prim.Symbol, 0, len(syms)+len(syms)/2), syms...)
 }
 
 // keepsPrefix reports whether lowering the whole declaration list would
@@ -199,6 +185,20 @@ type builder struct {
 	// base is the read-only prefix this builder continues (extend), or
 	// nil; its tables are consulted after this builder's own.
 	base *builder
+	// symOff and recOff count base's symbols and records (0 without a
+	// base): a lower id or record index is a prefix entry, read from base
+	// until the unit writes it and from its copy in written or writtenRec
+	// after; prog holds the unit's own entries, at id-symOff and
+	// idx-recOff, and its own assignments and call sites.
+	symOff     prim.SymID
+	recOff     int
+	written    overlay[prim.Symbol]
+	writtenRec overlay[prim.FuncRecord]
+	// keepSyms and keepRecs are, in a prefix, the entries its own
+	// entries keep (keep.go), and owner[id] the index of the record
+	// symbol id belongs to, or -1.
+	keepSyms, keepRecs bitset
+	owner              []int32
 
 	objSym map[*ctypes.Object]prim.SymID
 	fldSym map[fieldKey]prim.SymID
@@ -216,6 +216,105 @@ type builder struct {
 }
 
 func locOf(p cc.Pos) prim.Loc { return prim.Loc{File: p.File, Line: int32(p.Line)} }
+
+// overlay is a unit's copies of the prefix entries it wrote, in the
+// order it first wrote them: at[i] is 1 + the position of prefix entry
+// i's copy, or 0. A pointer it returns is valid until the next copy.
+type overlay[T any] struct {
+	at     []int32
+	ids    []int32
+	copies []T
+}
+
+// get returns the copy of prefix entry i, or nil.
+func (o *overlay[T]) get(i int) *T {
+	if i < len(o.at) && o.at[i] > 0 {
+		return &o.copies[o.at[i]-1]
+	}
+	return nil
+}
+
+// add stores v as the copy of entry i of n prefix entries.
+func (o *overlay[T]) add(i, n int, v T) *T {
+	if o.at == nil {
+		o.at = make([]int32, n)
+	}
+	o.ids = append(o.ids, int32(i))
+	o.copies = append(o.copies, v)
+	o.at[i] = int32(len(o.copies))
+	return &o.copies[len(o.copies)-1]
+}
+
+// sym returns symbol id for reading. Pointers from sym, symw, rec and
+// recw are valid until the next entry is added or copied.
+func (b *builder) sym(id prim.SymID) *prim.Symbol {
+	if id >= b.symOff {
+		return &b.prog.Syms[id-b.symOff]
+	}
+	if s := b.written.get(int(id)); s != nil {
+		return s
+	}
+	return &b.base.prog.Syms[id]
+}
+
+// symw returns symbol id for writing: a prefix symbol is copied into
+// the unit the first time.
+func (b *builder) symw(id prim.SymID) *prim.Symbol {
+	if id >= b.symOff {
+		return &b.prog.Syms[id-b.symOff]
+	}
+	if s := b.written.get(int(id)); s != nil {
+		return s
+	}
+	return b.written.add(int(id), int(b.symOff), b.base.prog.Syms[id])
+}
+
+// rec returns the function record at idx for reading.
+func (b *builder) rec(idx int) *prim.FuncRecord {
+	if idx >= b.recOff {
+		return &b.prog.Funcs[idx-b.recOff]
+	}
+	if r := b.writtenRec.get(idx); r != nil {
+		return r
+	}
+	return &b.base.prog.Funcs[idx]
+}
+
+// recw returns the function record at idx for writing: a prefix record
+// is copied into the unit the first time, with a parameter array the
+// unit may append to.
+func (b *builder) recw(idx int) *prim.FuncRecord {
+	if idx >= b.recOff {
+		return &b.prog.Funcs[idx-b.recOff]
+	}
+	if r := b.writtenRec.get(idx); r != nil {
+		return r
+	}
+	c := b.base.prog.Funcs[idx]
+	c.Params = slices.Clip(c.Params)
+	return b.writtenRec.add(idx, b.recOff, c)
+}
+
+// addSym adds one of the unit's own symbols and returns its id.
+func (b *builder) addSym(s prim.Symbol) prim.SymID {
+	b.prog.Syms = append(b.prog.Syms, s)
+	return b.symOff + prim.SymID(len(b.prog.Syms)-1)
+}
+
+// addRec adds an empty function record for fn and returns its index.
+func (b *builder) addRec(fn prim.SymID) int {
+	idx := b.recOff + len(b.prog.Funcs)
+	b.prog.Funcs = append(b.prog.Funcs, prim.FuncRecord{Func: fn, Ret: prim.NoSym})
+	b.fnRec[fn] = idx
+	return idx
+}
+
+// define marks symbol id as defined by the unit.
+func (b *builder) define(id prim.SymID) {
+	if !b.sym(id).Defined {
+		b.symw(id).Defined = true
+	}
+}
 
 // symID returns the symbol of object o (an original), if it has one.
 func (b *builder) symID(o *ctypes.Object) (prim.SymID, bool) {
@@ -264,7 +363,7 @@ func (b *builder) symFor(o *ctypes.Object) prim.SymID {
 	default:
 		s.Kind = prim.SymLocal
 	}
-	id := b.prog.AddSym(s)
+	id := b.addSym(s)
 	b.objSym[o.Original()] = id
 	if o.Kind == ctypes.ObjFunc {
 		b.recordFor(id, o.Type)
@@ -284,7 +383,7 @@ func (b *builder) fieldFor(info *ctypes.StructInfo, f *ctypes.Field, pos cc.Pos)
 		Type: f.Type.String(),
 		Loc:  locOf(pos),
 	}
-	id := b.prog.AddSym(s)
+	id := b.addSym(s)
 	b.fldSym[key] = id
 	return id
 }
@@ -292,7 +391,7 @@ func (b *builder) fieldFor(info *ctypes.StructInfo, f *ctypes.Field, pos cc.Pos)
 // temp creates a fresh compiler temporary.
 func (b *builder) temp(pos cc.Pos) prim.SymID {
 	b.tempSeq++
-	return b.prog.AddSym(prim.Symbol{
+	return b.addSym(prim.Symbol{
 		Name:     fmt.Sprintf("tmp$%d", b.tempSeq),
 		Kind:     prim.SymTemp,
 		Loc:      locOf(pos),
@@ -305,7 +404,7 @@ func (b *builder) temp(pos cc.Pos) prim.SymID {
 // source line.
 func (b *builder) heapSym(pos cc.Pos) prim.SymID {
 	b.heapSeq++
-	return b.prog.AddSym(prim.Symbol{
+	return b.addSym(prim.Symbol{
 		Name: fmt.Sprintf("heap@%s#%d", pos, b.heapSeq),
 		Kind: prim.SymHeap,
 		Loc:  locOf(pos),
@@ -315,7 +414,7 @@ func (b *builder) heapSym(pos cc.Pos) prim.SymID {
 // stringSym creates the object for one string literal occurrence.
 func (b *builder) stringSym(pos cc.Pos) prim.SymID {
 	b.strSeq++
-	return b.prog.AddSym(prim.Symbol{
+	return b.addSym(prim.Symbol{
 		Name: fmt.Sprintf("str@%s#%d", pos, b.strSeq),
 		Kind: prim.SymString,
 		Type: "char[]",
@@ -329,28 +428,24 @@ func (b *builder) stringSym(pos cc.Pos) prim.SymID {
 func (b *builder) recordFor(fn prim.SymID, t *ctypes.Type) int {
 	idx, ok := b.recIndex(fn)
 	if !ok {
-		idx = len(b.prog.Funcs)
-		b.prog.Funcs = append(b.prog.Funcs, prim.FuncRecord{Func: fn, Ret: prim.NoSym})
-		b.fnRec[fn] = idx
+		idx = b.addRec(fn)
 	}
-	rec := &b.prog.Funcs[idx]
 	ft := t.FuncType()
 	if ft != nil {
 		b.ensureParams(fn, len(ft.Params))
-		rec.Variadic = rec.Variadic || ft.Variadic
+		if ft.Variadic && !b.rec(idx).Variadic {
+			b.recw(idx).Variadic = true
+		}
 		// Record parameter and return types on the standardized symbols
 		// so dependence chains print them.
+		rec := b.rec(idx)
 		for i, pt := range ft.Params {
-			if i < len(rec.Params) {
-				if s := b.prog.Sym(rec.Params[i]); s.Type == "" {
-					s.Type = pt.String()
-				}
+			if i < len(rec.Params) && b.sym(rec.Params[i]).Type == "" {
+				b.symw(rec.Params[i]).Type = pt.String()
 			}
 		}
-		if rec.Ret != prim.NoSym && ft.Elem != nil {
-			if s := b.prog.Sym(rec.Ret); s.Type == "" {
-				s.Type = ft.Elem.String()
-			}
+		if rec.Ret != prim.NoSym && ft.Elem != nil && b.sym(rec.Ret).Type == "" {
+			b.symw(rec.Ret).Type = ft.Elem.String()
 		}
 	}
 	return idx
@@ -359,8 +454,11 @@ func (b *builder) recordFor(fn prim.SymID, t *ctypes.Type) int {
 // ensureParams extends fn's record to at least n parameter symbols.
 func (b *builder) ensureParams(fn prim.SymID, n int) {
 	idx, _ := b.recIndex(fn)
-	rec := &b.prog.Funcs[idx]
-	base := b.prog.Sym(fn)
+	if len(b.rec(idx).Params) >= n {
+		return
+	}
+	rec := b.recw(idx)
+	base := *b.sym(fn)
 	for len(rec.Params) < n {
 		i := len(rec.Params) + 1
 		s := prim.Symbol{
@@ -370,50 +468,50 @@ func (b *builder) ensureParams(fn prim.SymID, n int) {
 			FuncName: base.Name,
 			Loc:      base.Loc,
 		}
-		rec.Params = append(rec.Params, b.prog.AddSym(s))
+		rec.Params = append(rec.Params, b.addSym(s))
 	}
 }
 
 // retFor returns (creating on demand) fn's standardized return symbol.
 func (b *builder) retFor(fn prim.SymID) prim.SymID {
 	idx := b.recordForExisting(fn)
-	rec := &b.prog.Funcs[idx]
-	if rec.Ret == prim.NoSym {
-		base := b.prog.Sym(fn)
-		s := prim.Symbol{
-			Name:     base.Name + "$ret",
-			Kind:     prim.SymRet,
-			Internal: base.Internal || !base.Kind.Linked(),
-			FuncName: base.Name,
-			Loc:      base.Loc,
-		}
-		rec.Ret = b.prog.AddSym(s)
+	if ret := b.rec(idx).Ret; ret != prim.NoSym {
+		return ret
 	}
-	return rec.Ret
+	base := b.sym(fn)
+	ret := b.addSym(prim.Symbol{
+		Name:     base.Name + "$ret",
+		Kind:     prim.SymRet,
+		Internal: base.Internal || !base.Kind.Linked(),
+		FuncName: base.Name,
+		Loc:      base.Loc,
+	})
+	b.recw(idx).Ret = ret
+	return ret
 }
 
 func (b *builder) recordForExisting(fn prim.SymID) int {
 	if idx, ok := b.recIndex(fn); ok {
 		return idx
 	}
-	idx := len(b.prog.Funcs)
-	b.prog.Funcs = append(b.prog.Funcs, prim.FuncRecord{Func: fn, Ret: prim.NoSym})
-	b.fnRec[fn] = idx
-	return idx
+	return b.addRec(fn)
 }
 
 // paramSym returns fn's i-th (0-based) standardized parameter symbol.
 func (b *builder) paramSym(fn prim.SymID, i int) prim.SymID {
 	idx := b.recordForExisting(fn)
 	b.ensureParams(fn, i+1)
-	return b.prog.Funcs[idx].Params[i]
+	return b.rec(idx).Params[i]
 }
 
 // markFuncPtr flags sym as an indirect-call target pointer.
 func (b *builder) markFuncPtr(sym prim.SymID) {
-	b.prog.Sym(sym).FuncPtr = true
-	rec := &b.prog.Funcs[b.recordForExisting(sym)]
-	rec.Variadic = true
+	if !b.sym(sym).FuncPtr {
+		b.symw(sym).FuncPtr = true
+	}
+	if idx := b.recordForExisting(sym); !b.rec(idx).Variadic {
+		b.recw(idx).Variadic = true
+	}
 }
 
 // ---------- Declarations and statements ----------
@@ -441,7 +539,7 @@ func (b *builder) markDefined(sym prim.SymID, o *ctypes.Object, d *cc.Declaratio
 		return
 	}
 	if d.Specs.Storage != cc.SCExtern || item.Init != nil {
-		b.prog.Sym(sym).Defined = true
+		b.define(sym)
 	}
 }
 
@@ -451,7 +549,7 @@ func (b *builder) funcDef(fd *cc.FuncDef) {
 		return
 	}
 	fn := b.symFor(o)
-	b.prog.Sym(fn).Defined = true
+	b.define(fn)
 	prevFunc, prevName := b.curFunc, b.curFuncName
 	b.curFunc, b.curFuncName = o, o.Name
 	defer func() { b.curFunc, b.curFuncName = prevFunc, prevName }()

@@ -1,10 +1,12 @@
 package frontend
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"cla/internal/cpp"
 	"cla/internal/prim"
 )
 
@@ -632,4 +634,95 @@ void f(void) {
 }`
 	p := compile(t, src, Options{Mode: FieldBased})
 	wantAssigns(t, p, "cur = head", "cur = N.next")
+}
+
+func TestWideLiterals(t *testing.T) {
+	src := `typedef int wchar_t;
+wchar_t *w = L"x";
+wchar_t c = L'y';`
+	p := compile(t, src, Options{ModelStrings: true})
+	if len(p.Assigns) != 1 || FormatAssign(p, p.Assigns[0]) != "w = &"+p.Syms[p.Assigns[0].Src].Name ||
+		p.Syms[p.Assigns[0].Src].Kind != prim.SymString {
+		t.Errorf("assigns = %v", assignStrings(p))
+	}
+}
+
+// symNames lists p's symbol names in id order.
+func symNames(p *prim.Program) []string {
+	names := make([]string, len(p.Syms))
+	for i, s := range p.Syms {
+		names[i] = s.Name
+	}
+	return names
+}
+
+// keepHeader and keepSrc exercise the keep rule: unused externs and
+// prototypes, a header body that keeps a record, prefix symbols the unit
+// defines or calls through, and parameters a call appends.
+const keepHeader = `extern int unused_g;
+extern int used_g;
+extern int *def_g;
+int unused_f(int a, int b);
+int called(int a, int b);
+void taken(int a);
+void (*hook)(int);
+void variadic(int a, ...);
+int g(int a);
+static int h(void) { return g(1); }
+`
+
+const keepSrc = `#include "h.h"
+int *def_g;
+void (*fp)(int);
+static int never(void);
+int f(int *p) {
+	fp = taken;
+	hook(used_g);
+	variadic(1, 2, 3);
+	g(1, 2);
+	return called(*p, 2);
+}
+`
+
+// TestProgramKeepsUsedEntries checks the keep rule on both paths: a
+// symbol is kept when an assignment or a call names it or the unit
+// defines it, a record when one of its symbols is (and then with all of
+// them), in declaration order.
+func TestProgramKeepsUsedEntries(t *testing.T) {
+	// The header's kept entries come first, its own body's among them;
+	// return symbols and the parameters a call appends are made when the
+	// unit first needs them. g$2 is named by nothing (its argument is a
+	// constant) but is kept with g's record, which the header kept.
+	want := []string{
+		"used_g", "def_g", "called", "called$1", "called$2",
+		"taken", "taken$1", "hook", "variadic", "variadic$1",
+		"g", "g$1", "h", "h$ret", "g$ret",
+		"fp", "f", "f$1", "p", "hook$1", "hook$ret",
+		"variadic$2", "variadic$3", "variadic$ret", "g$2", "f$ret", "called$ret",
+	}
+	files := cpp.MapLoader{"h.h": keepHeader}
+	plain, err := CompileSource("t.c", keepSrc, files, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := symNames(plain); !slices.Equal(got, want) {
+		t.Errorf("symbols:\n got %v\nwant %v", got, want)
+	}
+	var recs []string
+	for _, r := range plain.Funcs {
+		recs = append(recs, plain.Sym(r.Func).Name)
+	}
+	if want := []string{"called", "taken", "variadic", "g", "h", "f", "hook"}; !slices.Equal(recs, want) {
+		t.Errorf("records %v, want %v", recs, want)
+	}
+	m := NewPreambles()
+	for _, pass := range []string{"fill", "hit"} {
+		got, err := m.CompileSource("t.c", keepSrc, files, Options{})
+		if d := diffPrograms(got, err, plain, nil); d != "" {
+			t.Errorf("memo %s: %s", pass, d)
+		}
+	}
+	if hits, _, rechecks := m.Counts(); hits != 1 || rechecks != 0 {
+		t.Errorf("memo hits %d, rechecks %d; want 1, 0", hits, rechecks)
+	}
 }

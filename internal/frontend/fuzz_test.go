@@ -24,7 +24,8 @@ import (
 // Preambles (which fills it) and through that memo again (which is
 // served from it); all three must give the same error string or
 // byte-equal programs. The seeds include units that write the state of
-// the header they start with (headerWriteCases).
+// the header they start with (headerWriteCases) and wide literals.
+// Every accepted program carries only what it uses (checkKept).
 // Every accepted program is solved by all five solvers, which must agree
 // per symbol: pre-transitive = worklist = bitvec, and that exact set is
 // within both one-level's and Steensgaard's. One-level within
@@ -59,6 +60,9 @@ func FuzzCompile(f *testing.F) {
 	for _, c := range headerWriteCases {
 		f.Add(c.src, c.header)
 	}
+	f.Add(keepSrc, keepHeader)
+	f.Add("#include \"h.h\"\nwchar_t *w = L\"x\";\nwchar_t c = L'y';\n", "typedef int wchar_t;\n")
+	f.Add("int *f(int *p);\nint L; int *q = L\"\" + L;\n", "")
 	f.Fuzz(func(t *testing.T, src, header string) {
 		if len(src)+len(header) > 1<<16 {
 			t.Skip()
@@ -83,8 +87,44 @@ func FuzzCompile(f *testing.F) {
 		if err := prog.Validate(); err != nil {
 			t.Fatalf("accepted an invalid program: %v", err)
 		}
+		checkKept(t, prog)
 		checkLattice(t, prog)
 	})
+}
+
+// checkKept checks that prog carries only what it uses: every symbol is
+// named by an assignment or a call site, or is defined, or belongs to a
+// function record one of whose symbols is.
+func checkKept(t *testing.T, prog *prim.Program) {
+	t.Helper()
+	used := make([]bool, len(prog.Syms))
+	for _, a := range prog.Assigns {
+		used[a.Dst], used[a.Src] = true, true
+	}
+	for _, c := range prog.Calls {
+		used[c.Callee] = true
+	}
+	for i := range prog.Syms {
+		used[i] = used[i] || prog.Syms[i].Defined
+	}
+	inRecord := make([]bool, len(prog.Syms))
+	for _, r := range prog.Funcs {
+		syms := append([]prim.SymID{r.Func}, r.Params...)
+		if r.Ret != prim.NoSym {
+			syms = append(syms, r.Ret)
+		}
+		if !slices.ContainsFunc(syms, func(id prim.SymID) bool { return used[id] }) {
+			t.Fatalf("record of %s kept, but none of its symbols is used", prog.Syms[r.Func].Name)
+		}
+		for _, id := range syms {
+			inRecord[id] = true
+		}
+	}
+	for i := range prog.Syms {
+		if !used[i] && !inRecord[i] {
+			t.Fatalf("symbol %s kept, but neither used nor in a kept record", prog.Syms[i].Name)
+		}
+	}
 }
 
 // checkLattice solves prog with every solver and checks, per symbol,

@@ -22,10 +22,11 @@ import (
 // shared, read-only top-level declarations, parsing only its own text.
 // The entry also holds the header's checked file scope and its lowered
 // prefix, so the unit type-checks only its own declarations from that
-// scope and lowers them from a copy of the prefix. A unit that writes
-// header state the header's own lowering reads (keepsPrefix, CheckFrom's
-// tag rule) is checked and lowered over the whole declaration list
-// instead. Either way the programs are identical to CompileSource's.
+// scope and lowers them as the prefix's continuation, reading the
+// prefix in place and laying out only the entries it uses. A unit that
+// writes header state the header's own lowering reads (keepsPrefix,
+// CheckFrom's tag rule) is checked and lowered over the whole
+// declaration list instead. Either way the programs are identical to CompileSource's.
 //
 // An entry is keyed by the previous leading include's key (so a second
 // leading include is keyed after the first), the preprocessor's state
@@ -377,7 +378,7 @@ func (r *preambleRun) parse(name string, toks []cc.Token) (*cc.TranslationUnit, 
 
 // compile type-checks and lowers the unit's own declarations, as the
 // continuation of its memoized leading includes: from their checked
-// scope and a copy of their lowered prefix. A unit whose options lower
+// scope and their lowered prefix, read in place. A unit whose options lower
 // differently from the prefix's, or that writes header state the
 // header's own check or lowering reads (a recheck), is checked and
 // lowered over the whole list, the includes' declarations first.
@@ -391,7 +392,7 @@ func (r *preambleRun) compile(unit *cc.TranslationUnit, opts Options) *prim.Prog
 		if ok && e.lowered.keepsPrefix(ck.Copies) {
 			b := e.lowered.extend(ck)
 			b.lower()
-			return b.prog
+			return b.program()
 		}
 		r.m.rechecks.Add(1)
 	}

@@ -3,6 +3,7 @@ package incr
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -657,6 +658,80 @@ func TestStoreWarmStartAcrossSessions(t *testing.T) {
 	}
 	if got, want := fingerprint(p5.Current().Prog, p5.Current().Res), fingerprint(p1.Current().Prog, p1.Current().Res); got != want {
 		t.Fatalf("recompiled fingerprint %s != parsed %s", got, want)
+	}
+}
+
+// TestStoreRefillsPreviousVersion: a store filled with object files of
+// the previous objfile.Version, as written before unit programs carried
+// only the header entries they use, misses on every unit, is refilled
+// at the current version and never serves the stale entry. As a control,
+// the same stale program at the current version is served, so the miss
+// is the version's doing.
+func TestStoreRefillsPreviousVersion(t *testing.T) {
+	dir := t.TempDir()
+	writeTree(t, dir, baseTree)
+	cfg := testConfig(dir)
+	cfg.CacheDir = t.TempDir()
+	open := func() *Result {
+		t.Helper()
+		p, err := Open(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Current()
+	}
+	fresh := open()
+	want := fingerprint(fresh.Prog, fresh.Res)
+	objs, _ := filepath.Glob(filepath.Join(cfg.CacheDir, "*.clo"))
+	if len(objs) != 4 {
+		t.Fatalf("store holds %d objects, want 4", len(objs))
+	}
+	// stale rewrites every entry's object as the stored program plus an
+	// unused extern and a fact pointing symbol 0 at it, at version v.
+	stale := func(v uint32) {
+		t.Helper()
+		for _, obj := range objs {
+			r, err := objfile.Open(obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := r.Program()
+			r.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ext := prog.AddSym(prim.Symbol{Name: "stale_extern", Kind: prim.SymGlobal})
+			prog.AddAssign(prim.Assign{Kind: prim.Base, Dst: 0, Src: ext, Strength: prim.Strong})
+			var b bytes.Buffer
+			if err := objfile.Write(&b, prog); err != nil {
+				t.Fatal(err)
+			}
+			data := b.Bytes()
+			binary.LittleEndian.PutUint32(data[4:], v)
+			if err := os.WriteFile(obj, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	stale(objfile.Version)
+	if got := open(); got.Stats.StoreHits != 4 || fingerprint(got.Prog, got.Res) == want {
+		t.Fatalf("control: stats %+v; want the stale current-version entries served", got.Stats)
+	}
+	stale(objfile.Version - 1)
+	got := open()
+	if st := got.Stats; st.StoreHits != 0 || st.Recompiled != 4 {
+		t.Fatalf("previous-version store: stats %+v, want all 4 units recompiled", st)
+	}
+	if g := fingerprint(got.Prog, got.Res); g != want {
+		t.Fatalf("previous-version store served a stale entry: fingerprint %s, want %s", g, want)
+	}
+	again := open()
+	if st := again.Stats; st.StoreHits != 4 || st.Recompiled != 0 {
+		t.Fatalf("after the refill: stats %+v, want all 4 units from the store", st)
+	}
+	if g := fingerprint(again.Prog, again.Res); g != want {
+		t.Fatalf("refilled store: fingerprint %s, want %s", g, want)
 	}
 }
 

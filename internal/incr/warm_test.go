@@ -3,6 +3,7 @@ package incr
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"cla/internal/driver"
@@ -136,5 +137,68 @@ func TestSameFuncs(t *testing.T) {
 		if got := sameFuncs(old, linked(c.new...), m); got != c.want {
 			t.Errorf("%s: sameFuncs = %v, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestHeaderShiftEdit: a fact edit whose unit first references a header
+// function it did not use before puts that function's symbols into the
+// unit's program among the header's entries, ahead of the unit's own, so
+// every internal symbol of the unit moves to a higher index. The
+// generation must still equal a scratch open. warmEdit matches a changed
+// unit's internal symbols by index, so the moved parameter local no
+// longer maps, an old assignment reading it is dropped with its
+// destination kept, and the re-solve falls back to scratch.
+func TestHeaderShiftEdit(t *testing.T) {
+	dir := t.TempDir()
+	writeTree(t, dir, baseTree)
+	edit(t, dir, "shared.h", baseTree["shared.h"]+"struct node *first(struct node *h);\n")
+	edit(t, dir, "list.c", baseTree["list.c"]+"struct node *first(struct node *h) { return h; }\n")
+	cfg := testConfig(dir)
+	p, err := Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// tableProg returns table.c's program in the current generation.
+	tableProg := func() *prim.Program {
+		for _, u := range p.link.units {
+			if filepath.Base(u.path) == "table.c" {
+				return u.prog
+			}
+		}
+		t.Fatal("no table.c unit")
+		return nil
+	}
+	if tableProg().SymIDByName("first") != prim.NoSym {
+		t.Fatal("table.c carries first before it references it")
+	}
+	path := edit(t, dir, "table.c", `
+#include "shared.h"
+struct node *bucket;
+struct node *top;
+void put(int v) { bucket = push(bucket, v); top = first(bucket); }
+`)
+	got, st, err := p.Update(context.Background(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Changed || st.SolveReused {
+		t.Fatalf("stats %+v, want a new solve", st)
+	}
+	if st.SolveWarm {
+		t.Errorf("SolveWarm = true; the shifted unit was expected to re-solve from scratch")
+	}
+	scratch, err := Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := analysisBytes(t, got), analysisBytes(t, scratch.Current()); g != w {
+		t.Fatalf("generation differs from scratch:\n%s\nvs\n%s", g, w)
+	}
+	if top := got.Linked.SymIDByName("top"); len(got.Res.PointsTo(top)) == 0 {
+		t.Error("pts(top) is empty")
+	}
+	prog := tableProg()
+	if f, v := prog.SymIDByName("first"), prog.SymIDByName("v"); f == prim.NoSym || v < f {
+		t.Errorf("table.c: first at %d, v at %d; want first kept ahead of the unit's own symbols", f, v)
 	}
 }

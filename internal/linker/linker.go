@@ -137,13 +137,19 @@ func LinkParallel(units []*prim.Program, jobs int) (*prim.Program, error) {
 }
 
 // LinkTraced is LinkRemaps inside a "link" span, with the unit count in
-// the link.units counter: the one traced link entry shared by the
-// driver, the incremental pipeline and the tools. The nil observer costs
-// nothing.
+// the link.units counter and the sum of the units' symbol counts, which
+// the fold reads one by one, in link.unit_syms: the one traced link
+// entry shared by the driver, the incremental pipeline and the tools.
+// The nil observer costs nothing.
 func LinkTraced(units []*prim.Program, o *obs.Observer) (*prim.Program, [][]prim.SymID, error) {
 	sp := o.Start("link")
 	defer sp.End()
 	o.SetCounter("link.units", int64(len(units)))
+	var syms int
+	for _, u := range units {
+		syms += len(u.Syms)
+	}
+	o.SetCounter("link.unit_syms", int64(syms))
 	return LinkRemaps(units)
 }
 

@@ -8,8 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"cla/internal/cpp"
 	"cla/internal/frontend"
 	"cla/internal/objfile"
+	"cla/internal/obs"
 	"cla/internal/prim"
 )
 
@@ -380,5 +382,47 @@ func TestLinkSizesOutputOnce(t *testing.T) {
 	}
 	if empty, err := Link([]*prim.Program{{Syms: []prim.Symbol{{Name: "x", Kind: prim.SymGlobal}}}}); err != nil || empty.Assigns != nil || empty.Calls != nil {
 		t.Errorf("no assignments or calls: %+v, %v", empty, err)
+	}
+}
+
+// TestLinkUnitSymsCounter: link.unit_syms sums the units' symbol counts,
+// and a shared header's declarations that neither unit uses are not in
+// it: the units carry only the header entries they use.
+func TestLinkUnitSymsCounter(t *testing.T) {
+	units := map[string]string{
+		"a.c": "#include \"h.h\"\nint *pa;\nvoid fa(void) { pa = &shared; }\n",
+		"b.c": "#include \"h.h\"\nint *pb;\nvoid fb(void) { pb = get(); }\n",
+	}
+	used := "extern int shared;\nint *get(void);\n"
+	var unused strings.Builder
+	for i := 0; i < 20; i++ {
+		fmt.Fprintf(&unused, "extern int unused%d;\nint *unused_fn%d(int *p, int q);\n", i, i)
+	}
+	count := func(header string) (int64, int) {
+		t.Helper()
+		files := cpp.MapLoader{"h.h": header}
+		var progs []*prim.Program
+		var syms int
+		for _, name := range []string{"a.c", "b.c"} {
+			p, err := frontend.CompileSource(name, units[name], files, frontend.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			progs = append(progs, p)
+			syms += len(p.Syms)
+		}
+		o := obs.New()
+		if _, _, err := LinkTraced(progs, o); err != nil {
+			t.Fatal(err)
+		}
+		return o.Counter("link.unit_syms").Value(), syms
+	}
+	lean, leanSyms := count(used)
+	wide, wideSyms := count(used + unused.String())
+	if lean != int64(leanSyms) || wide != int64(wideSyms) {
+		t.Fatalf("link.unit_syms = %d and %d, want the units' sums %d and %d", lean, wide, leanSyms, wideSyms)
+	}
+	if wide != lean {
+		t.Errorf("link.unit_syms = %d with 40 unused header declarations, %d without; want equal", wide, lean)
 	}
 }

@@ -55,8 +55,10 @@ const Magic = "CLAO"
 
 // Version is the current format version. Version 4 added the call-site
 // section and the enclosing-function reference on static and block records;
-// version 5 added the defined flag on symbol records.
-const Version = 5
+// version 5 added the defined flag on symbol records. Version 6 changed no
+// layout: a unit's program carries only the header entries it uses, so
+// a store holding units compiled before that misses and is refilled.
+const Version = 6
 
 // section ids.
 const (

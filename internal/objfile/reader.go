@@ -277,6 +277,13 @@ func (r *Reader) Block(sym prim.SymID) ([]BlockEntry, error) {
 	if _, err := r.r.ReadAt(b, r.secOff[secBlocks]+r.blockOff[sym]); err != nil {
 		return nil, err
 	}
+	return r.decodeBlock(sym, b, r.strings.Str)
+}
+
+// decodeBlock decodes sym's block from b, its bytes, reading its
+// strings through str, and counts the load.
+func (r *Reader) decodeBlock(sym prim.SymID, b []byte, str func(uint32) (string, error)) ([]BlockEntry, error) {
+	n := len(b) / blockRecSize
 	out := make([]BlockEntry, n)
 	for i := 0; i < n; i++ {
 		rec := b[i*blockRecSize:]
@@ -288,11 +295,11 @@ func (r *Reader) Block(sym prim.SymID) ([]BlockEntry, error) {
 		if err := CheckSym(dst, len(r.syms)); err != nil {
 			return nil, err
 		}
-		file, err := r.strings.Str(le.Uint32(rec[8:]))
+		file, err := str(le.Uint32(rec[8:]))
 		if err != nil {
 			return nil, err
 		}
-		fn, err := r.strings.Str(le.Uint32(rec[16:]))
+		fn, err := str(le.Uint32(rec[16:]))
 		if err != nil {
 			return nil, err
 		}
@@ -343,15 +350,35 @@ func (r *Reader) Stats() Stats {
 
 // Program decodes the entire database into memory, for tests and the
 // whole-program (non-demand) analysis modes.
+// It reads the blocks section once and decodes each string the blocks
+// name once: a unit's assignments share a few file and function names.
 func (r *Reader) Program() (*prim.Program, error) {
 	p := &prim.Program{Syms: append([]prim.Symbol(nil), r.syms...)}
 	statics, err := r.Statics()
 	if err != nil {
 		return nil, err
 	}
-	p.Assigns = append(p.Assigns, statics...)
+	p.Assigns = append(make([]prim.Assign, 0, len(statics)+int(r.load.TotalEntries)), statics...)
+	blocks, err := r.section(secBlocks)
+	if err != nil {
+		return nil, err
+	}
+	strs := map[uint32]string{}
+	str := func(off uint32) (string, error) {
+		if s, ok := strs[off]; ok {
+			return s, nil
+		}
+		s, err := r.strings.Str(off)
+		strs[off] = s
+		return s, err
+	}
 	for id := range r.syms {
-		entries, err := r.Block(prim.SymID(id))
+		n := int64(r.blockCnt[id])
+		if n == 0 {
+			continue
+		}
+		off := r.blockOff[id]
+		entries, err := r.decodeBlock(prim.SymID(id), blocks[off:off+n*blockRecSize], str)
 		if err != nil {
 			return nil, err
 		}

@@ -841,6 +841,92 @@ func TestSessionLifecycleREST(t *testing.T) {
 	}
 }
 
+// TestSessionInfoLastRefresh: GET /v1/sessions/{id} reports the latest
+// refresh's stats: none after the open, a re-solve after a fact edit,
+// a reused fixpoint after a comment-only edit, and the watch loop's
+// refreshes as well as the REST ones.
+func TestSessionInfoLastRefresh(t *testing.T) {
+	dir := writeTestDir(t)
+	s := NewServer(NewRegistry(), ServerConfig{Jobs: 1, Session: Config{Jobs: 1}})
+	h := s.Handler()
+	if rec := doReq(t, h, "POST", "/v1/sessions", marshal(t, sessionCreateBody{Name: "live", Path: dir})); rec.Code != http.StatusCreated {
+		t.Fatalf("create = %d %q", rec.Code, rec.Body.String())
+	}
+	info := func() SessionInfo {
+		t.Helper()
+		rec := doReq(t, h, "GET", "/v1/sessions/live", nil)
+		if rec.Code != 200 {
+			t.Fatalf("info = %d %q", rec.Code, rec.Body.String())
+		}
+		var info SessionInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	if lr := info().LastRefresh; lr != nil {
+		t.Fatalf("last_refresh = %+v before any refresh", lr)
+	}
+	if rec := doReq(t, h, "GET", "/v1/sessions/live", nil); strings.Contains(rec.Body.String(), "last_refresh") {
+		t.Fatalf("info body %s carries last_refresh before any refresh", rec.Body.String())
+	}
+	refresh := func(what string) *RefreshInfo {
+		t.Helper()
+		if rec := doReq(t, h, "POST", "/v1/sessions/live/refresh", nil); rec.Code != 200 {
+			t.Fatalf("%s refresh = %d %q", what, rec.Code, rec.Body.String())
+		}
+		lr := info().LastRefresh
+		if lr == nil || lr.Units != 2 || lr.Recompiled != 1 || lr.Reused != 1 || lr.StoreHits != 0 {
+			t.Fatalf("%s: last_refresh = %+v, want 2 units, 1 recompiled and 1 reused", what, lr)
+		}
+		if lr.TotalMS <= 0 || lr.HashMS+lr.CompileMS+lr.LinkMS+lr.SolveMS > lr.TotalMS {
+			t.Fatalf("%s: last_refresh times %+v, want phases within a positive total", what, lr)
+		}
+		return lr
+	}
+
+	rewriteUnit(t, dir)
+	if lr := refresh("fact edit"); lr.SolveReused {
+		t.Fatalf("fact edit: last_refresh = %+v, want a re-solve", lr)
+	}
+	comment := func() {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(dir, "b.c"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "b.c"), append(b, "/* note */\n"...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	comment()
+	if lr := refresh("comment edit"); !lr.SolveReused || lr.SolveWarm {
+		t.Fatalf("comment edit: last_refresh = %+v, want the fixpoint reused", lr)
+	}
+
+	sess, err := s.Sessions.Get("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sess.LastRefresh()
+	if err := sess.StartWatch(20 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	defer sess.StopWatch()
+	time.Sleep(30 * time.Millisecond) // let the baseline scan land
+	comment()
+	deadline := time.Now().Add(5 * time.Second)
+	for sess.LastRefresh() == before {
+		if time.Now().After(deadline) {
+			t.Fatal("the watch loop's refresh never reached last_refresh")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if lr := info().LastRefresh; lr == nil || lr.Recompiled != 1 || !lr.SolveReused {
+		t.Fatalf("watched comment edit: last_refresh = %+v, want 1 recompiled and the fixpoint reused", lr)
+	}
+}
+
 // TestRefreshNotSupported: object- and memory-backed sessions reject
 // refresh with a usage error instead of silently serving stale data.
 func TestRefreshNotSupported(t *testing.T) {
@@ -942,7 +1028,7 @@ func TestSessionWatchSwapsGeneration(t *testing.T) {
 
 // TestMetricszShowsPreambleCounters: a directory session's compile
 // reports its leading-include memo on /metricsz: three units sharing a
-// header preprocess it once.
+// header preprocess it once. The link's unit symbol count is there too.
 func TestMetricszShowsPreambleCounters(t *testing.T) {
 	dir := t.TempDir()
 	for name, src := range map[string]string{
@@ -960,7 +1046,7 @@ func TestMetricszShowsPreambleCounters(t *testing.T) {
 		t.Fatalf("create = %d %q", rec.Code, rec.Body.String())
 	}
 	out := get(t, h, "/metricsz").Body.String()
-	for _, want := range []string{"compile_preamble_hits 2", "compile_preamble_misses 1"} {
+	for _, want := range []string{"compile_preamble_hits 2", "compile_preamble_misses 1", "link_unit_syms "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metricsz missing %q:\n%s", want, out)
 		}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"cla/internal/claerr"
+	"cla/internal/incr"
 	"cla/internal/obs"
 	"cla/internal/parallel"
 )
@@ -205,6 +206,39 @@ type SessionInfo struct {
 	Watching    bool     `json:"watching"`
 	Stale       bool     `json:"stale"`
 	Changed     []string `json:"changed,omitempty"`
+	// LastRefresh describes the latest successful refresh (REST or
+	// watch); absent before the first.
+	LastRefresh *RefreshInfo `json:"last_refresh,omitempty"`
+}
+
+// RefreshInfo is the wire shape of one refresh's incr.RefreshStats:
+// the unit counts, whether the fixpoint was reused or solved warm, and
+// the phase split in milliseconds.
+type RefreshInfo struct {
+	Units       int     `json:"units"`
+	Recompiled  int     `json:"recompiled"`
+	StoreHits   int     `json:"store_hits"`
+	Reused      int     `json:"reused"`
+	SolveReused bool    `json:"solve_reused"`
+	SolveWarm   bool    `json:"solve_warm"`
+	HashMS      float64 `json:"hash_ms"`
+	CompileMS   float64 `json:"compile_ms"`
+	LinkMS      float64 `json:"link_ms"`
+	SolveMS     float64 `json:"solve_ms"`
+	TotalMS     float64 `json:"total_ms"`
+}
+
+func refreshInfo(st *incr.RefreshStats) *RefreshInfo {
+	if st == nil {
+		return nil
+	}
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	return &RefreshInfo{
+		Units: st.Units, Recompiled: st.Recompiled, StoreHits: st.StoreHits, Reused: st.Reused,
+		SolveReused: st.SolveReused, SolveWarm: st.SolveWarm,
+		HashMS: ms(st.Hash), CompileMS: ms(st.Compile), LinkMS: ms(st.Link),
+		SolveMS: ms(st.Solve), TotalMS: ms(st.Total),
+	}
 }
 
 // sessionInfo snapshots a session for the lifecycle endpoints. The
@@ -226,6 +260,7 @@ func sessionInfo(sess *Session) SessionInfo {
 		Watching:    sess.Watching(),
 		Stale:       stale,
 		Changed:     changed,
+		LastRefresh: refreshInfo(sess.LastRefresh()),
 	}
 }
 

@@ -111,6 +111,9 @@ type Session struct {
 	state    atomic.Pointer[SessionState]
 	inflight atomic.Int64
 	closed   atomic.Bool
+	// lastRefresh holds the stats of the latest successful refresh, from
+	// Refresh or the watch loop; nil before the first.
+	lastRefresh atomic.Pointer[incr.RefreshStats]
 
 	watchMu   sync.Mutex
 	stopWatch context.CancelFunc
@@ -246,14 +249,19 @@ func (s *Session) Refresh(ctx context.Context) (*SessionState, bool, error) {
 		return nil, false, claerr.Newf(claerr.PhaseUsage,
 			"session %q (%s-backed) is not refreshable; only source-directory sessions are", s.Name, s.Kind)
 	}
-	res, _, err := s.pipe.Refresh(ctx)
+	res, stats, err := s.pipe.Refresh(ctx)
 	if err != nil {
 		s.cfg.logPanic("refresh", s.Name, err)
 		return nil, false, claerr.File(claerr.PhaseCompile, s.Path, err)
 	}
+	s.lastRefresh.Store(&stats)
 	st, changed := s.adopt(res)
 	return st, changed, nil
 }
+
+// LastRefresh returns the stats of the session's latest successful
+// refresh, through Refresh or the watch loop, or nil if it has had none.
+func (s *Session) LastRefresh() *incr.RefreshStats { return s.lastRefresh.Load() }
 
 // Stale cheaply probes a directory session for drift without
 // rebuilding: one stat per tracked file plus a directory listing.
@@ -323,6 +331,7 @@ func (s *Session) StartWatch(interval time.Duration) error {
 				s.cfg.logPanic("watch", s.Name, err)
 				return
 			}
+			s.lastRefresh.Store(&st)
 			if st.Changed {
 				s.adopt(r)
 			}

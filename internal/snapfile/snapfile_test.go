@@ -312,7 +312,7 @@ func TestFormatGolden(t *testing.T) {
 		b    []byte
 		want string
 	}{
-		{".clo", clo.Bytes(), "68db5ac7f8a5fb42"},
+		{".clo", clo.Bytes(), "586479ee6cbfce71"},
 		{".snap", snap.Bytes(), "66efc8d661343a1e"},
 	} {
 		if got := srchash.Bytes(c.b); got != c.want {
