@@ -14,7 +14,7 @@
 //	claserve -preload a.snap,b.snap           # page snapshots in before READY
 //	claserve -no-verify program.snap          # skip snapshot staleness check
 //	claserve -watch src/                      # poll for edits, swap generations
-//	claserve -cache-dir .clacache src/        # persist compiled unit databases
+//	claserve -cache-dir .clacache src/        # persist units and the solved generation
 //
 // Endpoints:
 //
@@ -235,6 +235,13 @@ func run(args []string, listen, unixSock, name, includes, solverName, extModel, 
 			return claerr.New(claerr.PhaseServe, err)
 		}
 		<-done
+	}
+	// Close every session, so directory sessions save their latest
+	// generation to -cache-dir before the process exits.
+	for _, n := range reg.Names() {
+		if sess, err := reg.Get(n); err == nil {
+			sess.Close()
+		}
 	}
 	if unixSock != "" {
 		os.Remove(unixSock)

@@ -11,7 +11,7 @@
 //	clawatch -interval 200ms src/       # poll faster
 //	clawatch -checks deref,escape src/  # only these checks
 //	clawatch -once src/                 # one pass, then exit (CI mode)
-//	clawatch -cache-dir .clacache src/  # warm-start from a unit cache
+//	clawatch -cache-dir .clacache src/  # warm-start from a unit cache and its solved generation
 //	clawatch -solver steens -j 4 src/
 //
 // Each generation prints one banner line

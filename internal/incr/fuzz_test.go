@@ -88,9 +88,11 @@ func analysisBytes(t *testing.T, r *Result) string {
 // edit loop's replace solve warm, while a dropped store or function
 // record, or a solver other than pre-transitive, falls back to scratch.
 // The first byte picks the solver, whether the session runs over a unit
-// store, and the worker count; a stored session starts from a reopen, so
-// every unit it edits from was decoded from the store, while the scratch
-// Open always compiles.
+// store, and the worker count; a stored session starts from a reopen
+// served from the generation the first session saved, so every edit
+// starts from that snapshot and from units whose programs are decoded
+// from the store only when a link needs them, while the scratch Open
+// always compiles.
 func FuzzIncrEdits(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 3, 4})
 	f.Add([]byte{1, 5, 2, 7, 12, 1, 6})
@@ -141,13 +143,19 @@ func FuzzIncrEdits(f *testing.F) {
 		stored := cfg
 		if data[0]/5%2 == 1 {
 			stored.CacheDir = t.TempDir()
-			if _, err := Open(context.Background(), stored); err != nil {
+			first, err := Open(context.Background(), stored)
+			if err != nil {
 				t.Fatal(err)
 			}
+			first.Close()
 		}
 		p, err := Open(context.Background(), stored)
 		if err != nil {
 			t.Fatal(err)
+		}
+		defer p.Close()
+		if st := p.Current().Stats; stored.CacheDir != "" && (!st.Snapshot || st.StoreHits != len(units)) {
+			t.Fatalf("reopen over the store: stats %+v, want the saved generation", st)
 		}
 		for k, b := range data[1:] {
 			name := units[int(b/7)%len(units)]

@@ -6,7 +6,7 @@
 // instead of a million lines turns an edit-analyze round trip from
 // seconds into milliseconds.
 //
-// The pipeline tracks two layers of reuse, each content-addressed:
+// The pipeline tracks three layers of reuse, each content-addressed:
 //
 //   - Unit databases. Every translation unit is keyed by its compile
 //     options plus the srchash digest of the unit source and every file
@@ -14,7 +14,9 @@
 //     loader during compilation). Clean units are reused in memory;
 //     with a cache directory configured they are also served from the
 //     on-disk Store across sessions, so a fresh process starts without
-//     parsing anything.
+//     parsing anything. A unit served from the store is checked by its
+//     manifest alone; its object file is decoded only when a link needs
+//     its program.
 //   - The fixpoint. Each unit's compiled program is digested
 //     (prim.Program.Digest) once, in the compile worker that built it,
 //     and its store entry records that digest for later sessions. The
@@ -27,6 +29,13 @@
 //     configuration reproduce the identical fixpoint, and the reuse is
 //     byte-exact by construction. A comment edit that shifts no line
 //     therefore costs one unit compile.
+//   - The solved generation. With a cache directory, Close saves the
+//     current generation there, when a refresh linked and solved it, as
+//     a solved snapshot named by its solve digest. An Open whose units
+//     fold to that digest serves generation 1 from it: no object file
+//     is decoded and nothing is linked or solved. The first
+//     later edit that must link decodes the units and solves from
+//     scratch, since a snapshot carries no solver graph to start from.
 //
 // Any other change relinks every unit with the one sequential fold
 // (linker.LinkTraced) and solves again. A pre-transitive solve under the
@@ -85,13 +94,15 @@ type Config struct {
 	// GOMAXPROCS). Results are byte-identical at any setting.
 	Jobs int
 	// CacheDir, when non-empty, enables the on-disk unit store there, so
-	// compiled units survive across pipeline sessions.
+	// compiled units and the latest solved generation survive across
+	// pipeline sessions. Close saves the generation.
 	CacheDir string
 	// Obs receives phase spans, incr.* counters, the incr.refresh
 	// latency histogram and its per-phase split: incr.refresh.hash and
 	// incr.refresh.compile for every committed refresh,
 	// incr.refresh.link and incr.refresh.solve for those that linked and
-	// solved. Nil disables instrumentation.
+	// solved, and incr.snapshot.write for each save of a solved
+	// generation by Close. Nil disables instrumentation.
 	Obs *obs.Observer
 }
 
@@ -129,6 +140,11 @@ type RefreshStats struct {
 	// SolveReused reports that the fixpoint was reused byte-for-byte
 	// because the solve digest did not change.
 	SolveReused bool
+	// Snapshot reports that the new generation was read from the
+	// store's saved copy of the generation with its solve digest: no
+	// link and no solve ran, so Link and Solve are zero and the read is
+	// in Total only. Only an Open is served this way.
+	Snapshot bool
 	// SolveWarm reports that the new fixpoint was solved starting from
 	// the previous generation's graph (core.SolveFrom) rather than from
 	// nothing. Its points-to sets, PointerVars and Relations equal a
@@ -151,7 +167,8 @@ type Result struct {
 	// Prog is the analyzed program: the linked database with the extern
 	// model applied (identical to Linked under the unsound model).
 	Prog *prim.Program
-	// Linked is the raw linked database before extern modeling.
+	// Linked is the raw linked database before extern modeling, nil for
+	// a generation read from the store's saved copy (Stats.Snapshot).
 	Linked *prim.Program
 	// Src is the constraint source the solver consumed.
 	Src pts.Source
@@ -177,6 +194,13 @@ type Result struct {
 type Pipeline struct {
 	cfg   Config
 	store *Store
+	// key names the workspace's saved generations in the store; empty
+	// without a store.
+	key string
+	// saveMu serializes saves; saved is the solve digest of the
+	// generation last read from the store or saved there (0 for none).
+	saveMu sync.Mutex
+	saved  uint64
 	// pre memoizes the units' shared leading includes across refreshes;
 	// compiles through it give the programs and deps plain ones do.
 	pre *frontend.Preambles
@@ -212,8 +236,11 @@ func CompileDir(ctx context.Context, cfg Config) (*prim.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	units, _, err := p.compilePhase(ctx, nil)
+	units, st, err := p.compilePhase(ctx, nil)
 	if err != nil {
+		return nil, err
+	}
+	if err := p.loadPrograms(ctx, units, &st); err != nil {
 		return nil, err
 	}
 	prog, _, err := p.linkPhase(units)
@@ -228,8 +255,23 @@ func newPipeline(cfg Config) (*Pipeline, error) {
 			return nil, err
 		}
 		p.store = st
+		p.key = p.genKey()
 	}
 	return p, nil
+}
+
+// Close saves the current generation in the store, when a store is
+// configured and a refresh linked and solved that generation, so the
+// next Open over the unchanged tree reads it instead of linking and
+// solving. The save is best effort, like the unit entries, and Close
+// always returns nil. Results already returned stay valid: one served
+// from the store was read into memory, not mapped. The pipeline still
+// refreshes after Close, and a later Close saves again.
+func (p *Pipeline) Close() error {
+	if p.store != nil {
+		p.saveCurrent()
+	}
+	return nil
 }
 
 // Current returns the latest generation snapshot.
@@ -483,7 +525,7 @@ func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*
 			i := dirtyIdx[k]
 			path := paths[i]
 			if p.store != nil {
-				if u, ok := p.store.load(path, dirs, p.cfg.Frontend, hc); ok {
+				if u, ok := p.store.lookup(path, dirs, p.cfg.Frontend, hc); ok {
 					units[i] = u
 					hits.Add(1)
 					return nil
@@ -520,6 +562,63 @@ func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*
 	return units, st, nil
 }
 
+// loadPrograms fills in, in parallel, the programs of the units served
+// from their store manifests alone, decoding each unit's object file. A
+// unit whose object file is missing or does not decode is compiled
+// again and counts as recompiled. Decode and compile time count in
+// st.Compile.
+func (p *Pipeline) loadPrograms(ctx context.Context, units []*unit, st *RefreshStats) error {
+	var todo []int
+	for i, u := range units {
+		if u.prog == nil {
+			todo = append(todo, i)
+		}
+	}
+	if len(todo) == 0 {
+		return nil
+	}
+	start := time.Now()
+	sp := p.cfg.Obs.Start("load")
+	dirs := append([]string{p.cfg.Dir}, p.cfg.Includes...)
+	stored := make([]*unit, len(todo))
+	for k, i := range todo {
+		stored[k] = units[i]
+	}
+	recompiled := make([]bool, len(todo))
+	err := parallel.ForEachCtx(ctx, p.cfg.Jobs, len(todo), func(k int) error {
+		u := stored[k]
+		if prog, err := p.store.program(u.path, dirs, p.cfg.Frontend); err == nil {
+			units[todo[k]] = &unit{path: u.path, prog: prog, deps: u.deps, digest: u.digest}
+			return nil
+		}
+		nu, err := compileFn(u.path, dirs, p.cfg.Frontend, p.pre)
+		if err != nil {
+			return fmt.Errorf("incr: compile %s: %w", u.path, err)
+		}
+		p.store.save(nu, dirs, p.cfg.Frontend) // best-effort
+		units[todo[k]] = nu
+		recompiled[k] = true
+		return nil
+	})
+	sp.End()
+	decoded := 0
+	for k, u := range stored {
+		switch {
+		case !recompiled[k]:
+			decoded++
+			continue
+		case p.units[u.path] == u: // kept from memory
+			st.Reused--
+		default: // served from the store this refresh
+			st.StoreHits--
+		}
+		st.Recompiled++
+	}
+	p.cfg.Obs.Counter("incr.units_decoded").Add(int64(decoded))
+	st.Compile += time.Since(start)
+	return err
+}
+
 // linkFn is the link step, a variable so tests can make it fail in ways
 // real units cannot.
 var linkFn = linker.LinkTraced
@@ -545,6 +644,12 @@ func (p *Pipeline) solveDigest(units []*unit) uint64 {
 	for _, u := range units {
 		h = srchash.FoldU64(h, u.digest)
 	}
+	return p.foldConfig(h)
+}
+
+// foldConfig folds the solver, extern model and core configuration into
+// h.
+func (p *Pipeline) foldConfig(h uint64) uint64 {
 	h = srchash.FoldU32(h, uint32(p.cfg.Solver))
 	h = srchash.FoldU32(h, uint32(p.cfg.Model))
 	var bits uint32
@@ -613,6 +718,11 @@ func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result,
 	}
 	p.stamps = stamps
 	p.cur = res
+	if st.Snapshot {
+		p.saveMu.Lock()
+		p.saved = res.Digest
+		p.saveMu.Unlock()
+	}
 
 	o.Gauge("incr.generation").Set(int64(p.gen))
 	o.Counter("incr.refreshes").Inc()
@@ -622,6 +732,8 @@ func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result,
 	switch {
 	case st.SolveReused:
 		o.Counter("incr.solve_reused").Inc()
+	case st.Snapshot:
+		o.Counter("incr.solve_snapshot").Inc()
 	case st.SolveWarm:
 		o.Counter("incr.solve_warm").Inc()
 	default:
@@ -630,7 +742,7 @@ func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result,
 	o.Histogram("incr.refresh").ObserveSince(start)
 	o.Histogram("incr.refresh.hash").Observe(int64(st.Hash))
 	o.Histogram("incr.refresh.compile").Observe(int64(st.Compile))
-	if !st.SolveReused {
+	if !st.SolveReused && !st.Snapshot {
 		o.Histogram("incr.refresh.link").Observe(int64(st.Link))
 		o.Histogram("incr.refresh.solve").Observe(int64(st.Solve))
 	}
@@ -649,7 +761,9 @@ type built struct {
 // build compiles what changed and, unless the solve digest shows the
 // current fixpoint still holds, links every unit and solves: warm from
 // the current generation where warmEdit allows it, from scratch
-// otherwise. It reads the pipeline's state but changes none of it.
+// otherwise. An Open is served from the store's saved generation instead
+// when it holds one with the solve digest. It reads the pipeline's state
+// but changes none of it.
 func (p *Pipeline) build(ctx context.Context, hints map[string]bool) (built, RefreshStats, error) {
 	units, st, err := p.compilePhase(ctx, hints)
 	if err != nil {
@@ -662,6 +776,16 @@ func (p *Pipeline) build(ctx context.Context, hints map[string]bool) (built, Ref
 		st.SolveReused = true
 		return built{units: units}, st, nil
 	}
+	if p.cur == nil && p.store != nil {
+		if res, ok := p.savedGeneration(digest); ok {
+			st.Snapshot, st.Changed = true, true
+			return built{units: units, res: res}, st, nil
+		}
+	}
+	if err := p.loadPrograms(ctx, units, &st); err != nil {
+		return built{}, st, err
+	}
+	digest = p.solveDigest(units)
 
 	linkStart := time.Now()
 	linked, remaps, err := p.linkPhase(units)

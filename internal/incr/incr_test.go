@@ -118,6 +118,23 @@ func fingerprint(p *prim.Program, res pts.Result) string {
 	return srchash.String(strings.Join(lines, "\n"))
 }
 
+// dropGenerations closes the pipelines, so their saved generations are
+// on disk, then removes every saved generation from the store in cache:
+// the next Open decodes the units' object files, links and solves,
+// instead of reading the solved generation and no object file.
+func dropGenerations(t testing.TB, cache string, ps ...*Pipeline) {
+	t.Helper()
+	for _, p := range ps {
+		p.Close()
+	}
+	snaps, _ := filepath.Glob(filepath.Join(cache, "*.snap"))
+	for _, s := range snaps {
+		if err := os.Remove(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // scratchFingerprint builds the same analysis from scratch through the
 // non-incremental driver reference path.
 func scratchFingerprint(t *testing.T, cfg Config) string {
@@ -384,10 +401,12 @@ func TestReopenOverStoreKeepsDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cold.Close()
 	warm, err := Open(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer warm.Close()
 	if st := warm.Current().Stats; st.StoreHits != 4 || st.Recompiled != 0 {
 		t.Fatalf("reopen stats = %+v, want all 4 units from the store", st)
 	}
@@ -410,6 +429,7 @@ func TestReopenOverStoreKeepsDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer again.Close()
 	if st := again.Current().Stats; st.StoreHits != 0 || st.Recompiled != 4 {
 		t.Fatalf("digest-less manifests: stats = %+v, want all 4 units recompiled", st)
 	}
@@ -605,7 +625,9 @@ func TestStoreWarmStartAcrossSessions(t *testing.T) {
 		t.Fatalf("field-independent session stats = %+v, want no store hits", st)
 	}
 
-	// A corrupt object behind a still-matching manifest is recompiled.
+	// A corrupt object behind a still-matching manifest is recompiled
+	// once the open needs it, which it does without a saved generation.
+	dropGenerations(t, cache, p1, p2, p3)
 	objs, _ := filepath.Glob(filepath.Join(cache, "*.clo"))
 	if len(objs) != 8 {
 		t.Fatalf("store holds %d objects, want 8 (4 units x 2 modes)", len(objs))
@@ -649,10 +671,12 @@ func TestStoreWarmStartAcrossSessions(t *testing.T) {
 	if rewritten != 4 {
 		t.Fatalf("%d store objects decode after the recompile, want 4", rewritten)
 	}
+	dropGenerations(t, cache, p4)
 	p5, err := Open(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer p5.Close()
 	if st := p5.Current().Stats; st.StoreHits != 0 || st.Recompiled != 4 {
 		t.Fatalf("bad-parameter store session stats = %+v, want all 4 units recompiled", st)
 	}
@@ -666,7 +690,8 @@ func TestStoreWarmStartAcrossSessions(t *testing.T) {
 // only the header entries they use, misses on every unit, is refilled
 // at the current version and never serves the stale entry. As a control,
 // the same stale program at the current version is served, so the miss
-// is the version's doing.
+// is the version's doing. Every open runs without a saved generation,
+// so it reads the object files.
 func TestStoreRefillsPreviousVersion(t *testing.T) {
 	dir := t.TempDir()
 	writeTree(t, dir, baseTree)
@@ -678,6 +703,7 @@ func TestStoreRefillsPreviousVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		dropGenerations(t, cfg.CacheDir, p)
 		return p.Current()
 	}
 	fresh := open()
@@ -759,6 +785,7 @@ func TestStoreKeyIncludesSearchPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer p.Close()
 		if st := p.Current().Stats; st.StoreHits != 0 {
 			t.Fatalf("-I %s: stats = %+v, want a fresh compile", filepath.Base(inc), st)
 		}

@@ -159,6 +159,7 @@ func TestPreambleMatchesPlainCompile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		stored.Close()
 		if s := stored.Current().Stats; s.StoreHits != len(p.units) || s.Recompiled != 0 {
 			t.Errorf("%s: store filled without the memo: stats %+v, want %d store hits", name, s, len(p.units))
 		}

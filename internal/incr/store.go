@@ -13,9 +13,11 @@ import (
 	"cla/internal/srchash"
 )
 
-// Store is the on-disk unit cache: one .clo object file plus one
-// .manifest per (unit path, #include search path, compile options)
-// entry, both named by the srchash of that triple. The manifest's first
+// Store is the on-disk cache of the pipeline's first and third reuse
+// layers: the units, and each workspace's latest solved generation as a
+// .snap file (see generation.go). A unit entry is one .clo object file
+// plus one .manifest per (unit path, #include search path, compile
+// options), both named by the srchash of that triple. The manifest's first
 // line is the digest of the unit's program as compiled, in hex; the rest
 // record the dependency closure the cached compile read — "path\thash"
 // per line, sorted — and an entry is valid only while every listed file
@@ -32,7 +34,9 @@ import (
 // order, which neither a points-to set nor a checks report depends on.
 // The recorded digest keeps a session reopened over the store on the
 // generation digest of the session that compiled it, and the pipeline's
-// reuse check trusts it as it trusts the object file beside it.
+// reuse check trusts it as it trusts the object file beside it; so does
+// an Open served from the saved generation, which reads no object file
+// at all.
 type Store struct {
 	dir string
 }
@@ -49,8 +53,10 @@ func OpenStore(dir string) (*Store, error) {
 // path, serving it from the store when the entry's recorded closure
 // still matches and writing the entry otherwise.
 func (s *Store) Compile(path string, dirs []string, opts frontend.Options) (*prim.Program, error) {
-	if u, ok := s.load(path, dirs, opts, newHashCache()); ok {
-		return u.prog, nil
+	if _, ok := s.lookup(path, dirs, opts, newHashCache()); ok {
+		if prog, err := s.program(path, dirs, opts); err == nil {
+			return prog, nil
+		}
 	}
 	u, err := compileUnit(path, dirs, opts, nil)
 	if err != nil {
@@ -70,10 +76,11 @@ func (s *Store) base(unitPath string, dirs []string, opts frontend.Options) stri
 	return srchash.String(b.String())
 }
 
-// load returns the cached unit for unitPath if its manifest's whole
+// lookup returns the cached unit for unitPath if its manifest's whole
 // closure still matches the files on disk (hashed through hc, so shared
-// headers are read once per refresh).
-func (s *Store) load(unitPath string, dirs []string, opts frontend.Options, hc *hashCache) (*unit, bool) {
+// headers are read once per refresh). It reads no object file: the
+// unit's program is nil, and program decodes it when a link needs it.
+func (s *Store) lookup(unitPath string, dirs []string, opts frontend.Options, hc *hashCache) (*unit, bool) {
 	base := s.base(unitPath, dirs, opts)
 	mb, err := os.ReadFile(filepath.Join(s.dir, base+".manifest"))
 	if err != nil {
@@ -95,16 +102,17 @@ func (s *Store) load(unitPath string, dirs []string, opts frontend.Options, hc *
 	if len(deps) == 0 {
 		return nil, false
 	}
-	r, err := objfile.Open(filepath.Join(s.dir, base+".clo"))
+	return &unit{path: unitPath, deps: deps, digest: digest}, true
+}
+
+// program decodes the object file of unitPath's entry.
+func (s *Store) program(unitPath string, dirs []string, opts frontend.Options) (*prim.Program, error) {
+	r, err := objfile.Open(filepath.Join(s.dir, s.base(unitPath, dirs, opts)+".clo"))
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
-	prog, err := r.Program()
-	r.Close()
-	if err != nil {
-		return nil, false
-	}
-	return &unit{path: unitPath, prog: prog, deps: deps, digest: digest}, true
+	defer r.Close()
+	return r.Program()
 }
 
 // save writes u's object and manifest. Failures are swallowed: an

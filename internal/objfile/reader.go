@@ -363,15 +363,7 @@ func (r *Reader) Program() (*prim.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	strs := map[uint32]string{}
-	str := func(off uint32) (string, error) {
-		if s, ok := strs[off]; ok {
-			return s, nil
-		}
-		s, err := r.strings.Str(off)
-		strs[off] = s
-		return s, err
-	}
+	str := r.strings.Memo()
 	for id := range r.syms {
 		n := int64(r.blockCnt[id])
 		if n == 0 {

@@ -75,6 +75,21 @@ func (s Strings) Str(off uint32) (string, error) {
 	return string(s[off+4 : end]), nil
 }
 
+// Memo returns Str behind a cache, so a decoder that names the same
+// string many times (file and function names) decodes and
+// allocates it once.
+func (s Strings) Memo() func(off uint32) (string, error) {
+	memo := map[uint32]string{}
+	return func(off uint32) (string, error) {
+		if str, ok := memo[off]; ok {
+			return str, nil
+		}
+		str, err := s.Str(off)
+		memo[off] = str
+		return str, err
+	}
+}
+
 // EncodeSymID encodes a symbol reference, prim.NoSym as all ones.
 func EncodeSymID(id prim.SymID) uint32 {
 	if id == prim.NoSym {

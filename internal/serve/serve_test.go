@@ -864,11 +864,8 @@ func TestSessionInfoLastRefresh(t *testing.T) {
 		}
 		return info
 	}
-	if lr := info().LastRefresh; lr != nil {
-		t.Fatalf("last_refresh = %+v before any refresh", lr)
-	}
-	if rec := doReq(t, h, "GET", "/v1/sessions/live", nil); strings.Contains(rec.Body.String(), "last_refresh") {
-		t.Fatalf("info body %s carries last_refresh before any refresh", rec.Body.String())
+	if lr := info().LastRefresh; lr == nil || lr.Units != 2 || lr.Recompiled != 2 || lr.Snapshot || lr.SolveReused {
+		t.Fatalf("last_refresh = %+v after the open, want its 2 units compiled and solved", lr)
 	}
 	refresh := func(what string) *RefreshInfo {
 		t.Helper()
@@ -925,6 +922,43 @@ func TestSessionInfoLastRefresh(t *testing.T) {
 	if lr := info().LastRefresh; lr == nil || lr.Recompiled != 1 || !lr.SolveReused {
 		t.Fatalf("watched comment edit: last_refresh = %+v, want 1 recompiled and the fixpoint reused", lr)
 	}
+	sess.StopWatch()
+
+	// Over a unit store, a session reopened on the unchanged tree is read
+	// from the generation the deleted one saved: no link and no solve.
+	s = NewServer(NewRegistry(), ServerConfig{Jobs: 1, Session: Config{Jobs: 1, CacheDir: t.TempDir()}})
+	h = s.Handler()
+	create := func() {
+		t.Helper()
+		if rec := doReq(t, h, "POST", "/v1/sessions", marshal(t, sessionCreateBody{Name: "live", Path: dir})); rec.Code != http.StatusCreated {
+			t.Fatalf("create over the store = %d %q", rec.Code, rec.Body.String())
+		}
+	}
+	create()
+	if lr := info().LastRefresh; lr == nil || lr.Snapshot || lr.Recompiled != 2 {
+		t.Fatalf("first open over the store: last_refresh = %+v, want 2 units compiled and solved", lr)
+	}
+	if rec := doReq(t, h, "DELETE", "/v1/sessions/live", nil); rec.Code != http.StatusNoContent {
+		t.Fatalf("delete = %d %q", rec.Code, rec.Body.String())
+	}
+	create()
+	if lr := info().LastRefresh; lr == nil || !lr.Snapshot || lr.StoreHits != 2 || lr.Recompiled != 0 || lr.LinkMS != 0 || lr.SolveMS != 0 {
+		t.Fatalf("reopen over the store: last_refresh = %+v, want the saved generation with 2 store hits", lr)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "b.c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "b.c"), append(b, "\nint *late = &extra;\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if lr := refresh("fact edit after the reopen"); lr.Snapshot || lr.SolveReused {
+		t.Fatalf("fact edit after the reopen: last_refresh = %+v, want a solve", lr)
+	}
+	if sess, err = s.Sessions.Get("live"); err != nil {
+		t.Fatal(err)
+	}
+	sess.Close() // saves the edit's generation before the store is removed
 }
 
 // TestRefreshNotSupported: object- and memory-backed sessions reject

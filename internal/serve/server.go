@@ -212,14 +212,16 @@ type SessionInfo struct {
 }
 
 // RefreshInfo is the wire shape of one refresh's incr.RefreshStats:
-// the unit counts, whether the fixpoint was reused or solved warm, and
-// the phase split in milliseconds.
+// the unit counts, whether the fixpoint was reused, read from the unit
+// store's saved generation or solved warm, and the phase split in
+// milliseconds.
 type RefreshInfo struct {
 	Units       int     `json:"units"`
 	Recompiled  int     `json:"recompiled"`
 	StoreHits   int     `json:"store_hits"`
 	Reused      int     `json:"reused"`
 	SolveReused bool    `json:"solve_reused"`
+	Snapshot    bool    `json:"snapshot"`
 	SolveWarm   bool    `json:"solve_warm"`
 	HashMS      float64 `json:"hash_ms"`
 	CompileMS   float64 `json:"compile_ms"`
@@ -235,7 +237,7 @@ func refreshInfo(st *incr.RefreshStats) *RefreshInfo {
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	return &RefreshInfo{
 		Units: st.Units, Recompiled: st.Recompiled, StoreHits: st.StoreHits, Reused: st.Reused,
-		SolveReused: st.SolveReused, SolveWarm: st.SolveWarm,
+		SolveReused: st.SolveReused, Snapshot: st.Snapshot, SolveWarm: st.SolveWarm,
 		HashMS: ms(st.Hash), CompileMS: ms(st.Compile), LinkMS: ms(st.Link),
 		SolveMS: ms(st.Solve), TotalMS: ms(st.Total),
 	}
@@ -349,8 +351,11 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, claerr.Newf(claerr.PhaseQuery, "no session named %q: %w", name, claerr.ErrNotFound))
 		return
 	}
+	// Save a directory session's generation before answering, so a
+	// session created on the same path right after is served from it.
 	// Close drains queries pinned to the session before unmapping any
 	// snapshot backing it; run it off the request goroutine.
+	sess.retire()
 	go sess.Close()
 	s.o.Counter("serve.sessions.deleted").Inc()
 	w.WriteHeader(http.StatusNoContent)

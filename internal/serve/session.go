@@ -34,8 +34,9 @@ type Config struct {
 	// Includes are extra directories searched for #include files when the
 	// session path is a source directory.
 	Includes []string
-	// CacheDir, when non-empty, persists compiled unit databases for
-	// directory sessions, so reopening an unchanged tree skips the parse.
+	// CacheDir, when non-empty, persists compiled unit databases and the
+	// latest solved generation of directory sessions, so reopening an
+	// unchanged tree skips the parse, the link and the solve.
 	CacheDir string
 	// Obs, when non-nil, records the build phases and solver counters.
 	Obs *obs.Observer
@@ -111,8 +112,8 @@ type Session struct {
 	state    atomic.Pointer[SessionState]
 	inflight atomic.Int64
 	closed   atomic.Bool
-	// lastRefresh holds the stats of the latest successful refresh, from
-	// Refresh or the watch loop; nil before the first.
+	// lastRefresh holds the stats of the latest successful refresh of a
+	// directory session, from its open, Refresh or the watch loop.
 	lastRefresh atomic.Pointer[incr.RefreshStats]
 
 	watchMu   sync.Mutex
@@ -160,7 +161,9 @@ func Open(ctx context.Context, name, path string, cfg Config) (*Session, error) 
 		return nil, claerr.File(claerr.PhaseCompile, path, err)
 	}
 	s := &Session{Name: name, Path: path, Kind: "dir", cfg: cfg, pipe: pipe, Created: time.Now()}
-	s.adopt(pipe.Current())
+	cur := pipe.Current()
+	s.lastRefresh.Store(&cur.Stats)
+	s.adopt(cur)
 	return s, nil
 }
 
@@ -260,7 +263,8 @@ func (s *Session) Refresh(ctx context.Context) (*SessionState, bool, error) {
 }
 
 // LastRefresh returns the stats of the session's latest successful
-// refresh, through Refresh or the watch loop, or nil if it has had none.
+// refresh, through its open, Refresh or the watch loop; nil for sessions
+// that are not directory-backed.
 func (s *Session) LastRefresh() *incr.RefreshStats { return s.lastRefresh.Load() }
 
 // Stale cheaply probes a directory session for drift without
@@ -359,14 +363,15 @@ func (s *Session) Watching() bool {
 	return s.stopWatch != nil
 }
 
-// Close retires the session: the watch loop stops, new Acquires fail,
-// and once in-flight requests drain any backing snapshot file is
+// Close retires the session: new Acquires fail, the watch loop stops, a
+// directory session's pipeline saves its latest generation to the unit
+// store, and once in-flight requests drain any backing snapshot file is
 // unmapped. Idempotent; safe to call from a handler goroutine.
 func (s *Session) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	s.StopWatch()
+	s.retire()
 	for s.inflight.Load() != 0 {
 		time.Sleep(time.Millisecond)
 	}
@@ -374,6 +379,16 @@ func (s *Session) Close() error {
 		return s.Snap.Close()
 	}
 	return nil
+}
+
+// retire is the part of Close that waits for no request: it stops the
+// watch loop and saves a directory session's current generation to the
+// unit store (incr.Pipeline.Close).
+func (s *Session) retire() {
+	s.StopWatch()
+	if s.pipe != nil {
+		s.pipe.Close()
+	}
 }
 
 // Registry is the server's session table. Concurrent-safe.

@@ -24,7 +24,9 @@
 //	          section table: numSections × {offset u64, length u64};
 //	          every section offset is 8-byte aligned
 //	meta:     JSON: solver, extmodel, counts, pts.Metrics, source records
-//	          {path, size, content hash}
+//	          {path, size, content hash}; a saved pipeline generation
+//	          adds its solve digest and a CRC-32C checksum over meta
+//	          and every other section
 //	strings:  the object format's string pool: u32 length + bytes per
 //	          string, referenced by byte offset (offset 0 = "")
 //	symbols:  the object format's symbol section: u32 count, then 24-byte
@@ -60,7 +62,9 @@ package snapfile
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 
 	"cla/internal/checks"
 	"cla/internal/claerr"
@@ -115,6 +119,10 @@ type Snapshot struct {
 	// Sources are the input files the snapshot was built from, recorded
 	// for staleness detection.
 	Sources []SourceFile
+	// Generation, when nonzero, names the solved generation the snapshot
+	// saves (the incremental pipeline's solve digest); the meta section
+	// then records it and a checksum of the file.
+	Generation uint64
 }
 
 // SourceFile records one input's identity for staleness checks.
@@ -136,6 +144,16 @@ type Meta struct {
 	Elems    int          `json:"elems"`
 	Metrics  pts.Metrics  `json:"metrics"`
 	Sources  []SourceFile `json:"sources,omitempty"`
+	// Generation is the incremental pipeline's solve digest of the
+	// saved generation (Snapshot.Generation), 16 hex digits; empty for
+	// snapshots that name none.
+	Generation string `json:"generation,omitempty"`
+	// Checksum is the CRC-32C of every section but meta, preceded by
+	// this meta section as encoded with Checksum empty, 8 hex digits.
+	// Snapshots that name a generation carry one, because they are
+	// served in place of a solve with no source check. Open verifies it
+	// when present and refuses a Generation without one.
+	Checksum string `json:"checksum,omitempty"`
 }
 
 // reportBlob is the report section's JSON shape.
@@ -146,9 +164,35 @@ type reportBlob struct {
 
 var le = binary.LittleEndian
 
-// corrupt builds a corruption error.
+// CorruptError reports a malformed snapshot: truncated, bit-flipped or
+// otherwise not what Write produces.
+type CorruptError struct{ Detail string }
+
+func (e *CorruptError) Error() string { return "snapfile: corrupt snapshot: " + e.Detail }
+
+// corrupt builds a *CorruptError.
 func corrupt(format string, args ...any) error {
-	return fmt.Errorf("snapfile: corrupt snapshot: %s", fmt.Sprintf(format, args...))
+	return &CorruptError{Detail: fmt.Sprintf(format, args...)}
+}
+
+// castagnoli is the CRC-32C table behind Meta.Checksum.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksum computes Meta.Checksum: meta encoded with an empty Checksum,
+// then every other section in file order.
+func checksum(meta Meta, secs *[numSections][]byte) (string, error) {
+	meta.Checksum = ""
+	b, err := json.Marshal(meta)
+	if err != nil {
+		return "", err
+	}
+	c := crc32.Checksum(b, castagnoli)
+	for i, sec := range secs {
+		if i != secMeta {
+			c = crc32.Update(c, castagnoli, sec)
+		}
+	}
+	return fmt.Sprintf("%08x", c), nil
 }
 
 // stale builds a staleness error wrapping claerr.ErrStale, so callers

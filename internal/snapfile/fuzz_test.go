@@ -36,6 +36,14 @@ func FuzzSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	// A pipeline generation's snapshot, which carries a checksum, whole,
+	// truncated and with one bit flipped.
+	store := storeSnapshot(f)
+	f.Add(store)
+	f.Add(store[:len(store)*2/3])
+	flipped := append([]byte(nil), store...)
+	flipped[len(flipped)/2] ^= 0x04
+	f.Add(flipped)
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
 

@@ -162,6 +162,21 @@ func (r *Reader) VerifySources() error {
 	return nil
 }
 
+// CheckGeneration fails with an error wrapping claerr.ErrStale unless
+// the snapshot saves the pipeline generation with solve digest gen,
+// solved by solver under extModel (driver.Solver and extmodel.Model
+// display strings).
+func (r *Reader) CheckGeneration(gen uint64, solver, extModel string) error {
+	m := &r.meta
+	if m.Generation != srchash.Render(gen) {
+		return stale("snapshot saves generation %q, want %016x", m.Generation, gen)
+	}
+	if m.Solver != solver || m.ExtModel != extModel {
+		return stale("snapshot solved by %s under %s, want %s under %s", m.Solver, m.ExtModel, solver, extModel)
+	}
+	return nil
+}
+
 // Prefault touches every page of the snapshot so a -preload'ed session
 // pays its page-ins before READY rather than on the first query.
 // Returns the number of bytes touched.
@@ -239,6 +254,15 @@ func decode(data []byte, mapped bool) (*Reader, error) {
 
 	if err := json.Unmarshal(secs[secMeta], &r.meta); err != nil {
 		return nil, corrupt("meta section: %v", err)
+	}
+	switch {
+	case r.meta.Checksum != "":
+		sum, err := checksum(r.meta, &secs)
+		if err != nil || sum != r.meta.Checksum {
+			return nil, corrupt("checksum mismatch")
+		}
+	case r.meta.Generation != "":
+		return nil, corrupt("generation %s without a checksum", r.meta.Generation)
 	}
 	var blob reportBlob
 	if err := json.Unmarshal(secs[secReport], &blob); err != nil {
@@ -389,6 +413,7 @@ func decodeAssigns(b []byte, strs objfile.Strings, numSyms int) ([]prim.Assign, 
 		return nil, corrupt("assign section size mismatch (%d assigns, %d bytes)", n, len(b))
 	}
 	out := make([]prim.Assign, n)
+	str := strs.Memo()
 	for i := 0; i < n; i++ {
 		rec := b[4+i*asgRecSize:]
 		a := prim.Assign{
@@ -407,11 +432,11 @@ func decodeAssigns(b []byte, strs objfile.Strings, numSyms int) ([]prim.Assign, 
 		if err := objfile.CheckSym(a.Src, numSyms); err != nil {
 			return nil, err
 		}
-		file, err := strs.Str(le.Uint32(rec[8:]))
+		file, err := str(le.Uint32(rec[8:]))
 		if err != nil {
 			return nil, err
 		}
-		if a.Func, err = strs.Str(le.Uint32(rec[16:])); err != nil {
+		if a.Func, err = str(le.Uint32(rec[16:])); err != nil {
 			return nil, err
 		}
 		a.Loc = prim.Loc{File: file, Line: int32(le.Uint32(rec[12:]))}

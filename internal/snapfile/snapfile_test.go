@@ -320,3 +320,114 @@ func TestFormatGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestSaveOverMappedSnapshot: Save over a file another reader has
+// mapped leaves that reader on the old bytes (a save that truncated the
+// file in place would kill it with SIGBUS), and a later Open reads the
+// new snapshot.
+func TestSaveOverMappedSnapshot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.snap")
+	old, next := build(t, driver.PreTransitive, 1), build(t, driver.Steensgaard, 1)
+	next.Generation = 7
+	if err := Save(path, old); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := Save(path, next); err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, old.Prog, old.Res, r.Result())
+	if r.Meta().Solver != old.Solver {
+		t.Fatalf("mapped reader's solver = %q after the save, want %q", r.Meta().Solver, old.Solver)
+	}
+	r2, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	sameResult(t, next.Prog, next.Res, r2.Result())
+	if err := r2.CheckGeneration(7, next.Solver, ""); err != nil {
+		t.Fatalf("saved snapshot: %v", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(filepath.Dir(path), "*")); len(left) != 1 {
+		t.Fatalf("directory holds %v after two saves, want the snapshot only", left)
+	}
+}
+
+// storeSnapshot writes build's snapshot as a pipeline generation would:
+// naming generation 42, which also records a checksum.
+func storeSnapshot(t testing.TB) []byte {
+	prog, err := frontend.CompileSource("test.c", testSrc, nil, frontend.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := driver.Analyze(context.Background(), pts.NewMemSource(prog), driver.PreTransitive, core.DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, &Snapshot{Prog: prog, Res: res, Solver: "pre-transitive", ExtModel: "unsound", Generation: 42}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestGenerationSnapshotIntegrity: a snapshot that names a generation
+// refuses every truncation and every bit flip that changes what it
+// reads as with a *CorruptError; a flip it accepts (in padding, or in
+// a header field nothing reads) reads exactly as the original.
+// CheckGeneration refuses another generation, solver or extern model
+// with ErrStale.
+func TestGenerationSnapshotIntegrity(t *testing.T) {
+	valid := storeSnapshot(t)
+	want, err := OpenBytes(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := want.Meta(); m.Generation != "000000000000002a" || len(m.Checksum) != 8 {
+		t.Fatalf("meta generation %q, checksum %q", m.Generation, m.Checksum)
+	}
+	var ce *CorruptError
+	for n := 0; n < len(valid); n++ {
+		if _, err := OpenBytes(valid[:n]); !errors.As(err, &ce) {
+			t.Fatalf("truncation to %d bytes: err = %v, want a *CorruptError", n, err)
+		}
+	}
+	mut := make([]byte, len(valid))
+	accepted := 0
+	for i := range valid {
+		copy(mut, valid)
+		mut[i] ^= 1 << (i % 8)
+		r, err := OpenBytes(mut)
+		if err != nil {
+			if !errors.As(err, &ce) {
+				t.Fatalf("flip at %d: err = %v, want a *CorruptError", i, err)
+			}
+			continue
+		}
+		accepted++
+		if !reflect.DeepEqual(r.Program(), want.Program()) || !reflect.DeepEqual(r.Meta(), want.Meta()) {
+			t.Fatalf("flip at %d accepted with a different program or meta", i)
+		}
+		sameResult(t, want.Program(), want.Result(), r.Result())
+	}
+	if accepted > len(valid)/10 {
+		t.Fatalf("%d of %d flips accepted", accepted, len(valid))
+	}
+
+	if err := want.CheckGeneration(42, "pre-transitive", "unsound"); err != nil {
+		t.Fatalf("matching generation: %v", err)
+	}
+	for _, c := range []struct {
+		gen           uint64
+		solver, model string
+	}{{43, "pre-transitive", "unsound"}, {42, "worklist", "unsound"}, {42, "pre-transitive", "blanket"}} {
+		if err := want.CheckGeneration(c.gen, c.solver, c.model); !errors.Is(err, claerr.ErrStale) {
+			t.Fatalf("CheckGeneration(%d, %s, %s) = %v, want ErrStale", c.gen, c.solver, c.model, err)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"cla/internal/objfile"
 	"cla/internal/prim"
@@ -107,17 +108,22 @@ func Write(w io.Writer, s *Snapshot) error {
 		Metrics:  s.Res.Metrics(),
 		Sources:  s.Sources,
 	}
-	metaJSON, err := json.Marshal(meta)
-	if err != nil {
-		return fmt.Errorf("snapfile: encode meta: %w", err)
-	}
-	sections[secMeta] = metaJSON
 	repJSON, err := json.Marshal(reportBlob{Report: s.Report, Audit: s.Audit})
 	if err != nil {
 		return fmt.Errorf("snapfile: encode report: %w", err)
 	}
 	sections[secReport] = repJSON
 	sections[secStrings] = pool.Bytes()
+	if s.Generation != 0 {
+		meta.Generation = srchash.Render(s.Generation)
+		meta.Checksum, err = checksum(meta, &sections)
+		if err != nil {
+			return fmt.Errorf("snapfile: encode meta: %w", err)
+		}
+	}
+	if sections[secMeta], err = json.Marshal(meta); err != nil {
+		return fmt.Errorf("snapfile: encode meta: %w", err)
+	}
 
 	// Header + 8-byte-aligned section table.
 	hdr := make([]byte, 0, headerSize)
@@ -168,17 +174,32 @@ func writePadded(w io.Writer, b []byte) error {
 	return nil
 }
 
-// Save serializes the snapshot to the named file.
-func Save(path string, s *Snapshot) error {
-	f, err := os.Create(path)
+// Save serializes the snapshot to the named file. It writes a temporary
+// file in the same directory and renames it over path, so a reader that
+// has the previous file mapped keeps reading the old bytes: truncating a
+// mapped file in place would kill that reader with SIGBUS. The file is
+// not synced: a snapshot is a cache of a solve, rebuilt when lost.
+func Save(path string, s *Snapshot) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if err := Write(f, s); err != nil {
-		f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if err = f.Chmod(0o644); err != nil {
 		return err
 	}
-	return f.Close()
+	if err = Write(f, s); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // HashFile records one input file's identity for staleness detection,

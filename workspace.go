@@ -45,8 +45,9 @@ type WorkspaceOptions struct {
 	// Jobs bounds compile, link and solve parallelism (0 = all cores).
 	// Analysis results are byte-identical at every setting.
 	Jobs int
-	// CacheDir, when non-empty, persists compiled unit databases there:
-	// a new workspace over an unchanged tree starts without parsing
+	// CacheDir, when non-empty, persists compiled unit databases and
+	// the latest solved generation there: a new workspace over an
+	// unchanged tree starts without parsing, linking or solving
 	// anything, and edited sessions only re-parse what changed.
 	CacheDir string
 	// Observer, when non-nil, records phase spans, the incr.* refresh
@@ -253,6 +254,8 @@ func (w *Workspace) adopt(r *incr.Result) *Analysis {
 	return w.cur
 }
 
-// Close releases the workspace. Analyses already handed out remain
-// valid; only the ability to refresh ends.
-func (w *Workspace) Close() error { return nil }
+// Close releases the workspace. With a CacheDir it first saves the
+// latest solved generation there, so the next workspace over the
+// unchanged tree reads it instead of linking and solving. Analyses
+// already handed out remain valid.
+func (w *Workspace) Close() error { return w.p.Close() }

@@ -79,6 +79,41 @@ func TestWorkspaceMatchesOneShotPipeline(t *testing.T) {
 	}
 }
 
+// TestWorkspaceCloseSavesGeneration: Close saves the solved generation
+// in CacheDir before it returns, so the next workspace over the
+// unchanged tree is read from it and answers as the first did, while
+// the first workspace's analysis stays usable after its Close.
+func TestWorkspaceCloseSavesGeneration(t *testing.T) {
+	dir, cache := t.TempDir(), t.TempDir()
+	writeWsTree(t, dir, wsTree)
+	first, err := OpenWorkspace(context.Background(), dir, &WorkspaceOptions{CacheDir: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := first.Analysis()
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(cache, "*.snap")); len(snaps) != 1 {
+		t.Fatalf("cache holds %v after Close, want one saved generation", snaps)
+	}
+	o := NewObserver()
+	second, err := OpenWorkspace(context.Background(), dir, &WorkspaceOptions{CacheDir: cache, Observer: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	b := second.Analysis()
+	if n := b.Stats().Counters["incr.solve_snapshot"]; n != 1 {
+		t.Fatalf("reopen: incr.solve_snapshot = %d, want 1", n)
+	}
+	for _, name := range []string{"shared_box", "box.slot"} {
+		if got, want := pointsToNames(b, name), pointsToNames(a, name); got != want || name == "box.slot" && got == "" {
+			t.Fatalf("reopened pts(%s) = %q, first workspace = %q", name, got, want)
+		}
+	}
+}
+
 func TestWorkspaceUpdateYieldsNewGeneration(t *testing.T) {
 	dir := t.TempDir()
 	writeWsTree(t, dir, wsTree)
