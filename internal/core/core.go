@@ -239,9 +239,13 @@ func (s *Solver) run(ctx context.Context) (*Result, error) {
 	// read-only snapshot (skip chains resolved, all lval sets
 	// materialized across cfg.Jobs workers) and drop the fixpoint
 	// scratch. Every Result query from here on is a lock-free lookup.
+	// The wave fixpoint has already frozen its confirming wave; only the
+	// sequential one leaves the build to buildSnapshot.
 	s.pass++
-	if s.snap, err = s.buildSnapshot(); err != nil {
-		return nil, err
+	if s.snap == nil {
+		if s.snap, err = s.buildSnapshot(); err != nil {
+			return nil, err
+		}
 	}
 	s.releaseScratch()
 	s.m.InCore = len(s.complex)

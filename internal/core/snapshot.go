@@ -24,6 +24,9 @@ type snapshot struct {
 	rep  []int32        // node → representative (skip chains resolved)
 	comp []int32        // representative → component id (reverse topo order)
 	sets [][]prim.SymID // component id → final sorted lval set (shared)
+	// wave marks a snapshot frozen from the wave fixpoint's confirming
+	// wave (freezeWave) rather than built by buildSnapshot.
+	wave bool
 }
 
 // lvals returns the materialized set for any node, in O(1).

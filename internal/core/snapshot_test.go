@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -119,6 +121,100 @@ func TestSnapshotMatchesEveryConfig(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("config %+v: points-to sets differ from DefaultConfig", cfg)
 		}
+	}
+}
+
+// TestFrozenWaveMatchesBuildSnapshot: at Jobs >= 2 the snapshot is the
+// confirming wave's. On the randProgram seeds, under every ablation
+// config, for a scratch solve and a warm solve from it, the frozen
+// snapshot must hold the sets buildSnapshot builds from the same
+// converged solver, partition the nodes into the same components, and
+// leave Unifications and the cache accounting where a buildSnapshot
+// freeze would.
+func TestFrozenWaveMatchesBuildSnapshot(t *testing.T) {
+	configs := []Config{
+		DefaultConfig(),
+		{Cache: true, DemandLoad: true},
+		{CycleElim: true, DemandLoad: true},
+		{Cache: true, CycleElim: true},
+		{DemandLoad: true},
+		{},
+	}
+	runs, frozen := 0, 0
+	check := func(name string, r *Result) {
+		runs++
+		got := r.s.snap
+		if got.wave {
+			frozen++
+		}
+		// buildSnapshot on a copy of the converged solver is the freeze
+		// a Jobs <= 1 run, and every run before the wave freeze, does.
+		ref := *r.s
+		ref.m = pts.Metrics{}
+		want, err := ref.buildSnapshot()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ref.snap = want
+		if err := (&Result{s: &ref}).fillMetrics(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fwd, back := map[int32]int32{}, map[int32]int32{}
+		for i := range r.s.nodes {
+			n := int32(i)
+			if !slices.Equal(got.lvals(n), want.lvals(n)) {
+				t.Fatalf("%s: node %d: frozen %v, buildSnapshot %v", name, n, got.lvals(n), want.lvals(n))
+			}
+			a, b := got.comp[got.rep[n]], want.comp[want.rep[n]]
+			if x, ok := fwd[a]; ok && x != b {
+				t.Fatalf("%s: node %d: frozen component %d spans buildSnapshot components %d and %d", name, n, a, x, b)
+			}
+			if y, ok := back[b]; ok && y != a {
+				t.Fatalf("%s: node %d: buildSnapshot component %d spans frozen components %d and %d", name, n, b, y, a)
+			}
+			fwd[a], back[b] = b, a
+		}
+		m := r.Metrics()
+		if got.wave && ref.m.Unifications != 0 {
+			t.Errorf("%s: buildSnapshot would credit %d more unifications", name, ref.m.Unifications)
+		}
+		if m.CacheHits != ref.m.CacheHits || m.CacheMisses != ref.m.CacheMisses ||
+			m.PointerVars != ref.m.PointerVars || m.Relations != ref.m.Relations {
+			t.Errorf("%s: metrics %+v, with buildSnapshot %+v", name, m, ref.m)
+		}
+	}
+	for _, seed := range []int64{1, 3, 7, 9, 11, 23, 42} {
+		p := randProgram(seed, 120, 400)
+		for ci, base := range configs {
+			for _, jobs := range []int{2, 8} {
+				cfg := base
+				cfg.Jobs = jobs
+				name := fmt.Sprintf("seed %d config %d jobs %d", seed, ci, jobs)
+				r, err := Solve(pts.NewMemSource(p), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(name+" scratch", r)
+
+				rng := rand.New(rand.NewSource(seed))
+				var next *prim.Program
+				var ed Edit
+				for try := 0; next == nil && try < 50; try++ {
+					next, ed = warmEdit(rng, p)
+				}
+				if next == nil {
+					t.Fatalf("%s: no warm edit qualified", name)
+				}
+				w, err := SolveFrom(context.Background(), pts.NewMemSource(next), cfg, r, ed)
+				if err != nil {
+					t.Fatalf("%s warm: %v", name, err)
+				}
+				check(name+" warm", w)
+			}
+		}
+	}
+	if frozen != runs {
+		t.Errorf("%d of %d wave solves froze their confirming wave, want all", frozen, runs)
 	}
 }
 

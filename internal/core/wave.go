@@ -121,9 +121,14 @@ func (s *Solver) solveWaves(ctx context.Context) error {
 		// Cycle elimination: every multi-member component is a cycle; the
 		// sequential path unifies them lazily during reachability, the
 		// wave path unifies them here, between waves, where the graph is
-		// safely mutable.
+		// safely mutable. A component's unification can cascade through
+		// deref nodes into another component; merged counts the merges
+		// beyond one class per component, after which this wave's
+		// condensation no longer describes the graph.
+		merged := 0
 		if s.cfg.CycleElim {
 			unified := false
+			before := s.m.Unifications
 			for _, ms := range members {
 				if len(ms) <= 1 {
 					continue
@@ -132,8 +137,10 @@ func (s *Solver) solveWaves(ctx context.Context) error {
 				for _, m := range ms[1:] {
 					r = s.unify(r, m)
 				}
+				merged -= len(ms) - 1
 				unified = true
 			}
+			merged += s.m.Unifications - before
 			if unified {
 				for i := 0; i < n; i++ {
 					rep[i] = s.find(int32(i))
@@ -271,10 +278,53 @@ func (s *Solver) solveWaves(ctx context.Context) error {
 			return err
 		}
 
+		// A wave that changed nothing confirmed the fixpoint: its
+		// condensation is the converged graph's, and its sets are the
+		// final ones, so they become the snapshot. When a cascade merged
+		// components, run leaves the freeze to buildSnapshot.
 		if !s.changed {
+			if merged == 0 {
+				s.snap = freezeWave(rep, comp, compSets)
+			}
 			return nil
 		}
 	}
+}
+
+// freezeWave builds the snapshot from the converged wave's condensation:
+// rep and comp are taken over, and each distinct set is copied out of
+// the worker arenas once, into one backing array, then interned so
+// equal sets are shared as buildSnapshot shares them. Every set is
+// capped at its length, so an append by a caller cannot reach the next.
+func freezeWave(rep, comp []int32, compSets []*set.Set) *snapshot {
+	copies := make(map[*set.Set][]prim.SymID)
+	total := 0
+	for _, cs := range compSets {
+		if _, ok := copies[cs]; !ok && cs != nil {
+			copies[cs] = nil
+			total += cs.Len()
+		}
+	}
+	sn := &snapshot{rep: rep, comp: comp, sets: make([][]prim.SymID, len(compSets)), wave: true}
+	flat := make([]prim.SymID, 0, total)
+	interned := map[uint64][][]prim.SymID{}
+	for c, cs := range compSets {
+		if cs == nil {
+			continue
+		}
+		syms := copies[cs]
+		if syms == nil {
+			lo := len(flat)
+			flat = cs.AppendSyms(flat)
+			syms = internInto(interned, flat[lo:len(flat):len(flat)])
+			if &syms[0] != &flat[lo] {
+				flat = flat[:lo] // an equal set from another worker's arena
+			}
+			copies[cs] = syms
+		}
+		sn.sets[c] = syms
+	}
+	return sn
 }
 
 // mergePairs applies the deferred edge insertions sequentially, in

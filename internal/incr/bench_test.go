@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"cla/internal/gen"
 )
@@ -74,6 +75,42 @@ func BenchmarkCommentEdit(b *testing.B) {
 					b.Fatalf("edit: %+v, %v", st, err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkFactEdit adds a new points-to fact to one unit of each layout
+// (replacing the previous iteration's) and refreshes at -j 2; one op is
+// one edit, which recompiles that unit, relinks and re-solves from the
+// previous fixpoint. link-ms, solve-ms and compile-ms are the refresh's
+// phase split per op.
+func BenchmarkFactEdit(b *testing.B) {
+	for _, l := range benchLayouts() {
+		b.Run("layout="+l.name, func(b *testing.B) {
+			dir := b.TempDir()
+			writeTree(b, dir, l.files)
+			pipe, err := Open(context.Background(), testConfig(dir))
+			if err != nil {
+				b.Fatal(err)
+			}
+			u := l.units[len(l.units)/2]
+			var link, solve, compile time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				path := edit(b, dir, u, l.files[u]+fmt.Sprintf("int bench_g%[1]d;\nint *bench_p%[1]d = &bench_g%[1]d;\n", i))
+				_, st, err := pipe.Update(context.Background(), path)
+				if err != nil || st.Recompiled != 1 || !st.SolveWarm {
+					b.Fatalf("edit: %+v, %v", st, err)
+				}
+				link += st.Link
+				solve += st.Solve
+				compile += st.Compile
+			}
+			perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
+			b.ReportMetric(perOp(link), "link-ms")
+			b.ReportMetric(perOp(solve), "solve-ms")
+			b.ReportMetric(perOp(compile), "compile-ms")
 		})
 	}
 }

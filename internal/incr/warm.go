@@ -30,11 +30,13 @@ type linkState struct {
 //
 // Symbols map through the remap tables. An unchanged unit (same path,
 // same digest) maps index by index. In a changed unit an internal symbol
-// maps by index only when the symbol at that index has the same name
-// and kind; globals of changed units map by name. Assignments are
-// diffed only over the changed units; the other checks are one pass
-// over the symbol map and one over the function records, so the whole
-// check costs milliseconds, not a pass over the program's assignments.
+// maps to the new unit's symbol of the same name, kind and function and
+// the same occurrence among those, wherever an edit moved it (a header
+// entry the unit newly uses shifts every index); globals of changed
+// units map by name. Assignments are diffed only over the changed
+// units; the other checks are one pass over the symbol map and one over
+// the function records, so the whole check costs milliseconds, not a
+// pass over the program's assignments.
 func (p *Pipeline) warmEdit(units []*unit, remaps [][]prim.SymID, linked *prim.Program) (*core.Result, core.Edit, bool) {
 	if p.cur == nil {
 		return nil, core.Edit{}, false
@@ -86,12 +88,10 @@ func (p *Pipeline) warmEdit(units []*unit, remaps [][]prim.SymID, linked *prim.P
 		}
 		before = append(before, side{ou.prog, or})
 		after = append(after, side{u.prog, remaps[i]})
-		for k := 0; k < len(ou.prog.Syms) && k < len(u.prog.Syms); k++ {
-			os, ns := &ou.prog.Syms[k], &u.prog.Syms[k]
-			if !os.LinksByName() && !ns.LinksByName() && os.Name == ns.Name && os.Kind == ns.Kind {
-				if !set(or[k], remaps[i][k]) {
-					return nil, core.Edit{}, false
-				}
+		newAt := internalIndex(u.prog)
+		for k, o := range internalIndex(ou.prog) {
+			if n, ok := newAt[k]; ok && !set(or[o], remaps[i][n]) {
+				return nil, core.Edit{}, false
 			}
 		}
 	}
@@ -168,6 +168,32 @@ func (p *Pipeline) warmEdit(units []*unit, remaps [][]prim.SymID, linked *prim.P
 		}
 	}
 	return prev, core.Edit{Map: m, Added: added}, true
+}
+
+// symKey identifies an internal symbol within its unit: the occ-th
+// symbol, in unit order, with this name, kind and enclosing function.
+type symKey struct {
+	name, fn string
+	kind     prim.SymKind
+	occ      int
+}
+
+// internalIndex keys each of p's internal symbols (those not linked by
+// name) to its index.
+func internalIndex(p *prim.Program) map[symKey]int {
+	at := map[symKey]int{}
+	seen := map[symKey]int{}
+	for i := range p.Syms {
+		s := &p.Syms[i]
+		if s.LinksByName() {
+			continue
+		}
+		k := symKey{name: s.Name, fn: s.FuncName, kind: s.Kind}
+		k.occ = seen[k]
+		seen[k]++
+		at[k] = i
+	}
+	return at
 }
 
 // sameFuncs reports whether every function record of the old program

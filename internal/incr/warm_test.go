@@ -143,11 +143,10 @@ func TestSameFuncs(t *testing.T) {
 // TestHeaderShiftEdit: a fact edit whose unit first references a header
 // function it did not use before puts that function's symbols into the
 // unit's program among the header's entries, ahead of the unit's own, so
-// every internal symbol of the unit moves to a higher index. The
-// generation must still equal a scratch open. warmEdit matches a changed
-// unit's internal symbols by index, so the moved parameter local no
-// longer maps, an old assignment reading it is dropped with its
-// destination kept, and the re-solve falls back to scratch.
+// every internal symbol of the unit moves to a higher index. warmEdit
+// matches a changed unit's internal symbols by name, kind, function and
+// occurrence, not by index, so the moved symbols still map and the edit
+// re-solves warm; the generation must equal a scratch open.
 func TestHeaderShiftEdit(t *testing.T) {
 	dir := t.TempDir()
 	writeTree(t, dir, baseTree)
@@ -184,8 +183,8 @@ void put(int v) { bucket = push(bucket, v); top = first(bucket); }
 	if !st.Changed || st.SolveReused {
 		t.Fatalf("stats %+v, want a new solve", st)
 	}
-	if st.SolveWarm {
-		t.Errorf("SolveWarm = true; the shifted unit was expected to re-solve from scratch")
+	if !st.SolveWarm {
+		t.Errorf("SolveWarm = false; the shifted unit should re-solve from the previous fixpoint")
 	}
 	scratch, err := Open(context.Background(), cfg)
 	if err != nil {

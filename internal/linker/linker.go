@@ -28,11 +28,17 @@ func Link(units []*prim.Program) (*prim.Program, error) {
 func LinkRemaps(units []*prim.Program) (*prim.Program, [][]prim.SymID, error) {
 	out := &prim.Program{}
 	// The fold keeps every unit's assignments and call sites, so size
-	// them once (nil, as before, when there are none).
-	var assigns, calls int
+	// them once (nil, as before, when there are none). The units' symbol
+	// count bounds the linked symbols and the by-name table, which would
+	// otherwise grow by doubling and rehashing.
+	var syms, assigns, calls int
 	for _, u := range units {
+		syms += len(u.Syms)
 		assigns += len(u.Assigns)
 		calls += len(u.Calls)
+	}
+	if syms > 0 {
+		out.Syms = make([]prim.Symbol, 0, syms)
 	}
 	if assigns > 0 {
 		out.Assigns = make([]prim.Assign, 0, assigns)
@@ -40,7 +46,7 @@ func LinkRemaps(units []*prim.Program) (*prim.Program, [][]prim.SymID, error) {
 	if calls > 0 {
 		out.Calls = make([]prim.CallSite, 0, calls)
 	}
-	globals := map[string]prim.SymID{}
+	globals := make(map[string]prim.SymID, syms)
 	recIdx := map[prim.SymID]int{}
 	remaps := make([][]prim.SymID, len(units))
 

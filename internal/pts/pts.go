@@ -94,22 +94,45 @@ func CountedAsPointerVar(k prim.SymKind) bool {
 
 // ---------- Sources ----------
 
-// MemSource adapts an in-memory Program to the Source interface.
+// MemSource adapts an in-memory Program to the Source interface. Blocks
+// are a CSR index: the block of symbol x is flat[off[x]:off[x+1]], in
+// assignment order, so indexing a program makes a fixed number of
+// allocations whatever its symbol count.
 type MemSource struct {
 	P      *prim.Program
-	blocks [][]prim.Assign
+	off    []int32
+	flat   []prim.Assign
 	static []prim.Assign
 }
 
-// NewMemSource indexes prog by assignment source.
+// NewMemSource indexes prog by assignment source: one counting pass
+// sizes the blocks and the static section, a second fills them.
 func NewMemSource(prog *prim.Program) *MemSource {
-	s := &MemSource{P: prog, blocks: make([][]prim.Assign, len(prog.Syms))}
+	n := len(prog.Syms)
+	s := &MemSource{P: prog, off: make([]int32, n+1)}
+	statics := 0
+	for _, a := range prog.Assigns {
+		if a.Kind == prim.Base {
+			statics++
+		} else {
+			s.off[a.Src+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		s.off[i+1] += s.off[i]
+	}
+	if statics > 0 {
+		s.static = make([]prim.Assign, 0, statics)
+	}
+	s.flat = make([]prim.Assign, len(prog.Assigns)-statics)
+	next := append([]int32(nil), s.off[:n]...)
 	for _, a := range prog.Assigns {
 		if a.Kind == prim.Base {
 			s.static = append(s.static, a)
 			continue
 		}
-		s.blocks[a.Src] = append(s.blocks[a.Src], a)
+		s.flat[next[a.Src]] = a
+		next[a.Src]++
 	}
 	return s
 }
@@ -123,20 +146,22 @@ func (s *MemSource) Sym(id prim.SymID) *prim.Symbol { return &s.P.Syms[id] }
 // Statics implements Source.
 func (s *MemSource) Statics() ([]prim.Assign, error) { return s.static, nil }
 
-// Block implements Source.
+// Block implements Source. The block is capped at its length, so a
+// caller's append copies it instead of overwriting the next block.
 func (s *MemSource) Block(sym prim.SymID) ([]prim.Assign, error) {
-	if int(sym) < 0 || int(sym) >= len(s.blocks) {
+	if s.BlockLen(sym) == 0 {
 		return nil, nil
 	}
-	return s.blocks[sym], nil
+	lo, hi := s.off[sym], s.off[sym+1]
+	return s.flat[lo:hi:hi], nil
 }
 
 // BlockLen implements Source.
 func (s *MemSource) BlockLen(sym prim.SymID) int {
-	if int(sym) < 0 || int(sym) >= len(s.blocks) {
+	if int(sym) < 0 || int(sym) >= len(s.off)-1 {
 		return 0
 	}
-	return len(s.blocks[sym])
+	return int(s.off[sym+1] - s.off[sym])
 }
 
 // Funcs implements Source.

@@ -2,6 +2,9 @@ package pts
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"cla/internal/objfile"
@@ -48,6 +51,60 @@ func TestMemSourceBlocks(t *testing.T) {
 	counts := src.Counts()
 	if counts[prim.Simple] != 2 || counts[prim.Base] != 1 || counts[prim.LoadInd] != 1 {
 		t.Errorf("counts = %v", counts)
+	}
+}
+
+// TestMemSourceCSR: the flat block index keeps each block and the
+// static section in assignment order, caps every block at its length so
+// an append cannot overwrite its neighbour, and answers out-of-range ids
+// with an empty block.
+func TestMemSourceCSR(t *testing.T) {
+	p := &prim.Program{}
+	for i := 0; i < 5; i++ {
+		p.AddSym(prim.Symbol{Name: fmt.Sprintf("s%d", i), Kind: prim.SymGlobal})
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 60; i++ {
+		p.AddAssign(prim.Assign{
+			Kind: prim.Kind(rng.Intn(prim.NumKinds)),
+			Dst:  prim.SymID(rng.Intn(5)),
+			Src:  prim.SymID(rng.Intn(5)),
+			Loc:  prim.Loc{Line: int32(i)}, // tags each assignment with its position
+		})
+	}
+	src := NewMemSource(p)
+	wantBlocks := make([][]prim.Assign, 5)
+	var wantStatics []prim.Assign
+	for _, a := range p.Assigns {
+		if a.Kind == prim.Base {
+			wantStatics = append(wantStatics, a)
+		} else {
+			wantBlocks[a.Src] = append(wantBlocks[a.Src], a)
+		}
+	}
+	if st, _ := src.Statics(); !reflect.DeepEqual(st, wantStatics) {
+		t.Errorf("statics = %v, want %v", st, wantStatics)
+	}
+	for i := range wantBlocks {
+		id := prim.SymID(i)
+		blk, err := src.Block(id)
+		if err != nil || !reflect.DeepEqual(blk, wantBlocks[i]) {
+			t.Errorf("block %d = %v, %v; want %v", i, blk, err, wantBlocks[i])
+		}
+		if cap(blk) != len(blk) || src.BlockLen(id) != len(blk) {
+			t.Errorf("block %d: len %d cap %d BlockLen %d", i, len(blk), cap(blk), src.BlockLen(id))
+		}
+		_ = append(blk, prim.Assign{Kind: prim.Simple, Loc: prim.Loc{Line: -1}})
+	}
+	for i := range wantBlocks {
+		if blk, _ := src.Block(prim.SymID(i)); !reflect.DeepEqual(blk, wantBlocks[i]) {
+			t.Errorf("block %d changed after an append to a block", i)
+		}
+	}
+	for _, id := range []prim.SymID{-1, 5, 999} {
+		if b, err := src.Block(id); b != nil || err != nil || src.BlockLen(id) != 0 {
+			t.Errorf("out-of-range %d: Block = %v, %v; BlockLen = %d", id, b, err, src.BlockLen(id))
+		}
 	}
 }
 
