@@ -58,8 +58,8 @@ bench-smoke:
 # translation units, the preprocessor's tokens must equal those of its
 # marker-text reference, every compiled unit must be rejected with an
 # error or solved alike by the three exact solvers (and within the two
-# unification ones), and every incremental generation must equal a
-# scratch open.
+# unification ones), every incremental generation must equal a scratch
+# open, and every spliced relink must equal the full link fold.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=10s ./internal/objfile
 	$(GO) test -run=^$$ -fuzz=FuzzTrace -fuzztime=10s ./internal/obs
@@ -69,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzPreprocessTokens -fuzztime=10s ./internal/frontend
 	$(GO) test -run=^$$ -fuzz=FuzzCompile -fuzztime=10s ./internal/frontend
 	$(GO) test -run=^$$ -fuzz=FuzzIncrEdits -fuzztime=10s ./internal/incr
+	$(GO) test -run=^$$ -fuzz=FuzzLinkSplice -fuzztime=10s ./internal/linker
 
 clean:
 	$(GO) clean ./...

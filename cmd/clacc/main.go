@@ -126,12 +126,12 @@ func main() {
 	if *out != "" {
 		merged := progs[0]
 		if len(progs) > 1 {
-			var err error
-			merged, _, err = linker.LinkTraced(progs, o)
+			f, err := linker.LinkTraced(nil, progs, o)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "clacc: %v\n", err)
 				os.Exit(1)
 			}
+			merged = f.Prog
 		}
 		osp := o.Start("write output")
 		if err := objfile.WriteFile(*out, merged); err != nil {

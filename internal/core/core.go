@@ -154,7 +154,7 @@ func Solve(src pts.Source, cfg Config) (*Result, error) {
 // within a pass, so a long solve aborts promptly with ctx.Err(). The
 // background context costs one nil check per boundary.
 func SolveCtx(ctx context.Context, src pts.Source, cfg Config) (*Result, error) {
-	s := newSolver(src, cfg)
+	s := newSolver(src, cfg, 0)
 	for i := int32(0); i < s.numSyms; i++ {
 		if src.BlockLen(prim.SymID(i)) > 0 {
 			s.nodes[i].unloaded = append(s.nodes[i].unloaded, i)
@@ -181,9 +181,10 @@ func SolveCtx(ctx context.Context, src pts.Source, cfg Config) (*Result, error) 
 	return s.run(ctx)
 }
 
-// newSolver allocates one singleton node per symbol and indexes the
-// function records; no assignment is loaded yet.
-func newSolver(src pts.Source, cfg Config) *Solver {
+// newSolver allocates one singleton node per symbol, with room for aux
+// more nodes, and indexes the function records; no assignment is loaded
+// yet.
+func newSolver(src pts.Source, cfg Config, aux int) *Solver {
 	if cfg.MaxPasses == 0 {
 		cfg.MaxPasses = 1 << 20
 	}
@@ -195,7 +196,7 @@ func newSolver(src pts.Source, cfg Config) *Solver {
 		arena:     set.NewArena(),
 		table:     set.NewTable(),
 	}
-	s.nodes = make([]node, s.numSyms)
+	s.nodes = make([]node, s.numSyms, int(s.numSyms)+aux)
 	for i := range s.nodes {
 		s.nodes[i].skip = -1
 		s.nodes[i].deref = -1

@@ -58,7 +58,9 @@ func SolveFrom(ctx context.Context, src pts.Source, cfg Config, prev *Result, ed
 		cfg.DemandLoad != old.cfg.DemandLoad || len(ed.Map) != int(old.numSyms) {
 		return nil, ErrNoWarmStart
 	}
-	s := newSolver(src, cfg)
+	// seed adds a node per surviving auxiliary class of old: size the
+	// table for all of old's, so it does not grow by doubling.
+	s := newSolver(src, cfg, len(old.nodes)-int(old.numSyms))
 	if !s.seed(old, ed.Map) {
 		return nil, ErrNoWarmStart
 	}

@@ -207,3 +207,30 @@ func TestSolveFromDropsPrevious(t *testing.T) {
 	}
 	t.Fatal("the previous solver is still reachable from the warm result")
 }
+
+// TestSeedFitsPresizedNodes: SolveFrom sizes the new node table for
+// every auxiliary node of the previous graph, so seeding the surviving
+// ones never grows it.
+func TestSeedFitsPresizedNodes(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		prog := randomProgram(rng, 3+rng.Intn(15), 5+rng.Intn(40))
+		prev, err := Solve(pts.NewMemSource(prog), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := make([]prim.SymID, len(prog.Syms))
+		for i := range m {
+			m[i] = prim.SymID(i)
+		}
+		old := prev.s
+		s := newSolver(pts.NewMemSource(prog), DefaultConfig(), len(old.nodes)-int(old.numSyms))
+		size := cap(s.nodes)
+		if !s.seed(old, m) {
+			t.Fatalf("seed %d: identity map refused", seed)
+		}
+		if cap(s.nodes) != size {
+			t.Fatalf("seed %d: node table grew from %d to %d while seeding", seed, size, cap(s.nodes))
+		}
+	}
+}

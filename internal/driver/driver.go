@@ -118,8 +118,11 @@ func Compile(ctx context.Context, units []string, loader cpp.Loader, opts fronte
 	if err != nil {
 		return nil, err
 	}
-	prog, _, err := linker.LinkTraced(progs, o)
-	return prog, err
+	f, err := linker.LinkTraced(nil, progs, o)
+	if err != nil {
+		return nil, err
+	}
+	return f.Prog, nil
 }
 
 // Analyze runs the selected solver over src. cfg applies to the

@@ -81,36 +81,42 @@ func BenchmarkCommentEdit(b *testing.B) {
 
 // BenchmarkFactEdit adds a new points-to fact to one unit of each layout
 // (replacing the previous iteration's) and refreshes at -j 2; one op is
-// one edit, which recompiles that unit, relinks and re-solves from the
-// previous fixpoint. link-ms, solve-ms and compile-ms are the refresh's
-// phase split per op.
+// one edit, which recompiles that unit, splices it into the previous
+// link and re-solves from the previous fixpoint. The edited unit is the
+// middle one, or the first, whose splice shifts every other unit's ids.
+// link-ms, solve-ms and compile-ms are the refresh's phase split per op.
 func BenchmarkFactEdit(b *testing.B) {
 	for _, l := range benchLayouts() {
-		b.Run("layout="+l.name, func(b *testing.B) {
-			dir := b.TempDir()
-			writeTree(b, dir, l.files)
-			pipe, err := Open(context.Background(), testConfig(dir))
-			if err != nil {
-				b.Fatal(err)
-			}
-			u := l.units[len(l.units)/2]
-			var link, solve, compile time.Duration
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				path := edit(b, dir, u, l.files[u]+fmt.Sprintf("int bench_g%[1]d;\nint *bench_p%[1]d = &bench_g%[1]d;\n", i))
-				_, st, err := pipe.Update(context.Background(), path)
-				if err != nil || st.Recompiled != 1 || !st.SolveWarm {
-					b.Fatalf("edit: %+v, %v", st, err)
+		for _, at := range []struct {
+			name string
+			unit string
+		}{{"middle", l.units[len(l.units)/2]}, {"first", l.units[0]}} {
+			b.Run("layout="+l.name+"/unit="+at.name, func(b *testing.B) {
+				dir := b.TempDir()
+				writeTree(b, dir, l.files)
+				pipe, err := Open(context.Background(), testConfig(dir))
+				if err != nil {
+					b.Fatal(err)
 				}
-				link += st.Link
-				solve += st.Solve
-				compile += st.Compile
-			}
-			perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
-			b.ReportMetric(perOp(link), "link-ms")
-			b.ReportMetric(perOp(solve), "solve-ms")
-			b.ReportMetric(perOp(compile), "compile-ms")
-		})
+				u := at.unit
+				var link, solve, compile time.Duration
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					path := edit(b, dir, u, l.files[u]+fmt.Sprintf("int bench_g%[1]d;\nint *bench_p%[1]d = &bench_g%[1]d;\n", i))
+					_, st, err := pipe.Update(context.Background(), path)
+					if err != nil || st.Recompiled != 1 || !st.LinkSpliced || !st.SolveWarm {
+						b.Fatalf("edit: %+v, %v", st, err)
+					}
+					link += st.Link
+					solve += st.Solve
+					compile += st.Compile
+				}
+				perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
+				b.ReportMetric(perOp(link), "link-ms")
+				b.ReportMetric(perOp(solve), "solve-ms")
+				b.ReportMetric(perOp(compile), "compile-ms")
+			})
+		}
 	}
 }

@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"cla/internal/checks"
 	"cla/internal/driver"
+	"cla/internal/linker"
+	"cla/internal/prim"
 )
 
 // fuzzFile is one workspace file as the fuzzer edits it: a prefix of
@@ -92,7 +95,9 @@ func analysisBytes(t *testing.T, r *Result) string {
 // served from the generation the first session saved, so every edit
 // starts from that snapshot and from units whose programs are decoded
 // from the store only when a link needs them, while the scratch Open
-// always compiles.
+// always compiles. Whenever a refresh spliced its link, the linked
+// program and remap tables must deep-equal a fresh fold of the same
+// units.
 func FuzzIncrEdits(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 3, 4})
 	f.Add([]byte{1, 5, 2, 7, 12, 1, 6})
@@ -194,9 +199,19 @@ func FuzzIncrEdits(f *testing.F) {
 			if err := os.WriteFile(path, []byte(ff.render()), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := p.Update(context.Background(), path)
+			got, st, err := p.Update(context.Background(), path)
 			if err != nil {
 				t.Fatalf("edit %d (%s): %v", k, name, err)
+			}
+			if st.LinkSpliced {
+				progs := make([]*prim.Program, len(p.link.units))
+				for i, u := range p.link.units {
+					progs[i] = u.prog
+				}
+				want, err := linker.Relink(nil, progs)
+				if err != nil || !reflect.DeepEqual(got.Linked, want.Prog) || !reflect.DeepEqual(p.link.fold.Remaps, want.Remaps) {
+					t.Fatalf("edit %d (%s): spliced link differs from the fold of its units (fold error %v)", k, name, err)
+				}
 			}
 			scratch, err := Open(context.Background(), cfg)
 			if err != nil {

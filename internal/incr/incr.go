@@ -37,11 +37,17 @@
 //     later edit that must link decodes the units and solves from
 //     scratch, since a snapshot carries no solver graph to start from.
 //
-// Any other change relinks every unit with the one sequential fold
-// (linker.LinkTraced) and solves again. A pre-transitive solve under the
-// Unsound model starts from the current generation's converged graph
-// when the edit only adds, or drops only facts that nothing kept can
-// see (warmEdit, core.SolveFrom); otherwise it starts from nothing.
+// Any other change links and solves again. When exactly one unit's
+// program changed, the link splices it into the current generation's
+// link (linker.Relink): the units before it are copied, the ones after
+// it copied with their ids shifted, and only its own symbols are looked
+// up by name. Where the result would depend on other units' occurrences
+// the splice does not keep, or on a unit list that changed, every unit
+// is folded again. Both give the fold's program and remap tables, so
+// nothing downstream can tell them apart. A pre-transitive solve under
+// the Unsound model starts from the current generation's converged
+// graph when the edit only adds, or drops only facts that nothing kept
+// can see (warmEdit, core.SolveFrom); otherwise it starts from nothing.
 // Either way it reaches the same least fixpoint.
 //
 // Each successful refresh that changes the analysis yields a new
@@ -137,6 +143,10 @@ type RefreshStats struct {
 	// sequential fold with no merge tree. They remain only because the
 	// benchmark harness still reads them.
 	MergesDone, MergesReused int
+	// LinkSpliced reports that the link spliced the one changed unit
+	// into the current generation's link instead of folding every unit
+	// (linker.Relink); the linked program is the fold's either way.
+	LinkSpliced bool
 	// SolveReused reports that the fixpoint was reused byte-for-byte
 	// because the solve digest did not change.
 	SolveReused bool
@@ -243,8 +253,11 @@ func CompileDir(ctx context.Context, cfg Config) (*prim.Program, error) {
 	if err := p.loadPrograms(ctx, units, &st); err != nil {
 		return nil, err
 	}
-	prog, _, err := p.linkPhase(units)
-	return prog, err
+	f, err := p.linkPhase(nil, units)
+	if err != nil {
+		return nil, err
+	}
+	return f.Prog, nil
 }
 
 func newPipeline(cfg Config) (*Pipeline, error) {
@@ -623,14 +636,15 @@ func (p *Pipeline) loadPrograms(ctx context.Context, units []*unit, st *RefreshS
 // real units cannot.
 var linkFn = linker.LinkTraced
 
-// linkPhase links the units' programs in unit order, returning the
-// fold's per-unit remap tables too.
-func (p *Pipeline) linkPhase(units []*unit) (*prim.Program, [][]prim.SymID, error) {
+// linkPhase links the units' programs in unit order, splicing the one
+// changed unit into prev, the fold of the current generation, when
+// exactly one unit's program changed (nil prev folds every unit).
+func (p *Pipeline) linkPhase(prev *linker.Fold, units []*unit) (*linker.Fold, error) {
 	progs := make([]*prim.Program, len(units))
 	for i, u := range units {
 		progs[i] = u.prog
 	}
-	return linkFn(progs, p.cfg.Obs)
+	return linkFn(prev, progs, p.cfg.Obs)
 }
 
 // solveDigest identifies one solved configuration: the unit programs'
@@ -743,6 +757,11 @@ func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result,
 	o.Histogram("incr.refresh.hash").Observe(int64(st.Hash))
 	o.Histogram("incr.refresh.compile").Observe(int64(st.Compile))
 	if !st.SolveReused && !st.Snapshot {
+		if st.LinkSpliced {
+			o.Counter("incr.link_spliced").Inc()
+		} else {
+			o.Counter("incr.link_folded").Inc()
+		}
 		o.Histogram("incr.refresh.link").Observe(int64(st.Link))
 		o.Histogram("incr.refresh.solve").Observe(int64(st.Solve))
 	}
@@ -759,7 +778,8 @@ type built struct {
 }
 
 // build compiles what changed and, unless the solve digest shows the
-// current fixpoint still holds, links every unit and solves: warm from
+// current fixpoint still holds, links (splicing a single changed unit
+// into the current link where it can) and solves: warm from
 // the current generation where warmEdit allows it, from scratch
 // otherwise. An Open is served from the store's saved generation instead
 // when it holds one with the solve digest. It reads the pipeline's state
@@ -788,11 +808,13 @@ func (p *Pipeline) build(ctx context.Context, hints map[string]bool) (built, Ref
 	digest = p.solveDigest(units)
 
 	linkStart := time.Now()
-	linked, remaps, err := p.linkPhase(units)
+	f, err := p.linkPhase(p.link.fold, units)
 	if err != nil {
 		return built{}, st, err
 	}
+	linked := f.Prog
 	st.Link = time.Since(linkStart)
+	st.LinkSpliced = f.Spliced
 
 	solveStart := time.Now()
 	aprog := linked
@@ -803,7 +825,7 @@ func (p *Pipeline) build(ctx context.Context, hints map[string]bool) (built, Ref
 	cfg := p.cfg.Core
 	cfg.Jobs = p.cfg.Jobs
 	var r pts.Result
-	if prev, ed, ok := p.warmEdit(units, remaps, linked); ok {
+	if prev, ed, ok := p.warmEdit(units, f.Remaps, linked); ok {
 		r, st.SolveWarm, err = driver.AnalyzeFrom(ctx, src, cfg, prev, ed, p.cfg.Obs)
 	} else {
 		r, err = driver.Analyze(ctx, src, p.cfg.Solver, cfg, p.cfg.Obs)
@@ -817,5 +839,5 @@ func (p *Pipeline) build(ctx context.Context, hints map[string]bool) (built, Ref
 		Prog: aprog, Linked: linked, Src: src, Res: r,
 		Digest: digest, Built: time.Now(),
 	}
-	return built{units: units, res: res, link: linkState{units: units, remaps: remaps}}, st, nil
+	return built{units: units, res: res, link: linkState{units: units, fold: f}}, st, nil
 }

@@ -563,7 +563,7 @@ func TestRefreshPanicKeepsServingOldGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen1 := p.Current()
-	linkFn = func(units []*prim.Program, o *obs.Observer) (*prim.Program, [][]prim.SymID, error) {
+	linkFn = func(prev *linker.Fold, units []*prim.Program, o *obs.Observer) (*linker.Fold, error) {
 		panic("link fault")
 	}
 	changed := edit(t, dir, "count.c", baseTree["count.c"]+"int *more = &counter;\n")

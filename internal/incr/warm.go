@@ -3,15 +3,17 @@ package incr
 import (
 	"cla/internal/core"
 	"cla/internal/extmodel"
+	"cla/internal/linker"
 	"cla/internal/prim"
 )
 
 // linkState is what the current generation's link folded: its units in
-// fold order and their remap tables (unit symbol index → linked id).
-// The next generation's warm start maps symbols through it.
+// fold order and the fold, whose remap tables (unit symbol index →
+// linked id) the next generation's warm start maps symbols through and
+// which the next link splices a changed unit into.
 type linkState struct {
-	units  []*unit
-	remaps [][]prim.SymID
+	units []*unit
+	fold  *linker.Fold
 }
 
 // warmEdit relates the new link (units folded into linked through
@@ -77,7 +79,7 @@ func (p *Pipeline) warmEdit(units []*unit, remaps [][]prim.SymID, linked *prim.P
 			continue
 		}
 		delete(oldAt, u.path)
-		ou, or := old.units[j], old.remaps[j]
+		ou, or := old.units[j], old.fold.Remaps[j]
 		if ou.digest == u.digest && len(ou.prog.Syms) == len(u.prog.Syms) {
 			for k, o := range or {
 				if !set(o, remaps[i][k]) {
@@ -96,7 +98,7 @@ func (p *Pipeline) warmEdit(units []*unit, remaps [][]prim.SymID, linked *prim.P
 		}
 	}
 	for _, j := range oldAt {
-		before = append(before, side{old.units[j].prog, old.remaps[j]})
+		before = append(before, side{old.units[j].prog, old.fold.Remaps[j]})
 	}
 
 	// Globals of changed units map by name.

@@ -14,8 +14,9 @@ import (
 
 // TestFactEditsSolveWarm: the edit loop's fact edit — append a global
 // and a pointer to it, then replace that fact with one under fresh
-// names — solves warm from the previous generation and answers exactly
-// like a scratch open, at any worker count.
+// names — splices the unit into the previous link, solves warm from the
+// previous generation and answers exactly like a scratch open, at any
+// worker count.
 func TestFactEditsSolveWarm(t *testing.T) {
 	for _, jobs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("j%d", jobs), func(t *testing.T) {
@@ -38,8 +39,8 @@ func TestFactEditsSolveWarm(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !st.Changed || !st.SolveWarm || st.SolveReused {
-					t.Fatalf("fact edit %d: stats %+v, want a warm solve", k, st)
+				if !st.Changed || !st.LinkSpliced || !st.SolveWarm || st.SolveReused {
+					t.Fatalf("fact edit %d: stats %+v, want a spliced link and a warm solve", k, st)
 				}
 				scratch, err := Open(context.Background(), plain)
 				if err != nil {
@@ -58,6 +59,9 @@ func TestFactEditsSolveWarm(t *testing.T) {
 			}
 			if w, s := o.Counter("incr.solve_warm").Value(), o.Counter("incr.solve_scratch").Value(); w != 3 || s != 1 {
 				t.Fatalf("incr.solve_warm = %d, incr.solve_scratch = %d; want 3 and 1 (the open)", w, s)
+			}
+			if s, f := o.Counter("incr.link_spliced").Value(), o.Counter("incr.link_folded").Value(); s != 3 || f != 1 {
+				t.Fatalf("incr.link_spliced = %d, incr.link_folded = %d; want 3 and 1 (the open)", s, f)
 			}
 		})
 	}

@@ -8,6 +8,7 @@ package linker
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 
 	"cla/internal/objfile"
 	"cla/internal/obs"
@@ -19,13 +20,72 @@ import (
 // statics, heap sites) stay distinct. Function records for the same
 // function are merged, preferring complete information.
 func Link(units []*prim.Program) (*prim.Program, error) {
-	out, _, err := LinkRemaps(units)
-	return out, err
+	f, err := fold(units)
+	if err != nil {
+		return nil, err
+	}
+	return f.Prog, nil
 }
 
-// LinkRemaps is Link that also returns the fold's per-unit remap
-// tables: remaps[u][i] is the linked id of units[u]'s symbol i.
-func LinkRemaps(units []*prim.Program) (*prim.Program, [][]prim.SymID, error) {
+// Fold is one link of unit programs in unit order: the linked program,
+// the fold's remap tables (Remaps[u][i] is the linked id of unit u's
+// symbol i), and what Relink needs to splice a changed unit into it
+// instead of folding every unit again. A Fold is immutable.
+type Fold struct {
+	Prog   *prim.Program
+	Remaps [][]prim.SymID
+	// Spliced reports that Relink built this fold by splicing one
+	// changed unit into the previous fold. Prog and Remaps equal the
+	// full fold's either way.
+	Spliced bool
+
+	units []*prim.Program
+	// ends[u] is where the symbols, assignments, call sites and
+	// function records that unit u added to Prog end; they start where
+	// unit u-1's end.
+	ends []span
+	// refs[id] counts the by-name symbols, over all units, that map to
+	// linked symbol id (0 for an internal symbol); own[id] holds the
+	// attributes (ownType...) that the unit which added id set itself.
+	refs []int32
+	own  []uint8
+}
+
+// span is the end of one unit's ranges in a linked program.
+type span struct{ syms, assigns, calls, funcs int32 }
+
+// The attributes a by-name symbol's first unit may set itself: once
+// set there, no later unit's occurrence changes them.
+const (
+	ownType uint8 = 1 << iota
+	ownLoc
+	ownFuncPtr
+	ownDefined
+)
+
+// owned returns the attribute bits s sets.
+func owned(s *prim.Symbol) uint8 {
+	var b uint8
+	if s.Type != "" {
+		b |= ownType
+	}
+	if !s.Loc.IsZero() {
+		b |= ownLoc
+	}
+	if s.FuncPtr {
+		b |= ownFuncPtr
+	}
+	if s.Defined {
+		b |= ownDefined
+	}
+	return b
+}
+
+// fold links units in order: every internal symbol is added, a by-name
+// symbol is added by the first unit that has it and merged into that
+// canonical symbol by every later one, and each unit's assignments and
+// call sites are appended through its remap table.
+func fold(units []*prim.Program) (*Fold, error) {
 	out := &prim.Program{}
 	// The fold keeps every unit's assignments and call sites, so size
 	// them once (nil, as before, when there are none). The units' symbol
@@ -37,8 +97,12 @@ func LinkRemaps(units []*prim.Program) (*prim.Program, [][]prim.SymID, error) {
 		assigns += len(u.Assigns)
 		calls += len(u.Calls)
 	}
+	f := &Fold{Prog: out, Remaps: make([][]prim.SymID, len(units)),
+		units: slices.Clone(units), ends: make([]span, len(units))}
 	if syms > 0 {
 		out.Syms = make([]prim.Symbol, 0, syms)
+		f.refs = make([]int32, 0, syms)
+		f.own = make([]uint8, 0, syms)
 	}
 	if assigns > 0 {
 		out.Assigns = make([]prim.Assign, 0, assigns)
@@ -48,22 +112,26 @@ func LinkRemaps(units []*prim.Program) (*prim.Program, [][]prim.SymID, error) {
 	}
 	globals := make(map[string]prim.SymID, syms)
 	recIdx := map[prim.SymID]int{}
-	remaps := make([][]prim.SymID, len(units))
+	add := func(s *prim.Symbol, refs int32) prim.SymID {
+		f.refs = append(f.refs, refs)
+		f.own = append(f.own, owned(s))
+		return out.AddSym(*s)
+	}
 
 	for ui, u := range units {
 		remap := make([]prim.SymID, len(u.Syms))
-		remaps[ui] = remap
+		f.Remaps[ui] = remap
 		for i := range u.Syms {
-			s := u.Syms[i]
+			s := &u.Syms[i]
 			if !s.LinksByName() {
-				remap[i] = out.AddSym(s)
+				remap[i] = add(s, 0)
 				continue
 			}
 			if id, ok := globals[s.Name]; ok {
 				// Merge attributes into the canonical symbol.
 				canon := out.Sym(id)
 				if s.Kind != canon.Kind && !compatibleKinds(s.Kind, canon.Kind) {
-					return nil, nil, fmt.Errorf(
+					return nil, fmt.Errorf(
 						"linker: symbol %q is %v in unit %d but %v earlier",
 						s.Name, s.Kind, ui, canon.Kind)
 				}
@@ -75,18 +143,18 @@ func LinkRemaps(units []*prim.Program) (*prim.Program, [][]prim.SymID, error) {
 				if canon.Loc.IsZero() {
 					canon.Loc = s.Loc
 				}
+				f.refs[id]++
 				remap[i] = id
 				continue
 			}
-			id := out.AddSym(s)
+			id := add(s, 1)
 			globals[s.Name] = id
 			remap[i] = id
 		}
 
 		for _, a := range u.Assigns {
-			if int(a.Dst) < 0 || int(a.Dst) >= len(remap) ||
-				int(a.Src) < 0 || int(a.Src) >= len(remap) {
-				return nil, nil, fmt.Errorf("linker: unit %d has assignment with bad symbol", ui)
+			if !inRange(a.Dst, remap) || !inRange(a.Src, remap) {
+				return nil, fmt.Errorf("linker: unit %d has assignment with bad symbol", ui)
 			}
 			a.Dst = remap[a.Dst]
 			a.Src = remap[a.Src]
@@ -94,25 +162,25 @@ func LinkRemaps(units []*prim.Program) (*prim.Program, [][]prim.SymID, error) {
 		}
 
 		for _, c := range u.Calls {
-			if int(c.Callee) < 0 || int(c.Callee) >= len(remap) {
-				return nil, nil, fmt.Errorf("linker: unit %d has call site with bad symbol", ui)
+			if !inRange(c.Callee, remap) {
+				return nil, fmt.Errorf("linker: unit %d has call site with bad symbol", ui)
 			}
 			c.Callee = remap[c.Callee]
 			out.AddCall(c)
 		}
 
-		for _, f := range u.Funcs {
-			if int(f.Func) < 0 || int(f.Func) >= len(remap) {
-				return nil, nil, fmt.Errorf("linker: unit %d has function record with bad symbol", ui)
+		for _, fr := range u.Funcs {
+			if !recordInRange(&fr, remap) {
+				return nil, fmt.Errorf("linker: unit %d has function record with bad symbol", ui)
 			}
-			fn := remap[f.Func]
+			fn := remap[fr.Func]
 			var params []prim.SymID
-			for _, p := range f.Params {
+			for _, p := range fr.Params {
 				params = append(params, remap[p])
 			}
 			ret := prim.NoSym
-			if f.Ret != prim.NoSym {
-				ret = remap[f.Ret]
+			if fr.Ret != prim.NoSym {
+				ret = remap[fr.Ret]
 			}
 			if idx, ok := recIdx[fn]; ok {
 				rec := &out.Funcs[idx]
@@ -122,16 +190,37 @@ func LinkRemaps(units []*prim.Program) (*prim.Program, [][]prim.SymID, error) {
 				if rec.Ret == prim.NoSym {
 					rec.Ret = ret
 				}
-				rec.Variadic = rec.Variadic || f.Variadic
+				rec.Variadic = rec.Variadic || fr.Variadic
 				continue
 			}
 			recIdx[fn] = len(out.Funcs)
 			out.Funcs = append(out.Funcs, prim.FuncRecord{
-				Func: fn, Params: params, Ret: ret, Variadic: f.Variadic,
+				Func: fn, Params: params, Ret: ret, Variadic: fr.Variadic,
 			})
 		}
+		f.ends[ui] = span{int32(len(out.Syms)), int32(len(out.Assigns)),
+			int32(len(out.Calls)), int32(len(out.Funcs))}
 	}
-	return out, remaps, nil
+	return f, nil
+}
+
+// inRange reports whether id is one of the unit's symbols.
+func inRange(id prim.SymID, remap []prim.SymID) bool {
+	return id >= 0 && int(id) < len(remap)
+}
+
+// recordInRange reports whether every symbol r names is one of the
+// unit's symbols.
+func recordInRange(r *prim.FuncRecord, remap []prim.SymID) bool {
+	if !inRange(r.Func, remap) || r.Ret != prim.NoSym && !inRange(r.Ret, remap) {
+		return false
+	}
+	for _, p := range r.Params {
+		if !inRange(p, remap) {
+			return false
+		}
+	}
+	return true
 }
 
 // LinkParallel is Link; jobs is unused. It keeps the name the benchmark
@@ -142,12 +231,12 @@ func LinkParallel(units []*prim.Program, jobs int) (*prim.Program, error) {
 	return Link(units)
 }
 
-// LinkTraced is LinkRemaps inside a "link" span, with the unit count in
-// the link.units counter and the sum of the units' symbol counts, which
-// the fold reads one by one, in link.unit_syms: the one traced link
-// entry shared by the driver, the incremental pipeline and the tools.
-// The nil observer costs nothing.
-func LinkTraced(units []*prim.Program, o *obs.Observer) (*prim.Program, [][]prim.SymID, error) {
+// LinkTraced is Relink inside a "link" span, with the unit count in the
+// link.units counter and the sum of the units' symbol counts, which a
+// full fold reads one by one, in link.unit_syms: the one traced link
+// entry shared by the driver, the incremental pipeline and the tools
+// (a nil prev folds). The nil observer costs nothing.
+func LinkTraced(prev *Fold, units []*prim.Program, o *obs.Observer) (*Fold, error) {
 	sp := o.Start("link")
 	defer sp.End()
 	o.SetCounter("link.units", int64(len(units)))
@@ -156,7 +245,7 @@ func LinkTraced(units []*prim.Program, o *obs.Observer) (*prim.Program, [][]prim
 		syms += len(u.Syms)
 	}
 	o.SetCounter("link.unit_syms", int64(syms))
-	return LinkRemaps(units)
+	return Relink(prev, units)
 }
 
 // compatibleKinds reports whether two linked symbol kinds may unify.
@@ -194,6 +283,9 @@ func LinkFiles(paths []string, o *obs.Observer) (*prim.Program, error) {
 		units = append(units, p)
 	}
 	sp.End()
-	prog, _, err := LinkTraced(units, o)
-	return prog, err
+	f, err := LinkTraced(nil, units, o)
+	if err != nil {
+		return nil, err
+	}
+	return f.Prog, nil
 }

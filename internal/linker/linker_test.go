@@ -412,7 +412,7 @@ func TestLinkUnitSymsCounter(t *testing.T) {
 			syms += len(p.Syms)
 		}
 		o := obs.New()
-		if _, _, err := LinkTraced(progs, o); err != nil {
+		if _, err := LinkTraced(nil, progs, o); err != nil {
 			t.Fatal(err)
 		}
 		return o.Counter("link.unit_syms").Value(), syms

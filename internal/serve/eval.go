@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cla/internal/checks"
@@ -16,9 +17,10 @@ import (
 )
 
 // Evaluator answers queries against one analyzed snapshot. All state is
-// read-only after construction except the lazily built checks report and
-// dependence index (each guarded by a sync.Once), so an Evaluator is safe
-// for concurrent use — the property the whole serving layer rests on.
+// read-only after construction except the lazily built by-name index,
+// checks report and dependence index (each guarded by a sync.Once), so
+// an Evaluator is safe for concurrent use — the property the whole
+// serving layer rests on.
 type Evaluator struct {
 	// Prog is the full database (symbols, assignments, call sites).
 	Prog *prim.Program
@@ -32,8 +34,18 @@ type Evaluator struct {
 	// cores). Responses are identical at every setting.
 	Jobs int
 
-	// byName indexes non-temporary symbols by source name, ids ascending.
-	byName map[string][]prim.SymID
+	// byName indexes non-temporary symbols by source name, ids
+	// ascending. It is built once, by the lookup after the first
+	// scanLookups or by the first QueryNames or dependence non-target,
+	// so a generation queried a few times (an edit's answers) pays a
+	// few scans of Prog.Syms instead; scanned keeps their answers, so a
+	// name asked again (a client re-asking after each edit) is not
+	// scanned again.
+	byNameOnce sync.Once
+	byName     map[string][]prim.SymID
+	lookups    atomic.Int64
+	scanMu     sync.Mutex
+	scanned    map[string][]prim.SymID
 
 	// checksOnce computes the full checks report (all four checks) the
 	// first time a callgraph, modref or lint query needs it; later
@@ -49,18 +61,59 @@ type Evaluator struct {
 	dependErr  error
 }
 
-// NewEvaluator builds the shared lookup structures for a snapshot.
+// NewEvaluator returns an evaluator for a snapshot; its lookup
+// structures are built on first use.
 func NewEvaluator(prog *prim.Program, src pts.Source, res pts.Result, jobs int) *Evaluator {
-	e := &Evaluator{Prog: prog, Src: src, Res: res, Jobs: jobs,
-		byName: make(map[string][]prim.SymID)}
-	for i := range prog.Syms {
-		if prog.Syms[i].Kind == prim.SymTemp {
-			continue
+	return &Evaluator{Prog: prog, Src: src, Res: res, Jobs: jobs}
+}
+
+// index returns the by-name index, building it on first use.
+func (e *Evaluator) index() map[string][]prim.SymID {
+	e.byNameOnce.Do(func() {
+		e.byName = make(map[string][]prim.SymID)
+		for i := range e.Prog.Syms {
+			if e.Prog.Syms[i].Kind == prim.SymTemp {
+				continue
+			}
+			n := e.Prog.Syms[i].Name
+			e.byName[n] = append(e.byName[n], prim.SymID(i))
 		}
-		n := prog.Syms[i].Name
-		e.byName[n] = append(e.byName[n], prim.SymID(i))
+	})
+	return e.byName
+}
+
+// scanLookups is how many name lookups an evaluator answers by scanning
+// Prog.Syms before it builds the by-name index. A scan costs about 1/80
+// of the build (0.11 vs 8.4 ms at gimp@0.2, both linear in the
+// symbols), so scanning until the scans have cost about what the build
+// does keeps any evaluator's lookups within twice the cheaper choice.
+const scanLookups = 64
+
+// named returns the non-temporary symbols called name, ids ascending:
+// by a scan of Prog.Syms for the evaluator's first scanLookups lookups
+// (once per name), from the by-name index after that.
+func (e *Evaluator) named(name string) []prim.SymID {
+	if e.lookups.Add(1) > scanLookups {
+		return e.index()[name]
 	}
-	return e
+	e.scanMu.Lock()
+	ids, ok := e.scanned[name]
+	e.scanMu.Unlock()
+	if ok {
+		return ids
+	}
+	for i := range e.Prog.Syms {
+		if s := &e.Prog.Syms[i]; s.Name == name && s.Kind != prim.SymTemp {
+			ids = append(ids, prim.SymID(i))
+		}
+	}
+	e.scanMu.Lock()
+	if e.scanned == nil {
+		e.scanned = make(map[string][]prim.SymID)
+	}
+	e.scanned[name] = ids
+	e.scanMu.Unlock()
+	return ids
 }
 
 // NumSyms reports the snapshot's symbol count (for /statsz).
@@ -131,7 +184,7 @@ func (e *Evaluator) lookup(name string) ([]prim.SymID, error) {
 	if name == "" {
 		return nil, claerr.Newf(claerr.PhaseQuery, "missing object name")
 	}
-	ids := e.byName[name]
+	ids := e.named(name)
 	if len(ids) == 0 {
 		return nil, claerr.Newf(claerr.PhaseQuery, "no object named %q: %w", name, claerr.ErrNotFound)
 	}
@@ -294,7 +347,7 @@ func (e *Evaluator) dependence(q Query) ([]DependEntry, error) {
 	}
 	opts := depend.Options{NonTargets: map[prim.SymID]bool{}, DropWeak: q.DropWeak}
 	for _, n := range q.NonTargets {
-		for _, id := range e.byName[strings.TrimSpace(n)] {
+		for _, id := range e.index()[strings.TrimSpace(n)] {
 			opts.NonTargets[id] = true
 		}
 	}
@@ -351,8 +404,9 @@ func (e *Evaluator) lint(names []string) ([]Finding, error) {
 // QueryNames returns every queryable object name, sorted — /statsz and
 // the benchmark harness use it to drive representative query mixes.
 func (e *Evaluator) QueryNames() []string {
-	names := make([]string, 0, len(e.byName))
-	for n := range e.byName {
+	byName := e.index()
+	names := make([]string, 0, len(byName))
+	for n := range byName {
 		names = append(names, n)
 	}
 	sort.Strings(names)

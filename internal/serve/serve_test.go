@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"cla/internal/claerr"
 	"cla/internal/incr"
 	"cla/internal/objfile"
+	"cla/internal/prim"
 )
 
 // writeTestDir lays out a two-unit C program with a function pointer
@@ -258,6 +260,54 @@ void f(void) { pt = &target; pc = &sink; mid = target; rd = *pt; *pc = *pt; }
 				t.Fatalf("round %d goroutine %d: first answer %s, want %s", round, g, got, want)
 			}
 		}
+	}
+}
+
+// TestLazyByNameIndex: an evaluator's first scanLookups name lookups
+// scan the program, each name once, and build no index; later lookups,
+// QueryNames and dependence non-targets share the by-name index, built
+// once. Both answer with the same ids, ascending, temporaries excluded,
+// also when a fresh evaluator's first lookups race in one batch.
+func TestLazyByNameIndex(t *testing.T) {
+	sess := openTestSession(t, 4)
+	ev := sess.Eval()
+	index := ev.index()
+	for n, want := range index {
+		fresh := NewEvaluator(ev.Prog, ev.Src, ev.Res, 1)
+		for k := 0; k < scanLookups; k++ {
+			if got := fresh.named(n); !slices.Equal(got, want) || !slices.IsSorted(got) {
+				t.Fatalf("scan for %q = %v, index %v", n, got, want)
+			}
+		}
+		if fresh.byName != nil || len(fresh.scanned) != 1 {
+			t.Fatalf("the first %d lookups of %q built the index or scanned %d names", scanLookups, n, len(fresh.scanned))
+		}
+		if got := fresh.named(n); !slices.Equal(got, want) || fresh.byName == nil {
+			t.Fatalf("lookup %d of %q = %v from index %v, want %v", scanLookups+1, n, got, fresh.byName != nil, want)
+		}
+	}
+	for i := range ev.Prog.Syms {
+		if s := &ev.Prog.Syms[i]; s.Kind == prim.SymTemp {
+			fresh := NewEvaluator(ev.Prog, ev.Src, ev.Res, 1)
+			if ids := fresh.named(s.Name); slices.Contains(ids, prim.SymID(i)) {
+				t.Fatalf("lookup of %q returned temporary %d", s.Name, i)
+			}
+		}
+	}
+	var qs []Query
+	for _, n := range ev.QueryNames() {
+		qs = append(qs, Query{Kind: "pointsto", Name: n}, Query{Kind: "alias", X: n, Y: "p"})
+	}
+	want, err := ev.EvalBatch(context.Background(), qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewEvaluator(ev.Prog, ev.Src, ev.Res, 4).EvalBatch(context.Background(), qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshal(t, got), marshal(t, want)) {
+		t.Fatal("a fresh evaluator's batch answers differ from the indexed one's")
 	}
 }
 
@@ -883,8 +933,8 @@ func TestSessionInfoLastRefresh(t *testing.T) {
 	}
 
 	rewriteUnit(t, dir)
-	if lr := refresh("fact edit"); lr.SolveReused {
-		t.Fatalf("fact edit: last_refresh = %+v, want a re-solve", lr)
+	if lr := refresh("fact edit"); lr.SolveReused || !lr.LinkSpliced {
+		t.Fatalf("fact edit: last_refresh = %+v, want b.c spliced into the link and a re-solve", lr)
 	}
 	comment := func() {
 		t.Helper()
@@ -897,7 +947,7 @@ func TestSessionInfoLastRefresh(t *testing.T) {
 		}
 	}
 	comment()
-	if lr := refresh("comment edit"); !lr.SolveReused || lr.SolveWarm {
+	if lr := refresh("comment edit"); !lr.SolveReused || lr.SolveWarm || lr.LinkSpliced {
 		t.Fatalf("comment edit: last_refresh = %+v, want the fixpoint reused", lr)
 	}
 
@@ -952,8 +1002,8 @@ func TestSessionInfoLastRefresh(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "b.c"), append(b, "\nint *late = &extra;\n"...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if lr := refresh("fact edit after the reopen"); lr.Snapshot || lr.SolveReused {
-		t.Fatalf("fact edit after the reopen: last_refresh = %+v, want a solve", lr)
+	if lr := refresh("fact edit after the reopen"); lr.Snapshot || lr.SolveReused || lr.LinkSpliced {
+		t.Fatalf("fact edit after the reopen: last_refresh = %+v, want every unit folded and a solve", lr)
 	}
 	if sess, err = s.Sessions.Get("live"); err != nil {
 		t.Fatal(err)
