@@ -2,7 +2,8 @@ package cla
 
 // End-to-end tests of the clasnap binary and claserve's snapshot paths:
 // build a snapshot from a source directory, inspect and verify it, serve
-// it with -preload, and confirm staleness is a distinct exit code.
+// it with -preload (which computes the checks report before READY), and
+// confirm staleness is a distinct exit code.
 
 import (
 	"bufio"
@@ -104,6 +105,15 @@ func TestClasnapEndToEnd(t *testing.T) {
 	}
 	if body := get("/metricsz"); !strings.Contains(body, "serve_snapshot_load_count") {
 		t.Errorf("/metricsz missing serve_snapshot_load histogram:\n%s", body)
+	}
+	// -preload computes the checks report before READY, so the first
+	// lint query is answered without a checks run.
+	if body := get("/metricsz"); !strings.Contains(body, "serve_checks_count 1\n") {
+		t.Errorf("-preload did not run the checks once before READY:\n%s", body)
+	}
+	get("/v1/lint")
+	if body := get("/metricsz"); !strings.Contains(body, "serve_checks_count 1\n") {
+		t.Errorf("first lint on a preloaded session ran the checks:\n%s", body)
 	}
 	cmd.Process.Kill()
 

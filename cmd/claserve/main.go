@@ -150,8 +150,9 @@ func run(args []string, listen, unixSock, name, includes, solverName, extModel, 
 	cfg := serve.Config{Solver: solver, ExtModel: model, Jobs: jobs, Includes: incDirs,
 		CacheDir: wopts.cacheDir, Obs: o, SkipVerify: noVerify, ErrorLog: obs.NewLogger(os.Stderr)}
 	reg := serve.NewRegistry()
-	// Preloaded snapshots open (and prefault) before anything else so
-	// READY means every -preload session answers at page-cache speed.
+	// Preloaded snapshots open, prefault and compute their checks report
+	// before anything else, so READY means every -preload session answers
+	// every query kind at page-cache speed.
 	var preloads []string
 	if preload != "" {
 		preloads = strings.Split(preload, ",")
@@ -162,6 +163,9 @@ func run(args []string, listen, unixSock, name, includes, solverName, extModel, 
 			return err
 		}
 		n := sess.Snap.Prefault()
+		if _, err := sess.Eval().ChecksReport(); err != nil {
+			return err
+		}
 		reg.Add(sess)
 		fmt.Fprintf(os.Stderr, "claserve: session %q preloaded (%d symbols, %d bytes paged in)\n",
 			sess.Name, sess.Eval().NumSyms(), n)

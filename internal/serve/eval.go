@@ -11,6 +11,7 @@ import (
 	"cla/internal/checks"
 	"cla/internal/claerr"
 	"cla/internal/depend"
+	"cla/internal/obs"
 	"cla/internal/parallel"
 	"cla/internal/prim"
 	"cla/internal/pts"
@@ -33,6 +34,11 @@ type Evaluator struct {
 	// Jobs bounds batch fan-out and the cached checks run (0 = all
 	// cores). Responses are identical at every setting.
 	Jobs int
+	// Obs, when non-nil, records the on-demand checks run's wall time in
+	// the serve.checks histogram. checks.Run gets no observer: its root
+	// span would overlap a concurrent session's on the trace's track 0,
+	// and the trace encoder then writes nothing.
+	Obs *obs.Observer
 
 	// byName indexes non-temporary symbols by source name, ids
 	// ascending. It is built once, by the lookup after the first
@@ -266,12 +272,12 @@ func intersects(a, b []prim.SymID) bool {
 	return false
 }
 
-// SeedChecks installs a precomputed checks report — a solved snapshot's
-// cached one — so the first lint, callgraph or modref query returns it
-// instead of re-running the checks. It must be the report checksReport
-// itself would compute (all four checks, no externs) for snapshot-served
-// answers to stay byte-identical to live-solve ones. A no-op once the
-// report has been computed or seeded.
+// SeedChecks installs a precomputed checks report — one stored in a
+// solved snapshot by an older writer — so the first lint, callgraph or
+// modref query returns it instead of re-running the checks. It must be
+// the report checksReport itself would compute (all four checks, no
+// externs) for snapshot-served answers to stay byte-identical to
+// live-solve ones. A no-op once the report has been computed or seeded.
 func (e *Evaluator) SeedChecks(rep *checks.Report) {
 	if rep == nil {
 		return
@@ -280,14 +286,16 @@ func (e *Evaluator) SeedChecks(rep *checks.Report) {
 }
 
 // ChecksReport returns the shared four-check report, computing it on
-// first use — the snapshot writer caches it in the file so SeedChecks
-// can restore it.
+// first use — claserve -preload calls it so a preloaded session's first
+// lint, callgraph or modref query runs no checks.
 func (e *Evaluator) ChecksReport() (*checks.Report, error) { return e.checksReport() }
 
 // checksReport runs all four checks once and shares the report.
 func (e *Evaluator) checksReport() (*checks.Report, error) {
 	e.checksOnce.Do(func() {
+		start := time.Now()
 		e.checksRep, e.checksErr = checks.Run(e.Prog, e.Res, checks.Options{Jobs: e.Jobs})
+		e.Obs.Histogram("serve.checks").ObserveSince(start)
 		if e.checksErr != nil {
 			e.checksErr = claerr.New(claerr.PhaseLint, e.checksErr)
 		}

@@ -150,7 +150,7 @@ func Open(ctx context.Context, name, path string, cfg Config) (*Session, error) 
 		}
 		s := &Session{Name: name, Path: path, Kind: "object", cfg: cfg, Created: time.Now()}
 		s.state.Store(&SessionState{
-			Eval:  NewEvaluator(src.P, src, res, cfg.Jobs),
+			Eval:  &Evaluator{Prog: src.P, Src: src, Res: res, Jobs: cfg.Jobs, Obs: cfg.Obs},
 			Gen:   1,
 			Built: s.Created,
 		})
@@ -287,7 +287,7 @@ func (s *Session) adopt(r *incr.Result) (*SessionState, bool) {
 		return cur, false
 	}
 	st := &SessionState{
-		Eval:  NewEvaluator(r.Prog, r.Src, r.Res, s.cfg.Jobs),
+		Eval:  &Evaluator{Prog: r.Prog, Src: r.Src, Res: r.Res, Jobs: s.cfg.Jobs, Obs: s.cfg.Obs},
 		Gen:   r.Gen,
 		Built: r.Built,
 	}

@@ -5,22 +5,23 @@ import (
 	"strings"
 	"time"
 
-	"cla/internal/checks"
 	"cla/internal/claerr"
-	"cla/internal/extmodel"
 	"cla/internal/incr"
 	"cla/internal/prim"
 	"cla/internal/pts"
 	"cla/internal/snapfile"
 )
 
-// BuildSnapshot runs the exact session-build pipeline Open uses —
-// load, extern model, solve, the shared four-check report — and packages
-// the outcome as a writable snapfile.Snapshot. Reusing the pipeline is
-// what makes snapshot-served answers byte-identical to live-solve ones.
-// The snapshot records content hashes of the inputs for staleness
-// detection: the .cla file, or every file a source directory's
-// compilation read (the units and their include closure).
+// BuildSnapshot runs the exact session-build pipeline Open uses — load,
+// extern model, solve — and packages the outcome as a writable
+// snapfile.Snapshot. Reusing the pipeline is what makes snapshot-served
+// answers byte-identical to live-solve ones. It runs no checks and
+// stores no report: a session opened from the file computes the report
+// on its first callgraph, modref or lint query, which costs what
+// decoding a stored one would. The snapshot records content hashes of
+// the inputs for staleness detection: the .cla file, or every file a
+// source directory's compilation read (the units and their include
+// closure).
 func BuildSnapshot(ctx context.Context, path string, cfg Config) (*snapfile.Snapshot, error) {
 	var (
 		prog    *prim.Program
@@ -41,24 +42,6 @@ func BuildSnapshot(ctx context.Context, path string, cfg Config) (*snapfile.Snap
 		cur := pipe.Current()
 		prog, res, sources = cur.Prog, cur.Res, pipe.TrackedFiles()
 	}
-	// The cached report must match Evaluator.checksReport exactly: the
-	// default four checks, no externs. The soundness audit runs
-	// separately and rides along in its own slot.
-	rep, err := checks.Run(prog, res, checks.Options{Jobs: cfg.Jobs, Obs: cfg.Obs})
-	if err != nil {
-		return nil, claerr.File(claerr.PhaseLint, path, err)
-	}
-	var audit *checks.Audit
-	if cfg.ExtModel != extmodel.Unsound {
-		arep, err := checks.Run(prog, res, checks.Options{
-			Checks: []checks.Check{checks.Externs}, Jobs: cfg.Jobs,
-			ExtModel: cfg.ExtModel.String(), Obs: cfg.Obs,
-		})
-		if err != nil {
-			return nil, claerr.File(claerr.PhaseLint, path, err)
-		}
-		audit = arep.Audit
-	}
 	srcFiles, err := snapfile.HashSources(sources)
 	if err != nil {
 		return nil, claerr.File(claerr.PhaseObject, path, err)
@@ -68,18 +51,17 @@ func BuildSnapshot(ctx context.Context, path string, cfg Config) (*snapfile.Snap
 		Res:      res,
 		Solver:   cfg.Solver.String(),
 		ExtModel: cfg.ExtModel.String(),
-		Report:   rep,
-		Audit:    audit,
 		Sources:  srcFiles,
 	}, nil
 }
 
 // openSnapshot builds a session from a solved .snap file: page the file
 // in, rebuild the in-memory source from the recorded program, seed the
-// cached checks report — no parse, no solve. The open is integrity-
-// checked end to end by the reader; unless cfg.SkipVerify is set the
-// recorded source hashes are re-checked and a mismatch fails with
-// claerr.ErrStale (HTTP 409, exit code 3).
+// checks report if the file stores one (no public writer does; the
+// evaluator computes it on first use otherwise) — no parse, no solve.
+// The open is integrity-checked end to end by the reader; unless
+// cfg.SkipVerify is set the recorded source hashes are re-checked and a
+// mismatch fails with claerr.ErrStale (HTTP 409, exit code 3).
 func openSnapshot(name, path string, cfg Config) (*Session, error) {
 	start := time.Now()
 	r, err := snapfile.Open(path, snapfile.Options{})
@@ -93,7 +75,7 @@ func openSnapshot(name, path string, cfg Config) (*Session, error) {
 		}
 	}
 	prog := r.Program()
-	ev := NewEvaluator(prog, pts.NewMemSource(prog), r.Result(), cfg.Jobs)
+	ev := &Evaluator{Prog: prog, Src: pts.NewMemSource(prog), Res: r.Result(), Jobs: cfg.Jobs, Obs: cfg.Obs}
 	ev.SeedChecks(r.Report())
 	cfg.Obs.Histogram("serve.snapshot.load").ObserveSince(start)
 	s := &Session{

@@ -10,15 +10,17 @@ import (
 	"sync"
 	"testing"
 
+	"cla/internal/checks"
 	"cla/internal/claerr"
 	"cla/internal/driver"
 	"cla/internal/extmodel"
+	"cla/internal/obs"
 	"cla/internal/snapfile"
 )
 
 // buildSnap builds and saves a snapshot of dir under cfg, returning the
 // .snap path.
-func buildSnap(t *testing.T, dir string, cfg Config) string {
+func buildSnap(t testing.TB, dir string, cfg Config) string {
 	t.Helper()
 	snap, err := BuildSnapshot(context.Background(), dir, cfg)
 	if err != nil {
@@ -148,4 +150,84 @@ func TestSnapshotConcurrentQueries(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// checksRuns counts the checks runs o recorded in the serve.checks
+// histogram.
+func checksRuns(o *obs.Observer) int64 { return o.Histogram("serve.checks").Count() }
+
+// TestSnapshotChecksOnDemand: BuildSnapshot stores no report, so a
+// snapshot session runs the checks on its first lint query, once, and
+// records the run's latency, but no span, on the session's observer.
+func TestSnapshotChecksOnDemand(t *testing.T) {
+	dir := writeTestDir(t)
+	path := buildSnap(t, dir, Config{Jobs: 1})
+	o := obs.New()
+	sess, err := Open(context.Background(), "s", path, Config{Jobs: 1, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.Snap.Report() != nil || sess.Snap.Audit() != nil {
+		t.Fatal("BuildSnapshot stored a checks report or audit")
+	}
+	if n := checksRuns(o); n != 0 {
+		t.Fatalf("open ran the checks %d times", n)
+	}
+	lint := []Query{{Kind: "lint"}}
+	if _, err := sess.Eval().EvalBatch(context.Background(), lint); err != nil {
+		t.Fatal(err)
+	}
+	if n := checksRuns(o); n != 1 {
+		t.Fatalf("first lint ran the checks %d times, want 1", n)
+	}
+	if _, err := sess.Eval().EvalBatch(context.Background(), mixedQueries()); err != nil {
+		t.Fatal(err)
+	}
+	if n := checksRuns(o); n != 1 {
+		t.Fatalf("later queries reran the checks: %d runs", n)
+	}
+	if len(o.Events()) != 0 {
+		t.Fatal("checks run recorded spans, which a concurrent session's would overlap")
+	}
+}
+
+// TestSnapshotStoredReportSeeds: a file that carries a checks report (an
+// older writer's) still opens, and its report answers the lint,
+// callgraph and modref queries without a checks run, byte-identical to a
+// live session.
+func TestSnapshotStoredReportSeeds(t *testing.T) {
+	dir := writeTestDir(t)
+	cfg := Config{Jobs: 1}
+	snap, err := BuildSnapshot(context.Background(), dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Report, err = checks.Run(snap.Prog, snap.Res, checks.Options{Jobs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "report.snap")
+	if err := snapfile.Save(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New()
+	sess, err := Open(context.Background(), "s", path, Config{Jobs: 1, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.Snap.Report() == nil {
+		t.Fatal("stored report did not decode")
+	}
+	live, err := Open(context.Background(), "live", dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveJSON, snapJSON := evalJSON(t, live), evalJSON(t, sess)
+	for i := range liveJSON {
+		if liveJSON[i] != snapJSON[i] {
+			t.Errorf("query %d differs:\n live %s\n snap %s", i, liveJSON[i], snapJSON[i])
+		}
+	}
+	if n := checksRuns(o); n != 0 {
+		t.Fatalf("a seeded session ran the checks %d times", n)
+	}
 }

@@ -1,13 +1,13 @@
 // Package snapfile implements the CLA solved-snapshot format (v2 of the
 // on-disk story): an indexed-block binary serialization of a *solved*
-// analysis — the post-extmodel program, the interned points-to sets, the
-// cached checks report and the extmodel soundness audit — so a query
-// server can cold-start by paging the file in instead of re-parsing and
-// re-solving. The layout follows the object format's idiom (magic +
-// version + section table + string pool) and adds what serving needs:
-// 8-byte-aligned sections so points-to set payloads can be used in place
-// from an mmap without decoding, a jobs-independence digest over the
-// result, and content hashes of the inputs for staleness detection.
+// analysis — the post-extmodel program and the interned points-to sets —
+// so a query server can cold-start by paging the file in instead of
+// re-parsing and re-solving. The layout follows the object format's
+// idiom (magic + version + section table + string pool) and adds what
+// serving needs: 8-byte-aligned sections so points-to set payloads can
+// be used in place from an mmap without decoding, a jobs-independence
+// digest over the result, and content hashes of the inputs for
+// staleness detection.
 //
 // The strings, symbols, funcs and calls sections are the object format's
 // records, encoded and decoded by internal/objfile's record codec; this
@@ -53,7 +53,9 @@
 //	          stored once (the sealed-set external encoding). The section
 //	          is 8-byte aligned, so on little-endian hosts PointsTo
 //	          returns subslices of the mapping itself — zero copies.
-//	report:   JSON: the cached four-check report and the extmodel audit
+//	report:   JSON: a four-check report and the extmodel audit; null in
+//	          every public writer's files, since decoding the JSON costs
+//	          what recomputing the report on first use does
 //
 // Version policy: readers accept exactly one version; any incompatible
 // layout change bumps Version and old snapshots are rebuilt, never
@@ -111,8 +113,9 @@ type Snapshot struct {
 	// (driver.Solver and extmodel.Model display strings).
 	Solver   string
 	ExtModel string
-	// Report is the cached four-check report the serving layer would
-	// otherwise compute lazily (nil skips it).
+	// Report is a four-check report the serving layer would otherwise
+	// compute on first use (nil stores none, as every public writer
+	// does).
 	Report *checks.Report
 	// Audit is the extmodel soundness inventory (nil skips it).
 	Audit *checks.Audit

@@ -44,6 +44,16 @@ func FuzzSnapshot(f *testing.F) {
 	flipped := append([]byte(nil), store...)
 	flipped[len(flipped)/2] ^= 0x04
 	f.Add(flipped)
+	// A snapshot that carries a checks report and audit, as older
+	// writers stored, whole and with one bit flipped inside the report
+	// section, so mutation reaches the report decoder.
+	withReport := reportSnapshot(f)
+	f.Add(withReport)
+	sec := headerSize - numSections*16 + secReport*16
+	off, n := le.Uint64(withReport[sec:]), le.Uint64(withReport[sec+8:])
+	flipped = append([]byte(nil), withReport...)
+	flipped[off+n/2] ^= 0x01
+	f.Add(flipped)
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
 

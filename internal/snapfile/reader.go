@@ -130,7 +130,7 @@ func (r *Reader) Program() *prim.Program { return r.prog }
 // Result returns the snapshot-backed points-to relation.
 func (r *Reader) Result() pts.Result { return r.res }
 
-// Report returns the cached checks report, nil when none was stored.
+// Report returns the stored checks report, nil when none was stored.
 func (r *Reader) Report() *checks.Report { return r.report }
 
 // Audit returns the extmodel soundness inventory, nil when none stored.

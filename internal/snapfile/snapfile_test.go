@@ -376,6 +376,31 @@ func storeSnapshot(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// reportSnapshot is testSrc solved and written with a non-empty checks
+// report and extmodel audit in the report section.
+func reportSnapshot(t testing.TB) []byte {
+	prog, err := frontend.CompileSource("test.c", testSrc, nil, frontend.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := driver.Analyze(context.Background(), pts.NewMemSource(prog), driver.PreTransitive, core.DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := checks.Run(prog, res, checks.Options{Checks: checks.AllChecksAudited()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Graph == nil || rep.Audit == nil {
+		t.Fatal("checks report has no call graph or audit")
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, &Snapshot{Prog: prog, Res: res, Solver: "pre-transitive", Report: rep, Audit: rep.Audit}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestGenerationSnapshotIntegrity: a snapshot that names a generation
 // refuses every truncation and every bit flip that changes what it
 // reads as with a *CorruptError; a flip it accepts (in padding, or in

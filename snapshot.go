@@ -27,15 +27,12 @@ type SnapshotOptions struct {
 	Sources []string
 }
 
-// SaveSnapshot serializes the solved analysis — program, points-to
-// relation, the cached checks report — to a .snap file OpenSnapshot and
-// claserve can later page in without re-parsing or re-solving.
+// SaveSnapshot serializes the solved analysis — program and points-to
+// relation — to a .snap file OpenSnapshot and claserve can later page in
+// without re-parsing or re-solving. The checks report is not stored: it
+// costs no more to compute on first use than to decode.
 func (a *Analysis) SaveSnapshot(path string, opts *SnapshotOptions) error {
 	ev, err := a.evaluator()
-	if err != nil {
-		return err
-	}
-	rep, err := ev.ChecksReport()
 	if err != nil {
 		return err
 	}
@@ -50,7 +47,6 @@ func (a *Analysis) SaveSnapshot(path string, opts *SnapshotOptions) error {
 		Res:      a.res,
 		Solver:   a.alg.String(),
 		ExtModel: a.ext.String(),
-		Report:   rep,
 		Sources:  srcs,
 	}
 	if err := snapfile.Save(path, snap); err != nil {
@@ -68,9 +64,10 @@ type OpenSnapshotOptions struct {
 
 // OpenSnapshot opens a solved .snap file as a ready Analysis: no parse,
 // no solve — the points-to sets are served from the file's pages, and
-// the cached checks report answers the first lint query. The Analysis
-// answers every query identically to the live solve that produced the
-// snapshot. Call Close when done (it releases the mapping).
+// the checks report is computed on the first callgraph, modref or lint
+// query (or taken from the file, when an older writer stored one). The
+// Analysis answers every query identically to the live solve that
+// produced the snapshot. Call Close when done (it releases the mapping).
 func OpenSnapshot(path string, opts *OpenSnapshotOptions) (*Analysis, error) {
 	r, err := snapfile.Open(path, snapfile.Options{})
 	if err != nil {
@@ -89,7 +86,7 @@ func OpenSnapshot(path string, opts *OpenSnapshotOptions) (*Analysis, error) {
 	a := &Analysis{db: db, src: src, res: r.Result(),
 		alg: parseAlgorithm(r.Meta().Solver), ext: ext, snap: r}
 	// Pre-seed the evaluator so the first query (and NewQueryServer) skip
-	// construction and reuse the snapshot's cached checks report.
+	// construction, and reuse a stored checks report if the file has one.
 	ev := serve.NewEvaluator(prog, src, r.Result(), 0)
 	ev.SeedChecks(r.Report())
 	a.ev = ev
