@@ -59,16 +59,20 @@ bench-smoke:
 # marker-text reference, every compiled unit must be rejected with an
 # error or solved alike by the three exact solvers (and within the two
 # unification ones), every incremental generation must equal a scratch
-# open, and every spliced relink must equal the full link fold.
+# open, and every spliced relink must equal the full link fold. The
+# default -fuzzminimizetime (60 s) lets minimizing one new input take
+# the rest of a 10 s run; FUZZMIN caps it, on every target whose run
+# otherwise ended minimizing at 0 execs/sec.
+FUZZMIN = -fuzzminimizetime=1s
 fuzz-smoke:
-	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=10s ./internal/objfile
-	$(GO) test -run=^$$ -fuzz=FuzzTrace -fuzztime=10s ./internal/obs
-	$(GO) test -run=^$$ -fuzz=FuzzSetOps -fuzztime=10s ./internal/pts/set
-	$(GO) test -run=^$$ -fuzz=FuzzExterns -fuzztime=10s ./internal/extmodel
-	$(GO) test -run=^$$ -fuzz=FuzzSnapshot -fuzztime=10s ./internal/snapfile
-	$(GO) test -run=^$$ -fuzz=FuzzPreprocessTokens -fuzztime=10s ./internal/frontend
-	$(GO) test -run=^$$ -fuzz=FuzzCompile -fuzztime=10s ./internal/frontend
-	$(GO) test -run=^$$ -fuzz=FuzzIncrEdits -fuzztime=10s ./internal/incr
+	$(GO) test -run=^$$ -fuzz=FuzzReader -fuzztime=10s $(FUZZMIN) ./internal/objfile
+	$(GO) test -run=^$$ -fuzz=FuzzTrace -fuzztime=10s $(FUZZMIN) ./internal/obs
+	$(GO) test -run=^$$ -fuzz=FuzzSetOps -fuzztime=10s $(FUZZMIN) ./internal/pts/set
+	$(GO) test -run=^$$ -fuzz=FuzzExterns -fuzztime=10s $(FUZZMIN) ./internal/extmodel
+	$(GO) test -run=^$$ -fuzz=FuzzSnapshot -fuzztime=10s $(FUZZMIN) ./internal/snapfile
+	$(GO) test -run=^$$ -fuzz=FuzzPreprocessTokens -fuzztime=10s $(FUZZMIN) ./internal/frontend
+	$(GO) test -run=^$$ -fuzz=FuzzCompile -fuzztime=10s $(FUZZMIN) ./internal/frontend
+	$(GO) test -run=^$$ -fuzz=FuzzIncrEdits -fuzztime=10s $(FUZZMIN) ./internal/incr
 	$(GO) test -run=^$$ -fuzz=FuzzLinkSplice -fuzztime=10s ./internal/linker
 
 clean:

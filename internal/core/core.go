@@ -29,8 +29,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
-	"cla/internal/parallel"
 	"cla/internal/prim"
 	"cla/internal/pts"
 	"cla/internal/pts/set"
@@ -51,9 +51,10 @@ type Config struct {
 	// Jobs bounds the worker count for the solve phase, the
 	// post-fixpoint snapshot build and batch result queries (<= 0 means
 	// GOMAXPROCS). Jobs >= 2 selects the phase-parallel wave fixpoint
-	// (see wave.go); Jobs <= 1 keeps the sequential reference fixpoint.
-	// Both compute the same unique least fixpoint, so the points-to
-	// relation is identical at any setting.
+	// (see wave.go); Jobs <= 1 keeps the sequential reference fixpoint
+	// for a scratch solve, while a warm one (SolveFrom) always runs
+	// waves. Both compute the same unique least fixpoint, so the
+	// points-to relation is identical at any setting.
 	Jobs int
 }
 
@@ -76,24 +77,40 @@ type complexAssign struct {
 	x, y int32
 }
 
-// Solver holds the pre-transitive graph state.
+// Solver holds the pre-transitive graph state. A scratch solve builds
+// one; a warm solve (SolveFrom) takes over the previous generation's and
+// edits it in place, so node ids are stable across generations: node i
+// is symbol i of the program a scratch solve started from, and later
+// generations bind their symbols to nodes through symNode and nodeSym.
+// Base elements, edges, complex assignments and function records all
+// hold node ids.
 type Solver struct {
 	src pts.Source
 	cfg Config
 
 	nodes   []node
 	numSyms int32
+	// symNode maps the current program's symbol ids to nodes and
+	// nodeSym maps nodes back (-1 for auxiliary and dead nodes). Both
+	// are nil while node i is symbol i, as after a scratch solve; a warm
+	// solve builds fresh ones, which its snapshot shares read-only.
+	symNode, nodeSym []int32
 
 	complex []complexAssign
+	// fresh is the number of leading complex assignments some wave has
+	// fired; the rest are new since.
+	fresh int
 
-	// loadQueue holds symbols whose blocks await demand loading.
+	// loadQueue holds symbol nodes whose blocks await demand loading.
 	loadQueue []int32
-	loadedBlk []bool // per symbol
 
-	// funcptr linking state.
+	// funcptr linking state, in node ids.
 	recs      []prim.FuncRecord
-	recOfFunc map[int32]int // function symbol node → record index
+	recOfFunc map[int32]int // function node → record index
 	ptrRecs   []int         // record indexes of function-pointer symbols
+	// recsChanged makes the next region wave fire every funcptr record:
+	// an edit added a record or a function-pointer mark.
+	recsChanged bool
 
 	pass    int32
 	changed bool
@@ -121,9 +138,12 @@ type Solver struct {
 	bld   set.Builder
 
 	// snap is the frozen read-only query structure built after the
-	// fixpoint converges; all Result queries go through it (see
-	// snapshot.go) and may run concurrently.
+	// fixpoint converges (see snapshot.go).
 	snap *snapshot
+
+	// warm is the region-wave state (see region.go), nil until the
+	// first SolveFrom: a scratch solve retains none of it.
+	warm *warmState
 
 	m pts.Metrics
 }
@@ -132,11 +152,17 @@ type node struct {
 	skip  int32 // ≥0: unified into that node
 	edges []int32
 	eset  *set.Sparse
-	base  []prim.SymID // sorted base elements (lvals)
+	base  []prim.SymID // sorted base elements (node ids of the objects)
 	deref int32        // node id of n(*x), or -1
 
 	relevant bool
-	// unloaded lists member symbols whose blocks are not yet loaded
+	// loaded reports that the block of this node's symbol was read.
+	loaded bool
+	// dead marks a class an edit removed (set on its representative).
+	dead bool
+	// dirty marks a node queued on warmState.dirty since the last wave.
+	dirty bool
+	// unloaded lists member nodes whose blocks are not yet loaded
 	// (demand mode); loading happens when the node becomes relevant.
 	unloaded []int32
 
@@ -154,7 +180,7 @@ func Solve(src pts.Source, cfg Config) (*Result, error) {
 // within a pass, so a long solve aborts promptly with ctx.Err(). The
 // background context costs one nil check per boundary.
 func SolveCtx(ctx context.Context, src pts.Source, cfg Config) (*Result, error) {
-	s := newSolver(src, cfg, 0)
+	s := newSolver(src, cfg)
 	for i := int32(0); i < s.numSyms; i++ {
 		if src.BlockLen(prim.SymID(i)) > 0 {
 			s.nodes[i].unloaded = append(s.nodes[i].unloaded, i)
@@ -181,53 +207,111 @@ func SolveCtx(ctx context.Context, src pts.Source, cfg Config) (*Result, error) 
 	return s.run(ctx)
 }
 
-// newSolver allocates one singleton node per symbol, with room for aux
-// more nodes, and indexes the function records; no assignment is loaded
-// yet.
-func newSolver(src pts.Source, cfg Config, aux int) *Solver {
-	if cfg.MaxPasses == 0 {
-		cfg.MaxPasses = 1 << 20
-	}
+// newSolver allocates one singleton node per symbol and indexes the
+// function records; no assignment is loaded yet.
+func newSolver(src pts.Source, cfg Config) *Solver {
 	s := &Solver{
-		src:       src,
-		cfg:       cfg,
-		numSyms:   int32(src.NumSyms()),
-		recOfFunc: map[int32]int{},
-		arena:     set.NewArena(),
-		table:     set.NewTable(),
+		src:     src,
+		numSyms: int32(src.NumSyms()),
+		arena:   set.NewArena(),
+		table:   set.NewTable(),
 	}
-	s.nodes = make([]node, s.numSyms, int(s.numSyms)+aux)
+	s.setConfig(cfg)
+	s.nodes = make([]node, s.numSyms)
 	for i := range s.nodes {
 		s.nodes[i].skip = -1
 		s.nodes[i].deref = -1
 	}
-	s.loadedBlk = make([]bool, s.numSyms)
-	s.recs = src.Funcs()
-	for ri := range s.recs {
-		fn := int32(s.recs[ri].Func)
-		sym := src.Sym(s.recs[ri].Func)
+	s.bindFuncs()
+	return s
+}
+
+// setConfig installs cfg, defaulting MaxPasses.
+func (s *Solver) setConfig(cfg Config) {
+	if cfg.MaxPasses == 0 {
+		cfg.MaxPasses = 1 << 20
+	}
+	s.cfg = cfg
+}
+
+// node returns the node of the current program's symbol sym.
+func (s *Solver) node(sym int32) int32 {
+	if s.symNode == nil {
+		return sym
+	}
+	return s.symNode[sym]
+}
+
+// symOf returns the current program's symbol bound to node n, or -1.
+func (s *Solver) symOf(n int32) int32 {
+	if s.nodeSym == nil {
+		if n < s.numSyms {
+			return n
+		}
+		return -1
+	}
+	if int(n) < len(s.nodeSym) {
+		return s.nodeSym[n]
+	}
+	return -1
+}
+
+// bindFuncs indexes the current program's function records in node ids.
+// It reports whether the records grew: a new record or a new
+// function-pointer mark (an edit never drops one; see SolveFrom).
+func (s *Solver) bindFuncs() bool {
+	recs := s.src.Funcs()
+	if s.symNode != nil {
+		mapped := make([]prim.FuncRecord, len(recs))
+		params := 0
+		for _, r := range recs {
+			params += len(r.Params)
+		}
+		flat := make([]prim.SymID, 0, params)
+		for i, r := range recs {
+			m := r
+			m.Func = prim.SymID(s.node(int32(r.Func)))
+			lo := len(flat)
+			for _, p := range r.Params {
+				flat = append(flat, prim.SymID(s.node(int32(p))))
+			}
+			m.Params = flat[lo:len(flat):len(flat)]
+			if r.Ret != prim.NoSym {
+				m.Ret = prim.SymID(s.node(int32(r.Ret)))
+			}
+			mapped[i] = m
+		}
+		recs = mapped
+	}
+	oldRecs, oldPtrs := len(s.recs), len(s.ptrRecs)
+	s.recs = recs
+	s.recOfFunc = make(map[int32]int, len(recs))
+	s.ptrRecs = s.ptrRecs[:0]
+	for ri, r := range recs {
+		sym := s.src.Sym(prim.SymID(s.symOf(int32(r.Func))))
 		if sym.Kind == prim.SymFunc {
-			s.recOfFunc[fn] = ri
+			s.recOfFunc[int32(r.Func)] = ri
 		}
 		if sym.FuncPtr {
 			s.ptrRecs = append(s.ptrRecs, ri)
 		}
 	}
-	return s
+	return len(recs) != oldRecs || len(s.ptrRecs) != oldPtrs
 }
 
-// run iterates the seeded graph to the least fixpoint and freezes it.
+// run iterates the loaded graph to the least fixpoint and freezes it.
 func (s *Solver) run(ctx context.Context) (*Result, error) {
 	if err := s.drainLoads(); err != nil {
 		return nil, err
 	}
 
-	// The iteration algorithm (Figure 5). With jobs >= 2 the passes run
-	// as barrier-synchronized waves over the condensation DAG (see
-	// wave.go); both paths reach the same unique least fixpoint, so the
-	// points-to relation is byte-identical either way.
+	// The iteration algorithm (Figure 5). With jobs >= 2, and on every
+	// warm solve, the passes run as barrier-synchronized waves over the
+	// condensation DAG (see wave.go); both paths reach the same unique
+	// least fixpoint, so the points-to relation is byte-identical
+	// either way.
 	var err error
-	if s.cfg.Jobs >= 2 {
+	if s.cfg.Jobs >= 2 || s.warm != nil {
 		err = s.solveWaves(ctx)
 	} else {
 		err = s.solveSeq(ctx)
@@ -236,14 +320,17 @@ func (s *Solver) run(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 
-	// Nothing mutates the graph after convergence: freeze it into the
-	// read-only snapshot (skip chains resolved, all lval sets
+	// Nothing mutates the graph until the next SolveFrom: freeze it into
+	// the read-only snapshot (skip chains resolved, all lval sets
 	// materialized across cfg.Jobs workers) and drop the fixpoint
 	// scratch. Every Result query from here on is a lock-free lookup.
-	// The wave fixpoint has already frozen its confirming wave; only the
-	// sequential one leaves the build to buildSnapshot.
+	// The wave fixpoint has already frozen its sets; only the sequential
+	// one, and a scratch wave whose unifications cascaded, leave the
+	// build to buildSnapshot.
 	s.pass++
-	if s.snap == nil {
+	if s.warm != nil {
+		s.snap = s.freezeRegion()
+	} else if s.snap == nil {
 		if s.snap, err = s.buildSnapshot(); err != nil {
 			return nil, err
 		}
@@ -251,10 +338,14 @@ func (s *Solver) run(ctx context.Context) (*Result, error) {
 	s.releaseScratch()
 	s.m.InCore = len(s.complex)
 	s.m.InFile = pts.TotalAssigns(s.src)
-	res := &Result{s: s}
-	if err := res.fillMetrics(); err != nil {
+	if err := s.snap.fillMetrics(&s.m, s.src, s.cfg); err != nil {
 		return nil, err
 	}
+	res := &Result{snap: s.snap, m: s.m, numSyms: s.numSyms}
+	if s.warm != nil {
+		res.regionNodes = s.warm.regionNodes
+	}
+	res.solver.Store(s)
 	return res, nil
 }
 
@@ -267,10 +358,9 @@ func (s *Solver) solveSeq(ctx context.Context) error {
 			return err
 		}
 		s.pass++
-		if int(s.pass) > s.cfg.MaxPasses {
+		if s.m.Passes++; s.m.Passes > s.cfg.MaxPasses {
 			return fmt.Errorf("core: no convergence after %d passes", s.cfg.MaxPasses)
 		}
-		s.m.Passes++
 		s.changed = false
 		s.flushShared()
 
@@ -307,6 +397,7 @@ func (s *Solver) solveSeq(ctx context.Context) error {
 		}
 
 		if !s.changed {
+			s.fresh = len(s.complex)
 			return nil
 		}
 	}
@@ -314,13 +405,17 @@ func (s *Solver) solveSeq(ctx context.Context) error {
 
 // releaseScratch frees the traversal state the snapshot supersedes,
 // including the per-pass arena (whose sets no guarded read can reach
-// once the final pass counter has advanced).
+// once the final pass counter has advanced). Edge dedupe sets go too,
+// except under a warm solve, which keeps those of the nodes it touched.
 func (s *Solver) releaseScratch() {
 	s.tVisit, s.tIndex, s.tLow, s.tOnStack, s.tDone = nil, nil, nil, nil, nil
 	s.tVal, s.nSeen, s.gnBuf = nil, nil, nil
 	s.gnSyms, s.lvBuf = nil, nil
 	s.arena, s.table = nil, nil
 	s.bld = set.Builder{}
+	if s.warm != nil {
+		return
+	}
 	for i := range s.nodes {
 		s.nodes[i].cache = nil
 		s.nodes[i].eset = nil
@@ -358,75 +453,31 @@ func (s *Solver) funcPtrPass() error {
 
 // Result exposes the solved points-to relation. All queries read the
 // frozen snapshot, so a Result is safe for concurrent use by multiple
-// goroutines.
+// goroutines. A Result holds the solver that produced it until a
+// SolveFrom takes it over; from then on it retains only its snapshot
+// and metrics.
 type Result struct {
-	s *Solver
+	snap    *snapshot
+	m       pts.Metrics
+	numSyms int32
+	// regionNodes is the warm solve's region size (RegionNodes).
+	regionNodes int
+	// solver is handed to at most one successor (SolveFrom).
+	solver atomic.Pointer[Solver]
 }
 
 // PointsTo returns the objects sym may point to, sorted. The returned
 // slice is shared and must not be mutated.
 func (r *Result) PointsTo(sym prim.SymID) []prim.SymID {
-	if int32(sym) < 0 || int32(sym) >= r.s.numSyms {
+	if int32(sym) < 0 || int32(sym) >= r.numSyms {
 		return nil
 	}
-	return r.s.snap.lvals(int32(sym))
+	return r.snap.pointsTo(int32(sym))
 }
 
 // Metrics returns solver statistics.
-func (r *Result) Metrics() pts.Metrics { return r.s.m }
+func (r *Result) Metrics() pts.Metrics { return r.m }
 
-// fillMetrics computes the Table 3 accounting (pointer variables with
-// non-empty sets and total relations) by fanning the batch of per-symbol
-// queries out across cfg.Jobs shards. Each worker accumulates privately;
-// the totals are order-independent sums, so the result is identical to
-// the sequential loop. An error is a shard's contained panic.
-func (r *Result) fillMetrics() error {
-	n := int(r.s.numSyms)
-	w := parallel.Workers(r.s.cfg.Jobs)
-	vars := make([]int, w)
-	rels := make([]int, w)
-	err := parallel.Shard(r.s.cfg.Jobs, n, func(wk, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			id := prim.SymID(i)
-			if !pts.CountedAsPointerVar(r.s.src.Sym(id).Kind) {
-				continue
-			}
-			if c := len(r.PointsTo(id)); c > 0 {
-				vars[wk]++
-				rels[wk] += c
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for i := 0; i < w; i++ {
-		r.s.m.PointerVars += vars[i]
-		r.s.m.Relations += rels[i]
-	}
-	// With caching on, keep the batch-query accounting from the mutable
-	// era: the first query of a component materializes its set (a miss);
-	// every later query of the same component is answered by the shared
-	// set (a hit). Computed in one deterministic pass so the totals are
-	// identical at any worker count.
-	if r.s.cfg.Cache {
-		touched := make([]bool, len(r.s.snap.sets))
-		var queries, distinct int64
-		for i := 0; i < n; i++ {
-			id := prim.SymID(i)
-			if !pts.CountedAsPointerVar(r.s.src.Sym(id).Kind) || len(r.PointsTo(id)) == 0 {
-				continue
-			}
-			queries++
-			c := r.s.snap.comp[r.s.snap.rep[i]]
-			if !touched[c] {
-				touched[c] = true
-				distinct++
-			}
-		}
-		r.s.m.CacheHits += queries - distinct
-		r.s.m.CacheMisses += distinct
-	}
-	return nil
-}
+// RegionNodes returns how many nodes the waves of the warm solve that
+// produced r recomputed, summed over its waves (0 for a scratch solve).
+func (r *Result) RegionNodes() int { return r.regionNodes }

@@ -21,12 +21,15 @@ func (s *Solver) find(n int32) int32 {
 	return root
 }
 
-// newNode allocates an auxiliary node (deref nodes).
+// newNode allocates a node: an auxiliary one (deref nodes, copy
+// temporaries) or, in a warm solve, one for a new symbol.
 func (s *Solver) newNode() int32 {
 	id := int32(len(s.nodes))
 	s.nodes = append(s.nodes, node{skip: -1, deref: -1})
-	// Grow traversal scratch lazily in reach.go; loadedBlk only covers
-	// symbol nodes, which is fine: auxiliary nodes have no blocks.
+	// Grow traversal scratch lazily in reach.go.
+	if s.warm != nil {
+		s.warm.side = append(s.warm.side, regionNode{comp: -1})
+	}
 	return id
 }
 
@@ -43,6 +46,7 @@ func (s *Solver) derefNode(y int32) int32 {
 }
 
 // addBase records lval ∈ baseElements(n(dst)) and makes dst relevant.
+// lval is the object's node id.
 func (s *Solver) addBase(dst int32, lval prim.SymID) {
 	r := s.find(dst)
 	b := s.nodes[r].base
@@ -56,6 +60,10 @@ func (s *Solver) addBase(dst int32, lval prim.SymID) {
 	s.nodes[r].base = b
 	s.nodes[r].cachePass = 0
 	s.changed = true
+	if w := s.warm; w != nil {
+		w.side[lval].holders = append(w.side[lval].holders, r)
+		s.touch(r)
+	}
 	s.markRelevant(r)
 }
 
@@ -84,6 +92,10 @@ func (s *Solver) addEdge(a, b int32) bool {
 	na.cachePass = 0
 	s.m.EdgesAdded++
 	s.changed = true
+	if w := s.warm; w != nil {
+		w.side[b].preds = append(w.side[b].preds, a)
+		s.touch(a)
+	}
 	return true
 }
 
@@ -101,6 +113,9 @@ func (s *Solver) markRelevant(n int32) {
 	nd.relevant = true
 	s.changed = true
 	s.queueLoads(nd)
+	if s.warm != nil {
+		s.relevantPreds(r)
+	}
 }
 
 func (s *Solver) queueLoads(nd *node) {
@@ -124,14 +139,18 @@ func (s *Solver) drainLoads() error {
 	return nil
 }
 
-// loadBlock reads the assignments whose source is sym and converts them to
-// graph state (apply): simple assignments become edges (and are
-// discarded); complex assignments are retained in core.
-func (s *Solver) loadBlock(sym int32) error {
-	if sym < 0 || sym >= s.numSyms || s.loadedBlk[sym] {
+// loadBlock reads the assignments whose source is node n's symbol and
+// converts them to graph state (apply): simple assignments become edges
+// (and are discarded); complex assignments are retained in core.
+func (s *Solver) loadBlock(n int32) error {
+	if n < 0 || int(n) >= len(s.nodes) || s.nodes[n].loaded {
 		return nil
 	}
-	s.loadedBlk[sym] = true
+	s.nodes[n].loaded = true
+	sym := s.symOf(n)
+	if sym < 0 {
+		return nil
+	}
 	entries, err := s.src.Block(prim.SymID(sym))
 	if err != nil {
 		return err
@@ -147,12 +166,13 @@ func (s *Solver) loadBlock(sym int32) error {
 	return nil
 }
 
-// apply converts one assignment to graph state: a simple assignment
-// becomes an edge, a complex one is retained in core. *x = *y is split
-// through a fresh auxiliary node t: t = *y; *x = t.
+// apply converts one assignment of the current program to graph state:
+// a simple assignment becomes an edge, a complex one is retained in
+// core. *x = *y is split through a fresh auxiliary node t: t = *y;
+// *x = t.
 func (s *Solver) apply(a prim.Assign) {
-	d := int32(a.Dst)
-	src := int32(a.Src)
+	d := s.node(int32(a.Dst))
+	src := s.node(int32(a.Src))
 	switch a.Kind {
 	case prim.Simple:
 		// d = src: edge n(d) → n(src); d becomes relevant via the edge
@@ -170,7 +190,7 @@ func (s *Solver) apply(a prim.Assign) {
 	case prim.Base:
 		// Base assignments live in the static section; one appearing in
 		// a block indicates database corruption.
-		s.addBase(d, a.Src)
+		s.addBase(d, prim.SymID(src))
 	}
 }
 
@@ -190,6 +210,11 @@ func (s *Solver) unify(a, b int32) int32 {
 	s.m.Unifications++
 
 	na.skip = b
+	if w := s.warm; w != nil {
+		w.side[b].preds = append(w.side[b].preds, w.side[a].preds...)
+		w.side[a].preds = nil
+		s.touch(b)
+	}
 
 	// Edges.
 	if nb.eset == nil && len(na.edges) > 0 {
@@ -219,6 +244,9 @@ func (s *Solver) unify(a, b int32) int32 {
 	if na.relevant || nb.relevant {
 		nb.relevant = true
 		s.queueLoads(nb)
+		if s.warm != nil {
+			s.relevantPreds(b)
+		}
 	}
 
 	// Invalidate caches.

@@ -69,7 +69,7 @@ func TestScratchGrowsMidPass(t *testing.T) {
 		}
 		// The graph must actually have outgrown the initial scratch
 		// sizing (nsyms*2) mid-pass for this to be a regression test.
-		if n := len(got.s.nodes); n <= nsyms*2 {
+		if n := len(got.solver.Load().nodes); n <= nsyms*2 {
 			t.Fatalf("cfg %d: only %d nodes for %d syms; program no longer grows mid-pass", ci, n, nsyms)
 		}
 		for i := 0; i < nsyms; i++ {

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"slices"
+	"sync"
+	"sync/atomic"
+
 	"cla/internal/parallel"
 	"cla/internal/prim"
+	"cla/internal/pts"
 	"cla/internal/pts/set"
 	"cla/internal/scc"
 )
@@ -12,26 +17,151 @@ import (
 // pointers compress, cycles unify, and the traversal scratch
 // (tVisit/tVal/nSeen) is solver-global — none of which can be shared
 // between goroutines. Once the outer fixpoint converges the graph is
-// final, so Solve freezes it: skip chains are resolved into a flat
-// representative table, the condensation (SCC DAG) is computed once, and
-// every component's lval set is materialized bottom-up — components of
-// equal height in the DAG fan out across cfg.Jobs workers, each with
-// private scratch. After the freeze, a points-to query is two array
-// loads, safe from any number of goroutines.
+// final, so Solve freezes it: the condensation (SCC DAG) is computed
+// once, every component's lval set is materialized bottom-up —
+// components of equal height in the DAG fan out across cfg.Jobs
+// workers, each with private scratch — and skip chains are resolved
+// into a flat node → component table. After the freeze, a points-to
+// query is two array loads, safe from any number of goroutines.
 
 // snapshot is the frozen form of the converged pre-transitive graph.
+// Its sets hold node ids; a generation whose node i is symbol i (a
+// scratch solve) answers with them directly, and a warm generation
+// translates a component's set to its symbol ids on first read.
 type snapshot struct {
-	rep  []int32        // node → representative (skip chains resolved)
-	comp []int32        // representative → component id (reverse topo order)
-	sets [][]prim.SymID // component id → final sorted lval set (shared)
-	// wave marks a snapshot frozen from the wave fixpoint's confirming
-	// wave (freezeWave) rather than built by buildSnapshot.
+	comp []int32        // node → component id, -1 for none (empty set)
+	sets [][]prim.SymID // component id → final sorted set of node ids (shared)
+	// wave marks a snapshot frozen by the wave fixpoint (freezeWave or
+	// freezeRegion) rather than built by buildSnapshot.
 	wave bool
+
+	// symNode and nodeSym are the generation's symbol binding (see
+	// Solver); nil when node i is symbol i.
+	symNode, nodeSym []int32
+	// trans memoizes each component's set in symbol ids, in chunks of
+	// transChunk components allocated on the first translation in them.
+	transOnce sync.Once
+	trans     []atomic.Pointer[transChunk]
 }
 
-// lvals returns the materialized set for any node, in O(1).
+// transChunk is one chunk of a snapshot's translation memo.
+type transChunk [256]atomic.Pointer[[]prim.SymID]
+
+// lvals returns the materialized set (node ids) of any node, in O(1).
 func (sn *snapshot) lvals(n int32) []prim.SymID {
-	return sn.sets[sn.comp[sn.rep[n]]]
+	if c := sn.comp[n]; c >= 0 {
+		return sn.sets[c]
+	}
+	return nil
+}
+
+// compOf returns the component of symbol sym's node, or -1.
+func (sn *snapshot) compOf(sym int32) int32 {
+	if sn.symNode != nil {
+		sym = sn.symNode[sym]
+	}
+	return sn.comp[sym]
+}
+
+// size returns the size of sym's points-to set without translating it.
+func (sn *snapshot) size(sym int32) int {
+	if c := sn.compOf(sym); c >= 0 {
+		return len(sn.sets[c])
+	}
+	return 0
+}
+
+// pointsTo returns sym's points-to set in symbol ids. A warm
+// generation translates each component once, on its first read, and
+// every later read of any member shares the result; concurrent first
+// reads may both translate, and keep whichever stores first.
+func (sn *snapshot) pointsTo(sym int32) []prim.SymID {
+	c := sn.compOf(sym)
+	if c < 0 {
+		return nil
+	}
+	set := sn.sets[c]
+	if sn.nodeSym == nil || len(set) == 0 {
+		return set
+	}
+	const size = len(transChunk{})
+	sn.transOnce.Do(func() { sn.trans = make([]atomic.Pointer[transChunk], (len(sn.sets)+size-1)/size) })
+	at := &sn.trans[int(c)/size]
+	chunk := at.Load()
+	if chunk == nil {
+		at.CompareAndSwap(nil, new(transChunk))
+		chunk = at.Load()
+	}
+	memo := &chunk[int(c)%size]
+	if p := memo.Load(); p != nil {
+		return *p
+	}
+	out := make([]prim.SymID, len(set))
+	for k, n := range set {
+		out[k] = prim.SymID(sn.nodeSym[n])
+	}
+	if !slices.IsSorted(out) {
+		slices.Sort(out)
+	}
+	if !memo.CompareAndSwap(nil, &out) {
+		return *memo.Load()
+	}
+	return out
+}
+
+// fillMetrics adds the Table 3 accounting (pointer variables with
+// non-empty sets and total relations) to m by fanning the per-symbol
+// queries out across cfg.Jobs shards. Each worker accumulates
+// privately; the totals are order-independent sums, so the result is
+// identical to the sequential loop. Set sizes need no translation. An
+// error is a shard's contained panic.
+func (sn *snapshot) fillMetrics(m *pts.Metrics, src pts.Source, cfg Config) error {
+	n := src.NumSyms()
+	w := parallel.Workers(cfg.Jobs)
+	vars := make([]int, w)
+	rels := make([]int, w)
+	err := parallel.Shard(cfg.Jobs, n, func(wk, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			if !pts.CountedAsPointerVar(src.Sym(prim.SymID(i)).Kind) {
+				continue
+			}
+			if c := sn.size(int32(i)); c > 0 {
+				vars[wk]++
+				rels[wk] += c
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for i := 0; i < w; i++ {
+		m.PointerVars += vars[i]
+		m.Relations += rels[i]
+	}
+	// With caching on, keep the batch-query accounting from the mutable
+	// era: the first query of a component materializes its set (a miss);
+	// every later query of the same component is answered by the shared
+	// set (a hit). Computed in one deterministic pass so the totals are
+	// identical at any worker count.
+	if cfg.Cache {
+		touched := make([]bool, len(sn.sets))
+		var queries, distinct int64
+		for i := 0; i < n; i++ {
+			if !pts.CountedAsPointerVar(src.Sym(prim.SymID(i)).Kind) || sn.size(int32(i)) == 0 {
+				continue
+			}
+			queries++
+			c := sn.compOf(int32(i))
+			if !touched[c] {
+				touched[c] = true
+				distinct++
+			}
+		}
+		m.CacheHits += queries - distinct
+		m.CacheMisses += distinct
+	}
+	return nil
 }
 
 // condensedAdj builds the condensed adjacency per representative:
@@ -62,17 +192,19 @@ func (s *Solver) condensedAdj(rep []int32) [][]int32 {
 	return adj
 }
 
-// buildSnapshot freezes the solver's graph. Called once, after the
-// fixpoint, while the solver is still single-threaded. An error is a
+// buildSnapshot freezes the solver's graph. Called after the sequential
+// fixpoint (or a scratch wave fixpoint whose unifications cascaded),
+// while the solver is still single-threaded. An error is a
 // level worker's contained panic; the snapshot is then incomplete and
 // must not be used.
 func (s *Solver) buildSnapshot() (*snapshot, error) {
 	n := len(s.nodes)
-	sn := &snapshot{rep: make([]int32, n)}
+	rep := make([]int32, n)
 	for i := 0; i < n; i++ {
-		sn.rep[i] = s.find(int32(i))
+		rep[i] = s.find(int32(i))
 	}
-	adj := s.condensedAdj(sn.rep)
+	adj := s.condensedAdj(rep)
+	sn := &snapshot{}
 
 	// Iterative Tarjan over the representatives (shared with the wave
 	// solvers; see internal/scc). Unlike reachTarjan it never unifies:
@@ -80,7 +212,7 @@ func (s *Solver) buildSnapshot() (*snapshot, error) {
 	// valid under every Config (including CycleElim off, where cycles
 	// survive the fixpoint).
 	var members [][]int32
-	sn.comp, members = scc.Condense(adj, func(v int32) bool { return sn.rep[v] == v })
+	sn.comp, members = scc.Condense(adj, func(v int32) bool { return rep[v] == v })
 	succs, _, buckets := scc.Level(sn.comp, members, adj)
 	nc := len(members)
 
@@ -121,6 +253,11 @@ func (s *Solver) buildSnapshot() (*snapshot, error) {
 		})
 	if err != nil {
 		return nil, err
+	}
+	for i, r := range rep {
+		if int32(i) != r {
+			sn.comp[i] = sn.comp[r]
+		}
 	}
 
 	// Accounting: a multi-member component is a cycle whose nodes the

@@ -143,29 +143,33 @@ func TestFrozenWaveMatchesBuildSnapshot(t *testing.T) {
 	runs, frozen := 0, 0
 	check := func(name string, r *Result) {
 		runs++
-		got := r.s.snap
+		got := r.snap
 		if got.wave {
 			frozen++
 		}
 		// buildSnapshot on a copy of the converged solver is the freeze
-		// a Jobs <= 1 run, and every run before the wave freeze, does.
-		ref := *r.s
+		// a Jobs <= 1 scratch run, and every run before the wave freeze,
+		// does.
+		ref := *r.solver.Load()
 		ref.m = pts.Metrics{}
 		want, err := ref.buildSnapshot()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		ref.snap = want
-		if err := (&Result{s: &ref}).fillMetrics(); err != nil {
+		want.symNode, want.nodeSym = ref.symNode, ref.nodeSym
+		if err := want.fillMetrics(&ref.m, ref.src, ref.cfg); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		fwd, back := map[int32]int32{}, map[int32]int32{}
-		for i := range r.s.nodes {
+		for i := range ref.nodes {
 			n := int32(i)
 			if !slices.Equal(got.lvals(n), want.lvals(n)) {
 				t.Fatalf("%s: node %d: frozen %v, buildSnapshot %v", name, n, got.lvals(n), want.lvals(n))
 			}
-			a, b := got.comp[got.rep[n]], want.comp[want.rep[n]]
+			a, b := got.comp[n], want.comp[n]
+			if a < 0 {
+				continue // a dead node, or one no wave has reached: empty either way
+			}
 			if x, ok := fwd[a]; ok && x != b {
 				t.Fatalf("%s: node %d: frozen component %d spans buildSnapshot components %d and %d", name, n, a, x, b)
 			}

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -81,11 +83,54 @@ func ptsDump(r *Result, n int) string {
 	return s
 }
 
+// bigEdit derives a new program from old whose edit reaches most of
+// the graph. With cycle set it adds a simple assignment chain through
+// every symbol that closes into one cycle, so every node reaches the
+// change. Otherwise it adds a pointer hub that half the symbols load
+// through, an object for it and a base fact on it, so the loads' block
+// is demand-loaded and fires in the warm solve.
+func bigEdit(rng *rand.Rand, old *prim.Program, cycle bool) (*prim.Program, Edit) {
+	n := len(old.Syms)
+	m := make([]prim.SymID, n)
+	p := &prim.Program{}
+	for i := range old.Syms {
+		m[i] = p.AddSym(old.Syms[i])
+	}
+	for _, a := range old.Assigns {
+		p.AddAssign(a)
+	}
+	var added []prim.Assign
+	if cycle {
+		order := rng.Perm(n)
+		for i, v := range order {
+			w := order[(i+1)%n]
+			added = append(added, prim.Assign{Kind: prim.Simple, Dst: prim.SymID(v), Src: prim.SymID(w)})
+		}
+	} else {
+		hub := p.AddSym(prim.Symbol{Name: fmt.Sprintf("hub%d", n), Kind: prim.SymGlobal, Type: "int**"})
+		obj := p.AddSym(prim.Symbol{Name: fmt.Sprintf("obj%d", n), Kind: prim.SymGlobal, Type: "int*"})
+		for _, v := range rng.Perm(n)[:n/2] {
+			added = append(added, prim.Assign{Kind: prim.LoadInd, Dst: prim.SymID(v), Src: hub})
+		}
+		added = append(added,
+			prim.Assign{Kind: prim.Base, Dst: hub, Src: obj},
+			prim.Assign{Kind: prim.Base, Dst: obj, Src: prim.SymID(rng.Intn(n))})
+	}
+	p.Assigns = append(p.Assigns, added...)
+	return p, Edit{Map: m, Added: added}
+}
+
+// warmChain is the length of the chains of warm generations the tests
+// run on one solver.
+const warmChain = 8
+
 // TestSolveFromMatchesScratch: on random edits that keep the warm
-// start's conditions, a solve seeded from the previous generation (and
-// a chain of them) gives exactly the scratch sets, Table 3 counts and
+// start's conditions, chains of warmChain generations solved in place
+// on one solver give exactly the scratch sets, Table 3 counts and
 // snapshot cache accounting, under every Config and worker count, and
-// leaves the previous Result unchanged.
+// leave every previous Result unchanged. The chains include removals
+// and two edits whose region is most of the graph: a hub that half the
+// symbols load through, and a cycle through every symbol.
 func TestSolveFromMatchesScratch(t *testing.T) {
 	configs := []Config{
 		{Cache: true, CycleElim: true, DemandLoad: true},
@@ -93,8 +138,8 @@ func TestSolveFromMatchesScratch(t *testing.T) {
 		{Cache: false, CycleElim: true, DemandLoad: true},
 		{Cache: true, CycleElim: false, DemandLoad: true},
 	}
-	warm := 0
-	for seed := int64(0); seed < 60; seed++ {
+	warm, big := 0, 0
+	for seed := int64(0); seed < 40; seed++ {
 		for ci, cfg := range configs {
 			for _, jobs := range []int{1, 2, 4} {
 				cfg.Jobs = jobs
@@ -105,42 +150,192 @@ func TestSolveFromMatchesScratch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for step := 0; step < 4; step++ {
-					next, ed := warmEdit(rng, prog)
+				solver := prev.solver.Load()
+				type gen struct {
+					r    *Result
+					n    int
+					dump string
+				}
+				var olds []gen
+				gens := 0
+				for step := 0; gens < warmChain && step < 60; step++ {
+					var next *prim.Program
+					var ed Edit
+					switch gens {
+					case 3:
+						next, ed = bigEdit(rng, prog, false)
+					case warmChain - 1:
+						next, ed = bigEdit(rng, prog, true)
+					default:
+						next, ed = warmEdit(rng, prog)
+					}
 					if next == nil {
 						continue
 					}
-					before := ptsDump(prev, len(prog.Syms))
+					olds = append(olds, gen{prev, len(prog.Syms), ptsDump(prev, len(prog.Syms))})
 					got, err := SolveFrom(context.Background(), pts.NewMemSource(next), cfg, prev, ed)
 					if err != nil {
-						t.Fatalf("seed %d cfg %d jobs %d step %d: %v", seed, ci, jobs, step, err)
+						t.Fatalf("seed %d cfg %d jobs %d gen %d: %v", seed, ci, jobs, gens, err)
+					}
+					if got.solver.Load() != solver {
+						t.Fatalf("seed %d cfg %d jobs %d gen %d: the warm solve did not reuse the solver", seed, ci, jobs, gens)
 					}
 					warm++
+					if gens == 3 || gens == warmChain-1 {
+						if got.RegionNodes() > len(next.Syms)/2 {
+							big++
+						}
+					}
 					want, err := Solve(pts.NewMemSource(next), cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if g, w := ptsDump(got, len(next.Syms)), ptsDump(want, len(next.Syms)); g != w {
-						t.Fatalf("seed %d cfg %d jobs %d step %d: warm sets\n%s\nscratch\n%s", seed, ci, jobs, step, g, w)
+						t.Fatalf("seed %d cfg %d jobs %d gen %d: warm sets\n%s\nscratch\n%s", seed, ci, jobs, gens, g, w)
 					}
 					gm, wm := got.Metrics(), want.Metrics()
 					if gm.PointerVars != wm.PointerVars || gm.Relations != wm.Relations || gm.InFile != wm.InFile {
-						t.Fatalf("seed %d cfg %d jobs %d step %d: metrics %+v, scratch %+v", seed, ci, jobs, step, gm, wm)
+						t.Fatalf("seed %d cfg %d jobs %d gen %d: metrics %+v, scratch %+v", seed, ci, jobs, gens, gm, wm)
 					}
 					if jobs >= 2 && (gm.CacheHits != wm.CacheHits || gm.CacheMisses != wm.CacheMisses) {
-						t.Fatalf("seed %d cfg %d jobs %d step %d: cache %d/%d, scratch %d/%d",
-							seed, ci, jobs, step, gm.CacheHits, gm.CacheMisses, wm.CacheHits, wm.CacheMisses)
+						t.Fatalf("seed %d cfg %d jobs %d gen %d: cache %d/%d, scratch %d/%d",
+							seed, ci, jobs, gens, gm.CacheHits, gm.CacheMisses, wm.CacheHits, wm.CacheMisses)
 					}
-					if after := ptsDump(prev, len(prog.Syms)); after != before {
-						t.Fatalf("seed %d cfg %d jobs %d step %d: SolveFrom changed the previous result", seed, ci, jobs, step)
+					for k, o := range olds {
+						if after := ptsDump(o.r, o.n); after != o.dump {
+							t.Fatalf("seed %d cfg %d jobs %d gen %d: SolveFrom changed generation %d", seed, ci, jobs, gens, k)
+						}
 					}
 					prog, prev = next, got
+					gens++
+				}
+				if gens < warmChain {
+					t.Fatalf("seed %d cfg %d jobs %d: only %d warm generations", seed, ci, jobs, gens)
 				}
 			}
 		}
 	}
-	if warm < 500 {
-		t.Fatalf("only %d warm solves ran", warm)
+	if big < warm/warmChain {
+		t.Fatalf("only %d of %d big edits had a region of most of the graph", big, 2*warm/warmChain)
+	}
+}
+
+// cancelAfter is a context whose Err reports cancellation from its
+// n-th call on: a deterministic way to stop a solve partway through a
+// wave.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSolveFromCancelled: a warm solve cancelled at any of its
+// cancellation checks fails with the context's error, leaves the
+// previous generation's answers unchanged and discards the solver, so a
+// second warm start from it is refused; the scratch solve the caller
+// falls back to then warm-starts the next edit, which equals scratch.
+func TestSolveFromCancelled(t *testing.T) {
+	for _, jobs := range []int{1, 2} {
+		cfg := DefaultConfig()
+		cfg.Jobs = jobs
+		prog := randProgram(5, 300, 1200)
+		rng := rand.New(rand.NewSource(5))
+		next, ed := bigEdit(rng, prog, false)
+		cancelled := 0
+		for k := int64(0); ; k++ {
+			prev, err := Solve(pts.NewMemSource(prog), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := ptsDump(prev, len(prog.Syms))
+			ctx := &cancelAfter{Context: context.Background()}
+			ctx.n.Store(k)
+			_, err = SolveFrom(ctx, pts.NewMemSource(next), cfg, prev, ed)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("jobs %d cancel at %d: %v", jobs, k, err)
+			}
+			cancelled++
+			if after := ptsDump(prev, len(prog.Syms)); after != before {
+				t.Fatalf("jobs %d cancel at %d: the cancelled solve changed the previous generation", jobs, k)
+			}
+			if _, err := SolveFrom(context.Background(), pts.NewMemSource(next), cfg, prev, ed); !errors.Is(err, ErrNoWarmStart) {
+				t.Fatalf("jobs %d cancel at %d: warm start after a cancelled one: %v, want ErrNoWarmStart", jobs, k, err)
+			}
+			fallback, err := Solve(pts.NewMemSource(next), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next2, ed2 := bigEdit(rand.New(rand.NewSource(k)), next, true)
+			got, err := SolveFrom(context.Background(), pts.NewMemSource(next2), cfg, fallback, ed2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Solve(pts.NewMemSource(next2), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ptsDump(got, len(next2.Syms)) != ptsDump(want, len(next2.Syms)) {
+				t.Fatalf("jobs %d cancel at %d: the edit after the fallback differs from scratch", jobs, k)
+			}
+		}
+		if cancelled < 3 {
+			t.Fatalf("jobs %d: only %d cancellation points", jobs, cancelled)
+		}
+	}
+}
+
+// TestSolveFromConcurrentReads: queries on the previous generation run
+// concurrently with the warm solve that edits its solver in place (run
+// under -race in CI), and keep answering what they answered before.
+func TestSolveFromConcurrentReads(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Jobs = 2
+	prog := randProgram(8, 200, 700)
+	prev, err := Solve(pts.NewMemSource(prog), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	for g := 0; g < warmChain; g++ {
+		next, ed := bigEdit(rng, prog, g == warmChain-1)
+		want := allSets(prog, prev)
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for q := 0; q < 4; q++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					for i := range prog.Syms {
+						if got := prev.PointsTo(prim.SymID(i)); !slices.Equal(got, want[i]) {
+							t.Errorf("gen %d: pts(%d) changed to %v during the next solve", g, i, got)
+							return
+						}
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		got, err := SolveFrom(context.Background(), pts.NewMemSource(next), cfg, prev, ed)
+		close(stop)
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, prev = next, got
 	}
 }
 
@@ -175,16 +370,19 @@ func TestSolveFromRejectsOpenRegion(t *testing.T) {
 	}
 }
 
-// TestSolveFromDropsPrevious: a warm result holds no reference to the
-// previous solver, so the previous generation is collectable as soon as
-// its holders drop it.
-func TestSolveFromDropsPrevious(t *testing.T) {
+// TestOldGenerationKeepsOnlyItsSnapshot: a warm solve takes the
+// solver over, so the previous generation answers from its snapshot
+// alone: a second warm start from it is refused, and the solver is
+// collectable once the newer generation is dropped, while the old one
+// is still held and still answers.
+func TestOldGenerationKeepsOnlyItsSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	prog := randomProgram(rng, 12, 30)
 	prev, err := Solve(pts.NewMemSource(prog), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := ptsDump(prev, len(prog.Syms))
 	m := make([]prim.SymID, len(prog.Syms))
 	for i := range m {
 		m[i] = prim.SymID(i)
@@ -193,44 +391,25 @@ func TestSolveFromDropsPrevious(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if prev.solver.Load() != nil {
+		t.Fatal("the previous generation still holds its solver")
+	}
+	if _, err := SolveFrom(context.Background(), pts.NewMemSource(prog), DefaultConfig(), prev, Edit{Map: m}); !errors.Is(err, ErrNoWarmStart) {
+		t.Fatalf("second warm start from one generation: %v, want ErrNoWarmStart", err)
+	}
 	collected := make(chan struct{})
-	runtime.SetFinalizer(prev.s, func(*Solver) { close(collected) })
-	prev = nil
+	runtime.SetFinalizer(got.solver.Load(), func(*Solver) { close(collected) })
+	got = nil
 	for i := 0; i < 20; i++ {
 		runtime.GC()
 		select {
 		case <-collected:
-			runtime.KeepAlive(got)
+			if ptsDump(prev, len(prog.Syms)) != want {
+				t.Fatal("the previous generation's answers changed")
+			}
 			return
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	t.Fatal("the previous solver is still reachable from the warm result")
-}
-
-// TestSeedFitsPresizedNodes: SolveFrom sizes the new node table for
-// every auxiliary node of the previous graph, so seeding the surviving
-// ones never grows it.
-func TestSeedFitsPresizedNodes(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		prog := randomProgram(rng, 3+rng.Intn(15), 5+rng.Intn(40))
-		prev, err := Solve(pts.NewMemSource(prog), DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := make([]prim.SymID, len(prog.Syms))
-		for i := range m {
-			m[i] = prim.SymID(i)
-		}
-		old := prev.s
-		s := newSolver(pts.NewMemSource(prog), DefaultConfig(), len(old.nodes)-int(old.numSyms))
-		size := cap(s.nodes)
-		if !s.seed(old, m) {
-			t.Fatalf("seed %d: identity map refused", seed)
-		}
-		if cap(s.nodes) != size {
-			t.Fatalf("seed %d: node table grew from %d to %d while seeding", seed, size, cap(s.nodes))
-		}
-	}
+	t.Fatal("the solver is still reachable from the previous generation")
 }

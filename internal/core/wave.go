@@ -1,15 +1,20 @@
 // Phase-parallel wave fixpoint for the pre-transitive solver. Each pass
-// of the Figure 5 iteration becomes one wave: the constraint graph is
-// SCC-condensed and topologically leveled (the same machinery the
-// post-fixpoint snapshot uses, shared via internal/scc), every
-// component's lval set is materialized bottom-up with components of
-// equal height fanned out across the worker pool, and the in-core
-// complex assignments plus funcptr links are then evaluated in parallel
-// against those frozen sets — each worker emitting deferred edge
-// insertions into a private buffer instead of touching the graph. The
-// buffers are merged sequentially in deterministic order (workers own
-// contiguous assignment shards, so worker-slot order is assignment
-// order) and the next wave begins if anything changed.
+// of the Figure 5 iteration becomes one wave: the wave's region of the
+// constraint graph is SCC-condensed and topologically leveled (the same
+// machinery the post-fixpoint snapshot uses, shared via internal/scc),
+// every region component's lval set is materialized bottom-up with
+// components of equal height fanned out across the worker pool, and the
+// in-core complex assignments plus funcptr links whose operand lies in
+// the region are then evaluated in parallel against those frozen sets —
+// each worker emitting deferred edge insertions into a private buffer
+// instead of touching the graph. The buffers are merged sequentially in
+// deterministic order (workers own contiguous assignment shards, so
+// worker-slot order is assignment order) and the next wave begins if
+// anything changed.
+//
+// In a scratch solve every node is dirty, so the region is the whole
+// graph and every rule fires in every wave. A warm solve (region.go)
+// restricts each wave to the nodes that can reach a change.
 //
 // The solver-global epoch scratch of reach.go never runs here: workers
 // carry private builders, arenas and interning tables, and the mutable
@@ -50,20 +55,74 @@ type coreWaveWorker struct {
 	apps  int
 }
 
+func newWaveWorkers(jobs int) []coreWaveWorker {
+	ws := make([]coreWaveWorker, parallel.Workers(jobs))
+	for i := range ws {
+		ws[i].arena = set.NewArena()
+		ws[i].table = set.NewTable()
+	}
+	return ws
+}
+
 func packEdge(a, b int32) int64 { return int64(a)<<32 | int64(uint32(b)) }
 
 func unpackEdge(p int64) (a, b int32) { return int32(p >> 32), int32(uint32(p)) }
 
+// wave is one wave's condensation. In a scratch solve its ids are node
+// ids and rep resolves every node; in a warm solve its ids index the
+// region (reg) and rep is nil, so representatives are found by walking
+// skip pointers, which reads the graph without compressing it.
+type wave struct {
+	reg     []int32
+	rep     []int32
+	comp    []int32
+	members [][]int32
+	sets    []*set.Set
+}
+
+// node returns the graph node of wave id v.
+func (wv *wave) node(v int32) int32 {
+	if wv.reg != nil {
+		return wv.reg[v]
+	}
+	return v
+}
+
+// repOf returns x's representative without mutating the graph, so the
+// parallel phases may call it.
+func (s *Solver) repOf(wv *wave, x int32) int32 {
+	if wv.rep != nil {
+		return wv.rep[x]
+	}
+	for s.nodes[x].skip >= 0 {
+		x = s.nodes[x].skip
+	}
+	return x
+}
+
+// lvals appends x's materialized lval set (node ids) to buf: a scratch
+// wave reads its own sets, a region wave the component table, which
+// holds the region's sets once the wave commits them.
+func (s *Solver) lvals(wv *wave, x int32, buf []prim.SymID) []prim.SymID {
+	r := s.repOf(wv, x)
+	if s.warm == nil {
+		return wv.sets[wv.comp[r]].AppendSyms(buf)
+	}
+	if c := s.warm.side[r].comp; c >= 0 {
+		return append(buf, s.warm.ctab[c]...)
+	}
+	return buf
+}
+
 // lvalNodes resolves x's materialized lval set to deduped representative
 // nodes — the parallel analogue of getLvalsNodes, reading only frozen
 // per-pass state.
-func (w *coreWaveWorker) lvalNodes(rep, comp []int32, compSets []*set.Set, x int32) []int32 {
-	r := rep[x]
-	w.syms = compSets[comp[r]].AppendSyms(w.syms[:0])
+func (w *coreWaveWorker) lvalNodes(s *Solver, wv *wave, x int32) []int32 {
+	w.syms = s.lvals(wv, x, w.syms[:0])
 	w.epoch++
 	out := w.nbuf[:0]
 	for _, lv := range w.syms {
-		rr := rep[lv]
+		rr := s.repOf(wv, int32(lv))
 		if w.seen[rr] != w.epoch {
 			w.seen[rr] = w.epoch
 			out = append(out, rr)
@@ -79,43 +138,51 @@ func (w *coreWaveWorker) lvalNodes(rep, comp []int32, compSets []*set.Set, x int
 // which the unique least fixpoint makes unobservable in the result.
 func (s *Solver) solveWaves(ctx context.Context) error {
 	jobs := s.cfg.Jobs
-	ws := make([]coreWaveWorker, parallel.Workers(jobs))
-	for i := range ws {
-		ws[i].arena = set.NewArena()
-		ws[i].table = set.NewTable()
+	var ws []coreWaveWorker
+	if w := s.warm; w != nil {
+		if len(w.ws) != parallel.Workers(jobs) {
+			w.ws = newWaveWorkers(jobs)
+		}
+		ws = w.ws
+	} else {
+		ws = newWaveWorkers(jobs)
 	}
-	var (
-		rep      []int32
-		compSets []*set.Set
-	)
+	var wv wave
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		s.pass++
-		if int(s.pass) > s.cfg.MaxPasses {
+		if s.m.Passes++; s.m.Passes > s.cfg.MaxPasses {
 			return fmt.Errorf("core: no convergence after %d passes", s.cfg.MaxPasses)
 		}
-		s.m.Passes++
 		s.m.Waves++
 		s.changed = false
 
 		// Deref nodes are created up front, sequentially, so the parallel
 		// rule phase only ever reads the node table.
-		for _, ca := range s.complex {
+		for _, ca := range s.complex[s.fresh:] {
 			if ca.kind == ckLoad {
 				s.derefNode(ca.y)
 			}
 		}
 
-		// Condense and level the live graph.
+		// Condense and level the region: the whole live graph in a
+		// scratch solve, the nodes that reach a change in a warm one.
 		n := len(s.nodes)
-		rep = rep[:0]
-		for i := 0; i < n; i++ {
-			rep = append(rep, s.find(int32(i)))
+		var adj [][]int32
+		if s.warm == nil {
+			wv.rep = wv.rep[:0]
+			for i := 0; i < n; i++ {
+				wv.rep = append(wv.rep, s.find(int32(i)))
+			}
+			adj = s.condensedAdj(wv.rep)
+			wv.comp, wv.members = scc.Condense(adj, func(v int32) bool { return wv.rep[v] == v })
+		} else {
+			adj = s.region()
+			wv.reg = s.warm.reg
+			wv.comp, wv.members = scc.Condense(adj, func(int32) bool { return true })
 		}
-		adj := s.condensedAdj(rep)
-		comp, members := scc.Condense(adj, func(v int32) bool { return rep[v] == v })
 		s.m.SCCRounds++
 
 		// Cycle elimination: every multi-member component is a cycle; the
@@ -129,44 +196,52 @@ func (s *Solver) solveWaves(ctx context.Context) error {
 		if s.cfg.CycleElim {
 			unified := false
 			before := s.m.Unifications
-			for _, ms := range members {
+			for _, ms := range wv.members {
 				if len(ms) <= 1 {
 					continue
 				}
-				r := ms[0]
+				r := wv.node(ms[0])
 				for _, m := range ms[1:] {
-					r = s.unify(r, m)
+					r = s.unify(r, wv.node(m))
 				}
 				merged -= len(ms) - 1
 				unified = true
 			}
 			merged += s.m.Unifications - before
-			if unified {
+			if unified && s.warm == nil {
 				for i := 0; i < n; i++ {
-					rep[i] = s.find(int32(i))
+					wv.rep[i] = s.find(int32(i))
 				}
 			}
 			// Unification can queue demand loads (a relevant node absorbs
 			// unloaded members). Loading grows the graph, invalidating
-			// this wave's condensation — restart the pass.
+			// this wave's condensation — restart the pass. A region wave
+			// restarts on a cascade too: the cascade may have merged
+			// classes outside the region, which the region no longer
+			// covers.
 			if err := s.drainLoads(); err != nil {
 				return err
 			}
-			if s.changed {
+			if s.changed || s.warm != nil && merged != 0 {
+				if s.warm != nil {
+					s.redirty(wv.reg)
+				}
 				continue
 			}
 		}
-		succs, _, buckets := scc.Level(comp, members, adj)
+		succs, _, buckets := scc.Level(wv.comp, wv.members, adj)
 
 		// Materialize every component's lval set bottom-up, level by
 		// level, with per-worker builders sealing into per-worker arenas
 		// (rewound each wave, like the sequential path's per-pass flush).
-		nc := len(members)
-		if cap(compSets) >= nc {
-			compSets = compSets[:nc]
-			clear(compSets)
+		// A region component also takes the frozen sets of the
+		// components outside the region it has edges into.
+		nc := len(wv.members)
+		if cap(wv.sets) >= nc {
+			wv.sets = wv.sets[:nc]
+			clear(wv.sets)
 		} else {
-			compSets = make([]*set.Set, nc)
+			wv.sets = make([]*set.Set, nc)
 		}
 		for i := range ws {
 			ws[i].arena.Reset()
@@ -188,37 +263,59 @@ func (s *Solver) solveWaves(ctx context.Context) error {
 				for bi := lo; bi < hi; bi++ {
 					c := buckets[l][bi]
 					w.bld.Reset()
-					for _, m := range members[c] {
-						w.bld.MergeSyms(s.nodes[m].base)
+					for _, m := range wv.members[c] {
+						w.bld.MergeSyms(s.nodes[wv.node(m)].base)
 					}
 					for _, sc := range succs[c] {
-						w.bld.MergeSet(compSets[sc])
+						w.bld.MergeSet(wv.sets[sc])
 					}
-					compSets[c] = w.bld.Seal(w.arena, w.table)
+					if s.warm != nil {
+						for _, m := range wv.members[c] {
+							for _, g := range s.warm.ext[m] {
+								w.bld.MergeSyms(s.warm.ctab[g])
+							}
+						}
+					}
+					wv.sets[c] = w.bld.Seal(w.arena, w.table)
 				}
 				return nil
 			}, nil)
 		if err != nil {
 			return err
 		}
+		if s.warm != nil {
+			s.commit(&wv)
+		}
 
 		// Complex rules fire against the frozen sets; workers defer the
 		// edge insertions. Shards are contiguous, so draining the buffers
-		// in worker order preserves assignment order exactly.
-		err = parallel.ShardCtx(ctx, jobs, len(s.complex), func(wk, lo, hi int) error {
+		// in worker order preserves assignment order exactly. A region
+		// wave fires the new rules and those whose operand's set it
+		// recomputed; every other rule's consequences are in the graph.
+		fired := len(s.complex)
+		fire := s.fireList(fired)
+		count := fired
+		if s.warm != nil {
+			count = len(fire)
+		}
+		err = parallel.ShardCtx(ctx, jobs, count, func(wk, lo, hi int) error {
 			w := &ws[wk]
 			w.pairs = w.pairs[:0]
 			for i := lo; i < hi; i++ {
-				ca := s.complex[i]
+				k := i
+				if s.warm != nil {
+					k = int(fire[i])
+				}
+				ca := s.complex[k]
 				switch ca.kind {
 				case ckStore: // *x = y: edge n(z) → n(y) for each &z in lvals(x)
-					for _, z := range w.lvalNodes(rep, comp, compSets, ca.x) {
+					for _, z := range w.lvalNodes(s, &wv, ca.x) {
 						w.pairs = append(w.pairs, packEdge(z, ca.y))
 					}
 				case ckLoad: // x = *y: edges n(x) → n(*y) and n(*y) → n(z)
-					d := rep[s.nodes[rep[ca.y]].deref]
+					d := s.repOf(&wv, s.nodes[s.repOf(&wv, ca.y)].deref)
 					w.pairs = append(w.pairs, packEdge(ca.x, d))
-					for _, z := range w.lvalNodes(rep, comp, compSets, ca.y) {
+					for _, z := range w.lvalNodes(s, &wv, ca.y) {
 						w.pairs = append(w.pairs, packEdge(d, z))
 					}
 				}
@@ -234,17 +331,19 @@ func (s *Solver) solveWaves(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
+		s.fresh = fired
 		if err := s.mergePairs(ctx, ws); err != nil {
 			return err
 		}
 
 		// Funcptr linking against the same frozen sets.
-		err = parallel.ShardCtx(ctx, jobs, len(s.ptrRecs), func(wk, lo, hi int) error {
+		recs := s.ptrRecList()
+		err = parallel.ShardCtx(ctx, jobs, len(recs), func(wk, lo, hi int) error {
 			w := &ws[wk]
 			w.pairs = w.pairs[:0]
 			for i := lo; i < hi; i++ {
-				r := &s.recs[s.ptrRecs[i]]
-				w.syms = compSets[comp[rep[int32(r.Func)]]].AppendSyms(w.syms[:0])
+				r := &s.recs[recs[i]]
+				w.syms = s.lvals(&wv, int32(r.Func), w.syms[:0])
 				for _, lv := range w.syms {
 					gi, ok := s.recOfFunc[int32(lv)]
 					if !ok {
@@ -274,17 +373,19 @@ func (s *Solver) solveWaves(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
+		s.recsChanged = false
 		if err := s.mergePairs(ctx, ws); err != nil {
 			return err
 		}
 
 		// A wave that changed nothing confirmed the fixpoint: its
 		// condensation is the converged graph's, and its sets are the
-		// final ones, so they become the snapshot. When a cascade merged
-		// components, run leaves the freeze to buildSnapshot.
+		// final ones. A scratch wave's sets become the snapshot, unless
+		// a cascade merged components, when run leaves the freeze to
+		// buildSnapshot; a region wave has committed its sets already.
 		if !s.changed {
-			if merged == 0 {
-				s.snap = freezeWave(rep, comp, compSets)
+			if s.warm == nil && merged == 0 {
+				s.snap = freezeWave(wv.rep, wv.comp, wv.sets)
 			}
 			return nil
 		}
@@ -292,11 +393,21 @@ func (s *Solver) solveWaves(ctx context.Context) error {
 }
 
 // freezeWave builds the snapshot from the converged wave's condensation:
-// rep and comp are taken over, and each distinct set is copied out of
-// the worker arenas once, into one backing array, then interned so
-// equal sets are shared as buildSnapshot shares them. Every set is
-// capped at its length, so an append by a caller cannot reach the next.
+// comp is taken over and extended from representatives to every node.
 func freezeWave(rep, comp []int32, compSets []*set.Set) *snapshot {
+	for i, r := range rep {
+		if int32(i) != r {
+			comp[i] = comp[r]
+		}
+	}
+	return &snapshot{comp: comp, sets: freezeSets(compSets), wave: true}
+}
+
+// freezeSets copies each distinct set out of the worker arenas once,
+// into one backing array, then interns it so equal sets are shared as
+// buildSnapshot shares them. Every set is capped at its length, so an
+// append by a caller cannot reach the next.
+func freezeSets(compSets []*set.Set) [][]prim.SymID {
 	copies := make(map[*set.Set][]prim.SymID)
 	total := 0
 	for _, cs := range compSets {
@@ -305,7 +416,7 @@ func freezeWave(rep, comp []int32, compSets []*set.Set) *snapshot {
 			total += cs.Len()
 		}
 	}
-	sn := &snapshot{rep: rep, comp: comp, sets: make([][]prim.SymID, len(compSets)), wave: true}
+	sets := make([][]prim.SymID, len(compSets))
 	flat := make([]prim.SymID, 0, total)
 	interned := map[uint64][][]prim.SymID{}
 	for c, cs := range compSets {
@@ -322,9 +433,9 @@ func freezeWave(rep, comp []int32, compSets []*set.Set) *snapshot {
 			}
 			copies[cs] = syms
 		}
-		sn.sets[c] = syms
+		sets[c] = syms
 	}
-	return sn
+	return sets
 }
 
 // mergePairs applies the deferred edge insertions sequentially, in

@@ -3,10 +3,13 @@ package incr
 import (
 	"context"
 	"fmt"
+	"regexp"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"cla/internal/core"
 	"cla/internal/gen"
 )
 
@@ -80,18 +83,37 @@ func BenchmarkCommentEdit(b *testing.B) {
 }
 
 // BenchmarkFactEdit adds a new points-to fact to one unit of each layout
-// (replacing the previous iteration's) and refreshes at -j 2; one op is
-// one edit, which recompiles that unit, splices it into the previous
-// link and re-solves from the previous fixpoint. The edited unit is the
-// middle one, or the first, whose splice shifts every other unit's ids.
-// link-ms, solve-ms and compile-ms are the refresh's phase split per op.
+// and refreshes at -j 2; one op is one edit, which recompiles that unit,
+// splices it into the previous link and re-solves from the previous
+// fixpoint. With edit=one the fact is the edit loop's, a new pointer to
+// a new object, replacing the previous iteration's; the edited unit is
+// the middle one, or the first, whose splice shifts every other unit's
+// ids. With edit=hub the middle unit gains one more function that points
+// the program's most widely read pointer at a new object (hubPointer),
+// so the warm solve's region is every node that reads it. link-ms,
+// solve-ms and compile-ms are the refresh's phase split per op, and
+// region-nodes the nodes the warm solve's waves recomputed.
 func BenchmarkFactEdit(b *testing.B) {
 	for _, l := range benchLayouts() {
+		hub := hubPointer(l)
 		for _, at := range []struct {
 			name string
 			unit string
-		}{{"middle", l.units[len(l.units)/2]}, {"first", l.units[0]}} {
-			b.Run("layout="+l.name+"/unit="+at.name, func(b *testing.B) {
+			// fact is the fact edit i writes; nil is the edit loop's,
+			// which the link splices.
+			fact func(i int) string
+		}{
+			{"unit=middle", l.units[len(l.units)/2], nil},
+			{"unit=first", l.units[0], nil},
+			{"edit=hub", l.units[len(l.units)/2], func(i int) string {
+				var f strings.Builder
+				for k := 0; k <= i; k++ {
+					fmt.Fprintf(&f, "int bench_h%[1]d;\nvoid bench_hub%[1]d(void) { %[2]s = &bench_h%[1]d; }\n", k, hub)
+				}
+				return f.String()
+			}},
+		} {
+			b.Run("layout="+l.name+"/"+at.name, func(b *testing.B) {
 				dir := b.TempDir()
 				writeTree(b, dir, l.files)
 				pipe, err := Open(context.Background(), testConfig(dir))
@@ -100,23 +122,55 @@ func BenchmarkFactEdit(b *testing.B) {
 				}
 				u := at.unit
 				var link, solve, compile time.Duration
+				region := 0
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					path := edit(b, dir, u, l.files[u]+fmt.Sprintf("int bench_g%[1]d;\nint *bench_p%[1]d = &bench_g%[1]d;\n", i))
-					_, st, err := pipe.Update(context.Background(), path)
-					if err != nil || st.Recompiled != 1 || !st.LinkSpliced || !st.SolveWarm {
+					fact := oneFact(i)
+					if at.fact != nil {
+						fact = at.fact(i)
+					}
+					path := edit(b, dir, u, l.files[u]+fact)
+					r, st, err := pipe.Update(context.Background(), path)
+					if err != nil || st.Recompiled != 1 || at.fact == nil && !st.LinkSpliced || !st.SolveWarm {
 						b.Fatalf("edit: %+v, %v", st, err)
 					}
 					link += st.Link
 					solve += st.Solve
 					compile += st.Compile
+					region += r.Res.(*core.Result).RegionNodes()
 				}
 				perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
 				b.ReportMetric(perOp(link), "link-ms")
 				b.ReportMetric(perOp(solve), "solve-ms")
 				b.ReportMetric(perOp(compile), "compile-ms")
+				b.ReportMetric(float64(region)/float64(b.N), "region-nodes")
 			})
 		}
 	}
 }
+
+// oneFact is the edit loop's fact: a new object and a pointer to it.
+func oneFact(i int) string {
+	return fmt.Sprintf("int bench_g%[1]d;\nint *bench_p%[1]d = &bench_g%[1]d;\n", i)
+}
+
+// hubPointer returns the gp pointer the layout's units mention most
+// often, the smallest name on a tie.
+func hubPointer(l layout) string {
+	count := map[string]int{}
+	for _, u := range l.units {
+		for _, m := range gpName.FindAllString(l.files[u], -1) {
+			count[m]++
+		}
+	}
+	best := ""
+	for name, n := range count {
+		if n > count[best] || n == count[best] && name < best {
+			best = name
+		}
+	}
+	return best
+}
+
+var gpName = regexp.MustCompile(`\bgp[0-9]+\b`)

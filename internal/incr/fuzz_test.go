@@ -3,16 +3,21 @@ package incr
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cla/internal/checks"
 	"cla/internal/driver"
 	"cla/internal/linker"
+	"cla/internal/obs"
 	"cla/internal/prim"
 )
 
@@ -33,12 +38,90 @@ func (f *fuzzFile) render() string {
 
 // fuzzFact is the k-th fact the fuzzer adds. Even facts have the edit
 // loop's shape, a global and a pointer to it; odd ones add a function
-// that links through fz_shared.
+// that links through fz_shared, or, every fourth fact, one that points
+// the widely read fz_hub at a new object (fuzzHubBase), so the warm
+// solve's region is every reader.
 func fuzzFact(k int) string {
-	if k%2 == 0 {
+	switch {
+	case k%2 == 0:
 		return fmt.Sprintf("int fz_g%[1]d;\nint *fz_p%[1]d = &fz_g%[1]d;\n", k)
+	case k%4 == 3:
+		return fmt.Sprintf("extern int **fz_hub;\nint fz_g%[1]d, *fz_p%[1]d = &fz_g%[1]d;\nvoid fz_f%[1]d(void) { fz_hub = &fz_p%[1]d; }\n", k)
 	}
 	return fmt.Sprintf("extern int *fz_shared;\nint fz_g%[1]d, *fz_p%[1]d;\nvoid fz_f%[1]d(void) { fz_p%[1]d = &fz_g%[1]d; fz_shared = fz_p%[1]d; }\n", k)
+}
+
+// fuzzHubBase is main.c's widely read pointer: readers that copy it and
+// readers that load through it.
+const fuzzHubBase = "int **fz_hub;\nint **fz_c0, **fz_c1, **fz_c2, **fz_c3, *fz_r0, *fz_r1, *fz_r2, *fz_r3;\n" +
+	"void fz_read(void) { fz_c0 = fz_hub; fz_c1 = fz_c0; fz_c2 = fz_c1; fz_c3 = fz_hub;\n" +
+	"\tfz_r0 = *fz_hub; fz_r1 = *fz_c1; fz_r2 = *fz_c2; fz_r3 = fz_r0; }\n"
+
+// armedCancel is a context that reports cancellation from the n-th
+// Err call after it is armed on: the fuzz test arms it when a refresh's
+// link returns, so the cancellation lands in that refresh's solve.
+type armedCancel struct {
+	context.Context
+	armed atomic.Bool
+	n     atomic.Int64
+}
+
+func (c *armedCancel) Err() error {
+	if c.armed.Load() && c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// cancelledUpdate runs p.Update(path) under a context cancelled at the
+// n-th cancellation check after the link, which lands inside the solve,
+// and requires it to fail with context.Canceled or succeed.
+func cancelledUpdate(t *testing.T, p *Pipeline, path string, n int) {
+	t.Helper()
+	ctx := &armedCancel{Context: context.Background()}
+	ctx.n.Store(int64(n))
+	link := linkFn
+	linkFn = func(prev *linker.Fold, units []*prim.Program, o *obs.Observer) (*linker.Fold, error) {
+		f, err := link(prev, units, o)
+		ctx.armed.Store(true)
+		return f, err
+	}
+	defer func() { linkFn = link }()
+	if _, _, err := p.Update(ctx, path); err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled update: %v", err)
+	}
+}
+
+// queryWhile queries every symbol of r from a few goroutines until done
+// is closed, failing if any answer differs from what r answered before:
+// an older generation stays valid, unchanged, while the next one solves
+// in place on the solver it handed over.
+func queryWhile(t *testing.T, r *Result, done <-chan struct{}) *sync.WaitGroup {
+	want := make([][]prim.SymID, len(r.Prog.Syms))
+	for i := range want {
+		want[i] = slices.Clone(r.Res.PointsTo(prim.SymID(i)))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				for i := range want {
+					if got := r.Res.PointsTo(prim.SymID(i)); !slices.Equal(got, want[i]) {
+						t.Errorf("generation %d: pts(%s) changed to %v while the next one solved", r.Gen, r.Prog.Syms[i].Name, got)
+						return
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	return &wg
 }
 
 // fuzzStore is the k-th store fact of unit u: a new pointer to the kept
@@ -91,13 +174,16 @@ func analysisBytes(t *testing.T, r *Result) string {
 // edit loop's replace solve warm, while a dropped store or function
 // record, or a solver other than pre-transitive, falls back to scratch.
 // The first byte picks the solver, whether the session runs over a unit
-// store, and the worker count; a stored session starts from a reopen
+// store, the worker count and whether fact edits are first cancelled
+// partway through their solve (then retried); a stored session starts from a reopen
 // served from the generation the first session saved, so every edit
 // starts from that snapshot and from units whose programs are decoded
 // from the store only when a link needs them, while the scratch Open
 // always compiles. Whenever a refresh spliced its link, the linked
 // program and remap tables must deep-equal a fresh fold of the same
-// units.
+// units. Every Update runs while other goroutines query the previous
+// generation, whose answers must not change. Inputs run up to 15 edits,
+// so one solver carries chains of warm generations.
 func FuzzIncrEdits(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 3, 4})
 	f.Add([]byte{1, 5, 2, 7, 12, 1, 6})
@@ -121,12 +207,23 @@ func FuzzIncrEdits(f *testing.F) {
 	f.Add([]byte{0, 11, 18, 25, 2})
 	f.Add([]byte{11, 25, 18, 21, 11})
 	f.Add([]byte{23, 18, 25, 4, 25})
+	// Chains of warm generations on one solver: facts added to and
+	// replaced in every unit, hub facts (every fourth) among them, with
+	// a removal, at -j 1, 2 and 8.
+	f.Add([]byte{0, 0, 7, 14, 21, 0, 5, 7, 12, 14, 5, 21, 1, 0})
+	f.Add([]byte{10, 0, 0, 0, 0, 5, 5, 14, 14, 14, 19, 19, 7})
+	f.Add([]byte{20, 14, 21, 0, 7, 19, 26, 5, 12, 0, 0, 0})
+	// The same chains with each fact edit first cancelled partway
+	// through its solve, then retried.
+	f.Add([]byte{30, 0, 7, 14, 21, 0, 5, 7, 12, 14, 5, 21, 1, 0})
+	f.Add([]byte{40, 0, 0, 0, 0, 5, 5, 14, 14, 14, 19, 19, 7})
+	f.Add([]byte{50, 14, 21, 0, 7, 19, 26, 5, 12, 0, 0, 0})
 	solvers := []driver.Solver{
 		driver.PreTransitive, driver.Worklist, driver.Steensgaard,
 		driver.BitVector, driver.OneLevel,
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 || len(data) > 10 {
+		if len(data) < 2 || len(data) > 16 {
 			t.Skip()
 		}
 		dir := t.TempDir()
@@ -134,7 +231,7 @@ func FuzzIncrEdits(f *testing.F) {
 		for name, content := range baseTree {
 			files[name] = &fuzzFile{base: content}
 		}
-		files["main.c"].base += "int *fz_kept;\n"
+		files["main.c"].base += "int *fz_kept;\n" + fuzzHubBase
 		files["table.c"].base += fuzzHeaderUses
 		for name, ff := range files {
 			if err := os.WriteFile(filepath.Join(dir, name), []byte(ff.render()), 0o644); err != nil {
@@ -145,6 +242,7 @@ func FuzzIncrEdits(f *testing.F) {
 		cfg := testConfig(dir)
 		cfg.Solver = solvers[int(data[0])%len(solvers)]
 		cfg.Jobs = []int{1, 2, 8}[int(data[0])/10%3]
+		cancel := data[0]/30%2 == 1
 		stored := cfg
 		if data[0]/5%2 == 1 {
 			stored.CacheDir = t.TempDir()
@@ -199,7 +297,14 @@ func FuzzIncrEdits(f *testing.F) {
 			if err := os.WriteFile(path, []byte(ff.render()), 0o644); err != nil {
 				t.Fatal(err)
 			}
+			if cancel && (b%7 == 0 || b%7 == 5) {
+				cancelledUpdate(t, p, path, int(b)%4)
+			}
+			done := make(chan struct{})
+			readers := queryWhile(t, p.Current(), done)
 			got, st, err := p.Update(context.Background(), path)
+			close(done)
+			readers.Wait()
 			if err != nil {
 				t.Fatalf("edit %d (%s): %v", k, name, err)
 			}

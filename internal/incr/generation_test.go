@@ -1,8 +1,10 @@
 package incr
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -15,6 +17,7 @@ import (
 	"cla/internal/extmodel"
 	"cla/internal/obs"
 	"cla/internal/prim"
+	"cla/internal/pts"
 	"cla/internal/snapfile"
 )
 
@@ -354,9 +357,10 @@ func TestSavedGenerationRetention(t *testing.T) {
 }
 
 // TestSavedGenerationMetrics pins what a generation served from the
-// store reports as its solver metrics: those of the solve that produced
-// the saved generation, here a warm solve after a fact edit, not those
-// of a scratch solve of the same program.
+// store reports as its solver metrics: the counts its program and
+// relation determine (pointer variables, relations, assignments in the
+// file), equal to those of the warm solve that produced it, and no
+// trace counter of that solve.
 func TestSavedGenerationMetrics(t *testing.T) {
 	dir := t.TempDir()
 	writeTree(t, dir, baseTree)
@@ -383,7 +387,55 @@ func TestSavedGenerationMetrics(t *testing.T) {
 	if !r.Stats.Snapshot {
 		t.Fatalf("reopen stats %+v, want the saved generation", r.Stats)
 	}
-	if got, want := r.Res.Metrics(), warm.Res.Metrics(); got != want {
-		t.Fatalf("served generation reports metrics %+v, want the warm solve's %+v", got, want)
+	wm := warm.Res.Metrics()
+	want := pts.Metrics{PointerVars: wm.PointerVars, Relations: wm.Relations, InFile: wm.InFile}
+	if got := r.Res.Metrics(); got != want {
+		t.Fatalf("served generation reports metrics %+v, want %+v", got, want)
+	}
+}
+
+// TestSavedGenerationIsTreeOnly: the file Close saves depends only on
+// the tree. A session that reached the tree through warm fact edits and
+// one that opened it from scratch save byte-identical generations.
+func TestSavedGenerationIsTreeOnly(t *testing.T) {
+	for _, jobs := range []int{1, 2} {
+		dir := t.TempDir()
+		writeTree(t, dir, baseTree)
+		cfg := testConfig(dir)
+		cfg.Jobs = jobs
+		cfg.CacheDir = t.TempDir()
+		p, err := Open(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 3; k++ {
+			fact := fmt.Sprintf("int g%[1]d, *p%[1]d = &g%[1]d;\n", k)
+			if _, st, err := p.Update(context.Background(), edit(t, dir, "count.c", baseTree["count.c"]+fact)); err != nil || !st.SolveWarm {
+				t.Fatalf("jobs %d edit %d: stats %+v, %v; want a warm solve", jobs, k, st, err)
+			}
+		}
+		p.Close()
+		scratch := cfg
+		scratch.CacheDir = t.TempDir()
+		q, err := Open(context.Background(), scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Close()
+		saved := func(dir string) []byte {
+			t.Helper()
+			names, err := filepath.Glob(filepath.Join(dir, "*.snap"))
+			if err != nil || len(names) != 1 {
+				t.Fatalf("saved generations in %s: %v, %v", dir, names, err)
+			}
+			b, err := os.ReadFile(names[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		if !bytes.Equal(saved(cfg.CacheDir), saved(scratch.CacheDir)) {
+			t.Fatalf("jobs %d: the edited session and the scratch open saved different generations", jobs)
+		}
 	}
 }

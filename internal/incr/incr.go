@@ -45,14 +45,17 @@
 // the splice does not keep, or on a unit list that changed, every unit
 // is folded again. Both give the fold's program and remap tables, so
 // nothing downstream can tell them apart. A pre-transitive solve under
-// the Unsound model starts from the current generation's converged
-// graph when the edit only adds, or drops only facts that nothing kept
-// can see (warmEdit, core.SolveFrom); otherwise it starts from nothing.
-// Either way it reaches the same least fixpoint.
+// the Unsound model takes over the current generation's solver and
+// re-solves its converged graph in place when the edit only adds, or
+// drops only facts that nothing kept can see (warmEdit,
+// core.SolveFrom); otherwise, or once a failed or cancelled warm solve
+// has discarded that solver, it starts from nothing. Either way it
+// reaches the same least fixpoint.
 //
 // Each successful refresh that changes the analysis yields a new
 // *Result — an immutable generation snapshot. Queries in flight against
-// an old generation keep it alive; nothing is mutated in place.
+// an old generation keep it alive; the solver a warm solve edits in
+// place is no part of it.
 package incr
 
 import (
@@ -685,7 +688,7 @@ func (p *Pipeline) foldConfig(h uint64) uint64 {
 // on any error the pipeline keeps serving the previous generation
 // untouched (a syntax error mid-edit must not take the session down). A
 // panic in the build — in a pool task or in the link, symbol map, warm
-// seeding or extern model that run on this goroutine — fails the
+// start or extern model that run on this goroutine — fails the
 // refresh as a *parallel.PanicError carrying its stack.
 func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result, RefreshStats, error) {
 	p.mu.Lock()

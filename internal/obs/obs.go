@@ -52,6 +52,13 @@ type Metric struct {
 // are safe for concurrent use, and all methods on a nil *Observer are
 // allocation-free no-ops.
 type Observer struct {
+	*state
+	// base is this view's first track (see Tracks).
+	base int
+}
+
+// state is what an observer and its track views share.
+type state struct {
 	epoch    time.Time
 	memStats bool
 
@@ -67,12 +74,25 @@ type Observer struct {
 
 // New creates an empty observer whose epoch is now.
 func New() *Observer {
-	return &Observer{
+	return &Observer{state: &state{
 		epoch:    time.Now(),
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
+	}}
+}
+
+// Tracks returns a view of o that records into o — the same spans,
+// counters, gauges and histograms — but places its spans base tracks
+// higher: its root spans on track base and StartTrack(k) on base+k. Work
+// that runs concurrently with other work on the same observer, such as
+// one serving session's opens and refreshes, takes its own range, so
+// its root spans never overlap another's on one track.
+func (o *Observer) Tracks(base int) *Observer {
+	if o == nil {
+		return nil
 	}
+	return &Observer{state: o.state, base: o.base + base}
 }
 
 // Enabled reports whether the observer records anything.
@@ -100,12 +120,13 @@ type Span struct {
 	ended atomic.Bool
 }
 
-// Start opens a root span on track 0 — one sequential pipeline phase.
+// Start opens a root span — one sequential pipeline phase — on the
+// observer's first track: track 0, or a Tracks view's base.
 func (o *Observer) Start(name string) *Span {
 	if o == nil {
 		return nil
 	}
-	sp := &Span{o: o, name: name, mem: o.memStats}
+	sp := &Span{o: o, name: name, track: o.base, mem: o.memStats}
 	if sp.mem {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -118,14 +139,14 @@ func (o *Observer) Start(name string) *Span {
 	return sp
 }
 
-// StartTrack opens a span on the given track (>= 1): one slot of a
-// parallel fan-out. Track numbers must be derived from the work's index,
+// StartTrack opens a span on the given track (>= 1, past a Tracks
+// view's base): one slot of a parallel fan-out. Track numbers must be derived from the work's index,
 // not the worker's, so the trace is identical at every -j setting.
 func (o *Observer) StartTrack(track int, name string) *Span {
 	if o == nil {
 		return nil
 	}
-	sp := &Span{o: o, name: name, track: track, start: o.now()}
+	sp := &Span{o: o, name: name, track: o.base + track, start: o.now()}
 	o.mu.Lock()
 	o.open++
 	o.mu.Unlock()

@@ -6,6 +6,7 @@ package pts
 
 import (
 	"sort"
+	"sync"
 
 	"cla/internal/objfile"
 	"cla/internal/obs"
@@ -97,44 +98,53 @@ func CountedAsPointerVar(k prim.SymKind) bool {
 // MemSource adapts an in-memory Program to the Source interface. Blocks
 // are a CSR index: the block of symbol x is flat[off[x]:off[x+1]], in
 // assignment order, so indexing a program makes a fixed number of
-// allocations whatever its symbol count.
+// allocations whatever its symbol count. The offsets are counted up
+// front; the blocks and the static section are filled on the first
+// Block or Statics call, which a warm solve of a small edit may never
+// make.
 type MemSource struct {
 	P      *prim.Program
 	off    []int32
+	fill   sync.Once
 	flat   []prim.Assign
 	static []prim.Assign
 }
 
 // NewMemSource indexes prog by assignment source: one counting pass
-// sizes the blocks and the static section, a second fills them.
+// sizes the blocks; a second, on first use, fills them.
 func NewMemSource(prog *prim.Program) *MemSource {
 	n := len(prog.Syms)
 	s := &MemSource{P: prog, off: make([]int32, n+1)}
-	statics := 0
 	for _, a := range prog.Assigns {
-		if a.Kind == prim.Base {
-			statics++
-		} else {
+		if a.Kind != prim.Base {
 			s.off[a.Src+1]++
 		}
 	}
 	for i := 0; i < n; i++ {
 		s.off[i+1] += s.off[i]
 	}
-	if statics > 0 {
-		s.static = make([]prim.Assign, 0, statics)
-	}
-	s.flat = make([]prim.Assign, len(prog.Assigns)-statics)
-	next := append([]int32(nil), s.off[:n]...)
-	for _, a := range prog.Assigns {
-		if a.Kind == prim.Base {
-			s.static = append(s.static, a)
-			continue
-		}
-		s.flat[next[a.Src]] = a
-		next[a.Src]++
-	}
 	return s
+}
+
+// index fills the blocks and the static section.
+func (s *MemSource) index() {
+	s.fill.Do(func() {
+		n := len(s.P.Syms)
+		blocks := int(s.off[n])
+		if statics := len(s.P.Assigns) - blocks; statics > 0 {
+			s.static = make([]prim.Assign, 0, statics)
+		}
+		s.flat = make([]prim.Assign, blocks)
+		next := append([]int32(nil), s.off[:n]...)
+		for _, a := range s.P.Assigns {
+			if a.Kind == prim.Base {
+				s.static = append(s.static, a)
+				continue
+			}
+			s.flat[next[a.Src]] = a
+			next[a.Src]++
+		}
+	})
 }
 
 // NumSyms implements Source.
@@ -144,7 +154,10 @@ func (s *MemSource) NumSyms() int { return len(s.P.Syms) }
 func (s *MemSource) Sym(id prim.SymID) *prim.Symbol { return &s.P.Syms[id] }
 
 // Statics implements Source.
-func (s *MemSource) Statics() ([]prim.Assign, error) { return s.static, nil }
+func (s *MemSource) Statics() ([]prim.Assign, error) {
+	s.index()
+	return s.static, nil
+}
 
 // Block implements Source. The block is capped at its length, so a
 // caller's append copies it instead of overwriting the next block.
@@ -152,6 +165,7 @@ func (s *MemSource) Block(sym prim.SymID) ([]prim.Assign, error) {
 	if s.BlockLen(sym) == 0 {
 		return nil, nil
 	}
+	s.index()
 	lo, hi := s.off[sym], s.off[sym+1]
 	return s.flat[lo:hi:hi], nil
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,6 +20,7 @@ import (
 	"cla/internal/claerr"
 	"cla/internal/incr"
 	"cla/internal/objfile"
+	"cla/internal/obs"
 	"cla/internal/prim"
 )
 
@@ -1134,5 +1137,52 @@ func TestMetricszShowsPreambleCounters(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metricsz missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestConcurrentSessionsTrace: sessions created concurrently on one
+// observer record their spans in separate track ranges, so the trace of
+// a server whose sessions' opens overlapped in time still encodes. With
+// every session on track 0 their compile and analyze root spans
+// overlapped without nesting and the trace writer refused the file.
+func TestConcurrentSessionsTrace(t *testing.T) {
+	dir := writeTestDir(t)
+	overlapped := false
+	for round := 0; round < 10 && !overlapped; round++ {
+		o := obs.New()
+		s := NewServer(NewRegistry(), ServerConfig{Jobs: 1, Obs: o, Session: Config{Jobs: 1}})
+		h := s.Handler()
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				body := marshal(t, sessionCreateBody{Name: fmt.Sprintf("s%d", i), Path: dir})
+				if rec := doReq(t, h, "POST", "/v1/sessions", body); rec.Code != http.StatusCreated {
+					t.Errorf("create s%d = %d %q", i, rec.Code, rec.Body.String())
+				}
+			}()
+		}
+		wg.Wait()
+		var roots []obs.Event
+		for _, e := range o.Events() {
+			if e.Name == "compile" || e.Name == "analyze" {
+				roots = append(roots, e)
+			}
+		}
+		for i := range roots {
+			for j := range roots {
+				a, b := roots[i], roots[j]
+				if i != j && a.Start < b.Start && b.Start < a.End && a.End < b.End {
+					overlapped = true
+				}
+			}
+		}
+		if err := o.WriteTrace(io.Discard); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	if !overlapped {
+		t.Skip("no two sessions' root spans overlapped in 10 rounds")
 	}
 }

@@ -140,6 +140,7 @@ func NewSession(name, path string, ev *Evaluator) *Session {
 // materialized in memory and solved, so the resulting Evaluator has no
 // mutable demand-load state and serves concurrent queries safely.
 func Open(ctx context.Context, name, path string, cfg Config) (*Session, error) {
+	cfg.Obs = cfg.Obs.Tracks(sessionTracks * int(sessionSeq.Add(1)))
 	if strings.HasSuffix(path, ".snap") {
 		return openSnapshot(name, path, cfg)
 	}
@@ -166,6 +167,16 @@ func Open(ctx context.Context, name, path string, cfg Config) (*Session, error) 
 	s.adopt(cur)
 	return s, nil
 }
+
+// sessionTracks is the size of each session's range of trace tracks.
+// Sessions open and refresh concurrently on one observer; each records
+// its spans in its own range (obs.Observer.Tracks), its root spans on
+// the range's first track and a unit compile on the first plus the
+// unit's index, so two sessions' spans never overlap on one track.
+const sessionTracks = 1 << 16
+
+// sessionSeq numbers the sessions Open builds, for their track ranges.
+var sessionSeq atomic.Int64
 
 // pipeConfig maps a session Config onto the incremental pipeline's.
 func pipeConfig(dir string, cfg Config) incr.Config {

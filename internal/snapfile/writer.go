@@ -10,6 +10,7 @@ import (
 
 	"cla/internal/objfile"
 	"cla/internal/prim"
+	"cla/internal/pts"
 	"cla/internal/pts/set"
 	"cla/internal/srchash"
 )
@@ -97,7 +98,14 @@ func Write(w io.Writer, s *Snapshot) error {
 	le.PutUint32(setIdx, nextID)
 	sections[secPtsIdx], sections[secSetIdx], sections[secElems] = ptsIdx, setIdx, elems
 
-	// Meta and report JSON sections.
+	// Meta and report JSON sections. A saved generation keeps only the
+	// metrics the program and its relation determine, so its bytes are
+	// a function of the tree: the trace counters of a warm solve differ
+	// from a scratch solve's of the same program.
+	metrics := s.Res.Metrics()
+	if s.Generation != 0 {
+		metrics = pts.Metrics{PointerVars: metrics.PointerVars, Relations: metrics.Relations, InFile: metrics.InFile}
+	}
 	meta := Meta{
 		Solver:   s.Solver,
 		ExtModel: s.ExtModel,
@@ -105,7 +113,7 @@ func Write(w io.Writer, s *Snapshot) error {
 		Assigns:  len(prog.Assigns),
 		Sets:     int(nextID),
 		Elems:    len(elems) / 4,
-		Metrics:  s.Res.Metrics(),
+		Metrics:  metrics,
 		Sources:  s.Sources,
 	}
 	repJSON, err := json.Marshal(reportBlob{Report: s.Report, Audit: s.Audit})
