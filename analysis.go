@@ -135,7 +135,7 @@ type Analysis struct {
 	res  pts.Result
 	alg  Algorithm        // the solver that produced res
 	ext  ExtModel         // the extern model the solve ran under
-	r    *objfile.Reader  // non-nil for AnalyzeFile
+	r    *objfile.Reader  // non-nil for AnalyzeFileCtx
 	snap *snapfile.Reader // non-nil for OpenSnapshot
 	o    *obs.Observer    // non-nil when an Observer was attached
 	gen  uint64           // workspace generation; 0 for one-shot analyses
@@ -147,16 +147,11 @@ type Analysis struct {
 	evErr  error
 }
 
-// Analyze runs points-to analysis over the database.
-func (db *Database) Analyze(opts *AnalyzeOptions) (*Analysis, error) {
-	return db.AnalyzeCtx(context.Background(), opts)
-}
-
-// AnalyzeCtx is Analyze under a context: the solver fixpoint checks for
-// cancellation and returns ctx's error when it fires. Under a non-unsound
-// ExtModel the Analysis is backed by an extended copy of db (reachable via
-// Analysis.Database) holding the external-world symbols; db itself is
-// untouched.
+// AnalyzeCtx runs points-to analysis over the database. The solver
+// fixpoint checks ctx for cancellation and returns ctx's error when it
+// fires. Under a non-unsound ExtModel the Analysis is backed by an
+// extended copy of db (reachable via Analysis.Database) holding the
+// external-world symbols; db itself is untouched.
 func (db *Database) AnalyzeCtx(ctx context.Context, opts *AnalyzeOptions) (*Analysis, error) {
 	adb := db
 	if m := opts.extModel(); m != ExtModelUnsound {
@@ -172,16 +167,11 @@ func (db *Database) AnalyzeCtx(ctx context.Context, opts *AnalyzeOptions) (*Anal
 		ext: opts.extModel(), o: opts.observer()}, nil
 }
 
-// AnalyzeFile opens a serialized database and analyzes it with demand
-// loading directly from the file — the full CLA analyze phase. Call Close
-// when done.
-func AnalyzeFile(path string, opts *AnalyzeOptions) (*Analysis, error) {
-	return AnalyzeFileCtx(context.Background(), path, opts)
-}
-
-// AnalyzeFileCtx is AnalyzeFile under a context (see AnalyzeCtx). A
-// non-unsound ExtModel materializes the database into memory (the model's
-// constraints have no blocks in the file to demand-load from).
+// AnalyzeFileCtx opens a serialized database and analyzes it with
+// demand loading directly from the file — the full CLA analyze phase —
+// under ctx (see AnalyzeCtx). A non-unsound ExtModel materializes the
+// database into memory (the model's constraints have no blocks in the
+// file to demand-load from). Call Close when done.
 func AnalyzeFileCtx(ctx context.Context, path string, opts *AnalyzeOptions) (*Analysis, error) {
 	r, err := objfile.Open(path)
 	if err != nil {
@@ -217,7 +207,7 @@ func AnalyzeFileCtx(ctx context.Context, path string, opts *AnalyzeOptions) (*An
 		r: r, o: opts.observer()}, nil
 }
 
-// Close releases the underlying file for AnalyzeFile analyses and the
+// Close releases the underlying file for AnalyzeFileCtx analyses and the
 // snapshot mapping for OpenSnapshot ones. After Close, objects returned
 // by a snapshot-backed analysis's queries must not be used.
 func (a *Analysis) Close() error {
@@ -238,7 +228,7 @@ func solve(ctx context.Context, src pts.Source, opts *AnalyzeOptions) (pts.Resul
 func (a *Analysis) Database() *Database { return a.db }
 
 // Generation returns the workspace generation this analysis snapshots,
-// numbered from 1. One-shot analyses (Analyze, AnalyzeFile,
+// numbered from 1. One-shot analyses (AnalyzeCtx, AnalyzeFileCtx,
 // OpenSnapshot) are generation 1 of an implicit single-generation
 // workspace.
 func (a *Analysis) Generation() uint64 {

@@ -7,11 +7,11 @@
 //	db1, _ := cla.CompileFile("a.c", nil)     // compile: C → assignment database
 //	db2, _ := cla.CompileFile("b.c", nil)
 //	db, _ := cla.Link(db1, db2)               // link: merge databases
-//	an, _ := db.Analyze(nil)                  // analyze: points-to solving
+//	an, _ := db.AnalyzeCtx(ctx, nil)          // analyze: points-to solving
 //	for _, obj := range an.PointsToName("p") { ... }
 //
 // Databases serialize to an indexed binary format supporting demand
-// loading (WriteFile / OpenFile / AnalyzeFile), and analyses feed the
+// loading (WriteFile / OpenFile / AnalyzeFileCtx), and analyses feed the
 // forward data-dependence tool of the paper's Section 2 (Analysis.
 // Dependence), which finds every object whose type must change together
 // with a target object and ranks the dependence chains.
@@ -44,7 +44,7 @@ const (
 // one-shot compile entry points read its compile half (Mode,
 // IncludeDirs, Defines, ModelStrings, Jobs, Observer). IncludeDirs is the
 // whole #include search path for CompileFile and CompileSource, and the
-// extra directories after dir for CompileDir.
+// extra directories after dir for CompileDirCtx.
 type Options = WorkspaceOptions
 
 // Database is a linked (or single-unit) primitive-assignment database: the
@@ -78,15 +78,11 @@ func compileText(name, src string, loader cpp.Loader, opts *Options) (*Database,
 	return &Database{prog: prog}, nil
 }
 
-// CompileDir compiles and links every .c file in dir, fanning the unit
-// compiles out across Options.Jobs workers.
-func CompileDir(dir string, opts *Options) (*Database, error) {
-	return CompileDirCtx(context.Background(), dir, opts)
-}
-
-// CompileDirCtx is CompileDir under a context: a cancellation stops
-// undispatched unit compiles and returns ctx's error. Options.IncludeDirs
-// joins dir on the #include search path of every unit.
+// CompileDirCtx compiles and links every .c file in dir, fanning the
+// unit compiles out across Options.Jobs workers. A cancellation of ctx
+// stops undispatched unit compiles and returns ctx's error.
+// Options.IncludeDirs joins dir on the #include search path of every
+// unit.
 //
 // This is the compile half of a single-generation Workspace: it runs
 // the incremental pipeline's compile+link front end once (so the output
@@ -122,7 +118,7 @@ func (db *Database) WriteFile(path string) error {
 }
 
 // OpenFile loads a serialized database fully into memory. For the
-// demand-loaded analysis path use AnalyzeFile instead.
+// demand-loaded analysis path use AnalyzeFileCtx instead.
 func OpenFile(path string) (*Database, error) {
 	r, err := objfile.Open(path)
 	if err != nil {

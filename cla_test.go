@@ -1,6 +1,7 @@
 package cla
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,7 +27,7 @@ void m(void) { p = &x; q = p; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := db.Analyze(nil)
+	an, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestCompileLinkAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := db.Analyze(nil)
+	an, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ void m(void) { p = &v; q = p; unused1 = unused2; }
 	if err := db.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	an, err := AnalyzeFile(path, nil)
+	an, err := AnalyzeFileCtx(context.Background(), path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ void m(void) { p = &a; q = p; p = &b; }
 		t.Fatal(err)
 	}
 	for _, alg := range []Algorithm{PreTransitive, WorklistAndersen, SteensgaardUnify, BitVectorAndersen, OneLevelFlow} {
-		an, err := db.Analyze(&AnalyzeOptions{Algorithm: alg})
+		an, err := db.AnalyzeCtx(context.Background(), &AnalyzeOptions{Algorithm: alg})
 		if err != nil {
 			t.Fatalf("alg %d: %v", alg, err)
 		}
@@ -132,7 +133,7 @@ void m(void) { p = &a; q = &a; r = &b; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := db.Analyze(nil)
+	an, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ void m(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := db.Analyze(nil)
+	an, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ void m(void) { hub = target; down = hub; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := db.Analyze(nil)
+	an, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +214,11 @@ func TestCompileDirAndIncludes(t *testing.T) {
 	os.WriteFile(filepath.Join(dir, "defs.h"), []byte(hdr), 0o644)
 	os.WriteFile(filepath.Join(dir, "a.c"), []byte("#include \"defs.h\"\nint g; int *p;\nvoid f(void) { p = &g; }\n"), 0o644)
 	os.WriteFile(filepath.Join(dir, "b.c"), []byte("#include \"defs.h\"\nint x;\nvoid h(void) { x = g; }\n"), 0o644)
-	db, err := CompileDir(dir, nil)
+	db, err := CompileDirCtx(context.Background(), dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := db.Analyze(nil)
+	an, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ void m(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anFB, err := fb.Analyze(nil)
+	anFB, err := fb.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ void m(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anFI, err := fi.Analyze(nil)
+	anFI, err := fi.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +334,7 @@ void m(void) { p = &a; pp = &p; *pp = &b; q = *pp; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := db.Analyze(nil)
+	base, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,7 @@ void m(void) { p = &a; pp = &p; *pp = &b; q = *pp; }
 		{NoCache: true, NoCycleElim: true, NoDemandLoad: true},
 	}
 	for _, opts := range variants {
-		an, err := db.Analyze(opts)
+		an, err := db.AnalyzeCtx(context.Background(), opts)
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
@@ -370,7 +371,7 @@ void m(void) {
 		t.Fatal(err)
 	}
 	// Insensitive baseline conflates the call sites.
-	base, err := db.Analyze(nil)
+	base, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +379,7 @@ void m(void) {
 		t.Fatalf("baseline pts(r1) = %v", got)
 	}
 	cs := db.ContextSensitive(nil)
-	an, err := cs.Analyze(nil)
+	an, err := cs.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +404,7 @@ void m(void) { p0 = &v; p1 = p0; p2 = p1; }
 	if sub.Stats().Total() >= db.Stats().Total() {
 		t.Errorf("no shrinkage: %d vs %d", sub.Stats().Total(), db.Stats().Total())
 	}
-	an, err := sub.Analyze(nil)
+	an, err := sub.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

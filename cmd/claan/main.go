@@ -49,10 +49,10 @@ func main() {
 		nonTargets = flag.String("nontarget", "", "comma-separated non-target names")
 		solverName = flag.String("solver", "pretrans", "solver: pretrans, worklist, steens or bitvec")
 		extModel   = flag.String("extmodel", "unsound", "incomplete-program model: unsound, blanket or escape")
-		noCache    = flag.Bool("no-cache", false, "disable reachability caching")
+		noCache    = flag.Bool("no-cache", false, "disable reachability caching (affects only the sequential fixpoint, -j 1)")
 		noCycle    = flag.Bool("no-cycle-elim", false, "disable cycle elimination")
 		noDemand   = flag.Bool("no-demand-load", false, "load the whole database upfront")
-		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "workers for compilation, batch queries and result materialization")
+		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "workers for compilation, batch queries and result materialization; -j 2 or more also runs the wave fixpoint")
 		maxDeps    = flag.Int("max", 50, "maximum dependents to print")
 		ovs        = flag.Bool("ovs", false, "apply offline variable substitution before solving")
 		contextSen = flag.Bool("context", false, "apply per-call-site context duplication before solving")

@@ -5,17 +5,16 @@
 //
 //	clald -o program.cla file1.clo file2.clo ...
 //	clald -undef -o program.cla file1.clo ...   # also list undefined externals
-//	clald -snapshot program.snap -o program.cla file1.clo ...
-//	                                            # also solve and write a
-//	                                            # ready-to-serve snapshot
+//
+// clasnap solves the linked database into a ready-to-serve snapshot:
+//
+//	clald -o program.cla *.clo && clasnap -o program.snap program.cla
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"cla/internal/driver"
 	"cla/internal/extmodel"
@@ -24,18 +23,12 @@ import (
 	"cla/internal/obs"
 	"cla/internal/parallel"
 	"cla/internal/prim"
-	"cla/internal/serve"
-	"cla/internal/snapfile"
 )
 
 func main() {
 	out := flag.String("o", "a.cla", "output database")
 	verbose := flag.Bool("v", false, "print link statistics")
 	undef := flag.Bool("undef", false, "print referenced-but-undefined globals and functions")
-	snapshot := flag.String("snapshot", "", "also solve the linked database and write a solved snapshot here")
-	solverName := flag.String("solver", "pretrans", "snapshot solver: pretrans, worklist, steens, bitvec or onelevel")
-	extModel := flag.String("extmodel", "unsound", "snapshot incomplete-program model: unsound, blanket or escape")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "workers for the snapshot solve")
 	obsFlags := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -59,38 +52,6 @@ func main() {
 		os.Exit(1)
 	}
 	wsp.End()
-	if *snapshot != "" {
-		// Build the snapshot from the database just written, through the
-		// same pipeline claserve uses for live solves — so serving the
-		// .snap answers byte-identically to serving the .cla. The .cla's
-		// content hash is recorded for staleness detection.
-		solver, err := driver.ParseSolver(*solverName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clald: %v\n", err)
-			os.Exit(2)
-		}
-		model, err := extmodel.ParseModel(*extModel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clald: %v\n", err)
-			os.Exit(2)
-		}
-		snap, err := serve.BuildSnapshot(context.Background(), *out, serve.Config{
-			Solver: solver, ExtModel: model, Jobs: *jobs, Obs: o,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clald: %v\n", err)
-			os.Exit(1)
-		}
-		if err := snapfile.Save(*snapshot, snap); err != nil {
-			fmt.Fprintf(os.Stderr, "clald: %v\n", err)
-			os.Exit(1)
-		}
-		if *verbose {
-			st, _ := os.Stat(*snapshot)
-			fmt.Printf("clald: snapshot %s (%d bytes, solver %s)\n",
-				*snapshot, st.Size(), solver)
-		}
-	}
 	if *undef {
 		for _, u := range extmodel.Undefined(merged) {
 			kind := "global"

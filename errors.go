@@ -7,7 +7,7 @@ import "cla/internal/claerr"
 // underlying cause. Use errors.As to dispatch on it and errors.Is to
 // test the cause:
 //
-//	_, err := cla.CompileDir("src", nil)
+//	_, err := cla.CompileDirCtx(ctx, "src", nil)
 //	var ce *cla.Error
 //	if errors.As(err, &ce) && ce.Phase == cla.PhaseCompile { ... }
 //

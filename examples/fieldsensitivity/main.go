@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func run(mode cla.StructMode, label string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	an, err := db.Analyze(nil)
+	an, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	an, err := db.Analyze(nil)
+	an, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

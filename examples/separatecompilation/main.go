@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -93,7 +94,7 @@ func main() {
 		len(objects), filepath.Base(exe), linked.Stats().Symbols)
 
 	// ANALYZE: open the linked database and let the solver demand-load.
-	an, err := cla.AnalyzeFile(exe, nil)
+	an, err := cla.AnalyzeFileCtx(context.Background(), exe, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -81,7 +82,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	an, err := linked.Analyze(nil)
+	an, err := linked.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@ package cla
 // analyses, and the externs audit + SARIF surface of LintReport.
 
 import (
+	"context"
 	"encoding/json"
 	"path/filepath"
 	"strings"
@@ -77,7 +78,7 @@ extern char *never_called(char *s);
 func TestAnalyzeExtModel(t *testing.T) {
 	db := compileIncomplete(t)
 
-	plain, err := db.Analyze(nil)
+	plain, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
@@ -85,7 +86,7 @@ func TestAnalyzeExtModel(t *testing.T) {
 		t.Errorf("unsound pts(kept) = %v, want empty", pts)
 	}
 
-	sound, err := db.Analyze(&AnalyzeOptions{ExtModel: ExtModelBlanket})
+	sound, err := db.AnalyzeCtx(context.Background(), &AnalyzeOptions{ExtModel: ExtModelBlanket})
 	if err != nil {
 		t.Fatalf("analyze blanket: %v", err)
 	}
@@ -117,7 +118,7 @@ func TestAnalyzeFileExtModel(t *testing.T) {
 	if err := db.WriteFile(path); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	a, err := AnalyzeFile(path, &AnalyzeOptions{ExtModel: ExtModelEscape})
+	a, err := AnalyzeFileCtx(context.Background(), path, &AnalyzeOptions{ExtModel: ExtModelEscape})
 	if err != nil {
 		t.Fatalf("analyze file: %v", err)
 	}
@@ -135,7 +136,7 @@ func TestAnalyzeFileExtModel(t *testing.T) {
 
 func TestLintAuditAndSARIF(t *testing.T) {
 	db := compileIncomplete(t)
-	a, err := db.Analyze(&AnalyzeOptions{ExtModel: ExtModelBlanket})
+	a, err := db.AnalyzeCtx(context.Background(), &AnalyzeOptions{ExtModel: ExtModelBlanket})
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
@@ -172,7 +173,7 @@ func TestLintAuditAndSARIF(t *testing.T) {
 	}
 
 	// Unsound analyses keep the audit out of the default lint run.
-	plain, err := db.Analyze(nil)
+	plain, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}

@@ -7,6 +7,7 @@ package cla
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -199,7 +200,7 @@ func buildMini(t *testing.T) (*Database, *Analysis) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := db.Analyze(nil)
+	an, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,13 +282,13 @@ func TestMiniProgramDependence(t *testing.T) {
 
 func TestMiniProgramAllSolversSound(t *testing.T) {
 	db, _ := buildMini(t)
-	base, err := db.Analyze(nil)
+	base, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ptsSetOf(base, "fetched")
 	for _, alg := range []Algorithm{WorklistAndersen, BitVectorAndersen, OneLevelFlow, SteensgaardUnify} {
-		an, err := db.Analyze(&AnalyzeOptions{Algorithm: alg})
+		an, err := db.AnalyzeCtx(context.Background(), &AnalyzeOptions{Algorithm: alg})
 		if err != nil {
 			t.Fatalf("alg %d: %v", alg, err)
 		}
@@ -355,11 +356,11 @@ func TestMiniProgramParallelDeterminism(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	db1, err := CompileDir(dir, &Options{IncludeDirs: []string{dir}, Jobs: 1})
+	db1, err := CompileDirCtx(context.Background(), dir, &Options{IncludeDirs: []string{dir}, Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db8, err := CompileDir(dir, &Options{IncludeDirs: []string{dir}, Jobs: 8})
+	db8, err := CompileDirCtx(context.Background(), dir, &Options{IncludeDirs: []string{dir}, Jobs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,11 +373,11 @@ func TestMiniProgramParallelDeterminism(t *testing.T) {
 		BitVectorAndersen, OneLevelFlow,
 	}
 	for _, alg := range algorithms {
-		a1, err := db1.Analyze(&AnalyzeOptions{Algorithm: alg, Jobs: 1})
+		a1, err := db1.AnalyzeCtx(context.Background(), &AnalyzeOptions{Algorithm: alg, Jobs: 1})
 		if err != nil {
 			t.Fatalf("alg %d -j 1: %v", alg, err)
 		}
-		a8, err := db8.Analyze(&AnalyzeOptions{Algorithm: alg, Jobs: 8})
+		a8, err := db8.AnalyzeCtx(context.Background(), &AnalyzeOptions{Algorithm: alg, Jobs: 8})
 		if err != nil {
 			t.Fatalf("alg %d -j 8: %v", alg, err)
 		}

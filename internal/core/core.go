@@ -40,6 +40,8 @@ import (
 // everything (useful only for ablation), so use DefaultConfig.
 type Config struct {
 	// Cache enables per-pass caching of reachability computations.
+	// Only the sequential fixpoint computes reachability; under waves
+	// Cache changes nothing but the CacheHits/CacheMisses accounting.
 	Cache bool
 	// CycleElim enables unification of cycle members during reachability.
 	CycleElim bool
@@ -48,13 +50,14 @@ type Config struct {
 	DemandLoad bool
 	// MaxPasses bounds the outer fixpoint (safety net; 0 = 1<<20).
 	MaxPasses int
-	// Jobs bounds the worker count for the solve phase, the
-	// post-fixpoint snapshot build and batch result queries (<= 0 means
-	// GOMAXPROCS). Jobs >= 2 selects the phase-parallel wave fixpoint
-	// (see wave.go); Jobs <= 1 keeps the sequential reference fixpoint
-	// for a scratch solve, while a warm one (SolveFrom) always runs
-	// waves. Both compute the same unique least fixpoint, so the
-	// points-to relation is identical at any setting.
+	// Jobs bounds the worker count for the waves, the materialization
+	// of the solved sets and batch result queries (<= 0 means
+	// GOMAXPROCS workers for the last two). Jobs >= 2 selects the
+	// phase-parallel wave fixpoint (see wave.go); Jobs <= 1, 0
+	// included, keeps the sequential reference fixpoint for a scratch
+	// solve, while a warm one (SolveFrom) always runs waves. Both
+	// compute the same unique least fixpoint, so the points-to relation
+	// is identical at any setting.
 	Jobs int
 }
 
@@ -309,7 +312,10 @@ func (s *Solver) run(ctx context.Context) (*Result, error) {
 	// warm solve, the passes run as barrier-synchronized waves over the
 	// condensation DAG (see wave.go); both paths reach the same unique
 	// least fixpoint, so the points-to relation is byte-identical
-	// either way.
+	// either way. Each freezes the converged graph into the read-only
+	// snapshot (skip chains resolved, all lval sets materialized across
+	// cfg.Jobs workers), so every Result query from here on is a
+	// lock-free lookup.
 	var err error
 	if s.cfg.Jobs >= 2 || s.warm != nil {
 		err = s.solveWaves(ctx)
@@ -320,21 +326,9 @@ func (s *Solver) run(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 
-	// Nothing mutates the graph until the next SolveFrom: freeze it into
-	// the read-only snapshot (skip chains resolved, all lval sets
-	// materialized across cfg.Jobs workers) and drop the fixpoint
-	// scratch. Every Result query from here on is a lock-free lookup.
-	// The wave fixpoint has already frozen its sets; only the sequential
-	// one, and a scratch wave whose unifications cascaded, leave the
-	// build to buildSnapshot.
+	// Nothing mutates the graph until the next SolveFrom: drop the
+	// fixpoint scratch.
 	s.pass++
-	if s.warm != nil {
-		s.snap = s.freezeRegion()
-	} else if s.snap == nil {
-		if s.snap, err = s.buildSnapshot(); err != nil {
-			return nil, err
-		}
-	}
 	s.releaseScratch()
 	s.m.InCore = len(s.complex)
 	s.m.InFile = pts.TotalAssigns(s.src)
@@ -352,6 +346,7 @@ func (s *Solver) run(ctx context.Context) (*Result, error) {
 // solveSeq is the sequential reference fixpoint: one pass applies every
 // in-core complex assignment against the mutable graph (reachability via
 // getLvals, cycle unification, per-pass caching) until nothing changes.
+// It then freezes the converged graph (freezeSeq).
 func (s *Solver) solveSeq(ctx context.Context) error {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -398,7 +393,9 @@ func (s *Solver) solveSeq(ctx context.Context) error {
 
 		if !s.changed {
 			s.fresh = len(s.complex)
-			return nil
+			snap, err := s.freezeSeq(ctx)
+			s.snap = snap
+			return err
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"cla/internal/prim"
-	"cla/internal/pts/set"
-)
+import "cla/internal/pts/set"
 
 // This file implements getLvals — the graph reachability computation at the
 // heart of the pre-transitive algorithm — in two variants:
@@ -288,38 +285,4 @@ func (s *Solver) reachPlain(root int32) *set.Set {
 		s.nodes[root].cachePass = s.pass
 	}
 	return acc
-}
-
-// internInto canonicalizes set against table, returning the previously
-// stored equal set when one exists. FNV-1a over the elements keeps
-// hashing allocation-free. Retained for the snapshot's cross-level
-// sharing of heap-owned slices (the fixpoint's per-pass sharing now goes
-// through set.Table).
-func internInto(table map[uint64][][]prim.SymID, set []prim.SymID) []prim.SymID {
-	if len(set) == 0 {
-		return nil
-	}
-	key := uint64(1469598103934665603)
-	for _, v := range set {
-		key = (key ^ uint64(uint32(v))) * 1099511628211
-	}
-	for _, cand := range table[key] {
-		if equalSets(cand, set) {
-			return cand
-		}
-	}
-	table[key] = append(table[key], set)
-	return set
-}
-
-func equalSets(a, b []prim.SymID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

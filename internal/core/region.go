@@ -325,7 +325,7 @@ func (s *Solver) freezeRegion() *snapshot {
 		w.ctab = tab
 	}
 	return &snapshot{
-		comp: comp, sets: w.ctab[:len(w.ctab):len(w.ctab)], wave: true,
+		comp: comp, sets: w.ctab[:len(w.ctab):len(w.ctab)],
 		symNode: s.symNode, nodeSym: s.nodeSym,
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -8,8 +9,6 @@ import (
 	"cla/internal/parallel"
 	"cla/internal/prim"
 	"cla/internal/pts"
-	"cla/internal/pts/set"
-	"cla/internal/scc"
 )
 
 // This file implements the read-only snapshot query mode. During the
@@ -17,12 +16,15 @@ import (
 // pointers compress, cycles unify, and the traversal scratch
 // (tVisit/tVal/nSeen) is solver-global — none of which can be shared
 // between goroutines. Once the outer fixpoint converges the graph is
-// final, so Solve freezes it: the condensation (SCC DAG) is computed
-// once, every component's lval set is materialized bottom-up —
-// components of equal height in the DAG fan out across cfg.Jobs
-// workers, each with private scratch — and skip chains are resolved
-// into a flat node → component table. After the freeze, a points-to
-// query is two array loads, safe from any number of goroutines.
+// final, so Solve freezes it: the condensation (SCC DAG) is computed,
+// every component's lval set is materialized bottom-up — components of
+// equal height in the DAG fan out across cfg.Jobs workers, each with
+// private scratch — and skip chains are resolved into a flat node →
+// component table. The wave fixpoint does this in every wave, and its
+// confirming wave is the snapshot; the sequential fixpoint runs the
+// same steps once after it converges (freezeSeq). After the freeze, a
+// points-to query is two array loads, safe from any number of
+// goroutines.
 
 // snapshot is the frozen form of the converged pre-transitive graph.
 // Its sets hold node ids; a generation whose node i is symbol i (a
@@ -31,9 +33,6 @@ import (
 type snapshot struct {
 	comp []int32        // node → component id, -1 for none (empty set)
 	sets [][]prim.SymID // component id → final sorted set of node ids (shared)
-	// wave marks a snapshot frozen by the wave fixpoint (freezeWave or
-	// freezeRegion) rather than built by buildSnapshot.
-	wave bool
 
 	// symNode and nodeSym are the generation's symbol binding (see
 	// Solver); nil when node i is symbol i.
@@ -192,81 +191,26 @@ func (s *Solver) condensedAdj(rep []int32) [][]int32 {
 	return adj
 }
 
-// buildSnapshot freezes the solver's graph. Called after the sequential
-// fixpoint (or a scratch wave fixpoint whose unifications cascaded),
-// while the solver is still single-threaded. An error is a
-// level worker's contained panic; the snapshot is then incomplete and
-// must not be used.
-func (s *Solver) buildSnapshot() (*snapshot, error) {
-	n := len(s.nodes)
-	rep := make([]int32, n)
-	for i := 0; i < n; i++ {
-		rep[i] = s.find(int32(i))
-	}
-	adj := s.condensedAdj(rep)
-	sn := &snapshot{}
-
-	// Iterative Tarjan over the representatives (shared with the wave
-	// solvers; see internal/scc). Unlike reachTarjan it never unifies:
-	// the snapshot leaves solver state untouched, which is what makes it
-	// valid under every Config (including CycleElim off, where cycles
-	// survive the fixpoint).
-	var members [][]int32
-	sn.comp, members = scc.Condense(adj, func(v int32) bool { return rep[v] == v })
-	succs, _, buckets := scc.Level(sn.comp, members, adj)
-	nc := len(members)
-
-	// Materialize lval sets bottom-up: a component's set is the union of
-	// its members' base elements and its successors' sets, all of which
-	// live at strictly lower heights. Components within one height level
-	// are independent, so each level fans out across cfg.Jobs workers;
-	// the union of sorted sets is order-independent, making the result
-	// identical at any worker count. Between levels, equal sets are
-	// shared through the interning table (the paper's observation that
-	// many lval sets are identical), kept single-threaded so it needs no
-	// locking.
-	sn.sets = make([][]prim.SymID, nc)
-	interned := map[uint64][][]prim.SymID{}
-	builders := make([]set.Builder, parallel.Workers(s.cfg.Jobs))
-	err := parallel.Levels(s.cfg.Jobs, len(buckets),
-		func(l int) int { return len(buckets[l]) },
-		func(l, wk, lo, hi int) error {
-			b := &builders[wk]
-			for bi := lo; bi < hi; bi++ {
-				c := buckets[l][bi]
-				b.Reset()
-				for _, m := range members[c] {
-					b.MergeSyms(s.nodes[m].base)
-				}
-				for _, sc := range succs[c] {
-					b.MergeSyms(sn.sets[sc])
-				}
-				sn.sets[c] = b.Syms()
-			}
-			return nil
-		},
-		func(l int) error {
-			for _, c := range buckets[l] {
-				sn.sets[c] = internInto(interned, sn.sets[c])
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range rep {
-		if int32(i) != r {
-			sn.comp[i] = sn.comp[r]
-		}
-	}
-
+// freezeSeq freezes the sequential fixpoint's converged graph the way
+// solveWaves freezes its confirming wave: condense the whole graph,
+// materialize every component's set across cfg.Jobs workers, and
+// freezeWave. Unlike a wave it never unifies: it leaves the graph's
+// classes as they are, which makes it valid under every Config
+// (including CycleElim off, where cycles survive the fixpoint). An
+// error is ctx's or a level worker's contained panic.
+func (s *Solver) freezeSeq(ctx context.Context) (*snapshot, error) {
+	var wv wave
+	adj := s.condense(&wv)
 	// Accounting: a multi-member component is a cycle whose nodes the
 	// final query pass would have unified; the snapshot collapses them
 	// into one shared set, so credit the merges under the same flag.
 	if s.cfg.CycleElim {
-		for c := 0; c < nc; c++ {
-			s.m.Unifications += len(members[c]) - 1
+		for _, ms := range wv.members {
+			s.m.Unifications += len(ms) - 1
 		}
 	}
-	return sn, nil
+	if _, err := s.materialize(ctx, &wv, adj, newWaveWorkers(s.cfg.Jobs)); err != nil {
+		return nil, err
+	}
+	return freezeWave(wv.rep, wv.comp, wv.sets), nil
 }

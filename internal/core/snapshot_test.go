@@ -124,14 +124,14 @@ func TestSnapshotMatchesEveryConfig(t *testing.T) {
 	}
 }
 
-// TestFrozenWaveMatchesBuildSnapshot: at Jobs >= 2 the snapshot is the
-// confirming wave's. On the randProgram seeds, under every ablation
+// TestFrozenWaveMatchesSequentialFreeze: at Jobs >= 2 the snapshot is
+// the confirming wave's. On the randProgram seeds, under every ablation
 // config, for a scratch solve and a warm solve from it, the frozen
-// snapshot must hold the sets buildSnapshot builds from the same
-// converged solver, partition the nodes into the same components, and
-// leave Unifications and the cache accounting where a buildSnapshot
-// freeze would.
-func TestFrozenWaveMatchesBuildSnapshot(t *testing.T) {
+// snapshot must hold the sets the sequential fixpoint's freeze builds
+// from a copy of the same converged graph, partition the nodes into the
+// same components, and leave Unifications and the cache accounting
+// where that freeze would.
+func TestFrozenWaveMatchesSequentialFreeze(t *testing.T) {
 	configs := []Config{
 		DefaultConfig(),
 		{Cache: true, DemandLoad: true},
@@ -140,19 +140,11 @@ func TestFrozenWaveMatchesBuildSnapshot(t *testing.T) {
 		{DemandLoad: true},
 		{},
 	}
-	runs, frozen := 0, 0
 	check := func(name string, r *Result) {
-		runs++
 		got := r.snap
-		if got.wave {
-			frozen++
-		}
-		// buildSnapshot on a copy of the converged solver is the freeze
-		// a Jobs <= 1 scratch run, and every run before the wave freeze,
-		// does.
 		ref := *r.solver.Load()
 		ref.m = pts.Metrics{}
-		want, err := ref.buildSnapshot()
+		want, err := ref.freezeSeq(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -164,27 +156,27 @@ func TestFrozenWaveMatchesBuildSnapshot(t *testing.T) {
 		for i := range ref.nodes {
 			n := int32(i)
 			if !slices.Equal(got.lvals(n), want.lvals(n)) {
-				t.Fatalf("%s: node %d: frozen %v, buildSnapshot %v", name, n, got.lvals(n), want.lvals(n))
+				t.Fatalf("%s: node %d: frozen %v, sequential freeze %v", name, n, got.lvals(n), want.lvals(n))
 			}
 			a, b := got.comp[n], want.comp[n]
 			if a < 0 {
 				continue // a dead node, or one no wave has reached: empty either way
 			}
 			if x, ok := fwd[a]; ok && x != b {
-				t.Fatalf("%s: node %d: frozen component %d spans buildSnapshot components %d and %d", name, n, a, x, b)
+				t.Fatalf("%s: node %d: frozen component %d spans sequential components %d and %d", name, n, a, x, b)
 			}
 			if y, ok := back[b]; ok && y != a {
-				t.Fatalf("%s: node %d: buildSnapshot component %d spans frozen components %d and %d", name, n, b, y, a)
+				t.Fatalf("%s: node %d: sequential component %d spans frozen components %d and %d", name, n, b, y, a)
 			}
 			fwd[a], back[b] = b, a
 		}
 		m := r.Metrics()
-		if got.wave && ref.m.Unifications != 0 {
-			t.Errorf("%s: buildSnapshot would credit %d more unifications", name, ref.m.Unifications)
+		if ref.m.Unifications != 0 {
+			t.Errorf("%s: the sequential freeze would credit %d more unifications", name, ref.m.Unifications)
 		}
 		if m.CacheHits != ref.m.CacheHits || m.CacheMisses != ref.m.CacheMisses ||
 			m.PointerVars != ref.m.PointerVars || m.Relations != ref.m.Relations {
-			t.Errorf("%s: metrics %+v, with buildSnapshot %+v", name, m, ref.m)
+			t.Errorf("%s: metrics %+v, with the sequential freeze %+v", name, m, ref.m)
 		}
 	}
 	for _, seed := range []int64{1, 3, 7, 9, 11, 23, 42} {
@@ -216,9 +208,6 @@ func TestFrozenWaveMatchesBuildSnapshot(t *testing.T) {
 				check(name+" warm", w)
 			}
 		}
-	}
-	if frozen != runs {
-		t.Errorf("%d of %d wave solves froze their confirming wave, want all", frozen, runs)
 	}
 }
 

@@ -1,20 +1,22 @@
 // Phase-parallel wave fixpoint for the pre-transitive solver. Each pass
 // of the Figure 5 iteration becomes one wave: the wave's region of the
-// constraint graph is SCC-condensed and topologically leveled (the same
-// machinery the post-fixpoint snapshot uses, shared via internal/scc),
-// every region component's lval set is materialized bottom-up with
-// components of equal height fanned out across the worker pool, and the
-// in-core complex assignments plus funcptr links whose operand lies in
-// the region are then evaluated in parallel against those frozen sets —
-// each worker emitting deferred edge insertions into a private buffer
-// instead of touching the graph. The buffers are merged sequentially in
+// constraint graph is SCC-condensed (condense, via internal/scc) and its
+// cycles unified, every region component's lval set is materialized
+// bottom-up with components of equal height fanned out across the
+// worker pool (materialize; the sequential fixpoint's freeze runs the
+// same two steps once), and the in-core complex assignments plus
+// funcptr links whose operand lies in the region are then evaluated in
+// parallel against those frozen sets — each worker emitting deferred
+// edge insertions into a private buffer instead of touching the graph. The buffers are merged sequentially in
 // deterministic order (workers own contiguous assignment shards, so
 // worker-slot order is assignment order) and the next wave begins if
 // anything changed.
 //
 // In a scratch solve every node is dirty, so the region is the whole
 // graph and every rule fires in every wave. A warm solve (region.go)
-// restricts each wave to the nodes that can reach a change.
+// restricts each wave to the nodes that can reach a change. Either way
+// the wave that changes nothing, and whose cycle unification did not
+// cascade, confirms the fixpoint, and its sets become the snapshot.
 //
 // The solver-global epoch scratch of reach.go never runs here: workers
 // carry private builders, arenas and interning tables, and the mutable
@@ -27,6 +29,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"cla/internal/parallel"
 	"cla/internal/prim"
@@ -68,7 +71,8 @@ func packEdge(a, b int32) int64 { return int64(a)<<32 | int64(uint32(b)) }
 
 func unpackEdge(p int64) (a, b int32) { return int32(p >> 32), int32(uint32(p)) }
 
-// wave is one wave's condensation. In a scratch solve its ids are node
+// wave is one wave's condensation, or the whole converged graph's in
+// the sequential fixpoint's freeze. In a scratch solve its ids are node
 // ids and rep resolves every node; in a warm solve its ids index the
 // region (reg) and rep is nil, so representatives are found by walking
 // skip pointers, which reads the graph without compressing it.
@@ -132,10 +136,11 @@ func (w *coreWaveWorker) lvalNodes(s *Solver, wv *wave, x int32) []int32 {
 	return out
 }
 
-// solveWaves runs the fixpoint as barrier-synchronized waves. Graph
-// state entering each wave equals what a sequential pass would start
-// from; only the order in which the pass discovers new edges differs,
-// which the unique least fixpoint makes unobservable in the result.
+// solveWaves runs the fixpoint as barrier-synchronized waves and
+// freezes the confirming wave into the snapshot. Graph state entering
+// each wave equals what a sequential pass would start from; only the
+// order in which the pass discovers new edges differs, which the unique
+// least fixpoint makes unobservable in the result.
 func (s *Solver) solveWaves(ctx context.Context) error {
 	jobs := s.cfg.Jobs
 	var ws []coreWaveWorker
@@ -167,17 +172,12 @@ func (s *Solver) solveWaves(ctx context.Context) error {
 			}
 		}
 
-		// Condense and level the region: the whole live graph in a
-		// scratch solve, the nodes that reach a change in a warm one.
+		// Condense the region: the whole live graph in a scratch solve,
+		// the nodes that reach a change in a warm one.
 		n := len(s.nodes)
 		var adj [][]int32
 		if s.warm == nil {
-			wv.rep = wv.rep[:0]
-			for i := 0; i < n; i++ {
-				wv.rep = append(wv.rep, s.find(int32(i)))
-			}
-			adj = s.condensedAdj(wv.rep)
-			wv.comp, wv.members = scc.Condense(adj, func(v int32) bool { return wv.rep[v] == v })
+			adj = s.condense(&wv)
 		} else {
 			adj = s.region()
 			wv.reg = s.warm.reg
@@ -218,7 +218,10 @@ func (s *Solver) solveWaves(ctx context.Context) error {
 			// this wave's condensation — restart the pass. A region wave
 			// restarts on a cascade too: the cascade may have merged
 			// classes outside the region, which the region no longer
-			// covers.
+			// covers. A scratch wave goes on, its sets a subset of the
+			// merged classes' (so every edge its rules add is sound), but
+			// it cannot confirm the fixpoint: the next wave condenses the
+			// merged graph again.
 			if err := s.drainLoads(); err != nil {
 				return err
 			}
@@ -228,61 +231,16 @@ func (s *Solver) solveWaves(ctx context.Context) error {
 				}
 				continue
 			}
+			s.changed = merged != 0
 		}
-		succs, _, buckets := scc.Level(wv.comp, wv.members, adj)
 
-		// Materialize every component's lval set bottom-up, level by
-		// level, with per-worker builders sealing into per-worker arenas
-		// (rewound each wave, like the sequential path's per-pass flush).
-		// A region component also takes the frozen sets of the
-		// components outside the region it has edges into.
-		nc := len(wv.members)
-		if cap(wv.sets) >= nc {
-			wv.sets = wv.sets[:nc]
-			clear(wv.sets)
-		} else {
-			wv.sets = make([]*set.Set, nc)
-		}
-		for i := range ws {
-			ws[i].arena.Reset()
-			ws[i].table.Reset()
-			if len(ws[i].seen) < n {
-				ws[i].seen = make([]int32, 2*n)
-				ws[i].epoch = 0
-			}
-		}
-		for _, b := range buckets {
-			if len(b) > s.m.WaveWidth {
-				s.m.WaveWidth = len(b)
-			}
-		}
-		err := parallel.LevelsCtx(ctx, jobs, len(buckets),
-			func(l int) int { return len(buckets[l]) },
-			func(l, wk, lo, hi int) error {
-				w := &ws[wk]
-				for bi := lo; bi < hi; bi++ {
-					c := buckets[l][bi]
-					w.bld.Reset()
-					for _, m := range wv.members[c] {
-						w.bld.MergeSyms(s.nodes[wv.node(m)].base)
-					}
-					for _, sc := range succs[c] {
-						w.bld.MergeSet(wv.sets[sc])
-					}
-					if s.warm != nil {
-						for _, m := range wv.members[c] {
-							for _, g := range s.warm.ext[m] {
-								w.bld.MergeSyms(s.warm.ctab[g])
-							}
-						}
-					}
-					wv.sets[c] = w.bld.Seal(w.arena, w.table)
-				}
-				return nil
-			}, nil)
+		// Materialize every component's lval set. A region wave commits
+		// its sets to the component table, where its rules read them.
+		width, err := s.materialize(ctx, &wv, adj, ws)
 		if err != nil {
 			return err
 		}
+		s.m.WaveWidth = max(s.m.WaveWidth, width)
 		if s.warm != nil {
 			s.commit(&wv)
 		}
@@ -292,6 +250,12 @@ func (s *Solver) solveWaves(ctx context.Context) error {
 		// in worker order preserves assignment order exactly. A region
 		// wave fires the new rules and those whose operand's set it
 		// recomputed; every other rule's consequences are in the graph.
+		for i := range ws {
+			if len(ws[i].seen) < n {
+				ws[i].seen = make([]int32, 2*n)
+				ws[i].epoch = 0
+			}
+		}
 		fired := len(s.complex)
 		fire := s.fireList(fired)
 		count := fired
@@ -378,59 +342,144 @@ func (s *Solver) solveWaves(ctx context.Context) error {
 			return err
 		}
 
-		// A wave that changed nothing confirmed the fixpoint: its
-		// condensation is the converged graph's, and its sets are the
-		// final ones. A scratch wave's sets become the snapshot, unless
-		// a cascade merged components, when run leaves the freeze to
-		// buildSnapshot; a region wave has committed its sets already.
+		// A wave that changed nothing (a cascade counts as a change)
+		// confirmed the fixpoint: its condensation is the converged
+		// graph's, and its sets are the final ones. A scratch wave's
+		// sets become the snapshot; a region wave has committed its sets
+		// already, and freezeRegion reads them from the component table.
 		if !s.changed {
-			if s.warm == nil && merged == 0 {
+			if s.warm == nil {
 				s.snap = freezeWave(wv.rep, wv.comp, wv.sets)
+			} else {
+				s.snap = s.freezeRegion()
 			}
 			return nil
 		}
 	}
 }
 
-// freezeWave builds the snapshot from the converged wave's condensation:
-// comp is taken over and extended from representatives to every node.
+// condense condenses the whole live graph into wv: rep resolves every
+// node to its representative, and comp and members are the SCCs of the
+// representatives' condensed adjacency, which it returns.
+func (s *Solver) condense(wv *wave) [][]int32 {
+	wv.rep = wv.rep[:0]
+	for i := range s.nodes {
+		wv.rep = append(wv.rep, s.find(int32(i)))
+	}
+	adj := s.condensedAdj(wv.rep)
+	wv.comp, wv.members = scc.Condense(adj, func(v int32) bool { return wv.rep[v] == v })
+	return adj
+}
+
+// materialize computes every component's lval set bottom-up: a
+// component's set is the union of its members' base elements and its
+// successors' sets, all of which live at strictly lower heights, so the
+// components of one height level fan out across the workers, each
+// sealing into its own arena (rewound here, like the sequential path's
+// per-pass flush). A region component also takes the frozen sets of the
+// components outside the region it has edges into. The union of sorted
+// sets is order-independent, so the sets are identical at any worker
+// count. It returns the width of the widest level.
+func (s *Solver) materialize(ctx context.Context, wv *wave, adj [][]int32, ws []coreWaveWorker) (int, error) {
+	succs, _, buckets := scc.Level(wv.comp, wv.members, adj)
+	nc := len(wv.members)
+	if cap(wv.sets) >= nc {
+		wv.sets = wv.sets[:nc]
+		clear(wv.sets)
+	} else {
+		wv.sets = make([]*set.Set, nc)
+	}
+	for i := range ws {
+		ws[i].arena.Reset()
+		ws[i].table.Reset()
+	}
+	width := 0
+	for _, b := range buckets {
+		width = max(width, len(b))
+	}
+	err := parallel.LevelsCtx(ctx, s.cfg.Jobs, len(buckets),
+		func(l int) int { return len(buckets[l]) },
+		func(l, wk, lo, hi int) error {
+			w := &ws[wk]
+			for bi := lo; bi < hi; bi++ {
+				c := buckets[l][bi]
+				w.bld.Reset()
+				for _, m := range wv.members[c] {
+					w.bld.MergeSyms(s.nodes[wv.node(m)].base)
+				}
+				for _, sc := range succs[c] {
+					w.bld.MergeSet(wv.sets[sc])
+				}
+				if wv.reg != nil {
+					for _, m := range wv.members[c] {
+						for _, g := range s.warm.ext[m] {
+							w.bld.MergeSyms(s.warm.ctab[g])
+						}
+					}
+				}
+				wv.sets[c] = w.bld.Seal(w.arena, w.table)
+			}
+			return nil
+		}, nil)
+	return width, err
+}
+
+// freezeWave builds the snapshot from a converged graph's whole-graph
+// condensation and materialized sets: comp is taken over and extended
+// from representatives to every node.
 func freezeWave(rep, comp []int32, compSets []*set.Set) *snapshot {
 	for i, r := range rep {
 		if int32(i) != r {
 			comp[i] = comp[r]
 		}
 	}
-	return &snapshot{comp: comp, sets: freezeSets(compSets), wave: true}
+	return &snapshot{comp: comp, sets: freezeSets(compSets)}
 }
 
 // freezeSets copies each distinct set out of the worker arenas once,
-// into one backing array, then interns it so equal sets are shared as
-// buildSnapshot shares them. Every set is capped at its length, so an
-// append by a caller cannot reach the next.
+// into one backing array of exactly their total size. Each worker
+// hash-conses its own sets, so an equal set from another worker is
+// matched by hash and elements first and shares the first one's copy.
+// Every set is capped at its length, so an append by a caller cannot
+// reach the next.
 func freezeSets(compSets []*set.Set) [][]prim.SymID {
 	copies := make(map[*set.Set][]prim.SymID)
+	byHash := make(map[uint64][]*set.Set)
+	alias := make(map[*set.Set]*set.Set) // a set → the equal set copied for it
+	var a, b []uint32
 	total := 0
 	for _, cs := range compSets {
-		if _, ok := copies[cs]; !ok && cs != nil {
-			copies[cs] = nil
+		if _, ok := copies[cs]; ok || cs == nil {
+			continue
+		}
+		copies[cs] = nil
+		h := cs.Hash()
+		for _, o := range byHash[h] {
+			a, b = cs.AppendU32(a[:0]), o.AppendU32(b[:0])
+			if slices.Equal(a, b) {
+				alias[cs] = o
+				break
+			}
+		}
+		if alias[cs] == nil {
+			byHash[h] = append(byHash[h], cs)
 			total += cs.Len()
 		}
 	}
 	sets := make([][]prim.SymID, len(compSets))
 	flat := make([]prim.SymID, 0, total)
-	interned := map[uint64][][]prim.SymID{}
 	for c, cs := range compSets {
 		if cs == nil {
 			continue
+		}
+		if o := alias[cs]; o != nil {
+			cs = o
 		}
 		syms := copies[cs]
 		if syms == nil {
 			lo := len(flat)
 			flat = cs.AppendSyms(flat)
-			syms = internInto(interned, flat[lo:len(flat):len(flat)])
-			if &syms[0] != &flat[lo] {
-				flat = flat[:lo] // an equal set from another worker's arena
-			}
+			syms = flat[lo:len(flat):len(flat)]
 			copies[cs] = syms
 		}
 		sets[c] = syms

@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -27,8 +28,9 @@ import (
 // the header they start with (headerWriteCases) and wide literals.
 // Every accepted program carries only what it uses (checkKept).
 // Every accepted program is solved by all five solvers, which must agree
-// per symbol: pre-transitive = worklist = bitvec, and that exact set is
-// within both one-level's and Steensgaard's. One-level within
+// per symbol: pre-transitive = worklist = bitvec, each of the first two
+// both sequentially and as waves (Jobs 2), and that exact set is within
+// both one-level's and Steensgaard's. One-level within
 // Steensgaard is not checked: the onelevel package's simplified
 // below-level model couples every address-taken variable with its
 // class's contents, so it is not pointwise comparable to Steensgaard (on
@@ -128,22 +130,35 @@ func checkKept(t *testing.T, prog *prim.Program) {
 }
 
 // checkLattice solves prog with every solver and checks, per symbol,
-// pretrans = worklist = bitvec, pretrans ⊆ onelevel and pretrans ⊆
-// steens.
+// pretrans = worklist = bitvec at Jobs 1 and 2, bitvec ⊆ onelevel and
+// bitvec ⊆ steens.
 func checkLattice(t *testing.T, prog *prim.Program) {
 	t.Helper()
 	src := pts.NewMemSource(prog)
-	pre, err := core.Solve(src, core.DefaultConfig())
-	if err != nil {
-		t.Fatalf("pretrans: %v", err)
-	}
-	wl, err := worklist.Solve(context.Background(), src, 1)
-	if err != nil {
-		t.Fatalf("worklist: %v", err)
-	}
 	bv, err := bitvec.Solve(src, 1)
 	if err != nil {
 		t.Fatalf("bitvec: %v", err)
+	}
+	// The Andersen-family solvers, each on its sequential and its wave
+	// path (Jobs 2), must equal bitvec exactly.
+	type solved struct {
+		name string
+		res  pts.Result
+	}
+	var exact []solved
+	for _, jobs := range []int{1, 2} {
+		cfg := core.DefaultConfig()
+		cfg.Jobs = jobs
+		pre, err := core.Solve(src, cfg)
+		if err != nil {
+			t.Fatalf("pretrans jobs %d: %v", jobs, err)
+		}
+		exact = append(exact, solved{fmt.Sprintf("pretrans jobs %d", jobs), pre})
+		wl, err := worklist.Solve(context.Background(), src, jobs)
+		if err != nil {
+			t.Fatalf("worklist jobs %d: %v", jobs, err)
+		}
+		exact = append(exact, solved{fmt.Sprintf("worklist jobs %d", jobs), wl})
 	}
 	ol, err := onelevel.Solve(src)
 	if err != nil {
@@ -155,18 +170,17 @@ func checkLattice(t *testing.T, prog *prim.Program) {
 	}
 	for i := range prog.Syms {
 		id := prim.SymID(i)
-		exact := pre.PointsTo(id)
-		if w := wl.PointsTo(id); !slices.Equal(exact, w) {
-			t.Fatalf("%s: pretrans %v, worklist %v", prog.Syms[i].Name, exact, w)
+		want := bv.PointsTo(id)
+		for _, e := range exact {
+			if got := e.res.PointsTo(id); !slices.Equal(want, got) {
+				t.Fatalf("%s: bitvec %v, %s %v", prog.Syms[i].Name, want, e.name, got)
+			}
 		}
-		if b := bv.PointsTo(id); !slices.Equal(exact, b) {
-			t.Fatalf("%s: pretrans %v, bitvec %v", prog.Syms[i].Name, exact, b)
+		if o := ol.PointsTo(id); !subset(want, o) {
+			t.Fatalf("%s: bitvec %v not within onelevel %v", prog.Syms[i].Name, want, o)
 		}
-		if o := ol.PointsTo(id); !subset(exact, o) {
-			t.Fatalf("%s: pretrans %v not within onelevel %v", prog.Syms[i].Name, exact, o)
-		}
-		if s := st.PointsTo(id); !subset(exact, s) {
-			t.Fatalf("%s: pretrans %v not within steens %v", prog.Syms[i].Name, exact, s)
+		if s := st.PointsTo(id); !subset(want, s) {
+			t.Fatalf("%s: bitvec %v not within steens %v", prog.Syms[i].Name, want, s)
 		}
 	}
 }

@@ -99,8 +99,9 @@ type Config struct {
 	Model extmodel.Model
 	// Core configures the pre-transitive solver's ablation toggles.
 	Core core.Config
-	// Jobs bounds compile and solve parallelism (<= 0 means
-	// GOMAXPROCS). Results are byte-identical at any setting.
+	// Jobs bounds compile and solve parallelism (<= 0 means GOMAXPROCS
+	// compile workers; a scratch solve runs waves only at >= 2, see
+	// core.Config.Jobs). Results are byte-identical at any setting.
 	Jobs int
 	// CacheDir, when non-empty, enables the on-disk unit store there, so
 	// compiled units and the latest solved generation survive across

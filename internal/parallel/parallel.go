@@ -225,22 +225,17 @@ func ShardCtx(ctx context.Context, j, n int, fn func(worker, lo, hi int) error) 
 	})
 }
 
-// Levels runs a sequence of barrier-synchronized levels: for each level
-// l in [0, levels), fn is sharded across up to j workers over
+// LevelsCtx runs a sequence of barrier-synchronized levels: for each
+// level l in [0, levels), fn is sharded across up to j workers over
 // [0, size(l)), and only after every shard of the level returns does the
 // optional after(l) hook run on the calling goroutine — the place wave
 // solvers merge per-worker buffers in a deterministic order before the
-// next level starts. See LevelsCtx for the error contract.
-func Levels(j, levels int, size func(level int) int, fn func(level, worker, lo, hi int) error, after func(level int) error) error {
-	return LevelsCtx(context.Background(), j, levels, size, fn, after)
-}
-
-// LevelsCtx is Levels under a context: each level's shard checks ctx
-// (see ShardCtx), and a failed level — worker error, after-hook error or
-// cancellation — stops before the next level begins. The returned error
-// is the failing level's lowest-worker error. A shard's panic is
-// contained as in ForEachCtx; one in the after hook, which runs on the
-// calling goroutine, is not.
+// next level starts. Each level's shard checks ctx (see ShardCtx), and a
+// failed level — worker error, after-hook error or cancellation — stops
+// before the next level begins. The returned error is the failing
+// level's lowest-worker error. A shard's panic is contained as in
+// ForEachCtx; one in the after hook, which runs on the calling
+// goroutine, is not.
 func LevelsCtx(ctx context.Context, j, levels int, size func(level int) int, fn func(level, worker, lo, hi int) error, after func(level int) error) error {
 	for l := 0; l < levels; l++ {
 		level := l

@@ -1,6 +1,7 @@
 package cla
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ func TestAnalysisLint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := db.Analyze(nil)
+	an, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestAnalysisLintSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := db.Analyze(nil)
+	an, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestAnalysisLintSelection(t *testing.T) {
 	}
 }
 
-// TestAnalysisLintFileBacked lints through the demand-loaded AnalyzeFile
+// TestAnalysisLintFileBacked lints through the demand-loaded AnalyzeFileCtx
 // path, which must materialize assignments and call sites from the file.
 func TestAnalysisLintFileBacked(t *testing.T) {
 	db, err := CompileSource("l.c", lintSrc, nil)
@@ -89,7 +90,7 @@ func TestAnalysisLintFileBacked(t *testing.T) {
 	if err := db.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	an, err := AnalyzeFile(path, nil)
+	an, err := AnalyzeFileCtx(context.Background(), path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ type Phase struct {
 	AllocBytes int64
 }
 
-// LoadInfo is the demand-load accounting of an AnalyzeFile run: how
+// LoadInfo is the demand-load accounting of an AnalyzeFileCtx run: how
 // much of the database the analysis actually touched (the load columns
 // of the paper's Table 3).
 type LoadInfo struct {
@@ -93,14 +93,14 @@ type RunStats struct {
 	// Metrics are the solver statistics (also via Analysis.Metrics).
 	Metrics Metrics
 	// Load is the demand-load accounting; DemandLoaded reports whether
-	// the run read from a serialized database (AnalyzeFile) at all.
+	// the run read from a serialized database (AnalyzeFileCtx) at all.
 	Load         LoadInfo
 	DemandLoaded bool
 }
 
 // Stats returns the statistics recorded for this analysis: solver
 // metrics, and — when an Observer was attached — phases and counters,
-// plus demand-load accounting for AnalyzeFile runs.
+// plus demand-load accounting for AnalyzeFileCtx runs.
 func (a *Analysis) Stats() RunStats {
 	rs := RunStats{Metrics: a.Metrics()}
 	if a.o.Enabled() {

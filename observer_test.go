@@ -2,6 +2,7 @@ package cla
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"path/filepath"
 	"testing"
@@ -34,7 +35,7 @@ func TestObserverStats(t *testing.T) {
 	if err := db.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	an, err := AnalyzeFile(path, &AnalyzeOptions{Observer: ob})
+	an, err := AnalyzeFileCtx(context.Background(), path, &AnalyzeOptions{Observer: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestObserverStats(t *testing.T) {
 		t.Errorf("solver.pointer_vars counter missing: %v", st.Counters)
 	}
 	if !st.DemandLoaded {
-		t.Fatal("DemandLoaded = false for AnalyzeFile run")
+		t.Fatal("DemandLoaded = false for AnalyzeFileCtx run")
 	}
 	if st.Load.EntriesLoaded == 0 || st.Load.BytesLoaded == 0 {
 		t.Errorf("load accounting empty: %+v", st.Load)
@@ -88,7 +89,7 @@ func TestNilObserverIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := db.Analyze(&AnalyzeOptions{Observer: ob})
+	an, err := db.AnalyzeCtx(context.Background(), &AnalyzeOptions{Observer: ob})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ void reflect(void) { mirror = g; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := db.Analyze(nil)
+	an, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestAnalysisQuery(t *testing.T) {
 	}
 }
 
-// TestAnalysisQueryFileBacked runs the same batch against an AnalyzeFile
+// TestAnalysisQueryFileBacked runs the same batch against an AnalyzeFileCtx
 // analysis, which must materialize the program before serving so queries
 // never race on the reader's demand-load state.
 func TestAnalysisQueryFileBacked(t *testing.T) {
@@ -70,7 +70,7 @@ func TestAnalysisQueryFileBacked(t *testing.T) {
 	if err := an.Database().WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	fan, err := AnalyzeFile(path, nil)
+	fan, err := AnalyzeFileCtx(context.Background(), path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestServeHTTP(t *testing.T) {
 	}
 }
 
-// TestCompileDirIncludeDirs is the regression test for CompileDir
+// TestCompileDirIncludeDirs is the regression test for CompileDirCtx
 // dropping Options.IncludeDirs: a header outside the compile dir must be
 // reachable through the option.
 func TestCompileDirIncludeDirs(t *testing.T) {
@@ -170,14 +170,14 @@ func TestCompileDirIncludeDirs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := CompileDir(src, nil); err == nil {
+	if _, err := CompileDirCtx(context.Background(), src, nil); err == nil {
 		t.Fatal("compile without IncludeDirs should fail to find ext.h")
 	}
-	db, err := CompileDir(src, &Options{IncludeDirs: []string{inc}})
+	db, err := CompileDirCtx(context.Background(), src, &Options{IncludeDirs: []string{inc}})
 	if err != nil {
 		t.Fatalf("compile with IncludeDirs: %v", err)
 	}
-	an, err := db.Analyze(nil)
+	an, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestPublicCtxCancellation(t *testing.T) {
 		t.Errorf("AnalyzeCtx(canceled, worklist) = %v, want context.Canceled", err)
 	}
 
-	an, err := db.Analyze(nil)
+	an, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func TestSnapshotStaleSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := db.Analyze(nil)
+	an, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // (Options and AnalyzeOptions are the same type under the names those
 // entry points take). The zero value (and nil) means: field-based
 // structs, pre-transitive solver, unsound extern model, all ablation
-// toggles on, all cores.
+// toggles on, Jobs 0 (see Jobs).
 type WorkspaceOptions struct {
 	// Mode is the struct treatment (default FieldBased, as in the paper).
 	Mode StructMode
@@ -39,10 +39,17 @@ type WorkspaceOptions struct {
 	// externals before solving (default ExtModelUnsound).
 	ExtModel ExtModel
 	// NoCache, NoCycleElim and NoDemandLoad are the pre-transitive
-	// solver's ablation toggles.
+	// solver's ablation toggles. NoCache affects only its sequential
+	// fixpoint: the wave fixpoint computes no reachability to cache, so
+	// under waves NoCache changes nothing but the cache counts in the
+	// metrics.
 	NoCache, NoCycleElim, NoDemandLoad bool
 
-	// Jobs bounds compile, link and solve parallelism (0 = all cores).
+	// Jobs bounds compile and solve parallelism. Compiling and
+	// materializing the solved sets use GOMAXPROCS workers at 0. The
+	// pre-transitive and worklist solvers run their wave fixpoint only
+	// at Jobs >= 2; at 0 or 1 a scratch solve runs the sequential
+	// fixpoint, while a workspace's warm re-solves always run waves.
 	// Analysis results are byte-identical at every setting.
 	Jobs int
 	// CacheDir, when non-empty, persists compiled unit databases and
@@ -126,8 +133,8 @@ func (o *WorkspaceOptions) incrConfig(dir string) incr.Config {
 }
 
 // Workspace is a mutable analysis session over a directory of C units —
-// the incremental counterpart of CompileDir followed by Analyze. Each
-// refresh recompiles only the units whose source or include closure
+// the incremental counterpart of CompileDirCtx followed by AnalyzeCtx.
+// Each refresh recompiles only the units whose source or include closure
 // changed, and relinks and re-solves only when some unit's compiled
 // program actually changed, yielding a new immutable generation. Analyses handed out for old generations
 // remain valid and queryable; the workspace never mutates them.
@@ -148,8 +155,8 @@ type Workspace struct {
 // link and solve of every .c file directly under dir (served from
 // WorkspaceOptions.CacheDir where valid). The one-shot
 //
-//	db, _ := cla.CompileDir(dir, copts)
-//	an, _ := db.Analyze(aopts)
+//	db, _ := cla.CompileDirCtx(ctx, dir, copts)
+//	an, _ := db.AnalyzeCtx(ctx, aopts)
 //
 // pipeline computes exactly a single-generation workspace; OpenWorkspace
 // is that plus the ability to move to generation 2.

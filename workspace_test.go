@@ -61,11 +61,11 @@ func TestWorkspaceMatchesOneShotPipeline(t *testing.T) {
 		t.Fatalf("generation = %d, want 1", ws.Generation())
 	}
 
-	db, err := CompileDir(dir, nil)
+	db, err := CompileDirCtx(context.Background(), dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneShot, err := db.Analyze(nil)
+	oneShot, err := db.AnalyzeCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
