@@ -110,15 +110,21 @@ func (s *Store) saveGeneration(key string, r *Result, prev uint64, solver, model
 // savedGeneration serves the generation with solve digest gen from the
 // store, if it holds a valid saved copy. A missing file is a miss; so is
 // a truncated, corrupt or mismatched one, which also counts in
-// incr.snapshot.rejected. On a miss the caller links and solves.
+// incr.snapshot.rejected. On a miss the caller links and solves. The
+// read is the snapshot.read span, and a served one is timed in
+// incr.snapshot.read.
 func (p *Pipeline) savedGeneration(gen uint64) (*Result, bool) {
+	start := time.Now()
+	sp := p.cfg.Obs.Start("snapshot.read")
 	r, err := p.store.loadGeneration(p.key, gen, p.cfg.Solver.String(), p.cfg.Model.String())
+	sp.End()
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			p.cfg.Obs.Counter("incr.snapshot.rejected").Inc()
 		}
 		return nil, false
 	}
+	p.cfg.Obs.Histogram("incr.snapshot.read").ObserveSince(start)
 	prog := r.Program()
 	return &Result{Prog: prog, Src: pts.NewMemSource(prog), Res: r.Result(), Digest: gen, Built: time.Now()}, true
 }

@@ -118,6 +118,32 @@ func TestReopenServesSavedGeneration(t *testing.T) {
 	}
 }
 
+// TestSnapshotReadTimed: a reopen served from the saved generation
+// records the read as one snapshot.read span and one
+// incr.snapshot.read observation, and its trace encodes.
+func TestSnapshotReadTimed(t *testing.T) {
+	o := obs.New()
+	cfg, _ := storedWorkspace(t, o)
+	p, err := Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if !p.Current().Stats.Snapshot {
+		t.Fatalf("reopen stats %+v, want the saved generation", p.Current().Stats)
+	}
+	if n, s := o.Histogram("incr.snapshot.read").Count(), spanCount(o, "snapshot.read"); n != 1 || s != 1 {
+		t.Fatalf("reopen recorded %d incr.snapshot.read observations and %d snapshot.read spans, want 1 and 1", n, s)
+	}
+	var trace bytes.Buffer
+	if err := o.WriteTrace(&trace); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
+	}
+	if !strings.Contains(trace.String(), `"snapshot.read"`) {
+		t.Fatal("trace has no snapshot.read span")
+	}
+}
+
 // TestObjectDeletedAfterSnapshotReopen: a unit's object file removed
 // between a reopen served from the saved generation and the first edit
 // that links is compiled again, not an error.

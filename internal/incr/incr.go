@@ -111,7 +111,8 @@ type Config struct {
 	// latency histogram and its per-phase split: incr.refresh.hash and
 	// incr.refresh.compile for every committed refresh,
 	// incr.refresh.link and incr.refresh.solve for those that linked and
-	// solved, and incr.snapshot.write for each save of a solved
+	// solved, incr.snapshot.read for each refresh served from a saved
+	// generation, and incr.snapshot.write for each save of a solved
 	// generation by Close. Nil disables instrumentation.
 	Obs *obs.Observer
 }

@@ -439,3 +439,45 @@ func TestFileRemovedAfterOpenStillReadable(t *testing.T) {
 		t.Errorf("block after unlink: %v", err)
 	}
 }
+
+// TestDecodedStringsAreCopies: decoded names are substrings of the
+// pool's one copy, never views of the input bytes, so a caller may
+// reuse those bytes once the decode returns.
+func TestDecodedStringsAreCopies(t *testing.T) {
+	p := fuzzSeedProgram()
+	var buf bytes.Buffer
+	if err := Write(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	in := buf.Bytes()
+	r, err := NewReader(bytes.NewReader(in), int64(len(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewStringPool()
+	sec := AppendSymbols(nil, pool, p.Syms)
+	poolBytes := pool.Bytes()
+	syms, err := DecodeSymbols(sec, Strings(poolBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{in, poolBytes} {
+		for i := range b {
+			b[i] = 'X'
+		}
+	}
+	for i := range p.Syms {
+		if got.Syms[i] != p.Syms[i] || syms[i] != p.Syms[i] {
+			t.Fatalf("symbol %d after overwriting the input: reader %+v, pool %+v, want %+v", i, got.Syms[i], syms[i], p.Syms[i])
+		}
+	}
+	for i, a := range got.Assigns {
+		if a.Loc.File != "a.c" || (a.Func != "" && a.Func != "f") {
+			t.Fatalf("assign %d after overwriting the input: %+v", i, a)
+		}
+	}
+}

@@ -106,7 +106,7 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 		}
 		sec[i] = b
 	}
-	r.strings = sec[secStrings]
+	r.strings = Strings(sec[secStrings])
 	var err error
 	if r.syms, err = DecodeSymbols(sec[secSymbols], r.strings); err != nil {
 		return nil, err
@@ -277,12 +277,12 @@ func (r *Reader) Block(sym prim.SymID) ([]BlockEntry, error) {
 	if _, err := r.r.ReadAt(b, r.secOff[secBlocks]+r.blockOff[sym]); err != nil {
 		return nil, err
 	}
-	return r.decodeBlock(sym, b, r.strings.Str)
+	return r.decodeBlock(sym, b)
 }
 
-// decodeBlock decodes sym's block from b, its bytes, reading its
-// strings through str, and counts the load.
-func (r *Reader) decodeBlock(sym prim.SymID, b []byte, str func(uint32) (string, error)) ([]BlockEntry, error) {
+// decodeBlock decodes sym's block from b, its bytes, and counts the
+// load.
+func (r *Reader) decodeBlock(sym prim.SymID, b []byte) ([]BlockEntry, error) {
 	n := len(b) / blockRecSize
 	out := make([]BlockEntry, n)
 	for i := 0; i < n; i++ {
@@ -295,11 +295,11 @@ func (r *Reader) decodeBlock(sym prim.SymID, b []byte, str func(uint32) (string,
 		if err := CheckSym(dst, len(r.syms)); err != nil {
 			return nil, err
 		}
-		file, err := str(le.Uint32(rec[8:]))
+		file, err := r.strings.Str(le.Uint32(rec[8:]))
 		if err != nil {
 			return nil, err
 		}
-		fn, err := str(le.Uint32(rec[16:]))
+		fn, err := r.strings.Str(le.Uint32(rec[16:]))
 		if err != nil {
 			return nil, err
 		}
@@ -350,8 +350,7 @@ func (r *Reader) Stats() Stats {
 
 // Program decodes the entire database into memory, for tests and the
 // whole-program (non-demand) analysis modes.
-// It reads the blocks section once and decodes each string the blocks
-// name once: a unit's assignments share a few file and function names.
+// It reads the blocks section once.
 func (r *Reader) Program() (*prim.Program, error) {
 	p := &prim.Program{Syms: append([]prim.Symbol(nil), r.syms...)}
 	statics, err := r.Statics()
@@ -363,14 +362,13 @@ func (r *Reader) Program() (*prim.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	str := r.strings.Memo()
 	for id := range r.syms {
 		n := int64(r.blockCnt[id])
 		if n == 0 {
 			continue
 		}
 		off := r.blockOff[id]
-		entries, err := r.decodeBlock(prim.SymID(id), blocks[off:off+n*blockRecSize], str)
+		entries, err := r.decodeBlock(prim.SymID(id), blocks[off:off+n*blockRecSize])
 		if err != nil {
 			return nil, err
 		}

@@ -60,34 +60,24 @@ func (p *StringPool) Add(s string) uint32 {
 // Bytes returns the pool's section bytes.
 func (p *StringPool) Bytes() []byte { return p.buf }
 
-// Strings is a resident string-pool section.
-type Strings []byte
+// Strings is a resident string-pool section held as one string: the
+// conversion from the section's bytes is the one copy a decode makes,
+// and every string Str returns is a substring of it. Decoded strings so
+// never alias the section's bytes, which a caller may reuse or unmap.
+type Strings string
 
-// Str decodes the string at offset off.
+// Str returns the string at offset off, a substring of the pool.
 func (s Strings) Str(off uint32) (string, error) {
-	if int64(off)+4 > int64(len(s)) {
+	o := int64(off)
+	if o+4 > int64(len(s)) {
 		return "", corrupt("string offset %d out of range", off)
 	}
-	end := int64(off) + 4 + int64(le.Uint32(s[off:]))
+	n := uint32(s[o]) | uint32(s[o+1])<<8 | uint32(s[o+2])<<16 | uint32(s[o+3])<<24
+	end := o + 4 + int64(n)
 	if end > int64(len(s)) {
 		return "", corrupt("string at %d overruns pool", off)
 	}
-	return string(s[off+4 : end]), nil
-}
-
-// Memo returns Str behind a cache, so a decoder that names the same
-// string many times (file and function names) decodes and
-// allocates it once.
-func (s Strings) Memo() func(off uint32) (string, error) {
-	memo := map[uint32]string{}
-	return func(off uint32) (string, error) {
-		if str, ok := memo[off]; ok {
-			return str, nil
-		}
-		str, err := s.Str(off)
-		memo[off] = str
-		return str, err
-	}
+	return string(s[o+4 : end]), nil
 }
 
 // EncodeSymID encodes a symbol reference, prim.NoSym as all ones.

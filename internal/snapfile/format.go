@@ -16,10 +16,11 @@
 //
 // Layout (all integers little-endian):
 //
-//	header:   magic "CLAS", version u32, result digest u64 (srchash
-//	          FNV-1a over every symbol's set elements, in ascending
-//	          symbol order — identical at any -j), source digest u64
-//	          (srchash FNV-1a over the source records),
+//	header:   magic "CLAS", version u32, result digest u64 (a
+//	          four-lane word-wise FNV-1a fold over every non-empty
+//	          symbol's {id, set length, elements}, in ascending symbol
+//	          order — identical at any -j; see resultDigest), source
+//	          digest u64 (srchash FNV-1a over the source records),
 //	          file size u64, section count u32, pad u32,
 //	          section table: numSections × {offset u64, length u64};
 //	          every section offset is 8-byte aligned
@@ -48,7 +49,9 @@
 //	          as the representative table: symbols the solver unified
 //	          share one set id.
 //	setidx:   u32 count, pad u32, then count × {start u64 (element index
-//	          into elems), length u32, pad u32}
+//	          into elems), length u32, pad u32}; pads are zero, and the
+//	          sets tile elems in id order, set ids numbered in the order
+//	          ascending symbols first reference them
 //	elems:    raw u32 array: every distinct set's elements, ascending,
 //	          stored once (the sealed-set external encoding). The section
 //	          is 8-byte aligned, so on little-endian hosts PointsTo
@@ -56,6 +59,10 @@
 //	report:   JSON: a four-check report and the extmodel audit; null in
 //	          every public writer's files, since decoding the JSON costs
 //	          what recomputing the report on first use does
+//
+// Open recomputes the result digest over every element of every symbol
+// and compares it with the header's, and requires the layout above
+// exactly, so a flip anywhere in ptsidx, setidx or elems is refused.
 //
 // Version policy: readers accept exactly one version; any incompatible
 // layout change bumps Version and old snapshots are rebuilt, never
@@ -77,8 +84,9 @@ import (
 // Magic identifies CLA solved-snapshot files.
 const Magic = "CLAS"
 
-// Version is the current snapshot format version.
-const Version = 1
+// Version is the current snapshot format version. Version 2 redefined
+// the header's result digest as the four-lane fold of resultDigest.
+const Version = 2
 
 // section ids, in file order.
 const (
@@ -176,6 +184,59 @@ func (e *CorruptError) Error() string { return "snapfile: corrupt snapshot: " + 
 // corrupt builds a *CorruptError.
 func corrupt(format string, args ...any) error {
 	return &CorruptError{Detail: fmt.Sprintf(format, args...)}
+}
+
+// FNV-1a 64-bit constants for the result digest's lanes, kept here
+// rather than taken from srchash: the digest is part of the file
+// format, which must not move when the source hashing scheme does.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// resultDigest is the header's result digest. It reads the relation as
+// one stream of u32 words: for every symbol with a non-empty set, in
+// ascending symbol order, its id, its set's length and its elements.
+// Word k, w, folds into lane k mod 4 as h = (h ^ w) * fnvPrime, so four
+// independent multiplies are in flight per four words; sum folds the
+// four lanes, in lane order, into one more FNV-1a state. The stream is
+// the relation itself, so the digest is the same at any -j and under
+// any set numbering.
+type resultDigest struct {
+	h [4]uint64 // h[i] is lane (n+i) mod 4: h[0] takes the next word
+	n int       // words folded
+}
+
+// newResultDigest returns the digest state of an empty stream.
+func newResultDigest() resultDigest {
+	return resultDigest{h: [4]uint64{fnvOffset, fnvOffset, fnvOffset, fnvOffset}}
+}
+
+// symbol folds one symbol's id, set length and set elements.
+func (d *resultDigest) symbol(id prim.SymID, set []prim.SymID) {
+	a, b, c, e := d.h[0], d.h[1], d.h[2], d.h[3]
+	a, b, c, e = b, c, e, (a^uint64(uint32(id)))*fnvPrime
+	a, b, c, e = b, c, e, (a^uint64(len(set)))*fnvPrime
+	for w := set; len(w) >= 4; w = w[4:] {
+		a = (a ^ uint64(uint32(w[0]))) * fnvPrime
+		b = (b ^ uint64(uint32(w[1]))) * fnvPrime
+		c = (c ^ uint64(uint32(w[2]))) * fnvPrime
+		e = (e ^ uint64(uint32(w[3]))) * fnvPrime
+	}
+	for _, x := range set[len(set)&^3:] {
+		a, b, c, e = b, c, e, (a^uint64(uint32(x)))*fnvPrime
+	}
+	d.h = [4]uint64{a, b, c, e}
+	d.n += 2 + len(set)
+}
+
+// sum returns the digest of the words folded so far.
+func (d *resultDigest) sum() uint64 {
+	h := uint64(fnvOffset)
+	for lane := 0; lane < 4; lane++ {
+		h = (h ^ d.h[(lane-d.n%4+4)%4]) * fnvPrime
+	}
+	return h
 }
 
 // castagnoli is the CRC-32C table behind Meta.Checksum.

@@ -54,6 +54,17 @@ func FuzzSnapshot(f *testing.F) {
 	flipped = append([]byte(nil), withReport...)
 	flipped[off+n/2] ^= 0x01
 	f.Add(flipped)
+	// The plain seed with a set's pad word set, and with its result
+	// digest flipped: at the current Version, so mutation starts at the
+	// result checks rather than the version check.
+	seed := buf.Bytes()
+	sec = headerSize - numSections*16 + secSetIdx*16
+	flipped = append([]byte(nil), seed...)
+	flipped[le.Uint64(seed[sec:])+8+12] ^= 0x01
+	f.Add(flipped)
+	flipped = append([]byte(nil), seed...)
+	flipped[8] ^= 0x01
+	f.Add(flipped)
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
 

@@ -27,10 +27,11 @@ type Options struct {
 // front); the set elements themselves are served as views into the
 // mapping when the platform allows, so PointsTo is allocation-free.
 //
-// Lifetime: everything returned by Program, Result and Report remains
-// valid until Close. Close unmaps the file; after it, set slices
-// previously returned by Result().PointsTo must not be touched. A
-// serving process that never tears sessions down never calls Close.
+// Lifetime: Result remains valid until Close. Close unmaps the file;
+// after it, set slices previously returned by Result().PointsTo must
+// not be touched. Program, Meta and Report are decoded into copies and
+// outlive Close. A serving process that never tears sessions down
+// never calls Close.
 type Reader struct {
 	data   []byte
 	mapped bool
@@ -291,20 +292,24 @@ func decode(data []byte, mapped bool) (*Reader, error) {
 	return r, nil
 }
 
-// decodeResult builds the Result and re-derives the jobs-independence
-// digest from the decoded relation, rejecting the file when it does not
-// match the header — the set data's end-to-end integrity check.
+// decodeResult builds the Result and re-derives the result digest from
+// the decoded relation, rejecting the file when it does not match the
+// header — the set data's end-to-end integrity check. The layout checks
+// leave nothing the digest does not cover: setidx pads are zero, the
+// sets tile elems exactly in id order, and symbols first reference the
+// sets in id order, so every element belongs to a set some symbol
+// folds.
 func decodeResult(idxSec, setSec, elemSec []byte, numSyms int, wantDigest uint64) (*Result, bool, error) {
 	// ptsidx: count + one set id per symbol.
 	if len(idxSec) < 4 {
 		return nil, false, corrupt("ptsidx section too small")
 	}
-	if n := int(le.Uint32(idxSec)); n != numSyms || len(idxSec) < 4+n*4 {
+	if n := int(le.Uint32(idxSec)); n != numSyms || len(idxSec) != 4+n*4 {
 		return nil, false, corrupt("ptsidx count %d (want %d symbols)", n, numSyms)
 	}
-	ptsIdx, _ := u32View(idxSec[4 : 4+numSyms*4])
+	ptsIdx, _ := u32View(idxSec[4:])
 	if ptsIdx == nil && numSyms > 0 {
-		ptsIdx = u32Decode(idxSec[4 : 4+numSyms*4])
+		ptsIdx = u32Decode(idxSec[4:])
 	}
 
 	// setidx: count, pad, then {start u64, length u32, pad u32} records.
@@ -312,19 +317,22 @@ func decodeResult(idxSec, setSec, elemSec []byte, numSyms int, wantDigest uint64
 		return nil, false, corrupt("setidx section too small")
 	}
 	nSets := int(le.Uint32(setSec))
-	if nSets < 0 || len(setSec) != 8+nSets*setIdxRec {
+	if nSets < 0 || len(setSec) != 8+nSets*setIdxRec || le.Uint32(setSec[4:]) != 0 {
 		return nil, false, corrupt("setidx size mismatch (%d sets, %d bytes)", nSets, len(setSec))
 	}
 
 	// elems: raw u32 array, zero-copy when alignment and endianness allow.
+	if len(elemSec)%4 != 0 {
+		return nil, false, corrupt("elems section has a ragged tail (%d bytes)", len(elemSec))
+	}
 	nElems := len(elemSec) / 4
 	var elems []prim.SymID
 	zero := false
-	if view, ok := u32View(elemSec[:nElems*4]); ok {
+	if view, ok := u32View(elemSec); ok {
 		elems = unsafe.Slice((*prim.SymID)(unsafe.Pointer(unsafe.SliceData(view))), len(view))
 		zero = nElems > 0
 	} else {
-		dec := u32Decode(elemSec[:nElems*4])
+		dec := u32Decode(elemSec)
 		elems = make([]prim.SymID, len(dec))
 		for i, x := range dec {
 			elems[i] = prim.SymID(x)
@@ -337,11 +345,15 @@ func decodeResult(idxSec, setSec, elemSec []byte, numSyms int, wantDigest uint64
 		length: make([]uint32, nSets),
 		elems:  elems,
 	}
+	next := uint64(0) // where the next set must start
 	for i := 0; i < nSets; i++ {
 		rec := setSec[8+i*setIdxRec:]
 		start := le.Uint64(rec)
 		length := le.Uint32(rec[8:])
-		if start > uint64(nElems) || uint64(length) > uint64(nElems)-start {
+		if start != next || le.Uint32(rec[12:]) != 0 {
+			return nil, false, corrupt("set %d does not start where set %d ends", i, i-1)
+		}
+		if uint64(length) > uint64(nElems)-start {
 			return nil, false, corrupt("set %d out of bounds", i)
 		}
 		if length == 0 {
@@ -358,24 +370,33 @@ func decodeResult(idxSec, setSec, elemSec []byte, numSyms int, wantDigest uint64
 		}
 		res.start[i] = uint32(start)
 		res.length[i] = length
+		next = start + uint64(length)
+	}
+	if next != uint64(nElems) {
+		return nil, false, corrupt("sets cover %d of %d elements", next, nElems)
 	}
 
-	digest := srchash.Offset()
-	for i := 0; i < numSyms; i++ {
-		id := ptsIdx[i]
+	digest := newResultDigest()
+	fresh := uint32(0) // the set id the next new reference must name
+	for i, id := range ptsIdx {
 		if id == noSet {
 			continue
 		}
 		if int(id) >= nSets {
 			return nil, false, corrupt("symbol %d references set %d of %d", i, id, nSets)
 		}
-		digest = srchash.FoldU32(digest, uint32(i))
-		digest = srchash.FoldU32(digest, res.length[id])
-		for _, e := range res.elems[res.start[id] : res.start[id]+res.length[id]] {
-			digest = srchash.FoldU32(digest, uint32(e))
+		if id > fresh {
+			return nil, false, corrupt("symbol %d references set %d before set %d", i, id, fresh)
 		}
+		if id == fresh {
+			fresh++
+		}
+		digest.symbol(prim.SymID(i), res.elems[res.start[id]:res.start[id]+res.length[id]])
 	}
-	if digest != wantDigest {
+	if int(fresh) != nSets {
+		return nil, false, corrupt("set %d of %d is unreferenced", fresh, nSets)
+	}
+	if digest.sum() != wantDigest {
 		return nil, false, corrupt("result digest mismatch (corrupted set data)")
 	}
 	return res, zero, nil
@@ -413,7 +434,6 @@ func decodeAssigns(b []byte, strs objfile.Strings, numSyms int) ([]prim.Assign, 
 		return nil, corrupt("assign section size mismatch (%d assigns, %d bytes)", n, len(b))
 	}
 	out := make([]prim.Assign, n)
-	str := strs.Memo()
 	for i := 0; i < n; i++ {
 		rec := b[4+i*asgRecSize:]
 		a := prim.Assign{
@@ -432,11 +452,11 @@ func decodeAssigns(b []byte, strs objfile.Strings, numSyms int) ([]prim.Assign, 
 		if err := objfile.CheckSym(a.Src, numSyms); err != nil {
 			return nil, err
 		}
-		file, err := str(le.Uint32(rec[8:]))
+		file, err := strs.Str(le.Uint32(rec[8:]))
 		if err != nil {
 			return nil, err
 		}
-		if a.Func, err = str(le.Uint32(rec[16:])); err != nil {
+		if a.Func, err = strs.Str(le.Uint32(rec[16:])); err != nil {
 			return nil, err
 		}
 		a.Loc = prim.Loc{File: file, Line: int32(le.Uint32(rec[12:]))}

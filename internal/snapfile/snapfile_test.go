@@ -174,6 +174,31 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestProgramOutlivesMapping: a mapped snapshot's program is decoded
+// into copies, so it stays readable after Close unmaps the file. A name
+// that aliased the mapping would fault here.
+func TestProgramOutlivesMapping(t *testing.T) {
+	s := build(t, driver.PreTransitive, 1)
+	path := filepath.Join(t.TempDir(), "test.snap")
+	if err := Save(path, s); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Mapped() != mmapSupported {
+		t.Fatalf("Mapped() = %v, want %v", r.Mapped(), mmapSupported)
+	}
+	prog := r.Program()
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(prog, s.Prog) {
+		t.Fatal("program read after Close differs from the one written")
+	}
+}
+
 func TestVerifySources(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join(dir, "a.c")
@@ -216,6 +241,9 @@ func TestVerifySources(t *testing.T) {
 
 // TestCorruption asserts hostile inputs error instead of panicking:
 // every truncation length and every single-byte flip of a valid file.
+// The result check must see every byte it guards: any flip of the
+// header's result digest or of the ptsidx, setidx and elems sections
+// fails with a *CorruptError.
 func TestCorruption(t *testing.T) {
 	s := build(t, driver.PreTransitive, 1)
 	var buf bytes.Buffer
@@ -228,17 +256,106 @@ func TestCorruption(t *testing.T) {
 			t.Fatalf("truncation to %d bytes accepted", n)
 		}
 	}
+	guarded := make([]bool, len(valid))
+	for i := 8; i < 16; i++ {
+		guarded[i] = true
+	}
+	for _, sec := range []int{secPtsIdx, secSetIdx, secElems} {
+		off, n := le.Uint64(valid[40+sec*16:]), le.Uint64(valid[40+sec*16+8:])
+		if n == 0 {
+			t.Fatalf("section %d is empty", sec)
+		}
+		for i := off; i < off+n; i++ {
+			guarded[i] = true
+		}
+	}
 	mut := make([]byte, len(valid))
+	var ce *CorruptError
 	for i := 0; i < len(valid); i++ {
-		copy(mut, valid)
-		mut[i] ^= 0x41
-		r, err := OpenBytes(mut)
-		// A flip inside JSON padding or a string body can survive parsing;
-		// what matters is that no flip panics and the result stays usable.
-		if err == nil {
-			for j := range s.Prog.Syms {
-				r.Result().PointsTo(prim.SymID(j))
+		if !guarded[i] {
+			copy(mut, valid)
+			mut[i] ^= 0x41
+			r, err := OpenBytes(mut)
+			// A flip inside JSON padding or a string body can survive
+			// parsing; what matters is that no flip panics and the
+			// result stays usable.
+			if err == nil {
+				for j := range s.Prog.Syms {
+					r.Result().PointsTo(prim.SymID(j))
+				}
 			}
+			continue
+		}
+		for x := 1; x < 256; x++ {
+			copy(mut, valid)
+			mut[i] ^= byte(x)
+			if _, err := OpenBytes(mut); !errors.As(err, &ce) {
+				t.Fatalf("flip %#02x at guarded byte %d: err = %v, want a *CorruptError", x, i, err)
+			}
+		}
+	}
+}
+
+// TestResultLayoutRejected: set data that no single flip produces but
+// a crafted file can — elements no set covers, a gap between sets, a
+// set no symbol references, set ids out of first-reference order — is
+// refused even where the digest, which folds only referenced sets,
+// would not see it.
+func TestResultLayoutRejected(t *testing.T) {
+	valid := storeSnapshot(t)
+	sec := func(i int) []byte {
+		off, n := le.Uint64(valid[40+i*16:]), le.Uint64(valid[40+i*16+8:])
+		return append([]byte(nil), valid[off:off+n]...)
+	}
+	idx, sets, elems := sec(secPtsIdx), sec(secSetIdx), sec(secElems)
+	numSyms, digest := int(le.Uint32(idx)), le.Uint64(valid[8:])
+	if _, _, err := decodeResult(idx, sets, elems, numSyms, digest); err != nil {
+		t.Fatalf("valid sections: %v", err)
+	}
+	if le.Uint32(sets) < 2 {
+		t.Fatal("test snapshot has fewer than two sets")
+	}
+	// refs lists the symbols that reference set id, in symbol order.
+	refs := func(id uint32) (out []int) {
+		for i := 0; i < numSyms; i++ {
+			if le.Uint32(idx[4+i*4:]) == id {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	lastSet := le.Uint32(sets) - 1
+	for _, c := range []struct {
+		name             string
+		idx, sets, elems []byte
+		want             string
+	}{
+		{"ragged tail", idx, sets, append(append([]byte(nil), elems...), 0, 0), "ragged tail"},
+		{"uncovered element", idx, sets, le.AppendUint32(append([]byte(nil), elems...), 0), "sets cover"},
+		{"gap between sets", idx, func() []byte {
+			b := append([]byte(nil), sets...)
+			le.PutUint64(b[8+16:], le.Uint64(b[8+16:])+1)
+			return b
+		}(), elems, "does not start where"},
+		{"unreferenced set", func() []byte {
+			b := append([]byte(nil), idx...)
+			for _, i := range refs(lastSet) {
+				le.PutUint32(b[4+i*4:], noSet)
+			}
+			return b
+		}(), sets, elems, "unreferenced"},
+		{"sets out of reference order", func() []byte {
+			b := append([]byte(nil), idx...)
+			first0, first1 := refs(0)[0], refs(1)[0]
+			le.PutUint32(b[4+first0*4:], 1)
+			le.PutUint32(b[4+first1*4:], 0)
+			return b
+		}(), sets, elems, "before set"},
+	} {
+		_, _, err := decodeResult(c.idx, c.sets, c.elems, numSyms, digest)
+		var ce *CorruptError
+		if !errors.As(err, &ce) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want a *CorruptError saying %q", c.name, err, c.want)
 		}
 	}
 }
@@ -313,7 +430,7 @@ func TestFormatGolden(t *testing.T) {
 		want string
 	}{
 		{".clo", clo.Bytes(), "586479ee6cbfce71"},
-		{".snap", snap.Bytes(), "66efc8d661343a1e"},
+		{".snap", snap.Bytes(), "7e645b36800254cf"},
 	} {
 		if got := srchash.Bytes(c.b); got != c.want {
 			t.Errorf("%s digest %s (%d bytes), want %s", c.name, got, len(c.b), c.want)

@@ -59,7 +59,7 @@ func Write(w io.Writer, s *Snapshot) error {
 		scratch []uint32
 		nextID  uint32
 		elems   []byte
-		digest  = srchash.Offset()
+		digest  = newResultDigest()
 	)
 	ptsIdx := make([]byte, 0, 4+len(prog.Syms)*4)
 	ptsIdx = le.AppendUint32(ptsIdx, uint32(len(prog.Syms)))
@@ -70,8 +70,6 @@ func Write(w io.Writer, s *Snapshot) error {
 			ptsIdx = le.AppendUint32(ptsIdx, noSet)
 			continue
 		}
-		digest = srchash.FoldU32(digest, uint32(i))
-		digest = srchash.FoldU32(digest, uint32(len(targets)))
 		b.Reset()
 		b.MergeSyms(targets)
 		sealed := b.Seal(nil, table)
@@ -90,9 +88,7 @@ func Write(w io.Writer, s *Snapshot) error {
 		}
 		// The digest covers the elements per symbol (not per distinct
 		// set), so it certifies the full relation.
-		for _, x := range targets {
-			digest = srchash.FoldU32(digest, uint32(x))
-		}
+		digest.symbol(prim.SymID(i), targets)
 		ptsIdx = le.AppendUint32(ptsIdx, id)
 	}
 	le.PutUint32(setIdx, nextID)
@@ -137,7 +133,7 @@ func Write(w io.Writer, s *Snapshot) error {
 	hdr := make([]byte, 0, headerSize)
 	hdr = append(hdr, Magic...)
 	hdr = le.AppendUint32(hdr, Version)
-	hdr = le.AppendUint64(hdr, digest)
+	hdr = le.AppendUint64(hdr, digest.sum())
 	hdr = le.AppendUint64(hdr, sourceDigest(s.Sources))
 	off := uint64(align8(headerSize))
 	var offs [numSections]uint64
