@@ -59,7 +59,8 @@ bench-smoke:
 # marker-text reference, every compiled unit must be rejected with an
 # error or solved alike by the three exact solvers (and within the two
 # unification ones), every incremental generation must equal a scratch
-# open, and every spliced relink must equal the full link fold. The
+# open, every compile cut off at its tokens must equal a full compile,
+# and every spliced relink must equal the full link fold. The
 # default -fuzzminimizetime (60 s) lets minimizing one new input take
 # the rest of a 10 s run; FUZZMIN caps it, on every target whose run
 # otherwise ended minimizing at 0 execs/sec.

@@ -226,6 +226,10 @@ func openDatabase(args []string, jobs int, model extmodel.Model, o *obs.Observer
 		return nil, err
 	}
 	extmodel.Apply(prog, model)
+	// The analysis reads the database as an object file, so a compiled
+	// program is encoded in memory first: a phase of its own.
+	sp := o.Start("encode")
+	defer sp.End()
 	var buf bytes.Buffer
 	if err := objfile.Write(&buf, prog); err != nil {
 		return nil, err

@@ -32,13 +32,13 @@ func BenchmarkCompileSource(b *testing.B) {
 			return CompileSource(name, src, loader, Options{})
 		}},
 		{"memo=miss", func(name, src string) (*prim.Program, error) {
-			return NewPreambles().CompileSource(name, src, loader, Options{})
+			return memoCompile(NewPreambles(), name, src, loader, Options{})
 		}},
 		{"memo=tokens", (&tokenMemo{}).compiler(loader)},
 		{"memo=tokens+ast", func() func(name, src string) (*prim.Program, error) {
 			m := NewPreambles()
 			return func(name, src string) (*prim.Program, error) {
-				return m.CompileSource(name, src, loader, Options{})
+				return memoCompile(m, name, src, loader, Options{})
 			}
 		}()},
 	} {
@@ -110,7 +110,7 @@ func BenchmarkSharedHeader(b *testing.B) {
 	code := gen.Generate(p.Scale(0.2), 1)
 	m := NewPreambles()
 	u := code.Units()[0]
-	if _, err := m.CompileSource(u, code.Files[u], code.Loader(), Options{}); err != nil {
+	if _, err := memoCompile(m, u, code.Files[u], code.Loader(), Options{}); err != nil {
 		b.Fatal(err)
 	}
 	pp := cpp.New(code.Loader())

@@ -13,7 +13,7 @@ import (
 // allows no includes). Parse errors abort; type diagnoses do not (legacy C
 // tolerance), matching the paper's robustness requirement.
 func CompileSource(name, src string, loader cpp.Loader, opts Options) (*prim.Program, error) {
-	return (*Preambles)(nil).CompileSource(name, src, loader, opts)
+	return compiledProgram((*Preambles)(nil).CompileSource(name, src, loader, opts, nil))
 }
 
 // CompileFile preprocesses and compiles the named file through loader.
@@ -21,10 +21,16 @@ func CompileFile(name string, loader cpp.Loader, opts Options) (*prim.Program, e
 	return (*Preambles)(nil).CompileFile(name, loader, opts)
 }
 
-// CompileSource is the package's CompileSource with the unit's leading
-// includes served from and added to m; a nil m is no memo. The program
-// and error are the same either way.
-func (m *Preambles) CompileSource(name, src string, loader cpp.Loader, opts Options) (*prim.Program, error) {
+// CompileSource is the one compile of a unit: the package's
+// CompileSource with the unit's leading includes served from and added
+// to m (a nil m is no memo), cut off after preprocessing when it matches
+// prev, the unit's previous compile (nil for none). The unit's tokens
+// are fingerprinted (fingerprint); when the fingerprint equals prev's,
+// parsing, checking and lowering would rebuild prev's program, so
+// CompileSource returns prev itself. Otherwise it parses, checks and
+// lowers. The program and error are the same with or without m and
+// prev.
+func (m *Preambles) CompileSource(name, src string, loader cpp.Loader, opts Options, prev *Compiled) (*Compiled, error) {
 	if loader == nil {
 		loader = cpp.MapLoader{}
 	}
@@ -40,17 +46,21 @@ func (m *Preambles) CompileSource(name, src string, loader cpp.Loader, opts Opti
 	var lexErr *cpp.LexError
 	switch {
 	case errors.Is(err, errNoPreamble):
-		return CompileSource(name, src, loader, opts)
+		return (*Preambles)(nil).CompileSource(name, src, loader, opts, prev)
 	case errors.As(err, &lexErr):
 		return nil, fmt.Errorf("parse %s: %w", name, lexErr.Err)
 	case err != nil:
 		return nil, fmt.Errorf("preprocess %s: %w", name, err)
 	}
+	fp := fingerprint(name, opts, r.chain(), toks)
+	if prev != nil && prev.fp == fp {
+		return prev, nil
+	}
 	unit, err := r.parse(name, toks)
 	if err != nil {
 		return nil, fmt.Errorf("parse %s: %w", name, err)
 	}
-	return r.compile(unit, opts), nil
+	return &Compiled{Prog: r.compile(unit, opts), fp: fp}, nil
 }
 
 // CompileFile is the package's CompileFile through m.
@@ -59,7 +69,14 @@ func (m *Preambles) CompileFile(name string, loader cpp.Loader, opts Options) (*
 	if err != nil {
 		return nil, err
 	}
-	return m.CompileSource(path, content, loader, opts)
+	return compiledProgram(m.CompileSource(path, content, loader, opts, nil))
+}
+
+func compiledProgram(c *Compiled, err error) (*prim.Program, error) {
+	if err != nil {
+		return nil, err
+	}
+	return c.Prog, nil
 }
 
 // FormatAssign renders an assignment with symbol names, for tests, tools

@@ -717,7 +717,7 @@ func TestProgramKeepsUsedEntries(t *testing.T) {
 	}
 	m := NewPreambles()
 	for _, pass := range []string{"fill", "hit"} {
-		got, err := m.CompileSource("t.c", keepSrc, files, Options{})
+		got, err := memoCompile(m, "t.c", keepSrc, files, Options{})
 		if d := diffPrograms(got, err, plain, nil); d != "" {
 			t.Errorf("memo %s: %s", pass, d)
 		}

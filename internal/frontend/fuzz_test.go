@@ -26,7 +26,10 @@ import (
 // served from it); all three must give the same error string or
 // byte-equal programs. The seeds include units that write the state of
 // the header they start with (headerWriteCases) and wide literals.
-// Every accepted program carries only what it uses (checkKept).
+// Every accepted program carries only what it uses (checkKept), and
+// the cut-off keeps it exactly when the tokens are unchanged
+// (checkCutoff): after every comment's text is rewritten in place, and
+// not after a blank line is inserted at the top.
 // Every accepted program is solved by all five solvers, which must agree
 // per symbol: pre-transitive = worklist = bitvec, each of the first two
 // both sequentially and as waves (Jobs 2), and that exact set is within
@@ -65,6 +68,8 @@ func FuzzCompile(f *testing.F) {
 	f.Add(keepSrc, keepHeader)
 	f.Add("#include \"h.h\"\nwchar_t *w = L\"x\";\nwchar_t c = L'y';\n", "typedef int wchar_t;\n")
 	f.Add("int *f(int *p);\nint L; int *q = L\"\" + L;\n", "")
+	f.Add("#include \"h.h\"\n/* c */ int *p = &g; // d\n#if 0\nint *q = &g;\n#endif\n", "int g; /* h */\n")
+	f.Add("# 7 \"f.c\"\nint g, *p = &g; /* pinned */\n", "")
 	f.Fuzz(func(t *testing.T, src, header string) {
 		if len(src)+len(header) > 1<<16 {
 			t.Skip()
@@ -72,7 +77,7 @@ func FuzzCompile(f *testing.F) {
 		prog, err := CompileSource("f.c", src, oneHeader(header), Options{})
 		m := NewPreambles()
 		for _, pass := range []string{"fill", "hit"} {
-			got, gotErr := m.CompileSource("f.c", src, oneHeader(header), Options{})
+			got, gotErr := memoCompile(m, "f.c", src, oneHeader(header), Options{})
 			if d := diffPrograms(got, gotErr, prog, err); d != "" {
 				t.Fatalf("memo %s: %s", pass, d)
 			}
@@ -90,6 +95,7 @@ func FuzzCompile(f *testing.F) {
 			t.Fatalf("accepted an invalid program: %v", err)
 		}
 		checkKept(t, prog)
+		checkCutoff(t, m, src, oneHeader(header))
 		checkLattice(t, prog)
 	})
 }

@@ -137,6 +137,7 @@ type preamble struct {
 	scope   cc.Scope      // the parser's file scope after them
 	checked *ctypes.Scope // the checker's file scope after them
 	lowered *builder      // their lowered prefix
+	fp      uint64        // the chain's content fingerprint (chainFingerprint)
 }
 
 // load is one call of a cpp.Loader and its result.
@@ -264,7 +265,7 @@ func (r *preambleRun) include(path, content string) (bool, error) {
 		// records each of the header's loads once.
 		r.rec.loads = r.rec.loads[:resolved]
 		if fill {
-			return r.fill(s, c, path, content)
+			return r.fill(s, c, k.state, path, content)
 		}
 		<-c.done
 		if e := c.e; e != nil && r.valid(e) {
@@ -329,8 +330,9 @@ func (r *preambleRun) valid(e *preamble) bool {
 // and publishes the entry. The check and the lowering run over the
 // chain's whole declaration list, with the filler's options. A header
 // that cannot be stored is published as an entry that is not ok, and
-// the unit's compile starts over without the memo.
-func (r *preambleRun) fill(s *slot, c *cell, path, content string) (bool, error) {
+// the unit's compile starts over without the memo. state is the
+// preprocessor's StateKey at the #include.
+func (r *preambleRun) fill(s *slot, c *cell, state, path, content string) (bool, error) {
 	r.m.misses.Add(1)
 	var e *preamble
 	defer func() { r.m.publish(s, c, e) }()
@@ -353,6 +355,7 @@ func (r *preambleRun) fill(s *slot, c *cell, path, content string) (bool, error)
 		return false, errNoPreamble
 	}
 	f.ok = true
+	f.fp = chainFingerprint(r.chain(), state, f.loads)
 	f.state = r.pp.State()
 	f.decls = slices.Clip(append(decls, unit.Decls...))
 	ck := ctypes.Check(&cc.TranslationUnit{Name: path, Decls: f.decls})
@@ -364,6 +367,15 @@ func (r *preambleRun) fill(s *slot, c *cell, path, content string) (bool, error)
 
 func (r *preambleRun) use(s *slot, e *preamble) {
 	r.slot, r.entry, r.mark = s, e, len(r.rec.loads)
+}
+
+// chain returns the content fingerprint of the unit's memoized leading
+// includes, 0 for none.
+func (r *preambleRun) chain() uint64 {
+	if r == nil || r.entry == nil {
+		return 0
+	}
+	return r.entry.fp
 }
 
 // parse parses the unit's own tokens after its memoized leading

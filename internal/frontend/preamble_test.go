@@ -17,7 +17,7 @@ import (
 // how the two differ; "" when they agree.
 func diffMemo(name, src string, loader cpp.Loader, opts Options, m *Preambles) string {
 	want, wantErr := CompileSource(name, src, loader, opts)
-	got, gotErr := m.CompileSource(name, src, loader, opts)
+	got, gotErr := memoCompile(m, name, src, loader, opts)
 	return diffPrograms(got, gotErr, want, wantErr)
 }
 
@@ -329,7 +329,7 @@ func TestPreambleFillPanic(t *testing.T) {
 				t.Fatal("no panic")
 			}
 		}()
-		m.CompileSource("u.c", "#include \"h.h\"\n", panicLoader{files, "g.h"}, Options{})
+		memoCompile(m, "u.c", "#include \"h.h\"\n", panicLoader{files, "g.h"}, Options{})
 	}()
 	for range 2 {
 		if d := diffMemo("u.c", "#include \"h.h\"\nint *p = &g;\n", files, Options{}, m); d != "" {

@@ -59,26 +59,42 @@ func BenchmarkOpen(b *testing.B) {
 
 // BenchmarkCommentEdit edits a comment into one unit of each layout and
 // refreshes at -j 2; one op is one edit, which recompiles that unit and
-// reuses the fixpoint.
+// reuses the fixpoint. With edit=comment the comment follows the unit's
+// code and moves no line, so the unit's tokens are unchanged and its
+// compile is cut off after preprocessing; with edit=shift one or two
+// comment lines, alternately, precede the code and move every line, so
+// the unit compiles in full. cutoff/op counts the cut-offs.
 func BenchmarkCommentEdit(b *testing.B) {
 	for _, l := range benchLayouts() {
-		b.Run("layout="+l.name, func(b *testing.B) {
-			dir := b.TempDir()
-			writeTree(b, dir, l.files)
-			pipe, err := Open(context.Background(), testConfig(dir))
-			if err != nil {
-				b.Fatal(err)
-			}
-			u := l.units[len(l.units)/2]
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				path := edit(b, dir, u, l.files[u]+fmt.Sprintf("/* %d */\n", i))
-				if _, st, err := pipe.Update(context.Background(), path); err != nil || st.Recompiled != 1 {
-					b.Fatalf("edit: %+v, %v", st, err)
+		for _, e := range []struct {
+			name string
+			edit func(src string, i int) string
+		}{
+			{"comment", func(src string, i int) string { return src + fmt.Sprintf("/* %d */\n", i) }},
+			{"shift", func(src string, i int) string { return strings.Repeat("/* shift */\n", 1+i%2) + src }},
+		} {
+			b.Run("layout="+l.name+"/edit="+e.name, func(b *testing.B) {
+				dir := b.TempDir()
+				writeTree(b, dir, l.files)
+				pipe, err := Open(context.Background(), testConfig(dir))
+				if err != nil {
+					b.Fatal(err)
 				}
-			}
-		})
+				u := l.units[len(l.units)/2]
+				cutoffs := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					path := edit(b, dir, u, e.edit(l.files[u], i))
+					_, st, err := pipe.Update(context.Background(), path)
+					if err != nil || st.Recompiled != 1 {
+						b.Fatalf("edit: %+v, %v", st, err)
+					}
+					cutoffs += st.CutOff
+				}
+				b.ReportMetric(float64(cutoffs)/float64(b.N), "cutoff/op")
+			})
+		}
 	}
 }
 

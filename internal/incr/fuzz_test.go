@@ -16,24 +16,45 @@ import (
 
 	"cla/internal/checks"
 	"cla/internal/driver"
+	"cla/internal/frontend"
 	"cla/internal/linker"
 	"cla/internal/obs"
 	"cla/internal/prim"
 )
 
 // fuzzFile is one workspace file as the fuzzer edits it: a prefix of
-// blank lines (shifts every line below), the original text, the facts
-// added so far, the unit's store fact and a run of comments appended
-// without a newline (shifts no line).
+// blank lines (shifts every line below), the original text, an #if 0
+// block whose one-line body the fuzzer rewrites, the facts added so far,
+// the unit's store fact and a run of comments appended without a
+// newline (shifts no line).
 type fuzzFile struct {
 	prefix, base string
+	dead         string
 	facts        []string
 	store        string
 	comments     string
 }
 
 func (f *fuzzFile) render() string {
-	return f.prefix + f.base + strings.Join(f.facts, "") + f.store + f.comments
+	return f.prefix + f.base + "#if 0\nint *fz_dead" + f.dead + ";\n#endif\n" +
+		strings.Join(f.facts, "") + f.store + f.comments
+}
+
+// checkCutoffs makes every compile that the frontend cuts off also
+// compile in full, and fails t unless the two programs deep-equal and
+// have equal digests. It returns the function that restores compileFn.
+func checkCutoffs(t *testing.T) func() {
+	compileFn = func(path string, dirs []string, opts frontend.Options, pre *frontend.Preambles, prev *unit) (*unit, error) {
+		u, err := compileUnit(path, dirs, opts, pre, prev)
+		if err == nil && u.cutOff(prev) {
+			full, err := compileUnit(path, dirs, opts, nil, nil)
+			if err != nil || !reflect.DeepEqual(full.prog, u.prog) || full.digest != u.digest {
+				t.Errorf("%s: cut-off program differs from a full compile (%v)", path, err)
+			}
+		}
+		return u, err
+	}
+	return func() { compileFn = compileUnit }
 }
 
 // fuzzFact is the k-th fact the fuzzer adds. Even facts have the edit
@@ -182,8 +203,12 @@ func analysisBytes(t *testing.T, r *Result) string {
 // always compiles. Whenever a refresh spliced its link, the linked
 // program and remap tables must deep-equal a fresh fold of the same
 // units. Every Update runs while other goroutines query the previous
-// generation, whose answers must not change. Inputs run up to 15 edits,
-// so one solver carries chains of warm generations.
+// generation, whose answers must not change. Every compile the frontend
+// cuts off is also compiled in full, and the two must deep-equal
+// (checkCutoffs); an edit that changes no token — a comment appended, a
+// comment's text or an #if 0 body rewritten in place — must be cut off
+// where the unit's previous compile is in memory. Inputs run up to 15
+// edits, so one solver carries chains of warm generations.
 func FuzzIncrEdits(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 3, 4})
 	f.Add([]byte{1, 5, 2, 7, 12, 1, 6})
@@ -218,6 +243,12 @@ func FuzzIncrEdits(f *testing.F) {
 	f.Add([]byte{30, 0, 7, 14, 21, 0, 5, 7, 12, 14, 5, 21, 1, 0})
 	f.Add([]byte{40, 0, 0, 0, 0, 5, 5, 14, 14, 14, 19, 19, 7})
 	f.Add([]byte{50, 14, 21, 0, 7, 19, 26, 5, 12, 0, 0, 0})
+	// Comment edits cut off (checkCutoffs): one after a fact edit on the
+	// same unit, in-place rewrites of a comment's text and edits of an
+	// #if 0 body, each on a unit that also changes otherwise.
+	f.Add([]byte{0, 0, 2, 0, 2})
+	f.Add([]byte{2, 9, 37, 7, 37, 65})
+	f.Add([]byte{10, 58, 16, 44, 3, 58})
 	solvers := []driver.Solver{
 		driver.PreTransitive, driver.Worklist, driver.Steensgaard,
 		driver.BitVector, driver.OneLevel,
@@ -226,6 +257,7 @@ func FuzzIncrEdits(f *testing.F) {
 		if len(data) < 2 || len(data) > 16 {
 			t.Skip()
 		}
+		defer checkCutoffs(t)()
 		dir := t.TempDir()
 		files := map[string]*fuzzFile{}
 		for name, content := range baseTree {
@@ -270,8 +302,19 @@ func FuzzIncrEdits(f *testing.F) {
 				if len(ff.facts) > 0 {
 					ff.facts = ff.facts[:len(ff.facts)-1]
 				}
-			case 2:
-				ff.comments += fmt.Sprintf("/* fz %d */", k)
+			case 2: // a comment appended, a comment's text or the #if 0 body rewritten: no token changes
+				switch n := len(ff.comments); {
+				case b/28%3 == 2:
+					ff.dead = fmt.Sprint(k)
+				case b/28%3 == 1 && n > 0:
+					c := byte('a' + k%26)
+					if ff.comments[2] == c {
+						c++
+					}
+					ff.comments = "/*" + strings.Repeat(string(c), n-4) + "*/"
+				default:
+					ff.comments += fmt.Sprintf("/* fz %d */", k)
+				}
 			case 3:
 				ff.prefix += "\n"
 			case 4: // the shared header: shift it, add a fact to every includer, or rewrite it
@@ -307,6 +350,9 @@ func FuzzIncrEdits(f *testing.F) {
 			readers.Wait()
 			if err != nil {
 				t.Fatalf("edit %d (%s): %v", k, name, err)
+			}
+			if b%7 == 2 && stored.CacheDir == "" && (st.Recompiled != 1 || st.CutOff != 1 || !st.SolveReused) {
+				t.Fatalf("edit %d (%s): a comment edit refreshed with %+v, want one unit cut off", k, name, st)
 			}
 			if st.LinkSpliced {
 				progs := make([]*prim.Program, len(p.link.units))

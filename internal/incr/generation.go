@@ -15,15 +15,15 @@ import (
 	"cla/internal/srchash"
 )
 
-// The store's third layer is the solved generation. Close saves the
-// pipeline's current generation, if a refresh linked and solved it, in
-// the store directory as <key>-<solve digest>.snap, where key names the
-// workspace and its solve configuration (genKey). An Open whose units
-// all pass their manifests folds the same solve digest and serves
-// generation 1 from that file: no object file is decoded and nothing is
-// linked or solved. A save removes the file the pipeline read or saved
-// before, and any other generation of the key older than the one it
-// wrote, so one file per key remains.
+// The pipeline's fourth reuse layer is the solved generation. Close
+// saves the pipeline's current generation, if a refresh linked and
+// solved it, in the store directory as <key>-<solve digest>.snap, where
+// key names the workspace and its solve configuration (genKey). An Open
+// whose units all pass their manifests folds the same solve digest and
+// serves generation 1 from that file: no object file is decoded and
+// nothing is linked or solved. A save removes the file the pipeline read
+// or saved before, and any other generation of the key older than the
+// one it wrote, so one file per key remains.
 
 // genKey names the workspace's saved generations: the srchash of the
 // directory, the search path, the compile options and the solve

@@ -6,7 +6,7 @@
 // instead of a million lines turns an edit-analyze round trip from
 // seconds into milliseconds.
 //
-// The pipeline tracks three layers of reuse, each content-addressed:
+// The pipeline tracks four layers of reuse, each content-addressed:
 //
 //   - Unit databases. Every translation unit is keyed by its compile
 //     options plus the srchash digest of the unit source and every file
@@ -17,6 +17,13 @@
 //     parsing anything. A unit served from the store is checked by its
 //     manifest alone; its object file is decoded only when a link needs
 //     its program.
+//   - The token stream. A dirty unit is preprocessed again and offered
+//     its previous compile (frontend.CompileSource): when the
+//     fingerprint of its tokens, name, lowering options and leading
+//     includes' contents is unchanged, parsing, checking, lowering and
+//     digesting are cut off, and the unit keeps its program and digest
+//     with the closure it just read. A unit served from the store, or
+//     whose latest compile failed, has no previous compile to keep.
 //   - The fixpoint. Each unit's compiled program is digested
 //     (prim.Program.Digest) once, in the compile worker that built it,
 //     and its store entry records that digest for later sessions. The
@@ -28,7 +35,7 @@
 //     deterministic, so equal unit programs under an identical
 //     configuration reproduce the identical fixpoint, and the reuse is
 //     byte-exact by construction. A comment edit that shifts no line
-//     therefore costs one unit compile.
+//     therefore costs one unit's preprocessing.
 //   - The solved generation. With a cache directory, Close saves the
 //     current generation there, when a refresh linked and solved it, as
 //     a solved snapshot named by its solve digest. An Open whose units
@@ -130,6 +137,10 @@ type unit struct {
 	prog   *prim.Program
 	deps   []dep  // sorted by path
 	digest uint64 // prog.Digest() as compiled; a store entry records it
+	// compiled is the compile that built prog, which the unit's next
+	// compile keeps when its tokens are unchanged (frontend cut-off);
+	// nil for a unit served from the store.
+	compiled *frontend.Compiled
 }
 
 // stamp is a cheap stat-level fingerprint used by staleness probes.
@@ -141,9 +152,13 @@ type stamp struct {
 // RefreshStats reports what one refresh actually did.
 type RefreshStats struct {
 	// Units is the workspace's unit count; Recompiled of those were
-	// dirty and re-parsed, StoreHits were dirty but served from the
+	// dirty and re-preprocessed, StoreHits were dirty but served from the
 	// on-disk store, and Reused were clean and kept from memory.
 	Units, Recompiled, StoreHits, Reused int
+	// CutOff counts the recompiled units whose preprocessed tokens
+	// matched their previous compile's, so they kept its program and
+	// digest without parsing, checking or lowering.
+	CutOff int
 	// MergesDone and MergesReused are always zero: the link is one
 	// sequential fold with no merge tree. They remain only because the
 	// benchmark harness still reads them.
@@ -224,6 +239,10 @@ type Pipeline struct {
 	gen    uint64
 	units  map[string]*unit
 	stamps map[string]stamp
+	// failed holds the units whose latest compile failed: the compile
+	// units holds for them is not their previous one, so their next
+	// compile is not offered it.
+	failed map[string]bool
 	cur    *Result
 	link   linkState // what cur's link folded
 }
@@ -266,7 +285,7 @@ func CompileDir(ctx context.Context, cfg Config) (*prim.Program, error) {
 }
 
 func newPipeline(cfg Config) (*Pipeline, error) {
-	p := &Pipeline{cfg: cfg, units: map[string]*unit{}, pre: frontend.NewPreambles()}
+	p := &Pipeline{cfg: cfg, units: map[string]*unit{}, failed: map[string]bool{}, pre: frontend.NewPreambles()}
 	if cfg.CacheDir != "" {
 		st, err := OpenStore(cfg.CacheDir)
 		if err != nil {
@@ -485,24 +504,43 @@ func (l *trackLoader) deps() []dep {
 	return out
 }
 
-// compileUnit parses one translation unit with dirs as the #include
+// compileUnit compiles one translation unit with dirs as the #include
 // search path, through the leading-include memo pre (nil for none),
-// recording the closure it reads.
-func compileUnit(path string, dirs []string, opts frontend.Options, pre *frontend.Preambles) (*unit, error) {
+// recording the closure it reads. prev is the unit's previous compile
+// (nil for none): when the unit's preprocessed tokens are unchanged the
+// frontend cuts the compile off, and the unit keeps prev's program and
+// digest with the closure just read.
+func compileUnit(path string, dirs []string, opts frontend.Options, pre *frontend.Preambles, prev *unit) (*unit, error) {
 	tl := &trackLoader{inner: cpp.OSLoader{Dirs: dirs}, reads: map[string]string{}}
 	content, rpath, err := tl.Load(path)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := pre.CompileSource(rpath, content, tl, opts)
+	var last *frontend.Compiled
+	if prev != nil {
+		last = prev.compiled
+	}
+	c, err := pre.CompileSource(rpath, content, tl, opts, last)
 	if err != nil {
 		return nil, err
 	}
-	return &unit{path: path, prog: prog, deps: tl.deps(), digest: prog.Digest()}, nil
+	u := &unit{path: path, prog: c.Prog, deps: tl.deps(), compiled: c}
+	if u.cutOff(prev) {
+		u.digest = prev.digest
+	} else {
+		u.digest = c.Prog.Digest()
+	}
+	return u, nil
+}
+
+// cutOff reports whether u kept prev's compile.
+func (u *unit) cutOff(prev *unit) bool {
+	return prev != nil && prev.compiled != nil && u.compiled == prev.compiled
 }
 
 // compileFn is the compile worker's compile step, a variable so tests
-// can make a worker fail in ways real source cannot.
+// can make a worker fail in ways real source cannot, or check each
+// cut-off against a full compile.
 var compileFn = compileUnit
 
 // compilePhase lists the workspace's units, decides which are dirty
@@ -537,7 +575,8 @@ func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*
 	if len(dirtyIdx) > 0 {
 		sp := o.Start("compile")
 		dirs := append([]string{p.cfg.Dir}, p.cfg.Includes...)
-		var hits atomic.Int64
+		var hits, cutoffs atomic.Int64
+		failed := make([]bool, len(dirtyIdx))
 		preHits, preMisses, preRechecks := p.pre.Counts()
 		err := parallel.ForEachCtx(ctx, p.cfg.Jobs, len(dirtyIdx), func(k int) error {
 			i := dirtyIdx[k]
@@ -551,19 +590,39 @@ func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*
 			}
 			usp := o.StartTrack(k+1, "unit "+filepath.Base(path))
 			defer usp.End()
-			u, err := compileFn(path, dirs, p.cfg.Frontend, p.pre)
+			prev := p.units[path]
+			if p.failed[path] {
+				prev = nil
+			}
+			u, err := compileFn(path, dirs, p.cfg.Frontend, p.pre, prev)
 			if err != nil {
+				failed[k] = true
 				return fmt.Errorf("incr: compile %s: %w", path, err)
 			}
+			cut := u.cutOff(prev)
+			if cut {
+				cutoffs.Add(1)
+				usp.Rename("unit " + filepath.Base(path) + " (cut off)")
+			}
 			if p.store != nil {
-				p.store.save(u, dirs, p.cfg.Frontend) // best-effort
+				p.store.save(u, dirs, p.cfg.Frontend, cut) // best-effort
 			}
 			units[i] = u
 			return nil
 		})
 		sp.End()
+		for k, i := range dirtyIdx {
+			switch {
+			case failed[k]:
+				p.failed[paths[i]] = true
+			case units[i] != nil:
+				delete(p.failed, paths[i])
+			}
+		}
 		st.StoreHits = int(hits.Load())
 		st.Recompiled = len(dirtyIdx) - st.StoreHits
+		st.CutOff = int(cutoffs.Load())
+		o.Counter("compile.cutoff").Add(cutoffs.Load())
 		h, m, r := p.pre.Counts()
 		o.Counter("compile.preamble_hits").Add(h - preHits)
 		o.Counter("compile.preamble_misses").Add(m - preMisses)
@@ -609,11 +668,11 @@ func (p *Pipeline) loadPrograms(ctx context.Context, units []*unit, st *RefreshS
 			units[todo[k]] = &unit{path: u.path, prog: prog, deps: u.deps, digest: u.digest}
 			return nil
 		}
-		nu, err := compileFn(u.path, dirs, p.cfg.Frontend, p.pre)
+		nu, err := compileFn(u.path, dirs, p.cfg.Frontend, p.pre, nil)
 		if err != nil {
 			return fmt.Errorf("incr: compile %s: %w", u.path, err)
 		}
-		p.store.save(nu, dirs, p.cfg.Frontend) // best-effort
+		p.store.save(nu, dirs, p.cfg.Frontend, false) // best-effort
 		units[todo[k]] = nu
 		recompiled[k] = true
 		return nil

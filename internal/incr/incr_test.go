@@ -523,11 +523,11 @@ func TestCompilePanicKeepsServingOldGeneration(t *testing.T) {
 			t.Fatal(err)
 		}
 		gen1 := p.Current()
-		compileFn = func(path string, dirs []string, opts frontend.Options, pre *frontend.Preambles) (*unit, error) {
+		compileFn = func(path string, dirs []string, opts frontend.Options, pre *frontend.Preambles, prev *unit) (*unit, error) {
 			if filepath.Base(path) == "table.c" {
 				panic("frontend fault")
 			}
-			return compileUnit(path, dirs, opts, pre)
+			return compileUnit(path, dirs, opts, pre, prev)
 		}
 		hdr := edit(t, dir, "shared.h", baseTree["shared.h"]+"extern int more;\n")
 		_, _, err = p.Update(context.Background(), hdr)

@@ -136,7 +136,7 @@ func TestPreambleMatchesPlainCompile(t *testing.T) {
 		cfg.Obs = nil
 		dirs := []string{dir}
 		for path, u := range p.units {
-			plain, err := compileUnit(path, dirs, cfg.Frontend, nil)
+			plain, err := compileUnit(path, dirs, cfg.Frontend, nil, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", path, err)
 			}
@@ -273,7 +273,7 @@ func TestPreambleHeaderEditReplacesEntry(t *testing.T) {
 	}
 	check("new unit", 3, 4)
 	for path, u := range p.units {
-		plain, err := compileUnit(path, []string{dir}, cfg.Frontend, nil)
+		plain, err := compileUnit(path, []string{dir}, cfg.Frontend, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +334,7 @@ func TestPreambleSweepKeepsOnlyShared(t *testing.T) {
 		}
 		check("comment edit", tc.openHits+tc.editHits, openMisses+1-tc.editHits)
 		for path, u := range pipe.units {
-			plain, err := compileUnit(path, []string{dir}, cfg.Frontend, nil)
+			plain, err := compileUnit(path, []string{dir}, cfg.Frontend, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

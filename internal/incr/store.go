@@ -13,7 +13,7 @@ import (
 	"cla/internal/srchash"
 )
 
-// Store is the on-disk cache of the pipeline's first and third reuse
+// Store is the on-disk cache of the pipeline's first and fourth reuse
 // layers: the units, and each workspace's latest solved generation as a
 // .snap file (see generation.go). A unit entry is one .clo object file
 // plus one .manifest per (unit path, #include search path, compile
@@ -58,11 +58,11 @@ func (s *Store) Compile(path string, dirs []string, opts frontend.Options) (*pri
 			return prog, nil
 		}
 	}
-	u, err := compileUnit(path, dirs, opts, nil)
+	u, err := compileUnit(path, dirs, opts, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	s.save(u, dirs, opts)
+	s.save(u, dirs, opts, false)
 	return u.prog, nil
 }
 
@@ -115,12 +115,17 @@ func (s *Store) program(unitPath string, dirs []string, opts frontend.Options) (
 	return r.Program()
 }
 
-// save writes u's object and manifest. Failures are swallowed: an
-// entry that was never written is a miss, which costs a recompile.
-func (s *Store) save(u *unit, dirs []string, opts frontend.Options) {
+// save writes u's object and manifest. A unit that kept its previous
+// compile (cutOff) rewrites only the manifest when the entry already
+// records u's digest, since its object file then holds u's program.
+// Failures are swallowed: an entry that was never written is a miss,
+// which costs a recompile.
+func (s *Store) save(u *unit, dirs []string, opts frontend.Options, cutOff bool) {
 	base := s.base(u.path, dirs, opts)
-	if err := objfile.WriteFile(filepath.Join(s.dir, base+".clo"), u.prog); err != nil {
-		return
+	if !cutOff || s.recorded(base) != u.digest {
+		if err := objfile.WriteFile(filepath.Join(s.dir, base+".clo"), u.prog); err != nil {
+			return
+		}
 	}
 	var mb strings.Builder
 	fmt.Fprintf(&mb, "%016x\n", u.digest)
@@ -128,4 +133,16 @@ func (s *Store) save(u *unit, dirs []string, opts frontend.Options) {
 		fmt.Fprintf(&mb, "%s\t%s\n", d.path, d.hash)
 	}
 	os.WriteFile(filepath.Join(s.dir, base+".manifest"), []byte(mb.String()), 0o644)
+}
+
+// recorded returns the program digest the manifest named base records,
+// 0 for none.
+func (s *Store) recorded(base string) uint64 {
+	mb, err := os.ReadFile(filepath.Join(s.dir, base+".manifest"))
+	if err != nil {
+		return 0
+	}
+	head, _, _ := strings.Cut(string(mb), "\n")
+	digest, _ := strconv.ParseUint(head, 16, 64)
+	return digest
 }

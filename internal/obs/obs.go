@@ -165,6 +165,15 @@ func (sp *Span) Child(name string) *Span {
 	return c
 }
 
+// Rename sets the name the span is recorded under, so work can say what
+// it turned out to be, such as a compile that was cut off. Call it
+// before End, from the goroutine that ends the span.
+func (sp *Span) Rename(name string) {
+	if sp != nil {
+		sp.name = name
+	}
+}
+
 // End closes the span and records it. A second End is ignored.
 func (sp *Span) End() {
 	if sp == nil || !sp.ended.CompareAndSwap(false, true) {

@@ -896,8 +896,9 @@ func TestSessionLifecycleREST(t *testing.T) {
 
 // TestSessionInfoLastRefresh: GET /v1/sessions/{id} reports the latest
 // refresh's stats: none after the open, a re-solve after a fact edit,
-// a reused fixpoint after a comment-only edit, and the watch loop's
-// refreshes as well as the REST ones.
+// a cut-off compile and a reused fixpoint after a comment-only edit,
+// trailing comments included, and the watch loop's refreshes as well as
+// the REST ones.
 func TestSessionInfoLastRefresh(t *testing.T) {
 	dir := writeTestDir(t)
 	s := NewServer(NewRegistry(), ServerConfig{Jobs: 1, Session: Config{Jobs: 1}})
@@ -936,22 +937,30 @@ func TestSessionInfoLastRefresh(t *testing.T) {
 	}
 
 	rewriteUnit(t, dir)
-	if lr := refresh("fact edit"); lr.SolveReused || !lr.LinkSpliced {
-		t.Fatalf("fact edit: last_refresh = %+v, want b.c spliced into the link and a re-solve", lr)
+	if lr := refresh("fact edit"); lr.SolveReused || !lr.LinkSpliced || lr.CutOff != 0 {
+		t.Fatalf("fact edit: last_refresh = %+v, want b.c compiled, spliced into the link and a re-solve", lr)
 	}
-	comment := func() {
+	comment := func(text string) {
 		t.Helper()
 		b, err := os.ReadFile(filepath.Join(dir, "b.c"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "b.c"), append(b, "/* note */\n"...), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "b.c"), append(b, text...), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	comment()
-	if lr := refresh("comment edit"); !lr.SolveReused || lr.SolveWarm || lr.LinkSpliced {
-		t.Fatalf("comment edit: last_refresh = %+v, want the fixpoint reused", lr)
+	comment("/* note */\n")
+	if lr := refresh("comment edit"); !lr.SolveReused || lr.SolveWarm || lr.LinkSpliced || lr.CutOff != 1 {
+		t.Fatalf("comment edit: last_refresh = %+v, want b.c cut off and the fixpoint reused", lr)
+	}
+	// A trailing comment with no newline moves no line either.
+	comment("/* a trailing comment */")
+	if lr := refresh("trailing comment"); !lr.SolveReused || lr.CutOff != 1 {
+		t.Fatalf("trailing comment: last_refresh = %+v, want b.c cut off and the fixpoint reused", lr)
+	}
+	if rec := doReq(t, h, "GET", "/v1/sessions/live", nil); !strings.Contains(rec.Body.String(), `"cut_off": 1`) {
+		t.Fatalf("session info %s has no \"cut_off\": 1", rec.Body.String())
 	}
 
 	sess, err := s.Sessions.Get("live")
@@ -964,7 +973,7 @@ func TestSessionInfoLastRefresh(t *testing.T) {
 	}
 	defer sess.StopWatch()
 	time.Sleep(30 * time.Millisecond) // let the baseline scan land
-	comment()
+	comment("\n/* watched */\n")
 	deadline := time.Now().Add(5 * time.Second)
 	for sess.LastRefresh() == before {
 		if time.Now().After(deadline) {
@@ -972,8 +981,8 @@ func TestSessionInfoLastRefresh(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if lr := info().LastRefresh; lr == nil || lr.Recompiled != 1 || !lr.SolveReused {
-		t.Fatalf("watched comment edit: last_refresh = %+v, want 1 recompiled and the fixpoint reused", lr)
+	if lr := info().LastRefresh; lr == nil || lr.Recompiled != 1 || lr.CutOff != 1 || !lr.SolveReused {
+		t.Fatalf("watched comment edit: last_refresh = %+v, want 1 recompiled, cut off, and the fixpoint reused", lr)
 	}
 	sess.StopWatch()
 
@@ -1115,7 +1124,8 @@ func TestSessionWatchSwapsGeneration(t *testing.T) {
 
 // TestMetricszShowsPreambleCounters: a directory session's compile
 // reports its leading-include memo on /metricsz: three units sharing a
-// header preprocess it once. The link's unit symbol count is there too.
+// header preprocess it once. The link's unit symbol count is there too,
+// and so is compile.cutoff, which a comment edit's refresh moves to 1.
 func TestMetricszShowsPreambleCounters(t *testing.T) {
 	dir := t.TempDir()
 	for name, src := range map[string]string{
@@ -1133,10 +1143,22 @@ func TestMetricszShowsPreambleCounters(t *testing.T) {
 		t.Fatalf("create = %d %q", rec.Code, rec.Body.String())
 	}
 	out := get(t, h, "/metricsz").Body.String()
-	for _, want := range []string{"compile_preamble_hits 2", "compile_preamble_misses 1", "link_unit_syms "} {
+	for _, want := range []string{"compile_preamble_hits 2", "compile_preamble_misses 1", "link_unit_syms ", "compile_cutoff 0"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metricsz missing %q:\n%s", want, out)
 		}
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "b.c"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString("/* a comment moves no line */")
+	f.Close()
+	if rec := doReq(t, h, "POST", "/v1/sessions/d/refresh", nil); rec.Code != 200 {
+		t.Fatalf("refresh = %d %q", rec.Code, rec.Body.String())
+	}
+	if out := get(t, h, "/metricsz").Body.String(); !strings.Contains(out, "compile_cutoff 1") {
+		t.Errorf("metricsz after a comment edit has no compile_cutoff 1:\n%s", out)
 	}
 }
 

@@ -212,7 +212,8 @@ type SessionInfo struct {
 }
 
 // RefreshInfo is the wire shape of one refresh's incr.RefreshStats:
-// the unit counts, whether the link spliced the one changed unit into
+// the unit counts (cut_off counts the recompiled units whose unchanged
+// tokens kept their previous compile), whether the link spliced the one changed unit into
 // the previous link, whether the fixpoint was reused, read from the
 // unit store's saved generation or solved warm, and the phase split in
 // milliseconds.
@@ -221,6 +222,7 @@ type RefreshInfo struct {
 	Recompiled  int     `json:"recompiled"`
 	StoreHits   int     `json:"store_hits"`
 	Reused      int     `json:"reused"`
+	CutOff      int     `json:"cut_off"`
 	LinkSpliced bool    `json:"link_spliced"`
 	SolveReused bool    `json:"solve_reused"`
 	Snapshot    bool    `json:"snapshot"`
@@ -238,7 +240,7 @@ func refreshInfo(st *incr.RefreshStats) *RefreshInfo {
 	}
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	return &RefreshInfo{
-		Units: st.Units, Recompiled: st.Recompiled, StoreHits: st.StoreHits, Reused: st.Reused,
+		Units: st.Units, Recompiled: st.Recompiled, StoreHits: st.StoreHits, Reused: st.Reused, CutOff: st.CutOff,
 		LinkSpliced: st.LinkSpliced, SolveReused: st.SolveReused, Snapshot: st.Snapshot, SolveWarm: st.SolveWarm,
 		HashMS: ms(st.Hash), CompileMS: ms(st.Compile), LinkMS: ms(st.Link),
 		SolveMS: ms(st.Solve), TotalMS: ms(st.Total),

@@ -166,7 +166,8 @@ func TestCLIObsDeterminism(t *testing.T) {
 }
 
 // TestCLIObsReportShape spot-checks the claan -stats report sections on
-// a directory input: phases, database, analysis, demand loading.
+// a directory input: phases (the in-memory encode between link and
+// analyze among them), database, analysis, demand loading.
 func TestCLIObsReportShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -187,5 +188,11 @@ func TestCLIObsReportShape(t *testing.T) {
 	}
 	if strings.Contains(out, "pool.") {
 		t.Errorf("claan -stats leaks jobs-dependent pool counters:\n%s", out)
+	}
+	phases, _, _ := strings.Cut(out[strings.Index(out, "== phases =="):], "== database ==")
+	for _, phase := range []string{"compile", "link", "encode", "analyze"} {
+		if !regexp.MustCompile(`(?m)^\s*` + phase + `\s`).MatchString(phases) {
+			t.Errorf("claan -stats phases lack %q:\n%s", phase, phases)
+		}
 	}
 }
