@@ -22,8 +22,8 @@ import (
 
 	"cla/internal/claerr"
 	"cla/internal/cpp"
+	"cla/internal/driver"
 	"cla/internal/frontend"
-	"cla/internal/incr"
 	"cla/internal/linker"
 	"cla/internal/objfile"
 	"cla/internal/prim"
@@ -78,18 +78,25 @@ func compileText(name, src string, loader cpp.Loader, opts *Options) (*Database,
 	return &Database{prog: prog}, nil
 }
 
-// CompileDirCtx compiles and links every .c file in dir, fanning the
-// unit compiles out across Options.Jobs workers. A cancellation of ctx
-// stops undispatched unit compiles and returns ctx's error.
-// Options.IncludeDirs joins dir on the #include search path of every
-// unit.
+// CompileDirCtx compiles and links every .c file directly under dir
+// (none is a PhaseCompile error), fanning the unit compiles out across
+// Options.Jobs workers. A cancellation of ctx stops undispatched unit
+// compiles and returns ctx's error. Options.IncludeDirs joins dir on the
+// #include search path of every unit.
 //
-// This is the compile half of a single-generation Workspace: it runs
-// the incremental pipeline's compile+link front end once (so the output
-// is exactly what OpenWorkspace would analyze). For a session that
-// stays open and recompiles only what changes, use OpenWorkspace.
+// It is the tools' one-shot compile, and its output is exactly what
+// OpenWorkspace would analyze. For a session that stays open and
+// recompiles only what changes, use OpenWorkspace.
 func CompileDirCtx(ctx context.Context, dir string, opts *Options) (*Database, error) {
-	prog, err := incr.CompileDir(ctx, opts.incrConfig(dir))
+	units, err := driver.Units(dir)
+	if err != nil {
+		return nil, claerr.File(claerr.PhaseCompile, dir, err)
+	}
+	jobs := 0
+	if opts != nil {
+		jobs = opts.Jobs
+	}
+	prog, err := driver.Compile(ctx, units, opts.loader(dir), opts.frontend(), jobs, opts.observer())
 	if err != nil {
 		return nil, claerr.File(claerr.PhaseCompile, dir, err)
 	}
@@ -120,12 +127,7 @@ func (db *Database) WriteFile(path string) error {
 // OpenFile loads a serialized database fully into memory. For the
 // demand-loaded analysis path use AnalyzeFileCtx instead.
 func OpenFile(path string) (*Database, error) {
-	r, err := objfile.Open(path)
-	if err != nil {
-		return nil, claerr.File(claerr.PhaseObject, path, err)
-	}
-	defer r.Close()
-	prog, err := r.Program()
+	prog, err := objfile.ReadFile(path)
 	if err != nil {
 		return nil, claerr.File(claerr.PhaseObject, path, err)
 	}

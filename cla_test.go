@@ -2,6 +2,7 @@ package cla
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"sort"
@@ -224,6 +225,26 @@ func TestCompileDirAndIncludes(t *testing.T) {
 	}
 	if got := names(an.PointsToName("p")); len(got) != 1 || got[0] != "g" {
 		t.Errorf("pts(p) = %v", got)
+	}
+}
+
+// TestCompileDirNoUnits: a directory with no units, or no directory at
+// all, is a compile-phase error that names the directory.
+func TestCompileDirNoUnits(t *testing.T) {
+	empty := t.TempDir()
+	if err := os.WriteFile(filepath.Join(empty, "defs.h"), []byte("extern int g;\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{empty, filepath.Join(empty, "missing")} {
+		db, err := CompileDirCtx(context.Background(), dir, nil)
+		var ce *Error
+		if !errors.As(err, &ce) || ce.Phase != PhaseCompile {
+			t.Errorf("CompileDirCtx(%s) = %v, %v; want a %s-phase error", dir, db, err, PhaseCompile)
+			continue
+		}
+		if !strings.Contains(err.Error(), dir) {
+			t.Errorf("CompileDirCtx(%s) error %q does not name the directory", dir, err)
+		}
 	}
 }
 

@@ -125,15 +125,17 @@ func TestClalintExitCodes(t *testing.T) {
 }
 
 // TestClalintIncludeDirs: -I reaches every unit compile whether the
-// units are named one by one or found by listing a directory.
+// units are named one by one or found by listing a directory; so does
+// each unit's own directory, for an angle include; and -D NAME defines
+// NAME as 1.
 func TestClalintIncludeDirs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	tools := buildTools(t, "clalint")
 	work := t.TempDir()
-	inc, src := filepath.Join(work, "inc"), filepath.Join(work, "src")
-	for _, d := range []string{inc, src} {
+	inc, src, ang, feat := filepath.Join(work, "inc"), filepath.Join(work, "src"), filepath.Join(work, "ang"), filepath.Join(work, "feat")
+	for _, d := range []string{inc, src, ang, feat} {
 		if err := os.Mkdir(d, 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -142,19 +144,27 @@ func TestClalintIncludeDirs(t *testing.T) {
 		filepath.Join(inc, "defs.h"): "extern int g;\nextern int *p;\n",
 		filepath.Join(src, "a.c"):    "#include \"defs.h\"\nint g;\nint *p;\nvoid f(void) { p = &g; *p = g; }\n",
 		filepath.Join(src, "b.c"):    "#include \"defs.h\"\nvoid h(void) { *p = 1; }\n",
+		filepath.Join(ang, "defs.h"): "extern int g;\nextern int *p;\n",
+		filepath.Join(ang, "a.c"):    "#include <defs.h>\nint g;\nint *p;\nvoid f(void) { p = &g; *p = g; }\n",
+		filepath.Join(ang, "b.c"):    "#include <defs.h>\nvoid h(void) { *p = 1; }\n",
+		filepath.Join(feat, "f.c"):   "#if FEATURE\nint g;\nint *p;\nvoid f(void) { p = &g; *p = g; }\n#else\n#error FEATURE is off\n#endif\n",
 	}
 	for path, content := range files {
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, inputs := range [][]string{
-		{filepath.Join(src, "a.c"), filepath.Join(src, "b.c")},
-		{src},
+	for _, args := range [][]string{
+		{"-I", inc, filepath.Join(src, "a.c"), filepath.Join(src, "b.c")},
+		{"-I", inc, src},
+		{filepath.Join(ang, "a.c"), filepath.Join(ang, "b.c")},
+		{ang},
+		{"-D", "FEATURE", filepath.Join(feat, "f.c")},
+		{"-D", "FEATURE", feat},
 	} {
-		out, code := runExit(t, tools["clalint"], append([]string{"-I", inc}, inputs...)...)
+		out, code := runExit(t, tools["clalint"], args...)
 		if code != 0 {
-			t.Errorf("clalint -I inc %v: exit %d, output:\n%s", inputs, code, out)
+			t.Errorf("clalint %v: exit %d, output:\n%s", args, code, out)
 		}
 	}
 }

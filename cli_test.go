@@ -140,6 +140,39 @@ func TestCLIGen(t *testing.T) {
 	}
 }
 
+// TestCLIClaccSearchesUnitDirs: clacc searches each unit's directory,
+// then -I, so an angle include of a header beside the units resolves
+// for a linked output, per-unit objects and the unit store alike.
+func TestCLIClaccSearchesUnitDirs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	tools := buildTools(t, "clacc", "claan")
+	ang := t.TempDir()
+	files := map[string]string{
+		"defs.h": "extern int g;\nextern int *p;\n",
+		"a.c":    "#include <defs.h>\nint g;\nint *p;\nvoid f(void) { p = &g; }\n",
+		"b.c":    "#include <defs.h>\nint *q;\nvoid h(void) { q = p; }\n",
+	}
+	for name, content := range files {
+		if err := os.WriteFile(filepath.Join(ang, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	units := []string{filepath.Join(ang, "a.c"), filepath.Join(ang, "b.c")}
+	linked := filepath.Join(t.TempDir(), "p.cla")
+	run(t, tools["clacc"], append([]string{"-o", linked}, units...)...)
+	if out := run(t, tools["claan"], "-pts", "q", linked); !strings.Contains(out, "q -> {g}") {
+		t.Errorf("claan -pts q: %q", out)
+	}
+	run(t, tools["clacc"], append([]string{"-cache", filepath.Join(t.TempDir(), "cache")}, units...)...)
+	for _, f := range []string{"a.clo", "b.clo"} {
+		if _, err := os.Stat(filepath.Join(ang, f)); err != nil {
+			t.Errorf("%s not produced: %v", f, err)
+		}
+	}
+}
+
 func TestCLIErrorPaths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")

@@ -21,18 +21,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 
 	"cla/internal/core"
-	"cla/internal/cpp"
 	"cla/internal/depend"
 	"cla/internal/driver"
 	"cla/internal/extmodel"
 	"cla/internal/frontend"
-	"cla/internal/incr"
 	"cla/internal/objfile"
 	"cla/internal/obs"
 	"cla/internal/parallel"
@@ -185,49 +181,27 @@ func printStats(w *os.File, o *obs.Observer, solver driver.Solver, src pts.Sourc
 	rep.Format(w)
 }
 
-// openDatabase resolves the inputs to an objfile reader. A single
-// non-.c file opens directly; a directory or .c files are compiled and
-// linked in-process, then round-tripped through the object format in
-// memory so the analysis exercises the real demand-loading path. Under an
-// extern model the database (file-backed or not) is materialized, closed
-// with the model's constraints and round-tripped, so the reader also
-// resolves the synthesized external-world symbols.
+// openDatabase resolves the inputs to an objfile reader. A database
+// opens directly under the unsound model. Otherwise the inputs' program
+// (the compiled and linked units, or the whole database) is closed with
+// the model's constraints and round-tripped through the object format in
+// memory, so the analysis exercises the real demand-loading path and the
+// reader also resolves the synthesized external-world symbols.
 func openDatabase(args []string, jobs int, model extmodel.Model, o *obs.Observer) (*objfile.Reader, error) {
-	var prog *prim.Program
-	var err error
-	if len(args) == 1 {
-		info, statErr := os.Stat(args[0])
-		if statErr != nil {
-			return nil, statErr
-		}
-		switch {
-		case !info.IsDir() && filepath.Ext(args[0]) != ".c":
-			if model == extmodel.Unsound {
-				return objfile.Open(args[0])
-			}
-			r, err := objfile.Open(args[0])
-			if err != nil {
-				return nil, err
-			}
-			prog, err = r.Program()
-			r.Close()
-			if err != nil {
-				return nil, err
-			}
-		case info.IsDir():
-			prog, err = incr.CompileDir(context.Background(), incr.Config{Dir: args[0], Jobs: jobs, Obs: o})
-		default:
-			prog, err = compileUnits(args, jobs, o)
-		}
-	} else {
-		prog, err = compileUnits(args, jobs, o)
+	in, err := driver.ResolveInputs(args, nil)
+	if err != nil {
+		return nil, err
 	}
+	if in.Database != "" && model == extmodel.Unsound {
+		return objfile.Open(in.Database)
+	}
+	prog, err := in.Program(context.Background(), frontend.Options{}, jobs, o)
 	if err != nil {
 		return nil, err
 	}
 	extmodel.Apply(prog, model)
-	// The analysis reads the database as an object file, so a compiled
-	// program is encoded in memory first: a phase of its own.
+	// The analysis reads the database as an object file, so the program
+	// is encoded in memory first: a phase of its own.
 	sp := o.Start("encode")
 	defer sp.End()
 	var buf bytes.Buffer
@@ -235,22 +209,6 @@ func openDatabase(args []string, jobs int, model extmodel.Model, o *obs.Observer
 		return nil, err
 	}
 	return objfile.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-}
-
-func compileUnits(args []string, jobs int, o *obs.Observer) (*prim.Program, error) {
-	dirs := map[string]bool{}
-	for _, a := range args {
-		if filepath.Ext(a) != ".c" {
-			return nil, fmt.Errorf("%s: expected .c files (or a single directory or database)", a)
-		}
-		dirs[filepath.Dir(a)] = true
-	}
-	var include []string
-	for d := range dirs {
-		include = append(include, d)
-	}
-	sort.Strings(include)
-	return driver.Compile(context.Background(), args, cpp.OSLoader{Dirs: include}, frontend.Options{}, jobs, o)
 }
 
 // writeDot exports the non-empty points-to relation as a Graphviz digraph:

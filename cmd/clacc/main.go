@@ -5,7 +5,8 @@
 //
 //	clacc [-o out.clo] [-I dir]... [-D NAME[=VAL]]... [-mode field-based|field-independent] file.c...
 //
-// With several inputs and no -o, each file.c becomes file.clo.
+// With several inputs and no -o, each file.c becomes file.clo. An
+// #include is searched for beside the inputs, then in the -I directories.
 package main
 
 import (
@@ -60,7 +61,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "clacc: %v\n", err)
 		os.Exit(1)
 	}
-	opts := frontend.Options{ModelStrings: *strs, Defines: map[string]string{}}
+	opts := frontend.Options{ModelStrings: *strs, Defines: driver.Defines(defines)}
 	switch *mode {
 	case "field-based":
 		opts.Mode = frontend.FieldBased
@@ -70,14 +71,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "clacc: bad -mode %q\n", *mode)
 		os.Exit(2)
 	}
-	for _, d := range defines {
-		name, val, found := strings.Cut(d, "=")
-		if !found {
-			val = "1"
-		}
-		opts.Defines[name] = val
-	}
-	loader := cpp.OSLoader{Dirs: includes}
+	search := driver.SearchPath(flag.Args(), includes)
+	loader := cpp.OSLoader{Dirs: search}
 
 	var store *incr.Store
 	if *cacheDir != "" {
@@ -90,7 +85,7 @@ func main() {
 	}
 	compileOne := func(in string) (*prim.Program, error) {
 		if store != nil {
-			return store.Compile(in, includes, opts)
+			return store.Compile(in, search, opts)
 		}
 		return frontend.CompileFile(in, loader, opts)
 	}

@@ -31,18 +31,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 
 	"cla/internal/checks"
 	"cla/internal/core"
-	"cla/internal/cpp"
 	"cla/internal/driver"
 	"cla/internal/extmodel"
 	"cla/internal/frontend"
-	"cla/internal/incr"
-	"cla/internal/objfile"
 	"cla/internal/obs"
 	"cla/internal/parallel"
 	"cla/internal/prim"
@@ -64,7 +60,7 @@ func run() int {
 		extModel   = flag.String("extmodel", "unsound", "incomplete-program model: unsound, blanket or escape")
 		format     = flag.String("format", "text", "diagnostic output format: text or sarif")
 		includes   = flag.String("I", "", "comma-separated #include search directories")
-		defines    = flag.String("D", "", "comma-separated predefined macros (NAME or NAME=VALUE)")
+		defines    = flag.String("D", "", "comma-separated predefined macros (NAME=VALUE, or NAME for NAME=1)")
 	)
 	obsFlags := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -192,18 +188,12 @@ func run() int {
 	return 0
 }
 
-// loadProgram resolves the command-line inputs to a linked database:
-// a single directory compiles every .c file in it, a list of .c files
-// compiles and links them, and any other single file is opened as a
-// serialized database.
+// loadProgram resolves the command-line inputs (driver.ResolveInputs)
+// to a linked database.
 func loadProgram(args []string, includes, defines string, jobs int, o *obs.Observer) (*prim.Program, error) {
 	opts := frontend.Options{}
 	if defines != "" {
-		opts.Defines = map[string]string{}
-		for _, d := range strings.Split(defines, ",") {
-			name, val, _ := strings.Cut(strings.TrimSpace(d), "=")
-			opts.Defines[name] = val
-		}
+		opts.Defines = driver.Defines(strings.Split(defines, ","))
 	}
 	var dirs []string
 	if includes != "" {
@@ -211,32 +201,9 @@ func loadProgram(args []string, includes, defines string, jobs int, o *obs.Obser
 			dirs = append(dirs, strings.TrimSpace(d))
 		}
 	}
-
-	if len(args) == 1 {
-		info, err := os.Stat(args[0])
-		if err != nil {
-			return nil, err
-		}
-		if info.IsDir() {
-			return incr.CompileDir(context.Background(), incr.Config{
-				Dir: args[0], Includes: dirs, Frontend: opts, Jobs: jobs, Obs: o,
-			})
-		}
-		if filepath.Ext(args[0]) != ".c" {
-			sp := o.Start("read")
-			defer sp.End()
-			r, err := objfile.Open(args[0])
-			if err != nil {
-				return nil, err
-			}
-			defer r.Close()
-			return r.Program()
-		}
+	in, err := driver.ResolveInputs(args, dirs)
+	if err != nil {
+		return nil, err
 	}
-	for _, a := range args {
-		if filepath.Ext(a) != ".c" {
-			return nil, fmt.Errorf("%s: expected .c files (or a single directory or database)", a)
-		}
-	}
-	return driver.Compile(context.Background(), args, cpp.OSLoader{Dirs: dirs}, opts, jobs, o)
+	return in.Program(context.Background(), opts, jobs, o)
 }

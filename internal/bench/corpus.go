@@ -12,9 +12,10 @@ import (
 
 	"cla/internal/checks"
 	"cla/internal/core"
+	"cla/internal/cpp"
 	"cla/internal/driver"
 	"cla/internal/extmodel"
-	"cla/internal/incr"
+	"cla/internal/frontend"
 	"cla/internal/prim"
 	"cla/internal/pts"
 )
@@ -84,7 +85,11 @@ func RunCorpus(dir string, jobs int) ([]RowCorpus, error) {
 		return nil, err
 	}
 	start := time.Now()
-	base, err := incr.CompileDir(context.Background(), incr.Config{Dir: dir, Jobs: jobs})
+	units, err := driver.Units(dir)
+	if err != nil {
+		return nil, fmt.Errorf("corpus %s: %w", dir, err)
+	}
+	base, err := driver.Compile(context.Background(), units, cpp.OSLoader{Dirs: []string{dir}}, frontend.Options{}, jobs, nil)
 	if err != nil {
 		return nil, fmt.Errorf("corpus %s: %w", dir, err)
 	}

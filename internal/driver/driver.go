@@ -2,6 +2,7 @@
 // translation unit, link the databases, run an analysis — for the command
 // line tools, the incremental pipeline and the benchmark harness. It has
 // one entry point per phase pair: Compile (compile + link) and Analyze.
+// It also says what a tool's inputs mean (Units, ResolveInputs).
 package driver
 
 import (
@@ -77,14 +78,14 @@ func ParseSolver(name string) (Solver, error) {
 
 // Compile compiles the named units through loader on up to jobs workers
 // (jobs <= 0 means GOMAXPROCS) and links the results with the sequential
-// fold. It is the non-incremental reference pipeline; directory
-// inputs go through internal/incr, whose output is identical. Each
-// translation unit is an independent compile — its own preprocessor pass
-// over its own includes — so units fan out freely; results land in unit
-// order, making the output identical to a sequential compile and link.
-// A per-unit failure is wrapped with the unit path, and
-// with several failures the lowest-numbered unit's error is reported,
-// matching sequential behaviour. A cancellation stops undispatched unit
+// fold. It is the one-shot pipeline for every input form, and the
+// reference the incremental pipeline must equal. Each translation unit
+// is an independent compile — its own preprocessor pass over its own
+// includes — so units fan out freely; results land in unit order,
+// making the output identical to a sequential compile and link. A
+// per-unit failure is wrapped with the unit path, and with several
+// failures the lowest-numbered unit's error is reported, matching
+// sequential behaviour. A cancellation stops undispatched unit
 // compiles and aborts before the link.
 //
 // The units share one frontend.Preambles, so a leading #include they

@@ -93,7 +93,8 @@ import (
 // core.DefaultConfig().
 type Config struct {
 	// Dir is the workspace root: every .c file directly under it is a
-	// translation unit, and it is the first #include search directory.
+	// translation unit (driver.Units), and it is the first #include
+	// search directory.
 	Dir string
 	// Includes are extra #include search directories, after Dir.
 	Includes []string
@@ -251,40 +252,6 @@ type Pipeline struct {
 // every unit under cfg.Dir (served from the on-disk store where valid,
 // so a second session over an unchanged tree parses nothing).
 func Open(ctx context.Context, cfg Config) (*Pipeline, error) {
-	p, err := newPipeline(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := p.refresh(ctx, nil); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// CompileDir runs the pipeline's compile+link front half once and
-// returns the linked database: the one directory-compile path, shared by
-// the one-shot cla.CompileDir and the tools' directory inputs. Its output
-// is exactly what Open analyzes.
-func CompileDir(ctx context.Context, cfg Config) (*prim.Program, error) {
-	p, err := newPipeline(cfg)
-	if err != nil {
-		return nil, err
-	}
-	units, st, err := p.compilePhase(ctx, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.loadPrograms(ctx, units, &st); err != nil {
-		return nil, err
-	}
-	f, err := p.linkPhase(nil, units)
-	if err != nil {
-		return nil, err
-	}
-	return f.Prog, nil
-}
-
-func newPipeline(cfg Config) (*Pipeline, error) {
 	p := &Pipeline{cfg: cfg, units: map[string]*unit{}, failed: map[string]bool{}, pre: frontend.NewPreambles()}
 	if cfg.CacheDir != "" {
 		st, err := OpenStore(cfg.CacheDir)
@@ -293,6 +260,9 @@ func newPipeline(cfg Config) (*Pipeline, error) {
 		}
 		p.store = st
 		p.key = p.genKey()
+	}
+	if _, _, err := p.refresh(ctx, nil); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -390,29 +360,14 @@ func (p *Pipeline) Stale() (bool, []string) {
 			changed = append(changed, path)
 		}
 	}
-	for _, u := range listUnits(p.cfg.Dir) {
+	listed, _ := driver.Units(p.cfg.Dir)
+	for _, u := range listed {
 		if !units[u] {
 			changed = append(changed, u)
 		}
 	}
 	sort.Strings(changed)
 	return len(changed) > 0, changed
-}
-
-// listUnits returns the sorted .c files directly under dir.
-func listUnits(dir string) []string {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var units []string
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".c" {
-			units = append(units, filepath.Join(dir, e.Name()))
-		}
-	}
-	sort.Strings(units)
-	return units
 }
 
 func canon(path string) string {
@@ -552,9 +507,9 @@ func (p *Pipeline) compilePhase(ctx context.Context, hints map[string]bool) ([]*
 	o := p.cfg.Obs
 	hc := newHashCache()
 
-	paths := listUnits(p.cfg.Dir)
-	if len(paths) == 0 {
-		return nil, st, fmt.Errorf("incr: no .c files in %s", p.cfg.Dir)
+	paths, err := driver.Units(p.cfg.Dir)
+	if err != nil {
+		return nil, st, err
 	}
 	st.Units = len(paths)
 

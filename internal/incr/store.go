@@ -107,12 +107,7 @@ func (s *Store) lookup(unitPath string, dirs []string, opts frontend.Options, hc
 
 // program decodes the object file of unitPath's entry.
 func (s *Store) program(unitPath string, dirs []string, opts frontend.Options) (*prim.Program, error) {
-	r, err := objfile.Open(filepath.Join(s.dir, s.base(unitPath, dirs, opts)+".clo"))
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return r.Program()
+	return objfile.ReadFile(filepath.Join(s.dir, s.base(unitPath, dirs, opts)+".clo"))
 }
 
 // save writes u's object and manifest. A unit that kept its previous

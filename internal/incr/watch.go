@@ -2,11 +2,13 @@ package incr
 
 import (
 	"context"
+	"errors"
+	"io/fs"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
+	"cla/internal/driver"
 	"cla/internal/parallel"
 )
 
@@ -189,19 +191,16 @@ func (w *PollWatcher) scan(baseline bool) {
 	w.stamps = next
 
 	units := make(map[string]bool)
-	entries, err := os.ReadDir(w.dir)
-	if err != nil {
+	// A directory with no units is not a scan error; an unreadable one is.
+	listed, err := driver.Units(w.dir)
+	if errors.As(err, new(*fs.PathError)) {
 		select {
 		case w.errs <- err:
 		default:
 		}
 		return
 	}
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".c" {
-			continue
-		}
-		path := filepath.Join(w.dir, e.Name())
+	for _, path := range listed {
 		units[path] = true
 		if !baseline && !w.units[path] {
 			w.emit(Event{Path: path, Op: OpCreate})

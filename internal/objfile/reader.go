@@ -57,6 +57,16 @@ func Open(path string) (*Reader, error) {
 	return r, nil
 }
 
+// ReadFile decodes the whole named object file.
+func ReadFile(path string) (*prim.Program, error) {
+	r, err := Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	return r.Program()
+}
+
 // Close releases the underlying file, if owned.
 func (r *Reader) Close() error {
 	if r.f != nil {

@@ -18,7 +18,8 @@ import (
 	"time"
 
 	"cla/internal/claerr"
-	"cla/internal/incr"
+	"cla/internal/driver"
+	"cla/internal/frontend"
 	"cla/internal/objfile"
 	"cla/internal/obs"
 	"cla/internal/prim"
@@ -111,7 +112,11 @@ func TestEvalAllKinds(t *testing.T) {
 // a .cla database and expects byte-identical batch responses.
 func TestDirAndFileAgree(t *testing.T) {
 	dir := writeTestDir(t)
-	prog, err := incr.CompileDir(context.Background(), incr.Config{Dir: dir, Jobs: 1})
+	in, err := driver.ResolveInputs([]string{dir}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := in.Program(context.Background(), frontend.Options{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

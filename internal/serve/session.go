@@ -197,12 +197,7 @@ func pipeConfig(dir string, cfg Config) incr.Config {
 // solveObject reads a .cla database whole, closes it under the extern
 // model and solves it.
 func solveObject(ctx context.Context, path string, cfg Config) (*pts.MemSource, pts.Result, error) {
-	r, err := objfile.Open(path)
-	if err != nil {
-		return nil, nil, claerr.File(claerr.PhaseObject, path, err)
-	}
-	prog, err := r.Program()
-	r.Close()
+	prog, err := objfile.ReadFile(path)
 	if err != nil {
 		return nil, nil, claerr.File(claerr.PhaseObject, path, err)
 	}

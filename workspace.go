@@ -82,10 +82,10 @@ func (o *WorkspaceOptions) observer() *obs.Observer {
 	return o.Observer.internal()
 }
 
-func (o *WorkspaceOptions) loader() cpp.Loader {
-	var dirs []string
+// loader searches dirs, then IncludeDirs.
+func (o *WorkspaceOptions) loader(dirs ...string) cpp.Loader {
 	if o != nil {
-		dirs = o.IncludeDirs
+		dirs = append(dirs, o.IncludeDirs...)
 	}
 	return cpp.OSLoader{Dirs: dirs}
 }
