@@ -79,6 +79,17 @@ func (m ExtModel) model() extmodel.Model {
 	return extmodel.Unsound
 }
 
+// ParseAlgorithm parses a solver name as spelled on the -solver flags,
+// aliases included. An unknown name is a usage error, returned with
+// PreTransitive.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	s, err := driver.ParseSolver(name)
+	if err != nil {
+		return PreTransitive, claerr.New(claerr.PhaseUsage, err)
+	}
+	return Algorithm(s), nil
+}
+
 // ParseExtModel parses a model name as spelled on the -extmodel flags;
 // the empty string selects ExtModelUnsound.
 func ParseExtModel(name string) (ExtModel, error) {

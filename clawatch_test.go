@@ -115,9 +115,14 @@ func TestClawatchOnce(t *testing.T) {
 		[]byte("int g;\nint *p;\nvoid init(void) { p = &g; }\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out := run(t, tools["clawatch"], "-once", clean)
-	if !strings.Contains(out, "generation 1: 0 findings") {
-		t.Errorf("clean -once output = %q", out)
+	for _, args := range [][]string{
+		{"-once", clean},
+		// Every solver spelling the other tools accept.
+		{"-once", "-solver", "steensgaard", clean},
+	} {
+		if out := run(t, tools["clawatch"], args...); !strings.Contains(out, "generation 1: 0 findings") {
+			t.Errorf("clawatch %v output = %q", args, out)
+		}
 	}
 
 	dirty := t.TempDir()

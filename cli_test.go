@@ -4,6 +4,8 @@ package cla
 // claan, driving the built binaries the way a user would.
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -142,7 +144,9 @@ func TestCLIGen(t *testing.T) {
 
 // TestCLIClaccSearchesUnitDirs: clacc searches each unit's directory,
 // then -I, so an angle include of a header beside the units resolves
-// for a linked output, per-unit objects and the unit store alike.
+// for a linked output, per-unit objects and the unit store alike. A
+// directory argument compiles its units into the same database, and a
+// single file that is not a .c unit is a usage error naming it.
 func TestCLIClaccSearchesUnitDirs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -164,6 +168,19 @@ func TestCLIClaccSearchesUnitDirs(t *testing.T) {
 	run(t, tools["clacc"], append([]string{"-o", linked}, units...)...)
 	if out := run(t, tools["claan"], "-pts", "q", linked); !strings.Contains(out, "q -> {g}") {
 		t.Errorf("claan -pts q: %q", out)
+	}
+	fromDir := filepath.Join(t.TempDir(), "d.cla")
+	run(t, tools["clacc"], "-o", fromDir, ang)
+	a, errA := os.ReadFile(linked)
+	b, errB := os.ReadFile(fromDir)
+	if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		t.Errorf("clacc on the directory differs from clacc on its units (%v, %v)", errA, errB)
+	}
+	hdr := filepath.Join(ang, "defs.h")
+	out, err := exec.Command(tools["clacc"], "-o", fromDir, hdr).CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), hdr) {
+		t.Errorf("clacc on a header: err=%v, want exit 2 naming it:\n%s", err, out)
 	}
 	run(t, tools["clacc"], append([]string{"-cache", filepath.Join(t.TempDir(), "cache")}, units...)...)
 	for _, f := range []string{"a.clo", "b.clo"} {

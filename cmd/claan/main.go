@@ -11,7 +11,7 @@
 //	claan -stats program.cla             # paper-style per-phase report
 //	claan -stats src/                    # compile+link+analyze a directory
 //	claan -trace out.json program.cla    # Chrome trace of the run
-//	claan -solver pretrans|worklist|steens ...
+//	claan -solver pretrans|worklist|steens|bitvec|onelevel ...
 //	claan -extmodel blanket -pts p src/  # model undefined externals (PIP-style)
 package main
 
@@ -43,7 +43,7 @@ func main() {
 		ptsAll     = flag.Bool("pts-all", false, "print all non-empty points-to sets")
 		target     = flag.String("target", "", "dependence target object name")
 		nonTargets = flag.String("nontarget", "", "comma-separated non-target names")
-		solverName = flag.String("solver", "pretrans", "solver: pretrans, worklist, steens or bitvec")
+		solverName = flag.String("solver", "pretrans", "solver: pretrans, worklist, steens, bitvec or onelevel")
 		extModel   = flag.String("extmodel", "unsound", "incomplete-program model: unsound, blanket or escape")
 		noCache    = flag.Bool("no-cache", false, "disable reachability caching (affects only the sequential fixpoint, -j 1)")
 		noCycle    = flag.Bool("no-cycle-elim", false, "disable cycle elimination")

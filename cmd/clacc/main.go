@@ -3,10 +3,11 @@
 //
 // Usage:
 //
-//	clacc [-o out.clo] [-I dir]... [-D NAME[=VAL]]... [-mode field-based|field-independent] file.c...
+//	clacc [-o out.clo] [-I dir]... [-D NAME[=VAL]]... [-mode field-based|field-independent] file.c... | dir
 //
-// With several inputs and no -o, each file.c becomes file.clo. An
-// #include is searched for beside the inputs, then in the -I directories.
+// A directory names the .c files directly under it. With several units
+// and no -o, each file.c becomes file.clo. An #include is searched for
+// beside the units, then in the -I directories.
 package main
 
 import (
@@ -71,35 +72,42 @@ func main() {
 		fmt.Fprintf(os.Stderr, "clacc: bad -mode %q\n", *mode)
 		os.Exit(2)
 	}
-	search := driver.SearchPath(flag.Args(), includes)
+	in, err := driver.ResolveInputs(flag.Args(), includes)
+	if err == nil && in.Database != "" {
+		err = fmt.Errorf("%s: expected .c files (or a single directory)", in.Database)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "clacc: %v\n", err)
+		os.Exit(2)
+	}
+	units, search := in.Units, in.Search
 	loader := cpp.OSLoader{Dirs: search}
 
 	var store *incr.Store
 	if *cacheDir != "" {
-		var err error
 		store, err = incr.OpenStore(*cacheDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "clacc: %v\n", err)
 			os.Exit(1)
 		}
 	}
-	compileOne := func(in string) (*prim.Program, error) {
+	compileOne := func(unit string) (*prim.Program, error) {
 		if store != nil {
-			return store.Compile(in, search, opts)
+			return store.Compile(unit, search, opts)
 		}
-		return frontend.CompileFile(in, loader, opts)
+		return frontend.CompileFile(unit, loader, opts)
 	}
 
 	// Fan the independent unit compiles out across -j workers; results
 	// land in argument order and the lowest-numbered failure wins, so the
 	// behaviour matches a sequential loop.
 	csp := o.Start("compile")
-	o.SetCounter("compile.units", int64(flag.NArg()))
-	progs := make([]*prim.Program, flag.NArg())
-	if err := parallel.ForEach(*jobs, flag.NArg(), func(i int) error {
-		usp := o.StartTrack(i+1, "unit "+filepath.Base(flag.Arg(i)))
+	o.SetCounter("compile.units", int64(len(units)))
+	progs := make([]*prim.Program, len(units))
+	if err := parallel.ForEach(*jobs, len(units), func(i int) error {
+		usp := o.StartTrack(i+1, "unit "+filepath.Base(units[i]))
 		defer usp.End()
-		p, err := compileOne(flag.Arg(i))
+		p, err := compileOne(units[i])
 		progs[i] = p
 		return err
 	}); err != nil {
@@ -108,9 +116,9 @@ func main() {
 	}
 	csp.End()
 	wsp := o.Start("write")
-	for i, in := range flag.Args() {
+	for i, unit := range units {
 		if *out == "" {
-			dst := strings.TrimSuffix(in, ".c") + ".clo"
+			dst := strings.TrimSuffix(unit, ".c") + ".clo"
 			if err := objfile.WriteFile(dst, progs[i]); err != nil {
 				fmt.Fprintf(os.Stderr, "clacc: %v\n", err)
 				os.Exit(1)

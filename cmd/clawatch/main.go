@@ -62,7 +62,7 @@ func run() int {
 	}
 	dir := flag.Arg(0)
 
-	alg, err := parseAlgorithm(*solverName)
+	alg, err := cla.ParseAlgorithm(*solverName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "clawatch: %v\n", err)
 		return 2
@@ -147,22 +147,4 @@ func lint(ctx context.Context, a *cla.Analysis, checks []string) (int, error) {
 		fmt.Println(l)
 	}
 	return len(findings), nil
-}
-
-// parseAlgorithm maps the CLI solver names (shared with clalint and
-// claserve) onto the public Algorithm constants.
-func parseAlgorithm(name string) (cla.Algorithm, error) {
-	switch name {
-	case "", "pretrans":
-		return cla.PreTransitive, nil
-	case "worklist":
-		return cla.WorklistAndersen, nil
-	case "steens":
-		return cla.SteensgaardUnify, nil
-	case "bitvec":
-		return cla.BitVectorAndersen, nil
-	case "onelevel":
-		return cla.OneLevelFlow, nil
-	}
-	return cla.PreTransitive, fmt.Errorf("unknown solver %q (want pretrans, worklist, steens, bitvec or onelevel)", name)
 }

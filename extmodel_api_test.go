@@ -200,3 +200,22 @@ func TestParseExtModelAPI(t *testing.T) {
 		t.Errorf("ParseExtModel accepted bogus")
 	}
 }
+
+func TestParseAlgorithmAPI(t *testing.T) {
+	for name, want := range map[string]Algorithm{
+		"pretrans": PreTransitive, "worklist": WorklistAndersen,
+		"steens": SteensgaardUnify, "steensgaard": SteensgaardUnify,
+		"bitvec": BitVectorAndersen, "onelevel": OneLevelFlow, "das": OneLevelFlow,
+	} {
+		got, err := ParseAlgorithm(name)
+		if err != nil || got != want {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", name, got, err, want)
+		}
+		if back, err := ParseAlgorithm(got.String()); err != nil || back != got {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", got.String(), back, err, got)
+		}
+	}
+	if got, err := ParseAlgorithm("bogus"); err == nil || got != PreTransitive {
+		t.Errorf("ParseAlgorithm(bogus) = %v, %v; want a usage error with the default", got, err)
+	}
+}

@@ -150,6 +150,10 @@ type stamp struct {
 	mtime int64
 }
 
+func stampOf(fi os.FileInfo) stamp {
+	return stamp{size: fi.Size(), mtime: fi.ModTime().UnixNano()}
+}
+
 // RefreshStats reports what one refresh actually did.
 type RefreshStats struct {
 	// Units is the workspace's unit count; Recompiled of those were
@@ -320,8 +324,8 @@ func (p *Pipeline) Update(ctx context.Context, changed ...string) (*Result, Refr
 }
 
 // TrackedFiles returns every file the current generation's compilation
-// read — unit sources and include closures — sorted. It is the poll
-// watcher's scan set.
+// read — unit sources and include closures — sorted. It is the set that
+// Stale and a WatchLoop poll stat.
 func (p *Pipeline) TrackedFiles() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -337,37 +341,6 @@ func (p *Pipeline) TrackedFiles() []string {
 	}
 	sort.Strings(files)
 	return files
-}
-
-// Stale probes for drift without rebuilding: it re-stats every tracked
-// file against the stamps recorded at the last refresh and re-lists the
-// unit directory. It returns the paths that look changed (stat drift,
-// removal, or a new unit). A false result is cheap — one stat per
-// tracked file and one ReadDir.
-func (p *Pipeline) Stale() (bool, []string) {
-	p.mu.Lock()
-	stamps := p.stamps
-	units := make(map[string]bool, len(p.units))
-	for path := range p.units {
-		units[path] = true
-	}
-	p.mu.Unlock()
-
-	var changed []string
-	for path, st := range stamps {
-		fi, err := os.Stat(path)
-		if err != nil || fi.Size() != st.size || fi.ModTime().UnixNano() != st.mtime {
-			changed = append(changed, path)
-		}
-	}
-	listed, _ := driver.Units(p.cfg.Dir)
-	for _, u := range listed {
-		if !units[u] {
-			changed = append(changed, u)
-		}
-	}
-	sort.Strings(changed)
-	return len(changed) > 0, changed
 }
 
 func canon(path string) string {
@@ -745,7 +718,7 @@ func (p *Pipeline) refresh(ctx context.Context, hints map[string]bool) (*Result,
 				continue
 			}
 			if fi, err := os.Stat(d.path); err == nil {
-				stamps[d.path] = stamp{size: fi.Size(), mtime: fi.ModTime().UnixNano()}
+				stamps[d.path] = stampOf(fi)
 			}
 		}
 	}

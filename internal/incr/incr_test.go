@@ -874,35 +874,53 @@ func TestTrackedFilesCoversIncludeClosure(t *testing.T) {
 	}
 }
 
-func TestPollWatcherAndWatchLoop(t *testing.T) {
+// watchOutcome is one WatchLoop callback.
+type watchOutcome struct {
+	res *Result
+	err error
+}
+
+// startWatch runs WatchLoop over p's tracked files until the test ends,
+// sending every callback on the returned channel.
+func startWatch(t *testing.T, p *Pipeline, interval time.Duration) <-chan watchOutcome {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	t.Cleanup(func() { cancel(); <-done })
+	got := make(chan watchOutcome, 64) // the loop need not wait for the test to read
+	go func() {
+		defer close(done)
+		WatchLoop(ctx, p, p.TrackedFiles, interval, func(r *Result, _ RefreshStats, err error) {
+			select {
+			case got <- watchOutcome{r, err}:
+			case <-ctx.Done():
+			}
+		})
+	}()
+	return got
+}
+
+// shadowCount is count.c edited so counter_addr returns another object:
+// a change the analysis sees.
+const shadowCount = `
+#include "priv.h"
+int counter;
+int shadow;
+int *counter_addr(void) { return &shadow; }
+`
+
+func TestWatchLoopPicksUpEdit(t *testing.T) {
 	dir := t.TempDir()
 	writeTree(t, dir, baseTree)
 	p, err := Open(context.Background(), testConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewPollWatcher(dir, p.TrackedFiles, 20*time.Millisecond)
-	defer w.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	type outcome struct {
-		res *Result
-		err error
-	}
-	got := make(chan outcome, 8)
-	go WatchLoop(ctx, p, w, 30*time.Millisecond, func(r *Result, _ RefreshStats, err error) {
-		got <- outcome{r, err}
-	})
+	got := startWatch(t, p, 20*time.Millisecond)
 
 	// mtime resolution can swallow an immediate rewrite; wait a tick.
 	time.Sleep(30 * time.Millisecond)
-	edit(t, dir, "count.c", `
-#include "priv.h"
-int counter;
-int shadow;
-int *counter_addr(void) { return &shadow; }
-`)
+	edit(t, dir, "count.c", shadowCount)
 	deadline := time.After(5 * time.Second)
 	for {
 		select {
@@ -914,15 +932,15 @@ int *counter_addr(void) { return &shadow; }
 				return // the edit landed as a new generation
 			}
 		case <-deadline:
-			t.Fatal("watcher never delivered the edit")
+			t.Fatal("the watch loop never delivered the edit")
 		}
 	}
 }
 
-// An edit that lands after the pipeline builds but before the watcher's
-// baseline scan is invisible to the watcher — its baseline already
-// carries the post-edit stamps. WatchLoop's catch-up probe must find it
-// by re-hashing against the pipeline's recorded content.
+// An edit that lands after the pipeline builds but before the watch
+// loop's first poll has no previous poll to differ from. The first poll
+// compares against the stamps the pipeline's last refresh recorded, so
+// it must find the edit.
 func TestWatchLoopCatchesPreBaselineEdit(t *testing.T) {
 	dir := t.TempDir()
 	writeTree(t, dir, baseTree)
@@ -930,33 +948,60 @@ func TestWatchLoopCatchesPreBaselineEdit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Edit BEFORE the watcher exists: the baseline scan will stamp the
-	// edited file and never emit an event for it.
-	edit(t, dir, "count.c", `
-#include "priv.h"
-int counter;
-int shadow;
-int *counter_addr(void) { return &shadow; }
-`)
-	w := NewPollWatcher(dir, p.TrackedFiles, time.Hour) // ticks never fire
-	defer w.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	got := make(chan *Result, 8)
-	go WatchLoop(ctx, p, w, 30*time.Millisecond, func(r *Result, _ RefreshStats, err error) {
-		if err != nil {
-			t.Errorf("watch refresh error: %v", err)
-		}
-		got <- r
-	})
+	// Edit BEFORE the loop starts.
+	edit(t, dir, "count.c", shadowCount)
+	got := startWatch(t, p, 60*time.Millisecond)
 	select {
-	case r := <-got:
-		if r == nil || r.Gen != 2 {
-			t.Fatalf("catch-up result = %+v, want generation 2", r)
+	case oc := <-got:
+		if oc.err != nil {
+			t.Fatalf("watch refresh error: %v", oc.err)
+		}
+		if oc.res == nil || oc.res.Gen != 2 {
+			t.Fatalf("catch-up result = %+v, want generation 2", oc.res)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("WatchLoop never caught up with the pre-baseline edit")
+	}
+}
+
+// TestWatchLoopSyntaxErrorReportedOnce: a save with a syntax error fails
+// its refresh once, and the loop does not retry it while the file stays
+// as it is — each poll compares against the previous one — and the fix
+// then lands as the next generation.
+func TestWatchLoopSyntaxErrorReportedOnce(t *testing.T) {
+	dir := t.TempDir()
+	writeTree(t, dir, baseTree)
+	p, err := Open(context.Background(), testConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const interval = 20 * time.Millisecond
+	got := startWatch(t, p, interval)
+
+	time.Sleep(30 * time.Millisecond)
+	edit(t, dir, "count.c", "int counter\nint *counter_addr(void) { return &counter; }\n")
+	select {
+	case oc := <-got:
+		if oc.err == nil {
+			t.Fatalf("syntax-error refresh succeeded: %+v", oc.res)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the watch loop never reported the syntax error")
+	}
+	select {
+	case oc := <-got:
+		t.Fatalf("unchanged broken file refreshed again: %+v, %v", oc.res, oc.err)
+	case <-time.After(6 * interval):
+	}
+
+	edit(t, dir, "count.c", shadowCount)
+	select {
+	case oc := <-got:
+		if oc.err != nil || oc.res == nil || oc.res.Gen != 2 {
+			t.Fatalf("fix = %+v, %v; want generation 2", oc.res, oc.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the watch loop never picked up the fix")
 	}
 }
 

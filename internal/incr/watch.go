@@ -5,222 +5,98 @@ import (
 	"errors"
 	"io/fs"
 	"os"
-	"sync"
+	"slices"
 	"time"
 
 	"cla/internal/driver"
 	"cla/internal/parallel"
 )
 
-// Op classifies a watcher event.
-type Op uint8
-
-const (
-	// OpWrite: a tracked file's content looks changed.
-	OpWrite Op = 1 + iota
-	// OpCreate: a new .c unit appeared in the workspace directory.
-	OpCreate
-	// OpRemove: a tracked file disappeared.
-	OpRemove
-	// OpRescan: the watcher lost events (channel overflow) and the
-	// consumer should do a full Refresh instead of a hinted Update.
-	OpRescan
-)
-
-func (op Op) String() string {
-	switch op {
-	case OpWrite:
-		return "write"
-	case OpCreate:
-		return "create"
-	case OpRemove:
-		return "remove"
-	case OpRescan:
-		return "rescan"
-	}
-	return "op?"
+// scan is one stat-level look at a workspace: the stamp of every tracked
+// file that exists, and the units its directory lists.
+type scan struct {
+	stamps map[string]stamp
+	units  map[string]bool
 }
 
-// Event is one observed file-system change.
-type Event struct {
-	Path string // empty for OpRescan
-	Op   Op
-}
-
-// Watcher is the fsnotify-shaped event source the watch loop consumes.
-// The polling implementation below is the portable default; an
-// inotify/kqueue-backed implementation can drop in behind the same
-// interface without touching the pipeline.
-type Watcher interface {
-	// Events delivers change events until Close.
-	Events() <-chan Event
-	// Errors delivers scan failures, a panicking scan's as a
-	// *parallel.PanicError (the watcher keeps running).
-	Errors() <-chan error
-	// Close stops the watcher and closes both channels.
-	Close() error
-}
-
-// PollWatcher watches by periodic stat scans: every interval it stats
-// the tracked file set (provided by a callback so it follows the
-// pipeline's include closure across generations) and re-lists the
-// workspace directory for added units. Stat-level drift (size or mtime)
-// raises OpWrite; the consumer's Update re-hashes, so a touch that
-// didn't change bytes converges to a no-op generation. A scan that
-// panics — in the stat code or the tracked callback — is contained and
-// delivered on Errors as a *parallel.PanicError.
-type PollWatcher struct {
-	dir      string
-	tracked  func() []string
-	interval time.Duration
-
-	events chan Event
-	errs   chan error
-	done   chan struct{}
-	once   sync.Once
-
-	stamps  map[string]stamp
-	units   map[string]bool
-	dropped bool
-}
-
-// NewPollWatcher starts a poll watcher over dir. tracked returns the
-// full file set to stat each tick (typically Pipeline.TrackedFiles);
-// the first tick establishes the baseline without emitting events.
-func NewPollWatcher(dir string, tracked func() []string, interval time.Duration) *PollWatcher {
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
-	w := &PollWatcher{
-		dir:      dir,
-		tracked:  tracked,
-		interval: interval,
-		events:   make(chan Event, 64),
-		errs:     make(chan error, 1),
-		done:     make(chan struct{}),
-		stamps:   map[string]stamp{},
-		units:    map[string]bool{},
-	}
-	w.containedScan(true)
-	go w.run()
-	return w
-}
-
-// Events implements Watcher.
-func (w *PollWatcher) Events() <-chan Event { return w.events }
-
-// Errors implements Watcher.
-func (w *PollWatcher) Errors() <-chan error { return w.errs }
-
-// Close implements Watcher.
-func (w *PollWatcher) Close() error {
-	w.once.Do(func() { close(w.done) })
-	return nil
-}
-
-func (w *PollWatcher) run() {
-	t := time.NewTicker(w.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.done:
-			close(w.events)
-			close(w.errs)
-			return
-		case <-t.C:
-			w.containedScan(false)
-		}
-	}
-}
-
-// containedScan runs one scan and delivers its panic, if any, on Errors;
-// it waits for room there, unless the watcher closes.
-func (w *PollWatcher) containedScan(baseline bool) {
-	err := parallel.Contain(func() error {
-		w.scan(baseline)
-		return nil
-	})
-	if err != nil {
-		select {
-		case w.errs <- err:
-		case <-w.done:
-		}
-	}
-}
-
-// emit queues ev without ever blocking the scan loop; on overflow it
-// degrades to a single pending rescan so no change is silently lost.
-func (w *PollWatcher) emit(ev Event) {
-	if w.dropped {
-		return // a rescan is already owed; individual events are moot
-	}
-	select {
-	case w.events <- ev:
-	default:
-		w.dropped = true
-	}
-}
-
-func (w *PollWatcher) scan(baseline bool) {
-	// Retry the owed rescan first: until it is delivered, per-file
-	// events stay suppressed.
-	if w.dropped {
-		select {
-		case w.events <- Event{Op: OpRescan}:
-			w.dropped = false
-		default:
-			return
-		}
-	}
-
-	next := make(map[string]stamp)
-	for _, path := range w.tracked() {
+// drift stats tracked and re-lists dir's units, and returns that scan
+// with the paths that differ from prev, sorted: a stamp that moved (the
+// consumer's Update re-hashes, so a touch that changed no bytes converges
+// to a no-op generation), a file that appeared or vanished, a unit that
+// was added. A directory with no units is not an error; an unreadable
+// one is, and the returned scan then keeps prev's units.
+func drift(dir string, tracked []string, prev scan) (scan, []string, error) {
+	next := scan{stamps: make(map[string]stamp, len(tracked)), units: prev.units}
+	var changed []string
+	for _, path := range tracked {
+		old, had := prev.stamps[path]
 		fi, err := os.Stat(path)
 		if err != nil {
-			if _, had := w.stamps[path]; had && !baseline {
-				w.emit(Event{Path: path, Op: OpRemove})
+			if had {
+				changed = append(changed, path)
 			}
 			continue
 		}
-		st := stamp{size: fi.Size(), mtime: fi.ModTime().UnixNano()}
-		if prev, had := w.stamps[path]; !baseline && (!had || prev != st) {
-			w.emit(Event{Path: path, Op: OpWrite})
+		st := stampOf(fi)
+		if !had || old != st {
+			changed = append(changed, path)
 		}
-		next[path] = st
+		next.stamps[path] = st
 	}
-	w.stamps = next
-
-	units := make(map[string]bool)
-	// A directory with no units is not a scan error; an unreadable one is.
-	listed, err := driver.Units(w.dir)
-	if errors.As(err, new(*fs.PathError)) {
-		select {
-		case w.errs <- err:
-		default:
-		}
-		return
-	}
-	for _, path := range listed {
-		units[path] = true
-		if !baseline && !w.units[path] {
-			w.emit(Event{Path: path, Op: OpCreate})
+	listed, err := driver.Units(dir)
+	if !errors.As(err, new(*fs.PathError)) {
+		err = nil
+		next.units = make(map[string]bool, len(listed))
+		for _, path := range listed {
+			next.units[path] = true
+			if !prev.units[path] {
+				changed = append(changed, path)
+			}
 		}
 	}
-	w.units = units
+	slices.Sort(changed)
+	return next, slices.Compact(changed), err
 }
 
-// WatchLoop drives p from w until ctx is done: events are coalesced for
-// one settle interval (so a multi-file save triggers one rebuild), then
-// the pipeline refreshes — a hinted Update normally, a full Refresh
-// after watcher overflow — and fn is called with the outcome. fn also
-// receives scan and refresh errors (with a nil Result); the loop keeps
-// running, since a syntax error mid-edit is a normal watch-mode state.
-// A panic in the loop's staleness probe, in a refresh or in fn itself is
-// contained and handed to fn as a *parallel.PanicError; a panic in fn
-// while it handles that is dropped.
-func WatchLoop(ctx context.Context, p *Pipeline, w Watcher, settle time.Duration, fn func(*Result, RefreshStats, error)) {
-	if settle <= 0 {
-		settle = 100 * time.Millisecond
+// committed is the scan the last refresh recorded: the stamps it took of
+// the files its compile read, and its units.
+func (p *Pipeline) committed() scan {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	units := make(map[string]bool, len(p.units))
+	for path := range p.units {
+		units[path] = true
+	}
+	return scan{stamps: p.stamps, units: units}
+}
+
+// Stale probes for drift without rebuilding: one drift check of the
+// tracked files and the unit directory against the scan the last refresh
+// recorded. It returns the paths that look changed (stat drift, removal,
+// or a new unit). A false result is cheap — one stat per tracked file
+// and one ReadDir.
+func (p *Pipeline) Stale() (bool, []string) {
+	_, changed, _ := drift(p.cfg.Dir, p.TrackedFiles(), p.committed())
+	return len(changed) > 0, changed
+}
+
+// WatchLoop polls p's workspace every interval in the caller's goroutine
+// until ctx is done. Each poll is one drift check of the files tracked
+// returns (typically p.TrackedFiles) and of the unit directory against
+// the previous poll; the first compares against the scan p's last
+// refresh recorded, so an edit made before the loop started is found.
+// What a poll finds settles for half an interval, so a multi-file save
+// triggers one rebuild and a save caught mid-write is picked up again by
+// the next poll; then a hinted Update runs and fn is called with the
+// outcome. fn also receives poll and refresh errors (with a nil Result);
+// the loop keeps running, since a syntax error mid-edit is a normal
+// watch-mode state, and a failed refresh is not retried until its files
+// change again. A panic in a poll (tracked included), a refresh or fn
+// itself is contained and handed to fn as a *parallel.PanicError; a
+// panic in fn while it handles that is dropped.
+func WatchLoop(ctx context.Context, p *Pipeline, tracked func() []string, interval time.Duration, fn func(*Result, RefreshStats, error)) {
+	if interval <= 0 {
+		interval = 500 * time.Millisecond
 	}
 	report := func(res *Result, st RefreshStats, err error) {
 		if fn == nil {
@@ -237,67 +113,37 @@ func WatchLoop(ctx context.Context, p *Pipeline, w Watcher, settle time.Duration
 			})
 		}
 	}
-	timer := time.NewTimer(settle)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	var pending []string
-	rescan := false
-	// Catch-up probe: an edit that lands between the pipeline's last
-	// build and the watcher's baseline scan is invisible to the watcher
-	// (its baseline already has the new stamps), so re-hash against the
-	// pipeline's recorded content before trusting the event stream. The
-	// probe may catch a save mid-write, so what it finds settles like
-	// any watcher event instead of rebuilding at once.
-	var (
-		stale   bool
-		changed []string
-	)
-	if err := parallel.Contain(func() error {
-		stale, changed = p.Stale()
-		return nil
-	}); err != nil {
-		report(nil, RefreshStats{}, err)
-	} else if stale {
-		pending = changed
-		timer.Reset(settle)
-	}
+	last := p.committed()
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
 	for {
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return
-		case err, ok := <-w.Errors():
-			if !ok {
-				return
-			}
+		var changed []string
+		if err := parallel.Contain(func() (err error) {
+			last, changed, err = drift(p.cfg.Dir, tracked(), last)
+			return err
+		}); err != nil {
 			report(nil, RefreshStats{}, err)
-		case ev, ok := <-w.Events():
-			if !ok {
+		}
+		if len(changed) > 0 {
+			select {
+			case <-ctx.Done():
 				return
+			case <-time.After(interval / 2):
 			}
-			if ev.Op == OpRescan {
-				rescan = true
-			} else {
-				pending = append(pending, ev.Path)
-			}
-			timer.Reset(settle)
-		case <-timer.C:
 			var (
 				res *Result
 				st  RefreshStats
-				err error
 			)
-			err = parallel.Contain(func() (err error) {
-				if rescan {
-					res, st, err = p.Refresh(ctx)
-				} else {
-					res, st, err = p.Update(ctx, pending...)
-				}
+			err := parallel.Contain(func() (err error) {
+				res, st, err = p.Update(ctx, changed...)
 				return err
 			})
-			pending, rescan = nil, false
 			report(res, st, err)
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
 		}
 	}
 }

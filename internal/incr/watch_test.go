@@ -3,6 +3,8 @@ package incr
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,20 +12,10 @@ import (
 	"cla/internal/parallel"
 )
 
-// chanWatcher is a Watcher a test feeds by hand.
-type chanWatcher struct {
-	events chan Event
-	errs   chan error
-}
-
-func (w chanWatcher) Events() <-chan Event { return w.events }
-func (w chanWatcher) Errors() <-chan error { return w.errs }
-func (w chanWatcher) Close() error         { return nil }
-
-// TestWatchContainsPanics: a panic in the poll watcher's scan arrives on
-// Errors as a *parallel.PanicError and the watcher keeps scanning; a
-// panic in WatchLoop's callback is handed back to the callback as a
-// *parallel.PanicError and the loop keeps refreshing.
+// TestWatchContainsPanics: a panic in a poll's tracked-files callback
+// reaches WatchLoop's callback once, as a *parallel.PanicError with its
+// stack, and the loop keeps polling; a panic in the callback itself is
+// handed back to the callback, and a later edit still lands.
 func TestWatchContainsPanics(t *testing.T) {
 	dir := t.TempDir()
 	writeTree(t, dir, baseTree)
@@ -32,50 +24,63 @@ func TestWatchContainsPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var scans atomic.Int32
-	w := NewPollWatcher(dir, func() []string {
-		if scans.Add(1) == 2 {
-			panic("injected scan fault")
+	var scans, calls atomic.Int32
+	got := make(chan watchOutcome, 16) // never fills: the test expects 3 callbacks
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	defer func() { cancel(); <-done }()
+	go func() {
+		defer close(done)
+		WatchLoop(ctx, p, func() []string {
+			if scans.Add(1) == 2 {
+				panic("injected scan fault")
+			}
+			return p.TrackedFiles()
+		}, 10*time.Millisecond, func(r *Result, _ RefreshStats, err error) {
+			if calls.Add(1) == 2 {
+				panic("injected callback fault")
+			}
+			got <- watchOutcome{r, err}
+		})
+	}()
+	next := func() watchOutcome {
+		t.Helper()
+		select {
+		case oc := <-got:
+			return oc
+		case <-time.After(5 * time.Second):
+			t.Fatal("the loop stopped")
 		}
-		return p.TrackedFiles()
-	}, 10*time.Millisecond)
+		return watchOutcome{}
+	}
 	var pe *parallel.PanicError
-	select {
-	case err := <-w.Errors():
-		if !errors.As(err, &pe) || pe.Value != "injected scan fault" {
-			t.Fatalf("Errors delivered %v, want the scan's contained panic", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the scan's panic never arrived on Errors")
+	if oc := next(); !errors.As(oc.err, &pe) || pe.Value != "injected scan fault" ||
+		!strings.Contains(string(pe.Stack), "TestWatchContainsPanics") {
+		t.Fatalf("callback got %v, want the scan's contained panic with its stack", oc.err)
 	}
 	for scans.Load() < 4 {
 		time.Sleep(5 * time.Millisecond)
 	}
-	w.Close()
 
-	cw := chanWatcher{events: make(chan Event, 1), errs: make(chan error)}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	got := make(chan error, 4)
-	var calls atomic.Int32
-	go WatchLoop(ctx, p, cw, time.Millisecond, func(_ *Result, _ RefreshStats, err error) {
-		if calls.Add(1) == 1 {
-			panic("injected callback fault")
-		}
-		got <- err
-	})
-	for _, want := range []string{"injected callback fault", ""} {
-		cw.events <- Event{Path: dir + "/main.c", Op: OpWrite}
-		select {
-		case err := <-got:
-			if want == "" && err != nil {
-				t.Fatalf("refresh after the panic: %v", err)
+	// The first edit's outcome panics in the callback and comes back as
+	// that panic; the second lands as generation 3.
+	for i, want := range []string{"injected callback fault", ""} {
+		time.Sleep(20 * time.Millisecond) // let mtime move
+		edit(t, dir, "main.c", baseTree["main.c"]+fmt.Sprintf("int pad%d;\n", i))
+		oc := next()
+		if want != "" {
+			if !errors.As(oc.err, &pe) || pe.Value != want {
+				t.Fatalf("callback got %v, want its own contained panic", oc.err)
 			}
-			if want != "" && (!errors.As(err, &pe) || pe.Value != want) {
-				t.Fatalf("callback got %v, want its own contained panic", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("the loop stopped")
+			continue
 		}
+		if oc.err != nil || oc.res == nil || oc.res.Gen != 3 {
+			t.Fatalf("edit after the panics = %+v, %v; want generation 3", oc.res, oc.err)
+		}
+	}
+	select {
+	case oc := <-got:
+		t.Fatalf("unexpected callback %+v, %v", oc.res, oc.err)
+	default:
 	}
 }

@@ -267,14 +267,7 @@ func LinkFiles(paths []string, o *obs.Observer) (*prim.Program, error) {
 	var units []*prim.Program
 	for _, path := range paths {
 		fsp := sp.Child("read " + filepath.Base(path))
-		r, err := objfile.Open(path)
-		if err != nil {
-			fsp.End()
-			sp.End()
-			return nil, fmt.Errorf("linker: %w", err)
-		}
-		p, err := r.Program()
-		r.Close()
+		p, err := objfile.ReadFile(path)
 		fsp.End()
 		if err != nil {
 			sp.End()

@@ -237,8 +237,10 @@ func TestLinkFilesEndToEnd(t *testing.T) {
 }
 
 func TestLinkFilesMissing(t *testing.T) {
-	if _, err := LinkFiles([]string{"/nonexistent/x.clo"}, nil); err == nil {
-		t.Error("missing file accepted")
+	const path = "/nonexistent/x.clo"
+	_, err := LinkFiles([]string{path}, nil)
+	if err == nil || !strings.HasPrefix(err.Error(), "linker: "+path+": ") {
+		t.Errorf("LinkFiles on a missing file: %v, want an error naming it", err)
 	}
 }
 

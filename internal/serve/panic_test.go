@@ -63,23 +63,21 @@ func TestQueryPanicLogsStackOnce(t *testing.T) {
 	}
 }
 
-// injectWatchFault is the panic a test's watcher scan raises.
+// injectWatchFault is the panic a test's watch poll raises.
 func injectWatchFault() { panic("injected watch fault") }
 
-// TestWatchPanicLogsStackOnce: a panic in the watcher's scan is
+// TestWatchPanicLogsStackOnce: a panic in the watch loop's poll is
 // contained — the error log gets one record carrying its stack — and
 // the session keeps watching and picks up a later edit.
 func TestWatchPanicLogsStackOnce(t *testing.T) {
 	var scans atomic.Int32
-	plain := newWatcher
-	defer func() { newWatcher = plain }()
-	newWatcher = func(dir string, tracked func() []string, interval time.Duration) incr.Watcher {
-		return plain(dir, func() []string {
-			if scans.Add(1) == 2 {
-				injectWatchFault()
-			}
-			return tracked()
-		}, interval)
+	plain := trackedFiles
+	defer func() { trackedFiles = plain }()
+	trackedFiles = func(p *incr.Pipeline) []string {
+		if scans.Add(1) == 2 {
+			injectWatchFault()
+		}
+		return plain(p)
 	}
 	dir := writeTestDir(t)
 	var logBuf syncBuffer

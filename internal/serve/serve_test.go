@@ -977,7 +977,7 @@ func TestSessionInfoLastRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.StopWatch()
-	time.Sleep(30 * time.Millisecond) // let the baseline scan land
+	time.Sleep(30 * time.Millisecond) // let the first poll land
 	comment("\n/* watched */\n")
 	deadline := time.Now().Add(5 * time.Second)
 	for sess.LastRefresh() == before {
@@ -1108,7 +1108,7 @@ func TestSessionWatchSwapsGeneration(t *testing.T) {
 		t.Fatal("session not watching")
 	}
 
-	time.Sleep(30 * time.Millisecond) // let the baseline scan land
+	time.Sleep(30 * time.Millisecond) // let the first poll land
 	rewriteUnit(t, dir)
 	deadline := time.Now().Add(5 * time.Second)
 	for sess.Generation() != 2 {

@@ -304,11 +304,9 @@ func (s *Session) adopt(r *incr.Result) (*SessionState, bool) {
 	return st, true
 }
 
-// newWatcher starts a session's watcher, a variable so tests can make a
-// scan fail in ways a file system cannot.
-var newWatcher = func(dir string, tracked func() []string, interval time.Duration) incr.Watcher {
-	return incr.NewPollWatcher(dir, tracked, interval)
-}
+// trackedFiles is the file set a session's watch loop stats each poll, a
+// variable so tests can make a poll fail in ways a file system cannot.
+var trackedFiles = (*incr.Pipeline).TrackedFiles
 
 // StartWatch begins polling the session's directory every interval and
 // refreshing when tracked files change. Each successful refresh swaps
@@ -329,11 +327,10 @@ func (s *Session) StartWatch(interval time.Duration) error {
 	s.stopWatch = cancel
 	done := make(chan struct{})
 	s.watchDone = done
-	w := newWatcher(s.Path, s.pipe.TrackedFiles, interval)
+	tracked := trackedFiles
 	go func() {
 		defer close(done)
-		defer w.Close()
-		incr.WatchLoop(ctx, s.pipe, w, interval/2, func(r *incr.Result, st incr.RefreshStats, err error) {
+		incr.WatchLoop(ctx, s.pipe, func() []string { return tracked(s.pipe) }, interval, func(r *incr.Result, st incr.RefreshStats, err error) {
 			if err != nil {
 				if s.cfg.Obs != nil {
 					s.cfg.Obs.Counter("serve.watch.errors").Inc()

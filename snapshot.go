@@ -2,21 +2,10 @@ package cla
 
 import (
 	"cla/internal/claerr"
-	"cla/internal/driver"
 	"cla/internal/pts"
 	"cla/internal/serve"
 	"cla/internal/snapfile"
 )
-
-// parseAlgorithm maps a recorded solver label back to an Algorithm;
-// unknown labels fall back to the default.
-func parseAlgorithm(name string) Algorithm {
-	s, err := driver.ParseSolver(name)
-	if err != nil {
-		return PreTransitive
-	}
-	return Algorithm(s)
-}
 
 // SnapshotOptions configures SaveSnapshot.
 type SnapshotOptions struct {
@@ -82,9 +71,11 @@ func OpenSnapshot(path string, opts *OpenSnapshotOptions) (*Analysis, error) {
 	prog := r.Program()
 	db := &Database{prog: prog}
 	src := pts.NewMemSource(prog)
+	// An unknown recorded label falls back to the default.
+	alg, _ := ParseAlgorithm(r.Meta().Solver)
 	ext, _ := ParseExtModel(r.Meta().ExtModel)
 	a := &Analysis{db: db, src: src, res: r.Result(),
-		alg: parseAlgorithm(r.Meta().Solver), ext: ext, snap: r}
+		alg: alg, ext: ext, snap: r}
 	// Pre-seed the evaluator so the first query (and NewQueryServer) skip
 	// construction, and reuse a stored checks report if the file has one.
 	ev := serve.NewEvaluator(prog, src, r.Result(), 0)

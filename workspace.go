@@ -232,9 +232,7 @@ func (w *Workspace) Stale() (bool, []string) { return w.p.Stale() }
 // state). Watch blocks until ctx is done. Multi-file saves are coalesced
 // into one refresh.
 func (w *Workspace) Watch(ctx context.Context, interval time.Duration, fn func(*Analysis, error)) error {
-	pw := incr.NewPollWatcher(w.dir, w.p.TrackedFiles, interval)
-	defer pw.Close()
-	incr.WatchLoop(ctx, w.p, pw, interval/2, func(r *incr.Result, st incr.RefreshStats, err error) {
+	incr.WatchLoop(ctx, w.p, w.p.TrackedFiles, interval, func(r *incr.Result, st incr.RefreshStats, err error) {
 		if err != nil {
 			if fn != nil {
 				fn(nil, claerr.File(claerr.PhaseCompile, w.dir, err))
