@@ -47,7 +47,7 @@ bench:
 # One-iteration benchmark compile-and-run: catches benchmarks that rot
 # (build failures, panics) without paying for stable timings.
 bench-smoke:
-	$(GO) test -run=^$$ -bench=. -benchtime=1x ./internal/pts/set ./internal/core ./internal/frontend ./internal/incr ./internal/snapfile ./internal/serve
+	$(GO) test -run=^$$ -bench=. -benchtime=1x ./internal/pts/set ./internal/core ./internal/frontend ./internal/incr ./internal/objfile ./internal/snapfile ./internal/serve
 
 # Short fuzz runs over the binary object-file reader, the trace encoder,
 # the adaptive set layer, the extern-model path, the solved-snapshot

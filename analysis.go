@@ -125,7 +125,7 @@ func (db *Database) Undefined() []UndefExtern {
 		out = append(out, UndefExtern{
 			Name: u.Name,
 			Func: u.Kind == prim.SymFunc,
-			File: u.Loc.File,
+			File: db.prog.Str(u.Loc.File),
 			Line: int(u.Loc.Line),
 		})
 	}
@@ -212,7 +212,7 @@ func AnalyzeFileCtx(ctx context.Context, path string, opts *AnalyzeOptions) (*An
 	}
 	r.LoadStats().Publish(opts.observer())
 	// Materialize symbols for Object accessors.
-	prog := &prim.Program{Syms: append([]prim.Symbol(nil), r.Syms()...)}
+	prog := &prim.Program{Syms: append([]prim.Symbol(nil), r.Syms()...), Strs: r.Strs()}
 	db := &Database{prog: prog}
 	return &Analysis{db: db, src: src, res: res, alg: opts.algorithm(),
 		r: r, o: opts.observer()}, nil

@@ -153,13 +153,13 @@ func (o Object) Type() string { return o.sym().Type }
 func (o Object) Kind() string { return o.sym().Kind.String() }
 
 // Pos returns the declaration position "file:line".
-func (o Object) Pos() string { return o.sym().Loc.String() }
+func (o Object) Pos() string { return o.sym().Loc.Pos(o.db.prog) }
 
 // FuncName returns the enclosing function for locals and parameters.
 func (o Object) FuncName() string { return o.sym().FuncName }
 
 // String renders the object like the paper's chains: name/type <file:line>.
-func (o Object) String() string { return o.sym().String() }
+func (o Object) String() string { return o.sym().Describe(o.db.prog) }
 
 // Valid reports whether the object exists.
 func (o Object) Valid() bool {

@@ -58,7 +58,7 @@ func main() {
 			if u.Kind == prim.SymFunc {
 				kind = "func"
 			}
-			fmt.Printf("undef %-6s %s (%s)\n", kind, u.Name, u.Loc)
+			fmt.Printf("undef %-6s %s (%s)\n", kind, u.Name, u.Loc.Pos(merged))
 		}
 	}
 	if *verbose {

@@ -12,7 +12,7 @@ import (
 
 // Site is one resolved call site.
 type Site struct {
-	Loc prim.Loc `json:"loc"`
+	Loc Loc `json:"loc"`
 	// Caller is the enclosing function's name ("" at file scope).
 	Caller string `json:"caller,omitempty"`
 	// Via is the symbol the call goes through: the function itself for
@@ -113,8 +113,8 @@ func buildCallGraph(ix *index, jobs int) (*Graph, []Diagnostic, error) {
 	err := parallel.ForEach(jobs, len(calls), func(i int) error {
 		c := calls[i]
 		s := Site{
-			Loc:      c.Loc,
-			Caller:   c.Caller,
+			Loc:      ix.loc(c.Loc),
+			Caller:   ix.prog.Str(c.Caller),
 			Via:      ix.name(c.Callee),
 			Indirect: c.Indirect,
 		}

@@ -94,12 +94,26 @@ type Options struct {
 	Obs *obs.Observer
 }
 
+// Loc is a source location with its file resolved, so a finding reads
+// and encodes without the program it came from.
+type Loc struct {
+	File string
+	Line int32
+}
+
+func (l Loc) String() string {
+	if l.File == "" {
+		return "<unknown>"
+	}
+	return fmt.Sprintf("%s:%d", l.File, l.Line)
+}
+
 // Diagnostic is one finding, attached to a source location.
 type Diagnostic struct {
-	Check   Check    `json:"check"`
-	Loc     prim.Loc `json:"loc"`
-	Func    string   `json:"func,omitempty"` // enclosing function, "" at file scope
-	Message string   `json:"message"`
+	Check   Check  `json:"check"`
+	Loc     Loc    `json:"loc"`
+	Func    string `json:"func,omitempty"` // enclosing function, "" at file scope
+	Message string `json:"message"`
 }
 
 func (d Diagnostic) String() string {
@@ -282,7 +296,7 @@ func buildIndex(prog *prim.Program, res pts.Result) *index {
 	}
 	seen := map[string]bool{}
 	for i := range prog.Assigns {
-		f := prog.Assigns[i].Func
+		f := prog.Str(prog.Assigns[i].Func)
 		ix.assignsByScope[f] = append(ix.assignsByScope[f], i)
 		if !seen[f] {
 			seen[f] = true
@@ -290,9 +304,9 @@ func buildIndex(prog *prim.Program, res pts.Result) *index {
 		}
 	}
 	for _, c := range prog.Calls {
-		if !seen[c.Caller] {
-			seen[c.Caller] = true
-			ix.scopes = append(ix.scopes, c.Caller)
+		if f := prog.Str(c.Caller); !seen[f] {
+			seen[f] = true
+			ix.scopes = append(ix.scopes, f)
 		}
 	}
 	sort.Strings(ix.scopes)
@@ -322,6 +336,9 @@ func buildIndex(prog *prim.Program, res pts.Result) *index {
 
 // sym returns the symbol for id.
 func (ix *index) sym(id prim.SymID) *prim.Symbol { return &ix.prog.Syms[id] }
+
+// loc resolves l's file.
+func (ix *index) loc(l prim.Loc) Loc { return Loc{File: ix.prog.Str(l.File), Line: l.Line} }
 
 // name returns a printable name for id.
 func (ix *index) name(id prim.SymID) string { return ix.prog.Syms[id].Name }

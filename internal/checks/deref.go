@@ -33,8 +33,8 @@ func derefCheck(ix *index, jobs int) ([]Diagnostic, error) {
 			seen[k] = true
 			out = append(out, Diagnostic{
 				Check: Deref,
-				Loc:   a.Loc,
-				Func:  a.Func,
+				Loc:   ix.loc(a.Loc),
+				Func:  ix.prog.Str(a.Func),
 				Message: fmt.Sprintf(
 					"dereference of '%s' whose points-to set is empty (null or uninitialized pointer?)",
 					ix.name(p)),

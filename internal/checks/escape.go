@@ -57,7 +57,7 @@ func escapeCheck(ix *index, jobs int) ([]Diagnostic, error) {
 			}
 			out = append(out, Diagnostic{
 				Check:   Escape,
-				Loc:     local.Loc,
+				Loc:     ix.loc(local.Loc),
 				Func:    local.FuncName,
 				Message: msg,
 			})

@@ -63,7 +63,7 @@ func externsCheck(ix *index, jobs int, modelLabel string) ([]Diagnostic, *Audit,
 
 	var diags []Diagnostic
 	for _, u := range extmodel.Undefined(ix.prog) {
-		entry := UndefSym{Name: u.Name, Loc: u.Loc.String(), Calls: callCount[u.Sym]}
+		entry := UndefSym{Name: u.Name, Loc: ix.loc(u.Loc).String(), Calls: callCount[u.Sym]}
 		var msg string
 		switch {
 		case u.Kind == prim.SymFunc && audit.Modeled:
@@ -86,7 +86,7 @@ func externsCheck(ix *index, jobs int, modelLabel string) ([]Diagnostic, *Audit,
 				u.Name)
 			audit.UndefGlobals = append(audit.UndefGlobals, entry)
 		}
-		diags = append(diags, Diagnostic{Check: Externs, Loc: u.Loc, Message: msg})
+		diags = append(diags, Diagnostic{Check: Externs, Loc: ix.loc(u.Loc), Message: msg})
 	}
 	if !audit.Modeled {
 		return diags, audit, nil
@@ -129,8 +129,8 @@ func externsCheck(ix *index, jobs int, modelLabel string) ([]Diagnostic, *Audit,
 			seen[k] = true
 			out = append(out, Diagnostic{
 				Check: Externs,
-				Loc:   a.Loc,
-				Func:  a.Func,
+				Loc:   ix.loc(a.Loc),
+				Func:  ix.prog.Str(a.Func),
 				Message: fmt.Sprintf(
 					"dereference of '%s' has only external-world targets (verdict downgraded by incompleteness)",
 					ix.name(p)),
@@ -176,8 +176,8 @@ func externsCheck(ix *index, jobs int, modelLabel string) ([]Diagnostic, *Audit,
 		}
 		return []Diagnostic{{
 			Check: Externs,
-			Loc:   c.Loc,
-			Func:  c.Caller,
+			Loc:   ix.loc(c.Loc),
+			Func:  ix.prog.Str(c.Caller),
 			Message: fmt.Sprintf(
 				"indirect call through '%s' may target external code (verdict downgraded by incompleteness)",
 				ix.name(c.Callee)),

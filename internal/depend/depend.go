@@ -391,9 +391,9 @@ func (r *Result) FormatChain(sym prim.SymID) string {
 		if i == len(steps)-1 || loc.IsZero() {
 			loc = symb.Loc
 		}
-		fmt.Fprintf(&b, "%s/%s <%s>", symb.Name, symb.Type, loc)
+		fmt.Fprintf(&b, "%s/%s <%s>", symb.Name, symb.Type, loc.Pos(r.src))
 	}
 	t := r.src.Sym(steps[len(steps)-1].Sym)
-	fmt.Fprintf(&b, " where %s/%s <%s>", t.Name, t.Type, t.Loc)
+	fmt.Fprintf(&b, " where %s", t.Describe(r.src))
 	return b.String()
 }

@@ -55,13 +55,13 @@ func (r *Result) FormatTree(maxDepth int) string {
 			st := r.best[kid]
 			s := r.src.Sym(kid)
 			fmt.Fprintf(&b, "%s%s%s/%s <%s> [%s]\n",
-				prefix, connector, s.Name, s.Type, st.loc, st.edgeStr)
+				prefix, connector, s.Name, s.Type, st.loc.Pos(r.src), st.edgeStr)
 			walk(kid, childPrefix, depth+1)
 		}
 	}
 	for _, t := range r.targets {
 		s := r.src.Sym(t)
-		fmt.Fprintf(&b, "%s/%s <%s>\n", s.Name, s.Type, s.Loc)
+		fmt.Fprintf(&b, "%s\n", s.Describe(r.src))
 		walk(t, "", 0)
 	}
 	return b.String()

@@ -170,10 +170,11 @@ func Apply(p *prim.Program, m Model) Info {
 	// Model constraints carry the external scope name, so analysis clients
 	// (MOD/REF) attribute their effects to external code rather than to
 	// file-scope initializers.
+	scope := p.Intern(ExtName)
 	emit := func(k prim.Kind, dst, src prim.SymID) {
 		p.AddAssign(prim.Assign{
 			Kind: k, Dst: dst, Src: src,
-			Op: prim.OpCopy, Strength: prim.Strong, Func: ExtName,
+			Op: prim.OpCopy, Strength: prim.Strong, Func: scope,
 		})
 	}
 	emit(prim.Base, extp, ext)      // extp = &ext
@@ -293,6 +294,7 @@ func ApplyClone(p *prim.Program, m Model) (*prim.Program, Info) {
 		Assigns: append([]prim.Assign(nil), p.Assigns...),
 		Funcs:   make([]prim.FuncRecord, len(p.Funcs)),
 		Calls:   append([]prim.CallSite(nil), p.Calls...),
+		Strs:    p.Strs, // Apply's Intern copies before it adds
 	}
 	// Apply may synthesize return symbols into undefined functions'
 	// records, so the records need their own storage; Params stay shared

@@ -79,12 +79,14 @@ func newBuilder(ck *ctypes.Checked, opts Options) *builder {
 	if opts.Allocators == nil {
 		opts.Allocators = DefaultAllocators
 	}
+	// An object has one symbol; parameters, returns and temporaries add
+	// about as many again.
+	prog := &prim.Program{Syms: make([]prim.Symbol, 0, 2*len(ck.Objects))}
 	return &builder{
-		ck:   ck,
-		opts: opts,
-		// An object has one symbol; parameters, returns and temporaries
-		// add about as many again.
-		prog:   &prim.Program{Syms: make([]prim.Symbol, 0, 2*len(ck.Objects))},
+		ck:     ck,
+		opts:   opts,
+		prog:   prog,
+		strs:   prim.NewInterner(prog),
 		objSym: map[*ctypes.Object]prim.SymID{},
 		fldSym: map[fieldKey]prim.SymID{},
 		fnRec:  map[prim.SymID]int{},
@@ -126,6 +128,10 @@ func (base *builder) extend(ck *ctypes.Checked) *builder {
 	b.base = base
 	b.symOff, b.recOff = prim.SymID(len(base.prog.Syms)), len(base.prog.Funcs)
 	b.tempSeq, b.heapSeq, b.strSeq = base.tempSeq, base.heapSeq, base.strSeq
+	// The unit's string table continues base's, as its ids do; clipped,
+	// so the unit's first string copies it rather than write base's.
+	b.prog.Strs = slices.Clip(base.prog.Strs)
+	b.strs = prim.NewInterner(b.prog)
 	return b
 }
 
@@ -208,14 +214,28 @@ type builder struct {
 	// params indexes parameter objects for lookupParamObject.
 	params map[paramKey]*ctypes.Object
 
+	// strs interns the program's strings; file and fileID are the file
+	// loc interned last.
+	strs   *prim.Interner
+	file   string
+	fileID prim.Str
+
 	curFunc     *ctypes.Object
 	curFuncName string
+	curFuncID   prim.Str // curFuncName's string id
 	tempSeq     int
 	heapSeq     int
 	strSeq      int
 }
 
-func locOf(p cc.Pos) prim.Loc { return prim.Loc{File: p.File, Line: int32(p.Line)} }
+// loc returns the location of p, its file interned once per run of
+// positions in one file rather than once per record.
+func (b *builder) loc(p cc.Pos) prim.Loc {
+	if p.File != b.file {
+		b.file, b.fileID = p.File, b.strs.Intern(p.File)
+	}
+	return prim.Loc{File: b.fileID, Line: int32(p.Line)}
+}
 
 // overlay is a unit's copies of the prefix entries it wrote, in the
 // order it first wrote them: at[i] is 1 + the position of prefix entry
@@ -349,7 +369,7 @@ func (b *builder) symFor(o *ctypes.Object) prim.SymID {
 	s := prim.Symbol{
 		Name:     o.Name,
 		Type:     o.Type.String(),
-		Loc:      locOf(o.Pos),
+		Loc:      b.loc(o.Pos),
 		FuncName: o.FuncName,
 	}
 	switch {
@@ -381,7 +401,7 @@ func (b *builder) fieldFor(info *ctypes.StructInfo, f *ctypes.Field, pos cc.Pos)
 		Name: info.Tag + "." + f.Name,
 		Kind: prim.SymField,
 		Type: f.Type.String(),
-		Loc:  locOf(pos),
+		Loc:  b.loc(pos),
 	}
 	id := b.addSym(s)
 	b.fldSym[key] = id
@@ -394,7 +414,7 @@ func (b *builder) temp(pos cc.Pos) prim.SymID {
 	return b.addSym(prim.Symbol{
 		Name:     fmt.Sprintf("tmp$%d", b.tempSeq),
 		Kind:     prim.SymTemp,
-		Loc:      locOf(pos),
+		Loc:      b.loc(pos),
 		FuncName: b.curFuncName,
 	})
 }
@@ -407,7 +427,7 @@ func (b *builder) heapSym(pos cc.Pos) prim.SymID {
 	return b.addSym(prim.Symbol{
 		Name: fmt.Sprintf("heap@%s#%d", pos, b.heapSeq),
 		Kind: prim.SymHeap,
-		Loc:  locOf(pos),
+		Loc:  b.loc(pos),
 	})
 }
 
@@ -418,7 +438,7 @@ func (b *builder) stringSym(pos cc.Pos) prim.SymID {
 		Name: fmt.Sprintf("str@%s#%d", pos, b.strSeq),
 		Kind: prim.SymString,
 		Type: "char[]",
-		Loc:  locOf(pos),
+		Loc:  b.loc(pos),
 	})
 }
 
@@ -550,9 +570,9 @@ func (b *builder) funcDef(fd *cc.FuncDef) {
 	}
 	fn := b.symFor(o)
 	b.define(fn)
-	prevFunc, prevName := b.curFunc, b.curFuncName
-	b.curFunc, b.curFuncName = o, o.Name
-	defer func() { b.curFunc, b.curFuncName = prevFunc, prevName }()
+	prevFunc, prevName, prevID := b.curFunc, b.curFuncName, b.curFuncID
+	b.curFunc, b.curFuncName, b.curFuncID = o, o.Name, b.strs.Intern(o.Name)
+	defer func() { b.curFunc, b.curFuncName, b.curFuncID = prevFunc, prevName, prevID }()
 
 	// Bind standardized parameters to the declared parameter objects:
 	// x = f$1, y = f$2 ...
@@ -572,7 +592,7 @@ func (b *builder) funcDef(fd *cc.FuncDef) {
 				Dst:  b.symFor(po),
 				Src:  b.paramSym(fn, i),
 				Op:   prim.OpCopy, Strength: prim.Strong,
-				Loc: locOf(fd.Pos_),
+				Loc: b.loc(fd.Pos_),
 			})
 		}
 	}

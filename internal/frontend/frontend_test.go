@@ -493,8 +493,8 @@ func TestLocLineTracking(t *testing.T) {
 		t.Fatalf("assigns = %v", assignStrings(p))
 	}
 	loc := p.Assigns[0].Loc
-	if loc.File != "t.c" || loc.Line != 3 {
-		t.Errorf("loc = %v, want t.c:3", loc)
+	if got := loc.Pos(p); got != "t.c:3" {
+		t.Errorf("loc = %v, want t.c:3", got)
 	}
 }
 

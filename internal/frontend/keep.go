@@ -159,7 +159,7 @@ func (b *builder) program() *prim.Program {
 	if b.base != nil {
 		pre = *b.base.prog
 	}
-	p := &prim.Program{}
+	p := &prim.Program{Strs: b.prog.Strs}
 	if n := ranks[len(syms)]; n > 0 {
 		p.Syms = make([]prim.Symbol, 0, n)
 		syms.each(func(i int) { p.Syms = append(p.Syms, *b.sym(prim.SymID(i))) })

@@ -41,7 +41,7 @@ func (c ctx) through(op prim.Op, arg int) ctx {
 }
 
 func (b *builder) emit(a prim.Assign) {
-	a.Func = b.curFuncName
+	a.Func = b.curFuncID
 	b.prog.AddAssign(a)
 }
 
@@ -52,7 +52,7 @@ func (b *builder) emitFlow(dst, src ref, c ctx, pos cc.Pos) {
 	if dst.kind == refNone || src.kind == refNone || c.strength == prim.None {
 		return
 	}
-	loc := locOf(pos)
+	loc := b.loc(pos)
 	switch {
 	case dst.kind == refObj && src.kind == refObj:
 		if dst.sym == src.sym && c.op == prim.OpCopy {
@@ -272,7 +272,7 @@ func (b *builder) derefOf(x cc.Expr) ref {
 		// **q: t = *q; then *t.
 		t := b.temp(x.Position())
 		b.emit(prim.Assign{Kind: prim.LoadInd, Dst: t, Src: p.sym,
-			Op: prim.OpCopy, Strength: prim.Strong, Loc: locOf(x.Position())})
+			Op: prim.OpCopy, Strength: prim.Strong, Loc: b.loc(x.Position())})
 		return ref{kind: refDeref, sym: t}
 	}
 	return ref{kind: refNone}
@@ -478,8 +478,8 @@ func (b *builder) call(v *cc.CallExpr) ref {
 	}
 	b.prog.AddCall(prim.CallSite{
 		Callee:   fn,
-		Caller:   b.curFuncName,
-		Loc:      locOf(v.Pos_),
+		Caller:   b.curFuncID,
+		Loc:      b.loc(v.Pos_),
 		Indirect: callee.kind == refObj,
 		Args:     len(v.Args),
 	})
@@ -536,7 +536,7 @@ func (b *builder) calleeSym(e cc.Expr) ref {
 	case refDeref:
 		t := b.temp(e.Position())
 		b.emit(prim.Assign{Kind: prim.LoadInd, Dst: t, Src: val.sym,
-			Op: prim.OpCopy, Strength: prim.Strong, Loc: locOf(e.Position())})
+			Op: prim.OpCopy, Strength: prim.Strong, Loc: b.loc(e.Position())})
 		return ref{kind: refObj, sym: t}
 	}
 	return ref{kind: refNone}

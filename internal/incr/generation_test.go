@@ -15,6 +15,7 @@ import (
 
 	"cla/internal/claerr"
 	"cla/internal/extmodel"
+	"cla/internal/objfile"
 	"cla/internal/obs"
 	"cla/internal/prim"
 	"cla/internal/pts"
@@ -463,5 +464,79 @@ func TestSavedGenerationIsTreeOnly(t *testing.T) {
 		if !bytes.Equal(saved(cfg.CacheDir), saved(scratch.CacheDir)) {
 			t.Fatalf("jobs %d: the edited session and the scratch open saved different generations", jobs)
 		}
+	}
+}
+
+// TestStoreOldFormatIsMiss: a store written before the object and
+// snapshot formats' last version bump holds entries under the keys of
+// today's (the keys hash the source, not the format, and the recorded
+// program digests did not move). testdata/oldstore holds such files,
+// written from baseTree by the previous format's writers. A reopen over
+// them refuses the saved generation, recompiles every unit in place of
+// decoding its object file, and rewrites the entries; it fails nothing.
+// The next reopen is served from the rewritten store.
+func TestStoreOldFormatIsMiss(t *testing.T) {
+	o := obs.New()
+	cfg, cold := storedWorkspace(t, o)
+	st, err := OpenStore(cfg.CacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := append([]string{cfg.Dir}, cfg.Includes...)
+	old := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join("testdata", "oldstore", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var objects []string
+	for _, name := range []string{"count", "list", "main", "table"} {
+		path := filepath.Join(cfg.CacheDir, st.base(filepath.Join(cfg.Dir, name+".c"), dirs, cfg.Frontend)+".clo")
+		if _, err := os.Stat(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, old(name+".clo"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		objects = append(objects, path)
+	}
+	snaps := savedGenerations(t, cfg.CacheDir)
+	if err := os.WriteFile(snaps[0], old("generation.snap"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	p, err := Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("reopen over the old store: %v", err)
+	}
+	r := p.Current()
+	if s := r.Stats; s.Snapshot || s.Recompiled != 4 || s.StoreHits != 0 {
+		t.Fatalf("reopen over the old store: %+v, want 4 units recompiled and no saved generation", s)
+	}
+	if n := o.Counter("incr.snapshot.rejected").Value(); n != 1 {
+		t.Fatalf("incr.snapshot.rejected = %d, want 1", n)
+	}
+	want := analysisBytes(t, cold)
+	if got := analysisBytes(t, r); got != want {
+		t.Fatalf("reopen over the old store differs from the cold open:\n%s\nvs\n%s", got, want)
+	}
+	for _, path := range objects {
+		if _, err := objfile.ReadFile(path); err != nil {
+			t.Fatalf("entry not rewritten: %v", err)
+		}
+	}
+	p.Close()
+
+	again, err := Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if s := again.Current().Stats; !s.Snapshot || s.Recompiled != 0 || s.StoreHits != 4 {
+		t.Fatalf("second reopen: %+v, want the saved generation over 4 store hits", s)
+	}
+	if got := analysisBytes(t, again.Current()); got != want {
+		t.Fatalf("second reopen differs from the cold open:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -99,7 +99,7 @@ func testConfig(dir string) Config {
 func fingerprint(p *prim.Program, res pts.Result) string {
 	name := func(id prim.SymID) string {
 		s := &p.Syms[id]
-		return fmt.Sprintf("%s@%s:%d/%s", s.Name, s.Loc.File, s.Loc.Line, s.FuncName)
+		return fmt.Sprintf("%s@%s:%d/%s", s.Name, p.Str(s.Loc.File), s.Loc.Line, s.FuncName)
 	}
 	var lines []string
 	for id := range p.Syms {
@@ -1002,6 +1002,38 @@ func TestWatchLoopSyntaxErrorReportedOnce(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the watch loop never picked up the fix")
+	}
+}
+
+// TestWatchLoopNewIncludeRefreshesOnce: an edit that makes a unit
+// include a header it did not read before refreshes once. The next poll
+// tracks the header for the first time; it was stamped by that refresh
+// and has not changed since, so it is not a change.
+func TestWatchLoopNewIncludeRefreshesOnce(t *testing.T) {
+	dir := t.TempDir()
+	writeTree(t, dir, baseTree)
+	edit(t, dir, "extra.h", "extern int extra;\n")
+	p, err := Open(context.Background(), testConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const interval = 20 * time.Millisecond
+	got := startWatch(t, p, interval)
+
+	time.Sleep(30 * time.Millisecond)
+	edit(t, dir, "count.c", baseTree["count.c"]+"#include \"extra.h\"\nint *extra_addr(void) { return &extra; }\n")
+	select {
+	case oc := <-got:
+		if oc.err != nil || oc.res == nil || oc.res.Gen != 2 {
+			t.Fatalf("include edit = %+v, %v; want generation 2", oc.res, oc.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the watch loop never picked up the edit")
+	}
+	select {
+	case oc := <-got:
+		t.Fatalf("a second refresh followed the include edit: %+v, %v", oc.res, oc.err)
+	case <-time.After(8 * interval):
 	}
 }
 

@@ -23,13 +23,19 @@ type scan struct {
 // with the paths that differ from prev, sorted: a stamp that moved (the
 // consumer's Update re-hashes, so a touch that changed no bytes converges
 // to a no-op generation), a file that appeared or vanished, a unit that
-// was added. A directory with no units is not an error; an unreadable
-// one is, and the returned scan then keeps prev's units.
-func drift(dir string, tracked []string, prev scan) (scan, []string, error) {
+// was added. A tracked file prev has no stamp of is compared against
+// base, the stamps the last refresh recorded: a header that refresh
+// newly read is tracked from then on, and unchanged since, it is not a
+// change. A directory with no units is not an error; an unreadable one
+// is, and the returned scan then keeps prev's units.
+func drift(dir string, tracked []string, prev scan, base map[string]stamp) (scan, []string, error) {
 	next := scan{stamps: make(map[string]stamp, len(tracked)), units: prev.units}
 	var changed []string
 	for _, path := range tracked {
 		old, had := prev.stamps[path]
+		if !had {
+			old, had = base[path]
+		}
 		fi, err := os.Stat(path)
 		if err != nil {
 			if had {
@@ -70,13 +76,22 @@ func (p *Pipeline) committed() scan {
 	return scan{stamps: p.stamps, units: units}
 }
 
+// committedStamps returns the stamps the last refresh recorded. A
+// refresh replaces the map rather than writing it.
+func (p *Pipeline) committedStamps() map[string]stamp {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stamps
+}
+
 // Stale probes for drift without rebuilding: one drift check of the
 // tracked files and the unit directory against the scan the last refresh
 // recorded. It returns the paths that look changed (stat drift, removal,
 // or a new unit). A false result is cheap — one stat per tracked file
 // and one ReadDir.
 func (p *Pipeline) Stale() (bool, []string) {
-	_, changed, _ := drift(p.cfg.Dir, p.TrackedFiles(), p.committed())
+	c := p.committed()
+	_, changed, _ := drift(p.cfg.Dir, p.TrackedFiles(), c, c.stamps)
 	return len(changed) > 0, changed
 }
 
@@ -84,7 +99,10 @@ func (p *Pipeline) Stale() (bool, []string) {
 // until ctx is done. Each poll is one drift check of the files tracked
 // returns (typically p.TrackedFiles) and of the unit directory against
 // the previous poll; the first compares against the scan p's last
-// refresh recorded, so an edit made before the loop started is found.
+// refresh recorded, so an edit made before the loop started is found,
+// and every poll compares a file it tracks newly (a header an edit
+// started to include) against the stamp that refresh took of it, so
+// the refresh that read it is not followed by a second one.
 // What a poll finds settles for half an interval, so a multi-file save
 // triggers one rebuild and a save caught mid-write is picked up again by
 // the next poll; then a hinted Update runs and fn is called with the
@@ -119,7 +137,7 @@ func WatchLoop(ctx context.Context, p *Pipeline, tracked func() []string, interv
 	for {
 		var changed []string
 		if err := parallel.Contain(func() (err error) {
-			last, changed, err = drift(p.cfg.Dir, tracked(), last)
+			last, changed, err = drift(p.cfg.Dir, tracked(), last, p.committedStamps())
 			return err
 		}); err != nil {
 			report(nil, RefreshStats{}, err)

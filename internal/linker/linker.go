@@ -49,6 +49,8 @@ type Fold struct {
 	// attributes (ownType...) that the unit which added id set itself.
 	refs []int32
 	own  []uint8
+	// strMaps[u][k] is the linked string id of unit u's string k.
+	strMaps [][]prim.Str
 }
 
 // span is the end of one unit's ranges in a linked program.
@@ -98,7 +100,8 @@ func fold(units []*prim.Program) (*Fold, error) {
 		calls += len(u.Calls)
 	}
 	f := &Fold{Prog: out, Remaps: make([][]prim.SymID, len(units)),
-		units: slices.Clone(units), ends: make([]span, len(units))}
+		units: slices.Clone(units), ends: make([]span, len(units)),
+		strMaps: make([][]prim.Str, len(units))}
 	if syms > 0 {
 		out.Syms = make([]prim.Symbol, 0, syms)
 		f.refs = make([]int32, 0, syms)
@@ -112,6 +115,7 @@ func fold(units []*prim.Program) (*Fold, error) {
 	}
 	globals := make(map[string]prim.SymID, syms)
 	recIdx := map[prim.SymID]int{}
+	strs := prim.NewInterner(out)
 	add := func(s *prim.Symbol, refs int32) prim.SymID {
 		f.refs = append(f.refs, refs)
 		f.own = append(f.own, owned(s))
@@ -119,12 +123,19 @@ func fold(units []*prim.Program) (*Fold, error) {
 	}
 
 	for ui, u := range units {
+		smap := internAll(strs, u.Strs)
+		f.strMaps[ui] = smap
+		ns := prim.Str(len(smap))
 		remap := make([]prim.SymID, len(u.Syms))
 		f.Remaps[ui] = remap
 		for i := range u.Syms {
-			s := &u.Syms[i]
+			s := u.Syms[i]
+			if s.Loc.File >= ns {
+				return nil, fmt.Errorf("linker: unit %d has symbol with bad string", ui)
+			}
+			s.Loc.File = smap[s.Loc.File]
 			if !s.LinksByName() {
-				remap[i] = add(s, 0)
+				remap[i] = add(&s, 0)
 				continue
 			}
 			if id, ok := globals[s.Name]; ok {
@@ -147,25 +158,27 @@ func fold(units []*prim.Program) (*Fold, error) {
 				remap[i] = id
 				continue
 			}
-			id := add(s, 1)
+			id := add(&s, 1)
 			globals[s.Name] = id
 			remap[i] = id
 		}
 
 		for _, a := range u.Assigns {
-			if !inRange(a.Dst, remap) || !inRange(a.Src, remap) {
-				return nil, fmt.Errorf("linker: unit %d has assignment with bad symbol", ui)
+			if !inRange(a.Dst, remap) || !inRange(a.Src, remap) || a.Loc.File >= ns || a.Func >= ns {
+				return nil, fmt.Errorf("linker: unit %d has assignment with bad symbol or string", ui)
 			}
 			a.Dst = remap[a.Dst]
 			a.Src = remap[a.Src]
+			a.Loc.File, a.Func = smap[a.Loc.File], smap[a.Func]
 			out.AddAssign(a)
 		}
 
 		for _, c := range u.Calls {
-			if !inRange(c.Callee, remap) {
-				return nil, fmt.Errorf("linker: unit %d has call site with bad symbol", ui)
+			if !inRange(c.Callee, remap) || c.Loc.File >= ns || c.Caller >= ns {
+				return nil, fmt.Errorf("linker: unit %d has call site with bad symbol or string", ui)
 			}
 			c.Callee = remap[c.Callee]
+			c.Loc.File, c.Caller = smap[c.Loc.File], smap[c.Caller]
 			out.AddCall(c)
 		}
 
@@ -202,6 +215,18 @@ func fold(units []*prim.Program) (*Fold, error) {
 			int32(len(out.Calls)), int32(len(out.Funcs))}
 	}
 	return f, nil
+}
+
+// internAll interns a unit's string table into the linked one and
+// returns the unit's string map: map[k] is the linked id of the unit's
+// string k, 0 for 0. Each distinct string of a unit is looked up once;
+// its records then map their ids through the slice.
+func internAll(in *prim.Interner, strs []string) []prim.Str {
+	m := make([]prim.Str, len(strs)+1)
+	for k, s := range strs {
+		m[k+1] = in.Intern(s)
+	}
+	return m
 }
 
 // inRange reports whether id is one of the unit's symbols.

@@ -17,9 +17,12 @@ import (
 // result would depend on what the splice does not keep — another
 // unit's occurrence of a symbol or record the changed unit merges with
 // differently than before, or a symbol whose first unit would change —
-// it folds every unit instead, as it does for a nil prev. Prog and
-// Remaps therefore always deep-equal the full fold's, and an error is
-// always the fold's.
+// it folds every unit instead, as it does for a nil prev. Prog's
+// records and Remaps therefore always equal the full fold's, and an
+// error is always the fold's. Only Prog's string table may differ: a
+// splice keeps the table it starts from and appends the strings the
+// changed unit adds, so the spliced records name the same strings
+// through other ids.
 func Relink(prev *Fold, units []*prim.Program) (*Fold, error) {
 	if c := prev.changed(units); c >= 0 {
 		if f := prev.splice(c, units); f != nil {
@@ -52,7 +55,7 @@ func (f *Fold) changed(units []*prim.Program) int {
 // sameProgram reports whether a and b hold the same database, so that
 // folding either gives the same link.
 func sameProgram(a, b *prim.Program) bool {
-	return slices.Equal(a.Syms, b.Syms) && slices.Equal(a.Assigns, b.Assigns) &&
+	return slices.Equal(a.Strs, b.Strs) && slices.Equal(a.Syms, b.Syms) && slices.Equal(a.Assigns, b.Assigns) &&
 		slices.Equal(a.Calls, b.Calls) &&
 		slices.EqualFunc(a.Funcs, b.Funcs, func(x, y prim.FuncRecord) bool {
 			return x.Func == y.Func && x.Ret == y.Ret && x.Variadic == y.Variadic &&
@@ -114,6 +117,12 @@ type splicer struct {
 	op, np *prim.Program
 	lo, hi span // c's ranges in f
 	sh     shift
+	// strs is the new fold's string table, f's with the strings np adds
+	// appended; smap is np's string map into it. osyms and nsyms are
+	// op's and np's symbols with their locations in the linked table.
+	strs         []string
+	smap         []prim.Str
+	osyms, nsyms []prim.Symbol
 	// remap is np's remap table; syms, refs and own are the symbols the
 	// unit adds and their index entries; patches change symbols before
 	// the unit; funcs are the records the unit adds, their parameter
@@ -141,10 +150,70 @@ func (f *Fold) splice(c int, units []*prim.Program) *Fold {
 	lo, hi := f.start(c), f.ends[c]
 	s := &splicer{f: f, c: c, op: f.units[c], np: units[c], lo: lo, hi: hi,
 		sh: shift{lo: prim.SymID(lo.syms), hi: prim.SymID(hi.syms)}}
-	if !s.symbols() || !s.records() {
+	if !s.strings() || !s.symbols() || !s.records() {
 		return nil
 	}
 	return s.assemble(units)
+}
+
+// strings maps np's strings into the linked table and its symbols'
+// locations with them, and op's symbols' through op's map. A string op
+// had is found through op's map; only another is looked up in the
+// whole table, and appended when absent. It reports false when one of
+// np's records names a string np does not have, on which the fold fails.
+func (s *splicer) strings() bool {
+	old, omap := s.f.Prog, s.f.strMaps[s.c]
+	at := make(map[string]prim.Str, len(s.op.Strs))
+	for k, str := range s.op.Strs {
+		at[str] = omap[k+1]
+	}
+	var all map[string]prim.Str // old's table, indexed on the first miss
+	s.strs = old.Strs
+	s.smap = make([]prim.Str, len(s.np.Strs)+1)
+	for k, str := range s.np.Strs {
+		id, ok := at[str]
+		if !ok {
+			if all == nil {
+				all = make(map[string]prim.Str, len(old.Strs))
+				for i, t := range old.Strs {
+					all[t] = prim.Str(i + 1)
+				}
+			}
+			if id, ok = all[str]; !ok {
+				// Full slice expression: the old fold's table is shared
+				// with it, and another splice of it may append too.
+				s.strs = append(s.strs[:len(s.strs):len(s.strs)], str)
+				id = prim.Str(len(s.strs))
+				all[str] = id
+			}
+		}
+		s.smap[k+1] = id
+	}
+	n := prim.Str(len(s.smap))
+	s.nsyms = slices.Clone(s.np.Syms)
+	for i := range s.nsyms {
+		l := &s.nsyms[i].Loc
+		if l.File >= n {
+			return false
+		}
+		l.File = s.smap[l.File]
+	}
+	s.osyms = slices.Clone(s.op.Syms)
+	for i := range s.osyms {
+		l := &s.osyms[i].Loc
+		l.File = omap[l.File]
+	}
+	for k := range s.np.Assigns {
+		if a := &s.np.Assigns[k]; a.Loc.File >= n || a.Func >= n {
+			return false
+		}
+	}
+	for k := range s.np.Calls {
+		if c := &s.np.Calls[k]; c.Loc.File >= n || c.Caller >= n {
+			return false
+		}
+	}
+	return true
 }
 
 // newNames returns, for every by-name symbol np has and op lacks, the
@@ -195,11 +264,11 @@ func (s *splicer) newNames(oldAt map[string]int) (map[string]prim.SymID, bool) {
 // reports false where the fold's result would depend on other units'
 // occurrences, or where the fold would fail.
 func (s *splicer) symbols() bool {
-	f, op, np := s.f, s.op, s.np
+	f, osyms, nsyms := s.f, s.osyms, s.nsyms
 	old, oldRemap, cs := f.Prog, f.Remaps[s.c], s.sh.lo
-	oldAt := make(map[string]int, len(op.Syms))
-	for j := range op.Syms {
-		if sym := &op.Syms[j]; sym.LinksByName() {
+	oldAt := make(map[string]int, len(osyms))
+	for j := range osyms {
+		if sym := &osyms[j]; sym.LinksByName() {
 			if _, dup := oldAt[sym.Name]; dup {
 				return false
 			}
@@ -215,10 +284,10 @@ func (s *splicer) symbols() bool {
 	for i := range s.sh.own {
 		s.sh.own[i] = prim.NoSym
 	}
-	s.remap = make([]prim.SymID, len(np.Syms))
-	s.syms = make([]prim.Symbol, 0, len(np.Syms))
-	s.refs = make([]int32, 0, len(np.Syms))
-	s.own = make([]uint8, 0, len(np.Syms))
+	s.remap = make([]prim.SymID, len(nsyms))
+	s.syms = make([]prim.Symbol, 0, len(nsyms))
+	s.refs = make([]int32, 0, len(nsyms))
+	s.own = make([]uint8, 0, len(nsyms))
 	keep := func(id prim.SymID, sym prim.Symbol, refs int32) {
 		if sym != old.Syms[id] || refs != 0 {
 			s.patches = append(s.patches, patch{id, sym, refs})
@@ -230,9 +299,9 @@ func (s *splicer) symbols() bool {
 		s.own = append(s.own, owned(sym))
 		return cs + prim.SymID(len(s.syms)-1)
 	}
-	kept := make([]bool, len(op.Syms))
-	for i := range np.Syms {
-		sym := &np.Syms[i]
+	kept := make([]bool, len(osyms))
+	for i := range nsyms {
+		sym := &nsyms[i]
 		if !sym.LinksByName() {
 			s.remap[i] = add(*sym, sym, 0)
 			continue
@@ -258,7 +327,7 @@ func (s *splicer) symbols() bool {
 		kept[j] = true
 		o := oldRemap[j]
 		if o < cs {
-			canon, ok := resolve(&old.Syms[o], &op.Syms[j], sym, false, f.own[o], false)
+			canon, ok := resolve(&old.Syms[o], &osyms[j], sym, false, f.own[o], false)
 			if !ok {
 				return false
 			}
@@ -266,15 +335,15 @@ func (s *splicer) symbols() bool {
 			s.remap[i] = o
 			continue
 		}
-		canon, ok := resolve(&old.Syms[o], &op.Syms[j], sym, true, 0, f.refs[o] == 1)
+		canon, ok := resolve(&old.Syms[o], &osyms[j], sym, true, 0, f.refs[o] == 1)
 		if !ok {
 			return false
 		}
 		s.remap[i] = add(canon, sym, f.refs[o])
 		s.sh.own[o-cs] = s.remap[i]
 	}
-	for j := range op.Syms {
-		sym := &op.Syms[j]
+	for j := range osyms {
+		sym := &osyms[j]
 		if !sym.LinksByName() || kept[j] {
 			continue
 		}
@@ -383,7 +452,7 @@ func (s *splicer) records() bool {
 func (s *splicer) assemble(units []*prim.Program) *Fold {
 	f, np, remap, sh, lo, hi := s.f, s.np, s.remap, &s.sh, s.lo, s.hi
 	old := f.Prog
-	out := &prim.Program{}
+	out := &prim.Program{Strs: s.strs}
 	if n := len(old.Syms) + int(sh.delta); n > 0 {
 		out.Syms = make([]prim.Symbol, 0, n)
 		out.Syms = append(out.Syms, old.Syms[:sh.lo]...)
@@ -408,6 +477,7 @@ func (s *splicer) assemble(units []*prim.Program) *Fold {
 		out.Assigns = append(out.Assigns, old.Assigns[:lo.assigns]...)
 		for _, a := range np.Assigns {
 			a.Dst, a.Src = remap[a.Dst], remap[a.Src]
+			a.Loc.File, a.Func = s.smap[a.Loc.File], s.smap[a.Func]
 			out.Assigns = append(out.Assigns, a)
 		}
 		for _, a := range old.Assigns[hi.assigns:] {
@@ -420,6 +490,7 @@ func (s *splicer) assemble(units []*prim.Program) *Fold {
 		out.Calls = append(out.Calls, old.Calls[:lo.calls]...)
 		for _, cl := range np.Calls {
 			cl.Callee = remap[cl.Callee]
+			cl.Loc.File, cl.Caller = s.smap[cl.Loc.File], s.smap[cl.Caller]
 			out.Calls = append(out.Calls, cl)
 		}
 		for _, cl := range old.Calls[hi.calls:] {
@@ -467,8 +538,10 @@ func (s *splicer) assemble(units []*prim.Program) *Fold {
 		ends[u].calls += d.calls
 		ends[u].funcs += d.funcs
 	}
+	strMaps := slices.Clone(f.strMaps)
+	strMaps[s.c] = s.smap
 	return &Fold{Prog: out, Remaps: remaps, Spliced: true,
-		units: slices.Clone(units), ends: ends, refs: refs, own: own}
+		units: slices.Clone(units), ends: ends, refs: refs, own: own, strMaps: strMaps}
 }
 
 // sameRecord reports whether records a and b, whose symbols ma and mb

@@ -9,9 +9,10 @@ import (
 )
 
 // relinkMatchesFold relinks units over prev and requires the result to
-// equal a full fold of units: the program and remap tables deep-equal,
-// the splice's own index equal, or the same error. It returns the
-// relinked fold (nil on error).
+// equal a full fold of units: the programs resolved alike, the remap
+// tables deep-equal, the splice's own index equal and its string maps
+// naming the same strings, or the same error. It returns the relinked
+// fold (nil on error).
 func relinkMatchesFold(t *testing.T, prev *Fold, units []*prim.Program) *Fold {
 	t.Helper()
 	got, gerr := Relink(prev, units)
@@ -22,8 +23,21 @@ func relinkMatchesFold(t *testing.T, prev *Fold, units []*prim.Program) *Fold {
 		}
 		return nil
 	}
-	if !reflect.DeepEqual(got.Prog, want.Prog) {
-		t.Fatalf("spliced %v: program differs from the fold:\n%+v\nvs\n%+v", got.Spliced, got.Prog, want.Prog)
+	if err := got.Prog.Validate(); err != nil {
+		t.Fatalf("spliced %v: %v", got.Spliced, err)
+	}
+	if g, w := got.Prog.Canonical(), want.Prog.Canonical(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("spliced %v: program differs from the fold:\n%+v\nvs\n%+v", got.Spliced, g, w)
+	}
+	if got.Prog.Digest() != want.Prog.Digest() {
+		t.Fatalf("spliced %v: digest differs from the fold's", got.Spliced)
+	}
+	for u, m := range want.strMaps {
+		for k, id := range m {
+			if g, w := got.Prog.Str(got.strMaps[u][k]), want.Prog.Str(id); g != w {
+				t.Fatalf("spliced %v: unit %d string %d maps to %q, fold %q", got.Spliced, u, k, g, w)
+			}
+		}
 	}
 	if !reflect.DeepEqual(got.Remaps, want.Remaps) {
 		t.Fatalf("spliced %v: remaps %v, fold %v", got.Spliced, got.Remaps, want.Remaps)
@@ -168,16 +182,32 @@ var genPool = []prim.Symbol{
 	{Name: "s", Kind: prim.SymStatic},
 }
 
-// genSym draws one symbol: a pool entry with random attributes and, now
-// and then, a kind that conflicts or internal linkage.
-func genSym(g *genSrc) prim.Symbol {
+// genStrs is the strings generated records name: files and functions.
+var genStrs = []string{"a.h", "b.c", "f0", "f1"}
+
+// genStr draws a string id of p, interning a pool string into its
+// table, and now and then one past the table.
+func genStr(g *genSrc, p *prim.Program) prim.Str {
+	b := g.next()
+	if b == 254 {
+		return prim.Str(len(p.Strs) + 1)
+	}
+	if b%5 == 4 {
+		return 0
+	}
+	return p.Intern(genStrs[b%5])
+}
+
+// genSym draws one symbol of p: a pool entry with random attributes
+// and, now and then, a kind that conflicts or internal linkage.
+func genSym(g *genSrc, p *prim.Program) prim.Symbol {
 	s := genPool[g.next()%len(genPool)]
 	a := g.next()
 	if a&1 != 0 {
 		s.Type = []string{"int", "char *"}[a>>1&1]
 	}
 	if a&4 != 0 {
-		s.Loc = []prim.Loc{{File: "a.h", Line: 1}, {File: "b.c", Line: 2}}[a>>3&1]
+		s.Loc = prim.Loc{File: p.Intern(genStrs[a>>3&1]), Line: int32(1 + a>>3&1)}
 	}
 	s.FuncPtr = a&16 != 0
 	s.Defined = a&32 != 0
@@ -225,13 +255,15 @@ func genUnit(g *genSrc) *prim.Program {
 	p := &prim.Program{}
 	n := 1 + g.next()%6
 	for i := 0; i < n; i++ {
-		p.Syms = append(p.Syms, genSym(g))
+		p.Syms = append(p.Syms, genSym(g, p))
 	}
 	for k := g.next() % 4; k > 0; k-- {
-		p.Assigns = append(p.Assigns, prim.Assign{Kind: prim.Kind(g.next() % prim.NumKinds), Dst: genID(g, n), Src: genID(g, n)})
+		p.Assigns = append(p.Assigns, prim.Assign{Kind: prim.Kind(g.next() % prim.NumKinds), Dst: genID(g, n), Src: genID(g, n),
+			Func: genStr(g, p)})
 	}
 	for k := g.next() % 2; k > 0; k-- {
-		p.Calls = append(p.Calls, prim.CallSite{Callee: genID(g, n), Caller: "f0", Args: 1})
+		p.Calls = append(p.Calls, prim.CallSite{Callee: genID(g, n), Caller: p.Intern("f0"),
+			Loc: prim.Loc{File: genStr(g, p), Line: 3}, Args: 1})
 	}
 	for k := g.next() % 3; k > 0; k-- {
 		p.Funcs = append(p.Funcs, genRecord(g, n))
@@ -244,13 +276,13 @@ func genUnit(g *genSrc) *prim.Program {
 // added or dropped, or a record added, dropped or redrawn.
 func genEdit(g *genSrc, p *prim.Program) *prim.Program {
 	q := &prim.Program{Syms: slices.Clone(p.Syms), Assigns: slices.Clone(p.Assigns),
-		Calls: slices.Clone(p.Calls), Funcs: slices.Clone(p.Funcs)}
+		Calls: slices.Clone(p.Calls), Funcs: slices.Clone(p.Funcs), Strs: p.Strs}
 	n := len(q.Syms)
 	switch g.next() % 7 {
 	case 0:
 		return genUnit(g)
 	case 1:
-		q.Syms = append(q.Syms, genSym(g))
+		q.Syms = append(q.Syms, genSym(g, q))
 		q.Assigns = append(q.Assigns, prim.Assign{Kind: prim.Base, Dst: genID(g, n+1), Src: prim.SymID(n)})
 	case 2:
 		if n < 2 {
@@ -265,11 +297,12 @@ func genEdit(g *genSrc, p *prim.Program) *prim.Program {
 		})
 	case 3:
 		k := g.next() % n
-		s := genSym(g)
+		s := genSym(g, q)
 		s.Name, s.Kind = q.Syms[k].Name, q.Syms[k].Kind
 		q.Syms[k] = s
 	case 4:
-		q.Assigns = append(q.Assigns, prim.Assign{Kind: prim.Simple, Dst: genID(g, n), Src: genID(g, n)})
+		q.Assigns = append(q.Assigns, prim.Assign{Kind: prim.Simple, Dst: genID(g, n), Src: genID(g, n),
+			Loc: prim.Loc{File: genStr(g, q), Line: 5}, Func: genStr(g, q)})
 	case 5:
 		if len(q.Assigns) > 0 {
 			q.Assigns = q.Assigns[:len(q.Assigns)-1]

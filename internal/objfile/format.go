@@ -7,8 +7,9 @@
 //
 //	header:   magic "CLAO", version u32, assignment counts by kind (5×u64),
 //	          section table: numSections × {offset u64, size u64}
-//	strings:  string pool; each string is u32 length + bytes; referenced
-//	          by byte offset within the section
+//	strings:  string pool: u32 count, then per string u32 length +
+//	          bytes; referenced by index, index 0 = "", numbered in the
+//	          order the sections below first use them
 //	symbols:  u32 count, then fixed 24-byte records
 //	          {name u32, type u32, file u32, funcName u32, line i32,
 //	           kind u8, flags u8, pad u16}
@@ -58,7 +59,9 @@ const Magic = "CLAO"
 // version 5 added the defined flag on symbol records. Version 6 changed no
 // layout: a unit's program carries only the header entries it uses, so
 // a store holding units compiled before that misses and is refilled.
-const Version = 6
+// Version 7 references strings by index into a counted pool, numbered in
+// first-use order, so a decoded record's string index is its prim.Str.
+const Version = 7
 
 // section ids.
 const (
@@ -88,7 +91,7 @@ type BlockEntry struct {
 	Op       prim.Op
 	Strength prim.Strength
 	Loc      prim.Loc
-	Func     string
+	Func     prim.Str
 }
 
 // Assign reconstructs the full primitive assignment given the block's

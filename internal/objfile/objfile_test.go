@@ -2,6 +2,7 @@ package objfile
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,18 +18,35 @@ import (
 // sampleProgram builds a small in-memory database by hand.
 func sampleProgram() *prim.Program {
 	p := &prim.Program{}
-	x := p.AddSym(prim.Symbol{Name: "x", Kind: prim.SymGlobal, Type: "int", Loc: prim.Loc{File: "a.c", Line: 1}})
-	y := p.AddSym(prim.Symbol{Name: "y", Kind: prim.SymGlobal, Type: "int", Loc: prim.Loc{File: "a.c", Line: 1}})
-	q := p.AddSym(prim.Symbol{Name: "q", Kind: prim.SymGlobal, Type: "int*", Loc: prim.Loc{File: "a.c", Line: 1}})
-	f := p.AddSym(prim.Symbol{Name: "f", Kind: prim.SymFunc, Type: "int(int)", Loc: prim.Loc{File: "a.c", Line: 2}})
+	a := p.Intern("a.c")
+	x := p.AddSym(prim.Symbol{Name: "x", Kind: prim.SymGlobal, Type: "int", Loc: prim.Loc{File: a, Line: 1}})
+	y := p.AddSym(prim.Symbol{Name: "y", Kind: prim.SymGlobal, Type: "int", Loc: prim.Loc{File: a, Line: 1}})
+	q := p.AddSym(prim.Symbol{Name: "q", Kind: prim.SymGlobal, Type: "int*", Loc: prim.Loc{File: a, Line: 1}})
+	f := p.AddSym(prim.Symbol{Name: "f", Kind: prim.SymFunc, Type: "int(int)", Loc: prim.Loc{File: a, Line: 2}})
 	f1 := p.AddSym(prim.Symbol{Name: "f$1", Kind: prim.SymParam, FuncName: "f"})
 	fr := p.AddSym(prim.Symbol{Name: "f$ret", Kind: prim.SymRet, FuncName: "f"})
-	p.AddAssign(prim.Assign{Kind: prim.Base, Dst: q, Src: y, Op: prim.OpCopy, Strength: prim.Strong, Loc: prim.Loc{File: "a.c", Line: 5}})
-	p.AddAssign(prim.Assign{Kind: prim.Simple, Dst: x, Src: y, Op: prim.OpAdd, Strength: prim.Strong, Loc: prim.Loc{File: "a.c", Line: 6}})
-	p.AddAssign(prim.Assign{Kind: prim.LoadInd, Dst: x, Src: q, Op: prim.OpCopy, Strength: prim.Strong, Loc: prim.Loc{File: "a.c", Line: 7}})
-	p.AddAssign(prim.Assign{Kind: prim.StoreInd, Dst: q, Src: y, Op: prim.OpCopy, Strength: prim.Strong, Loc: prim.Loc{File: "a.c", Line: 8}})
+	p.AddAssign(prim.Assign{Kind: prim.Base, Dst: q, Src: y, Op: prim.OpCopy, Strength: prim.Strong, Loc: prim.Loc{File: a, Line: 5}})
+	p.AddAssign(prim.Assign{Kind: prim.Simple, Dst: x, Src: y, Op: prim.OpAdd, Strength: prim.Strong, Loc: prim.Loc{File: a, Line: 6}})
+	p.AddAssign(prim.Assign{Kind: prim.LoadInd, Dst: x, Src: q, Op: prim.OpCopy, Strength: prim.Strong, Loc: prim.Loc{File: a, Line: 7}})
+	p.AddAssign(prim.Assign{Kind: prim.StoreInd, Dst: q, Src: y, Op: prim.OpCopy, Strength: prim.Strong, Loc: prim.Loc{File: a, Line: 8}})
 	p.Funcs = append(p.Funcs, prim.FuncRecord{Func: f, Params: []prim.SymID{f1}, Ret: fr})
 	return p
+}
+
+// resolvedAssign is an assignment with its strings resolved and its ids
+// cleared, comparable across programs whose tables differ.
+type resolvedAssign struct {
+	prim.Assign
+	file, fn string
+}
+
+func resolveAssigns(p *prim.Program) []resolvedAssign {
+	out := make([]resolvedAssign, len(p.Assigns))
+	for i, a := range p.Assigns {
+		out[i] = resolvedAssign{a, p.Str(a.Loc.File), p.Str(a.Func)}
+		out[i].Loc.File, out[i].Func = 0, 0
+	}
+	return out
 }
 
 // writeRead round-trips a program through the binary format.
@@ -52,9 +70,13 @@ func TestRoundTripSymbols(t *testing.T) {
 		t.Fatalf("syms = %d, want %d", r.NumSyms(), len(p.Syms))
 	}
 	for i := range p.Syms {
-		got := *r.Sym(prim.SymID(i))
-		if !reflect.DeepEqual(got, p.Syms[i]) {
-			t.Errorf("sym %d: got %+v, want %+v", i, got, p.Syms[i])
+		got, want := *r.Sym(prim.SymID(i)), p.Syms[i]
+		if r.Str(got.Loc.File) != p.Str(want.Loc.File) {
+			t.Errorf("sym %d: file %q, want %q", i, r.Str(got.Loc.File), p.Str(want.Loc.File))
+		}
+		got.Loc.File, want.Loc.File = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("sym %d: got %+v, want %+v", i, got, want)
 		}
 	}
 }
@@ -66,7 +88,7 @@ func TestRoundTripProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortAssigns := func(as []prim.Assign) {
+	sortAssigns := func(as []resolvedAssign) {
 		sort.Slice(as, func(i, j int) bool {
 			if as[i].Loc.Line != as[j].Loc.Line {
 				return as[i].Loc.Line < as[j].Loc.Line
@@ -74,10 +96,11 @@ func TestRoundTripProgram(t *testing.T) {
 			return as[i].Kind < as[j].Kind
 		})
 	}
-	sortAssigns(p.Assigns)
-	sortAssigns(p2.Assigns)
-	if !reflect.DeepEqual(p.Assigns, p2.Assigns) {
-		t.Errorf("assigns:\n got %v\nwant %v", p2.Assigns, p.Assigns)
+	want, got := resolveAssigns(p), resolveAssigns(p2)
+	sortAssigns(want)
+	sortAssigns(got)
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("assigns:\n got %v\nwant %v", got, want)
 	}
 	if !reflect.DeepEqual(p.Funcs, p2.Funcs) {
 		t.Errorf("funcs: got %+v want %+v", p2.Funcs, p.Funcs)
@@ -254,6 +277,32 @@ func TestCorruptVersion(t *testing.T) {
 	}
 }
 
+// TestCorruptStringIndex: a record whose string index is past the pool
+// fails its decode with a *CorruptError, never a panic, for every
+// record kind that holds one.
+func TestCorruptStringIndex(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, fuzzSeedProgram()); err != nil {
+		t.Fatal(err)
+	}
+	cases := stringIndexCorruptions(buf.Bytes())
+	if len(cases) != 24 {
+		t.Fatalf("%d corruptions, want 24 (every record kind)", len(cases))
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r, err := NewReader(bytes.NewReader(c.data), int64(len(c.data)))
+			if err == nil {
+				_, err = r.Program()
+			}
+			var ce *CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("decode: %v, want a *CorruptError", err)
+			}
+		})
+	}
+}
+
 func TestTruncatedFile(t *testing.T) {
 	var buf bytes.Buffer
 	Write(&buf, sampleProgram())
@@ -321,7 +370,7 @@ void caller(void) { func(gx, gp); }
 	// Spot-check a location survived.
 	found := false
 	for _, a := range p2.Assigns {
-		if a.Loc.File == "unit.c" && a.Loc.Line > 0 {
+		if p2.Str(a.Loc.File) == "unit.c" && a.Loc.Line > 0 {
 			found = true
 		}
 	}
@@ -336,13 +385,14 @@ func TestRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := &prim.Program{}
+		file := p.Intern("r.c")
 		nsyms := 1 + rng.Intn(20)
 		for i := 0; i < nsyms; i++ {
 			p.AddSym(prim.Symbol{
 				Name: string(rune('a' + i%26)),
 				Kind: prim.SymKind(rng.Intn(prim.NumSymKinds)),
 				Type: "int",
-				Loc:  prim.Loc{File: "r.c", Line: int32(rng.Intn(100))},
+				Loc:  prim.Loc{File: file, Line: int32(rng.Intn(100))},
 			})
 		}
 		na := rng.Intn(50)
@@ -353,7 +403,7 @@ func TestRoundTripProperty(t *testing.T) {
 				Src:      prim.SymID(rng.Intn(nsyms)),
 				Op:       prim.Op(rng.Intn(5)),
 				Strength: prim.Strength(rng.Intn(3)),
-				Loc:      prim.Loc{File: "r.c", Line: int32(rng.Intn(100))},
+				Loc:      prim.Loc{File: file, Line: int32(rng.Intn(100))},
 			})
 		}
 		var buf bytes.Buffer
@@ -372,11 +422,11 @@ func TestRoundTripProperty(t *testing.T) {
 			return false
 		}
 		// Compare as multisets.
-		count := map[prim.Assign]int{}
-		for _, a := range p.Assigns {
+		count := map[resolvedAssign]int{}
+		for _, a := range resolveAssigns(p) {
 			count[a]++
 		}
-		for _, a := range p2.Assigns {
+		for _, a := range resolveAssigns(p2) {
 			count[a]--
 		}
 		for _, c := range count {
@@ -458,10 +508,14 @@ func TestDecodedStringsAreCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewStringPool()
+	pool := NewStringPool(p)
 	sec := AppendSymbols(nil, pool, p.Syms)
 	poolBytes := pool.Bytes()
-	syms, err := DecodeSymbols(sec, Strings(poolBytes))
+	strs, err := DecodeStrings(poolBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syms, err := DecodeSymbols(sec, strs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,13 +524,22 @@ func TestDecodedStringsAreCopies(t *testing.T) {
 			b[i] = 'X'
 		}
 	}
+	want := p.Canonical()
+	if c := got.Canonical(); !reflect.DeepEqual(c.Syms, want.Syms) || !reflect.DeepEqual(c.Strs, want.Strs) {
+		t.Fatalf("after overwriting the input: reader %+v %q, want %+v %q", c.Syms, c.Strs, want.Syms, want.Strs)
+	}
 	for i := range p.Syms {
-		if got.Syms[i] != p.Syms[i] || syms[i] != p.Syms[i] {
-			t.Fatalf("symbol %d after overwriting the input: reader %+v, pool %+v, want %+v", i, got.Syms[i], syms[i], p.Syms[i])
+		s := syms[i]
+		if strs[s.Loc.File] != p.Str(p.Syms[i].Loc.File) {
+			t.Fatalf("symbol %d after overwriting the pool: file %q", i, strs[s.Loc.File])
+		}
+		s.Loc.File = p.Syms[i].Loc.File
+		if s != p.Syms[i] {
+			t.Fatalf("symbol %d after overwriting the pool: %+v, want %+v", i, s, p.Syms[i])
 		}
 	}
 	for i, a := range got.Assigns {
-		if a.Loc.File != "a.c" || (a.Func != "" && a.Func != "f") {
+		if got.Str(a.Loc.File) != "a.c" || (a.Func != 0 && got.Str(a.Func) != "f") {
 			t.Fatalf("assign %d after overwriting the input: %+v", i, a)
 		}
 	}

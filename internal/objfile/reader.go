@@ -20,7 +20,7 @@ type Reader struct {
 	secOff  [numSections]int64
 	secLen  [numSections]int64
 	counts  [prim.NumKinds]int
-	strings Strings // resident string pool
+	strings Strings // resident string pool; a record's string ids index it
 	syms    []prim.Symbol
 	// blockIdx holds (offset, count) per symbol.
 	blockOff []int64
@@ -116,8 +116,10 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 		}
 		sec[i] = b
 	}
-	r.strings = Strings(sec[secStrings])
 	var err error
+	if r.strings, err = DecodeStrings(sec[secStrings]); err != nil {
+		return nil, err
+	}
 	if r.syms, err = DecodeSymbols(sec[secSymbols], r.strings); err != nil {
 		return nil, err
 	}
@@ -218,6 +220,13 @@ func (r *Reader) Funcs() []prim.FuncRecord { return r.funcs }
 // Calls returns the call-site records.
 func (r *Reader) Calls() []prim.CallSite { return r.calls }
 
+// Str returns the string id names. Every id a decoded record holds was
+// checked against the pool.
+func (r *Reader) Str(id prim.Str) string { return r.strings[id] }
+
+// Strs returns the string table the records' ids name (prim.Program.Strs).
+func (r *Reader) Strs() []string { return r.strings.Table() }
+
 // Statics decodes the always-loaded address-of section.
 func (r *Reader) Statics() ([]prim.Assign, error) {
 	b, err := r.section(secStatic)
@@ -241,16 +250,14 @@ func (r *Reader) Statics() ([]prim.Assign, error) {
 			Op:       prim.Op(rec[20]),
 			Strength: prim.Strength(rec[21]),
 		}
-		file, err := r.strings.Str(le.Uint32(rec[8:]))
+		file, err := r.strings.ID(le.Uint32(rec[8:]))
 		if err != nil {
 			return nil, err
 		}
-		fn, err := r.strings.Str(le.Uint32(rec[16:]))
-		if err != nil {
+		if a.Func, err = r.strings.ID(le.Uint32(rec[16:])); err != nil {
 			return nil, err
 		}
 		a.Loc = prim.Loc{File: file, Line: int32(le.Uint32(rec[12:]))}
-		a.Func = fn
 		if err := CheckSym(a.Dst, len(r.syms)); err != nil {
 			return nil, err
 		}
@@ -305,11 +312,11 @@ func (r *Reader) decodeBlock(sym prim.SymID, b []byte) ([]BlockEntry, error) {
 		if err := CheckSym(dst, len(r.syms)); err != nil {
 			return nil, err
 		}
-		file, err := r.strings.Str(le.Uint32(rec[8:]))
+		file, err := r.strings.ID(le.Uint32(rec[8:]))
 		if err != nil {
 			return nil, err
 		}
-		fn, err := r.strings.Str(le.Uint32(rec[16:]))
+		fn, err := r.strings.ID(le.Uint32(rec[16:]))
 		if err != nil {
 			return nil, err
 		}
@@ -362,7 +369,7 @@ func (r *Reader) Stats() Stats {
 // whole-program (non-demand) analysis modes.
 // It reads the blocks section once.
 func (r *Reader) Program() (*prim.Program, error) {
-	p := &prim.Program{Syms: append([]prim.Symbol(nil), r.syms...)}
+	p := &prim.Program{Syms: append([]prim.Symbol(nil), r.syms...), Strs: r.Strs()}
 	statics, err := r.Statics()
 	if err != nil {
 		return nil, err

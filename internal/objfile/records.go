@@ -30,54 +30,126 @@ const (
 // noSymID is prim.NoSym's encoding.
 const noSymID = 0xffffffff
 
-// StringPool interns strings into a string-pool section: each string is
-// a u32 length plus its bytes, referenced by byte offset. Offset 0 is
-// always the empty string.
+// StringPool numbers the strings of one program for a string-pool
+// section, in the order the records first use them: u32 count, then per
+// string a u32 length plus its bytes, referenced by index. Index 0 is
+// always the empty string. The numbering depends only on the strings the
+// records resolve to, not on the order of the program's table, so two
+// equal databases encode to the same bytes. A string id goes through a
+// slice indexed by prim.Str; only a string no id names yet, and the
+// symbols' own names and types, go through the map.
 type StringPool struct {
+	prog *prim.Program
 	buf  []byte
-	offs map[string]uint32
+	n    uint32
+	idx  map[string]uint32
+	ids  []uint32 // ids[s] is 1 + the index of prog's string s, 0 before its first use
 }
 
-// NewStringPool returns a pool holding only the empty string.
-func NewStringPool() *StringPool {
-	p := &StringPool{offs: map[string]uint32{}}
+// NewStringPool returns a pool over prog's table holding only the empty
+// string. Its map is sized for a name per symbol and the table, so that
+// numbering a program never rehashes it.
+func NewStringPool(prog *prim.Program) *StringPool {
+	p := &StringPool{prog: prog, buf: make([]byte, 4),
+		idx: make(map[string]uint32, len(prog.Syms)+len(prog.Strs)+1),
+		ids: make([]uint32, len(prog.Strs)+1)}
 	p.Add("")
 	return p
 }
 
-// Add interns s and returns its offset.
+// Add interns s and returns its index.
 func (p *StringPool) Add(s string) uint32 {
-	if off, ok := p.offs[s]; ok {
-		return off
+	if i, ok := p.idx[s]; ok {
+		return i
 	}
-	off := uint32(len(p.buf))
+	i := p.n
+	p.n++
 	p.buf = le.AppendUint32(p.buf, uint32(len(s)))
 	p.buf = append(p.buf, s...)
-	p.offs[s] = off
-	return off
+	p.idx[s] = i
+	return i
+}
+
+// Str returns the index of the program's string id.
+func (p *StringPool) Str(id prim.Str) uint32 {
+	if i := p.ids[id]; i != 0 {
+		return i - 1
+	}
+	i := p.Add(p.prog.Str(id))
+	p.ids[id] = i + 1
+	return i
 }
 
 // Bytes returns the pool's section bytes.
-func (p *StringPool) Bytes() []byte { return p.buf }
+func (p *StringPool) Bytes() []byte {
+	le.PutUint32(p.buf, p.n)
+	return p.buf
+}
 
-// Strings is a resident string-pool section held as one string: the
-// conversion from the section's bytes is the one copy a decode makes,
-// and every string Str returns is a substring of it. Decoded strings so
-// never alias the section's bytes, which a caller may reuse or unmap.
-type Strings string
+// Strings is a decoded string-pool section: Strings[i] is the string at
+// index i, and Strings[0] is "". DecodeStrings makes one copy of the
+// section's bytes and every string is a substring of it, so decoded
+// strings never alias the section, which a caller may reuse or unmap. A
+// decoded program's table is Strings[1:], so a record's pool index is
+// its prim.Str id unchanged.
+type Strings []string
 
-// Str returns the string at offset off, a substring of the pool.
-func (s Strings) Str(off uint32) (string, error) {
-	o := int64(off)
-	if o+4 > int64(len(s)) {
-		return "", corrupt("string offset %d out of range", off)
+// DecodeStrings decodes a string-pool section.
+func DecodeStrings(b []byte) (Strings, error) {
+	if len(b) < 4 {
+		return nil, corrupt("string pool too small")
 	}
-	n := uint32(s[o]) | uint32(s[o+1])<<8 | uint32(s[o+2])<<16 | uint32(s[o+3])<<24
-	end := o + 4 + int64(n)
-	if end > int64(len(s)) {
-		return "", corrupt("string at %d overruns pool", off)
+	n := int(le.Uint32(b))
+	if n < 1 || n > (len(b)-4)/4 {
+		return nil, corrupt("string count %d out of range", n)
 	}
-	return string(s[o+4 : end]), nil
+	pool := string(b[4:])
+	out := make(Strings, n)
+	o := 0
+	for i := range out {
+		if o+4 > len(pool) {
+			return nil, corrupt("string %d overruns pool", i)
+		}
+		l := int(uint32(pool[o]) | uint32(pool[o+1])<<8 | uint32(pool[o+2])<<16 | uint32(pool[o+3])<<24)
+		o += 4
+		if l > len(pool)-o {
+			return nil, corrupt("string %d overruns pool", i)
+		}
+		out[i] = pool[o : o+l]
+		o += l
+	}
+	if o != len(pool) {
+		return nil, corrupt("string pool has %d trailing bytes", len(pool)-o)
+	}
+	if out[0] != "" {
+		return nil, corrupt("string 0 is not empty")
+	}
+	return out, nil
+}
+
+// Str returns the string at index i.
+func (s Strings) Str(i uint32) (string, error) {
+	if uint64(i) >= uint64(len(s)) {
+		return "", corrupt("string index %d out of range (%d strings)", i, len(s))
+	}
+	return s[i], nil
+}
+
+// ID checks the string index i and returns it as the prim.Str id it is
+// in the decoded program's table.
+func (s Strings) ID(i uint32) (prim.Str, error) {
+	if uint64(i) >= uint64(len(s)) {
+		return 0, corrupt("string index %d out of range (%d strings)", i, len(s))
+	}
+	return prim.Str(i), nil
+}
+
+// Table returns the decoded program's string table.
+func (s Strings) Table() []string {
+	if len(s) <= 1 {
+		return nil
+	}
+	return s[1:]
 }
 
 // EncodeSymID encodes a symbol reference, prim.NoSym as all ones.
@@ -114,7 +186,7 @@ func AppendSymbols(b []byte, pool *StringPool, syms []prim.Symbol) []byte {
 		s := &syms[i]
 		b = le.AppendUint32(b, pool.Add(s.Name))
 		b = le.AppendUint32(b, pool.Add(s.Type))
-		b = le.AppendUint32(b, pool.Add(s.Loc.File))
+		b = le.AppendUint32(b, pool.Str(s.Loc.File))
 		b = le.AppendUint32(b, pool.Add(s.FuncName))
 		b = le.AppendUint32(b, uint32(s.Loc.Line))
 		flags := uint8(0)
@@ -144,13 +216,17 @@ func DecodeSymbols(b []byte, strs Strings) ([]prim.Symbol, error) {
 	syms := make([]prim.Symbol, n)
 	for i := range syms {
 		rec := b[4+i*symRecSize:]
-		var str [4]string
-		for j := range str {
-			s, err := strs.Str(le.Uint32(rec[4*j:]))
+		var str [3]string // name, type, funcName
+		for j, at := range [3]int{0, 4, 12} {
+			s, err := strs.Str(le.Uint32(rec[at:]))
 			if err != nil {
 				return nil, err
 			}
 			str[j] = s
+		}
+		file, err := strs.ID(le.Uint32(rec[8:]))
+		if err != nil {
+			return nil, err
 		}
 		kind := prim.SymKind(rec[20])
 		if int(kind) >= prim.NumSymKinds {
@@ -158,8 +234,8 @@ func DecodeSymbols(b []byte, strs Strings) ([]prim.Symbol, error) {
 		}
 		flags := rec[21]
 		syms[i] = prim.Symbol{
-			Name: str[0], Type: str[1], FuncName: str[3],
-			Loc:      prim.Loc{File: str[2], Line: int32(le.Uint32(rec[16:]))},
+			Name: str[0], Type: str[1], FuncName: str[2],
+			Loc:      prim.Loc{File: file, Line: int32(le.Uint32(rec[16:]))},
 			Kind:     kind,
 			FuncPtr:  flags&flagFuncPtr != 0,
 			Internal: flags&flagInternal != 0,
@@ -243,9 +319,9 @@ func AppendCalls(b []byte, pool *StringPool, calls []prim.CallSite) []byte {
 	b = le.AppendUint32(b, uint32(len(calls)))
 	for _, c := range calls {
 		b = le.AppendUint32(b, EncodeSymID(c.Callee))
-		b = le.AppendUint32(b, pool.Add(c.Loc.File))
+		b = le.AppendUint32(b, pool.Str(c.Loc.File))
 		b = le.AppendUint32(b, uint32(c.Loc.Line))
-		b = le.AppendUint32(b, pool.Add(c.Caller))
+		b = le.AppendUint32(b, pool.Str(c.Caller))
 		b = le.AppendUint32(b, uint32(c.Args))
 		indirect := uint8(0)
 		if c.Indirect {
@@ -277,11 +353,11 @@ func DecodeCalls(b []byte, strs Strings, numSyms int) ([]prim.CallSite, error) {
 		if err := CheckSym(c.Callee, numSyms); err != nil {
 			return nil, err
 		}
-		file, err := strs.Str(le.Uint32(rec[4:]))
+		file, err := strs.ID(le.Uint32(rec[4:]))
 		if err != nil {
 			return nil, err
 		}
-		if c.Caller, err = strs.Str(le.Uint32(rec[12:])); err != nil {
+		if c.Caller, err = strs.ID(le.Uint32(rec[12:])); err != nil {
 			return nil, err
 		}
 		c.Loc = prim.Loc{File: file, Line: int32(le.Uint32(rec[8:]))}

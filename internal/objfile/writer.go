@@ -11,7 +11,7 @@ import (
 
 // Write serializes prog to w.
 func Write(w io.Writer, prog *prim.Program) error {
-	pool := NewStringPool()
+	pool := NewStringPool(prog)
 	var sections [numSections][]byte
 	sections[secSymbols] = AppendSymbols(nil, pool, prog.Syms)
 
@@ -36,9 +36,9 @@ func Write(w io.Writer, prog *prim.Program) error {
 		}
 		static = le.AppendUint32(static, EncodeSymID(a.Dst))
 		static = le.AppendUint32(static, EncodeSymID(a.Src))
-		static = le.AppendUint32(static, pool.Add(a.Loc.File))
+		static = le.AppendUint32(static, pool.Str(a.Loc.File))
 		static = le.AppendUint32(static, uint32(a.Loc.Line))
-		static = le.AppendUint32(static, pool.Add(a.Func))
+		static = le.AppendUint32(static, pool.Str(a.Func))
 		static = append(static, uint8(a.Op), uint8(a.Strength), 0, 0)
 	}
 	sections[secStatic] = static
@@ -53,9 +53,9 @@ func Write(w io.Writer, prog *prim.Program) error {
 		for _, a := range as {
 			blocks = append(blocks, uint8(a.Kind), uint8(a.Op), uint8(a.Strength), 0)
 			blocks = le.AppendUint32(blocks, EncodeSymID(a.Dst))
-			blocks = le.AppendUint32(blocks, pool.Add(a.Loc.File))
+			blocks = le.AppendUint32(blocks, pool.Str(a.Loc.File))
 			blocks = le.AppendUint32(blocks, uint32(a.Loc.Line))
-			blocks = le.AppendUint32(blocks, pool.Add(a.Func))
+			blocks = le.AppendUint32(blocks, pool.Str(a.Func))
 		}
 	}
 	sections[secBlocks], sections[secBlockIdx] = blocks, idx

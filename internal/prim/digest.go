@@ -12,7 +12,8 @@ import "cla/internal/srchash"
 // including metadata the solve itself ignores (types, locations, caller
 // names): a comment-only edit that shifts line numbers changes the
 // digest, because lint findings and dependence chains render those
-// locations.
+// locations. String ids are folded as the strings they name, so the
+// digest does not depend on the order of the program's table.
 func (p *Program) Digest() uint64 {
 	h := srchash.Offset()
 	fold := func(s string) {
@@ -24,7 +25,7 @@ func (p *Program) Digest() uint64 {
 		s := &p.Syms[i]
 		fold(s.Name)
 		fold(s.Type)
-		fold(s.Loc.File)
+		fold(p.Str(s.Loc.File))
 		fold(s.FuncName)
 		h = srchash.FoldU32(h, uint32(s.Loc.Line))
 		flags := uint32(s.Kind)
@@ -45,16 +46,16 @@ func (p *Program) Digest() uint64 {
 		h = srchash.FoldU32(h, uint32(a.Kind)|uint32(a.Op)<<8|uint32(a.Strength)<<16)
 		h = srchash.FoldU32(h, uint32(a.Dst))
 		h = srchash.FoldU32(h, uint32(a.Src))
-		fold(a.Loc.File)
+		fold(p.Str(a.Loc.File))
 		h = srchash.FoldU32(h, uint32(a.Loc.Line))
-		fold(a.Func)
+		fold(p.Str(a.Func))
 	}
 	h = srchash.FoldU32(h, uint32(len(p.Calls)))
 	for i := range p.Calls {
 		c := &p.Calls[i]
 		h = srchash.FoldU32(h, uint32(c.Callee))
-		fold(c.Caller)
-		fold(c.Loc.File)
+		fold(p.Str(c.Caller))
+		fold(p.Str(c.Loc.File))
 		h = srchash.FoldU32(h, uint32(c.Loc.Line))
 		flags := uint32(c.Args) << 1
 		if c.Indirect {

@@ -17,7 +17,10 @@
 // that the dependence analysis can rank and print chains.
 package prim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Kind identifies one of the five primitive assignment forms.
 type Kind uint8
@@ -172,21 +175,33 @@ func StrengthOf(op Op, arg int) Strength {
 	return None
 }
 
-// Loc is a source location.
+// Str names a string in a Program's table (Program.Strs): file and
+// function names, which repeat across thousands of records, are held
+// once there, so Loc, Assign and CallSite carry no pointers. 0 is "".
+type Str uint32
+
+// StrTable resolves string ids: a Program, or a database source that
+// holds one (pts.Source).
+type StrTable interface{ Str(Str) string }
+
+// Loc is a source location. File names a string in the enclosing
+// program's table.
 type Loc struct {
-	File string
+	File Str
 	Line int32
 }
 
-func (l Loc) String() string {
-	if l.File == "" {
+// Pos renders l as "file:line" with its file resolved through t, or
+// "<unknown>" when l has no file.
+func (l Loc) Pos(t StrTable) string {
+	if l.File == 0 {
 		return "<unknown>"
 	}
-	return fmt.Sprintf("%s:%d", l.File, l.Line)
+	return fmt.Sprintf("%s:%d", t.Str(l.File), l.Line)
 }
 
 // IsZero reports whether the location is unset.
-func (l Loc) IsZero() bool { return l.File == "" && l.Line == 0 }
+func (l Loc) IsZero() bool { return l.File == 0 && l.Line == 0 }
 
 // SymID identifies a symbol within one object database. IDs are dense
 // indexes assigned by the compile phase and remapped by the linker.
@@ -270,24 +285,29 @@ type Symbol struct {
 // same-named symbols from other translation units.
 func (s *Symbol) LinksByName() bool { return s.Kind.Linked() && !s.Internal }
 
-func (s Symbol) String() string {
-	return fmt.Sprintf("%s/%s <%s>", s.Name, s.Type, s.Loc)
+// Describe renders s as "name/type <file:line>", its declaration site
+// resolved through t: the form dependence chains print.
+func (s *Symbol) Describe(t StrTable) string {
+	return fmt.Sprintf("%s/%s <%s>", s.Name, s.Type, s.Loc.Pos(t))
 }
 
 // Assign is one primitive assignment. Dst and Src identify the symbols on
 // each side; Kind says how they are related. For Base assignments Src is
-// the object whose address is taken.
+// the object whose address is taken. An Assign is 24 bytes and holds no
+// pointers, so copying an array of them needs no write barriers and the
+// collector never scans one.
 type Assign struct {
+	Dst SymID
+	Src SymID
+	Loc Loc
+	// Func names the enclosing function in the program's table, or is 0
+	// ("") for assignments lowered at file scope (global initializers).
+	// Analysis clients use it to attribute indirect stores and loads to
+	// the frame they execute in.
+	Func     Str
 	Kind     Kind
-	Dst      SymID
-	Src      SymID
 	Op       Op
 	Strength Strength
-	Loc      Loc
-	// Func is the enclosing function's name, or "" for assignments lowered
-	// at file scope (global initializers). Analysis clients use it to
-	// attribute indirect stores and loads to the frame they execute in.
-	Func string
 }
 
 func (a Assign) String() string {
@@ -316,8 +336,9 @@ type CallSite struct {
 	// Callee is the called function symbol (direct calls) or the
 	// function-pointer symbol the call dereferences (indirect calls).
 	Callee SymID
-	// Caller is the enclosing function's name, or "" at file scope.
-	Caller string
+	// Caller names the enclosing function in the program's table, or is
+	// 0 ("") at file scope.
+	Caller Str
 	Loc    Loc
 	// Indirect marks calls through a function pointer; the callee set is
 	// then the points-to set of Callee restricted to functions.
@@ -344,6 +365,96 @@ type Program struct {
 	Assigns []Assign
 	Funcs   []FuncRecord
 	Calls   []CallSite
+	// Strs is the string table the records' Str ids name: Strs[i-1] is
+	// string i, and id 0 is "". A string may be in the table without a
+	// record naming it, and its order is not part of the database: two
+	// programs whose records resolve to the same strings are the same
+	// database (Digest, and the file writers, resolve every id).
+	Strs []string
+}
+
+// Str returns the string id names. Validate checks every id a record
+// holds against the table.
+func (p *Program) Str(id Str) string {
+	if id == 0 {
+		return ""
+	}
+	return p.Strs[id-1]
+}
+
+// Intern returns the id of s in p's table, adding s if absent. It scans
+// the table and copies it to add, so a program that shares its table
+// with another (a clone) never writes the other's: it suits producers
+// that add a handful of strings. Bulk producers use an Interner.
+func (p *Program) Intern(s string) Str {
+	if s == "" {
+		return 0
+	}
+	for i, t := range p.Strs {
+		if t == s {
+			return Str(i + 1)
+		}
+	}
+	p.Strs = append(p.Strs[:len(p.Strs):len(p.Strs)], s)
+	return Str(len(p.Strs))
+}
+
+// Canonical returns a copy of p whose table holds only the strings its
+// records name, numbered in the order the symbols, then the assignments,
+// then the call sites first name them. Two programs whose records
+// resolve to the same strings have deep-equal canonical forms, whatever
+// their tables' order: for comparing programs (tests, oracles). Function
+// records are shared with p.
+func (p *Program) Canonical() *Program {
+	q := &Program{Syms: slices.Clone(p.Syms), Assigns: slices.Clone(p.Assigns),
+		Calls: slices.Clone(p.Calls), Funcs: p.Funcs}
+	in := NewInterner(q)
+	for i := range q.Syms {
+		q.Syms[i].Loc.File = in.Intern(p.Str(q.Syms[i].Loc.File))
+	}
+	for i := range q.Assigns {
+		a := &q.Assigns[i]
+		a.Loc.File, a.Func = in.Intern(p.Str(a.Loc.File)), in.Intern(p.Str(a.Func))
+	}
+	for i := range q.Calls {
+		c := &q.Calls[i]
+		c.Loc.File, c.Caller = in.Intern(p.Str(c.Loc.File)), in.Intern(p.Str(c.Caller))
+	}
+	return q
+}
+
+// Interner adds strings to a program's table, each once. Producers
+// intern a name once per function or file and stamp its id on every
+// record, not once per record.
+type Interner struct {
+	p   *Program
+	ids map[string]Str
+}
+
+// NewInterner returns an interner over p's table, which may already
+// hold strings; it appends to p.Strs.
+func NewInterner(p *Program) *Interner {
+	in := &Interner{p: p, ids: make(map[string]Str, len(p.Strs))}
+	for i, s := range p.Strs {
+		if _, dup := in.ids[s]; !dup {
+			in.ids[s] = Str(i + 1)
+		}
+	}
+	return in
+}
+
+// Intern returns the id of s, adding it to the table if absent.
+func (in *Interner) Intern(s string) Str {
+	if s == "" {
+		return 0
+	}
+	if id, ok := in.ids[s]; ok {
+		return id
+	}
+	in.p.Strs = append(in.p.Strs, s)
+	id := Str(len(in.p.Strs))
+	in.ids[s] = id
+	return id
 }
 
 // AddSym appends a symbol and returns its id.
@@ -396,9 +507,20 @@ func (p *Program) Validate() error {
 		}
 		return nil
 	}
+	checkStr := func(what string, i int, ids ...Str) error {
+		for _, id := range ids {
+			if int(id) > len(p.Strs) {
+				return fmt.Errorf("prim: %s %d references string %d of %d", what, i, id, len(p.Strs))
+			}
+		}
+		return nil
+	}
 	for i := range p.Syms {
 		if int(p.Syms[i].Kind) >= NumSymKinds {
 			return fmt.Errorf("prim: symbol %d has kind %d", i, p.Syms[i].Kind)
+		}
+		if err := checkStr("symbol", i, p.Syms[i].Loc.File); err != nil {
+			return err
 		}
 	}
 	for i, a := range p.Assigns {
@@ -411,6 +533,9 @@ func (p *Program) Validate() error {
 		if err := checkID(fmt.Sprintf("assignment %d src", i), a.Src); err != nil {
 			return err
 		}
+		if err := checkStr("assignment", i, a.Loc.File, a.Func); err != nil {
+			return err
+		}
 	}
 	for i, c := range p.Calls {
 		if err := checkID(fmt.Sprintf("call site %d", i), c.Callee); err != nil {
@@ -418,6 +543,9 @@ func (p *Program) Validate() error {
 		}
 		if c.Args < 0 {
 			return fmt.Errorf("prim: call site %d has %d args", i, c.Args)
+		}
+		if err := checkStr("call site", i, c.Loc.File, c.Caller); err != nil {
+			return err
 		}
 	}
 	for i, f := range p.Funcs {

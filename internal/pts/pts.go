@@ -21,6 +21,9 @@ type Source interface {
 	NumSyms() int
 	// Sym returns symbol metadata.
 	Sym(id prim.SymID) *prim.Symbol
+	// Str returns the string a record's string id names (a Loc's file,
+	// an assignment's function).
+	Str(id prim.Str) string
 	// Statics returns every address-of assignment (x = &y).
 	Statics() ([]prim.Assign, error)
 	// Block returns the non-base assignments whose source is sym.
@@ -153,6 +156,9 @@ func (s *MemSource) NumSyms() int { return len(s.P.Syms) }
 // Sym implements Source.
 func (s *MemSource) Sym(id prim.SymID) *prim.Symbol { return &s.P.Syms[id] }
 
+// Str implements Source.
+func (s *MemSource) Str(id prim.Str) string { return s.P.Str(id) }
+
 // Statics implements Source.
 func (s *MemSource) Statics() ([]prim.Assign, error) {
 	s.index()
@@ -195,6 +201,9 @@ func (s *FileSource) NumSyms() int { return s.R.NumSyms() }
 
 // Sym implements Source.
 func (s *FileSource) Sym(id prim.SymID) *prim.Symbol { return s.R.Sym(id) }
+
+// Str implements Source.
+func (s *FileSource) Str(id prim.Str) string { return s.R.Str(id) }
 
 // Statics implements Source.
 func (s *FileSource) Statics() ([]prim.Assign, error) { return s.R.Statics() }

@@ -202,7 +202,7 @@ func (e *Evaluator) object(id prim.SymID) Object {
 	s := &e.Prog.Syms[id]
 	o := Object{Name: s.Name, Kind: s.Kind.String(), Type: s.Type, Func: s.FuncName}
 	if !s.Loc.IsZero() {
-		o.Pos = s.Loc.String()
+		o.Pos = s.Loc.Pos(e.Prog)
 	}
 	return o
 }

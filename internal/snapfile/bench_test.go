@@ -2,6 +2,7 @@ package snapfile
 
 import (
 	"context"
+	"io"
 	"path/filepath"
 	"testing"
 
@@ -18,19 +19,8 @@ import (
 // opens a snapshot (read=mapped). One op is one Open, which decodes
 // the program and verifies the checksum and the result digest.
 func BenchmarkOpen(b *testing.B) {
-	p, _ := gen.ProfileByName("gimp")
-	code := gen.Generate(p.Scale(0.2), 1)
-	ctx := context.Background()
-	prog, err := driver.Compile(ctx, code.Units(), code.Loader(), frontend.Options{}, 2, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := driver.Analyze(ctx, pts.NewMemSource(prog), driver.PreTransitive, core.DefaultConfig(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
 	path := filepath.Join(b.TempDir(), "gimp.snap")
-	if err := Save(path, &Snapshot{Prog: prog, Res: res, Solver: "pre-transitive", ExtModel: "unsound", Generation: 1}); err != nil {
+	if err := Save(path, gimpSnapshot(b)); err != nil {
 		b.Fatal(err)
 	}
 	for _, c := range []struct {
@@ -49,4 +39,36 @@ func BenchmarkOpen(b *testing.B) {
 			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
 		})
 	}
+}
+
+// BenchmarkWrite writes a saved generation of gimp@0.2, as the
+// incremental pipeline's store saves one, to io.Discard. One op is one
+// Write: the string pool, the records, the interned sets, the result
+// digest and the checksum.
+func BenchmarkWrite(b *testing.B) {
+	snap := gimpSnapshot(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Write(io.Discard, snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+}
+
+// gimpSnapshot compiles and solves gimp@0.2 as a saved generation.
+func gimpSnapshot(b *testing.B) *Snapshot {
+	p, _ := gen.ProfileByName("gimp")
+	code := gen.Generate(p.Scale(0.2), 1)
+	ctx := context.Background()
+	prog, err := driver.Compile(ctx, code.Units(), code.Loader(), frontend.Options{}, 2, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := driver.Analyze(ctx, pts.NewMemSource(prog), driver.PreTransitive, core.DefaultConfig(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return &Snapshot{Prog: prog, Res: res, Solver: "pre-transitive", ExtModel: "unsound", Generation: 1}
 }

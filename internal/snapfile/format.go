@@ -28,8 +28,9 @@
 //	          {path, size, content hash}; a saved pipeline generation
 //	          adds its solve digest and a CRC-32C checksum over meta
 //	          and every other section
-//	strings:  the object format's string pool: u32 length + bytes per
-//	          string, referenced by byte offset (offset 0 = "")
+//	strings:  the object format's string pool: u32 count, then u32
+//	          length + bytes per string, referenced by index (index 0 =
+//	          ""), numbered in the order the sections first use them
 //	symbols:  the object format's symbol section: u32 count, then 24-byte
 //	          records {name u32, type u32, file u32, funcName u32,
 //	          line i32, kind u8, flags u8, pad u16}
@@ -85,8 +86,10 @@ import (
 const Magic = "CLAS"
 
 // Version is the current snapshot format version. Version 2 redefined
-// the header's result digest as the four-lane fold of resultDigest.
-const Version = 2
+// the header's result digest as the four-lane fold of resultDigest;
+// version 3 references strings by index into the object format's
+// counted, first-use-ordered pool.
+const Version = 3
 
 // section ids, in file order.
 const (

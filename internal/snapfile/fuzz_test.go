@@ -2,14 +2,15 @@ package snapfile
 
 import (
 	"bytes"
-	"cla/internal/pts"
 	"context"
+	"fmt"
 	"testing"
 
 	"cla/internal/core"
 	"cla/internal/driver"
 	"cla/internal/frontend"
 	"cla/internal/prim"
+	"cla/internal/pts"
 )
 
 // FuzzSnapshot feeds arbitrary bytes to the snapshot reader. The reader
@@ -67,6 +68,11 @@ func FuzzSnapshot(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
+	// A symbol, an assignment and a call record whose string index is
+	// past the pool.
+	for _, c := range stringIndexCorruptions(plainSnapshot(f)) {
+		f.Add(c.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := OpenBytes(data)
@@ -91,4 +97,53 @@ func FuzzSnapshot(f *testing.F) {
 		r.Report()
 		r.Audit()
 	})
+}
+
+// plainSnapshot is testSrc solved and written with no generation, so
+// no checksum stands before the record decoders.
+func plainSnapshot(t testing.TB) []byte {
+	prog, err := frontend.CompileSource("test.c", testSrc, nil, frontend.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := driver.Analyze(context.Background(), pts.NewMemSource(prog), driver.PreTransitive, core.DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, &Snapshot{Prog: prog, Res: res, Solver: "pre-transitive"}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// stringIndexCorruption is a snapshot with one string index past its
+// pool.
+type stringIndexCorruption struct {
+	name string
+	data []byte
+}
+
+// stringIndexCorruptions returns copies of the snapshot data with one
+// string index of its first symbol, assignment or call-site record set
+// past the pool: to the pool's length, one more, and all ones.
+func stringIndexCorruptions(data []byte) []stringIndexCorruption {
+	sec := func(i int) int { return int(le.Uint64(data[40+i*16:])) }
+	n := le.Uint32(data[sec(secStrings):])
+	var out []stringIndexCorruption
+	for _, f := range []struct {
+		name    string
+		sec, at int // the section, and the index's offset in its first record
+	}{
+		{"symbol name", secSymbols, 4}, {"symbol file", secSymbols, 4 + 8},
+		{"assign file", secAssigns, 4 + 8}, {"assign func", secAssigns, 4 + 16},
+		{"call file", secCalls, 4 + 4}, {"call caller", secCalls, 4 + 12},
+	} {
+		for _, bad := range []uint32{n, n + 1, 0xffffffff} {
+			b := bytes.Clone(data)
+			le.PutUint32(b[sec(f.sec)+f.at:], bad)
+			out = append(out, stringIndexCorruption{fmt.Sprintf("%s %#x of %d", f.name, bad, n), b})
+		}
+	}
+	return out
 }

@@ -407,13 +407,16 @@ func decodeResult(idxSec, setSec, elemSec []byte, numSyms int, wantDigest uint64
 // own program-order assignments. objfile's decoders fail with an
 // *objfile.CorruptError, which decode re-reports as a corrupt snapshot.
 func decodeProgram(secs *[numSections][]byte) (*prim.Program, error) {
-	strs := objfile.Strings(secs[secStrings])
+	strs, err := objfile.DecodeStrings(secs[secStrings])
+	if err != nil {
+		return nil, err
+	}
 	syms, err := objfile.DecodeSymbols(secs[secSymbols], strs)
 	if err != nil {
 		return nil, err
 	}
-	p := &prim.Program{Syms: syms}
-	if p.Assigns, err = decodeAssigns(secs[secAssigns], strs, len(syms)); err != nil {
+	p := &prim.Program{Syms: syms, Strs: strs.Table()}
+	if p.Assigns, err = decodeAssigns(secs[secAssigns], uint32(len(strs)), len(syms)); err != nil {
 		return nil, err
 	}
 	if p.Funcs, err = objfile.DecodeFuncs(secs[secFuncs], len(syms)); err != nil {
@@ -425,7 +428,11 @@ func decodeProgram(secs *[numSections][]byte) (*prim.Program, error) {
 	return p, nil
 }
 
-func decodeAssigns(b []byte, strs objfile.Strings, numSyms int) ([]prim.Assign, error) {
+// decodeAssigns decodes the assigns section, checking every kind,
+// symbol id and string index (against a pool of numStrs strings). A
+// record's string indexes are its prim.Str ids, and an Assign holds no
+// pointers, so each record is one plain store.
+func decodeAssigns(b []byte, numStrs uint32, numSyms int) ([]prim.Assign, error) {
 	if len(b) < 4 {
 		return nil, corrupt("assign section too small")
 	}
@@ -434,11 +441,13 @@ func decodeAssigns(b []byte, strs objfile.Strings, numSyms int) ([]prim.Assign, 
 		return nil, corrupt("assign section size mismatch (%d assigns, %d bytes)", n, len(b))
 	}
 	out := make([]prim.Assign, n)
-	for i := 0; i < n; i++ {
-		rec := b[4+i*asgRecSize:]
+	for i := range out {
+		rec := b[4+i*asgRecSize : 4+(i+1)*asgRecSize]
 		a := prim.Assign{
 			Dst:      objfile.DecodeSymID(le.Uint32(rec)),
 			Src:      objfile.DecodeSymID(le.Uint32(rec[4:])),
+			Loc:      prim.Loc{File: prim.Str(le.Uint32(rec[8:])), Line: int32(le.Uint32(rec[12:]))},
+			Func:     prim.Str(le.Uint32(rec[16:])),
 			Kind:     prim.Kind(rec[20]),
 			Op:       prim.Op(rec[21]),
 			Strength: prim.Strength(rec[22]),
@@ -452,14 +461,9 @@ func decodeAssigns(b []byte, strs objfile.Strings, numSyms int) ([]prim.Assign, 
 		if err := objfile.CheckSym(a.Src, numSyms); err != nil {
 			return nil, err
 		}
-		file, err := strs.Str(le.Uint32(rec[8:]))
-		if err != nil {
-			return nil, err
+		if uint32(a.Loc.File) >= numStrs || uint32(a.Func) >= numStrs {
+			return nil, corrupt("assign %d has string index out of range (%d strings)", i, numStrs)
 		}
-		if a.Func, err = strs.Str(le.Uint32(rec[16:])); err != nil {
-			return nil, err
-		}
-		a.Loc = prim.Loc{File: file, Line: int32(le.Uint32(rec[12:]))}
 		out[i] = a
 	}
 	return out, nil

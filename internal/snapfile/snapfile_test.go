@@ -96,7 +96,7 @@ func TestRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
-			if !reflect.DeepEqual(r.Program(), s.Prog) {
+			if !reflect.DeepEqual(r.Program().Canonical(), s.Prog.Canonical()) {
 				t.Fatalf("program round-trip mismatch")
 			}
 			sameResult(t, s.Prog, s.Res, r.Result())
@@ -194,7 +194,7 @@ func TestProgramOutlivesMapping(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(prog, s.Prog) {
+	if !reflect.DeepEqual(prog.Canonical(), s.Prog.Canonical()) {
 		t.Fatal("program read after Close differs from the one written")
 	}
 }
@@ -360,6 +360,25 @@ func TestResultLayoutRejected(t *testing.T) {
 	}
 }
 
+// TestCorruptStringIndex: a symbol, assignment or call-site record
+// whose string index is past the pool, the pool's length included,
+// fails Open with a *CorruptError, never a panic.
+func TestCorruptStringIndex(t *testing.T) {
+	valid := plainSnapshot(t)
+	if _, err := OpenBytes(valid); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range stringIndexCorruptions(valid) {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := OpenBytes(c.data)
+			var ce *CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("open: %v, want a *CorruptError", err)
+			}
+		})
+	}
+}
+
 // TestSharedRecordErrorsAreSnapshotErrors: a record the object format's
 // codec rejects is reported as a corrupt snapshot, not a corrupt
 // database.
@@ -429,8 +448,8 @@ func TestFormatGolden(t *testing.T) {
 		b    []byte
 		want string
 	}{
-		{".clo", clo.Bytes(), "586479ee6cbfce71"},
-		{".snap", snap.Bytes(), "7e645b36800254cf"},
+		{".clo", clo.Bytes(), "acbb29494c10b986"},
+		{".snap", snap.Bytes(), "f1c9442b31ab152e"},
 	} {
 		if got := srchash.Bytes(c.b); got != c.want {
 			t.Errorf("%s digest %s (%d bytes), want %s", c.name, got, len(c.b), c.want)

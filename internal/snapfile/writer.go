@@ -27,8 +27,8 @@ func Write(w io.Writer, s *Snapshot) error {
 	}
 	prog := s.Prog
 	// Strings, symbols, funcs and calls are the object format's records,
-	// written by its codec; the pool takes strings in section order.
-	pool := objfile.NewStringPool()
+	// written by its codec; the pool numbers strings in section order.
+	pool := objfile.NewStringPool(prog)
 	var sections [numSections][]byte
 	sections[secSymbols] = objfile.AppendSymbols(nil, pool, prog.Syms)
 
@@ -39,9 +39,9 @@ func Write(w io.Writer, s *Snapshot) error {
 	for _, a := range prog.Assigns {
 		asg = le.AppendUint32(asg, objfile.EncodeSymID(a.Dst))
 		asg = le.AppendUint32(asg, objfile.EncodeSymID(a.Src))
-		asg = le.AppendUint32(asg, pool.Add(a.Loc.File))
+		asg = le.AppendUint32(asg, pool.Str(a.Loc.File))
 		asg = le.AppendUint32(asg, uint32(a.Loc.Line))
-		asg = le.AppendUint32(asg, pool.Add(a.Func))
+		asg = le.AppendUint32(asg, pool.Str(a.Func))
 		asg = append(asg, uint8(a.Kind), uint8(a.Op), uint8(a.Strength), 0)
 	}
 	sections[secAssigns] = asg

@@ -117,6 +117,7 @@ func OfflineVarSub(prog *prim.Program) (*prim.Program, []prim.SymID) {
 	out := &prim.Program{
 		Syms:  append([]prim.Symbol(nil), prog.Syms...),
 		Funcs: append([]prim.FuncRecord(nil), prog.Funcs...),
+		Strs:  prog.Strs,
 	}
 	for i := range prog.Syms {
 		if prog.Syms[i].FuncPtr {

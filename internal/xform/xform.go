@@ -48,15 +48,16 @@ func sortedInfos(infos map[string]*funcInfo) []*funcInfo {
 	return out
 }
 
-// sortedLocs returns call-site locations in (file, line) order.
-func sortedLocs(calls map[prim.Loc][]int) []prim.Loc {
+// sortedLocs returns call-site locations in (file, line) order, their
+// files resolved through prog's table.
+func sortedLocs(prog *prim.Program, calls map[prim.Loc][]int) []prim.Loc {
 	out := make([]prim.Loc, 0, len(calls))
 	for l := range calls {
 		out = append(out, l)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
+		if fi, fj := prog.Str(out[i].File), prog.Str(out[j].File); fi != fj {
+			return fi < fj
 		}
 		return out[i].Line < out[j].Line
 	})
@@ -86,6 +87,7 @@ func ContextSensitive(prog *prim.Program, opts Options) *prim.Program {
 	out := &prim.Program{
 		Syms:  append([]prim.Symbol(nil), prog.Syms...),
 		Funcs: append([]prim.FuncRecord(nil), prog.Funcs...),
+		Strs:  prog.Strs,
 	}
 
 	infos := map[string]*funcInfo{}
@@ -202,7 +204,7 @@ func ContextSensitive(prog *prim.Program, opts Options) *prim.Program {
 			continue
 		}
 		ctx := 0
-		for _, loc := range sortedLocs(fi.calls) {
+		for _, loc := range sortedLocs(prog, fi.calls) {
 			ctx++
 			clones := map[prim.SymID]prim.SymID{}
 			mapSym := func(id prim.SymID) prim.SymID {
