@@ -22,12 +22,12 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Race extras: the parallel pipeline, the wave fixpoints, the checks
-# engine, the shared set layer, the query-serving layer, the metrics
-# layer, the incremental pipeline, the shared dependence index and the
-# leading-include memo (whose entries, checked header scopes included,
-# every compile worker reads) must stay race-clean and deterministic at
-# any -j.
+# Race extras: the parallel pipeline, the pre-transitive wave fixpoint,
+# the checks engine, the shared set layer, the query-serving layer, the
+# metrics layer, the incremental pipeline, the shared dependence index
+# and the leading-include memo (whose entries, checked header scopes
+# included, every compile worker reads) must stay race-clean and
+# deterministic at any -j.
 race:
 	$(GO) test -race ./internal/core ./internal/driver ./internal/linker ./internal/parallel ./internal/pts/worklist ./internal/checks ./internal/pts/set ./internal/serve ./internal/extmodel ./internal/obs ./internal/snapfile ./internal/incr ./internal/depend ./internal/frontend ./internal/cpp ./internal/cc ./internal/ctypes
 

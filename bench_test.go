@@ -154,7 +154,7 @@ func BenchmarkSolvers(b *testing.B) {
 		})
 		b.Run(name+"/worklist", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := worklist.Solve(context.Background(), pts.NewMemSource(w.FieldBased), 1); err != nil {
+				if _, err := worklist.Solve(context.Background(), pts.NewMemSource(w.FieldBased)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -16,7 +16,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -48,7 +47,7 @@ func main() {
 		noCache    = flag.Bool("no-cache", false, "disable reachability caching (affects only the sequential fixpoint, -j 1)")
 		noCycle    = flag.Bool("no-cycle-elim", false, "disable cycle elimination")
 		noDemand   = flag.Bool("no-demand-load", false, "load the whole database upfront")
-		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "workers for compilation, batch queries and result materialization; -j 2 or more also runs the wave fixpoint")
+		jobs       = flag.Int("j", runtime.GOMAXPROCS(0), "workers for compilation, batch queries and result materialization; -j 2 or more also runs the pre-transitive wave fixpoint")
 		maxDeps    = flag.Int("max", 50, "maximum dependents to print")
 		ovs        = flag.Bool("ovs", false, "apply offline variable substitution before solving")
 		contextSen = flag.Bool("context", false, "apply per-call-site context duplication before solving")
@@ -81,21 +80,30 @@ func main() {
 		os.Exit(1)
 	}
 
-	r, err := openDatabase(flag.Args(), *jobs, model, o)
+	db, prog, err := openInput(flag.Args(), *jobs, model, o)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "claan: %v\n", err)
 		os.Exit(1)
 	}
-	defer r.Close()
-	var src pts.Source = &pts.FileSource{R: r}
+	var src pts.Source
+	if db != nil {
+		defer db.Close()
+		src = &pts.FileSource{R: db}
+	} else {
+		src = pts.NewMemSource(prog)
+	}
+	// Names are looked up and printed in the input's symbol table; a
+	// transformation below only changes what the solver reads.
+	names := src
 
 	// Pre-analysis database-to-database transformations (Section 4).
 	subst := func(id prim.SymID) prim.SymID { return id }
 	if *ovs || *contextSen {
-		prog, err := r.Program()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "claan: %v\n", err)
-			os.Exit(1)
+		if db != nil {
+			if prog, err = db.Program(); err != nil {
+				fmt.Fprintf(os.Stderr, "claan: %v\n", err)
+				os.Exit(1)
+			}
 		}
 		if *contextSen {
 			prog = xform.ContextSensitive(prog, xform.Options{})
@@ -119,7 +127,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *dotOut != "" {
-		if err := writeDot(*dotOut, r, res); err != nil {
+		if err := writeDot(*dotOut, names, res); err != nil {
 			fmt.Fprintf(os.Stderr, "claan: %v\n", err)
 			os.Exit(1)
 		}
@@ -127,26 +135,26 @@ func main() {
 
 	switch {
 	case *ptsName != "":
-		ids := r.TargetLookup(*ptsName)
+		ids := named(names, *ptsName)
 		if len(ids) == 0 {
 			fmt.Fprintf(os.Stderr, "claan: no object named %q\n", *ptsName)
 			os.Exit(1)
 		}
 		for _, id := range ids {
-			printPts(r, res, subst(id))
+			printPts(names, res, subst(id))
 		}
 	case *ptsAll:
-		for i := 0; i < r.NumSyms(); i++ {
+		for i := 0; i < names.NumSyms(); i++ {
 			id := prim.SymID(i)
-			if !pts.CountedAsPointerVar(r.Sym(id).Kind) {
+			if !pts.CountedAsPointerVar(names.Sym(id).Kind) {
 				continue
 			}
 			if len(res.PointsTo(subst(id))) > 0 {
-				printPts(r, res, subst(id))
+				printPts(names, res, subst(id))
 			}
 		}
 	case *target != "":
-		runDependence(r, src, res, *target, *nonTargets, *maxDeps, *tree, *treeDepth)
+		runDependence(names, src, res, *target, *nonTargets, *maxDeps, *tree, *treeDepth)
 	case obsFlags.Stats:
 		// handled below, once load accounting is final
 	default:
@@ -157,10 +165,13 @@ func main() {
 	}
 
 	// Demand-load accounting covers everything the run touched —
-	// analysis and queries alike — so it is published last.
-	r.LoadStats().Publish(o)
+	// analysis and queries alike — so it is published last, and only for
+	// a database read from its file.
+	if db != nil {
+		db.LoadStats().Publish(o)
+	}
 	if obsFlags.Stats {
-		printStats(os.Stdout, o, solver, src, res, r.LoadStats())
+		printStats(os.Stdout, o, solver, src, res, db)
 	}
 	if err := obsFlags.Finish(); err != nil {
 		fmt.Fprintf(os.Stderr, "claan: %v\n", err)
@@ -169,51 +180,59 @@ func main() {
 }
 
 // printStats renders the paper-style report: phase spans, database
-// characteristics (Table 2), analysis results (Table 3) and the
-// demand-load accounting, then the remaining registry counters.
-func printStats(w *os.File, o *obs.Observer, solver driver.Solver, src pts.Source, res pts.Result, ls objfile.LoadStats) {
+// characteristics (Table 2), analysis results (Table 3), the demand-load
+// accounting of a database read from its file, then the remaining
+// registry counters.
+func printStats(w *os.File, o *obs.Observer, solver driver.Solver, src pts.Source, res pts.Result, db *objfile.Reader) {
 	var rep obs.Report
 	rep.Sections = append(rep.Sections, o.PhaseSection())
 	rep.Sections = append(rep.Sections, driver.DBSection(src))
 	rep.Sections = append(rep.Sections, driver.AnalysisSection(solver, res.Metrics()))
-	rep.Sections = append(rep.Sections, driver.LoadSection(ls))
+	if db != nil {
+		rep.Sections = append(rep.Sections, driver.LoadSection(db.LoadStats()))
+	}
 	rep.Sections = append(rep.Sections, driver.CounterSection(o))
 	rep.Format(w)
 }
 
-// openDatabase resolves the inputs to an objfile reader. A database
-// opens directly under the unsound model. Otherwise the inputs' program
-// (the compiled and linked units, or the whole database) is closed with
-// the model's constraints and round-tripped through the object format in
-// memory, so the analysis exercises the real demand-loading path and the
-// reader also resolves the synthesized external-world symbols.
-func openDatabase(args []string, jobs int, model extmodel.Model, o *obs.Observer) (*objfile.Reader, error) {
+// openInput resolves the inputs. A database under the unsound model
+// opens as a demand-loading reader. Otherwise the inputs' program (the
+// compiled and linked units, or the whole database) is closed with the
+// model's constraints and analyzed in memory.
+func openInput(args []string, jobs int, model extmodel.Model, o *obs.Observer) (*objfile.Reader, *prim.Program, error) {
 	in, err := driver.ResolveInputs(args, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if in.Database != "" && model == extmodel.Unsound {
-		return objfile.Open(in.Database)
+		db, err := objfile.Open(in.Database)
+		return db, nil, err
 	}
 	prog, err := in.Program(context.Background(), frontend.Options{}, jobs, o)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	extmodel.Apply(prog, model)
-	// The analysis reads the database as an object file, so the program
-	// is encoded in memory first: a phase of its own.
-	sp := o.Start("encode")
-	defer sp.End()
-	var buf bytes.Buffer
-	if err := objfile.Write(&buf, prog); err != nil {
-		return nil, err
+	return nil, prog, nil
+}
+
+// named returns the non-temporary symbols called name, ids ascending.
+func named(names pts.Source, name string) []prim.SymID {
+	if name == "" {
+		return nil
 	}
-	return objfile.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	var ids []prim.SymID
+	for i := 0; i < names.NumSyms(); i++ {
+		if s := names.Sym(prim.SymID(i)); s.Name == name && s.Kind != prim.SymTemp {
+			ids = append(ids, prim.SymID(i))
+		}
+	}
+	return ids
 }
 
 // writeDot exports the non-empty points-to relation as a Graphviz digraph:
 // solid edges are may-point-to facts from program variables to objects.
-func writeDot(path string, r *objfile.Reader, res pts.Result) error {
+func writeDot(path string, names pts.Source, res pts.Result) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -222,9 +241,9 @@ func writeDot(path string, r *objfile.Reader, res pts.Result) error {
 	fmt.Fprintln(f, "digraph pointsto {")
 	fmt.Fprintln(f, "  rankdir=LR;")
 	fmt.Fprintln(f, "  node [shape=box, fontsize=10];")
-	for i := 0; i < r.NumSyms(); i++ {
+	for i := 0; i < names.NumSyms(); i++ {
 		id := prim.SymID(i)
-		if !pts.CountedAsPointerVar(r.Sym(id).Kind) {
+		if !pts.CountedAsPointerVar(names.Sym(id).Kind) {
 			continue
 		}
 		set := res.PointsTo(id)
@@ -232,24 +251,24 @@ func writeDot(path string, r *objfile.Reader, res pts.Result) error {
 			continue
 		}
 		for _, z := range set {
-			fmt.Fprintf(f, "  %q -> %q;\n", r.Sym(id).Name, r.Sym(z).Name)
+			fmt.Fprintf(f, "  %q -> %q;\n", names.Sym(id).Name, names.Sym(z).Name)
 		}
 	}
 	fmt.Fprintln(f, "}")
 	return nil
 }
 
-func printPts(r *objfile.Reader, res pts.Result, id prim.SymID) {
+func printPts(names pts.Source, res pts.Result, id prim.SymID) {
 	set := res.PointsTo(id)
-	var names []string
+	var objs []string
 	for _, z := range set {
-		names = append(names, r.Sym(z).Name)
+		objs = append(objs, names.Sym(z).Name)
 	}
-	fmt.Printf("%s -> {%s}\n", r.Sym(id).Name, strings.Join(names, ", "))
+	fmt.Printf("%s -> {%s}\n", names.Sym(id).Name, strings.Join(objs, ", "))
 }
 
-func runDependence(r *objfile.Reader, src pts.Source, res pts.Result, target, nonTargets string, maxDeps int, tree bool, treeDepth int) {
-	ids := r.TargetLookup(target)
+func runDependence(names, src pts.Source, res pts.Result, target, nonTargets string, maxDeps int, tree bool, treeDepth int) {
+	ids := named(names, target)
 	if len(ids) == 0 {
 		fmt.Fprintf(os.Stderr, "claan: no object named %q\n", target)
 		os.Exit(1)
@@ -257,7 +276,7 @@ func runDependence(r *objfile.Reader, src pts.Source, res pts.Result, target, no
 	opts := depend.Options{NonTargets: map[prim.SymID]bool{}}
 	if nonTargets != "" {
 		for _, n := range strings.Split(nonTargets, ",") {
-			for _, id := range r.TargetLookup(strings.TrimSpace(n)) {
+			for _, id := range named(names, strings.TrimSpace(n)) {
 				opts.NonTargets[id] = true
 			}
 		}

@@ -51,7 +51,7 @@ func main() {
 func run(args []string, out string, info, verify bool, solverName, extModel,
 	includes string, jobs int, obsFlags *obs.Flags) error {
 	if len(args) != 1 {
-		return claerr.Newf(claerr.PhaseUsage, "need exactly one input (.cla database, source directory, or .snap for -info/-verify)")
+		return claerr.Newf(claerr.PhaseUsage, "need exactly one input (linked database, source directory, or .snap for -info/-verify)")
 	}
 	path := args[0]
 	if info || verify {

@@ -51,7 +51,7 @@ func TestScratchGrowsMidPass(t *testing.T) {
 	prog := midPassGrowthProgram(k)
 	nsyms := len(prog.Syms)
 
-	want, err := worklist.Solve(context.Background(), pts.NewMemSource(prog), 1)
+	want, err := worklist.Solve(context.Background(), pts.NewMemSource(prog))
 	if err != nil {
 		t.Fatalf("worklist: %v", err)
 	}

@@ -127,14 +127,14 @@ func Compile(ctx context.Context, units []string, loader cpp.Loader, opts fronte
 }
 
 // Analyze runs the selected solver over src. cfg applies to the
-// pre-transitive solver; cfg.Jobs also selects the phase-parallel wave
-// fixpoint for the pre-transitive and worklist solvers when >= 2 (the
-// result is byte-identical at any -j) and bounds the bit-vector solver's
-// final-set materialization. The pre-transitive and worklist solvers
-// check for cancellation inside their fixpoints (per wave and per few
-// hundred rule applications); the remaining whole-program solvers
-// (Steensgaard, bit-vector, one-level) check only at entry, as their
-// single pass over the database is not interruptible.
+// pre-transitive solver; cfg.Jobs also selects its phase-parallel wave
+// fixpoint when >= 2 (the result is byte-identical at any -j) and bounds
+// the bit-vector solver's final-set materialization. The worklist
+// solver is sequential at any cfg.Jobs. The pre-transitive and worklist
+// solvers check for cancellation inside their fixpoints (per wave or pop
+// batch, and per few hundred rule applications); the remaining
+// whole-program solvers (Steensgaard, bit-vector, one-level) check only
+// at entry, as their single pass over the database is not interruptible.
 //
 // Under an observer the solve runs inside an "analyze" span and the
 // converged metrics are published into the observer's solver.* counters
@@ -191,7 +191,7 @@ func solve(ctx context.Context, src pts.Source, solver Solver, cfg core.Config) 
 	case PreTransitive:
 		return core.SolveCtx(ctx, src, cfg)
 	case Worklist:
-		return worklist.Solve(ctx, src, cfg.Jobs)
+		return worklist.Solve(ctx, src)
 	case Steensgaard:
 		return steens.Solve(src)
 	case BitVector:

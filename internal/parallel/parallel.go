@@ -228,8 +228,8 @@ func ShardCtx(ctx context.Context, j, n int, fn func(worker, lo, hi int) error) 
 // LevelsCtx runs a sequence of barrier-synchronized levels: for each
 // level l in [0, levels), fn is sharded across up to j workers over
 // [0, size(l)), and only after every shard of the level returns does the
-// optional after(l) hook run on the calling goroutine — the place wave
-// solvers merge per-worker buffers in a deterministic order before the
+// optional after(l) hook run on the calling goroutine — the place the
+// wave solver merges per-worker buffers in a deterministic order before the
 // next level starts. Each level's shard checks ctx (see ShardCtx), and a
 // failed level — worker error, after-hook error or cancellation — stops
 // before the next level begins. The returned error is the failing

@@ -93,7 +93,7 @@ func TestMatchesWorklist(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wl, err := worklist.Solve(context.Background(), pts.NewMemSource(prog), 1)
+		wl, err := worklist.Solve(context.Background(), pts.NewMemSource(prog))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,10 +26,9 @@ import (
 )
 
 // ctxCheckApps is how many complex-rule applications may run between
-// cancellation checks, in both the sequential loop and each wave worker.
-// The old every-4096-pops check let a single pop with a huge delta starve
-// cancellation; counting rule applications bounds the latency by work
-// done, not by pops.
+// cancellation checks. A check per pop batch alone would let a single pop
+// with a huge delta starve cancellation; counting rule applications
+// bounds the latency by work done, not by pops.
 const ctxCheckApps = 256
 
 // solver runs the baseline Andersen analysis over the full database (the
@@ -79,23 +78,14 @@ func (r *Result) PointsTo(sym prim.SymID) []prim.SymID {
 // Metrics implements pts.Result.
 func (r *Result) Metrics() pts.Metrics { return r.m }
 
-// Solve computes Andersen's analysis with explicit transitive propagation
-// on a worker budget. jobs <= 1 runs the sequential reference worklist;
-// jobs >= 2 runs the phase-parallel wave solver (see wave.go), which
-// SCC-condenses the constraint graph, levels the condensation
-// topologically and processes independent nodes of a level concurrently
-// with deterministic wave-boundary merges. Both paths compute the same
-// unique least fixpoint, so the Result is byte-identical at any jobs
-// value. The solve loop checks ctx frequently (per pop batch and per few
-// hundred complex-rule applications), so a long solve aborts promptly
-// with ctx.Err().
-func Solve(ctx context.Context, src pts.Source, jobs int) (*Result, error) {
+// Solve computes Andersen's analysis with explicit transitive
+// propagation. The solve is sequential; the loop checks ctx per pop batch
+// and per few hundred complex-rule applications, so a long solve aborts
+// promptly with ctx.Err().
+func Solve(ctx context.Context, src pts.Source) (*Result, error) {
 	s, err := newSolver(src)
 	if err != nil {
 		return nil, err
-	}
-	if jobs >= 2 {
-		return s.solveWave(ctx, jobs)
 	}
 	if err := s.runSeq(ctx); err != nil {
 		return nil, err
@@ -107,9 +97,8 @@ func Solve(ctx context.Context, src pts.Source, jobs int) (*Result, error) {
 
 // newSolver builds the constraint system: every block is loaded and
 // converted to edges, complex-rule registrations and initial points-to
-// deltas. The node universe is fixed once this returns (virtual temps
-// for *x = *y are allocated here), which is what lets the wave solver
-// treat node ids as a stable schedule domain.
+// deltas. Virtual temps for *x = *y are allocated here, so the node
+// universe is fixed once this returns.
 func newSolver(src pts.Source) (*solver, error) {
 	s := &solver{
 		src:       src,
@@ -176,7 +165,7 @@ func newSolver(src pts.Source) (*solver, error) {
 	return s, nil
 }
 
-// runSeq is the sequential reference loop. Cancellation is checked per
+// runSeq is the fixpoint loop. Cancellation is checked per
 // pop batch and additionally every few hundred complex-rule
 // applications, so a pop with a huge delta cannot starve the check.
 func (s *solver) runSeq(ctx context.Context) error {

@@ -2,9 +2,14 @@ package worklist
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 
+	"cla/internal/claerr"
 	"cla/internal/frontend"
+	"cla/internal/gen"
+	"cla/internal/linker"
 	"cla/internal/prim"
 	"cla/internal/pts"
 )
@@ -15,7 +20,7 @@ func solve(t *testing.T, src string) (*prim.Program, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Solve(context.Background(), pts.NewMemSource(p), 1)
+	r, err := Solve(context.Background(), pts.NewMemSource(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,5 +98,63 @@ func TestOutOfRangePointsTo(t *testing.T) {
 	}
 	if got := r.PointsTo(prim.NoSym); got != nil {
 		t.Errorf("PointsTo(NoSym) = %v", got)
+	}
+}
+
+// buildGenProgram compiles and links a scaled Table 2 workload without
+// going through the driver (which would import this package back).
+func buildGenProgram(t *testing.T, name string, scale float64) *prim.Program {
+	t.Helper()
+	p, ok := gen.ProfileByName(name)
+	if !ok {
+		t.Fatalf("no profile %q", name)
+	}
+	code := gen.Generate(p.Scale(scale), 1)
+	loader := code.Loader()
+	var units []*prim.Program
+	for _, u := range code.Units() {
+		prog, err := frontend.CompileFile(u, loader, frontend.Options{})
+		if err != nil {
+			t.Fatalf("compile %s: %v", u, err)
+		}
+		units = append(units, prog)
+	}
+	prog, err := linker.Link(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// countdownCtx reports cancellation after a fixed number of Err checks,
+// making mid-solve cancellation deterministic.
+type countdownCtx struct {
+	context.Context
+	checks atomic.Int64
+	after  int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.checks.Add(1) > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelDuringRules cancels a solve past its setup: a huge delta must
+// not starve the per-application check, and the first check that sees
+// the cancellation must stop the solve.
+func TestCancelDuringRules(t *testing.T) {
+	prog := buildGenProgram(t, "burlap", 0.1)
+	ctx := &countdownCtx{Context: context.Background(), after: 3}
+	_, err := Solve(ctx, pts.NewMemSource(prog))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if checked := ctx.checks.Load(); checked != ctx.after+1 {
+		t.Errorf("solve ran %d checks past the cancellation", checked-ctx.after-1)
+	}
+	if got := claerr.HTTPStatus(claerr.New(claerr.PhaseAnalyze, err)); got != 499 {
+		t.Errorf("HTTPStatus = %d, want 499", got)
 	}
 }

@@ -3,8 +3,8 @@
 // over an adjacency slice, and the topological leveling that turns the
 // condensation DAG into barrier-synchronized waves of independent work.
 //
-// Both the snapshot freeze in internal/core and the phase-parallel wave
-// solvers condense the same way, so the numbering contract lives here:
+// Both the snapshot freeze in internal/core and its phase-parallel wave
+// solver condense the same way, so the numbering contract lives here:
 // roots are tried in ascending node order and components are numbered in
 // pop order, which is reverse topological order — every edge out of a
 // component leads to a strictly smaller component id. That invariant is

@@ -1,6 +1,6 @@
 // Package serve is the query-serving layer: it turns a completed
 // points-to analysis into a long-running service. A session registry
-// holds analyzed snapshots (opened from a .cla database or a source
+// holds analyzed snapshots (opened from a linked database or a source
 // directory), an Evaluator answers the six query kinds — points-to,
 // may-alias, call graph, MOD/REF, dependence, lint — and an HTTP server
 // exposes them over TCP or a unix socket with per-request deadlines,

@@ -1049,6 +1049,49 @@ func TestRefreshNotSupported(t *testing.T) {
 	}
 }
 
+// TestOpenDatabaseAnyName: a linked database is classified as the tools
+// classify it, by not being a directory or a .snap file, whatever its
+// name. Open serves it as an object session and BuildSnapshot snapshots
+// it, with the same answers as the source directory.
+func TestOpenDatabaseAnyName(t *testing.T) {
+	dir := writeTestDir(t)
+	fromDir, err := Open(context.Background(), "dir", dir, Config{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fromDir.Eval().EvalBatch(context.Background(), mixedQueries())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"prog.clo", "prog"} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := objfile.WriteFile(path, fromDir.Eval().Prog); err != nil {
+			t.Fatal(err)
+		}
+		obj, err := Open(context.Background(), "obj", path, Config{Jobs: 1})
+		if err != nil {
+			t.Fatalf("Open(%s): %v", name, err)
+		}
+		if obj.Kind != "object" {
+			t.Errorf("Open(%s): kind %q, want object", name, obj.Kind)
+		}
+		got, err := obj.Eval().EvalBatch(context.Background(), mixedQueries())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(marshal(t, got), marshal(t, want)) {
+			t.Errorf("Open(%s) answers differ from the directory's", name)
+		}
+		snap, err := BuildSnapshot(context.Background(), path, Config{Jobs: 1})
+		if err != nil {
+			t.Fatalf("BuildSnapshot(%s): %v", name, err)
+		}
+		if len(snap.Sources) != 1 || snap.Sources[0].Path != path {
+			t.Errorf("BuildSnapshot(%s) sources = %+v", name, snap.Sources)
+		}
+	}
+}
+
 // TestAcquirePinsGeneration: a query holding a generation keeps
 // answering from it while a refresh swaps the session forward.
 func TestAcquirePinsGeneration(t *testing.T) {

@@ -271,7 +271,7 @@ func sessionInfo(sess *Session) SessionInfo {
 }
 
 // sessionCreateBody is the POST /v1/sessions request: open path (a
-// source directory, .cla database or .snap snapshot) under the given
+// source directory, linked database or .snap snapshot) under the given
 // session name, optionally starting a watch loop on it.
 type sessionCreateBody struct {
 	Name  string `json:"name"`

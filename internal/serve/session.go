@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -93,7 +94,7 @@ type SessionState struct {
 type Session struct {
 	// Name addresses the session in requests.
 	Name string
-	// Path is the .cla database, .snap snapshot or source directory it
+	// Path is the linked database, .snap snapshot or source directory it
 	// was built from (empty for in-process sessions).
 	Path string
 	// Kind reports the backing store: "dir", "object", "snapshot" or
@@ -131,20 +132,21 @@ func NewSession(name, path string, ev *Evaluator) *Session {
 	return s
 }
 
-// Open builds a session from path: a directory is opened as an
-// incremental pipeline (dir plus cfg.Includes on the include path) whose
-// sessions can later Refresh, a .cla file is read whole and solved once,
-// a .snap solved snapshot is paged in with no parse or solve at all
-// (cfg.Solver and cfg.ExtModel are then ignored — the snapshot records
-// the configuration it was solved under). Either way the full program is
-// materialized in memory and solved, so the resulting Evaluator has no
-// mutable demand-load state and serves concurrent queries safely.
+// Open builds a session from path, classified by pathKind: a directory
+// is opened as an incremental pipeline (dir plus cfg.Includes on the
+// include path) whose sessions can later Refresh, a linked database is
+// read whole and solved once, a .snap solved snapshot is paged in with
+// no parse or solve at all (cfg.Solver and cfg.ExtModel are then
+// ignored — the snapshot records the configuration it was solved under).
+// Either way the full program is materialized in memory and solved, so
+// the resulting Evaluator has no mutable demand-load state and serves
+// concurrent queries safely.
 func Open(ctx context.Context, name, path string, cfg Config) (*Session, error) {
 	cfg.Obs = cfg.Obs.Tracks(sessionTracks * int(sessionSeq.Add(1)))
-	if strings.HasSuffix(path, ".snap") {
+	switch pathKind(path) {
+	case "snapshot":
 		return openSnapshot(name, path, cfg)
-	}
-	if strings.HasSuffix(path, ".cla") {
+	case "object":
 		src, res, err := solveObject(ctx, path, cfg)
 		if err != nil {
 			return nil, err
@@ -166,6 +168,20 @@ func Open(ctx context.Context, name, path string, cfg Config) (*Session, error) 
 	s.lastRefresh.Store(&cur.Stats)
 	s.adopt(cur)
 	return s, nil
+}
+
+// pathKind classifies a session path by the tools' rule
+// (driver.ResolveInputs): a .snap file is a solved "snapshot", a
+// directory an incremental workspace ("dir"), and any other path a
+// linked database ("object").
+func pathKind(path string) string {
+	if strings.HasSuffix(path, ".snap") {
+		return "snapshot"
+	}
+	if info, err := os.Stat(path); err == nil && info.IsDir() {
+		return "dir"
+	}
+	return "object"
 }
 
 // sessionTracks is the size of each session's range of trace tracks.
@@ -194,7 +210,7 @@ func pipeConfig(dir string, cfg Config) incr.Config {
 	}
 }
 
-// solveObject reads a .cla database whole, closes it under the extern
+// solveObject reads a linked database whole, closes it under the extern
 // model and solves it.
 func solveObject(ctx context.Context, path string, cfg Config) (*pts.MemSource, pts.Result, error) {
 	prog, err := objfile.ReadFile(path)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"strings"
 	"time"
 
 	"cla/internal/claerr"
@@ -18,29 +17,30 @@ import (
 // answers byte-identical to live-solve ones. It runs no checks and
 // stores no report: a session opened from the file computes the report
 // on its first callgraph, modref or lint query, which costs what
-// decoding a stored one would. The snapshot records content hashes of
-// the inputs for staleness detection: the .cla file, or every file a
-// source directory's compilation read (the units and their include
-// closure).
+// decoding a stored one would. path is classified as Open classifies it
+// (pathKind); a directory is compiled, and any other path is read as a
+// linked database. The snapshot records content hashes of the inputs for
+// staleness detection: the database file, or every file a source
+// directory's compilation read (the units and their include closure).
 func BuildSnapshot(ctx context.Context, path string, cfg Config) (*snapfile.Snapshot, error) {
 	var (
 		prog    *prim.Program
 		res     pts.Result
 		sources []string
 	)
-	if strings.HasSuffix(path, ".cla") {
-		src, r, err := solveObject(ctx, path, cfg)
-		if err != nil {
-			return nil, err
-		}
-		prog, res, sources = src.P, r, []string{path}
-	} else {
+	if pathKind(path) == "dir" {
 		pipe, err := incr.Open(ctx, pipeConfig(path, cfg))
 		if err != nil {
 			return nil, claerr.File(claerr.PhaseCompile, path, err)
 		}
 		cur := pipe.Current()
 		prog, res, sources = cur.Prog, cur.Res, pipe.TrackedFiles()
+	} else {
+		src, r, err := solveObject(ctx, path, cfg)
+		if err != nil {
+			return nil, err
+		}
+		prog, res, sources = src.P, r, []string{path}
 	}
 	srcFiles, err := snapfile.HashSources(sources)
 	if err != nil {

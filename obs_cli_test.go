@@ -165,34 +165,62 @@ func TestCLIObsDeterminism(t *testing.T) {
 	}
 }
 
-// TestCLIObsReportShape spot-checks the claan -stats report sections on
-// a directory input: phases (the in-memory encode between link and
-// analyze among them), database, analysis, demand loading.
+// TestCLIObsReportShape spot-checks the claan -stats report sections. A
+// directory is compiled, linked and analyzed in memory: phases, database
+// and analysis, with no encode phase and no demand loading. Its linked
+// database is demand-loaded from the file, adds the demand-loading
+// section and its load.* counters, and gives the same analysis section.
 func TestCLIObsReportShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	tools := buildTools(t, "claan")
+	tools := buildTools(t, "claan", "clacc")
 	dir := writeObsProject(t)
 	out := runObs(t, tools["claan"], "-stats", dir)
 	for _, want := range []string{
 		"== phases ==", "compile", "analyze",
 		"== database ==", "== analysis (pre-transitive) ==", "pointer vars:",
-		"== demand loading ==", "blocks loaded", "bytes loaded",
-		"== counters ==", "load.entries.loaded",
-		"compile.preamble_hits", "compile.preamble_misses",
+		"== counters ==", "compile.preamble_hits", "compile.preamble_misses",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("claan -stats missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "pool.") {
-		t.Errorf("claan -stats leaks jobs-dependent pool counters:\n%s", out)
+	for _, absent := range []string{"pool.", "== demand loading ==", "load."} {
+		if strings.Contains(out, absent) {
+			t.Errorf("claan -stats over a directory prints %q:\n%s", absent, out)
+		}
 	}
 	phases, _, _ := strings.Cut(out[strings.Index(out, "== phases =="):], "== database ==")
-	for _, phase := range []string{"compile", "link", "encode", "analyze"} {
+	for _, phase := range []string{"compile", "link", "analyze"} {
 		if !regexp.MustCompile(`(?m)^\s*` + phase + `\s`).MatchString(phases) {
 			t.Errorf("claan -stats phases lack %q:\n%s", phase, phases)
 		}
 	}
+	if regexp.MustCompile(`(?m)^\s*encode\s`).MatchString(phases) {
+		t.Errorf("claan -stats phases include encode:\n%s", phases)
+	}
+
+	db := filepath.Join(t.TempDir(), "p.clo")
+	runObs(t, tools["clacc"], "-o", db, dir)
+	fromDB := runObs(t, tools["claan"], "-stats", db)
+	for _, want := range []string{"== demand loading ==", "blocks loaded", "bytes loaded", "load.entries.loaded"} {
+		if !strings.Contains(fromDB, want) {
+			t.Errorf("claan -stats over a database missing %q:\n%s", want, fromDB)
+		}
+	}
+	if a, b := statsSection(out, "analysis"), statsSection(fromDB, "analysis"); a == "" || a != b {
+		t.Errorf("analysis section differs between directory and database:\n%s\n---\n%s", a, b)
+	}
+}
+
+// statsSection returns the -stats report section whose title starts
+// with title, up to the blank line that ends it.
+func statsSection(out, title string) string {
+	i := strings.Index(out, "== "+title)
+	if i < 0 {
+		return ""
+	}
+	sec, _, _ := strings.Cut(out[i:], "\n\n")
+	return sec
 }

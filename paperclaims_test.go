@@ -102,7 +102,7 @@ func TestClaimPrecisionGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl, err := worklist.Solve(context.Background(), pts.NewMemSource(w.FieldBased), 1)
+	wl, err := worklist.Solve(context.Background(), pts.NewMemSource(w.FieldBased))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,10 +47,11 @@ type WorkspaceOptions struct {
 
 	// Jobs bounds compile and solve parallelism. Compiling and
 	// materializing the solved sets use GOMAXPROCS workers at 0. The
-	// pre-transitive and worklist solvers run their wave fixpoint only
-	// at Jobs >= 2; at 0 or 1 a scratch solve runs the sequential
-	// fixpoint, while a workspace's warm re-solves always run waves.
-	// Analysis results are byte-identical at every setting.
+	// pre-transitive solver runs its wave fixpoint only at Jobs >= 2; at
+	// 0 or 1 a scratch solve runs the sequential fixpoint, while a
+	// workspace's warm re-solves always run waves. The other solvers
+	// solve sequentially at every setting. Analysis results are
+	// byte-identical at every setting.
 	Jobs int
 	// CacheDir, when non-empty, persists compiled unit databases and
 	// the latest solved generation there: a new workspace over an
