@@ -29,6 +29,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"cla/internal/prim"
@@ -165,6 +166,8 @@ type node struct {
 	dead bool
 	// dirty marks a node queued on warmState.dirty since the last wave.
 	dirty bool
+	// operand marks a node some complex assignment names.
+	operand bool
 	// unloaded lists member nodes whose blocks are not yet loaded
 	// (demand mode); loading happens when the node becomes relevant.
 	unloaded []int32
@@ -331,11 +334,7 @@ func (s *Solver) run(ctx context.Context) (*Result, error) {
 	s.pass++
 	s.releaseScratch()
 	s.m.InCore = len(s.complex)
-	s.m.InFile = pts.TotalAssigns(s.src)
-	if err := s.snap.fillMetrics(&s.m, s.src, s.cfg); err != nil {
-		return nil, err
-	}
-	res := &Result{snap: s.snap, m: s.m, numSyms: s.numSyms}
+	res := &Result{snap: s.snap, m: s.m, numSyms: s.numSyms, src: s.src, cache: s.cfg.Cache}
 	if s.warm != nil {
 		res.regionNodes = s.warm.regionNodes
 	}
@@ -455,8 +454,13 @@ func (s *Solver) funcPtrPass() error {
 // and metrics.
 type Result struct {
 	snap    *snapshot
-	m       pts.Metrics
 	numSyms int32
+	// m holds the solve's metrics; the first Metrics call adds the
+	// counts over src's symbols and assignments (count), once.
+	m       pts.Metrics
+	counted sync.Once
+	src     pts.Source
+	cache   bool
 	// regionNodes is the warm solve's region size (RegionNodes).
 	regionNodes int
 	// solver is handed to at most one successor (SolveFrom).
@@ -472,8 +476,18 @@ func (r *Result) PointsTo(sym prim.SymID) []prim.SymID {
 	return r.snap.pointsTo(int32(sym))
 }
 
-// Metrics returns solver statistics.
-func (r *Result) Metrics() pts.Metrics { return r.m }
+// Metrics returns solver statistics. The Table 3 counts that read every
+// symbol and assignment (PointerVars, Relations, InFile and the
+// snapshot's cache accounting) are computed from the snapshot on the
+// first call, not by the solve, so a generation whose metrics nobody
+// reads never pays for them. Concurrent calls are safe.
+func (r *Result) Metrics() pts.Metrics {
+	r.counted.Do(func() {
+		r.snap.count(&r.m, r.src, r.cache)
+		r.src = nil
+	})
+	return r.m
+}
 
 // RegionNodes returns how many nodes the waves of the warm solve that
 // produced r recomputed, summed over its waves (0 for a scratch solve).

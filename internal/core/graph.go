@@ -28,7 +28,7 @@ func (s *Solver) newNode() int32 {
 	s.nodes = append(s.nodes, node{skip: -1, deref: -1})
 	// Grow traversal scratch lazily in reach.go.
 	if s.warm != nil {
-		s.warm.side = append(s.warm.side, regionNode{comp: -1})
+		s.warm.side = append(s.warm.side, regionNode{comp: -1, next: id})
 	}
 	return id
 }
@@ -179,19 +179,24 @@ func (s *Solver) apply(a prim.Assign) {
 		// rule because src is relevant.
 		s.addEdge(d, src)
 	case prim.StoreInd: // *d = src
-		s.complex = append(s.complex, complexAssign{kind: ckStore, x: d, y: src})
+		s.addComplex(ckStore, d, src)
 	case prim.LoadInd: // d = *src
-		s.complex = append(s.complex, complexAssign{kind: ckLoad, x: d, y: src})
+		s.addComplex(ckLoad, d, src)
 	case prim.CopyInd: // *d = *src → t = *src; *d = t
 		t := s.newNode()
-		s.complex = append(s.complex,
-			complexAssign{kind: ckLoad, x: t, y: src},
-			complexAssign{kind: ckStore, x: d, y: t})
+		s.addComplex(ckLoad, t, src)
+		s.addComplex(ckStore, d, t)
 	case prim.Base:
 		// Base assignments live in the static section; one appearing in
 		// a block indicates database corruption.
 		s.addBase(d, prim.SymID(src))
 	}
+}
+
+// addComplex retains the complex assignment x, y of kind k in core.
+func (s *Solver) addComplex(k complexKind, x, y int32) {
+	s.complex = append(s.complex, complexAssign{kind: k, x: x, y: y})
+	s.nodes[x].operand, s.nodes[y].operand = true, true
 }
 
 // unify merges node a into node b (the paper's unifyNode with skip
@@ -213,6 +218,7 @@ func (s *Solver) unify(a, b int32) int32 {
 	if w := s.warm; w != nil {
 		w.side[b].preds = append(w.side[b].preds, w.side[a].preds...)
 		w.side[a].preds = nil
+		w.side[a].next, w.side[b].next = w.side[b].next, w.side[a].next
 		s.touch(b)
 	}
 

@@ -44,6 +44,14 @@ type warmState struct {
 	ws        []coreWaveWorker
 	// regionNodes sums the current solve's region sizes.
 	regionNodes int
+	// killed and committed list the classes whose component the
+	// current solve changed: those kill retired, and the region nodes
+	// every wave committed. freezeRegion patches the previous
+	// snapshot's table through their member rings.
+	killed, committed []int32
+	// counted is the component table's length when freezeRegion last
+	// counted its live components.
+	counted int
 }
 
 // regionNode is one node's region-wave state.
@@ -53,6 +61,9 @@ type regionNode struct {
 	loc   int32 // local id in the current region
 	// markEp dedupes a region node's successors.
 	markEp int32
+	// next links the members of a class into a ring: a singleton's
+	// next is itself, and unify splices two rings into one.
+	next int32
 	// preds lists the nodes with an edge into this node or into a node
 	// unified into it; holders lists the nodes that took this node as a
 	// base element. Entries are resolved through find on use.
@@ -60,17 +71,20 @@ type regionNode struct {
 }
 
 // adopt allocates the region-wave state from the converged graph and
-// its snapshot sn: the component table is sn's, shared, and the
-// predecessor and holder lists are read off the edges and base
-// elements.
+// its snapshot sn: the component table is sn's, shared, the member
+// rings are read off the skip pointers, and the predecessor and holder
+// lists off the edges and base elements.
 func (s *Solver) adopt(sn *snapshot) {
-	w := &warmState{side: make([]regionNode, len(s.nodes)), ctab: sn.sets[:len(sn.sets):len(sn.sets)]}
+	w := &warmState{side: make([]regionNode, len(s.nodes)), ctab: sn.sets[:len(sn.sets):len(sn.sets)], counted: len(sn.sets)}
 	for i := range w.side {
 		w.side[i].comp = sn.comp[i]
+		w.side[i].next = int32(i)
 	}
 	for v := range s.nodes {
 		nd := &s.nodes[v]
 		if nd.skip >= 0 {
+			r := s.find(int32(v))
+			w.side[v].next, w.side[r].next = w.side[r].next, int32(v)
 			continue
 		}
 		for _, e := range nd.edges {
@@ -227,6 +241,7 @@ func (s *Solver) commit(wv *wave) {
 	w := s.warm
 	base := int32(len(w.ctab))
 	w.ctab = append(w.ctab, freezeSets(wv.sets)...)
+	w.committed = append(w.committed, wv.reg...)
 	for c, ms := range wv.members {
 		for _, m := range ms {
 			w.side[wv.reg[m]].comp = base + int32(c)
@@ -285,47 +300,80 @@ func (s *Solver) ptrRecList() []int {
 	return recs
 }
 
-// freezeRegion builds a warm generation's snapshot: every node's
-// component, read through its representative, over the component
-// table, which the snapshot shares. When dead components, those no
-// live class uses any more, outnumber live ones, the table is compacted
-// into a fresh one first; older snapshots keep the table they share.
+// freezeRegion builds a warm generation's snapshot over the component
+// table, which the snapshot shares: a copy of the previous snapshot's
+// node → component map, patched through the member rings of the classes
+// this solve retired or committed. Nodes it added start with none. When
+// the table has doubled since its live components were last counted, it
+// counts them, and when dead components, those no live class uses any
+// more, outnumber live ones, it compacts the table into a fresh one;
+// older snapshots keep the table they share.
 func (s *Solver) freezeRegion() *snapshot {
 	w := s.warm
 	comp := make([]int32, len(s.nodes))
-	used := make([]bool, len(w.ctab))
-	live := 0
-	for i := range comp {
-		r := s.find(int32(i))
-		c := int32(-1)
-		if !s.nodes[r].dead {
-			c = w.side[r].comp
-		}
-		comp[i] = c
-		if c >= 0 && !used[c] {
-			used[c] = true
-			live++
+	for i := copy(comp, s.snap.comp); i < len(comp); i++ {
+		comp[i] = -1
+	}
+	w.epoch++
+	ep := w.epoch
+	patch := func(r, c int32) {
+		for m := r; ; {
+			comp[m] = c
+			if m = w.side[m].next; m == r {
+				return
+			}
 		}
 	}
-	if len(w.ctab) > 2*live {
-		ids := make([]int32, len(w.ctab))
-		tab := make([][]prim.SymID, 0, live)
-		for c, u := range used {
-			if u {
-				ids[c] = int32(len(tab))
-				tab = append(tab, w.ctab[c])
-			}
+	for _, r := range w.killed {
+		patch(r, -1)
+	}
+	for _, v := range w.committed {
+		r := s.find(v)
+		if sd := &w.side[r]; sd.stamp != ep && !s.nodes[r].dead {
+			sd.stamp = ep
+			patch(r, sd.comp)
 		}
-		for i, c := range comp {
-			if c >= 0 {
-				comp[i] = ids[c]
-			}
-			w.side[i].comp = comp[i]
-		}
-		w.ctab = tab
+	}
+	w.killed, w.committed = w.killed[:0], w.committed[:0]
+	if len(w.ctab) >= 2*w.counted {
+		s.compact(comp)
+		w.counted = len(w.ctab)
 	}
 	return &snapshot{
 		comp: comp, sets: w.ctab[:len(w.ctab):len(w.ctab)],
 		symNode: s.symNode, nodeSym: s.nodeSym,
 	}
+}
+
+// compact moves the component table into a fresh one when dead
+// components outnumber live ones, renumbering comp, the new snapshot's
+// node → component map, and the classes' components.
+func (s *Solver) compact(comp []int32) {
+	w := s.warm
+	used := make([]bool, len(w.ctab))
+	live := 0
+	for _, c := range comp {
+		if c >= 0 && !used[c] {
+			used[c] = true
+			live++
+		}
+	}
+	if len(w.ctab) <= 2*live {
+		return
+	}
+	ids := make([]int32, len(w.ctab))
+	tab := make([][]prim.SymID, 0, live)
+	for c, u := range used {
+		if u {
+			ids[c] = int32(len(tab))
+			tab = append(tab, w.ctab[c])
+		}
+	}
+	for i, c := range comp {
+		if c >= 0 {
+			comp[i] = ids[c]
+		}
+		w.side[i].comp = comp[i]
+	}
+	w.ctab = tab
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cla/internal/parallel"
 	"cla/internal/prim"
 	"cla/internal/pts"
 )
@@ -62,14 +61,6 @@ func (sn *snapshot) compOf(sym int32) int32 {
 	return sn.comp[sym]
 }
 
-// size returns the size of sym's points-to set without translating it.
-func (sn *snapshot) size(sym int32) int {
-	if c := sn.compOf(sym); c >= 0 {
-		return len(sn.sets[c])
-	}
-	return 0
-}
-
 // pointsTo returns sym's points-to set in symbol ids. A warm
 // generation translates each component once, on its first read, and
 // every later read of any member shares the result; concurrent first
@@ -108,59 +99,37 @@ func (sn *snapshot) pointsTo(sym int32) []prim.SymID {
 	return out
 }
 
-// fillMetrics adds the Table 3 accounting (pointer variables with
-// non-empty sets and total relations) to m by fanning the per-symbol
-// queries out across cfg.Jobs shards. Each worker accumulates
-// privately; the totals are order-independent sums, so the result is
-// identical to the sequential loop. Set sizes need no translation. An
-// error is a shard's contained panic.
-func (sn *snapshot) fillMetrics(m *pts.Metrics, src pts.Source, cfg Config) error {
-	n := src.NumSyms()
-	w := parallel.Workers(cfg.Jobs)
-	vars := make([]int, w)
-	rels := make([]int, w)
-	err := parallel.Shard(cfg.Jobs, n, func(wk, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if !pts.CountedAsPointerVar(src.Sym(prim.SymID(i)).Kind) {
-				continue
-			}
-			if c := sn.size(int32(i)); c > 0 {
-				vars[wk]++
-				rels[wk] += c
-			}
+// count adds the Table 3 accounting over src's symbols to m: pointer
+// variables with non-empty sets, total relations and the assignments in
+// the database. Set sizes need no translation. With caching on, it
+// keeps the batch-query accounting from the mutable era: the first
+// query of a component materializes its set (a miss); every later query
+// of the same component is answered by the shared set (a hit).
+func (sn *snapshot) count(m *pts.Metrics, src pts.Source, cache bool) {
+	m.InFile = pts.TotalAssigns(src)
+	var touched []bool
+	if cache {
+		touched = make([]bool, len(sn.sets))
+	}
+	for i := 0; i < src.NumSyms(); i++ {
+		if !pts.CountedAsPointerVar(src.Sym(prim.SymID(i)).Kind) {
+			continue
 		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for i := 0; i < w; i++ {
-		m.PointerVars += vars[i]
-		m.Relations += rels[i]
-	}
-	// With caching on, keep the batch-query accounting from the mutable
-	// era: the first query of a component materializes its set (a miss);
-	// every later query of the same component is answered by the shared
-	// set (a hit). Computed in one deterministic pass so the totals are
-	// identical at any worker count.
-	if cfg.Cache {
-		touched := make([]bool, len(sn.sets))
-		var queries, distinct int64
-		for i := 0; i < n; i++ {
-			if !pts.CountedAsPointerVar(src.Sym(prim.SymID(i)).Kind) || sn.size(int32(i)) == 0 {
-				continue
-			}
-			queries++
-			c := sn.compOf(int32(i))
-			if !touched[c] {
+		c := sn.compOf(int32(i))
+		if c < 0 || len(sn.sets[c]) == 0 {
+			continue
+		}
+		m.PointerVars++
+		m.Relations += len(sn.sets[c])
+		if cache {
+			if touched[c] {
+				m.CacheHits++
+			} else {
 				touched[c] = true
-				distinct++
+				m.CacheMisses++
 			}
 		}
-		m.CacheHits += queries - distinct
-		m.CacheMisses += distinct
 	}
-	return nil
 }
 
 // condensedAdj builds the condensed adjacency per representative:

@@ -149,9 +149,7 @@ func TestFrozenWaveMatchesSequentialFreeze(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		want.symNode, want.nodeSym = ref.symNode, ref.nodeSym
-		if err := want.fillMetrics(&ref.m, ref.src, ref.cfg); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		want.count(&ref.m, ref.src, ref.cfg.Cache)
 		fwd, back := map[int32]int32{}, map[int32]int32{}
 		for i := range ref.nodes {
 			n := int32(i)

@@ -28,14 +28,25 @@ import (
 // derives exactly the points-to sets of the kept constraints' least
 // fixpoint (DESIGN.md, "Warm start").
 
-// Edit relates a new program to the one a previous Result solved.
+// Edit relates a new program to the one a previous Result solved, in
+// the shape a one-unit splice gives it (linker.Shift): an old symbol id
+// below Lo keeps its id, old id Lo+i becomes Own[i] (prim.NoSym for a
+// removed symbol), and the old ids after Own's range move by the change
+// in the symbol count. Own's new ids lie in its range so shifted, Lo up
+// to the first moved id, and are distinct. Any other map is an Edit of
+// Lo 0 and one Own entry per old symbol, as a full link's is.
 type Edit struct {
-	// Map takes each old symbol id to its id in the new program, or
-	// prim.NoSym for a removed symbol. It must be injective.
-	Map []prim.SymID
+	Lo  prim.SymID
+	Own []prim.SymID
 	// Added lists the new program's assignments (in new ids) that have
 	// no image among the old program's.
 	Added []prim.Assign
+}
+
+// keeps reports whether old symbol x has an image in the new program.
+func (ed *Edit) keeps(x int32) bool {
+	i := x - int32(ed.Lo)
+	return i < 0 || int(i) >= len(ed.Own) || ed.Own[i] != prim.NoSym
 }
 
 // ErrNoWarmStart reports that the previous graph cannot seed the new
@@ -63,7 +74,7 @@ var ErrNoWarmStart = errors.New("core: previous fixpoint cannot seed this progra
 func SolveFrom(ctx context.Context, src pts.Source, cfg Config, prev *Result, ed Edit) (*Result, error) {
 	s := prev.solver.Swap(nil)
 	if s == nil || cfg.Cache != s.cfg.Cache || cfg.CycleElim != s.cfg.CycleElim ||
-		cfg.DemandLoad != s.cfg.DemandLoad || len(ed.Map) != int(s.numSyms) {
+		cfg.DemandLoad != s.cfg.DemandLoad || ed.Lo < 0 || int(ed.Lo)+len(ed.Own) > int(s.numSyms) {
 		return nil, ErrNoWarmStart
 	}
 	s.setConfig(cfg)
@@ -78,48 +89,68 @@ func SolveFrom(ctx context.Context, src pts.Source, cfg Config, prev *Result, ed
 	return s.run(ctx)
 }
 
-// rebind binds the solver to the new program src: symbols map to their
-// old nodes through ed.Map, new symbols get new nodes, removed symbols'
-// classes go dead (kill), and the added assignments are applied. It
-// reports false when ed.Map is not injective into src or the kept
-// region is not closed.
+// rebind binds the solver to the new program src: symbols outside
+// ed.Own's range keep their nodes, those in it move through ed.Own, new
+// symbols get new nodes, removed symbols' classes go dead (kill), and
+// the added assignments are applied. The symbol↔node tables are copied
+// in bulk and patched in Own's range, so a rebind costs the changed
+// range and a copy, not a pass over the symbols. It reports false when
+// ed.Own does not map into its range injectively or the kept region is
+// not closed.
 func (s *Solver) rebind(src pts.Source, ed Edit) bool {
-	newN := int32(src.NumSyms())
+	oldN, newN := s.numSyms, int32(src.NumSyms())
+	lo, hi := int32(ed.Lo), int32(ed.Lo)+int32(len(ed.Own))
+	nhi := hi + newN - oldN // where Own's range ends in new ids
+	if nhi < lo {
+		return false
+	}
 	symNode := make([]int32, newN)
-	for i := range symNode {
-		symNode[i] = -1
+	s.copyNodes(symNode[:lo], 0)
+	s.copyNodes(symNode[nhi:], hi)
+	for t := lo; t < nhi; t++ {
+		symNode[t] = -1
 	}
 	var gone []int32
-	for i, t := range ed.Map {
-		n := s.node(int32(i))
+	for i, t := range ed.Own {
+		n := s.node(lo + int32(i))
 		if t == prim.NoSym {
 			gone = append(gone, n)
 			continue
 		}
-		if t < 0 || int32(t) >= newN || symNode[t] >= 0 {
+		if int32(t) < lo || int32(t) >= nhi || symNode[t] >= 0 {
 			return false
 		}
 		symNode[t] = n
 	}
-	if len(gone) > 0 && !s.kill(gone, symNode) {
+	if len(gone) > 0 && !s.kill(gone, &ed) {
 		return false
 	}
 
-	s.src, s.numSyms = src, newN
-	var added []int32
-	for t, n := range symNode {
-		if n < 0 {
-			symNode[t] = s.newNode()
-			added = append(added, int32(t))
+	// Every old node keeps its symbol, moved like the ids; Own's range
+	// is then rebound, its removed symbols' nodes to none.
+	nodeSym := make([]int32, len(s.nodes), len(s.nodes)+int(nhi-lo))
+	n := copy(nodeSym, s.nodeSym)
+	for ; n < len(nodeSym); n++ {
+		nodeSym[n] = s.symOf(int32(n))
+	}
+	if delta := newN - oldN; delta != 0 {
+		for n, t := range nodeSym {
+			if t >= hi {
+				nodeSym[n] = t + delta
+			}
 		}
 	}
-	s.symNode = symNode
-	s.nodeSym = make([]int32, len(s.nodes))
-	for i := range s.nodeSym {
-		s.nodeSym[i] = -1
+	for i, t := range ed.Own {
+		nodeSym[s.node(lo+int32(i))] = int32(t)
 	}
-	for t, n := range symNode {
-		s.nodeSym[n] = int32(t)
+	s.src, s.numSyms, s.symNode, s.nodeSym = src, newN, symNode, nodeSym
+	var added []int32
+	for t := lo; t < nhi; t++ {
+		if symNode[t] < 0 {
+			symNode[t] = s.newNode()
+			s.nodeSym = append(s.nodeSym, t)
+			added = append(added, t)
+		}
 	}
 	s.recsChanged = s.bindFuncs()
 
@@ -147,6 +178,18 @@ func (s *Solver) rebind(src pts.Source, ed Edit) bool {
 	return true
 }
 
+// copyNodes copies the nodes of the current program's symbols from,
+// from+1, ... into dst.
+func (s *Solver) copyNodes(dst []int32, from int32) {
+	if s.symNode != nil {
+		copy(dst, s.symNode[from:])
+		return
+	}
+	for i := range dst {
+		dst[i] = from + int32(i)
+	}
+}
+
 // waitBlock queues the load of symbol node n's block, now if its class
 // is relevant (or demand loading is off), or when the class becomes
 // relevant.
@@ -164,12 +207,14 @@ func (s *Solver) waitBlock(n int32) {
 // kept region is not closed: a dead class holds a kept symbol, a live
 // class has an edge into a dead one or holds a removed symbol as a base
 // element, or a complex assignment other than a load into a dead class
-// touches one. Loads into dead classes are dropped.
-func (s *Solver) kill(gone, symNode []int32) bool {
+// touches one. Loads into dead classes are dropped. It reads the dead
+// classes' members, predecessors and holders, and the complex
+// assignments only when a dead member is an operand of one.
+func (s *Solver) kill(gone []int32, ed *Edit) bool {
 	w := s.warm
 	w.epoch++
 	ep := w.epoch
-	var dead []int32
+	dead := w.killed[:0]
 	mark := func(v int32) {
 		if r := s.find(v); w.side[r].stamp != ep {
 			w.side[r].stamp = ep
@@ -184,13 +229,19 @@ func (s *Solver) kill(gone, symNode []int32) bool {
 			mark(d)
 		}
 	}
+	w.killed = dead
 	isDead := func(v int32) bool { return w.side[s.find(v)].stamp == ep }
-	for _, n := range symNode {
-		if n >= 0 && isDead(n) {
-			return false
-		}
-	}
+	operands := false
 	for _, r := range dead {
+		for m := r; ; {
+			if x := s.symOf(m); x >= 0 && ed.keeps(x) {
+				return false
+			}
+			operands = operands || s.nodes[m].operand
+			if m = w.side[m].next; m == r {
+				break
+			}
+		}
 		for _, p := range w.side[r].preds {
 			if !isDead(p) {
 				return false
@@ -204,20 +255,22 @@ func (s *Solver) kill(gone, symNode []int32) bool {
 			}
 		}
 	}
-	kept := s.complex[:0]
-	for _, ca := range s.complex {
-		dx, dy := isDead(ca.x), isDead(ca.y)
-		if dx && ca.kind == ckLoad {
-			continue
+	if operands {
+		kept := s.complex[:0]
+		for _, ca := range s.complex {
+			dx, dy := isDead(ca.x), isDead(ca.y)
+			if dx && ca.kind == ckLoad {
+				continue
+			}
+			if dx || dy {
+				return false
+			}
+			kept = append(kept, ca)
 		}
-		if dx || dy {
-			return false
-		}
-		kept = append(kept, ca)
+		clear(s.complex[len(kept):])
+		s.complex = kept
+		s.fresh = len(kept)
 	}
-	clear(s.complex[len(kept):])
-	s.complex = kept
-	s.fresh = len(kept)
 
 	for _, r := range dead {
 		nd := &s.nodes[r]

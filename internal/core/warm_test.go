@@ -72,7 +72,7 @@ func warmEdit(rng *rand.Rand, old *prim.Program) (*prim.Program, Edit) {
 	// The database lists added assignments among the kept ones.
 	p.Assigns = append(p.Assigns, added...)
 	rng.Shuffle(len(p.Assigns), func(i, j int) { p.Assigns[i], p.Assigns[j] = p.Assigns[j], p.Assigns[i] })
-	return p, Edit{Map: m, Added: added}
+	return p, Edit{Own: m, Added: added}
 }
 
 func ptsDump(r *Result, n int) string {
@@ -117,7 +117,7 @@ func bigEdit(rng *rand.Rand, old *prim.Program, cycle bool) (*prim.Program, Edit
 			prim.Assign{Kind: prim.Base, Dst: obj, Src: prim.SymID(rng.Intn(n))})
 	}
 	p.Assigns = append(p.Assigns, added...)
-	return p, Edit{Map: m, Added: added}
+	return p, Edit{Own: m, Added: added}
 }
 
 // warmChain is the length of the chains of warm generations the tests
@@ -354,14 +354,14 @@ func TestSolveFromRejectsOpenRegion(t *testing.T) {
 	}
 	next := &prim.Program{Syms: p.Syms[:1]}
 	_, err = SolveFrom(context.Background(), pts.NewMemSource(next), DefaultConfig(), prev,
-		Edit{Map: []prim.SymID{0, prim.NoSym}})
+		Edit{Own: []prim.SymID{0, prim.NoSym}})
 	if !errors.Is(err, ErrNoWarmStart) {
 		t.Fatalf("open region: err = %v, want ErrNoWarmStart", err)
 	}
 	cfg := DefaultConfig()
 	cfg.DemandLoad = false
 	_, err = SolveFrom(context.Background(), pts.NewMemSource(p), cfg, prev,
-		Edit{Map: []prim.SymID{0, 1}})
+		Edit{Own: []prim.SymID{0, 1}})
 	if !errors.Is(err, ErrNoWarmStart) {
 		t.Fatalf("config change: err = %v, want ErrNoWarmStart", err)
 	}
@@ -387,14 +387,14 @@ func TestOldGenerationKeepsOnlyItsSnapshot(t *testing.T) {
 	for i := range m {
 		m[i] = prim.SymID(i)
 	}
-	got, err := SolveFrom(context.Background(), pts.NewMemSource(prog), DefaultConfig(), prev, Edit{Map: m})
+	got, err := SolveFrom(context.Background(), pts.NewMemSource(prog), DefaultConfig(), prev, Edit{Own: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if prev.solver.Load() != nil {
 		t.Fatal("the previous generation still holds its solver")
 	}
-	if _, err := SolveFrom(context.Background(), pts.NewMemSource(prog), DefaultConfig(), prev, Edit{Map: m}); !errors.Is(err, ErrNoWarmStart) {
+	if _, err := SolveFrom(context.Background(), pts.NewMemSource(prog), DefaultConfig(), prev, Edit{Own: m}); !errors.Is(err, ErrNoWarmStart) {
 		t.Fatalf("second warm start from one generation: %v, want ErrNoWarmStart", err)
 	}
 	collected := make(chan struct{})
@@ -412,4 +412,275 @@ func TestOldGenerationKeepsOnlyItsSnapshot(t *testing.T) {
 		}
 	}
 	t.Fatal("the solver is still reachable from the previous generation")
+}
+
+// shiftEdit derives a new program from old by editing one unit, the
+// symbols [lo, hi), the way a one-unit splice does: it removes up to two
+// of the unit's symbols whose every mention is a base, simple or load
+// assignment into a removed symbol, reorders the unit's kept symbols,
+// appends up to two fresh ones to the unit, shifts the symbols after it
+// and adds random assignments. It returns the edit in shift form, or a
+// nil program when the drawn removals do not qualify.
+func shiftEdit(rng *rand.Rand, old *prim.Program, lo, hi int) (*prim.Program, Edit) {
+	removed := map[int]bool{}
+	for k := rng.Intn(3); k > 0 && hi > lo; k-- {
+		removed[lo+rng.Intn(hi-lo)] = true
+	}
+	for _, a := range old.Assigns {
+		if (removed[int(a.Dst)] || removed[int(a.Src)]) &&
+			(!removed[int(a.Dst)] || a.Kind == prim.StoreInd || a.Kind == prim.CopyInd) {
+			return nil, Edit{}
+		}
+	}
+	var order []int
+	for i := lo; i < hi; i++ {
+		if !removed[i] {
+			order = append(order, i)
+		}
+	}
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	p := &prim.Program{Syms: append([]prim.Symbol(nil), old.Syms[:lo]...)}
+	own := make([]prim.SymID, hi-lo)
+	for i := range own {
+		own[i] = prim.NoSym
+	}
+	for _, i := range order {
+		own[i-lo] = p.AddSym(old.Syms[i])
+	}
+	for k := rng.Intn(3); k > 0; k-- {
+		p.AddSym(prim.Symbol{Name: fmt.Sprintf("n%d_%d", len(old.Syms), len(p.Syms)), Kind: prim.SymGlobal, Type: "int*"})
+	}
+	delta := prim.SymID(len(p.Syms) - hi)
+	p.Syms = append(p.Syms, old.Syms[hi:]...)
+	ed := Edit{Lo: prim.SymID(lo), Own: own}
+	of := func(id prim.SymID) prim.SymID {
+		switch {
+		case int(id) < lo:
+			return id
+		case int(id) >= hi:
+			return id + delta
+		}
+		return own[int(id)-lo]
+	}
+	for _, a := range old.Assigns {
+		if d, s := of(a.Dst), of(a.Src); d != prim.NoSym && s != prim.NoSym {
+			a.Dst, a.Src = d, s
+			p.AddAssign(a)
+		}
+	}
+	for k := rng.Intn(6); k > 0; k-- {
+		a := prim.Assign{
+			Kind: prim.Kind(rng.Intn(prim.NumKinds)),
+			Dst:  prim.SymID(rng.Intn(len(p.Syms))),
+			Src:  prim.SymID(rng.Intn(len(p.Syms))),
+		}
+		ed.Added = append(ed.Added, a)
+	}
+	p.Assigns = append(p.Assigns, ed.Added...)
+	return p, ed
+}
+
+// degenerate returns ed in the form a full link gives: Lo 0 and one Own
+// entry per old symbol.
+func degenerate(ed Edit, oldN, newN int) Edit {
+	full := make([]prim.SymID, oldN)
+	hi := int(ed.Lo) + len(ed.Own)
+	for i := range full {
+		switch {
+		case i < int(ed.Lo):
+			full[i] = prim.SymID(i)
+		case i >= hi:
+			full[i] = prim.SymID(i + newN - oldN)
+		default:
+			full[i] = ed.Own[i-int(ed.Lo)]
+		}
+	}
+	return Edit{Own: full, Added: ed.Added}
+}
+
+// TestSolveFromShiftMatchesScratch: on programs of four units, chains of
+// one-unit edits at the first, a middle and the last unit, passed in
+// shift form to one solver and in the degenerate form of a full link to
+// another, give the scratch sets and Table 3 counts, and the two chains
+// agree on every Metrics field and on RegionNodes. Each shift-form
+// generation's metrics are first read after the next SolveFrom has
+// taken its solver over.
+func TestSolveFromShiftMatchesScratch(t *testing.T) {
+	configs := []Config{
+		{Cache: true, CycleElim: true, DemandLoad: true},
+		{Cache: true, CycleElim: true, DemandLoad: false},
+		{Cache: true, CycleElim: false, DemandLoad: true},
+	}
+	edits := 0
+	for seed := int64(0); seed < 30; seed++ {
+		for ci, cfg := range configs {
+			for _, jobs := range []int{1, 2} {
+				cfg.Jobs = jobs
+				cfg.MaxPasses = 10000
+				rng := rand.New(rand.NewSource(seed))
+				units := []int{2 + rng.Intn(5), 2 + rng.Intn(5), 2 + rng.Intn(5), 2 + rng.Intn(5)}
+				n := 0
+				for _, u := range units {
+					n += u
+				}
+				prog := randomProgram(rng, n, 3*n)
+				shifted, err := Solve(pts.NewMemSource(prog), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				full, err := Solve(pts.NewMemSource(prog), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var unread *Result // a shift-form generation whose metrics are unread
+				var unreadWant pts.Metrics
+				for step, gens := 0, 0; gens < 6 && step < 60; step++ {
+					u := []int{0, len(units) / 2, len(units) - 1}[gens%3]
+					lo := 0
+					for _, l := range units[:u] {
+						lo += l
+					}
+					next, ed := shiftEdit(rng, prog, lo, lo+units[u])
+					if next == nil {
+						continue
+					}
+					what := fmt.Sprintf("seed %d cfg %d jobs %d gen %d (unit %d)", seed, ci, jobs, gens, u)
+					src := pts.NewMemSource(next)
+					gotS, err := SolveFrom(context.Background(), src, cfg, shifted, ed)
+					if err != nil {
+						t.Fatalf("%s: shift form: %v", what, err)
+					}
+					gotF, err := SolveFrom(context.Background(), src, cfg, full, degenerate(ed, len(prog.Syms), len(next.Syms)))
+					if err != nil {
+						t.Fatalf("%s: degenerate form: %v", what, err)
+					}
+					if unread != nil {
+						if m := unread.Metrics(); m != unreadWant {
+							t.Fatalf("%s: the previous generation's metrics read after its solver moved on: %+v, want %+v", what, m, unreadWant)
+						}
+					}
+					want, err := Solve(pts.NewMemSource(next), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if g, f, w := ptsDump(gotS, len(next.Syms)), ptsDump(gotF, len(next.Syms)), ptsDump(want, len(next.Syms)); g != w || f != w {
+						t.Fatalf("%s: shift-form sets\n%s\ndegenerate\n%s\nscratch\n%s", what, g, f, w)
+					}
+					fm, wm := gotF.Metrics(), want.Metrics()
+					if fm.PointerVars != wm.PointerVars || fm.Relations != wm.Relations || fm.InFile != wm.InFile ||
+						jobs >= 2 && (fm.CacheHits != wm.CacheHits || fm.CacheMisses != wm.CacheMisses) {
+						t.Fatalf("%s: metrics %+v, scratch %+v", what, fm, wm)
+					}
+					if gotS.RegionNodes() != gotF.RegionNodes() {
+						t.Fatalf("%s: RegionNodes %d in shift form, %d in degenerate form", what, gotS.RegionNodes(), gotF.RegionNodes())
+					}
+					unread, unreadWant = gotS, fm
+					prog, shifted, full = next, gotS, gotF
+					units[u] += len(next.Syms) - n
+					n = len(next.Syms)
+					gens++
+					edits++
+				}
+				if unread != nil && unread.Metrics() != unreadWant {
+					t.Fatalf("seed %d cfg %d jobs %d: last generation's metrics %+v, want %+v", seed, ci, jobs, unread.Metrics(), unreadWant)
+				}
+			}
+		}
+	}
+	if edits < 500 {
+		t.Fatalf("only %d shift-form edits qualified", edits)
+	}
+}
+
+// TestSolveFromRefusesSharedClass: an edit that removes a symbol whose
+// class, unified by a cycle, also holds a kept symbol is refused by kill
+// in either form of the edit, and leaves the previous generation's
+// answers as they were; the same edit keeping the symbol starts warm.
+func TestSolveFromRefusesSharedClass(t *testing.T) {
+	p := &prim.Program{}
+	x := p.AddSym(prim.Symbol{Name: "x", Kind: prim.SymGlobal})
+	y := p.AddSym(prim.Symbol{Name: "y", Kind: prim.SymGlobal})
+	g := p.AddSym(prim.Symbol{Name: "g", Kind: prim.SymGlobal})
+	p.AddAssign(prim.Assign{Kind: prim.Simple, Dst: x, Src: y})
+	p.AddAssign(prim.Assign{Kind: prim.Simple, Dst: y, Src: x})
+	p.AddAssign(prim.Assign{Kind: prim.Base, Dst: x, Src: g})
+	next := &prim.Program{Syms: []prim.Symbol{p.Syms[x], p.Syms[g]}}
+	next.AddAssign(prim.Assign{Kind: prim.Base, Dst: 0, Src: 1})
+	cfg := DefaultConfig()
+	cfg.Jobs = 2
+	for _, ed := range []Edit{
+		{Lo: 1, Own: []prim.SymID{prim.NoSym}},
+		{Own: []prim.SymID{0, prim.NoSym, 1}},
+	} {
+		prev, err := Solve(pts.NewMemSource(p), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := prev.Metrics(); m.Unifications == 0 {
+			t.Fatalf("the cycle x = y, y = x was not unified: %+v", m)
+		}
+		before := ptsDump(prev, len(p.Syms))
+		if _, err := SolveFrom(context.Background(), pts.NewMemSource(next), cfg, prev, ed); !errors.Is(err, ErrNoWarmStart) {
+			t.Fatalf("edit %+v: err = %v, want ErrNoWarmStart", ed, err)
+		}
+		if ptsDump(prev, len(p.Syms)) != before {
+			t.Fatalf("edit %+v: the refused edit changed the previous generation", ed)
+		}
+	}
+	prev, err := Solve(pts.NewMemSource(p), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SolveFrom(context.Background(), pts.NewMemSource(p), cfg, prev, Edit{Lo: 1, Own: []prim.SymID{1}}); err != nil {
+		t.Fatalf("the edit that keeps y: %v", err)
+	}
+}
+
+// TestMetricsRaceWithNextSolve: eight goroutines read a fresh warm
+// generation's metrics, computed on the first read, while the next
+// SolveFrom takes its solver over and edits it in place (run under
+// -race in CI); every read returns the same counts.
+func TestMetricsRaceWithNextSolve(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Jobs = 2
+	prog := randProgram(11, 200, 700)
+	prev, err := Solve(pts.NewMemSource(prog), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for g := 0; g < warmChain; g++ {
+		next, ed := bigEdit(rng, prog, g == warmChain-1)
+		cur, err := SolveFrom(context.Background(), pts.NewMemSource(next), cfg, prev, ed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Solve(pts.NewMemSource(next), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wm := want.Metrics()
+		after, ed2 := bigEdit(rng, next, false)
+		var reads [8]pts.Metrics
+		var wg sync.WaitGroup
+		for i := range reads {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				reads[i] = cur.Metrics()
+			}()
+		}
+		nxt, err := SolveFrom(context.Background(), pts.NewMemSource(after), cfg, cur, ed2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		for i, m := range reads {
+			if m != reads[0] || m.PointerVars != wm.PointerVars || m.Relations != wm.Relations || m.InFile != wm.InFile ||
+				m.CacheHits != wm.CacheHits || m.CacheMisses != wm.CacheMisses {
+				t.Fatalf("gen %d: read %d got %+v, read 0 %+v, scratch %+v", g, i, m, reads[0], wm)
+			}
+		}
+		prog, prev = after, nxt
+	}
 }

@@ -166,8 +166,8 @@ func AnalyzeFrom(ctx context.Context, src pts.Source, cfg core.Config, prev *cor
 var watchHeap = obs.WatchHeap
 
 // observe runs one solve inside the "analyze" span and heap watcher and
-// publishes its metrics. A panic in the heap sampler fails the solve as
-// a *parallel.PanicError.
+// publishes its metrics to a non-nil observer. A panic in the heap
+// sampler fails the solve as a *parallel.PanicError.
 func observe(ctx context.Context, o *obs.Observer, solve func() (pts.Result, error)) (pts.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -182,7 +182,11 @@ func observe(ctx context.Context, o *obs.Observer, solve func() (pts.Result, err
 	if err != nil {
 		return nil, err
 	}
-	res.Metrics().Publish(o)
+	if o != nil {
+		// Reading the metrics counts them (core.Result.Metrics): only
+		// for an observer that will see them.
+		res.Metrics().Publish(o)
+	}
 	return res, nil
 }
 

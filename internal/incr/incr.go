@@ -186,6 +186,10 @@ type RefreshStats struct {
 	// scratch solve's, and so do its cache counts at Jobs >= 2; its
 	// Passes, EdgesAdded and Loaded describe the warm solve.
 	SolveWarm bool
+	// RegionNodes is how many nodes the warm solve's waves recomputed,
+	// summed over its waves (core.Result.RegionNodes); 0 unless
+	// SolveWarm.
+	RegionNodes int
 	// Changed reports that the refresh produced a new generation.
 	Changed bool
 	// Phase wall-clock split.
@@ -806,7 +810,7 @@ func (p *Pipeline) build(ctx context.Context, hints map[string]bool) (built, Ref
 	}
 	linked := f.Prog
 	st.Link = time.Since(linkStart)
-	st.LinkSpliced = f.Spliced
+	st.LinkSpliced = f.Splice != nil
 
 	solveStart := time.Now()
 	aprog := linked
@@ -817,8 +821,11 @@ func (p *Pipeline) build(ctx context.Context, hints map[string]bool) (built, Ref
 	cfg := p.cfg.Core
 	cfg.Jobs = p.cfg.Jobs
 	var r pts.Result
-	if prev, ed, ok := p.warmEdit(units, f.Remaps, linked); ok {
+	if prev, ed, ok := p.warmEdit(units, f); ok {
 		r, st.SolveWarm, err = driver.AnalyzeFrom(ctx, src, cfg, prev, ed, p.cfg.Obs)
+		if st.SolveWarm {
+			st.RegionNodes = r.(*core.Result).RegionNodes()
+		}
 	} else {
 		r, err = driver.Analyze(ctx, src, p.cfg.Solver, cfg, p.cfg.Obs)
 	}

@@ -122,9 +122,7 @@ func TestWarmStartFallsBack(t *testing.T) {
 func TestSameFuncs(t *testing.T) {
 	old := []prim.FuncRecord{{Func: 0, Params: []prim.SymID{1}, Ret: 2}}
 	m := []prim.SymID{3, 4, 5, prim.NoSym}
-	linked := func(recs ...prim.FuncRecord) *prim.Program {
-		return &prim.Program{Syms: make([]prim.Symbol, 6), Funcs: recs}
-	}
+	of := func(id prim.SymID) prim.SymID { return m[id] }
 	for _, c := range []struct {
 		name string
 		new  []prim.FuncRecord
@@ -138,7 +136,7 @@ func TestSameFuncs(t *testing.T) {
 		{"ret dropped", []prim.FuncRecord{{Func: 3, Params: []prim.SymID{4}, Ret: prim.NoSym}}, false},
 		{"variadic", []prim.FuncRecord{{Func: 3, Params: []prim.SymID{4}, Ret: 5, Variadic: true}}, false},
 	} {
-		if got := sameFuncs(old, linked(c.new...), m); got != c.want {
+		if got := sameFuncs(old, c.new, of); got != c.want {
 			t.Errorf("%s: sameFuncs = %v, want %v", c.name, got, c.want)
 		}
 	}

@@ -34,10 +34,10 @@ func Link(units []*prim.Program) (*prim.Program, error) {
 type Fold struct {
 	Prog   *prim.Program
 	Remaps [][]prim.SymID
-	// Spliced reports that Relink built this fold by splicing one
-	// changed unit into the previous fold. Prog and Remaps equal the
-	// full fold's either way.
-	Spliced bool
+	// Splice is non-nil when Relink built this fold by splicing one
+	// changed unit into the previous fold, and says how the two folds'
+	// ids relate. Prog and Remaps equal the full fold's either way.
+	Splice *Splice
 
 	units []*prim.Program
 	// ends[u] is where the symbols, assignments, call sites and
@@ -51,6 +51,12 @@ type Fold struct {
 	own  []uint8
 	// strMaps[u][k] is the linked string id of unit u's string k.
 	strMaps [][]prim.Str
+}
+
+// UnitFuncs returns the function records unit u added to Prog: those
+// of the functions whose first record is u's.
+func (f *Fold) UnitFuncs(u int) []prim.FuncRecord {
+	return f.Prog.Funcs[f.start(u).funcs:f.ends[u].funcs]
 }
 
 // span is the end of one unit's ranges in a linked program.

@@ -71,24 +71,36 @@ func (f *Fold) start(u int) span {
 	return f.ends[u-1]
 }
 
-// shift maps a symbol id of the fold before a splice to the id of the
-// same symbol after it: ids below the changed unit's range keep their
-// place, ids above it move by delta, and the unit's own symbols move
-// through its table (prim.NoSym for one the splice dropped or an
-// internal one, which no other unit can name).
-type shift struct {
-	lo, hi, delta prim.SymID
-	own           []prim.SymID
+// Splice says how a fold that Relink spliced relates to the fold it
+// was spliced into. Unit is the changed unit; Shift maps the old fold's
+// symbol ids to the new one's; Patched lists the ids below the unit's
+// range whose canonical symbol the splice changed. Every other id
+// outside the unit's range names the same symbol, moved by the shift.
+type Splice struct {
+	Unit int
+	Shift
+	Patched []prim.SymID
 }
 
-func (s *shift) of(id prim.SymID) prim.SymID {
+// Shift maps a symbol id of the fold before a splice to the id of the
+// same symbol after it: ids below Lo keep their place, ids at or above
+// Hi move by Delta, and id Lo+i, one of the changed unit's own symbols,
+// moves to Own[i]: prim.NoSym for one the splice dropped or an internal
+// one, which no other unit can name.
+type Shift struct {
+	Lo, Hi, Delta prim.SymID
+	Own           []prim.SymID
+}
+
+// Of returns the id after the shift of old id id.
+func (s *Shift) Of(id prim.SymID) prim.SymID {
 	switch {
-	case id < s.lo:
+	case id < s.Lo:
 		return id
-	case id >= s.hi:
-		return id + s.delta
+	case id >= s.Hi:
+		return id + s.Delta
 	}
-	return s.own[id-s.lo]
+	return s.Own[id-s.Lo]
 }
 
 // record returns r with every symbol mapped through m, its parameters
@@ -116,7 +128,7 @@ type splicer struct {
 	c      int
 	op, np *prim.Program
 	lo, hi span // c's ranges in f
-	sh     shift
+	sh     Shift
 	// strs is the new fold's string table, f's with the strings np adds
 	// appended; smap is np's string map into it. osyms and nsyms are
 	// op's and np's symbols with their locations in the linked table.
@@ -149,7 +161,7 @@ type patch struct {
 func (f *Fold) splice(c int, units []*prim.Program) *Fold {
 	lo, hi := f.start(c), f.ends[c]
 	s := &splicer{f: f, c: c, op: f.units[c], np: units[c], lo: lo, hi: hi,
-		sh: shift{lo: prim.SymID(lo.syms), hi: prim.SymID(hi.syms)}}
+		sh: Shift{Lo: prim.SymID(lo.syms), Hi: prim.SymID(hi.syms)}}
 	if !s.strings() || !s.symbols() || !s.records() {
 		return nil
 	}
@@ -249,7 +261,7 @@ func (s *splicer) newNames(oldAt map[string]int) (map[string]prim.SymID, bool) {
 			continue
 		}
 		if _, ok := added[sym.Name]; ok {
-			if prim.SymID(id) >= s.sh.lo {
+			if prim.SymID(id) >= s.sh.Lo {
 				return nil, false
 			}
 			added[sym.Name] = prim.SymID(id)
@@ -265,7 +277,7 @@ func (s *splicer) newNames(oldAt map[string]int) (map[string]prim.SymID, bool) {
 // occurrences, or where the fold would fail.
 func (s *splicer) symbols() bool {
 	f, osyms, nsyms := s.f, s.osyms, s.nsyms
-	old, oldRemap, cs := f.Prog, f.Remaps[s.c], s.sh.lo
+	old, oldRemap, cs := f.Prog, f.Remaps[s.c], s.sh.Lo
 	oldAt := make(map[string]int, len(osyms))
 	for j := range osyms {
 		if sym := &osyms[j]; sym.LinksByName() {
@@ -280,9 +292,9 @@ func (s *splicer) symbols() bool {
 		return false
 	}
 
-	s.sh.own = make([]prim.SymID, s.sh.hi-cs)
-	for i := range s.sh.own {
-		s.sh.own[i] = prim.NoSym
+	s.sh.Own = make([]prim.SymID, s.sh.Hi-cs)
+	for i := range s.sh.Own {
+		s.sh.Own[i] = prim.NoSym
 	}
 	s.remap = make([]prim.SymID, len(nsyms))
 	s.syms = make([]prim.Symbol, 0, len(nsyms))
@@ -340,7 +352,7 @@ func (s *splicer) symbols() bool {
 			return false
 		}
 		s.remap[i] = add(canon, sym, f.refs[o])
-		s.sh.own[o-cs] = s.remap[i]
+		s.sh.Own[o-cs] = s.remap[i]
 	}
 	for j := range osyms {
 		sym := &osyms[j]
@@ -360,7 +372,7 @@ func (s *splicer) symbols() bool {
 		}
 		keep(o, canon, -1)
 	}
-	s.sh.delta = prim.SymID(len(s.syms)) - (s.sh.hi - cs)
+	s.sh.Delta = prim.SymID(len(s.syms)) - (s.sh.Hi - cs)
 	return true
 }
 
@@ -372,7 +384,7 @@ func (s *splicer) symbols() bool {
 // its function.
 func (s *splicer) records() bool {
 	f, op, np, remap := s.f, s.op, s.np, s.remap
-	old, oldRemap, cs := f.Prog, f.Remaps[s.c], s.sh.lo
+	old, oldRemap, cs := f.Prog, f.Remaps[s.c], s.sh.Lo
 	for k := range np.Assigns {
 		if a := &np.Assigns[k]; !inRange(a.Dst, remap) || !inRange(a.Src, remap) {
 			return false
@@ -399,7 +411,7 @@ func (s *splicer) records() bool {
 	for k := range from {
 		from[k] = prim.NoSym
 	}
-	mapOld := func(id prim.SymID) prim.SymID { return s.sh.of(oldRemap[id]) }
+	mapOld := func(id prim.SymID) prim.SymID { return s.sh.Of(oldRemap[id]) }
 	mapNew := func(id prim.SymID) prim.SymID { return remap[id] }
 	oldRec := make(map[prim.SymID]bool, len(op.Funcs))
 	for k := range op.Funcs {
@@ -409,7 +421,7 @@ func (s *splicer) records() bool {
 			return false // two records for one function
 		}
 		oldRec[fo] = true
-		if j, ok := newRec[s.sh.of(fo)]; ok && sameRecord(r, mapOld, &np.Funcs[j], mapNew) {
+		if j, ok := newRec[s.sh.Of(fo)]; ok && sameRecord(r, mapOld, &np.Funcs[j], mapNew) {
 			from[j] = fo
 			continue
 		}
@@ -434,7 +446,7 @@ func (s *splicer) records() bool {
 		r := &np.Funcs[j]
 		if fo := from[j]; fo != prim.NoSym {
 			if k, ok := cSlot[fo]; ok {
-				s.funcs = append(s.funcs, record(&old.Funcs[k], s.sh.of, &s.params))
+				s.funcs = append(s.funcs, record(&old.Funcs[k], s.sh.Of, &s.params))
 			}
 			continue
 		}
@@ -453,20 +465,20 @@ func (s *splicer) assemble(units []*prim.Program) *Fold {
 	f, np, remap, sh, lo, hi := s.f, s.np, s.remap, &s.sh, s.lo, s.hi
 	old := f.Prog
 	out := &prim.Program{Strs: s.strs}
-	if n := len(old.Syms) + int(sh.delta); n > 0 {
+	if n := len(old.Syms) + int(sh.Delta); n > 0 {
 		out.Syms = make([]prim.Symbol, 0, n)
-		out.Syms = append(out.Syms, old.Syms[:sh.lo]...)
+		out.Syms = append(out.Syms, old.Syms[:sh.Lo]...)
 		out.Syms = append(out.Syms, s.syms...)
-		out.Syms = append(out.Syms, old.Syms[sh.hi:]...)
+		out.Syms = append(out.Syms, old.Syms[sh.Hi:]...)
 	}
 	refs := make([]int32, 0, len(out.Syms))
-	refs = append(refs, f.refs[:sh.lo]...)
+	refs = append(refs, f.refs[:sh.Lo]...)
 	refs = append(refs, s.refs...)
-	refs = append(refs, f.refs[sh.hi:]...)
+	refs = append(refs, f.refs[sh.Hi:]...)
 	own := make([]uint8, 0, len(out.Syms))
-	own = append(own, f.own[:sh.lo]...)
+	own = append(own, f.own[:sh.Lo]...)
 	own = append(own, s.own...)
-	own = append(own, f.own[sh.hi:]...)
+	own = append(own, f.own[sh.Hi:]...)
 	for _, p := range s.patches {
 		out.Syms[p.id] = p.sym
 		refs[p.id] += p.refs
@@ -481,7 +493,7 @@ func (s *splicer) assemble(units []*prim.Program) *Fold {
 			out.Assigns = append(out.Assigns, a)
 		}
 		for _, a := range old.Assigns[hi.assigns:] {
-			a.Dst, a.Src = sh.of(a.Dst), sh.of(a.Src)
+			a.Dst, a.Src = sh.Of(a.Dst), sh.Of(a.Src)
 			out.Assigns = append(out.Assigns, a)
 		}
 	}
@@ -494,7 +506,7 @@ func (s *splicer) assemble(units []*prim.Program) *Fold {
 			out.Calls = append(out.Calls, cl)
 		}
 		for _, cl := range old.Calls[hi.calls:] {
-			cl.Callee = sh.of(cl.Callee)
+			cl.Callee = sh.Of(cl.Callee)
 			out.Calls = append(out.Calls, cl)
 		}
 	}
@@ -503,11 +515,11 @@ func (s *splicer) assemble(units []*prim.Program) *Fold {
 		// the changed unit or a later one, so every record is mapped.
 		out.Funcs = make([]prim.FuncRecord, 0, n)
 		for k := range old.Funcs[:lo.funcs] {
-			out.Funcs = append(out.Funcs, record(&old.Funcs[k], sh.of, &s.params))
+			out.Funcs = append(out.Funcs, record(&old.Funcs[k], sh.Of, &s.params))
 		}
 		out.Funcs = append(out.Funcs, s.funcs...)
 		for k := int(hi.funcs); k < len(old.Funcs); k++ {
-			out.Funcs = append(out.Funcs, record(&old.Funcs[k], sh.of, &s.params))
+			out.Funcs = append(out.Funcs, record(&old.Funcs[k], sh.Of, &s.params))
 		}
 	}
 
@@ -524,13 +536,13 @@ func (s *splicer) assemble(units []*prim.Program) *Fold {
 		nr := buf[:len(or):len(or)]
 		buf = buf[len(or):]
 		for i, id := range or {
-			nr[i] = sh.of(id)
+			nr[i] = sh.Of(id)
 		}
 		remaps[u] = nr
 	}
 
 	ends := slices.Clone(f.ends)
-	d := span{int32(sh.delta), int32(len(np.Assigns) - len(s.op.Assigns)),
+	d := span{int32(sh.Delta), int32(len(np.Assigns) - len(s.op.Assigns)),
 		int32(len(np.Calls) - len(s.op.Calls)), int32(len(s.funcs)) - (hi.funcs - lo.funcs)}
 	for u := s.c; u < len(ends); u++ {
 		ends[u].syms += d.syms
@@ -540,7 +552,11 @@ func (s *splicer) assemble(units []*prim.Program) *Fold {
 	}
 	strMaps := slices.Clone(f.strMaps)
 	strMaps[s.c] = s.smap
-	return &Fold{Prog: out, Remaps: remaps, Spliced: true,
+	patched := make([]prim.SymID, len(s.patches))
+	for i, p := range s.patches {
+		patched[i] = p.id
+	}
+	return &Fold{Prog: out, Remaps: remaps, Splice: &Splice{Unit: s.c, Shift: s.sh, Patched: patched},
 		units: slices.Clone(units), ends: ends, refs: refs, own: own, strMaps: strMaps}
 }
 

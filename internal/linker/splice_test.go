@@ -23,30 +23,85 @@ func relinkMatchesFold(t *testing.T, prev *Fold, units []*prim.Program) *Fold {
 		}
 		return nil
 	}
+	spliced := got.Splice != nil
 	if err := got.Prog.Validate(); err != nil {
-		t.Fatalf("spliced %v: %v", got.Spliced, err)
+		t.Fatalf("spliced %v: %v", spliced, err)
 	}
 	if g, w := got.Prog.Canonical(), want.Prog.Canonical(); !reflect.DeepEqual(g, w) {
-		t.Fatalf("spliced %v: program differs from the fold:\n%+v\nvs\n%+v", got.Spliced, g, w)
+		t.Fatalf("spliced %v: program differs from the fold:\n%+v\nvs\n%+v", spliced, g, w)
 	}
 	if got.Prog.Digest() != want.Prog.Digest() {
-		t.Fatalf("spliced %v: digest differs from the fold's", got.Spliced)
+		t.Fatalf("spliced %v: digest differs from the fold's", spliced)
 	}
 	for u, m := range want.strMaps {
 		for k, id := range m {
 			if g, w := got.Prog.Str(got.strMaps[u][k]), want.Prog.Str(id); g != w {
-				t.Fatalf("spliced %v: unit %d string %d maps to %q, fold %q", got.Spliced, u, k, g, w)
+				t.Fatalf("spliced %v: unit %d string %d maps to %q, fold %q", spliced, u, k, g, w)
 			}
 		}
 	}
 	if !reflect.DeepEqual(got.Remaps, want.Remaps) {
-		t.Fatalf("spliced %v: remaps %v, fold %v", got.Spliced, got.Remaps, want.Remaps)
+		t.Fatalf("spliced %v: remaps %v, fold %v", spliced, got.Remaps, want.Remaps)
 	}
 	if !slices.Equal(got.refs, want.refs) || !slices.Equal(got.own, want.own) || !slices.Equal(got.ends, want.ends) {
-		t.Fatalf("spliced %v: index refs %v own %v ends %v, fold %v %v %v", got.Spliced,
+		t.Fatalf("spliced %v: index refs %v own %v ends %v, fold %v %v %v", (got.Splice != nil),
 			got.refs, got.own, got.ends, want.refs, want.own, want.ends)
 	}
+	if spliced {
+		spliceMapsIDs(t, prev, got)
+	}
 	return got
+}
+
+// spliceMapsIDs checks that got.Splice describes how got's ids relate to
+// prev's: every unchanged unit's symbols and the changed unit's by-name
+// ones move through the shift, the changed unit's dropped by-name
+// symbols and internal ones map to prim.NoSym, and outside the unit's
+// range only the patched ids name a changed symbol.
+func spliceMapsIDs(t *testing.T, prev, got *Fold) {
+	t.Helper()
+	sp := got.Splice
+	if sp.Hi-sp.Lo != prim.SymID(len(sp.Own)) || len(got.Prog.Syms) != len(prev.Prog.Syms)+int(sp.Delta) {
+		t.Fatalf("splice shift %+v over %d symbols, now %d", sp.Shift, len(prev.Prog.Syms), len(got.Prog.Syms))
+	}
+	for u, remap := range prev.Remaps {
+		if u == sp.Unit {
+			continue
+		}
+		for i, id := range remap {
+			if g := sp.Of(id); g != got.Remaps[u][i] {
+				t.Fatalf("unit %d symbol %d: shift maps %d to %d, fold has %d", u, i, id, g, got.Remaps[u][i])
+			}
+		}
+	}
+	byName := map[string]prim.SymID{}
+	for i, sym := range got.units[sp.Unit].Syms {
+		if sym.LinksByName() {
+			byName[sym.Name] = got.Remaps[sp.Unit][i]
+		}
+	}
+	for i, sym := range prev.units[sp.Unit].Syms {
+		id := prev.Remaps[sp.Unit][i]
+		if id < sp.Lo {
+			continue
+		}
+		want, ok := byName[sym.Name]
+		if !ok || !sym.LinksByName() {
+			want = prim.NoSym
+		}
+		if g := sp.Of(id); g != want {
+			t.Fatalf("changed unit's symbol %q (%d): shift maps it to %d, want %d", sym.Name, id, g, want)
+		}
+	}
+	for id := range prev.Prog.Syms {
+		old := prim.SymID(id)
+		if old >= sp.Lo && old < sp.Hi {
+			continue
+		}
+		if got.Prog.Syms[sp.Of(old)] != prev.Prog.Syms[old] && !slices.Contains(sp.Patched, old) {
+			t.Fatalf("symbol %d changed in the splice but is not patched", old)
+		}
+	}
 }
 
 // TestRelinkSplice replaces one unit of a small program and requires the
@@ -117,7 +172,7 @@ func TestRelinkSplice(t *testing.T) {
 			edited := slices.Clone(units)
 			edited[tc.at] = next
 			got := relinkMatchesFold(t, prev, edited)
-			if spliced := got != nil && got.Spliced; spliced != tc.spliced {
+			if spliced := got != nil && got.Splice != nil; spliced != tc.spliced {
 				t.Fatalf("spliced = %v, want %v", spliced, tc.spliced)
 			}
 			if got == nil {
@@ -152,8 +207,8 @@ func TestRelinkUnchangedUnits(t *testing.T) {
 		{"a unit fewer", units[:2], false},
 	} {
 		got := relinkMatchesFold(t, prev, tc.units)
-		if got.Spliced != tc.spliced {
-			t.Errorf("%s: spliced = %v, want %v", tc.name, got.Spliced, tc.spliced)
+		if spliced := got.Splice != nil; spliced != tc.spliced {
+			t.Errorf("%s: spliced = %v, want %v", tc.name, spliced, tc.spliced)
 		}
 	}
 }

@@ -26,8 +26,10 @@
 //	funcs:    function records for call linking: u32 count, then
 //	          {func u32, ret u32 (NoSym=0xffffffff), variadic u8, pad×3,
 //	           nparams u32, params u32...}
-//	targets:  sorted (name, sym) pairs for target lookup by name:
-//	          u32 count, then {name u32, sym u32}, ordered by string
+//	targets:  sorted (name, sym) pairs, the paper's target section:
+//	          u32 count, then {name u32, sym u32}, ordered by string;
+//	          written for the format, while readers check only its
+//	          framing and look names up in the symbol table
 //	calls:    call-site records for analysis clients: u32 count, then
 //	          24-byte records {callee u32, file u32, line i32, caller u32,
 //	          args u32, indirect u8, pad×3}

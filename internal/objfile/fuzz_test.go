@@ -84,7 +84,6 @@ func FuzzReader(f *testing.F) {
 				continue
 			}
 		}
-		_ = r.TargetLookup("g")
 		if prog, err := r.Program(); err == nil {
 			// A database the reader accepts end-to-end must also be
 			// internally consistent.

@@ -174,15 +174,54 @@ func TestCountsHeader(t *testing.T) {
 	}
 }
 
+// writtenTargets writes p and decodes the target section the writer
+// emits, which readers check only for its framing: each name with the
+// ids it lists, in section order.
+func writtenTargets(t *testing.T, p *prim.Program) map[string][]prim.SymID {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Write(&buf, p); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	if _, err := NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len())); err != nil {
+		t.Fatalf("NewReader: %v", err)
+	}
+	data := buf.Bytes()
+	const hdr = 8 + 8*prim.NumKinds
+	sec := func(i int) []byte {
+		off, n := le.Uint64(data[hdr+16*i:]), le.Uint64(data[hdr+16*i+8:])
+		return data[off : off+n]
+	}
+	strs, err := DecodeStrings(sec(secStrings))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sec(secTargets)
+	out := map[string][]prim.SymID{}
+	var last string
+	for i := 0; i < int(le.Uint32(b)); i++ {
+		rec := b[4+8*i:]
+		name, err := strs.Str(le.Uint32(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name < last {
+			t.Fatalf("target %q after %q: the section is not sorted", name, last)
+		}
+		last = name
+		out[name] = append(out[name], DecodeSymID(le.Uint32(rec[4:])))
+	}
+	return out
+}
+
 func TestTargetLookup(t *testing.T) {
 	p := sampleProgram()
-	r := writeRead(t, p)
-	ids := r.TargetLookup("y")
-	if len(ids) != 1 || r.Sym(ids[0]).Name != "y" {
-		t.Errorf("lookup y = %v", ids)
+	targets := writtenTargets(t, p)
+	if ids := targets["y"]; len(ids) != 1 || ids[0] != p.SymIDByName("y") {
+		t.Errorf("targets y = %v", ids)
 	}
-	if ids := r.TargetLookup("nosuch"); ids != nil {
-		t.Errorf("lookup nosuch = %v", ids)
+	if ids, ok := targets["nosuch"]; ok {
+		t.Errorf("targets nosuch = %v", ids)
 	}
 }
 
@@ -191,18 +230,32 @@ func TestTargetLookupMultiple(t *testing.T) {
 	p.AddSym(prim.Symbol{Name: "dup", Kind: prim.SymLocal, FuncName: "f"})
 	p.AddSym(prim.Symbol{Name: "dup", Kind: prim.SymLocal, FuncName: "g"})
 	p.AddSym(prim.Symbol{Name: "other", Kind: prim.SymGlobal})
-	r := writeRead(t, p)
-	if ids := r.TargetLookup("dup"); len(ids) != 2 {
-		t.Errorf("lookup dup = %v", ids)
+	if ids := writtenTargets(t, p)["dup"]; len(ids) != 2 || ids[0] != 0 || ids[1] != 1 {
+		t.Errorf("targets dup = %v", ids)
 	}
 }
 
 func TestTempsExcludedFromTargets(t *testing.T) {
 	p := &prim.Program{}
 	p.AddSym(prim.Symbol{Name: "tmp$1", Kind: prim.SymTemp})
-	r := writeRead(t, p)
-	if ids := r.TargetLookup("tmp$1"); ids != nil {
+	if ids, ok := writtenTargets(t, p)["tmp$1"]; ok {
 		t.Errorf("temp found in targets: %v", ids)
+	}
+}
+
+// TestTargetFramingChecked: a target section whose count disagrees
+// with its size is rejected, though its records are not read.
+func TestTargetFramingChecked(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, sampleProgram()); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	const hdr = 8 + 8*prim.NumKinds
+	off := le.Uint64(data[hdr+16*secTargets:])
+	le.PutUint32(data[off:], le.Uint32(data[off:])+1)
+	if _, err := NewReader(bytes.NewReader(data), int64(len(data))); err == nil {
+		t.Fatal("a target count past the section was accepted")
 	}
 }
 

@@ -3,7 +3,6 @@ package objfile
 import (
 	"io"
 	"os"
-	"sort"
 
 	"cla/internal/prim"
 )
@@ -27,9 +26,6 @@ type Reader struct {
 	blockCnt []int32
 	funcs    []prim.FuncRecord
 	calls    []prim.CallSite
-	// targets: sorted names with symbol ids.
-	targetNames []string
-	targetSyms  []prim.SymID
 
 	// load accumulates the demand-load accounting; loadedBlk marks the
 	// distinct blocks that have been decoded at least once.
@@ -107,9 +103,10 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 		}
 	}
 	// Read the resident sections; statics and blocks stay on disk until
-	// requested.
+	// requested, and the target index, which no reader looks names up
+	// in, is only checked for its framing.
 	var sec [numSections][]byte
-	for _, i := range []int{secStrings, secSymbols, secBlockIdx, secFuncs, secTargets, secCalls} {
+	for _, i := range []int{secStrings, secSymbols, secBlockIdx, secFuncs, secCalls} {
 		b, err := r.section(i)
 		if err != nil {
 			return nil, err
@@ -129,7 +126,7 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	if r.funcs, err = DecodeFuncs(sec[secFuncs], len(r.syms)); err != nil {
 		return nil, err
 	}
-	if err = r.loadTargets(sec[secTargets]); err != nil {
+	if err = r.checkTargets(); err != nil {
 		return nil, err
 	}
 	if r.calls, err = DecodeCalls(sec[secCalls], r.strings, len(r.syms)); err != nil {
@@ -177,27 +174,19 @@ func (r *Reader) loadBlockIndex(b []byte) error {
 	return nil
 }
 
-func (r *Reader) loadTargets(b []byte) error {
-	if len(b) < 4 {
+// checkTargets checks the target section's framing, a u32 count of
+// 8-byte records, without reading the records.
+func (r *Reader) checkTargets() error {
+	n := r.secLen[secTargets]
+	if n < 4 {
 		return corrupt("target section too small")
 	}
-	n := int(le.Uint32(b))
-	if n < 0 || n > len(b) || len(b) != 4+n*8 {
-		return corrupt("target section size mismatch")
+	var b [4]byte
+	if _, err := r.r.ReadAt(b[:], r.secOff[secTargets]); err != nil {
+		return err
 	}
-	r.targetNames = make([]string, n)
-	r.targetSyms = make([]prim.SymID, n)
-	for i := 0; i < n; i++ {
-		rec := b[4+i*8:]
-		name, err := r.strings.Str(le.Uint32(rec))
-		if err != nil {
-			return err
-		}
-		r.targetNames[i] = name
-		r.targetSyms[i] = DecodeSymID(le.Uint32(rec[4:]))
-		if err := CheckSym(r.targetSyms[i], len(r.syms)); err != nil {
-			return err
-		}
+	if n != 4+8*int64(le.Uint32(b[:])) {
+		return corrupt("target section size mismatch")
 	}
 	return nil
 }
@@ -337,17 +326,6 @@ func (r *Reader) decodeBlock(sym prim.SymID, b []byte) ([]BlockEntry, error) {
 	r.load.EntriesLoaded += int64(n)
 	r.load.BytesLoaded += int64(len(b))
 	return out, nil
-}
-
-// TargetLookup returns the ids of all symbols named name, using the sorted
-// target index (one binary search, as in the paper's target section).
-func (r *Reader) TargetLookup(name string) []prim.SymID {
-	i := sort.SearchStrings(r.targetNames, name)
-	var out []prim.SymID
-	for ; i < len(r.targetNames) && r.targetNames[i] == name; i++ {
-		out = append(out, r.targetSyms[i])
-	}
-	return out
 }
 
 // Stats summarizes the database.

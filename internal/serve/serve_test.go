@@ -923,8 +923,8 @@ func TestSessionInfoLastRefresh(t *testing.T) {
 		}
 		return info
 	}
-	if lr := info().LastRefresh; lr == nil || lr.Units != 2 || lr.Recompiled != 2 || lr.Snapshot || lr.SolveReused {
-		t.Fatalf("last_refresh = %+v after the open, want its 2 units compiled and solved", lr)
+	if lr := info().LastRefresh; lr == nil || lr.Units != 2 || lr.Recompiled != 2 || lr.Snapshot || lr.SolveReused || lr.RegionNodes != 0 {
+		t.Fatalf("last_refresh = %+v after the open, want its 2 units compiled and solved from scratch", lr)
 	}
 	refresh := func(what string) *RefreshInfo {
 		t.Helper()
@@ -956,7 +956,7 @@ func TestSessionInfoLastRefresh(t *testing.T) {
 		}
 	}
 	comment("/* note */\n")
-	if lr := refresh("comment edit"); !lr.SolveReused || lr.SolveWarm || lr.LinkSpliced || lr.CutOff != 1 {
+	if lr := refresh("comment edit"); !lr.SolveReused || lr.SolveWarm || lr.LinkSpliced || lr.CutOff != 1 || lr.RegionNodes != 0 {
 		t.Fatalf("comment edit: last_refresh = %+v, want b.c cut off and the fixpoint reused", lr)
 	}
 	// A trailing comment with no newline moves no line either.
@@ -966,6 +966,14 @@ func TestSessionInfoLastRefresh(t *testing.T) {
 	}
 	if rec := doReq(t, h, "GET", "/v1/sessions/live", nil); !strings.Contains(rec.Body.String(), `"cut_off": 1`) {
 		t.Fatalf("session info %s has no \"cut_off\": 1", rec.Body.String())
+	}
+	// A fact that only adds re-solves warm, over the region it reaches.
+	comment("\nint *more = &extra;\n")
+	if lr := refresh("added fact"); !lr.SolveWarm || lr.RegionNodes < 1 {
+		t.Fatalf("added fact: last_refresh = %+v, want a warm solve over a region of at least 1 node", lr)
+	}
+	if rec := doReq(t, h, "GET", "/v1/sessions/live", nil); !strings.Contains(rec.Body.String(), `"region_nodes": `) {
+		t.Fatalf("session info %s has no \"region_nodes\"", rec.Body.String())
 	}
 
 	sess, err := s.Sessions.Get("live")

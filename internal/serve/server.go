@@ -215,8 +215,8 @@ type SessionInfo struct {
 // the unit counts (cut_off counts the recompiled units whose unchanged
 // tokens kept their previous compile), whether the link spliced the one changed unit into
 // the previous link, whether the fixpoint was reused, read from the
-// unit store's saved generation or solved warm, and the phase split in
-// milliseconds.
+// unit store's saved generation or solved warm (with the nodes the warm
+// solve's waves recomputed), and the phase split in milliseconds.
 type RefreshInfo struct {
 	Units       int     `json:"units"`
 	Recompiled  int     `json:"recompiled"`
@@ -227,6 +227,7 @@ type RefreshInfo struct {
 	SolveReused bool    `json:"solve_reused"`
 	Snapshot    bool    `json:"snapshot"`
 	SolveWarm   bool    `json:"solve_warm"`
+	RegionNodes int     `json:"region_nodes"`
 	HashMS      float64 `json:"hash_ms"`
 	CompileMS   float64 `json:"compile_ms"`
 	LinkMS      float64 `json:"link_ms"`
@@ -242,7 +243,7 @@ func refreshInfo(st *incr.RefreshStats) *RefreshInfo {
 	return &RefreshInfo{
 		Units: st.Units, Recompiled: st.Recompiled, StoreHits: st.StoreHits, Reused: st.Reused, CutOff: st.CutOff,
 		LinkSpliced: st.LinkSpliced, SolveReused: st.SolveReused, Snapshot: st.Snapshot, SolveWarm: st.SolveWarm,
-		HashMS: ms(st.Hash), CompileMS: ms(st.Compile), LinkMS: ms(st.Link),
+		RegionNodes: st.RegionNodes, HashMS: ms(st.Hash), CompileMS: ms(st.Compile), LinkMS: ms(st.Link),
 		SolveMS: ms(st.Solve), TotalMS: ms(st.Total),
 	}
 }
